@@ -3,6 +3,13 @@
 Small on purpose: 2-D matrices and vectors, the handful of ops the encoder,
 masking strategies, and task heads need, plus a central finite-difference
 checker used to validate every gradient path.
+
+A batch of sequences is packed end to end into one `(sum of lengths, width)`
+matrix and described by `Segments`. Tensors stay 2-D at the API: row-wise
+ops need no change, segment ops reduce within each sequence, and the fused
+ops that mix rows (attention, the soft-span remix, the median) pad segments
+into `(segments, longest, ...)` arrays internally, so a row only ever sees
+rows of its own sequence.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ import math
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -19,6 +27,7 @@ from .exceptions import ContractError, DimensionError, NumericError
 
 LOG_CLAMP = 1e-12
 NORM_EPS = 1e-12
+NEG_INF_LOGIT = -1e9   # added to barred logits; exp() of it underflows to 0
 
 # Thread-local so concurrent no_grad evaluation cannot poison other threads.
 _GRAD_STATE = threading.local()
@@ -113,6 +122,73 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+class Segments:
+    """Row layout of a packed batch: consecutive runs of rows, one per sequence.
+
+    `offsets[b]` is the first row of segment b and `lengths[b]` its row
+    count; `ids[i]` is the segment of row i and `positions[i]` its index
+    inside that segment.
+    """
+
+    def __init__(self, lengths):
+        lengths = np.asarray(lengths, dtype=np.intp)
+        sizes = lengths.tolist()
+        if lengths.ndim != 1 or not sizes or min(sizes) < 1:
+            raise DimensionError(f"segments need one or more positive lengths, got {lengths!r}")
+        ends = lengths.cumsum()
+        self.lengths = lengths
+        self.offsets = ends - lengths
+        self.count = len(sizes)
+        self.total = int(ends[-1])
+        self.n_max = max(sizes)
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        return np.repeat(np.arange(self.count), self.lengths)
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        return np.arange(self.total) - self.offsets[self.ids]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def of_rows(self, rows) -> "Segments":
+        """Layout of a subset of rows, given in packed order, that meets every segment."""
+        return Segments(np.bincount(self.ids[np.asarray(rows, dtype=np.intp)], minlength=self.count))
+
+    def valid(self) -> np.ndarray:
+        """(count, n_max) bool: True where a padded slot holds a real row."""
+        return np.arange(self.n_max) < self.lengths[:, None]
+
+    def pad(self, x: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """(total, ...) rows -> (count, n_max, ...), `fill` past each segment's end."""
+        if self.count == 1:
+            return x[None]
+        out = np.full((self.count, self.n_max) + x.shape[1:], fill, dtype=x.dtype)
+        out[self.ids, self.positions] = x
+        return out
+
+    def unpad(self, xp: np.ndarray) -> np.ndarray:
+        """Inverse of `pad`: the real rows of a (count, n_max, ...) array."""
+        if self.count == 1:
+            return xp[0]
+        return xp[self.ids, self.positions]
+
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        """Per-segment sum over the rows of `x`: (count, ...)."""
+        return np.add.reduceat(x, self.offsets, axis=0)
+
+
+def segments_of(n: int, segments: Segments | None) -> Segments:
+    """`segments`, checked against n rows; one segment of all rows when None."""
+    if segments is None:
+        return Segments([n])
+    if segments.total != n:
+        raise DimensionError(f"segments cover {segments.total} rows, tensor has {n}")
+    return segments
 
 
 def _make(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
@@ -288,6 +364,24 @@ def take(a: Tensor, idx) -> Tensor:
     return _make(data, (a,), backward)
 
 
+def segment_sum(x: Tensor, segments: Segments) -> Tensor:
+    """Sum of each segment's rows: (total, ...) -> (count, ...)."""
+    x = as_tensor(x)
+    segments = segments_of(x.data.shape[0], segments)
+    data = segments.sum(x.data)
+
+    def backward(g):
+        _accumulate(x, g[segments.ids])
+
+    return _make(data, (x,), backward)
+
+
+def segment_mean(x: Tensor, segments: Segments) -> Tensor:
+    """Mean of each segment's rows: (total, ...) -> (count, ...)."""
+    inv = 1.0 / segments.lengths
+    return mul(segment_sum(x, segments), inv.reshape((-1,) + (1,) * (as_tensor(x).data.ndim - 1)))
+
+
 def gather_rows(a: Tensor, ids) -> Tensor:
     """Row lookup (embedding gather); backward scatter-adds into the table."""
     ids = np.asarray(ids, dtype=np.intp)
@@ -310,11 +404,6 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
                 _accumulate(p, g[tuple(sl)])
 
     return _make(data, tuple(parts), backward)
-
-
-def stack_rows(parts: Iterable[Tensor]) -> Tensor:
-    """Stack 1-D tensors into a matrix, one per row."""
-    return concat([reshape(p, (1, -1)) for p in parts], axis=0)
 
 
 # -- nonlinearities -----------------------------------------------------------
@@ -347,7 +436,7 @@ def gelu(a: Tensor) -> Tensor:
     """Smooth tanh-form gelu; kept smooth so finite-difference checks stay tight."""
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
 
@@ -416,6 +505,69 @@ def softmax(v: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (v,), backward)
 
 
+def segment_softmax(v: Tensor, segments: Segments | None = None) -> Tensor:
+    """Max-subtracted softmax of a vector within each segment."""
+    v = as_tensor(v)
+    if v.data.ndim != 1 or v.data.size == 0:
+        raise DimensionError(f"segment_softmax expects a non-empty vector, got shape {v.data.shape}")
+    seg = segments_of(v.data.size, segments)
+    shifted = v.data - np.maximum.reduceat(v.data, seg.offsets)[seg.ids]
+    e = np.exp(shifted)
+    data = e / seg.sum(e)[seg.ids]
+
+    def backward(g):
+        dot = seg.sum(g * data)[seg.ids]
+        _accumulate(v, data * (g - dot))
+
+    return _make(data, (v,), backward)
+
+
+def cosine_softmax(states: Tensor, attn: Tensor, vecs: Tensor, beta: Tensor,
+                   segments: Segments | None = None) -> Tensor:
+    """softmax(beta * cos(attn_i * states_i, vecs[segment of i])) within each
+    segment, fused into one node. A row of negligible norm has cosine 0; a
+    segment whose vector has negligible norm gets uniform weights, which
+    carry no gradient."""
+    states, attn, vecs, beta = as_tensor(states), as_tensor(attn), as_tensor(vecs), as_tensor(beta)
+    n = states.data.shape[0]
+    seg = segments_of(n, segments)
+    ids = seg.ids
+    w = states.data * attn.data[:, None]
+    v = vecs.data[ids]
+    dots = (w * v).sum(axis=1)
+    rn = np.sqrt((w * w).sum(axis=1))
+    vn = np.sqrt((vecs.data * vecs.data).sum(axis=1))[ids]
+    prod = rn * vn
+    den = np.maximum(prod, NORM_EPS)
+    live = rn > NORM_EPS
+    cos = dots / den * live
+    logits = cos * beta.data
+    e = np.exp(logits - np.maximum.reduceat(logits, seg.offsets)[ids])
+    data = e / seg.sum(e)[ids]
+    null = vn <= NORM_EPS
+    data[null] = (1.0 / seg.lengths[ids])[null]
+
+    def backward(g):
+        dl = data * (g - seg.sum(g * data)[ids])
+        dl[null] = 0.0
+        if beta.requires_grad or beta._parents:
+            _accumulate(beta, np.asarray((dl * cos).sum()))
+        dcos = dl * beta.data * live
+        ddots = dcos / den
+        dprod = -dcos * dots / (den * den) * (prod > NORM_EPS)
+        drn_sq = dprod * vn * 0.5 / np.maximum(rn, NORM_EPS)
+        dvn_sq = dprod * rn * 0.5 / np.maximum(vn, NORM_EPS)
+        dw = ddots[:, None] * v + 2.0 * w * drn_sq[:, None]
+        if states.requires_grad or states._parents:
+            _accumulate(states, dw * attn.data[:, None])
+        if attn.requires_grad or attn._parents:
+            _accumulate(attn, (dw * states.data).sum(axis=1))
+        if vecs.requires_grad or vecs._parents:
+            _accumulate(vecs, seg.sum(ddots[:, None] * w) + 2.0 * vecs.data * seg.sum(dvn_sq)[:, None])
+
+    return _make(data, (states, attn, vecs, beta), backward)
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b in one node."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
@@ -436,47 +588,55 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(data, (x, w, b), backward)
 
 
+def _swap(x: np.ndarray) -> np.ndarray:
+    return x.swapaxes(-1, -2)
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
-                         drop_masks: list[np.ndarray] | None = None):
+                         drop_masks: np.ndarray | None = None,
+                         segments: Segments | None = None):
     """Scaled dot-product attention over column-partitioned heads, fused into
-    one node. Returns (merged output, per-head probability maps pre-dropout)."""
+    one node; a query attends only to keys of its own segment.
+
+    Works on padded (segments, heads, n_max, n_max) score arrays; padded keys
+    get zero weight. `drop_masks`, of that shape, multiplies the attention
+    probabilities. Returns (merged output, probabilities before dropout).
+    """
     n, hidden = q.data.shape
     if hidden % n_heads != 0:
         raise DimensionError(f"hidden {hidden} not divisible by {n_heads} heads")
+    seg = segments_of(n, segments)
     d_k = hidden // n_heads
-    probs: list[np.ndarray] = []
-    dropped: list[np.ndarray] = []
-    out = np.empty((n, hidden))
-    for h in range(n_heads):
-        cols = slice(h * d_k, (h + 1) * d_k)
-        logits = (q.data[:, cols] @ k.data[:, cols].T) * scale
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        p = e / e.sum(axis=1, keepdims=True)
-        probs.append(p)
-        pd = p * drop_masks[h] if drop_masks is not None else p
-        dropped.append(pd)
-        out[:, cols] = pd @ v.data[:, cols]
+    shape = (seg.count, seg.n_max, n_heads, d_k)
+
+    def heads(x):   # (total, hidden) -> (count, heads, n_max, d_k)
+        return seg.pad(x).reshape(shape).transpose(0, 2, 1, 3)
+
+    def merge(xh):  # inverse of heads
+        return seg.unpad(xh.transpose(0, 2, 1, 3).reshape(seg.count, seg.n_max, hidden))
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    logits = (qh @ _swap(kh)) * scale
+    if seg.count > 1:
+        logits += np.where(seg.valid(), 0.0, -np.inf)[:, None, None, :]
+    logits -= logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    dropped = probs * drop_masks if drop_masks is not None else probs
+    out = merge(dropped @ vh)
 
     def backward(g):
-        dq = np.zeros_like(q.data)
-        dk = np.zeros_like(k.data)
-        dv = np.zeros_like(v.data)
-        for h in range(n_heads):
-            cols = slice(h * d_k, (h + 1) * d_k)
-            go = g[:, cols]
-            dv[:, cols] = dropped[h].T @ go
-            dpd = go @ v.data[:, cols].T
-            dp = dpd * drop_masks[h] if drop_masks is not None else dpd
-            dlogits = probs[h] * (dp - (dp * probs[h]).sum(axis=1, keepdims=True))
-            dq[:, cols] = (dlogits @ k.data[:, cols]) * scale
-            dk[:, cols] = (dlogits.T @ q.data[:, cols]) * scale
+        go = heads(g)
+        dp = go @ _swap(vh)
+        if drop_masks is not None:
+            dp = dp * drop_masks
+        dlogits = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
         if q.requires_grad or q._parents:
-            _accumulate(q, dq)
+            _accumulate(q, merge((dlogits @ kh) * scale))
         if k.requires_grad or k._parents:
-            _accumulate(k, dk)
+            _accumulate(k, merge((_swap(dlogits) @ qh) * scale))
         if v.requires_grad or v._parents:
-            _accumulate(v, dv)
+            _accumulate(v, merge(_swap(dropped) @ go))
 
     return _make(out, (q, k, v), backward), probs
 
@@ -506,13 +666,65 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     return _make(data, (x, gain, bias), backward)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; draws the mask from `rng` so runs replay exactly."""
-    if rate <= 0.0:
-        return a
-    a = as_tensor(a)
-    keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
-    return mul(a, Tensor(keep))
+def soft_span_remix(states: Tensor, z: Tensor, ramp: float, scale: float,
+                    segments: Segments | None = None) -> Tensor:
+    """Adaptive-span re-aggregation of every row, fused into one node.
+
+    Row p of a segment becomes the softmax-weighted mix of that segment's
+    rows. Logits are cosines between rows times `scale`, multiplied by the
+    soft span mask m = clamp((R + z - |p - j|) / R, 0, 1) and by the mean of
+    m over the segment; keys where m is 0 get NEG_INF_LOGIT instead. A row
+    whose mask is 0 everywhere copies itself. Works on padded (segments,
+    n_max, n_max) arrays.
+    """
+    states, z = as_tensor(states), as_tensor(z)
+    seg = segments_of(states.data.shape[0], segments)
+    s = seg.pad(states.data)
+    valid = seg.valid()[:, None, :]
+    root = np.sqrt(np.maximum((s * s).sum(axis=-1, keepdims=True), 0.0))
+    norms = np.maximum(root, NORM_EPS)
+    unit = s / norms
+    logits = (unit @ _swap(unit)) * scale
+    idx = np.arange(seg.n_max)
+    pre = ((z.data + ramp) - np.abs(idx[:, None] - idx[None, :])) * (1.0 / ramp)
+    m = np.where(valid, np.clip(pre, 0.0, 1.0), 0.0)
+    inv_len = (1.0 / seg.lengths)[:, None, None]
+    ratio = m.sum(axis=-1, keepdims=True) * inv_len
+    support = m > 0.0
+    t = logits * m
+    scores = np.where(support, t * ratio, NEG_INF_LOGIT)
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    attn = e / e.sum(axis=-1, keepdims=True)
+    lonely = ~support.any(axis=-1)
+    if lonely.any():
+        b, p = np.nonzero(lonely)
+        attn[b, p] = 0.0
+        attn[b, p, p] = 1.0
+    data = seg.unpad(attn @ s)
+
+    def backward(g):
+        go = seg.pad(g)
+        ds = _swap(attn) @ go
+        da = go @ _swap(s)
+        dmod = attn * (da - (da * attn).sum(axis=-1, keepdims=True))
+        dmod[lonely] = 0.0
+        dt = dmod * ratio
+        dratio = (dmod * t).sum(axis=-1, keepdims=True)
+        dm = (dt * logits + dratio * inv_len) * valid
+        if z.requires_grad or z._parents:
+            inside = (pre > 0.0) & (pre < 1.0)
+            _accumulate(z, np.asarray((dm * inside).sum() * (1.0 / ramp)))
+        if states.requires_grad or states._parents:
+            dp = dt * m * scale
+            dunit = dp @ unit + _swap(dp) @ unit
+            ds += dunit / norms
+            dnorms = -(dunit * s / (norms * norms)).sum(axis=-1, keepdims=True)
+            dsq = dnorms * (root > NORM_EPS) * 0.5 / np.maximum(root, NORM_EPS)
+            ds += 2.0 * s * dsq
+            _accumulate(states, seg.unpad(ds))
+
+    return _make(data, (states, z), backward)
 
 
 def straight_through(soft: Tensor, hard_values: np.ndarray) -> Tensor:
@@ -552,35 +764,51 @@ def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
 AGGREGATOR_KINDS = ("mean", "median", "sd")
 
 
-def aggregate(scores: Tensor, kind: str) -> Tensor:
-    """Pool a score vector to a scalar: mean, median, or population SD."""
+def _segment_median(scores: Tensor, seg: Segments) -> Tensor:
+    """Median of each segment, the mean of the two middle values when even;
+    ties keep index order. Gradient goes to the middle values."""
+    order = np.argsort(seg.pad(scores.data, np.inf), axis=1, kind="stable")
+    rows = np.arange(seg.count)
+    half = seg.lengths // 2
+    hi = seg.offsets + order[rows, half]
+    lo = seg.offsets + order[rows, half - 1 + seg.lengths % 2]
+    data = (scores.data[lo] + scores.data[hi]) * 0.5
+
+    def backward(g):
+        full = np.zeros_like(scores.data)
+        np.add.at(full, lo, 0.5 * g)
+        np.add.at(full, hi, 0.5 * g)
+        _accumulate(scores, full)
+
+    return _make(data, (scores,), backward)
+
+
+def aggregate(scores: Tensor, kind: str, segments: Segments | None = None) -> Tensor:
+    """Pool a score vector: mean, median, or population SD. A scalar without
+    `segments`, else one value per segment."""
     scores = as_tensor(scores)
     if scores.data.ndim != 1 or scores.data.size == 0:
         raise DimensionError(f"aggregate expects a non-empty vector, got shape {scores.data.shape}")
+    seg = segments_of(scores.data.size, segments)
     kind = kind.lower()
-    n = scores.data.size
     if kind == "mean":
-        return tmean(scores)
-    if kind == "median":
-        order = np.argsort(scores.data, kind="stable")
-        mid = n // 2
-        if n % 2 == 1:
-            return take(scores, order[mid])
-        lo = take(scores, order[mid - 1])
-        hi = take(scores, order[mid])
-        return mul(add(lo, hi), 0.5)
-    if kind == "sd":
-        mu = tmean(scores)
-        centered = sub(scores, mu)
-        return sqrt(tmean(square(centered)))
-    raise ContractError(f"unknown aggregator {kind!r}; expected one of {AGGREGATOR_KINDS}")
+        pooled = segment_mean(scores, seg)
+    elif kind == "median":
+        pooled = _segment_median(scores, seg)
+    elif kind == "sd":
+        centered = sub(scores, take(segment_mean(scores, seg), seg.ids))
+        pooled = sqrt(segment_mean(square(centered), seg))
+    else:
+        raise ContractError(f"unknown aggregator {kind!r}; expected one of {AGGREGATOR_KINDS}")
+    return pooled if segments is not None else reshape(pooled, ())
 
 
 # -- backward pass ---------------------------------------------------------------
 
 
 def backward(loss: Tensor) -> None:
-    """Populate grad buffers for everything reachable from a scalar loss."""
+    """Accumulate into the grad buffer of every leaf reachable from a scalar
+    loss; intermediate gradients are dropped once propagated."""
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     topo: list[Tensor] = []
@@ -603,6 +831,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None   # only leaves keep their gradient
 
 
 # -- parameter store ----------------------------------------------------------------
@@ -647,11 +876,18 @@ class ParamStore:
             t.grad = None
 
     def l2_sum(self) -> Tensor:
-        """Sum of squares over every entry (the regularizer's norm term)."""
-        total = Tensor(0.0)
-        for t in self._entries.values():
-            total = add(total, tsum(square(t)))
-        return total
+        """Sum of squares over every entry (the regularizer's norm term), in
+        one node whose backward adds 2 * g * theta to each entry."""
+        tensors = tuple(self._entries.values())
+        total = np.float64(0.0)
+        for t in tensors:
+            total = total + (t.data * t.data).sum()
+
+        def backward(g):
+            for t in tensors:
+                _accumulate(t, 2.0 * g * t.data)
+
+        return _make(np.asarray(total), tensors, backward)
 
 
 # -- gradient checking -----------------------------------------------------------------

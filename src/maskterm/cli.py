@@ -213,7 +213,7 @@ def cmd_mask_demo(args) -> int:
     else:
         model = training.load_model(args.ckpt)
         example = corpus.make_example(args.sentence, [])
-        out = model.forward_ate(example)
+        out = model.forward_ate([example])
         if out.decision is None or out.attn is None:
             raise CompatibilityError(
                 f"checkpoint's {model.mask_cfg.strategy!r} strategy produces no threshold trace"

@@ -6,8 +6,9 @@ reserved vocabulary ids with zeroed POS/dependency parts.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -76,19 +77,32 @@ class Vocab:
 
 @dataclass
 class ModelInput:
-    """One encoder-ready sequence plus bookkeeping for masking and losses."""
+    """Encoder-ready rows of one or more sequences packed end to end, plus
+    bookkeeping for masking and losses. Positions are packed row indices,
+    grouped by sequence."""
 
-    token_ids: np.ndarray            # (n,) int
-    pos_ids: np.ndarray              # (n,) int; ignored where special
-    dep: np.ndarray                  # (n, d_D)
-    special: np.ndarray              # (n,) bool, True at [CLS]/[SEP]
-    content_positions: np.ndarray    # indices of the sentence tokens
-    protected: set[int] = field(default_factory=set)
-    aspect_positions: np.ndarray | None = None   # in-sentence aspect span positions
-    aspect_tail_positions: np.ndarray | None = None  # appended aspect copy (ASC)
+    token_ids: np.ndarray            # (N,) int
+    pos_ids: np.ndarray              # (N,) int; ignored where special
+    dep: np.ndarray                  # (N, d_D)
+    special: np.ndarray              # (N,) bool, True at [CLS]/[SEP]
+    content_positions: np.ndarray    # rows of the sentence tokens
+    protected: np.ndarray            # rows the masking must keep
+    lengths: tuple[int, ...]         # rows of each sequence
+    aspect_spans: np.ndarray | None = None   # (B, 2) inclusive in-sentence aspect rows (ASC)
 
     def __len__(self) -> int:
         return len(self.token_ids)
+
+    @functools.cached_property
+    def segments(self) -> ad.Segments:
+        return ad.Segments(self.lengths)
+
+    @functools.cached_property
+    def content_segments(self) -> ad.Segments:
+        return self.segments.of_rows(self.content_positions)
+
+
+_ZERO_DEP = np.zeros((1, DEP_DIM))   # dependency features of [CLS]/[SEP]
 
 
 def ate_input(example: TokenizedExample, vocab: Vocab) -> ModelInput:
@@ -96,7 +110,7 @@ def ate_input(example: TokenizedExample, vocab: Vocab) -> ModelInput:
     n = len(example.tokens)
     ids = np.array([CLS_ID] + [vocab.id_of(t) for t in example.tokens] + [SEP_ID])
     pos = np.array([0] + example.pos_ids + [0])
-    dep = np.vstack([np.zeros((1, DEP_DIM)), example.dep_features, np.zeros((1, DEP_DIM))])
+    dep = np.concatenate([_ZERO_DEP, example.dep_features, _ZERO_DEP])
     special = np.zeros(n + 2, dtype=bool)
     special[0] = special[-1] = True
     return ModelInput(
@@ -105,7 +119,8 @@ def ate_input(example: TokenizedExample, vocab: Vocab) -> ModelInput:
         dep=dep,
         special=special,
         content_positions=np.arange(1, n + 1),
-        protected={0, n + 1},
+        protected=np.array([0, n + 1]),
+        lengths=(n + 2,),
     )
 
 
@@ -124,16 +139,12 @@ def asc_input(example: TokenizedExample, aspect_idx: int, vocab: Vocab) -> Model
         + [vocab.id_of(t) for t in asp_tokens] + [SEP_ID]
     )
     pos = np.array([0] + example.pos_ids + [0] + asp_pos + [0])
-    dep = np.vstack([
-        np.zeros((1, DEP_DIM)), example.dep_features, np.zeros((1, DEP_DIM)),
-        asp_dep, np.zeros((1, DEP_DIM)),
-    ])
+    dep = np.concatenate([_ZERO_DEP, example.dep_features, _ZERO_DEP, asp_dep, _ZERO_DEP])
     total = len(ids)
     special = np.zeros(total, dtype=bool)
     special[0] = special[n + 1] = special[total - 1] = True
-    in_sentence = np.arange(s + 1, e + 2)
-    tail = np.arange(n + 2, total - 1)
-    protected = {0, n + 1, total - 1} | set(in_sentence.tolist()) | set(tail.tolist())
+    # specials, the in-sentence aspect span and the appended aspect copy
+    protected = np.concatenate(([0], np.arange(s + 1, e + 2), np.arange(n + 1, total)))
     return ModelInput(
         token_ids=ids,
         pos_ids=pos,
@@ -141,24 +152,49 @@ def asc_input(example: TokenizedExample, aspect_idx: int, vocab: Vocab) -> Model
         special=special,
         content_positions=np.arange(1, n + 1),
         protected=protected,
-        aspect_positions=in_sentence,
-        aspect_tail_positions=tail,
+        lengths=(total,),
+        aspect_spans=np.array([[s + 1, e + 1]]),
+    )
+
+
+def pack_inputs(inputs: list[ModelInput]) -> ModelInput:
+    """One ModelInput holding every sequence of `inputs` end to end."""
+    if not inputs:
+        raise ContractError("cannot pack an empty batch")
+    if len(inputs) == 1:
+        return inputs[0]
+    starts = np.cumsum([0] + [len(i) for i in inputs[:-1]])
+
+    def rows(name):
+        return np.concatenate([getattr(i, name) + start for i, start in zip(inputs, starts)])
+
+    return ModelInput(
+        token_ids=np.concatenate([i.token_ids for i in inputs]),
+        pos_ids=np.concatenate([i.pos_ids for i in inputs]),
+        dep=np.concatenate([i.dep for i in inputs]),
+        special=np.concatenate([i.special for i in inputs]),
+        content_positions=rows("content_positions"),
+        protected=rows("protected"),
+        lengths=tuple(len(i) for i in inputs),
+        aspect_spans=rows("aspect_spans") if inputs[0].aspect_spans is not None else None,
     )
 
 
 @dataclass
 class EncodedSequence:
-    states: Tensor                     # (n, hidden)
-    cls_state: Tensor                  # (hidden,)
-    attention_maps: list[list[np.ndarray]]  # per layer, per head, (n, n)
+    states: Tensor                     # (N, hidden)
+    attention_maps: list[np.ndarray]   # per layer, (B, heads, n_max, n_max), padded keys 0
 
 
+@functools.lru_cache(maxsize=64)
 def sinusoidal_encoding(n: int, dim: int) -> np.ndarray:
+    """(n, dim) position signal; cached and shared, hence read-only."""
     pe = np.zeros((n, dim))
     position = np.arange(n)[:, None]
     div = np.exp(np.arange(0, dim, 2) * (-np.log(10000.0) / dim))
     pe[:, 0::2] = np.sin(position * div)
     pe[:, 1::2] = np.cos(position * div[: dim // 2])
+    pe.flags.writeable = False
     return pe
 
 
@@ -206,12 +242,12 @@ def len_with_reserved(cfg: EncoderConfig) -> int:
 
 def embed_tokens(params: ParamStore, cfg: EncoderConfig, inp: ModelInput) -> Tensor:
     """Concatenate word/POS/dependency features, word part carrying the
-    sinusoidal position signal."""
-    n = len(inp)
-    if n > cfg.max_len:
-        raise LengthError(f"sequence length {n} exceeds max_len {cfg.max_len}")
+    sinusoidal position signal, which restarts at every packed sequence."""
+    seg = inp.segments
+    if seg.n_max > cfg.max_len:
+        raise LengthError(f"sequence length {seg.n_max} exceeds max_len {cfg.max_len}")
     word = ad.gather_rows(params["emb.word"], inp.token_ids)
-    word = ad.add(word, Tensor(sinusoidal_encoding(n, cfg.d_w)))
+    word = ad.add(word, Tensor(sinusoidal_encoding(seg.n_max, cfg.d_w)[seg.positions]))
     pos = ad.gather_rows(params["emb.pos"], inp.pos_ids)
     pos_mask = (~inp.special).astype(np.float64)[:, None]
     pos = ad.mul(pos, Tensor(pos_mask))
@@ -222,54 +258,86 @@ def embed_tokens(params: ParamStore, cfg: EncoderConfig, inp: ModelInput) -> Ten
 layer_norm = ad.layer_norm
 
 
+def _dropout_masks(cfg: EncoderConfig, seg: ad.Segments, rng: np.random.Generator):
+    """Inverted-dropout masks of every layer: attention probabilities
+    (layers, B, heads, n_max, n_max), attention output (layers, N, hidden)
+    and FFN hidden units (layers, N, d_ff).
+
+    Drawn sequence by sequence, each in the order a lone sequence uses them
+    (per layer: each head, the attention output, the FFN), so a packed batch
+    replays exactly the draws of its sequences run one at a time."""
+    rate, heads, hidden, d_ff = cfg.dropout_rate, cfg.n_heads, cfg.hidden, cfg.d_ff
+    layers, m = cfg.n_layers, seg.n_max
+    attn = np.zeros((layers, seg.count, heads, m, m))
+    out_rows = np.empty((layers, seg.total, hidden))
+    ffn_rows = np.empty((layers, seg.total, d_ff))
+    for b, (lo, n) in enumerate(zip(seg.offsets, seg.lengths)):
+        sizes = (heads * n * n, n * hidden, n * d_ff)
+        draws = (rng.random(layers * sum(sizes)) >= rate) / (1.0 - rate)
+        at = 0
+        for layer in range(layers):
+            attn[layer, b, :, :n, :n] = draws[at:at + sizes[0]].reshape(heads, n, n)
+            at += sizes[0]
+            out_rows[layer, lo:lo + n] = draws[at:at + sizes[1]].reshape(n, hidden)
+            at += sizes[1]
+            ffn_rows[layer, lo:lo + n] = draws[at:at + sizes[2]].reshape(n, d_ff)
+            at += sizes[2]
+    return attn, out_rows, ffn_rows
+
+
 def encode(
     params: ParamStore,
     cfg: EncoderConfig,
     embedded: Tensor,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
+    segments: ad.Segments | None = None,
 ) -> EncodedSequence:
-    """Stack of self-attention blocks; deterministic whenever train_mode is off."""
-    if train_mode and cfg.dropout_rate > 0.0 and rng is None:
-        raise ContractError("train_mode with dropout needs a random generator")
-
-    def drop(t: Tensor) -> Tensor:
-        if train_mode and cfg.dropout_rate > 0.0:
-            return ad.dropout(t, cfg.dropout_rate, rng)
-        return t
-
+    """Stack of self-attention blocks over packed sequences (`segments`, one
+    sequence of all rows when None); attention stays inside each sequence.
+    Deterministic whenever train_mode is off."""
     dropping = train_mode and cfg.dropout_rate > 0.0
+    if dropping and rng is None:
+        raise ContractError("train_mode with dropout needs a random generator")
+    seg = ad.segments_of(embedded.data.shape[0], segments)
+    masks = _dropout_masks(cfg, seg, rng) if dropping else None
+
+    def drop(t: Tensor, which: int, layer: int) -> Tensor:
+        return ad.mul(t, Tensor(masks[which][layer])) if dropping else t
+
     x = ad.affine(embedded, params["enc.in_proj.W"], params["enc.in_proj.b"])
-    n = x.data.shape[0]
     scale = 1.0 / np.sqrt(cfg.d_k)
-    attention_maps: list[list[np.ndarray]] = []
+    attention_maps: list[np.ndarray] = []
     for layer in range(cfg.n_layers):
         p = f"enc.L{layer}"
         q = ad.matmul(x, params[f"{p}.Wq"])
         k = ad.matmul(x, params[f"{p}.Wk"])
         v = ad.matmul(x, params[f"{p}.Wv"])
-        masks = None
-        if dropping:
-            masks = [(rng.random((n, n)) >= cfg.dropout_rate) / (1.0 - cfg.dropout_rate)
-                     for _ in range(cfg.n_heads)]
-        merged, layer_maps = ad.multi_head_attention(q, k, v, cfg.n_heads, scale, drop_masks=masks)
-        attention_maps.append(layer_maps)
-        attn_out = drop(ad.affine(merged, params[f"{p}.Wo"], params[f"{p}.bo"]))
+        merged, probs = ad.multi_head_attention(
+            q, k, v, cfg.n_heads, scale,
+            drop_masks=masks[0][layer] if dropping else None, segments=seg)
+        attention_maps.append(probs)
+        attn_out = drop(ad.affine(merged, params[f"{p}.Wo"], params[f"{p}.bo"]), 1, layer)
         x = layer_norm(ad.add(x, attn_out), params[f"{p}.ln1.g"], params[f"{p}.ln1.b"], cfg.layernorm_eps)
-        hidden_act = drop(ad.gelu(ad.affine(x, params[f"{p}.ffn.W1"], params[f"{p}.ffn.b1"])))
+        hidden_act = drop(ad.gelu(ad.affine(x, params[f"{p}.ffn.W1"], params[f"{p}.ffn.b1"])), 2, layer)
         ff = ad.affine(hidden_act, params[f"{p}.ffn.W2"], params[f"{p}.ffn.b2"])
         x = layer_norm(ad.add(x, ff), params[f"{p}.ln2.g"], params[f"{p}.ln2.b"], cfg.layernorm_eps)
-    cls_state = x[0]
-    return EncodedSequence(states=x, cls_state=cls_state, attention_maps=attention_maps)
+    return EncodedSequence(states=x, attention_maps=attention_maps)
 
 
-def pool_aspect(states: Tensor, span: tuple[int, int]) -> Tensor:
-    """Mean of the state rows covering an inclusive token span."""
-    s, e = span
+def pool_aspect(states: Tensor, spans) -> Tensor:
+    """Mean of the state rows covering each inclusive (start, end) span, one
+    output row per span."""
+    spans = np.asarray(spans, dtype=np.intp).reshape(-1, 2)
+    starts, ends = spans[:, 0], spans[:, 1]
     n = states.data.shape[0]
-    if s > e or s < 0 or e >= n:
+    bad = (starts > ends) | (starts < 0) | (ends >= n)
+    if bad.any():
+        s, e = spans[np.flatnonzero(bad)[0]]
         raise ContractError(f"aspect span ({s}, {e}) is empty or outside 0..{n - 1}")
-    return ad.tmean(states[slice(s, e + 1)], axis=0)
+    seg = ad.Segments(ends - starts + 1)
+    rows = starts[seg.ids] + seg.positions
+    return ad.segment_mean(ad.take(states, rows), seg)
 
 
 # -- checkpoints -----------------------------------------------------------------

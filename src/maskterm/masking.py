@@ -26,8 +26,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .exceptions import ContractError, DimensionError
 
-NEG_INF_LOGIT = -1e9
-
 
 @dataclass
 class MaskConfig:
@@ -131,45 +129,41 @@ class MaskDecision:
     masked_states: Tensor             # (n, hidden), masked rows zeroed
     gate: Tensor                      # (n,) multiplicative gate used downstream
     attn_t: Tensor | None = None      # differentiable attention vector
-    protected: set[int] = field(default_factory=set)
+    protected: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
 
 # -- ACTM --------------------------------------------------------------------
 
 
-def token_attention(states: Tensor, w_a: Tensor, d_k: int) -> Tensor:
-    """Per-token scalar scores from the scoring vector, softmax-normalized."""
+def token_attention(states: Tensor, w_a: Tensor, d_k: int,
+                    segments: ad.Segments | None = None) -> Tensor:
+    """Per-token scalar scores from the scoring vector, softmax-normalized
+    within each sequence."""
     n, hidden = states.data.shape
     if w_a.data.shape != (hidden,):
         raise DimensionError(
             f"scoring weights shape {w_a.data.shape} does not match state width {hidden}"
         )
     scores = ad.reshape(ad.matmul(states, ad.reshape(w_a, (hidden, 1))), (n,))
-    return ad.softmax(ad.mul(scores, 1.0 / math.sqrt(d_k)))
+    return ad.segment_softmax(ad.mul(scores, 1.0 / math.sqrt(d_k)), segments)
 
 
-def aspect_relevance(states: Tensor, attn: Tensor, aspect_vec: Tensor, beta) -> Tensor:
-    """Softmax over tokens of scaled cosine between weighted token vectors and
-    the aspect representation; uniform when the aspect vector is null."""
-    n = states.data.shape[0]
-    if float(np.linalg.norm(aspect_vec.data)) <= ad.NORM_EPS:
-        return Tensor(np.full(n, 1.0 / n))
-    weighted = ad.mul(states, ad.reshape(attn, (n, 1)))
-    dots = ad.reshape(ad.matmul(weighted, ad.reshape(aspect_vec, (-1, 1))), (n,))
-    row_norms = ad.sqrt(ad.tsum(ad.square(weighted), axis=1))
-    vec_norm = ad.sqrt(ad.tsum(ad.square(aspect_vec)))
-    denom = ad.clamp_min(ad.mul(row_norms, vec_norm), ad.NORM_EPS)
-    cos = ad.div(dots, denom)
-    live = (row_norms.data > ad.NORM_EPS).astype(np.float64)
-    cos = ad.mul(cos, Tensor(live))
-    return ad.softmax(ad.mul(cos, beta))
+def aspect_relevance(states: Tensor, attn: Tensor, aspect_vec: Tensor, beta,
+                     segments: ad.Segments | None = None) -> Tensor:
+    """Softmax over each sequence's tokens of scaled cosine between weighted
+    token vectors and that sequence's aspect representation (one row of
+    `aspect_vec` per sequence); uniform where the aspect vector is null."""
+    vecs = ad.reshape(aspect_vec, (-1, states.data.shape[1]))
+    return ad.cosine_softmax(states, attn, vecs, beta, segments)
 
 
-def actm_threshold(attn: Tensor, params: ActmParams, relevance: Tensor | None = None) -> Tensor:
-    """Threshold vector alpha * aggregate(attn) (+ gamma * relevance per token)."""
-    n = attn.data.shape[0]
-    pooled = ad.aggregate(attn, params.aggregator)
-    tau = ad.mul(Tensor(np.ones(n)), ad.mul(params.alpha, pooled))
+def actm_threshold(attn: Tensor, params: ActmParams, relevance: Tensor | None = None,
+                   segments: ad.Segments | None = None) -> Tensor:
+    """Threshold vector alpha * aggregate(attn) (+ gamma * relevance per
+    token), the aggregate taken over each sequence."""
+    seg = ad.segments_of(attn.data.shape[0], segments)
+    pooled = ad.aggregate(attn, params.aggregator, seg)
+    tau = ad.take(ad.mul(params.alpha, pooled), seg.ids)
     if relevance is not None:
         tau = ad.add(tau, ad.mul(relevance, params.gamma))
     return tau
@@ -179,32 +173,37 @@ def apply_mask(
     attn: Tensor,
     tau: Tensor,
     states: Tensor,
-    protected: set[int] | None = None,
+    protected=None,
     surrogate: bool = False,
+    segments: ad.Segments | None = None,
 ) -> MaskDecision:
     """Zero the state rows whose attention falls under the threshold.
 
-    Ties are kept. Protected positions are always kept. If every unprotected
-    token would be masked, the highest-attention one survives so downstream
-    heads never see an all-zero context.
+    Ties are kept. Protected positions (row indices) are always kept. If
+    every unprotected token of a sequence would be masked, its
+    highest-attention one survives so downstream heads never see an all-zero
+    context.
     """
-    protected = set(protected or ())
     n = attn.data.shape[0]
     if tau.data.shape != (n,) or states.data.shape[0] != n:
         raise DimensionError(
             f"attn {attn.data.shape}, tau {tau.data.shape}, states {states.data.shape} misaligned"
         )
-    rule_kept = attn.data >= tau.data
+    seg = ad.segments_of(n, segments)
+    prot = np.fromiter(() if protected is None else protected, dtype=np.intp)
+    outside = (prot < 0) | (prot >= n)
+    if outside.any():
+        raise ContractError(f"protected index {prot[outside][0]} outside 0..{n - 1}")
     prot_mask = np.zeros(n, dtype=bool)
-    for i in protected:
-        if not 0 <= i < n:
-            raise ContractError(f"protected index {i} outside 0..{n - 1}")
-        prot_mask[i] = True
-    kept = rule_kept | prot_mask
+    prot_mask[prot] = True
+    kept = (attn.data >= tau.data) | prot_mask
     free = ~prot_mask
-    if free.any() and not (kept & free).any():
-        scores = np.where(free, attn.data, -np.inf)
-        kept[int(np.argmax(scores))] = True
+    starved = (np.logical_or.reduceat(free, seg.offsets)
+               & ~np.logical_or.reduceat(kept & free, seg.offsets))
+    for b in np.flatnonzero(starved):
+        rows = slice(seg.offsets[b], seg.offsets[b] + seg.lengths[b])
+        scores = np.where(free[rows], attn.data[rows], -np.inf)
+        kept[seg.offsets[b] + int(np.argmax(scores))] = True
 
     margin = ad.relu(ad.sub(attn, tau))
     if surrogate:
@@ -220,7 +219,7 @@ def apply_mask(
         masked_states=masked_states,
         gate=gate,
         attn_t=attn,
-        protected=protected,
+        protected=np.flatnonzero(prot_mask),
     )
 
 
@@ -280,22 +279,22 @@ def aam_attention(query_pos: int, scores: Tensor, z, ramp: float) -> Tensor:
         return Tensor(one_hot)
     ratio = ad.tmean(m)
     modulated = ad.mul(ad.mul(scores, m), ratio)
-    barrier = np.where(support, 0.0, NEG_INF_LOGIT)
+    barrier = np.where(support, 0.0, ad.NEG_INF_LOGIT)
     return ad.softmax(ad.add(modulated, Tensor(barrier)))
 
 
-def aam_remix(states: Tensor, z: Tensor, ramp: float, d_k: int) -> Tensor:
+def aam_remix(states: Tensor, z: Tensor, ramp: float, d_k: int,
+              segments: ad.Segments | None = None) -> Tensor:
     """Re-aggregate every position from its learnable span: row p becomes the
-    aam_attention-weighted mix of nearby states.
+    aam_attention-weighted mix of nearby states of its own sequence, every
+    row of every sequence in one fused node.
 
     Content logits use row-normalized states so the softmax temperature does
     not depend on the state norm."""
-    n = states.data.shape[0]
-    norms = ad.clamp_min(ad.sqrt(ad.tsum(ad.square(states), axis=1, keepdims=True)), ad.NORM_EPS)
-    unit = ad.div(states, norms)
-    logits = ad.mul(ad.matmul(unit, unit.T), math.sqrt(d_k))
-    rows = [aam_attention(p, logits[p], z, ramp) for p in range(n)]
-    return ad.matmul(ad.stack_rows(rows), states)
+    if ramp <= 0.0:
+        raise ContractError(f"ramp length must be positive, got {ramp}")
+    z_t = z if isinstance(z, Tensor) else Tensor(float(z))
+    return ad.soft_span_remix(states, z_t, ramp, math.sqrt(d_k), segments)
 
 
 # -- AMOM --------------------------------------------------------------------------

@@ -81,19 +81,18 @@ def ate_loss(probs: Tensor, gold_tags: list[str]) -> Tensor:
     return -ad.tsum(ad.log_clamped(picked))
 
 
-def asc_loss(probs_batch: list[Tensor], gold_classes: list[str],
+def asc_loss(probs: Tensor, gold_classes: list[str],
              params: ParamStore, l2_lambda: float) -> Tensor:
-    """Instance-averaged multiclass cross-entropy plus (lambda/2) * ||theta||^2
-    over every stored parameter."""
-    if not probs_batch:
+    """Instance-averaged multiclass cross-entropy over (B, 3) probabilities
+    plus (lambda/2) * ||theta||^2 over every stored parameter."""
+    b = probs.data.shape[0]
+    if b == 0:
         raise ContractError("asc_loss needs a non-empty batch")
-    if len(probs_batch) != len(gold_classes):
-        raise DimensionError(f"{len(probs_batch)} predictions vs {len(gold_classes)} labels")
-    total = Tensor(0.0)
-    for probs, gold in zip(probs_batch, gold_classes):
-        picked = probs[ASC_INDEX[gold]]
-        total = ad.add(total, ad.log_clamped(picked))
-    loss = ad.mul(total, -1.0 / len(probs_batch))
+    if probs.data.shape != (b, len(ASC_CLASSES)) or b != len(gold_classes):
+        raise DimensionError(f"predictions {probs.data.shape} vs {len(gold_classes)} labels")
+    ids = np.array([ASC_INDEX[g] for g in gold_classes])
+    picked = probs[(np.arange(b), ids)]
+    loss = ad.mul(ad.tsum(ad.log_clamped(picked)), -1.0 / b)
     if l2_lambda != 0.0:
         loss = ad.add(loss, ad.mul(params.l2_sum(), l2_lambda / 2.0))
     return loss
@@ -145,9 +144,9 @@ class EvalReport:
 
 @dataclass
 class TaskOutput:
-    probs: Tensor                    # (m, 3) for ATE, (3,) for ASC
+    probs: Tensor                    # (sum of sentence lengths, 3) for ATE, (B, 3) for ASC
     decision: mk.MaskDecision | None
-    inp: enc.ModelInput
+    inp: enc.ModelInput              # the packed batch
     attn: Tensor | None = None
 
 
@@ -221,94 +220,101 @@ class AbsaModel:
 
     def _encode_input(self, inp: enc.ModelInput, train: bool,
                       rng: np.random.Generator | None,
-                      masked_content: frozenset[int]) -> enc.EncodedSequence:
+                      masked_content: list[frozenset[int]] | None) -> enc.EncodedSequence:
         emb = enc.embed_tokens(self.params, self.enc_cfg, inp)
-        if masked_content:
+        if masked_content is not None and any(masked_content):
+            if len(masked_content) != len(inp.segments):
+                raise ContractError(
+                    f"{len(masked_content)} masked-content sets for {len(inp.segments)} sequences")
+            starts = inp.content_segments.offsets
             keep = np.ones((len(inp), 1))
-            for c in masked_content:
-                keep[inp.content_positions[c]] = 0.0
+            for start, hidden in zip(starts, masked_content):
+                for c in hidden:
+                    keep[inp.content_positions[start + c]] = 0.0
             emb = ad.mul(emb, Tensor(keep))
-        return enc.encode(self.params, self.enc_cfg, emb, train_mode=train, rng=rng)
+        return enc.encode(self.params, self.enc_cfg, emb, train_mode=train, rng=rng,
+                          segments=inp.segments)
 
     def _mask_states(self, seq: enc.EncodedSequence, inp: enc.ModelInput,
                      surrogate: bool, aspect_vec: Tensor | None = None):
         """Strategy dispatch: returns (states for the head, decision, attn)."""
         cfg = self.mask_cfg
         states = seq.states
+        seg = inp.segments
         if cfg.strategy == "none" or cfg.strategy == "amom":
             attn = None
             if self._needs_attention():
-                attn = mk.token_attention(states, self.params["mask.w_a"], self.mask_d_k)
+                attn = mk.token_attention(states, self.params["mask.w_a"], self.mask_d_k, seg)
             return states, None, attn
         if cfg.strategy == "aam":
             z = ad.clamp(self.params["mask.z"], 0.0, float(self.enc_cfg.max_len))
-            remixed = mk.aam_remix(states, z, cfg.aam_ramp, self.mask_d_k)
+            remixed = mk.aam_remix(states, z, cfg.aam_ramp, self.mask_d_k, seg)
             return remixed, None, None
-        attn = mk.token_attention(states, self.params["mask.w_a"], self.mask_d_k)
+        attn = mk.token_attention(states, self.params["mask.w_a"], self.mask_d_k, seg)
         if cfg.strategy == "fixed":
             tau = mk.fixed_threshold(attn, cfg.fixed_tau)
         else:
             actm = self.actm_params()
             relevance = None
             if aspect_vec is not None:
-                relevance = mk.aspect_relevance(states, attn, aspect_vec, actm.beta)
-            tau = mk.actm_threshold(attn, actm, relevance=relevance)
-        decision = mk.apply_mask(attn, tau, states, protected=inp.protected, surrogate=surrogate)
+                relevance = mk.aspect_relevance(states, attn, aspect_vec, actm.beta, seg)
+            tau = mk.actm_threshold(attn, actm, relevance=relevance, segments=seg)
+        decision = mk.apply_mask(attn, tau, states, protected=inp.protected,
+                                 surrogate=surrogate, segments=seg)
         return decision.masked_states, decision, attn
 
     # -- task forwards ------------------------------------------------------------
+    # Each forward runs a whole batch as one packed graph; a single example is
+    # a batch of one. `masked_content`, when given, holds one set per instance
+    # of sentence-token indices whose input rows are zeroed.
 
-    def forward_ate(self, example: TokenizedExample, train: bool = False,
+    def forward_ate(self, examples: list[TokenizedExample], train: bool = False,
                     surrogate: bool = False, rng: np.random.Generator | None = None,
-                    masked_content: frozenset[int] = frozenset()) -> TaskOutput:
-        inp = enc.ate_input(example, self.vocab)
+                    masked_content: list[frozenset[int]] | None = None) -> TaskOutput:
+        """BIO probabilities of every sentence token, sentence after sentence."""
+        inp = enc.pack_inputs([enc.ate_input(ex, self.vocab) for ex in examples])
         seq = self._encode_input(inp, train, rng, masked_content)
         states, decision, attn = self._mask_states(seq, inp, surrogate)
-        logits = ad.add(ad.matmul(states, self.params["head.ate.W"]), self.params["head.ate.b"])
+        logits = ad.affine(states, self.params["head.ate.W"], self.params["head.ate.b"])
         content = logits[inp.content_positions]
         return TaskOutput(ad.softmax(content, axis=-1), decision, inp, attn)
 
-    def forward_asc(self, example: TokenizedExample, aspect_idx: int, train: bool = False,
+    def forward_asc(self, instances: list[tuple[TokenizedExample, int]], train: bool = False,
                     surrogate: bool = False, rng: np.random.Generator | None = None,
-                    masked_content: frozenset[int] = frozenset()) -> TaskOutput:
-        inp = enc.asc_input(example, aspect_idx, self.vocab)
+                    masked_content: list[frozenset[int]] | None = None) -> TaskOutput:
+        """Polarity probabilities, one row per (example, aspect index) instance."""
+        inp = enc.pack_inputs([enc.asc_input(ex, idx, self.vocab) for ex, idx in instances])
         seq = self._encode_input(inp, train, rng, masked_content)
-        span = (int(inp.aspect_positions[0]), int(inp.aspect_positions[-1]))
-        aspect_vec = enc.pool_aspect(seq.states, span)
+        aspect_vec = enc.pool_aspect(seq.states, inp.aspect_spans)
         states, decision, attn = self._mask_states(seq, inp, surrogate, aspect_vec=aspect_vec)
         if self.mask_cfg.strategy == "aam":
-            pooled = enc.pool_aspect(states, span)
+            pooled = enc.pool_aspect(states, inp.aspect_spans)
         else:
-            content = states[inp.content_positions]
+            content_seg = inp.content_segments
             if decision is not None and not surrogate:
-                denom = max(1, int(decision.kept[inp.content_positions].sum()))
+                kept = decision.kept[inp.content_positions].astype(np.intp)
+                denom = np.maximum(1, content_seg.sum(kept))
             else:
                 # surrogate mode needs a perturbation-stable constant divisor
-                denom = len(inp.content_positions)
-            pooled = ad.mul(ad.tsum(content, axis=0), 1.0 / denom)
-        feats = ad.reshape(ad.concat([seq.cls_state, pooled], axis=0), (1, -1))
-        logits = ad.add(ad.matmul(feats, self.params["head.asc.W"]), self.params["head.asc.b"])
-        probs = ad.softmax(ad.reshape(logits, (-1,)))
-        return TaskOutput(probs, decision, inp, attn)
+                denom = content_seg.lengths
+            summed = ad.segment_sum(states[inp.content_positions], content_seg)
+            pooled = ad.mul(summed, Tensor((1.0 / denom)[:, None]))
+        feats = ad.concat([seq.states[inp.segments.offsets], pooled], axis=1)
+        logits = ad.affine(feats, self.params["head.asc.W"], self.params["head.asc.b"])
+        return TaskOutput(ad.softmax(logits, axis=-1), decision, inp, attn)
 
     # -- prediction helpers ----------------------------------------------------------
 
-    def predict_bio(self, example: TokenizedExample) -> list[str]:
+    def predict_bio(self, examples: list[TokenizedExample]) -> list[list[str]]:
+        """BIO tags of each example's tokens."""
         with ad.no_grad():
-            out = self.forward_ate(example)
-        return [BIO_CLASSES[i] for i in out.probs.data.argmax(axis=1)]
+            out = self.forward_ate(examples)
+        tags = out.probs.data.argmax(axis=1)
+        bounds = out.inp.content_segments.offsets[1:]
+        return [[BIO_CLASSES[i] for i in part] for part in np.split(tags, bounds)]
 
-    def predict_polarity(self, example: TokenizedExample, aspect_idx: int) -> str:
+    def predict_polarity(self, instances: list[tuple[TokenizedExample, int]]) -> list[str]:
+        """Polarity label of each (example, aspect index) instance."""
         with ad.no_grad():
-            out = self.forward_asc(example, aspect_idx)
-        return ASC_CLASSES[int(out.probs.data.argmax())]
-
-
-def ate_forward(model: AbsaModel, example: TokenizedExample, **kw) -> TaskOutput:
-    """Per-token BIO probabilities for the sentence's content tokens."""
-    return model.forward_ate(example, **kw)
-
-
-def asc_forward(model: AbsaModel, example: TokenizedExample, aspect_idx: int, **kw) -> TaskOutput:
-    """Polarity probabilities for one aspect of the sentence."""
-    return model.forward_asc(example, aspect_idx, **kw)
+            out = self.forward_asc(instances)
+        return [ASC_CLASSES[i] for i in out.probs.data.argmax(axis=1)]

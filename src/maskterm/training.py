@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -89,7 +87,8 @@ def asc_instances(dataset: list[TokenizedExample]) -> list[tuple[TokenizedExampl
 
 def _maskable_asc_positions(inp: enc.ModelInput) -> list[int]:
     """Content indices whose positions may be hidden by AMOM (aspect span stays)."""
-    return [c for c, pos in enumerate(inp.content_positions) if pos not in inp.protected]
+    protected = set(inp.protected.tolist())
+    return [c for c, pos in enumerate(inp.content_positions.tolist()) if pos not in protected]
 
 
 def _amom_ate_losses(model: tasks.AbsaModel, ex: TokenizedExample, params: mk.AmomParams,
@@ -97,7 +96,7 @@ def _amom_ate_losses(model: tasks.AbsaModel, ex: TokenizedExample, params: mk.Am
     gold = np.array([tasks.BIO_INDEX[t] for t in ex.bio_tags])
 
     def forward(masked: set[int]):
-        out = model.forward_ate(ex, train=train, rng=rng, masked_content=frozenset(masked))
+        out = model.forward_ate([ex], train=train, rng=rng, masked_content=[frozenset(masked)])
         return out.probs.data, tasks.ate_loss(out.probs, ex.bio_tags)
 
     _, losses, _ = mk.amom_regenerate(forward, gold, params, mode="ate")
@@ -110,7 +109,7 @@ def _amom_asc_ce(model: tasks.AbsaModel, ex: TokenizedExample, aspect_idx: int,
     inp = enc.asc_input(ex, aspect_idx, model.vocab)
     maskable = _maskable_asc_positions(inp)
     with ad.no_grad():
-        base = model.forward_asc(ex, aspect_idx)
+        base = model.forward_asc([(ex, aspect_idx)])
     if base.attn is not None and maskable:
         relevance = base.attn.data[inp.content_positions[maskable]]
     else:
@@ -118,10 +117,10 @@ def _amom_asc_ce(model: tasks.AbsaModel, ex: TokenizedExample, aspect_idx: int,
 
     def forward(masked: set[int]):
         hidden = frozenset(maskable[i] for i in masked)
-        out = model.forward_asc(ex, aspect_idx, train=train, rng=rng, masked_content=hidden)
-        picked = out.probs[tasks.ASC_INDEX[gold]]
+        out = model.forward_asc([(ex, aspect_idx)], train=train, rng=rng, masked_content=[hidden])
+        picked = out.probs[(0, tasks.ASC_INDEX[gold])]
         ce = ad.mul(ad.log_clamped(picked), -1.0)
-        return out.probs.data.reshape(1, -1), ce
+        return out.probs.data, ce
 
     if not maskable:
         probs, ce = forward(set())
@@ -143,33 +142,31 @@ def amom_params_from(cfg: mk.MaskConfig) -> mk.AmomParams:
 
 
 def batch_loss(model: tasks.AbsaModel, config: TrainConfig, batch, train: bool, rng) -> Tensor:
-    """One differentiable scalar per batch.
+    """One differentiable scalar per batch, the batch run as one packed graph.
 
     ATE: per-example token-summed cross-entropy, averaged over the batch.
     ASC: instance-averaged cross-entropy plus the L2 term, added once.
-    AMOM averages each example's per-round losses first.
+    AMOM runs each example on its own and averages its per-round losses first.
     """
-    amom = config.mask.strategy == "amom"
+    if config.mask.strategy == "amom":
+        return _amom_batch_loss(model, config, batch, train, rng)
     if config.task == "ate":
-        per_example = []
-        for ex in batch:
-            if amom:
-                losses = _amom_ate_losses(model, ex, amom_params_from(config.mask), train, rng)
-                per_example.append(_mean_tensor(losses))
-            else:
-                out = model.forward_ate(ex, train=train, rng=rng)
-                per_example.append(tasks.ate_loss(out.probs, ex.bio_tags))
-        return _mean_tensor(per_example)
-    ce_parts = []
-    for ex, aspect_idx in batch:
-        if amom:
-            losses = _amom_asc_ce(model, ex, aspect_idx, amom_params_from(config.mask), train, rng)
-            ce_parts.append(_mean_tensor(losses))
-        else:
-            out = model.forward_asc(ex, aspect_idx, train=train, rng=rng)
-            picked = out.probs[tasks.ASC_INDEX[ex.aspects[aspect_idx].polarity]]
-            ce_parts.append(ad.mul(ad.log_clamped(picked), -1.0))
-    loss = _mean_tensor(ce_parts)
+        out = model.forward_ate(batch, train=train, rng=rng)
+        tags = [tag for ex in batch for tag in ex.bio_tags]
+        return ad.mul(tasks.ate_loss(out.probs, tags), 1.0 / len(batch))
+    out = model.forward_asc(batch, train=train, rng=rng)
+    golds = [ex.aspects[aspect_idx].polarity for ex, aspect_idx in batch]
+    return tasks.asc_loss(out.probs, golds, model.params, config.l2_lambda)
+
+
+def _amom_batch_loss(model: tasks.AbsaModel, config: TrainConfig, batch, train: bool,
+                     rng) -> Tensor:
+    params = amom_params_from(config.mask)
+    if config.task == "ate":
+        return _mean_tensor([_mean_tensor(_amom_ate_losses(model, ex, params, train, rng))
+                             for ex in batch])
+    loss = _mean_tensor([_mean_tensor(_amom_asc_ce(model, ex, aspect_idx, params, train, rng))
+                         for ex, aspect_idx in batch])
     if config.l2_lambda != 0.0:
         loss = ad.add(loss, ad.mul(model.params.l2_sum(), config.l2_lambda / 2.0))
     return loss
@@ -210,6 +207,7 @@ def train(config: TrainConfig, train_set: list[TokenizedExample],
                     f"(size {len(batch)}): {value!r}"
                 )
             ad.backward(loss)
+            del loss   # free this batch's graph before the next one is built
             optimizer.step()
             epoch_loss += value * len(batch)
             seen += len(batch)
@@ -234,7 +232,7 @@ def _predict_bio_amom(model: tasks.AbsaModel, ex: TokenizedExample,
     """Inference-time refinement: remask by prediction confidence (no gold)."""
     def forward(masked):
         with ad.no_grad():
-            out = model.forward_ate(ex, masked_content=frozenset(masked))
+            out = model.forward_ate([ex], masked_content=[frozenset(masked)])
         return out.probs.data
 
     probs = forward(set())
@@ -255,37 +253,44 @@ def _predict_asc_amom(model: tasks.AbsaModel, ex: TokenizedExample, aspect_idx: 
 
     def forward(masked):
         with ad.no_grad():
-            out = model.forward_asc(ex, aspect_idx, masked_content=frozenset(masked))
+            out = model.forward_asc([(ex, aspect_idx)], masked_content=[frozenset(masked)])
         return out
 
     out = forward(set())
     if not maskable:
         return tasks.ASC_CLASSES[int(out.probs.data.argmax())]
-    probs = out.probs.data
+    probs = out.probs.data[0]
     relevance = (out.attn.data[inp.content_positions[maskable]]
                  if out.attn is not None else np.zeros(len(maskable)))
     for _ in range(params.iterations):
         ratio = float(probs.max())
         _, n_mask = mk.amom_mask_count(ratio, len(maskable), params)
         chosen = mk.amom_select_positions(relevance, np.ones(len(maskable), dtype=bool), n_mask)
-        probs = forward({maskable[i] for i in chosen}).probs.data
+        probs = forward({maskable[i] for i in chosen}).probs.data[0]
     return tasks.ASC_CLASSES[int(probs.argmax())]
 
 
+# Instances per packed forward in evaluate(): the default training batch size.
+EVAL_CHUNK = 32
+
+
+def _chunks(items: list) -> list[list]:
+    return [items[lo:lo + EVAL_CHUNK] for lo in range(0, len(items), EVAL_CHUNK)]
+
+
 def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str) -> tasks.EvalReport:
-    """Deterministic evaluation; dropout off. MASKTERM_THREADS > 1 shards the
-    dataset across threads with an order-preserving merge."""
-    threads = max(1, int(os.environ.get("MASKTERM_THREADS", "1")))
+    """Deterministic evaluation with dropout off, on the calling thread only.
+
+    Instances run through the packed forward in chunks of EVAL_CHUNK; AMOM
+    refines each instance on its own."""
     amom = model.mask_cfg.strategy == "amom"
     amom_params = amom_params_from(model.mask_cfg) if amom else None
 
     if task == "ate":
-        def predict(ex):
-            if amom:
-                return _predict_bio_amom(model, ex, amom_params)
-            return model.predict_bio(ex)
-
-        predictions = _map_ordered(predict, dataset, threads)
+        if amom:
+            predictions = [_predict_bio_amom(model, ex, amom_params) for ex in dataset]
+        else:
+            predictions = [tags for chunk in _chunks(dataset) for tags in model.predict_bio(chunk)]
         tp = n_pred = n_gold = 0
         tag_counts = {c: {"tp": 0, "fp": 0, "fn": 0} for c in tasks.BIO_CLASSES}
         for ex, tags in zip(dataset, predictions):
@@ -310,24 +315,13 @@ def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str)
     instances = asc_instances(dataset)
     if not instances:
         raise ContractError("ASC evaluation requires aspect annotations")
-
-    def predict(pair):
-        ex, idx = pair
-        if amom:
-            return _predict_asc_amom(model, ex, idx, amom_params)
-        return model.predict_polarity(ex, idx)
-
-    preds = _map_ordered(predict, instances, threads)
+    if amom:
+        preds = [_predict_asc_amom(model, ex, idx, amom_params) for ex, idx in instances]
+    else:
+        preds = [label for chunk in _chunks(instances) for label in model.predict_polarity(chunk)]
     golds = [ex.aspects[i].polarity for ex, i in instances]
     accuracy, macro, per_class = tasks.asc_metrics(preds, golds)
     return tasks.EvalReport(asc={"acc": accuracy, "macro_f1": macro}, per_class=per_class)
-
-
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- gradient-check harness ---------------------------------------------------------
@@ -338,6 +332,17 @@ def _tiny_example() -> TokenizedExample:
 
     text = "steak was great"
     return make_example(text, [AspectAnnotation("steak", 0, 5, "positive")])
+
+
+def _tiny_batch() -> list[tuple[TokenizedExample, int]]:
+    """Three ASC instances of different lengths for the packed checks."""
+    from .corpus import make_example, AspectAnnotation
+
+    return [
+        (_tiny_example(), 0),
+        (make_example("the wine list was awful", [AspectAnnotation("wine list", 4, 13, "negative")]), 0),
+        (make_example("service slow", [AspectAnnotation("service", 0, 7, "neutral")]), 0),
+    ]
 
 
 def _tiny_config(strategy: str, task: str, seed: int = 11) -> TrainConfig:
@@ -370,21 +375,22 @@ def _param_groups(model: tasks.AbsaModel) -> dict[str, list[str]]:
 
 def grad_check_suite(h: float = 1e-5, seed: int = 11) -> dict[str, dict[str, float]]:
     """Finite-difference validation of every differentiable parameter group on
-    tiny models, one per strategy/task pairing.
+    tiny models, one per strategy/task pairing, plus packed batches of three
+    ASC instances of different lengths.
 
     Threshold cuts run in surrogate mode, where the margin path is the forward
     value, so the checked objective is genuinely differentiable.
     """
-    example = _tiny_example()
     report: dict[str, dict[str, float]] = {}
 
     quad = ad.ParamStore()
     quad.add("theta", np.random.default_rng(seed).normal(size=5))
     report["quadratic"] = {"theta": ad.finite_difference_check(lambda: quad.l2_sum(), quad, h=h)}
 
-    def check(label: str, strategy: str, task: str):
+    def check(label: str, strategy: str, task: str, instances):
         config = _tiny_config(strategy, task, seed=seed)
-        vocab = enc.Vocab.build([example])
+        examples = [ex for ex, _ in instances]
+        vocab = enc.Vocab.build(examples)
         enc_cfg = replace(config.encoder, vocab_size=len(vocab.words))
         model = tasks.AbsaModel(task, enc_cfg, config.mask, vocab, config.seed)
         # Heads and scoring weights start at zero in real training; randomize
@@ -400,13 +406,14 @@ def grad_check_suite(h: float = 1e-5, seed: int = 11) -> dict[str, dict[str, flo
 
         if task == "ate":
             def objective():
-                out = model.forward_ate(example, surrogate=True)
-                return tasks.ate_loss(out.probs, example.bio_tags)
+                out = model.forward_ate(examples, surrogate=True)
+                return tasks.ate_loss(out.probs, [t for ex in examples for t in ex.bio_tags])
         else:
+            golds = [ex.aspects[i].polarity for ex, i in instances]
+
             def objective():
-                out = model.forward_asc(example, 0, surrogate=True)
-                return tasks.asc_loss([out.probs], [example.aspects[0].polarity],
-                                      model.params, config.l2_lambda)
+                out = model.forward_asc(instances, surrogate=True)
+                return tasks.asc_loss(out.probs, golds, model.params, config.l2_lambda)
 
         group_errors = {}
         for group, names in _param_groups(model).items():
@@ -415,9 +422,12 @@ def grad_check_suite(h: float = 1e-5, seed: int = 11) -> dict[str, dict[str, flo
                 group_errors[group] = ad.finite_difference_check(objective, model.params, h=h, names=names)
         report[label] = group_errors
 
-    check("actm_ate", "actm", "ate")
-    check("actm_asc", "actm", "asc")
-    check("aam_ate", "aam", "ate")
+    single = [(_tiny_example(), 0)]
+    check("actm_ate", "actm", "ate", single)
+    check("actm_asc", "actm", "asc", single)
+    check("aam_ate", "aam", "ate", single)
+    check("actm_asc_packed", "actm", "asc", _tiny_batch())
+    check("aam_asc_packed", "aam", "asc", _tiny_batch())
     return report
 
 

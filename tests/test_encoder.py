@@ -81,7 +81,7 @@ class TestEncode:
         one = emb[slice(0, 1)]
         seq = enc.encode(params, cfg, one)
         for layer_maps in seq.attention_maps:
-            for m in layer_maps:
+            for m in layer_maps[0]:
                 assert np.allclose(m, [[1.0]])
 
     def test_deterministic_when_not_training(self, small_setup):
@@ -96,7 +96,7 @@ class TestEncode:
         for ex in examples[:4]:
             seq = enc.encode(params, cfg, enc.embed_tokens(params, cfg, enc.ate_input(ex, vocab)))
             for layer_maps in seq.attention_maps:
-                for m in layer_maps:
+                for m in layer_maps[0]:
                     assert np.abs(m.sum(axis=1) - 1.0).max() <= 1e-6
 
     def test_permutation_equivariance_without_positions(self, small_setup):
@@ -136,19 +136,19 @@ class TestLayerNorm:
 class TestPoolAspect:
     def test_single_row(self):
         states = Tensor(np.arange(12.0).reshape(3, 4))
-        assert np.array_equal(enc.pool_aspect(states, (1, 1)).data, states.data[1])
+        assert np.array_equal(enc.pool_aspect(states, [(1, 1)]).data[0], states.data[1])
 
     def test_mean_idempotent_on_identical_rows(self):
         states = Tensor(np.tile([1.0, 2.0], (3, 1)))
-        assert np.allclose(enc.pool_aspect(states, (0, 2)).data, [1.0, 2.0])
+        assert np.allclose(enc.pool_aspect(states, [(0, 2)]).data[0], [1.0, 2.0])
 
     def test_hand_mean(self):
         states = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.allclose(enc.pool_aspect(states, (0, 1)).data, [0.5, 0.5])
+        assert np.allclose(enc.pool_aspect(states, [(0, 1)]).data[0], [0.5, 0.5])
 
     def test_empty_span_rejected(self):
         with pytest.raises(ContractError):
-            enc.pool_aspect(Tensor(np.zeros((3, 2))), (2, 1))
+            enc.pool_aspect(Tensor(np.zeros((3, 2))), [(2, 1)])
 
 
 class TestGradFlow:

@@ -1,0 +1,210 @@
+"""A packed batch gives what its instances give when run as batches of one."""
+
+import dataclasses
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from maskterm import autodiff as ad
+from maskterm import corpus
+from maskterm import encoder as enc
+from maskterm import masking as mk
+from maskterm import tasks
+from maskterm import training
+from maskterm.autodiff import Tensor
+from maskterm.corpus import AspectAnnotation
+from maskterm.exceptions import DimensionError
+
+SMALL = enc.EncoderConfig(d_w=8, d_p=2, d_D=24, hidden=16, n_layers=2, n_heads=2, d_ff=24,
+                          dropout_rate=0.1)
+STRATEGIES = [("none", "mean"), ("fixed", "mean"), ("actm", "mean"), ("actm", "median"),
+              ("actm", "sd"), ("aam", "mean")]
+
+
+def batch_examples():
+    """A one-token sentence, a two-aspect sentence with aspects of different
+    lengths, and synthetic sentences; every one a different length."""
+    one = corpus.make_example("steak", [AspectAnnotation("steak", 0, 5, "positive")])
+    two = corpus.make_example("the wine list was great but the service was slow",
+                              [AspectAnnotation("wine list", 4, 13, "positive"),
+                               AspectAnnotation("service", 32, 39, "negative")])
+    synth = corpus.synth_corpus(seed=31, size=12)
+    examples = [one, two]
+    for ex in synth:
+        if len(ex) not in {len(e) for e in examples}:
+            examples.append(ex)
+    return examples[:5]
+
+
+def make_model(task, strategy, aggregator, examples):
+    mask = mk.MaskConfig(strategy=strategy, aggregator=aggregator)
+    config = training.TrainConfig(task=task, seed=3, mask=mask, encoder=SMALL)
+    vocab = enc.Vocab.build(examples)
+    model = tasks.AbsaModel(task, replace(SMALL, vocab_size=len(vocab.words)), mask, vocab, 3)
+    # Zero heads and scoring weights would make every path trivial.
+    rng = np.random.default_rng(5)
+    for name in model.params.names():
+        if name.startswith("head.") or name == "mask.w_a":
+            t = model.params[name]
+            t.data = rng.normal(0.0, 0.5, size=t.data.shape)
+    return model, config
+
+
+def items_for(task, examples):
+    return examples if task == "ate" else training.asc_instances(examples)
+
+
+def forward(model, task, items, train, rng):
+    if task == "ate":
+        return model.forward_ate(items, train=train, rng=rng)
+    return model.forward_asc(items, train=train, rng=rng)
+
+
+def loss_and_grads(model, config, batches, train, seed):
+    """Mean batch_loss over `batches` (one shared generator) and its gradients."""
+    rng = np.random.default_rng(seed)
+    model.params.zero_grad()
+    total = 0.0
+    for batch in batches:
+        loss = ad.mul(training.batch_loss(model, config, batch, train=train, rng=rng),
+                      1.0 / len(batches))
+        ad.backward(loss)
+        total += float(loss.data)
+    return total, {name: t.grad.copy() for name, t in model.params.items() if t.grad is not None}
+
+
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("strategy,aggregator", STRATEGIES)
+@pytest.mark.parametrize("task", ["ate", "asc"])
+def test_packed_batch_matches_batches_of_one(task, strategy, aggregator, train):
+    examples = batch_examples()
+    model, config = make_model(task, strategy, aggregator, examples)
+    items = items_for(task, examples)
+    assert len(items) >= 4
+
+    packed = forward(model, task, items, train, np.random.default_rng(17))
+    rng = np.random.default_rng(17)
+    singles = [forward(model, task, [item], train, rng) for item in items]
+    assert np.abs(packed.probs.data - np.concatenate([s.probs.data for s in singles])).max() <= 1e-10
+    if packed.decision is not None:
+        assert np.array_equal(packed.decision.kept,
+                              np.concatenate([s.decision.kept for s in singles]))
+
+    loss, grads = loss_and_grads(model, config, [items], train, seed=23)
+    loss_1, grads_1 = loss_and_grads(model, config, [[item] for item in items], train, seed=23)
+    assert abs(loss - loss_1) <= 1e-10
+    assert grads.keys() == grads_1.keys()
+    for name, g in grads_1.items():
+        scale = max(np.abs(g).max(), 1e-12)
+        assert np.abs(grads[name] - g).max() <= 1e-9 * scale, name
+
+
+@pytest.mark.parametrize("task", ["ate", "asc"])
+def test_packed_instances_differ_in_length(task):
+    examples = batch_examples()
+    assert min(len(ex) for ex in examples) == 1
+    model, _ = make_model(task, "none", "mean", examples)
+    lengths = forward(model, task, items_for(task, examples), False, None).inp.lengths
+    assert len(set(lengths)) == len(lengths) >= 4
+
+
+def test_actm_masks_inside_the_packed_batch():
+    """The equivalence above is only telling if the cut really drops tokens."""
+    examples = batch_examples()
+    model, _ = make_model("asc", "actm", "mean", examples)
+    out = model.forward_asc(training.asc_instances(examples))
+    assert not out.decision.kept.all()
+
+
+def one_instance_sets(task, examples):
+    if task == "ate":
+        return [[ex] for ex in examples]
+    return [[dataclasses.replace(ex, aspects=[a])] for ex in examples for a in ex.aspects]
+
+
+def count_table(report):
+    return Counter({(cls, key): counts[key] for cls, counts in report.per_class.items()
+                    for key in ("tp", "fp", "fn")})
+
+
+@pytest.mark.parametrize("strategy", ["actm", "aam"])
+@pytest.mark.parametrize("task", ["ate", "asc"])
+def test_evaluate_counts_equal_sum_of_one_instance_calls(task, strategy):
+    heldout = corpus.synth_corpus(seed=41, size=40)
+    model, _ = make_model(task, strategy, "mean", heldout)
+    full = training.evaluate(model, heldout, task)
+    summed = Counter()
+    for dataset in one_instance_sets(task, heldout):
+        summed.update(count_table(training.evaluate(model, dataset, task)))
+    assert +summed == +count_table(full)
+    assert sum(n for (_, key), n in summed.items() if key in ("tp", "fn")) > training.EVAL_CHUNK
+
+
+# batch_loss of AMOM, which runs every instance on its own, as recorded before
+# packing: (task, train mode) -> loss.
+AMOM_LOSSES = {
+    ("ate", False): 67.06936471885174,
+    ("ate", True): 60.91749327280372,
+    ("asc", False): 27.010885676380546,
+    ("asc", True): 26.312498244344496,
+}
+
+
+@pytest.mark.parametrize("task,train", list(AMOM_LOSSES))
+def test_amom_batch_loss_unchanged(task, train):
+    data = corpus.synth_corpus(seed=21, size=6)
+    model, config = make_model(task, "amom", "mean", data)
+    loss = training.batch_loss(model, config, items_for(task, data), train=train,
+                               rng=np.random.default_rng(9))
+    assert abs(float(loss.data) - AMOM_LOSSES[(task, train)]) <= 1e-10
+
+
+class TestAamRemix:
+    def test_matches_per_row_attention(self):
+        rng = np.random.default_rng(2)
+        states = rng.normal(size=(7, 4))
+        z, ramp, d_k = 1.4, 2.0, 4
+        unit = states / np.linalg.norm(states, axis=1, keepdims=True)
+        logits = unit @ unit.T * np.sqrt(d_k)
+        rows = np.stack([mk.aam_attention(p, Tensor(logits[p]), z, ramp).data for p in range(7)])
+        got = mk.aam_remix(Tensor(states), Tensor(z), ramp, d_k).data
+        assert np.abs(got - rows @ states).max() <= 1e-12
+
+    def test_empty_support_copies_the_row(self):
+        states = np.random.default_rng(3).normal(size=(4, 3))
+        got = mk.aam_remix(Tensor(states), Tensor(-5.0), 2.0, 3).data
+        assert np.array_equal(got, states)
+
+    def test_packed_rows_stay_in_their_sequence(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 3))
+        z = Tensor(3.0)
+        packed = mk.aam_remix(Tensor(np.vstack([a, b])), z, 2.0, 3, ad.Segments([5, 3])).data
+        alone = np.vstack([mk.aam_remix(Tensor(a), z, 2.0, 3).data,
+                           mk.aam_remix(Tensor(b), z, 2.0, 3).data])
+        assert np.abs(packed - alone).max() <= 1e-12
+
+
+class TestSegments:
+    def test_layout(self):
+        seg = ad.Segments([2, 3, 1])
+        assert seg.offsets.tolist() == [0, 2, 5]
+        assert seg.ids.tolist() == [0, 0, 1, 1, 1, 2]
+        assert seg.positions.tolist() == [0, 1, 0, 1, 2, 0]
+        x = np.arange(6.0)
+        assert np.array_equal(seg.unpad(seg.pad(x)), x)
+        assert seg.sum(x).tolist() == [1.0, 9.0, 5.0]
+
+    def test_empty_segment_rejected(self):
+        with pytest.raises(DimensionError):
+            ad.Segments([2, 0])
+
+    def test_segment_aggregates(self):
+        seg = ad.Segments([3, 4])
+        v = Tensor([1.0, 3.0, 2.0, 4.0, 1.0, 3.0, 2.0])
+        assert ad.aggregate(v, "median", seg).data.tolist() == [2.0, 2.5]
+        assert ad.aggregate(v, "mean", seg).data.tolist() == [2.0, 2.5]
+        sd = ad.aggregate(v, "sd", seg).data
+        assert np.allclose(sd, [np.std([1, 3, 2]), np.std([4, 1, 3, 2])])

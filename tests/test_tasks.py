@@ -103,20 +103,20 @@ class TestAteLoss:
 class TestAscLoss:
     def test_uniform_is_ln3(self):
         params = ParamStore()
-        probs = [Tensor(np.full(3, 1.0 / 3.0))]
+        probs = Tensor(np.full((1, 3), 1.0 / 3.0))
         loss = tasks.asc_loss(probs, ["positive"], params, l2_lambda=0.0)
         assert loss.item() == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_l2_term_alone(self):
         params = ParamStore()
         params.add("theta", [1.0, 2.0])
-        probs = [Tensor(np.array([1.0, 0.0, 0.0]))]
+        probs = Tensor(np.array([[1.0, 0.0, 0.0]]))
         loss = tasks.asc_loss(probs, ["positive"], params, l2_lambda=0.01)
         assert loss.item() == pytest.approx(0.025, abs=1e-12)
 
     def test_perfect_lambda_zero(self):
         params = ParamStore()
-        probs = [Tensor(np.array([0.0, 1.0, 0.0]))]
+        probs = Tensor(np.array([[0.0, 1.0, 0.0]]))
         assert tasks.asc_loss(probs, ["negative"], params, 0.0).item() == pytest.approx(0.0, abs=1e-9)
 
     def test_l2_matches_direct_summation(self):
@@ -125,7 +125,7 @@ class TestAscLoss:
         params.add("a", rng.normal(size=(7, 5)))
         params.add("b", rng.normal(size=11))
         lam = 0.01
-        probs = [Tensor(np.array([1.0, 0.0, 0.0]))]
+        probs = Tensor(np.array([[1.0, 0.0, 0.0]]))
         loss = tasks.asc_loss(probs, ["positive"], params, lam).item()
         direct = math.fsum(float(x) ** 2 for t in params.tensors() for x in t.data.reshape(-1))
         assert abs(loss - lam / 2.0 * direct) <= 1e-12
@@ -133,14 +133,14 @@ class TestAscLoss:
     def test_decreases_with_lambda(self):
         params = ParamStore()
         params.add("theta", [3.0])
-        probs = [Tensor(np.full(3, 1.0 / 3.0))]
+        probs = Tensor(np.full((1, 3), 1.0 / 3.0))
         high = tasks.asc_loss(probs, ["neutral"], params, 0.1).item()
         low = tasks.asc_loss(probs, ["neutral"], params, 0.01).item()
         assert low < high
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):
-            tasks.asc_loss([], [], ParamStore(), 0.0)
+            tasks.asc_loss(Tensor(np.zeros((0, 3))), [], ParamStore(), 0.0)
 
 
 class TestAscMetrics:
@@ -188,7 +188,7 @@ class TestForwards:
     def test_ate_shape_and_row_sums(self, tiny_models):
         examples, models, _ = tiny_models
         for strategy, model in models.items():
-            out = model.forward_ate(examples[0])
+            out = model.forward_ate([examples[0]])
             n = len(examples[0])
             assert out.probs.data.shape == (n, 3)
             assert np.abs(out.probs.data.sum(axis=1) - 1.0).max() <= 1e-9, strategy
@@ -201,8 +201,8 @@ class TestForwards:
                                    vocab, seed=3)
         plain = tasks.AbsaModel("ate", cfg, mk.MaskConfig(strategy="none"), vocab, seed=3)
         for ex in examples[:3]:
-            a = zero_tau.forward_ate(ex).probs.data
-            b = plain.forward_ate(ex).probs.data
+            a = zero_tau.forward_ate([ex]).probs.data
+            b = plain.forward_ate([ex]).probs.data
             assert np.allclose(a, b, atol=1e-12)
 
     def test_asc_probs_sum_to_one(self, tiny_models):
@@ -210,7 +210,8 @@ class TestForwards:
         for strategy, model in asc_models.items():
             for ex in examples[:3]:
                 for idx in range(len(ex.aspects)):
-                    out = model.forward_asc(ex, idx)
+                    out = model.forward_asc([(ex, idx)])
+                    assert out.probs.data.shape == (1, 3)
                     assert abs(out.probs.data.sum() - 1.0) <= 1e-9, strategy
 
     def test_asc_features_differ_across_aspects(self, tiny_models):
@@ -223,18 +224,18 @@ class TestForwards:
         w.data = np.random.default_rng(0).normal(0, 0.3, size=w.data.shape)
         try:
             two = next(ex for ex in examples if len(ex.aspects) == 2)
-            a = model.forward_asc(two, 0).probs.data
-            b = model.forward_asc(two, 1).probs.data
+            a = model.forward_asc([(two, 0)]).probs.data
+            b = model.forward_asc([(two, 1)]).probs.data
             assert not np.allclose(a, b)
         finally:
             w.data = saved
 
     def test_protected_positions_never_masked(self, tiny_models):
         examples, models, asc_models = tiny_models
-        out = models["actm"].forward_ate(examples[0])
+        out = models["actm"].forward_ate([examples[0]])
         assert out.decision.kept[0] and out.decision.kept[-1]
         ex = examples[0]
-        out = asc_models["actm"].forward_asc(ex, 0)
+        out = asc_models["actm"].forward_asc([(ex, 0)])
         s, e = ex.aspects[0].token_span
         for p in range(s + 1, e + 2):
             assert out.decision.kept[p]
@@ -251,11 +252,11 @@ class TestForwards:
         opt = Adam(model.params, lr=0.01, frozen=model.frozen)
         for _ in range(200):
             model.params.zero_grad()
-            out = model.forward_ate(ex)
+            out = model.forward_ate([ex])
             loss = tasks.ate_loss(out.probs, ex.bio_tags)
             ad.backward(loss)
             opt.step()
-        assert model.predict_bio(ex) == ex.bio_tags
+        assert model.predict_bio([ex]) == [ex.bio_tags]
 
     def test_overfit_single_asc_example(self, tiny_models):
         examples, _, _ = tiny_models
@@ -270,9 +271,9 @@ class TestForwards:
         gold = ex.aspects[0].polarity
         for _ in range(200):
             model.params.zero_grad()
-            out = model.forward_asc(ex, 0)
-            loss = tasks.asc_loss([out.probs], [gold], model.params, 0.0)
+            out = model.forward_asc([(ex, 0)])
+            loss = tasks.asc_loss(out.probs, [gold], model.params, 0.0)
             ad.backward(loss)
             opt.step()
-        out = model.forward_asc(ex, 0)
-        assert out.probs.data[tasks.ASC_INDEX[gold]] > 0.99
+        out = model.forward_asc([(ex, 0)])
+        assert out.probs.data[0, tasks.ASC_INDEX[gold]] > 0.99

@@ -123,7 +123,8 @@ class TestEvaluate:
         train_set, eval_set = data
         model, _ = training.train(small_config(epochs=1), train_set[:8], eval_set[:8])
         gold = {id(ex): ex.bio_tags for ex in eval_set}
-        monkeypatch.setattr(tasks.AbsaModel, "predict_bio", lambda self, ex: list(ex.bio_tags))
+        monkeypatch.setattr(tasks.AbsaModel, "predict_bio",
+                            lambda self, batch: [list(ex.bio_tags) for ex in batch])
         report = training.evaluate(model, eval_set, "ate")
         assert report.ate == {"p": 1.0, "r": 1.0, "f1": 1.0}
 
@@ -138,17 +139,9 @@ class TestEvaluate:
                 text, [corpus.AspectAnnotation(noun, 4, 4 + len(noun), pol)]))
         model, _ = training.train(small_config(task="asc", epochs=1), train_set[:8], examples)
         monkeypatch.setattr(tasks.AbsaModel, "predict_polarity",
-                            lambda self, ex, idx: "positive")
+                            lambda self, batch: ["positive"] * len(batch))
         report = training.evaluate(model, examples, "asc")
         assert report.asc["acc"] == pytest.approx(0.5)
-
-    def test_threaded_evaluation_matches_single(self, data, monkeypatch):
-        train_set, eval_set = data
-        model, _ = training.train(small_config(epochs=1), train_set, eval_set)
-        single = training.evaluate(model, eval_set, "ate").to_json()
-        monkeypatch.setenv("MASKTERM_THREADS", "3")
-        threaded = training.evaluate(model, eval_set, "ate").to_json()
-        assert single == threaded
 
 
 class TestCheckpointRoundTrip:
@@ -180,8 +173,10 @@ class TestGradCheckSuite:
     def test_all_groups_under_tolerance(self):
         report = training.grad_check_suite()
         assert report["quadratic"]["theta"] < 1e-8
-        for label in ("actm_ate", "actm_asc", "aam_ate"):
+        for label in ("actm_ate", "actm_asc", "aam_ate", "actm_asc_packed", "aam_asc_packed"):
             for group, err in report[label].items():
                 assert err < 1e-4, (label, group, err)
         assert {"w_a", "alpha", "gamma", "beta", "encoder", "head"} <= set(report["actm_asc"])
         assert "z" in report["aam_ate"]
+        assert {"w_a", "alpha", "gamma", "beta", "encoder", "head"} <= set(report["actm_asc_packed"])
+        assert "z" in report["aam_asc_packed"]
