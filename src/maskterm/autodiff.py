@@ -522,52 +522,6 @@ def segment_softmax(v: Tensor, segments: Segments | None = None) -> Tensor:
     return _make(data, (v,), backward)
 
 
-def cosine_softmax(states: Tensor, attn: Tensor, vecs: Tensor, beta: Tensor,
-                   segments: Segments | None = None) -> Tensor:
-    """softmax(beta * cos(attn_i * states_i, vecs[segment of i])) within each
-    segment, fused into one node. A row of negligible norm has cosine 0; a
-    segment whose vector has negligible norm gets uniform weights, which
-    carry no gradient."""
-    states, attn, vecs, beta = as_tensor(states), as_tensor(attn), as_tensor(vecs), as_tensor(beta)
-    n = states.data.shape[0]
-    seg = segments_of(n, segments)
-    ids = seg.ids
-    w = states.data * attn.data[:, None]
-    v = vecs.data[ids]
-    dots = (w * v).sum(axis=1)
-    rn = np.sqrt((w * w).sum(axis=1))
-    vn = np.sqrt((vecs.data * vecs.data).sum(axis=1))[ids]
-    prod = rn * vn
-    den = np.maximum(prod, NORM_EPS)
-    live = rn > NORM_EPS
-    cos = dots / den * live
-    logits = cos * beta.data
-    e = np.exp(logits - np.maximum.reduceat(logits, seg.offsets)[ids])
-    data = e / seg.sum(e)[ids]
-    null = vn <= NORM_EPS
-    data[null] = (1.0 / seg.lengths[ids])[null]
-
-    def backward(g):
-        dl = data * (g - seg.sum(g * data)[ids])
-        dl[null] = 0.0
-        if beta.requires_grad or beta._parents:
-            _accumulate(beta, np.asarray((dl * cos).sum()))
-        dcos = dl * beta.data * live
-        ddots = dcos / den
-        dprod = -dcos * dots / (den * den) * (prod > NORM_EPS)
-        drn_sq = dprod * vn * 0.5 / np.maximum(rn, NORM_EPS)
-        dvn_sq = dprod * rn * 0.5 / np.maximum(vn, NORM_EPS)
-        dw = ddots[:, None] * v + 2.0 * w * drn_sq[:, None]
-        if states.requires_grad or states._parents:
-            _accumulate(states, dw * attn.data[:, None])
-        if attn.requires_grad or attn._parents:
-            _accumulate(attn, (dw * states.data).sum(axis=1))
-        if vecs.requires_grad or vecs._parents:
-            _accumulate(vecs, seg.sum(ddots[:, None] * w) + 2.0 * vecs.data * seg.sum(dvn_sq)[:, None])
-
-    return _make(data, (states, attn, vecs, beta), backward)
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b in one node."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)

@@ -102,15 +102,12 @@ class ModelInput:
         return self.segments.of_rows(self.content_positions)
 
 
-_ZERO_DEP = np.zeros((1, DEP_DIM))   # dependency features of [CLS]/[SEP]
-
-
 def ate_input(example: TokenizedExample, vocab: Vocab) -> ModelInput:
     """[CLS] + sentence + [SEP]."""
     n = len(example.tokens)
     ids = np.array([CLS_ID] + [vocab.id_of(t) for t in example.tokens] + [SEP_ID])
     pos = np.array([0] + example.pos_ids + [0])
-    dep = np.concatenate([_ZERO_DEP, example.dep_features, _ZERO_DEP])
+    dep = np.vstack([np.zeros((1, DEP_DIM)), example.dep_features, np.zeros((1, DEP_DIM))])
     special = np.zeros(n + 2, dtype=bool)
     special[0] = special[-1] = True
     return ModelInput(
@@ -139,7 +136,10 @@ def asc_input(example: TokenizedExample, aspect_idx: int, vocab: Vocab) -> Model
         + [vocab.id_of(t) for t in asp_tokens] + [SEP_ID]
     )
     pos = np.array([0] + example.pos_ids + [0] + asp_pos + [0])
-    dep = np.concatenate([_ZERO_DEP, example.dep_features, _ZERO_DEP, asp_dep, _ZERO_DEP])
+    dep = np.vstack([
+        np.zeros((1, DEP_DIM)), example.dep_features, np.zeros((1, DEP_DIM)),
+        asp_dep, np.zeros((1, DEP_DIM)),
+    ])
     total = len(ids)
     special = np.zeros(total, dtype=bool)
     special[0] = special[n + 1] = special[total - 1] = True
@@ -186,15 +186,12 @@ class EncodedSequence:
     attention_maps: list[np.ndarray]   # per layer, (B, heads, n_max, n_max), padded keys 0
 
 
-@functools.lru_cache(maxsize=64)
 def sinusoidal_encoding(n: int, dim: int) -> np.ndarray:
-    """(n, dim) position signal; cached and shared, hence read-only."""
     pe = np.zeros((n, dim))
     position = np.arange(n)[:, None]
     div = np.exp(np.arange(0, dim, 2) * (-np.log(10000.0) / dim))
     pe[:, 0::2] = np.sin(position * div)
     pe[:, 1::2] = np.cos(position * div[: dim // 2])
-    pe.flags.writeable = False
     return pe
 
 

@@ -153,8 +153,23 @@ def aspect_relevance(states: Tensor, attn: Tensor, aspect_vec: Tensor, beta,
     """Softmax over each sequence's tokens of scaled cosine between weighted
     token vectors and that sequence's aspect representation (one row of
     `aspect_vec` per sequence); uniform where the aspect vector is null."""
-    vecs = ad.reshape(aspect_vec, (-1, states.data.shape[1]))
-    return ad.cosine_softmax(states, attn, vecs, beta, segments)
+    n, hidden = states.data.shape
+    seg = ad.segments_of(n, segments)
+    vecs = ad.reshape(aspect_vec, (-1, hidden))
+    weighted = ad.mul(states, ad.reshape(attn, (n, 1)))
+    dots = ad.tsum(ad.mul(weighted, ad.take(vecs, seg.ids)), axis=1)
+    row_norms = ad.sqrt(ad.tsum(ad.square(weighted), axis=1))
+    vec_norms = ad.sqrt(ad.tsum(ad.square(vecs), axis=1))
+    denom = ad.clamp_min(ad.mul(row_norms, ad.take(vec_norms, seg.ids)), ad.NORM_EPS)
+    cos = ad.div(dots, denom)
+    live = (row_norms.data > ad.NORM_EPS).astype(np.float64)
+    cos = ad.mul(cos, Tensor(live))
+    rel = ad.segment_softmax(ad.mul(cos, beta), seg)
+    null = (vec_norms.data <= ad.NORM_EPS)[seg.ids]
+    if null.any():
+        uniform = 1.0 / seg.lengths[seg.ids]
+        rel = ad.add(ad.mul(rel, Tensor(~null)), Tensor(np.where(null, uniform, 0.0)))
+    return rel
 
 
 def actm_threshold(attn: Tensor, params: ActmParams, relevance: Tensor | None = None,

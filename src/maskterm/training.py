@@ -376,7 +376,9 @@ def _param_groups(model: tasks.AbsaModel) -> dict[str, list[str]]:
 def grad_check_suite(h: float = 1e-5, seed: int = 11) -> dict[str, dict[str, float]]:
     """Finite-difference validation of every differentiable parameter group on
     tiny models, one per strategy/task pairing, plus packed batches of three
-    ASC instances of different lengths.
+    ASC instances of different lengths. The packed checks skip the encoder
+    group: tests/test_packing.py shows packed encoder gradients equal those of
+    batches of one, which the single-instance checks validate.
 
     Threshold cuts run in surrogate mode, where the margin path is the forward
     value, so the checked objective is genuinely differentiable.
@@ -387,7 +389,7 @@ def grad_check_suite(h: float = 1e-5, seed: int = 11) -> dict[str, dict[str, flo
     quad.add("theta", np.random.default_rng(seed).normal(size=5))
     report["quadratic"] = {"theta": ad.finite_difference_check(lambda: quad.l2_sum(), quad, h=h)}
 
-    def check(label: str, strategy: str, task: str, instances):
+    def check(label: str, strategy: str, task: str, instances, skip=()):
         config = _tiny_config(strategy, task, seed=seed)
         examples = [ex for ex, _ in instances]
         vocab = enc.Vocab.build(examples)
@@ -418,7 +420,7 @@ def grad_check_suite(h: float = 1e-5, seed: int = 11) -> dict[str, dict[str, flo
         group_errors = {}
         for group, names in _param_groups(model).items():
             names = [n for n in names if n not in model.frozen]
-            if names:
+            if names and group not in skip:
                 group_errors[group] = ad.finite_difference_check(objective, model.params, h=h, names=names)
         report[label] = group_errors
 
@@ -426,8 +428,8 @@ def grad_check_suite(h: float = 1e-5, seed: int = 11) -> dict[str, dict[str, flo
     check("actm_ate", "actm", "ate", single)
     check("actm_asc", "actm", "asc", single)
     check("aam_ate", "aam", "ate", single)
-    check("actm_asc_packed", "actm", "asc", _tiny_batch())
-    check("aam_asc_packed", "aam", "asc", _tiny_batch())
+    check("actm_asc_packed", "actm", "asc", _tiny_batch(), skip=("encoder",))
+    check("aam_asc_packed", "aam", "asc", _tiny_batch(), skip=("encoder",))
     return report
 
 

@@ -82,6 +82,26 @@ class TestAspectRelevance:
                                   Tensor(np.zeros(3)), Tensor(2.0))
         assert np.allclose(rel.data, 0.25)
 
+    def test_packed_null_vector_uniform_only_in_its_segment(self):
+        rng = np.random.default_rng(4)
+        states = Tensor(rng.normal(size=(7, 3)))
+        attn = Tensor(rng.uniform(0.1, 1.0, size=7))
+        vec = rng.normal(size=3)
+        params = ad.ParamStore()
+        beta = params.add("beta", 1.4)
+        coeffs = Tensor(rng.normal(size=7))
+
+        def packed():
+            return mk.aspect_relevance(states, attn, Tensor(np.stack([np.zeros(3), vec])),
+                                       beta, ad.Segments([3, 4]))
+
+        alone = mk.aspect_relevance(Tensor(states.data[3:]), Tensor(attn.data[3:]),
+                                    Tensor(vec), beta)
+        rel = packed()
+        assert np.allclose(rel.data[:3], 1.0 / 3)
+        assert np.abs(rel.data[3:] - alone.data).max() <= 1e-15
+        assert ad.finite_difference_check(lambda: ad.tsum(ad.mul(packed(), coeffs)), params) < 1e-6
+
     def test_sums_to_one(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
