@@ -696,23 +696,7 @@ def straight_through(soft: Tensor, hard_values: np.ndarray) -> Tensor:
     return _make(data, (soft,), backward)
 
 
-# -- similarity and pooling ----------------------------------------------------
-
-
-def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
-    """cos(u, v) in [-1, 1]; zero when either vector has negligible norm."""
-    u, v = as_tensor(u), as_tensor(v)
-    if u.data.shape != v.data.shape or u.data.ndim != 1:
-        raise DimensionError(
-            f"cosine_similarity expects equal-length vectors, got {u.data.shape} and {v.data.shape}"
-        )
-    nu = float(np.linalg.norm(u.data))
-    nv = float(np.linalg.norm(v.data))
-    if nu <= NORM_EPS or nv <= NORM_EPS:
-        return Tensor(0.0)
-    dot = tsum(mul(u, v))
-    denom = clamp_min(sqrt(mul(tsum(square(u)), tsum(square(v)))), NORM_EPS)
-    return div(dot, denom)
+# -- aggregation -------------------------------------------------------------------
 
 
 AGGREGATOR_KINDS = ("mean", "median", "sd")

@@ -5,53 +5,39 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import corpus, encoder as enc, masking as mk, tasks, training
 from .autodiff import Tensor
 from .exceptions import (
-    AlignmentError,
     CompatibilityError,
     ConfigError,
-    ContractError,
     CorpusParseError,
-    DimensionError,
     EmptyInputError,
-    LengthError,
     MasktermError,
     NumericError,
-    SchemaError,
 )
 
-USAGE_ERRORS = (
-    ConfigError, CorpusParseError, SchemaError, AlignmentError, ContractError,
-    CompatibilityError, EmptyInputError, DimensionError, LengthError,
-)
+# The flat config keys: every TrainConfig field but the mask and encoder
+# records, then every MaskConfig field, `strategy` named `mask_strategy`.
+# Unknown keys are rejected; the `encoder` block maps onto EncoderConfig.
+_TRAIN_FIELDS = {f.name: f for f in fields(training.TrainConfig)
+                 if f.name not in ("mask", "encoder")}
+_MASK_FIELDS = {("mask_strategy" if f.name == "strategy" else f.name): f
+                for f in fields(mk.MaskConfig)}
+CONFIG_DEFAULTS = {key: f.default for key, f in {**_TRAIN_FIELDS, **_MASK_FIELDS}.items()}
 
-# Defaults mirror the training-recipe constants; the encoder block mirrors the
-# desk-scale encoder defaults. Unknown keys are rejected.
-CONFIG_DEFAULTS = {
-    "task": "ate",
-    "epochs": 50,
-    "batch_size": 32,
-    "learning_rate": 2e-5,
-    "l2_lambda": 0.01,
-    "seed": 0,
-    "mask_strategy": "actm",
-    "aggregator": "mean",
-    "learnable": True,
-    "alpha_init": None,   # None -> per-task default
-    "gamma_init": None,
-    "beta_init": None,
-    "fixed_tau": 0.05,
-    "aam_ramp": 2.0,
-    "aam_span_init": 2.0,
-    "amom_mu_min": 0.1,
-    "amom_mu_max": 0.5,
-    "amom_iterations": 2,
-}
+
+def _cast(value, default):
+    """`value` as the type of its key's default; a None default (the *_init
+    fields, per-task when unset) takes a float or None."""
+    if default is None:
+        return None if value is None else float(value)
+    if isinstance(default, (bool, int, float)):
+        return type(default)(value)
+    return value
 
 
 def config_from_dict(raw: dict) -> training.TrainConfig:
@@ -61,7 +47,6 @@ def config_from_dict(raw: dict) -> training.TrainConfig:
     unknown = set(data) - set(CONFIG_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    merged = {**CONFIG_DEFAULTS, **data}
     enc_defaults = enc.EncoderConfig()
     enc_fields = set(enc.encoder_config_to_dict(enc_defaults))
     unknown_enc = set(encoder_raw) - enc_fields
@@ -69,30 +54,11 @@ def config_from_dict(raw: dict) -> training.TrainConfig:
         raise ConfigError(f"unknown encoder config keys: {sorted(unknown_enc)}")
     try:
         encoder_cfg = replace(enc_defaults, **encoder_raw)
-        optional = {k: (None if merged[k] is None else float(merged[k]))
-                    for k in ("alpha_init", "gamma_init", "beta_init")}
-        mask_cfg = mk.MaskConfig(
-            strategy=merged["mask_strategy"],
-            aggregator=merged["aggregator"],
-            learnable=bool(merged["learnable"]),
-            **optional,
-            fixed_tau=float(merged["fixed_tau"]),
-            aam_ramp=float(merged["aam_ramp"]),
-            aam_span_init=float(merged["aam_span_init"]),
-            amom_mu_min=float(merged["amom_mu_min"]),
-            amom_mu_max=float(merged["amom_mu_max"]),
-            amom_iterations=int(merged["amom_iterations"]),
-        )
-        return training.TrainConfig(
-            task=merged["task"],
-            epochs=int(merged["epochs"]),
-            batch_size=int(merged["batch_size"]),
-            learning_rate=float(merged["learning_rate"]),
-            l2_lambda=float(merged["l2_lambda"]),
-            seed=int(merged["seed"]),
-            mask=mask_cfg,
-            encoder=encoder_cfg,
-        )
+        values = {key: _cast(data.get(key, default), default)
+                  for key, default in CONFIG_DEFAULTS.items()}
+        mask_cfg = mk.MaskConfig(**{f.name: values[key] for key, f in _MASK_FIELDS.items()})
+        return training.TrainConfig(**{key: values[key] for key in _TRAIN_FIELDS},
+                                    mask=mask_cfg, encoder=encoder_cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 
@@ -286,13 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MasktermError as exc:
+    except (MasktermError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

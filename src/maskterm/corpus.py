@@ -68,6 +68,8 @@ class TokenizedExample:
         if not (len(self.char_spans) == len(self.pos_ids) == len(self.bio_tags) == n
                 and self.dep_features.shape == (n, DEP_DIM)):
             raise ContractError("per-token sequences disagree in length")
+        if not all(isinstance(p, int) and 0 <= p < len(POS_TAGS) for p in self.pos_ids):
+            raise ContractError("POS id outside the tag set")
         prev = "O"
         for tag in self.bio_tags:
             if tag not in ("B", "I", "O"):
@@ -90,12 +92,6 @@ class DatasetSummary:
     review_count: int = 0
     aspect_counts: dict[str, int] = field(default_factory=lambda: {p: 0 for p in POLARITIES})
     skipped: int = 0
-
-    def __add__(self, other: "DatasetSummary") -> "DatasetSummary":
-        merged = DatasetSummary(self.review_count + other.review_count, skipped=self.skipped + other.skipped)
-        for p in POLARITIES:
-            merged.aspect_counts[p] = self.aspect_counts[p] + other.aspect_counts[p]
-        return merged
 
 
 # -- tokenization ------------------------------------------------------------
@@ -479,10 +475,13 @@ def example_to_record(ex: TokenizedExample) -> dict:
             }
             for a in ex.aspects
         ],
+        "text": ex.text,
     }
 
 
 def record_to_example(rec: dict) -> TokenizedExample:
+    if not isinstance(rec, dict):
+        raise TypeError(f"example record must be a JSON object, not {type(rec).__name__}")
     aspects = [
         AspectAnnotation(a["term"], a["from"], a["to"], a["polarity"],
                          tuple(a["token_span"]) if a.get("token_span") else None)
@@ -495,6 +494,7 @@ def record_to_example(rec: dict) -> TokenizedExample:
         dep_features=np.asarray(rec["dep"], dtype=np.float64),
         bio_tags=list(rec["bio"]),
         aspects=aspects,
+        text=rec.get("text", ""),
     )
 
 
@@ -505,9 +505,25 @@ def write_examples(path: str, examples: list[TokenizedExample]) -> None:
 
 
 def read_examples(path: str) -> list[TokenizedExample]:
+    """Examples of a line-delimited JSON file, each one validated; a line that
+    is not JSON, lacks a key, holds a value of the wrong type or fails
+    validation raises CorpusParseError with its line number."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(record_to_example(json.loads(line)))
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusParseError(f"invalid JSON: {exc.msg}", line=lineno,
+                                       column=exc.colno) from exc
+            try:
+                ex = record_to_example(rec)
+                ex.validate()
+            except KeyError as exc:
+                raise CorpusParseError(f"example record lacks key {exc}", line=lineno) from exc
+            except (TypeError, ValueError, ContractError) as exc:
+                raise CorpusParseError(f"bad example record: {exc}", line=lineno) from exc
+            out.append(ex)
     return out

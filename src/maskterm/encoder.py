@@ -355,6 +355,16 @@ def save_checkpoint(path: str, params: ParamStore, config: dict, seed: int) -> N
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
+def _manifest_entry(entry) -> tuple[str, tuple[int, ...]]:
+    """(name, shape) of one checkpoint manifest entry."""
+    name = entry.get("name") if isinstance(entry, dict) else None
+    shape = entry.get("shape") if isinstance(entry, dict) else None
+    if not (isinstance(name, str) and isinstance(shape, list)
+            and all(isinstance(d, int) and d >= 0 for d in shape)):
+        raise CompatibilityError(f"malformed checkpoint manifest entry {entry!r}")
+    return name, tuple(shape)
+
+
 def load_checkpoint(path: str):
     """Returns (config dict, seed, ordered name->array map)."""
     with open(path, "rb") as fh:
@@ -364,19 +374,28 @@ def load_checkpoint(path: str):
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CompatibilityError(f"unreadable checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CompatibilityError("checkpoint header is not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CompatibilityError(
             f"checkpoint version {header.get('version')!r} != {CHECKPOINT_VERSION!r}"
         )
+    missing = [key for key in ("manifest", "config", "seed") if key not in header]
+    if missing:
+        raise CompatibilityError(f"checkpoint header lacks {', '.join(missing)}")
+    if not isinstance(header["seed"], int):
+        raise CompatibilityError(f"checkpoint seed {header['seed']!r} is not an integer")
+    if not isinstance(header["manifest"], list):
+        raise CompatibilityError("checkpoint manifest is not a list")
     arrays: dict[str, np.ndarray] = {}
     offset = 0
     for entry in header["manifest"]:
-        shape = tuple(entry["shape"])
+        name, shape = _manifest_entry(entry)
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if offset + nbytes > len(blob):
             raise CompatibilityError("checkpoint blob shorter than its manifest")
-        arrays[entry["name"]] = np.frombuffer(
+        arrays[name] = np.frombuffer(
             blob, dtype="<f8", count=count, offset=offset
         ).reshape(shape).astype(np.float64)
         offset += nbytes

@@ -22,7 +22,8 @@ class CorpusParseError(MasktermError):
 
     def __init__(self, message, line=None, column=None):
         if line is not None:
-            message = f"{message} (line {line}, column {column})"
+            where = f"line {line}" if column is None else f"line {line}, column {column}"
+            message = f"{message} ({where})"
         super().__init__(message)
         self.line = line
         self.column = column

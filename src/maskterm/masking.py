@@ -5,8 +5,14 @@ Three adaptive families plus a fixed-threshold baseline:
     context-aggregated threshold (plus an aspect-relevance term for ASC).
   - AAM: soft distance ramp with a learnable span that reshapes attention
     around every position.
-  - AMOM: remask a correctness-ratio-determined number of positions and
-    regenerate predictions for a fixed number of rounds.
+  - AMOM: remask a number of positions set by how good the last prediction
+    was, and regenerate predictions for a fixed number of rounds. One loop,
+    amom_regenerate, serves training and inference. Training rates a round
+    by its correctness ratio against gold and remasks wrong positions first,
+    then those of lowest gold probability; inference, without gold, rates it
+    by mean max-probability and remasks the least confident positions. ASC
+    remasks the sentence tokens of lowest attention in both, since its one
+    prediction cannot rank positions.
 
 The threshold cut is a step function, so training uses a straight-through
 gate: the forward pass applies the hard rule, while gradients flow through
@@ -89,33 +95,6 @@ class ActmParams:
         if not self.learnable:
             if float(self.alpha.data) != 1.0 or float(self.gamma.data) != 1.0:
                 raise ContractError("constant-weight mode requires alpha = gamma = 1")
-
-
-@dataclass
-class AamParams:
-    ramp: float                       # R > 0
-    z: Tensor                         # learnable span scalar
-    d_k: int
-    max_len: int = 128
-
-    def __post_init__(self):
-        if self.ramp <= 0.0:
-            raise ContractError(f"ramp length must be positive, got {self.ramp}")
-
-
-@dataclass
-class AmomParams:
-    mu_min: float = 0.1
-    mu_max: float = 0.5
-    iterations: int = 2
-
-    def __post_init__(self):
-        if not (0.0 < self.mu_min <= self.mu_max <= 1.0):
-            raise ContractError(
-                f"need 0 < mu_min <= mu_max <= 1, got ({self.mu_min}, {self.mu_max})"
-            )
-        if self.iterations < 1:
-            raise ContractError("iterations must be >= 1")
 
 
 @dataclass
@@ -326,12 +305,12 @@ def amom_correctness_ratio(pred, gold) -> float:
     return sum(p == g for p, g in zip(pred, gold)) / len(gold)
 
 
-def amom_mask_count(ratio: float, length: int, params: AmomParams) -> tuple[float, int]:
+def amom_mask_count(ratio: float, length: int, cfg: MaskConfig) -> tuple[float, int]:
     """Masking ratio mu = mu_max - (mu_max - mu_min) * R (linear, decreasing)
     and the resulting count, half-up rounded and clamped into [1, length]."""
     if length < 1:
         raise ContractError(f"label length must be >= 1, got {length}")
-    mu = params.mu_max - (params.mu_max - params.mu_min) * float(ratio)
+    mu = cfg.amom_mu_max - (cfg.amom_mu_max - cfg.amom_mu_min) * float(ratio)
     n_mask = int(math.floor(mu * length + 0.5))
     return mu, max(1, min(n_mask, length))
 
@@ -347,36 +326,42 @@ def amom_select_positions(gold_probs: np.ndarray, correct: np.ndarray, n_mask: i
     return [int(i) for i in order[:n_mask]]
 
 
-def amom_regenerate(forward, gold_ids: np.ndarray, params: AmomParams, mode: str = "ate",
-                    relevance: np.ndarray | None = None):
-    """Iterative remask-and-regenerate loop.
+def amom_regenerate(forward, cfg: MaskConfig, gold=None, relevance=None):
+    """Iterative remask-and-regenerate loop, for training and inference alike.
 
     `forward(masked: set[int])` returns (probs ndarray (m, C), loss Tensor or
-    None) for the gold-aligned positions, with the listed input rows zeroed.
-    In "ate" mode positions are selected by lowest gold-label probability;
-    in "asc" mode by lowest `relevance`. Returns (final probs, losses per
-    round including the unmasked first pass, masked sets per round).
+    None) with the listed maskable positions hidden. Each of the
+    `cfg.amom_iterations` rounds after the unmasked first pass hides
+    amom_mask_count(R) positions, where R is the correctness ratio against
+    `gold` (an array of class ids, one per row), or without gold the mean
+    max-probability. The positions are the lowest-`relevance` ones of the
+    `len(relevance)` maskable ones when a relevance vector is given;
+    otherwise, with gold, the wrong ones first and then by gold probability;
+    otherwise the least confident ones. With nothing to mask only the first
+    pass runs. Returns (final probs, losses per round including the first
+    pass, masked sets per round).
     """
-    if mode not in ("ate", "asc"):
-        raise ContractError(f"unknown regeneration mode {mode!r}")
-    gold_ids = np.asarray(gold_ids)
-    m = gold_ids.size
-    if mode == "asc" and relevance is None:
-        raise ContractError("asc-mode regeneration needs a per-position relevance vector")
-    maskable = m if mode == "ate" else len(relevance)
     probs, loss = forward(set())
     losses = [loss]
     masked_history: list[set[int]] = []
-    for _ in range(params.iterations):
-        pred = probs.argmax(axis=-1)
-        ratio = amom_correctness_ratio(pred.tolist(), gold_ids.tolist())
-        _, n_mask = amom_mask_count(ratio, maskable, params)
-        if mode == "ate":
-            gold_probs = probs[np.arange(m), gold_ids]
-            chosen = amom_select_positions(gold_probs, pred == gold_ids, n_mask)
+    maskable = probs.shape[0] if relevance is None else len(relevance)
+    if maskable == 0:
+        return probs, losses, masked_history
+    for _ in range(cfg.amom_iterations):
+        if gold is None:
+            confidence = probs.max(axis=1)
+            ratio = float(confidence.mean())
         else:
-            chosen = amom_select_positions(np.asarray(relevance, dtype=np.float64),
-                                           np.ones(maskable, dtype=bool), n_mask)
+            pred = probs.argmax(axis=-1)
+            ratio = amom_correctness_ratio(pred.tolist(), gold.tolist())
+        _, n_mask = amom_mask_count(ratio, maskable, cfg)
+        if relevance is not None:
+            chosen = amom_select_positions(relevance, np.ones(maskable, dtype=bool), n_mask)
+        elif gold is not None:
+            gold_probs = probs[np.arange(gold.size), gold]
+            chosen = amom_select_positions(gold_probs, pred == gold, n_mask)
+        else:
+            chosen = amom_select_positions(confidence, np.ones(maskable, dtype=bool), n_mask)
         masked = set(chosen)
         masked_history.append(masked)
         probs, loss = forward(masked)

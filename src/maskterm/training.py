@@ -91,43 +91,44 @@ def _maskable_asc_positions(inp: enc.ModelInput) -> list[int]:
     return [c for c, pos in enumerate(inp.content_positions.tolist()) if pos not in protected]
 
 
-def _amom_ate_losses(model: tasks.AbsaModel, ex: TokenizedExample, params: mk.AmomParams,
-                     train: bool, rng) -> list[Tensor]:
-    gold = np.array([tasks.BIO_INDEX[t] for t in ex.bio_tags])
+# One AMOM adapter per task, for the loss (`scored`: remask by gold, return
+# each round's loss) and for prediction (remask by confidence, no losses).
+# Both return masking.amom_regenerate's (probs, losses, masked sets).
+
+
+def _amom_ate(model: tasks.AbsaModel, ex: TokenizedExample, scored: bool = False,
+              train: bool = False, rng=None):
+    gold = np.array([tasks.BIO_INDEX[t] for t in ex.bio_tags]) if scored else None
 
     def forward(masked: set[int]):
         out = model.forward_ate([ex], train=train, rng=rng, masked_content=[frozenset(masked)])
-        return out.probs.data, tasks.ate_loss(out.probs, ex.bio_tags)
+        return out.probs.data, (tasks.ate_loss(out.probs, ex.bio_tags) if scored else None)
 
-    _, losses, _ = mk.amom_regenerate(forward, gold, params, mode="ate")
-    return losses
+    return mk.amom_regenerate(forward, model.mask_cfg, gold)
 
 
-def _amom_asc_ce(model: tasks.AbsaModel, ex: TokenizedExample, aspect_idx: int,
-                 params: mk.AmomParams, train: bool, rng) -> list[Tensor]:
+def _amom_asc(model: tasks.AbsaModel, instance: tuple[TokenizedExample, int],
+              scored: bool = False, train: bool = False, rng=None):
+    """Remasks the maskable sentence tokens of lowest attention in an
+    unmasked no-grad base pass. Without a loss to record, that pass is also
+    the first round, the only one that masks nothing."""
+    ex, aspect_idx = instance
     gold = ex.aspects[aspect_idx].polarity
-    inp = enc.asc_input(ex, aspect_idx, model.vocab)
-    maskable = _maskable_asc_positions(inp)
     with ad.no_grad():
-        base = model.forward_asc([(ex, aspect_idx)])
-    if base.attn is not None and maskable:
-        relevance = base.attn.data[inp.content_positions[maskable]]
-    else:
-        relevance = np.zeros(max(len(maskable), 1))
+        base = model.forward_asc([instance])
+    maskable = _maskable_asc_positions(base.inp)
+    relevance = base.attn.data[base.inp.content_positions[maskable]]
 
     def forward(masked: set[int]):
+        if not (masked or scored):
+            return base.probs.data, None
         hidden = frozenset(maskable[i] for i in masked)
-        out = model.forward_asc([(ex, aspect_idx)], train=train, rng=rng, masked_content=[hidden])
-        picked = out.probs[(0, tasks.ASC_INDEX[gold])]
-        ce = ad.mul(ad.log_clamped(picked), -1.0)
-        return out.probs.data, ce
+        out = model.forward_asc([instance], train=train, rng=rng, masked_content=[hidden])
+        loss = tasks.asc_loss(out.probs, [gold], model.params, 0.0) if scored else None
+        return out.probs.data, loss
 
-    if not maskable:
-        probs, ce = forward(set())
-        return [ce]
-    _, losses, _ = mk.amom_regenerate(
-        forward, np.array([tasks.ASC_INDEX[gold]]), params, mode="asc", relevance=relevance)
-    return losses
+    gold_ids = np.array([tasks.ASC_INDEX[gold]]) if scored else None
+    return mk.amom_regenerate(forward, model.mask_cfg, gold_ids, relevance)
 
 
 def _mean_tensor(parts: list[Tensor]) -> Tensor:
@@ -135,10 +136,6 @@ def _mean_tensor(parts: list[Tensor]) -> Tensor:
     for p in parts[1:]:
         total = ad.add(total, p)
     return ad.mul(total, 1.0 / len(parts))
-
-
-def amom_params_from(cfg: mk.MaskConfig) -> mk.AmomParams:
-    return mk.AmomParams(cfg.amom_mu_min, cfg.amom_mu_max, cfg.amom_iterations)
 
 
 def batch_loss(model: tasks.AbsaModel, config: TrainConfig, batch, train: bool, rng) -> Tensor:
@@ -149,7 +146,12 @@ def batch_loss(model: tasks.AbsaModel, config: TrainConfig, batch, train: bool, 
     AMOM runs each example on its own and averages its per-round losses first.
     """
     if config.mask.strategy == "amom":
-        return _amom_batch_loss(model, config, batch, train, rng)
+        amom = _amom_ate if config.task == "ate" else _amom_asc
+        loss = _mean_tensor([_mean_tensor(amom(model, item, scored=True, train=train, rng=rng)[1])
+                             for item in batch])
+        if config.task == "asc" and config.l2_lambda != 0.0:
+            loss = ad.add(loss, ad.mul(model.params.l2_sum(), config.l2_lambda / 2.0))
+        return loss
     if config.task == "ate":
         out = model.forward_ate(batch, train=train, rng=rng)
         tags = [tag for ex in batch for tag in ex.bio_tags]
@@ -157,19 +159,6 @@ def batch_loss(model: tasks.AbsaModel, config: TrainConfig, batch, train: bool, 
     out = model.forward_asc(batch, train=train, rng=rng)
     golds = [ex.aspects[aspect_idx].polarity for ex, aspect_idx in batch]
     return tasks.asc_loss(out.probs, golds, model.params, config.l2_lambda)
-
-
-def _amom_batch_loss(model: tasks.AbsaModel, config: TrainConfig, batch, train: bool,
-                     rng) -> Tensor:
-    params = amom_params_from(config.mask)
-    if config.task == "ate":
-        return _mean_tensor([_mean_tensor(_amom_ate_losses(model, ex, params, train, rng))
-                             for ex in batch])
-    loss = _mean_tensor([_mean_tensor(_amom_asc_ce(model, ex, aspect_idx, params, train, rng))
-                         for ex, aspect_idx in batch])
-    if config.l2_lambda != 0.0:
-        loss = ad.add(loss, ad.mul(model.params.l2_sum(), config.l2_lambda / 2.0))
-    return loss
 
 
 def train(config: TrainConfig, train_set: list[TokenizedExample],
@@ -227,49 +216,6 @@ def report_metrics(report: tasks.EvalReport, task: str) -> dict:
     return dict(report.ate if task == "ate" else report.asc)
 
 
-def _predict_bio_amom(model: tasks.AbsaModel, ex: TokenizedExample,
-                      params: mk.AmomParams) -> list[str]:
-    """Inference-time refinement: remask by prediction confidence (no gold)."""
-    def forward(masked):
-        with ad.no_grad():
-            out = model.forward_ate([ex], masked_content=[frozenset(masked)])
-        return out.probs.data
-
-    probs = forward(set())
-    m = probs.shape[0]
-    for _ in range(params.iterations):
-        confidence = probs.max(axis=1)
-        ratio = float(confidence.mean())
-        _, n_mask = mk.amom_mask_count(ratio, m, params)
-        chosen = mk.amom_select_positions(confidence, np.ones(m, dtype=bool), n_mask)
-        probs = forward(set(chosen))
-    return [tasks.BIO_CLASSES[i] for i in probs.argmax(axis=1)]
-
-
-def _predict_asc_amom(model: tasks.AbsaModel, ex: TokenizedExample, aspect_idx: int,
-                      params: mk.AmomParams) -> str:
-    inp = enc.asc_input(ex, aspect_idx, model.vocab)
-    maskable = _maskable_asc_positions(inp)
-
-    def forward(masked):
-        with ad.no_grad():
-            out = model.forward_asc([(ex, aspect_idx)], masked_content=[frozenset(masked)])
-        return out
-
-    out = forward(set())
-    if not maskable:
-        return tasks.ASC_CLASSES[int(out.probs.data.argmax())]
-    probs = out.probs.data[0]
-    relevance = (out.attn.data[inp.content_positions[maskable]]
-                 if out.attn is not None else np.zeros(len(maskable)))
-    for _ in range(params.iterations):
-        ratio = float(probs.max())
-        _, n_mask = mk.amom_mask_count(ratio, len(maskable), params)
-        chosen = mk.amom_select_positions(relevance, np.ones(len(maskable), dtype=bool), n_mask)
-        probs = forward({maskable[i] for i in chosen}).probs.data[0]
-    return tasks.ASC_CLASSES[int(probs.argmax())]
-
-
 # Instances per packed forward in evaluate(): the default training batch size.
 EVAL_CHUNK = 32
 
@@ -284,11 +230,12 @@ def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str)
     Instances run through the packed forward in chunks of EVAL_CHUNK; AMOM
     refines each instance on its own."""
     amom = model.mask_cfg.strategy == "amom"
-    amom_params = amom_params_from(model.mask_cfg) if amom else None
 
     if task == "ate":
         if amom:
-            predictions = [_predict_bio_amom(model, ex, amom_params) for ex in dataset]
+            with ad.no_grad():
+                probs = [_amom_ate(model, ex)[0] for ex in dataset]
+            predictions = [[tasks.BIO_CLASSES[i] for i in p.argmax(axis=1)] for p in probs]
         else:
             predictions = [tags for chunk in _chunks(dataset) for tags in model.predict_bio(chunk)]
         tp = n_pred = n_gold = 0
@@ -316,7 +263,9 @@ def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str)
     if not instances:
         raise ContractError("ASC evaluation requires aspect annotations")
     if amom:
-        preds = [_predict_asc_amom(model, ex, idx, amom_params) for ex, idx in instances]
+        with ad.no_grad():
+            preds = [tasks.ASC_CLASSES[int(_amom_asc(model, inst)[0].argmax())]
+                     for inst in instances]
     else:
         preds = [label for chunk in _chunks(instances) for label in model.predict_polarity(chunk)]
     golds = [ex.aspects[i].polarity for ex, i in instances]

@@ -68,26 +68,6 @@ class TestSoftmax:
             ad.softmax(ad.Tensor(np.zeros((0,))))
 
 
-class TestCosine:
-    def test_self_similarity(self):
-        v = ad.Tensor([1.0, -2.0, 0.5])
-        assert ad.cosine_similarity(v, v).item() == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert ad.cosine_similarity(ad.Tensor([1.0, 0.0]), ad.Tensor([0.0, 1.0])).item() == 0.0
-
-    def test_scaling_invariance(self):
-        out = ad.cosine_similarity(ad.Tensor([1.0, 2.0]), ad.Tensor([2.0, 4.0]))
-        assert out.item() == pytest.approx(1.0)
-
-    def test_zero_norm_returns_zero(self):
-        assert ad.cosine_similarity(ad.Tensor([0.0, 0.0]), ad.Tensor([1.0, 2.0])).item() == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            ad.cosine_similarity(ad.Tensor([1.0]), ad.Tensor([1.0, 2.0]))
-
-
 class TestAggregate:
     def test_table_mean(self):
         out = ad.aggregate(ad.Tensor(TABLE_SCORES), "mean")

@@ -205,6 +205,9 @@ class TestConfigHandling:
         assert cfg.encoder.dropout_rate == pytest.approx(0.1)
         assert cfg.encoder.layernorm_eps == pytest.approx(1e-12)
 
+    def test_empty_config_gives_the_train_config_defaults(self):
+        assert cli.config_from_dict({}) == training.TrainConfig()
+
     def test_missing_required_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["train"])
@@ -228,3 +231,33 @@ class TestConfigHandling:
 
         monkeypatch.setattr(training, "train", boom)
         assert cli.main(["train", "--task", "ate", "--data", str(data)]) == 3
+
+
+class TestInputErrors:
+    """Bad files exit 2 with one `error:` line, never a traceback."""
+
+    @staticmethod
+    def exits_2(argv, capsys):
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_checkpoint_is_a_directory(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        cli.main(["synth", "--seed", "1", "--size", "4", "--out", str(data)])
+        self.exits_2(["eval", "--ckpt", str(tmp_path), "--data", str(data)], capsys)
+
+    def test_checkpoint_header_without_manifest(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        cli.main(["synth", "--seed", "1", "--size", "4", "--out", str(data)])
+        ckpt = tmp_path / "partial.ckpt"
+        ckpt.write_bytes(b'{"version": "ckpt_v1"}\n')
+        self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+
+    def test_truncated_data_line(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        cli.main(["synth", "--seed", "1", "--size", "4", "--out", str(data)])
+        lines = data.read_text(encoding="utf-8").splitlines()
+        data.write_text("\n".join(lines[:-1] + [lines[-1][:40]]) + "\n", encoding="utf-8")
+        self.exits_2(["train", "--task", "ate", "--data", str(data)], capsys)

@@ -179,14 +179,6 @@ class TestParseSemeval:
         with pytest.raises(SchemaError, match="aspectTerm"):
             corpus.parse_semeval_xml(MISSING_ATTR_FIXTURE, "sem14")
 
-    def test_summary_additivity(self):
-        _, s14 = corpus.parse_semeval_xml(SEM14_FIXTURE, "sem14")
-        _, s16 = corpus.parse_semeval_xml(SEM16_FIXTURE, "sem16")
-        merged = s14 + s16
-        assert merged.review_count == s14.review_count + s16.review_count
-        for p in corpus.POLARITIES:
-            assert merged.aspect_counts[p] == s14.aspect_counts[p] + s16.aspect_counts[p]
-
     def test_aspect_slices_match_terms(self):
         for fixture, schema in ((SEM14_FIXTURE, "sem14"), (SEM16_FIXTURE, "sem16")):
             entries, _ = corpus.parse_semeval_xml(fixture, schema)
@@ -241,4 +233,71 @@ class TestSynthCorpus:
 
     def test_record_keys_are_stable(self):
         rec = corpus.example_to_record(corpus.synth_corpus(seed=1, size=1)[0])
-        assert list(rec) == ["tokens", "spans", "pos", "dep", "bio", "aspects"]
+        assert list(rec) == ["tokens", "spans", "pos", "dep", "bio", "aspects", "text"]
+
+
+class TestReadExamples:
+    @staticmethod
+    def write_lines(tmp_path, lines):
+        path = tmp_path / "examples.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def record(**changes):
+        rec = corpus.example_to_record(corpus.synth_corpus(seed=4, size=1)[0])
+        rec.update(changes)
+        return rec
+
+    def test_truncated_line_names_its_line(self, tmp_path):
+        good = json.dumps(self.record())
+        path = self.write_lines(tmp_path, [good, "", good[: len(good) // 2]])
+        with pytest.raises(CorpusParseError, match=r"invalid JSON.*line 3, column") as exc:
+            corpus.read_examples(path)
+        assert exc.value.line == 3
+
+    def test_missing_key(self, tmp_path):
+        rec = self.record()
+        del rec["aspects"]
+        path = self.write_lines(tmp_path, [json.dumps(rec)])
+        with pytest.raises(CorpusParseError, match=r"lacks key 'aspects' \(line 1\)"):
+            corpus.read_examples(path)
+
+    @pytest.mark.parametrize("changes", [{"tokens": 5}, {"dep": "x"}, {"spans": [1, 2]},
+                                         {"bio": None}, {"aspects": [7]}])
+    def test_wrong_type(self, tmp_path, changes):
+        path = self.write_lines(tmp_path, [json.dumps(self.record(**changes))])
+        with pytest.raises(CorpusParseError) as exc:
+            corpus.read_examples(path)
+        assert exc.value.line == 1
+
+    def test_record_must_be_an_object(self, tmp_path):
+        path = self.write_lines(tmp_path, ["[1, 2]"])
+        with pytest.raises(CorpusParseError, match="JSON object"):
+            corpus.read_examples(path)
+
+    def test_every_record_is_validated(self, tmp_path):
+        """Two tokens with one BIO tag would otherwise load, and evaluation
+        would score only the first token."""
+        ex = corpus.make_example("great steak", [])
+        short = dict(corpus.example_to_record(ex), bio=["O"])
+        out_of_range = dict(corpus.example_to_record(ex), pos=[0, len(corpus.POS_TAGS)])
+        named = dict(corpus.example_to_record(ex), pos=["ADJ", "NOUN"])
+        for bad in (short, out_of_range, named):
+            path = self.write_lines(tmp_path, [json.dumps(corpus.example_to_record(ex)),
+                                               json.dumps(bad)])
+            with pytest.raises(CorpusParseError) as exc:
+                corpus.read_examples(path)
+            assert exc.value.line == 2
+
+    def test_text_round_trips(self, tmp_path):
+        examples = corpus.synth_corpus(seed=2, size=5)
+        path = str(tmp_path / "corpus.jsonl")
+        corpus.write_examples(path, examples)
+        assert [ex.text for ex in corpus.read_examples(path)] == [ex.text for ex in examples]
+        assert all(ex.text for ex in examples)
+
+    def test_record_without_text_loads_with_empty_text(self, tmp_path):
+        rec = self.record()
+        del rec["text"]
+        assert corpus.read_examples(self.write_lines(tmp_path, [json.dumps(rec)]))[0].text == ""

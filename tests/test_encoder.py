@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,26 @@ class TestCheckpoint:
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b'{"version": "ckpt_v0", "manifest": [], "config": {}, "seed": 0}\n')
+        with pytest.raises(CompatibilityError):
+            enc.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("header", [
+        {"version": "ckpt_v1"},
+        {"version": "ckpt_v1", "config": {}, "seed": 0},
+        {"version": "ckpt_v1", "manifest": [], "seed": 0},
+        {"version": "ckpt_v1", "manifest": [], "config": {}},
+        {"version": "ckpt_v1", "manifest": [], "config": {}, "seed": "0"},
+        {"version": "ckpt_v1", "manifest": {}, "config": {}, "seed": 0},
+        {"version": "ckpt_v1", "manifest": [{"name": "w"}], "config": {}, "seed": 0},
+        {"version": "ckpt_v1", "manifest": [{"name": 3, "shape": [1]}], "config": {}, "seed": 0},
+        {"version": "ckpt_v1", "manifest": [{"name": "w", "shape": [-1]}], "config": {},
+         "seed": 0},
+        {"version": "ckpt_v1", "manifest": ["w"], "config": {}, "seed": 0},
+        ["ckpt_v1"],
+    ])
+    def test_partial_header_rejected(self, tmp_path, header):
+        path = tmp_path / "partial.ckpt"
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n")
         with pytest.raises(CompatibilityError):
             enc.load_checkpoint(str(path))
 

@@ -336,21 +336,21 @@ class TestAmomPieces:
             mk.amom_correctness_ratio([1], [1, 2])
 
     def test_mask_count(self):
-        params = mk.AmomParams(mu_min=0.1, mu_max=0.5)
-        mu, _ = mk.amom_mask_count(1.0, 10, params)
+        cfg = mk.MaskConfig(amom_mu_min=0.1, amom_mu_max=0.5)
+        mu, _ = mk.amom_mask_count(1.0, 10, cfg)
         assert mu == pytest.approx(0.1)
-        _, n = mk.amom_mask_count(0.0, 10, params)
+        _, n = mk.amom_mask_count(0.0, 10, cfg)
         assert n == 5
-        _, n = mk.amom_mask_count(1.0, 4, params)  # mu*|Y| = 0.4 -> clamped to 1
+        _, n = mk.amom_mask_count(1.0, 4, cfg)  # mu*|Y| = 0.4 -> clamped to 1
         assert n == 1
 
     def test_mu_non_increasing_and_count_bounds(self):
-        params = mk.AmomParams(mu_min=0.15, mu_max=0.6)
+        cfg = mk.MaskConfig(amom_mu_min=0.15, amom_mu_max=0.6)
         grid = np.linspace(0, 1, 101)
-        mus = [mk.amom_mask_count(r, 12, params)[0] for r in grid]
+        mus = [mk.amom_mask_count(r, 12, cfg)[0] for r in grid]
         assert all(b <= a + 1e-15 for a, b in zip(mus, mus[1:]))
         for r in grid:
-            _, n = mk.amom_mask_count(r, 12, params)
+            _, n = mk.amom_mask_count(r, 12, cfg)
             assert 1 <= n <= 12
 
     def test_selection_matches_bruteforce_sort(self):
@@ -380,16 +380,16 @@ class TestAmomRegenerate:
         gold = np.array([0, 1, 2, 1, 0, 2, 1, 0, 2, 1])
         probs = np.full((10, 3), 0.05)
         probs[np.arange(10), gold] = 0.9
-        params = mk.AmomParams(mu_min=0.1, mu_max=0.5, iterations=1)
-        _, _, history = mk.amom_regenerate(self.stub_forward(probs), gold, params)
+        cfg = mk.MaskConfig(amom_mu_min=0.1, amom_mu_max=0.5, amom_iterations=1)
+        _, _, history = mk.amom_regenerate(self.stub_forward(probs), cfg, gold)
         assert len(history) == 1
         assert len(history[0]) == max(1, int(math.floor(0.1 * 10 + 0.5)))
 
     def test_single_iteration_single_round(self):
         gold = np.array([0, 1])
         probs = np.array([[0.6, 0.3, 0.1], [0.2, 0.7, 0.1]])
-        params = mk.AmomParams(iterations=1)
-        _, losses, history = mk.amom_regenerate(self.stub_forward(probs), gold, params)
+        cfg = mk.MaskConfig(amom_iterations=1)
+        _, losses, history = mk.amom_regenerate(self.stub_forward(probs), cfg, gold)
         assert len(history) == 1 and len(losses) == 2
 
     def test_incorrect_positions_selected_first(self):
@@ -400,8 +400,8 @@ class TestAmomRegenerate:
             [0.55, 0.4, 0.05],   # correct, lower confidence
             [0.1, 0.2, 0.7],     # incorrect
         ])
-        params = mk.AmomParams(mu_min=0.5, mu_max=0.5, iterations=1)
-        _, _, history = mk.amom_regenerate(self.stub_forward(probs), gold, params)
+        cfg = mk.MaskConfig(amom_mu_min=0.5, amom_mu_max=0.5, amom_iterations=1)
+        _, _, history = mk.amom_regenerate(self.stub_forward(probs), cfg, gold)
         assert history[0] == {1, 3}
 
     def test_asc_mode_uses_relevance(self):
@@ -411,10 +411,41 @@ class TestAmomRegenerate:
         def forward(masked):
             return probs, None
 
-        params = mk.AmomParams(mu_min=0.4, mu_max=0.4, iterations=1)
-        _, _, history = mk.amom_regenerate(
-            forward, gold, params, mode="asc", relevance=np.array([0.5]))
+        cfg = mk.MaskConfig(amom_mu_min=0.4, amom_mu_max=0.4, amom_iterations=1)
+        _, _, history = mk.amom_regenerate(forward, cfg, gold, relevance=np.array([0.5]))
         assert history[0] == {0}
+
+    def test_without_gold_remasks_least_confident(self, monkeypatch):
+        probs = np.array([
+            [0.9, 0.05, 0.05],   # max 0.9
+            [0.4, 0.3, 0.3],     # max 0.4
+            [0.2, 0.6, 0.2],     # max 0.6
+            [0.25, 0.25, 0.5],   # max 0.5
+        ])
+        ratios = []
+        count = mk.amom_mask_count
+
+        def spy(ratio, length, cfg):
+            ratios.append(ratio)
+            return count(ratio, length, cfg)
+
+        monkeypatch.setattr(mk, "amom_mask_count", spy)
+        cfg = mk.MaskConfig(amom_mu_min=0.25, amom_mu_max=0.75, amom_iterations=1)
+        _, losses, history = mk.amom_regenerate(self.stub_forward(probs), cfg)
+        # R = mean max-probability 0.6 -> mu 0.45 -> round(1.8) = 2 positions
+        assert ratios == [pytest.approx(0.6, abs=1e-15)]
+        assert history == [{1, 3}] and len(losses) == 2
+
+    def test_nothing_maskable_runs_first_pass_only(self):
+        calls = []
+
+        def forward(masked):
+            calls.append(set(masked))
+            return np.array([[0.2, 0.8, 0.0]]), None
+
+        _, losses, history = mk.amom_regenerate(forward, mk.MaskConfig(), np.array([1]),
+                                                relevance=np.zeros(0))
+        assert calls == [set()] and losses == [None] and history == []
 
 
 class TestTrace:

@@ -161,6 +161,41 @@ def test_amom_batch_loss_unchanged(task, train):
     assert abs(float(loss.data) - AMOM_LOSSES[(task, train)]) <= 1e-10
 
 
+
+# evaluate() of AMOM, which refines every instance on its own, as recorded
+# before its inference rounds moved into masking.amom_regenerate: the
+# per-class counts, and the content indices each forward hid, in call order.
+AMOM_EVAL_COUNTS = {
+    "ate": {"B": {"fn": 4, "fp": 15, "tp": 3}, "I": {"fn": 2, "fp": 12, "tp": 1},
+            "O": {"fn": 25, "fp": 4, "tp": 6}},
+    "asc": {"negative": {"f1": 0.0, "fn": 6, "fp": 0, "tp": 0},
+            "neutral": {"f1": 0.25, "fn": 0, "fp": 6, "tp": 1}},
+}
+AMOM_EVAL_HIDDEN = {
+    "ate": [[], [4], [4], [], [4], [1], [], [2], [9], [], [1], [5], [], [1], [4], [], [6], [2]],
+    "asc": [[], [0], [0], [], [0], [0], [], [0], [0], [], [0], [0], [], [3], [3], [], [0], [0],
+            [], [0], [0]],
+}
+
+
+@pytest.mark.parametrize("task", list(AMOM_EVAL_COUNTS))
+def test_amom_evaluate_unchanged(task, monkeypatch):
+    data = corpus.synth_corpus(seed=21, size=6)
+    model, _ = make_model(task, "amom", "mean", data)
+    name = f"forward_{task}"
+    inner = getattr(model, name)
+    hidden = []
+
+    def logged(items, *args, masked_content=None, **kwargs):
+        assert len(items) == 1
+        hidden.append(sorted(masked_content[0]) if masked_content else [])
+        return inner(items, *args, masked_content=masked_content, **kwargs)
+
+    monkeypatch.setattr(model, name, logged)
+    assert training.evaluate(model, data, task).per_class == AMOM_EVAL_COUNTS[task]
+    assert hidden == AMOM_EVAL_HIDDEN[task]
+
+
 class TestAamRemix:
     def test_matches_per_row_attention(self):
         rng = np.random.default_rng(2)
