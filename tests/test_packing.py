@@ -161,7 +161,6 @@ def test_amom_batch_loss_unchanged(task, train):
     assert abs(float(loss.data) - AMOM_LOSSES[(task, train)]) <= 1e-10
 
 
-
 # evaluate() of AMOM, which refines every instance on its own, as recorded
 # before its inference rounds moved into masking.amom_regenerate: the
 # per-class counts, and the content indices each forward hid, in call order.
