@@ -30,46 +30,54 @@ _MASK_FIELDS = {("mask_strategy" if f.name == "strategy" else f.name): f
 CONFIG_DEFAULTS = {key: f.default for key, f in {**_TRAIN_FIELDS, **_MASK_FIELDS}.items()}
 
 
-def _cast(value, default):
-    """`value` as the type of its key's default; a None default (the *_init
-    fields, per-task when unset) takes a float or None."""
-    if default is None:
-        return None if value is None else float(value)
-    if isinstance(default, (bool, int, float)):
-        return type(default)(value)
-    return value
+def _cast(key: str, value, default):
+    """`value` for `key`, held to the type of the key's default: a bool key
+    takes only a JSON boolean, an int key an integer or a whole float, a
+    float key a finite number but no boolean (a None default, the per-task
+    *_init fields, also takes null), a string key a string."""
+    if value is None and default is None:
+        return None
+    kind = float if default is None else type(default)
+    if type(value) is kind and kind is not float:
+        return value
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
+
+
+def _typed(name: str, raw, defaults: dict) -> dict:
+    """Every key of `defaults`, given a value of its type in the `raw`
+    object or its default; unknown keys are rejected."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(raw) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return {key: _cast(key, raw.get(key, default), default) for key, default in defaults.items()}
 
 
 def config_from_dict(raw: dict) -> training.TrainConfig:
-    """Build a TrainConfig from the JSON document, rejecting unknown keys."""
+    """Build a TrainConfig from the JSON document, rejecting unknown keys and
+    values of the wrong type."""
     data = dict(raw)
     encoder_raw = data.pop("encoder", {})
-    unknown = set(data) - set(CONFIG_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    enc_defaults = enc.EncoderConfig()
-    enc_fields = set(enc.encoder_config_to_dict(enc_defaults))
-    unknown_enc = set(encoder_raw) - enc_fields
-    if unknown_enc:
-        raise ConfigError(f"unknown encoder config keys: {sorted(unknown_enc)}")
-    try:
-        encoder_cfg = replace(enc_defaults, **encoder_raw)
-        values = {key: _cast(data.get(key, default), default)
-                  for key, default in CONFIG_DEFAULTS.items()}
-        mask_cfg = mk.MaskConfig(**{f.name: values[key] for key, f in _MASK_FIELDS.items()})
-        return training.TrainConfig(**{key: values[key] for key in _TRAIN_FIELDS},
-                                    mask=mask_cfg, encoder=encoder_cfg)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
+    values = _typed("config", data, CONFIG_DEFAULTS)
+    enc_values = _typed("encoder config", encoder_raw,
+                        enc.encoder_config_to_dict(enc.EncoderConfig()))
+    mask_cfg = mk.MaskConfig(**{f.name: values[key] for key, f in _MASK_FIELDS.items()})
+    return training.TrainConfig(**{key: values[key] for key in _TRAIN_FIELDS},
+                                mask=mask_cfg, encoder=enc.EncoderConfig(**enc_values))
 
 
 def load_config(path: str | None) -> training.TrainConfig:
     if path is None:
         return config_from_dict({})
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+            raw = json.loads(fh.read())
+        except ValueError as exc:   # bad JSON or bad UTF-8
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -136,21 +144,19 @@ def cmd_eval(args) -> int:
 def read_scores_tsv(path: str) -> tuple[list[str], np.ndarray]:
     tokens: list[str] = []
     values: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise CorpusParseError(
-                    f"scores file needs 'token<TAB>value' rows, got {len(cols)} columns",
-                    line=lineno, column=1)
-            try:
-                values.append(float(cols[1]))
-            except ValueError as exc:
-                raise CorpusParseError(f"bad attention value {cols[1]!r}", line=lineno, column=2) from exc
-            tokens.append(cols[0])
+    for lineno, line in corpus.utf8_lines(path):
+        if not line.strip() or line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) != 2:
+            raise CorpusParseError(
+                f"scores file needs 'token<TAB>value' rows, got {len(cols)} columns",
+                line=lineno, column=1)
+        try:
+            values.append(float(cols[1]))
+        except ValueError as exc:
+            raise CorpusParseError(f"bad attention value {cols[1]!r}", line=lineno, column=2) from exc
+        tokens.append(cols[0])
     if not tokens:
         raise EmptyInputError("scores file contains no rows")
     return tokens, np.asarray(values)

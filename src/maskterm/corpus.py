@@ -68,6 +68,8 @@ class TokenizedExample:
         if not (len(self.char_spans) == len(self.pos_ids) == len(self.bio_tags) == n
                 and self.dep_features.shape == (n, DEP_DIM)):
             raise ContractError("per-token sequences disagree in length")
+        if not all(isinstance(t, str) and t for t in self.tokens):
+            raise ContractError("tokens must be non-empty strings")
         if not all(isinstance(p, int) and 0 <= p < len(POS_TAGS) for p in self.pos_ids):
             raise ContractError("POS id outside the tag set")
         prev = "O"
@@ -80,6 +82,8 @@ class TokenizedExample:
         for asp in self.aspects:
             if asp.token_span is None:
                 raise ContractError(f"aspect {asp.term!r} lacks a token-span projection")
+            if asp.polarity not in POLARITIES:
+                raise ContractError(f"aspect {asp.term!r} has unknown polarity {asp.polarity!r}")
             s, e = asp.token_span
             if not (0 <= s <= e < n):
                 raise ContractError(f"aspect {asp.term!r} projects outside the sentence")
@@ -252,27 +256,36 @@ def load_dep_features(tokens: list[str], rows: list[tuple[str, int, str]] | None
     return np.stack([encode_dep_row(off, rel) for _, off, rel in rows])
 
 
+def utf8_lines(path: str):
+    """(line number, text without its line ending) of each line of a file;
+    a line that is not UTF-8 raises CorpusParseError."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                yield lineno, raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise CorpusParseError(f"not UTF-8: {exc.reason}", line=lineno) from exc
+
+
 def read_dep_file(path: str) -> list[list[tuple[str, int, str]]]:
     """Companion parse file: tab-separated token/head_offset/relation rows,
     blank line between sentences."""
     sentences: list[list[tuple[str, int, str]]] = []
     current: list[tuple[str, int, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                if current:
-                    sentences.append(current)
-                    current = []
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise CorpusParseError(f"expected 3 tab-separated columns, got {len(cols)}", line=lineno, column=1)
-            try:
-                offset = int(cols[1])
-            except ValueError as exc:
-                raise CorpusParseError(f"head offset {cols[1]!r} is not an integer", line=lineno, column=2) from exc
-            current.append((cols[0], offset, cols[2]))
+    for lineno, line in utf8_lines(path):
+        if not line.strip():
+            if current:
+                sentences.append(current)
+                current = []
+            continue
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise CorpusParseError(f"expected 3 tab-separated columns, got {len(cols)}", line=lineno, column=1)
+        try:
+            offset = int(cols[1])
+        except ValueError as exc:
+            raise CorpusParseError(f"head offset {cols[1]!r} is not an integer", line=lineno, column=2) from exc
+        current.append((cols[0], offset, cols[2]))
     if current:
         sentences.append(current)
     return sentences
@@ -297,8 +310,10 @@ def _aspect_from_element(el: ET.Element, term_attr: str, text: str,
     if polarity not in POLARITIES:
         summary.skipped += 1
         return None
-    char_from = int(_require_attr(el, "from"))
-    char_to = int(_require_attr(el, "to"))
+    try:
+        char_from, char_to = int(_require_attr(el, "from")), int(_require_attr(el, "to"))
+    except ValueError as exc:
+        raise SchemaError(f"aspect {term!r} has a non-integer offset") from exc
     if not (0 <= char_from < char_to <= len(text)):
         raise SchemaError(
             f"aspect {term!r} has offsets [{char_from},{char_to}) outside its sentence"
@@ -505,25 +520,24 @@ def write_examples(path: str, examples: list[TokenizedExample]) -> None:
 
 
 def read_examples(path: str) -> list[TokenizedExample]:
-    """Examples of a line-delimited JSON file, each one validated; a line that
-    is not JSON, lacks a key, holds a value of the wrong type or fails
-    validation raises CorpusParseError with its line number."""
+    """Examples of a line-delimited JSON file, each one validated; a line
+    that is not UTF-8 or not JSON, lacks a key, holds a value of the wrong
+    type or fails validation raises CorpusParseError with its line number."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusParseError(f"invalid JSON: {exc.msg}", line=lineno,
-                                       column=exc.colno) from exc
-            try:
-                ex = record_to_example(rec)
-                ex.validate()
-            except KeyError as exc:
-                raise CorpusParseError(f"example record lacks key {exc}", line=lineno) from exc
-            except (TypeError, ValueError, ContractError) as exc:
-                raise CorpusParseError(f"bad example record: {exc}", line=lineno) from exc
-            out.append(ex)
+    for lineno, line in utf8_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusParseError(f"invalid JSON: {exc.msg}", line=lineno,
+                                   column=exc.colno) from exc
+        try:
+            ex = record_to_example(rec)
+            ex.validate()
+        except KeyError as exc:
+            raise CorpusParseError(f"example record lacks key {exc}", line=lineno) from exc
+        except (TypeError, ValueError, ContractError) as exc:
+            raise CorpusParseError(f"bad example record: {exc}", line=lineno) from exc
+        out.append(ex)
     return out

@@ -40,6 +40,9 @@ class EncoderConfig:
     max_len: int = 128
 
     def __post_init__(self):
+        if min(self.d_w, self.d_p, self.hidden, self.n_layers, self.n_heads, self.d_ff,
+               self.max_len) < 1:
+            raise ConfigError("encoder sizes must be >= 1")
         if self.hidden % self.n_heads != 0:
             raise ConfigError(f"hidden ({self.hidden}) must be divisible by n_heads ({self.n_heads})")
         if not 0.0 <= self.dropout_rate < 1.0:

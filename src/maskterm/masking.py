@@ -7,12 +7,14 @@ Three adaptive families plus a fixed-threshold baseline:
     around every position.
   - AMOM: remask a number of positions set by how good the last prediction
     was, and regenerate predictions for a fixed number of rounds. One loop,
-    amom_regenerate, serves training and inference. Training rates a round
-    by its correctness ratio against gold and remasks wrong positions first,
-    then those of lowest gold probability; inference, without gold, rates it
-    by mean max-probability and remasks the least confident positions. ASC
-    remasks the sentence tokens of lowest attention in both, since its one
-    prediction cannot rank positions.
+    amom_regenerate, serves training and inference: it decides for each
+    instance of a batch from that instance's rows and runs each round as one
+    packed forward over the instances that still have positions to mask.
+    Training rates a round by its correctness ratio against gold and remasks
+    wrong positions first, then those of lowest gold probability; inference,
+    without gold, rates it by mean max-probability and remasks the least
+    confident positions. ASC remasks the sentence tokens of lowest attention
+    in both, since its one prediction cannot rank positions.
 
 The threshold cut is a step function, so training uses a straight-through
 gate: the forward pass applies the hard rule, while gradients flow through
@@ -225,63 +227,13 @@ def fixed_threshold(attn: Tensor, tau_value: float) -> Tensor:
 # -- AAM ----------------------------------------------------------------------
 
 
-def aam_soft_mask(x, z, ramp: float):
-    """Soft span mask min[max[(R + z - x)/R, 0], 1]: 1 inside the span,
-    linear ramp of length R, 0 beyond."""
-    if ramp <= 0.0:
-        raise ContractError(f"ramp length must be positive, got {ramp}")
-    value = (ramp + z - np.asarray(x, dtype=np.float64)) / ramp
-    return np.clip(value, 0.0, 1.0)
-
-
-def _soft_mask_tensor(distances: np.ndarray, z: Tensor, ramp: float) -> Tensor:
-    scaled = ad.mul(ad.sub(ad.add(z, ramp), Tensor(distances)), 1.0 / ramp)
-    return ad.clamp(scaled, 0.0, 1.0)
-
-
-def aam_ratio(mask_values) -> float | Tensor:
-    """Masking ratio: mean of the soft mask over the sequence."""
-    if isinstance(mask_values, Tensor):
-        return ad.tmean(mask_values)
-    values = np.asarray(mask_values, dtype=np.float64)
-    if values.size == 0:
-        raise DimensionError("masking ratio of an empty vector")
-    return float(values.mean())
-
-
-def aam_span_bounds(p: int, z: float, n: int) -> tuple[int, int]:
-    """Integer attention-window bounds around position p, clamped into range."""
-    if not 0 <= p < n:
-        raise ContractError(f"position {p} outside sequence of length {n}")
-    reach = math.ceil(z)
-    return max(0, min(p - reach, n - 1)), max(0, min(p + reach, n - 1))
-
-
-def aam_attention(query_pos: int, scores: Tensor, z, ramp: float) -> Tensor:
-    """Attention row for one query: logits modulated by soft-mask * ratio, then
-    softmax restricted to the soft mask's support (outside weights exactly 0)."""
-    n = scores.data.shape[0]
-    if not 0 <= query_pos < n:
-        raise ContractError(f"query position {query_pos} outside sequence of length {n}")
-    distances = np.abs(np.arange(n) - query_pos).astype(np.float64)
-    z_t = z if isinstance(z, Tensor) else Tensor(float(z))
-    m = _soft_mask_tensor(distances, z_t, ramp)
-    support = m.data > 0.0
-    if not support.any():
-        one_hot = np.zeros(n)
-        one_hot[query_pos] = 1.0
-        return Tensor(one_hot)
-    ratio = ad.tmean(m)
-    modulated = ad.mul(ad.mul(scores, m), ratio)
-    barrier = np.where(support, 0.0, ad.NEG_INF_LOGIT)
-    return ad.softmax(ad.add(modulated, Tensor(barrier)))
-
-
 def aam_remix(states: Tensor, z: Tensor, ramp: float, d_k: int,
               segments: ad.Segments | None = None) -> Tensor:
-    """Re-aggregate every position from its learnable span: row p becomes the
-    aam_attention-weighted mix of nearby states of its own sequence, every
-    row of every sequence in one fused node.
+    """Re-aggregate every position from its learnable span: row p becomes a
+    mix of nearby states of its own sequence, weighted by a softmax whose
+    logits the soft span mask min[max[(R + z - |p - j|)/R, 0], 1] and its
+    mean modulate and whose support it bounds; every row of every sequence
+    in one fused node.
 
     Content logits use row-normalized states so the softmax temperature does
     not depend on the state norm."""
@@ -326,46 +278,64 @@ def amom_select_positions(gold_probs: np.ndarray, correct: np.ndarray, n_mask: i
     return [int(i) for i in order[:n_mask]]
 
 
-def amom_regenerate(forward, cfg: MaskConfig, gold=None, relevance=None):
-    """Iterative remask-and-regenerate loop, for training and inference alike.
+def _amom_remask(probs: np.ndarray, maskable: int, cfg: MaskConfig, gold=None,
+                 relevance=None) -> set[int]:
+    """One instance's positions to hide next round, from its own rows alone."""
+    if gold is None:
+        confidence = probs.max(axis=1)
+        ratio = float(confidence.mean())
+    else:
+        pred = probs.argmax(axis=-1)
+        ratio = amom_correctness_ratio(pred.tolist(), gold.tolist())
+    _, n_mask = amom_mask_count(ratio, maskable, cfg)
+    if relevance is not None:
+        chosen = amom_select_positions(relevance, np.ones(maskable, dtype=bool), n_mask)
+    elif gold is not None:
+        gold_probs = probs[np.arange(gold.size), gold]
+        chosen = amom_select_positions(gold_probs, pred == gold, n_mask)
+    else:
+        chosen = amom_select_positions(confidence, np.ones(maskable, dtype=bool), n_mask)
+    return set(chosen)
 
-    `forward(masked: set[int])` returns (probs ndarray (m, C), loss Tensor or
-    None) with the listed maskable positions hidden. Each of the
+
+def amom_regenerate(forward, cfg: MaskConfig, count: int, gold=None, relevance=None):
+    """Iterative remask-and-regenerate loop over a batch of `count`
+    instances, for training and inference alike.
+
+    `forward(masked)` takes a dict from instance index to the set of that
+    instance's maskable positions to hide, runs those instances as one packed
+    pass and returns, in the dict's order, one probability array (m, C) per
+    instance and one loss Tensor per instance, or None for the losses.
+
+    Every decision is made per instance from its own rows. Each of the
     `cfg.amom_iterations` rounds after the unmasked first pass hides
-    amom_mask_count(R) positions, where R is the correctness ratio against
-    `gold` (an array of class ids, one per row), or without gold the mean
-    max-probability. The positions are the lowest-`relevance` ones of the
-    `len(relevance)` maskable ones when a relevance vector is given;
-    otherwise, with gold, the wrong ones first and then by gold probability;
-    otherwise the least confident ones. With nothing to mask only the first
-    pass runs. Returns (final probs, losses per round including the first
-    pass, masked sets per round).
+    amom_mask_count(R) of its positions, where R is the correctness ratio
+    against its `gold` class ids (one array per instance, one id per row), or
+    without gold its mean max-probability. The positions are the
+    lowest-`relevance` ones of its `len(relevance[b])` maskable ones when
+    relevance vectors are given; otherwise, with gold, the wrong ones first
+    and then by gold probability; otherwise the least confident ones. An
+    instance with nothing to mask keeps its first-pass result. Returns
+    (final probs per instance, losses, masked sets), the last two with one
+    entry per (round, instance) pair in call order, the first pass included
+    in the losses.
     """
-    probs, loss = forward(set())
-    losses = [loss]
+    first, first_losses = forward({b: set() for b in range(count)})
+    probs = list(first)
+    losses = list(first_losses or [None] * count)
     masked_history: list[set[int]] = []
-    maskable = probs.shape[0] if relevance is None else len(relevance)
-    if maskable == 0:
-        return probs, losses, masked_history
-    for _ in range(cfg.amom_iterations):
-        if gold is None:
-            confidence = probs.max(axis=1)
-            ratio = float(confidence.mean())
-        else:
-            pred = probs.argmax(axis=-1)
-            ratio = amom_correctness_ratio(pred.tolist(), gold.tolist())
-        _, n_mask = amom_mask_count(ratio, maskable, cfg)
-        if relevance is not None:
-            chosen = amom_select_positions(relevance, np.ones(maskable, dtype=bool), n_mask)
-        elif gold is not None:
-            gold_probs = probs[np.arange(gold.size), gold]
-            chosen = amom_select_positions(gold_probs, pred == gold, n_mask)
-        else:
-            chosen = amom_select_positions(confidence, np.ones(maskable, dtype=bool), n_mask)
-        masked = set(chosen)
-        masked_history.append(masked)
-        probs, loss = forward(masked)
-        losses.append(loss)
+    maskable = [p.shape[0] for p in probs] if relevance is None else [len(r) for r in relevance]
+    active = [b for b in range(count) if maskable[b]]
+    for _ in range(cfg.amom_iterations if active else 0):
+        masked = {b: _amom_remask(probs[b], maskable[b], cfg,
+                                  None if gold is None else gold[b],
+                                  None if relevance is None else relevance[b])
+                  for b in active}
+        masked_history.extend(masked.values())
+        round_probs, round_losses = forward(masked)
+        for b, p in zip(active, round_probs):
+            probs[b] = p
+        losses.extend(round_losses or [None] * len(active))
     return probs, losses, masked_history
 
 

@@ -303,18 +303,75 @@ class AbsaModel:
         logits = ad.affine(feats, self.params["head.asc.W"], self.params["head.asc.b"])
         return TaskOutput(ad.softmax(logits, axis=-1), decision, inp, attn)
 
+    # -- AMOM -------------------------------------------------------------------------
+    # One adapter per task around masking.amom_regenerate, for the loss
+    # (`scored`: remask by gold, one loss per instance and round) and for
+    # prediction (remask by confidence or attention, no losses). Both return
+    # amom_regenerate's (probs per instance, losses, masked sets).
+
+    def amom_ate(self, examples: list[TokenizedExample], scored: bool = False,
+                 train: bool = False, rng: np.random.Generator | None = None):
+        gold = [np.array([BIO_INDEX[t] for t in ex.bio_tags]) for ex in examples] if scored else None
+
+        def forward(masked: dict[int, set[int]]):
+            batch = [examples[b] for b in masked]
+            out = self.forward_ate(batch, train=train, rng=rng,
+                                   masked_content=[frozenset(m) for m in masked.values()])
+            seg = out.inp.content_segments
+            rows = [slice(o, o + n) for o, n in zip(seg.offsets, seg.lengths)]
+            losses = ([ate_loss(out.probs[r], ex.bio_tags) for r, ex in zip(rows, batch)]
+                      if scored else None)
+            return [out.probs.data[r] for r in rows], losses
+
+        return mk.amom_regenerate(forward, self.mask_cfg, len(examples), gold)
+
+    def amom_asc(self, instances: list[tuple[TokenizedExample, int]], scored: bool = False,
+                 train: bool = False, rng: np.random.Generator | None = None):
+        """Remasks each instance's sentence tokens outside its aspect span,
+        lowest attention first, the attention taken from one unmasked no-grad
+        base pass over the batch. Without losses to record, that pass is also
+        the first round, the only one that masks nothing."""
+        with ad.no_grad():
+            base = self.forward_asc(instances)
+        inp = base.inp
+        protected = set(inp.protected.tolist())
+        content = np.split(inp.content_positions, inp.content_segments.offsets[1:])
+        maskable = [[c for c, pos in enumerate(rows.tolist()) if pos not in protected]
+                    for rows in content]
+        relevance = [base.attn.data[rows[m]] for rows, m in zip(content, maskable)]
+        golds = [ex.aspects[i].polarity for ex, i in instances]
+
+        def forward(masked: dict[int, set[int]]):
+            if not (scored or any(masked.values())):
+                return base.probs.data[:, None], None
+            hidden = [frozenset(maskable[b][i] for i in m) for b, m in masked.items()]
+            out = self.forward_asc([instances[b] for b in masked], train=train, rng=rng,
+                                   masked_content=hidden)
+            losses = ([asc_loss(out.probs[k:k + 1], [golds[b]], self.params, 0.0)
+                       for k, b in enumerate(masked)] if scored else None)
+            return out.probs.data[:, None], losses
+
+        gold_ids = [np.array([ASC_INDEX[g]]) for g in golds] if scored else None
+        return mk.amom_regenerate(forward, self.mask_cfg, len(instances), gold_ids, relevance)
+
     # -- prediction helpers ----------------------------------------------------------
+    # AMOM predicts from its last regeneration round.
 
     def predict_bio(self, examples: list[TokenizedExample]) -> list[list[str]]:
         """BIO tags of each example's tokens."""
         with ad.no_grad():
-            out = self.forward_ate(examples)
-        tags = out.probs.data.argmax(axis=1)
-        bounds = out.inp.content_segments.offsets[1:]
-        return [[BIO_CLASSES[i] for i in part] for part in np.split(tags, bounds)]
+            if self.mask_cfg.strategy == "amom":
+                probs = self.amom_ate(examples)[0]
+            else:
+                out = self.forward_ate(examples)
+                probs = np.split(out.probs.data, out.inp.content_segments.offsets[1:])
+        return [[BIO_CLASSES[i] for i in p.argmax(axis=1)] for p in probs]
 
     def predict_polarity(self, instances: list[tuple[TokenizedExample, int]]) -> list[str]:
         """Polarity label of each (example, aspect index) instance."""
         with ad.no_grad():
-            out = self.forward_asc(instances)
-        return [ASC_CLASSES[i] for i in out.probs.data.argmax(axis=1)]
+            if self.mask_cfg.strategy == "amom":
+                probs = np.concatenate(self.amom_asc(instances)[0])
+            else:
+                probs = self.forward_asc(instances).probs.data
+        return [ASC_CLASSES[i] for i in probs.argmax(axis=1)]

@@ -85,52 +85,6 @@ def asc_instances(dataset: list[TokenizedExample]) -> list[tuple[TokenizedExampl
     return [(ex, i) for ex in dataset for i in range(len(ex.aspects))]
 
 
-def _maskable_asc_positions(inp: enc.ModelInput) -> list[int]:
-    """Content indices whose positions may be hidden by AMOM (aspect span stays)."""
-    protected = set(inp.protected.tolist())
-    return [c for c, pos in enumerate(inp.content_positions.tolist()) if pos not in protected]
-
-
-# One AMOM adapter per task, for the loss (`scored`: remask by gold, return
-# each round's loss) and for prediction (remask by confidence, no losses).
-# Both return masking.amom_regenerate's (probs, losses, masked sets).
-
-
-def _amom_ate(model: tasks.AbsaModel, ex: TokenizedExample, scored: bool = False,
-              train: bool = False, rng=None):
-    gold = np.array([tasks.BIO_INDEX[t] for t in ex.bio_tags]) if scored else None
-
-    def forward(masked: set[int]):
-        out = model.forward_ate([ex], train=train, rng=rng, masked_content=[frozenset(masked)])
-        return out.probs.data, (tasks.ate_loss(out.probs, ex.bio_tags) if scored else None)
-
-    return mk.amom_regenerate(forward, model.mask_cfg, gold)
-
-
-def _amom_asc(model: tasks.AbsaModel, instance: tuple[TokenizedExample, int],
-              scored: bool = False, train: bool = False, rng=None):
-    """Remasks the maskable sentence tokens of lowest attention in an
-    unmasked no-grad base pass. Without a loss to record, that pass is also
-    the first round, the only one that masks nothing."""
-    ex, aspect_idx = instance
-    gold = ex.aspects[aspect_idx].polarity
-    with ad.no_grad():
-        base = model.forward_asc([instance])
-    maskable = _maskable_asc_positions(base.inp)
-    relevance = base.attn.data[base.inp.content_positions[maskable]]
-
-    def forward(masked: set[int]):
-        if not (masked or scored):
-            return base.probs.data, None
-        hidden = frozenset(maskable[i] for i in masked)
-        out = model.forward_asc([instance], train=train, rng=rng, masked_content=[hidden])
-        loss = tasks.asc_loss(out.probs, [gold], model.params, 0.0) if scored else None
-        return out.probs.data, loss
-
-    gold_ids = np.array([tasks.ASC_INDEX[gold]]) if scored else None
-    return mk.amom_regenerate(forward, model.mask_cfg, gold_ids, relevance)
-
-
 def _mean_tensor(parts: list[Tensor]) -> Tensor:
     total = parts[0]
     for p in parts[1:]:
@@ -143,11 +97,12 @@ def batch_loss(model: tasks.AbsaModel, config: TrainConfig, batch, train: bool, 
 
     ATE: per-example token-summed cross-entropy, averaged over the batch.
     ASC: instance-averaged cross-entropy plus the L2 term, added once.
-    AMOM runs each example on its own and averages its per-round losses first.
+    AMOM runs each instance as a batch of one, so dropout draws keep the
+    order of a lone instance, and averages its per-round losses first.
     """
     if config.mask.strategy == "amom":
-        amom = _amom_ate if config.task == "ate" else _amom_asc
-        loss = _mean_tensor([_mean_tensor(amom(model, item, scored=True, train=train, rng=rng)[1])
+        amom = model.amom_ate if config.task == "ate" else model.amom_asc
+        loss = _mean_tensor([_mean_tensor(amom([item], scored=True, train=train, rng=rng)[1])
                              for item in batch])
         if config.task == "asc" and config.l2_lambda != 0.0:
             loss = ad.add(loss, ad.mul(model.params.l2_sum(), config.l2_lambda / 2.0))
@@ -227,17 +182,11 @@ def _chunks(items: list) -> list[list]:
 def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str) -> tasks.EvalReport:
     """Deterministic evaluation with dropout off, on the calling thread only.
 
-    Instances run through the packed forward in chunks of EVAL_CHUNK; AMOM
-    refines each instance on its own."""
-    amom = model.mask_cfg.strategy == "amom"
-
+    Instances run through the model's packed prediction in chunks of
+    EVAL_CHUNK; AMOM runs one packed forward per regeneration round of a
+    chunk."""
     if task == "ate":
-        if amom:
-            with ad.no_grad():
-                probs = [_amom_ate(model, ex)[0] for ex in dataset]
-            predictions = [[tasks.BIO_CLASSES[i] for i in p.argmax(axis=1)] for p in probs]
-        else:
-            predictions = [tags for chunk in _chunks(dataset) for tags in model.predict_bio(chunk)]
+        predictions = [tags for chunk in _chunks(dataset) for tags in model.predict_bio(chunk)]
         tp = n_pred = n_gold = 0
         tag_counts = {c: {"tp": 0, "fp": 0, "fn": 0} for c in tasks.BIO_CLASSES}
         for ex, tags in zip(dataset, predictions):
@@ -262,12 +211,7 @@ def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str)
     instances = asc_instances(dataset)
     if not instances:
         raise ContractError("ASC evaluation requires aspect annotations")
-    if amom:
-        with ad.no_grad():
-            preds = [tasks.ASC_CLASSES[int(_amom_asc(model, inst)[0].argmax())]
-                     for inst in instances]
-    else:
-        preds = [label for chunk in _chunks(instances) for label in model.predict_polarity(chunk)]
+    preds = [label for chunk in _chunks(instances) for label in model.predict_polarity(chunk)]
     golds = [ex.aspects[i].polarity for ex, i in instances]
     accuracy, macro, per_class = tasks.asc_metrics(preds, golds)
     return tasks.EvalReport(asc={"acc": accuracy, "macro_f1": macro}, per_class=per_class)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maskterm import cli, corpus, training
-from maskterm.exceptions import NumericError
+from maskterm.exceptions import ConfigError, NumericError
 
 from fixtures import SEM14_FIXTURE, SEM16_FIXTURE, MALFORMED_FIXTURE
 
@@ -207,6 +207,31 @@ class TestConfigHandling:
 
     def test_empty_config_gives_the_train_config_defaults(self):
         assert cli.config_from_dict({}) == training.TrainConfig()
+
+    @pytest.mark.parametrize("raw", [
+        {"learnable": "false"}, {"learnable": 0},
+        {"epochs": 1.9}, {"amom_iterations": 2.7}, {"epochs": True}, {"epochs": "3"},
+        {"learning_rate": True}, {"learning_rate": "0.1"}, {"learning_rate": float("nan")},
+        {"l2_lambda": 10 ** 400}, {"alpha_init": False},
+        {"mask_strategy": 3}, {"encoder": {"hidden": 16.5}}, {"encoder": [1]},
+    ], ids=lambda raw: repr(raw)[:40])
+    def test_value_of_the_wrong_type_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            cli.config_from_dict(raw)
+
+    def test_values_of_their_type_accepted(self):
+        cfg = cli.config_from_dict({"learnable": False, "epochs": 3.0, "learning_rate": 1,
+                                    "alpha_init": None, "beta_init": 2,
+                                    "encoder": {"dropout_rate": 0}})
+        assert cfg.mask.learnable is False and cfg.mask.alpha_init is None
+        assert type(cfg.epochs) is int and cfg.epochs == 3
+        assert type(cfg.learning_rate) is float and cfg.learning_rate == 1.0
+        assert type(cfg.mask.beta_init) is float and type(cfg.encoder.dropout_rate) is float
+
+    @pytest.mark.parametrize("encoder", [{"n_heads": 0}, {"hidden": -4}, {"n_layers": 0}])
+    def test_encoder_sizes_checked(self, encoder):
+        with pytest.raises(ConfigError):
+            cli.config_from_dict({"encoder": encoder})
 
     def test_missing_required_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:

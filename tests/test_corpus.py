@@ -290,6 +290,28 @@ class TestReadExamples:
                 corpus.read_examples(path)
             assert exc.value.line == 2
 
+    @pytest.mark.parametrize("tokens", [[1, 1], ["great", ""], ["great", None], [["steak"], "x"]],
+                             ids=["ints", "empty", "null", "list"])
+    def test_tokens_must_be_non_empty_strings(self, tmp_path, tokens):
+        rec = corpus.example_to_record(corpus.make_example("great steak", []))
+        path = self.write_lines(tmp_path, [json.dumps(rec), json.dumps(dict(rec, tokens=tokens))])
+        with pytest.raises(CorpusParseError, match="tokens must be non-empty strings") as exc:
+            corpus.read_examples(path)
+        assert exc.value.line == 2
+
+    def test_unknown_polarity_rejected(self, tmp_path):
+        rec = self.record()
+        rec["aspects"][0]["polarity"] = "conflict"
+        with pytest.raises(CorpusParseError, match="unknown polarity"):
+            corpus.read_examples(self.write_lines(tmp_path, [json.dumps(rec)]))
+
+    def test_line_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "examples.jsonl"
+        path.write_bytes(json.dumps(self.record()).encode() + b"\n\xff\xfe\n")
+        with pytest.raises(CorpusParseError, match="not UTF-8") as exc:
+            corpus.read_examples(str(path))
+        assert exc.value.line == 2
+
     def test_text_round_trips(self, tmp_path):
         examples = corpus.synth_corpus(seed=2, size=5)
         path = str(tmp_path / "corpus.jsonl")

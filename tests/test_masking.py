@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import aam_oracle as oracle
 from maskterm import autodiff as ad
 from maskterm import masking as mk
 from maskterm.autodiff import Tensor
@@ -244,44 +245,44 @@ class TestActmMonotonicity:
 
 class TestAamSoftMask:
     def test_exact_grid(self):
-        got = [float(mk.aam_soft_mask(x, z=2.0, ramp=2.0)) for x in range(7)]
+        got = [float(oracle.aam_soft_mask(x, z=2.0, ramp=2.0)) for x in range(7)]
         assert got == [1.0, 1.0, 1.0, 0.5, 0.0, 0.0, 0.0]
 
     def test_monotone_and_saturating(self):
         xs = np.linspace(0, 10, 201)
-        vals = mk.aam_soft_mask(xs, z=1.7, ramp=2.5)
+        vals = oracle.aam_soft_mask(xs, z=1.7, ramp=2.5)
         assert (np.diff(vals) <= 1e-15).all()
         assert (vals[xs <= 1.7] == 1.0).all()
         assert (vals[xs >= 1.7 + 2.5] == 0.0).all()
 
     def test_bad_ramp_rejected(self):
         with pytest.raises(ContractError):
-            mk.aam_soft_mask(1.0, 1.0, ramp=0.0)
+            oracle.aam_soft_mask(1.0, 1.0, ramp=0.0)
 
 
 class TestAamRatio:
     def test_examples(self):
-        assert mk.aam_ratio([1.0, 1.0, 1.0]) == 1.0
-        assert mk.aam_ratio([0.0, 0.0]) == 0.0
-        assert mk.aam_ratio([1.0, 0.5, 0.0]) == 0.5
+        assert oracle.aam_ratio([1.0, 1.0, 1.0]) == 1.0
+        assert oracle.aam_ratio([0.0, 0.0]) == 0.0
+        assert oracle.aam_ratio([1.0, 0.5, 0.0]) == 0.5
 
 
 class TestAamSpanBounds:
     def test_cases(self):
-        assert mk.aam_span_bounds(5, 2.0, 20) == (3, 7)
-        assert mk.aam_span_bounds(0, 3.0, 10) == (0, 3)
-        assert mk.aam_span_bounds(4, 0.0, 9) == (4, 4)
+        assert oracle.aam_span_bounds(5, 2.0, 20) == (3, 7)
+        assert oracle.aam_span_bounds(0, 3.0, 10) == (0, 3)
+        assert oracle.aam_span_bounds(4, 0.0, 9) == (4, 4)
 
     def test_out_of_range(self):
         with pytest.raises(ContractError):
-            mk.aam_span_bounds(9, 1.0, 9)
+            oracle.aam_span_bounds(9, 1.0, 9)
 
 
 class TestAamAttention:
     def test_saturated_mask_equals_plain_softmax(self):
         rng = np.random.default_rng(0)
         scores = rng.normal(size=6)
-        weights = mk.aam_attention(2, Tensor(scores), z=10.0, ramp=2.0)
+        weights = oracle.aam_attention(2, Tensor(scores), z=10.0, ramp=2.0)
         expect = np.exp(scores) / np.exp(scores).sum()
         assert np.allclose(weights.data, expect, atol=1e-12)
 
@@ -292,24 +293,24 @@ class TestAamAttention:
             p = int(rng.integers(n))
             z = float(rng.uniform(0, 4))
             ramp = float(rng.uniform(0.5, 3))
-            weights = mk.aam_attention(p, Tensor(rng.normal(size=n)), z=z, ramp=ramp).data
+            weights = oracle.aam_attention(p, Tensor(rng.normal(size=n)), z=z, ramp=ramp).data
             assert abs(weights.sum() - 1.0) <= 1e-9
             distances = np.abs(np.arange(n) - p)
-            outside = mk.aam_soft_mask(distances, z, ramp) == 0.0
+            outside = oracle.aam_soft_mask(distances, z, ramp) == 0.0
             assert (weights[outside] == 0.0).all()
-            lo, hi = mk.aam_span_bounds(p, z, n)
+            lo, hi = oracle.aam_span_bounds(p, z, n)
             beyond = (np.arange(n) < lo - math.ceil(ramp)) | (np.arange(n) > hi + math.ceil(ramp))
             assert (weights[beyond] == 0.0).all()
 
     def test_hand_case_matches_direct_evaluation(self):
         scores = np.array([0.4, -0.2, 1.1, 0.3])
         z, ramp, p = 1.3, 2.0, 1
-        m = mk.aam_soft_mask(np.abs(np.arange(4) - p), z, ramp)
+        m = oracle.aam_soft_mask(np.abs(np.arange(4) - p), z, ramp)
         ratio = m.mean()
         logits = scores * m * ratio
         expect = np.exp(logits - logits.max())
         expect /= expect.sum()
-        got = mk.aam_attention(p, Tensor(scores), z=z, ramp=ramp).data
+        got = oracle.aam_attention(p, Tensor(scores), z=z, ramp=ramp).data
         assert np.allclose(got, expect, atol=1e-12)
 
     def test_differentiable_in_ramp_region(self):
@@ -319,7 +320,7 @@ class TestAamAttention:
         coeff = Tensor(np.array([1.0, -2.0, 0.5, 3.0, 1.5]))
 
         def f():
-            w = mk.aam_attention(1, scores, z=z, ramp=2.0)
+            w = oracle.aam_attention(1, scores, z=z, ramp=2.0)
             return ad.tsum(ad.mul(w, coeff))
 
         assert ad.finite_difference_check(f, params) < 1e-4
@@ -367,13 +368,17 @@ class TestAmomPieces:
 
 class TestAmomRegenerate:
     @staticmethod
-    def stub_forward(base_probs):
-        """Masked positions collapse to a uniform prediction."""
+    def stub_forward(*base_probs, scored=False):
+        """Masked positions of instance b collapse to a uniform prediction;
+        with `scored`, its loss is its summed negative log max-probability."""
         def forward(masked):
-            probs = base_probs.copy()
-            for i in masked:
-                probs[i] = 1.0 / probs.shape[1]
-            return probs, None
+            probs = []
+            for b, hidden in masked.items():
+                p = base_probs[b].copy()
+                p[sorted(hidden)] = 1.0 / p.shape[1]
+                probs.append(p)
+            losses = [float(-np.log(p.max(axis=1)).sum()) for p in probs] if scored else None
+            return probs, losses
         return forward
 
     def test_perfect_prediction_masks_minimum(self):
@@ -381,7 +386,7 @@ class TestAmomRegenerate:
         probs = np.full((10, 3), 0.05)
         probs[np.arange(10), gold] = 0.9
         cfg = mk.MaskConfig(amom_mu_min=0.1, amom_mu_max=0.5, amom_iterations=1)
-        _, _, history = mk.amom_regenerate(self.stub_forward(probs), cfg, gold)
+        _, _, history = mk.amom_regenerate(self.stub_forward(probs), cfg, 1, [gold])
         assert len(history) == 1
         assert len(history[0]) == max(1, int(math.floor(0.1 * 10 + 0.5)))
 
@@ -389,7 +394,7 @@ class TestAmomRegenerate:
         gold = np.array([0, 1])
         probs = np.array([[0.6, 0.3, 0.1], [0.2, 0.7, 0.1]])
         cfg = mk.MaskConfig(amom_iterations=1)
-        _, losses, history = mk.amom_regenerate(self.stub_forward(probs), cfg, gold)
+        _, losses, history = mk.amom_regenerate(self.stub_forward(probs), cfg, 1, [gold])
         assert len(history) == 1 and len(losses) == 2
 
     def test_incorrect_positions_selected_first(self):
@@ -401,7 +406,7 @@ class TestAmomRegenerate:
             [0.1, 0.2, 0.7],     # incorrect
         ])
         cfg = mk.MaskConfig(amom_mu_min=0.5, amom_mu_max=0.5, amom_iterations=1)
-        _, _, history = mk.amom_regenerate(self.stub_forward(probs), cfg, gold)
+        _, _, history = mk.amom_regenerate(self.stub_forward(probs), cfg, 1, [gold])
         assert history[0] == {1, 3}
 
     def test_asc_mode_uses_relevance(self):
@@ -409,10 +414,10 @@ class TestAmomRegenerate:
         probs = np.array([[0.2, 0.8]])
 
         def forward(masked):
-            return probs, None
+            return [probs], None
 
         cfg = mk.MaskConfig(amom_mu_min=0.4, amom_mu_max=0.4, amom_iterations=1)
-        _, _, history = mk.amom_regenerate(forward, cfg, gold, relevance=np.array([0.5]))
+        _, _, history = mk.amom_regenerate(forward, cfg, 1, [gold], relevance=[np.array([0.5])])
         assert history[0] == {0}
 
     def test_without_gold_remasks_least_confident(self, monkeypatch):
@@ -431,7 +436,7 @@ class TestAmomRegenerate:
 
         monkeypatch.setattr(mk, "amom_mask_count", spy)
         cfg = mk.MaskConfig(amom_mu_min=0.25, amom_mu_max=0.75, amom_iterations=1)
-        _, losses, history = mk.amom_regenerate(self.stub_forward(probs), cfg)
+        _, losses, history = mk.amom_regenerate(self.stub_forward(probs), cfg, 1)
         # R = mean max-probability 0.6 -> mu 0.45 -> round(1.8) = 2 positions
         assert ratios == [pytest.approx(0.6, abs=1e-15)]
         assert history == [{1, 3}] and len(losses) == 2
@@ -440,12 +445,50 @@ class TestAmomRegenerate:
         calls = []
 
         def forward(masked):
-            calls.append(set(masked))
-            return np.array([[0.2, 0.8, 0.0]]), None
+            calls.append(dict(masked))
+            return [np.array([[0.2, 0.8, 0.0]])], None
 
-        _, losses, history = mk.amom_regenerate(forward, mk.MaskConfig(), np.array([1]),
-                                                relevance=np.zeros(0))
-        assert calls == [set()] and losses == [None] and history == []
+        _, losses, history = mk.amom_regenerate(forward, mk.MaskConfig(), 1, [np.array([1])],
+                                                relevance=[np.zeros(0)])
+        assert calls == [{0: set()}] and losses == [None] and history == []
+
+    @pytest.mark.parametrize("selector", ["gold", "confidence", "relevance"])
+    def test_instances_run_together_as_alone(self, selector):
+        rng = np.random.default_rng(8)
+        base = [rng.dirichlet(np.ones(3), size=m) for m in (7, 4)]
+        gold = [rng.integers(0, 3, size=p.shape[0]) for p in base] if selector == "gold" else None
+        relevance = [rng.random(5), rng.random(3)] if selector == "relevance" else None
+        cfg = mk.MaskConfig(amom_mu_min=0.2, amom_mu_max=0.6, amom_iterations=3)
+        calls = []
+        stub = self.stub_forward(*base, scored=True)
+
+        def forward(masked):
+            calls.append(list(masked))
+            return stub(masked)
+
+        probs, losses, history = mk.amom_regenerate(forward, cfg, 2, gold, relevance)
+        assert calls == [[0, 1]] * 4
+        for b in range(2):
+            alone = mk.amom_regenerate(self.stub_forward(base[b], scored=True), cfg, 1,
+                                       gold and [gold[b]], relevance and [relevance[b]])
+            assert np.array_equal(probs[b], alone[0][0])
+            assert losses[b::2] == alone[1] and history[b::2] == alone[2]
+            assert len(alone[2]) == 3 and all(alone[2])
+
+    def test_instance_with_nothing_maskable_sits_out(self):
+        base = [np.array([[0.6, 0.3, 0.1]]), np.array([[0.5, 0.4, 0.1], [0.2, 0.2, 0.6]])]
+        calls = []
+        stub = self.stub_forward(*base)
+
+        def forward(masked):
+            calls.append(list(masked))
+            return stub(masked)
+
+        cfg = mk.MaskConfig(amom_iterations=2)
+        probs, losses, history = mk.amom_regenerate(forward, cfg, 2, relevance=[np.zeros(0),
+                                                                                np.array([0.3, 0.1])])
+        assert calls == [[0, 1], [1], [1]]
+        assert np.array_equal(probs[0], base[0]) and len(history) == 2 and len(losses) == 4
 
 
 class TestTrace:

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import aam_oracle as oracle
 from maskterm import autodiff as ad
 from maskterm import corpus
 from maskterm import encoder as enc
@@ -161,9 +162,9 @@ def test_amom_batch_loss_unchanged(task, train):
     assert abs(float(loss.data) - AMOM_LOSSES[(task, train)]) <= 1e-10
 
 
-# evaluate() of AMOM, which refines every instance on its own, as recorded
-# before its inference rounds moved into masking.amom_regenerate: the
-# per-class counts, and the content indices each forward hid, in call order.
+# evaluate() of AMOM, as recorded when it refined every instance on its own:
+# the per-class counts, and for each instance in turn the content indices each
+# of its forwards hid.
 AMOM_EVAL_COUNTS = {
     "ate": {"B": {"fn": 4, "fp": 15, "tp": 3}, "I": {"fn": 2, "fp": 12, "tp": 1},
             "O": {"fn": 25, "fp": 4, "tp": 6}},
@@ -179,20 +180,47 @@ AMOM_EVAL_HIDDEN = {
 
 @pytest.mark.parametrize("task", list(AMOM_EVAL_COUNTS))
 def test_amom_evaluate_unchanged(task, monkeypatch):
+    """Evaluation now packs a chunk's instances into one forward per round;
+    the log regroups each call's hidden sets by instance."""
     data = corpus.synth_corpus(seed=21, size=6)
     model, _ = make_model(task, "amom", "mean", data)
     name = f"forward_{task}"
     inner = getattr(model, name)
-    hidden = []
+    hidden = {}
+    calls = []
 
     def logged(items, *args, masked_content=None, **kwargs):
-        assert len(items) == 1
-        hidden.append(sorted(masked_content[0]) if masked_content else [])
+        calls.append(len(items))
+        for k, item in enumerate(items):
+            hidden.setdefault(id(item), []).append(sorted(masked_content[k]) if masked_content else [])
         return inner(items, *args, masked_content=masked_content, **kwargs)
 
     monkeypatch.setattr(model, name, logged)
     assert training.evaluate(model, data, task).per_class == AMOM_EVAL_COUNTS[task]
-    assert hidden == AMOM_EVAL_HIDDEN[task]
+    assert [sets for per_item in hidden.values() for sets in per_item] == AMOM_EVAL_HIDDEN[task]
+    assert len(calls) == 1 + model.mask_cfg.amom_iterations and calls[0] == len(hidden)
+
+
+@pytest.mark.parametrize("task", ["ate", "asc"])
+def test_amom_packed_evaluation_matches_batches_of_one(task, monkeypatch):
+    examples = batch_examples()
+    model, _ = make_model(task, "amom", "mean", examples)
+    items = items_for(task, examples)
+    amom = model.amom_ate if task == "ate" else model.amom_asc
+    with ad.no_grad():
+        probs, _, history = amom(items)
+        singles = [amom([item]) for item in items]
+    for b, (probs_1, _, _) in enumerate(singles):
+        assert np.abs(probs[b] - probs_1[0]).max() <= 1e-10
+    active = [b for b, single in enumerate(singles) if single[2]]
+    if task == "asc":   # the one-token sentence is all aspect: nothing to mask
+        assert len(examples[0]) == 1 and 0 not in active
+    regrouped = {b: history[k::len(active)] for k, b in enumerate(active)}
+    assert [regrouped.get(b, []) for b in range(len(items))] == [h for _, _, h in singles]
+
+    packed = training.evaluate(model, examples, task).per_class
+    monkeypatch.setattr(training, "EVAL_CHUNK", 1)
+    assert training.evaluate(model, examples, task).per_class == packed
 
 
 class TestAamRemix:
@@ -202,7 +230,7 @@ class TestAamRemix:
         z, ramp, d_k = 1.4, 2.0, 4
         unit = states / np.linalg.norm(states, axis=1, keepdims=True)
         logits = unit @ unit.T * np.sqrt(d_k)
-        rows = np.stack([mk.aam_attention(p, Tensor(logits[p]), z, ramp).data for p in range(7)])
+        rows = np.stack([oracle.aam_attention(p, Tensor(logits[p]), z, ramp).data for p in range(7)])
         got = mk.aam_remix(Tensor(states), Tensor(z), ramp, d_k).data
         assert np.abs(got - rows @ states).max() <= 1e-12
 
