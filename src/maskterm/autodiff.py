@@ -6,10 +6,14 @@ checker used to validate every gradient path.
 
 A batch of sequences is packed end to end into one `(sum of lengths, width)`
 matrix and described by `Segments`. Tensors stay 2-D at the API: row-wise
-ops need no change, segment ops reduce within each sequence, and the fused
-ops that mix rows (attention, the soft-span remix, the median) pad segments
+ops need no change, segment ops reduce within each sequence, and the ops
+that mix rows (attention, the soft-span remix, the median) pad segments
 into `(segments, longest, ...)` arrays internally, so a row only ever sees
 rows of its own sequence.
+
+`fused` makes one node of hand-written math. The encoder kernels (attention,
+layer norm, GELU) work on plain arrays and return their output with a
+backward closure; the encoder chains them into one node per layer.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ def no_grad():
 class Tensor:
     """Immutable-by-convention array node in the differentiation record."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -59,6 +63,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple = ()
         self._backward: Callable[[np.ndarray], None] | None = None
+        self._owns_grad = False
 
     @property
     def shape(self) -> tuple:
@@ -219,11 +224,29 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    # `+` (not `+=`): incoming gradients may be views into other buffers
+    # The first gradient may be shared with other tensors or be a view into
+    # another buffer, so it is never written to. The sum of the first two is
+    # t's own array and later gradients add into it in place: a parameter
+    # used by many nodes then costs no new array per contribution.
     if t.grad is None:
         t.grad = g if g.base is None and g.dtype == np.float64 else g.astype(np.float64, copy=True)
+        t._owns_grad = False
+    elif t._owns_grad:
+        t.grad += g
     else:
         t.grad = t.grad + g
+        t._owns_grad = True
+
+
+def fused(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
+    """One node over hand-written math: `backward(g)` returns a gradient for
+    each parent in order; parents outside differentiation drop theirs."""
+    def accumulate(g):
+        for p, grad in zip(parents, backward(g)):
+            if p.requires_grad or p._parents:
+                _accumulate(p, grad)
+
+    return _make(data, parents, accumulate)
 
 
 # -- elementwise arithmetic --------------------------------------------------
@@ -429,25 +452,6 @@ def tanh(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
-def gelu(a: Tensor) -> Tensor:
-    """Smooth tanh-form gelu; kept smooth so finite-difference checks stay tight."""
-    a = as_tensor(a)
-    x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
-
-    def backward(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-        _accumulate(a, g * grad)
-
-    return _make(data, (a,), backward)
-
-
 def log_clamped(a: Tensor, floor: float = LOG_CLAMP) -> Tensor:
     """log with the argument clamped below at `floor`; flat gradient under the clamp."""
     a = as_tensor(a)
@@ -546,80 +550,6 @@ def _swap(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
-                         drop_masks: np.ndarray | None = None,
-                         segments: Segments | None = None):
-    """Scaled dot-product attention over column-partitioned heads, fused into
-    one node; a query attends only to keys of its own segment.
-
-    Works on padded (segments, heads, n_max, n_max) score arrays; padded keys
-    get zero weight. `drop_masks`, of that shape, multiplies the attention
-    probabilities. Returns (merged output, probabilities before dropout).
-    """
-    n, hidden = q.data.shape
-    if hidden % n_heads != 0:
-        raise DimensionError(f"hidden {hidden} not divisible by {n_heads} heads")
-    seg = segments_of(n, segments)
-    d_k = hidden // n_heads
-    shape = (seg.count, seg.n_max, n_heads, d_k)
-
-    def heads(x):   # (total, hidden) -> (count, heads, n_max, d_k)
-        return seg.pad(x).reshape(shape).transpose(0, 2, 1, 3)
-
-    def merge(xh):  # inverse of heads
-        return seg.unpad(xh.transpose(0, 2, 1, 3).reshape(seg.count, seg.n_max, hidden))
-
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    logits = (qh @ _swap(kh)) * scale
-    if seg.count > 1:
-        logits += np.where(seg.valid(), 0.0, -np.inf)[:, None, None, :]
-    logits -= logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits)
-    probs = e / e.sum(axis=-1, keepdims=True)
-    dropped = probs * drop_masks if drop_masks is not None else probs
-    out = merge(dropped @ vh)
-
-    def backward(g):
-        go = heads(g)
-        dp = go @ _swap(vh)
-        if drop_masks is not None:
-            dp = dp * drop_masks
-        dlogits = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
-        if q.requires_grad or q._parents:
-            _accumulate(q, merge((dlogits @ kh) * scale))
-        if k.requires_grad or k._parents:
-            _accumulate(k, merge((_swap(dlogits) @ qh) * scale))
-        if v.requires_grad or v._parents:
-            _accumulate(v, merge(_swap(dropped) @ go))
-
-    return _make(out, (q, k, v), backward), probs
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    """Row-wise layer normalization with learnable gain and bias, fused into
-    one node to keep training graphs small."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    data = xhat * gain.data + bias.data
-
-    def backward(g):
-        if gain.requires_grad or gain._parents:
-            _accumulate(gain, (g * xhat).sum(axis=0) if g.ndim > 1 else g * xhat)
-        if bias.requires_grad or bias._parents:
-            _accumulate(bias, g.sum(axis=0) if g.ndim > 1 else g)
-        if x.requires_grad or x._parents:
-            dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, inv_std * (dxhat - m1 - xhat * m2))
-
-    return _make(data, (x, gain, bias), backward)
-
-
 def soft_span_remix(states: Tensor, z: Tensor, ramp: float, scale: float,
                     segments: Segments | None = None) -> Tensor:
     """Adaptive-span re-aggregation of every row, fused into one node.
@@ -694,6 +624,94 @@ def straight_through(soft: Tensor, hard_values: np.ndarray) -> Tensor:
         _accumulate(soft, g)
 
     return _make(data, (soft,), backward)
+
+
+# -- encoder kernels ---------------------------------------------------------------
+# Plain-array math of the encoder block. Each kernel returns its output and a
+# `backward(g)` closure over what the gradient needs; `encoder._block` chains
+# them inside one `fused` node.
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def gelu(x: np.ndarray):
+    """Smooth tanh-form gelu; kept smooth so finite-difference checks stay
+    tight. Returns (gelu(x), backward), backward(g) -> dx."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    out = 0.5 * x * (1.0 + t)
+
+    def backward(g):
+        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
+        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
+
+    return out, backward
+
+
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1, keepdims=True), the same bits without numpy's Python wrapper."""
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+
+
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """Normalization of each row of a 2-D array, then gain and bias.
+    Returns (out, backward), backward(g) -> (dx, dgain, dbias)."""
+    centered = x - _row_mean(x)
+    inv_std = 1.0 / np.sqrt(_row_mean(centered * centered) + eps)
+    xhat = centered * inv_std
+    out = xhat * gain + bias
+
+    def backward(g):
+        dxhat = g * gain
+        m1 = _row_mean(dxhat)
+        m2 = _row_mean(dxhat * xhat)
+        return inv_std * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=0), g.sum(axis=0)
+
+    return out, backward
+
+
+def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
+                         scale: float, drop_masks: np.ndarray | None = None,
+                         segments: Segments | None = None):
+    """Scaled dot-product attention over column-partitioned heads of packed
+    (rows, hidden) arrays; a query attends only to keys of its own segment.
+
+    Works on padded (segments, heads, n_max, n_max) score arrays; padded keys
+    get zero weight. `drop_masks`, of that shape, multiplies the attention
+    probabilities. Returns (merged output, probabilities before dropout,
+    backward), backward(g) -> (dq, dk, dv).
+    """
+    n, hidden = q.shape
+    if hidden % n_heads != 0:
+        raise DimensionError(f"hidden {hidden} not divisible by {n_heads} heads")
+    seg = segments_of(n, segments)
+    shape = (seg.count, seg.n_max, n_heads, hidden // n_heads)
+
+    def heads(x):   # (total, hidden) -> (count, heads, n_max, d_k)
+        return seg.pad(x).reshape(shape).transpose(0, 2, 1, 3)
+
+    def merge(xh):  # inverse of heads
+        return seg.unpad(xh.transpose(0, 2, 1, 3).reshape(seg.count, seg.n_max, hidden))
+
+    qh, kh, vh = heads(q), heads(k), heads(v)
+    probs = (qh @ _swap(kh)) * scale    # logits; the softmax runs in place
+    if seg.count > 1:
+        probs += np.where(seg.valid(), 0.0, -np.inf)[:, None, None, :]
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    dropped = probs * drop_masks if drop_masks is not None else probs
+
+    def backward(g):
+        go = heads(g)
+        dp = go @ _swap(vh)
+        if drop_masks is not None:
+            dp *= drop_masks
+        dp -= (dp * probs).sum(axis=-1, keepdims=True)
+        dp *= probs   # now the gradient of the logits
+        return (merge((dp @ kh) * scale), merge((_swap(dp) @ qh) * scale),
+                merge(_swap(dropped) @ go))
+
+    return merge(dropped @ vh), probs, backward
 
 
 # -- aggregation -------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields, replace
 
@@ -30,42 +31,14 @@ _MASK_FIELDS = {("mask_strategy" if f.name == "strategy" else f.name): f
 CONFIG_DEFAULTS = {key: f.default for key, f in {**_TRAIN_FIELDS, **_MASK_FIELDS}.items()}
 
 
-def _cast(key: str, value, default):
-    """`value` for `key`, held to the type of the key's default: a bool key
-    takes only a JSON boolean, an int key an integer or a whole float, a
-    float key a finite number but no boolean (a None default, the per-task
-    *_init fields, also takes null), a string key a string."""
-    if value is None and default is None:
-        return None
-    kind = float if default is None else type(default)
-    if type(value) is kind and kind is not float:
-        return value
-    if kind is int and type(value) is float and value.is_integer():
-        return int(value)
-    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
-
-
-def _typed(name: str, raw, defaults: dict) -> dict:
-    """Every key of `defaults`, given a value of its type in the `raw`
-    object or its default; unknown keys are rejected."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{name} must be a JSON object")
-    unknown = set(raw) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-    return {key: _cast(key, raw.get(key, default), default) for key, default in defaults.items()}
-
-
 def config_from_dict(raw: dict) -> training.TrainConfig:
     """Build a TrainConfig from the JSON document, rejecting unknown keys and
     values of the wrong type."""
     data = dict(raw)
     encoder_raw = data.pop("encoder", {})
-    values = _typed("config", data, CONFIG_DEFAULTS)
-    enc_values = _typed("encoder config", encoder_raw,
-                        enc.encoder_config_to_dict(enc.EncoderConfig()))
+    values = training.typed_values("config", data, CONFIG_DEFAULTS)
+    enc_values = training.typed_values("encoder config", encoder_raw,
+                                       enc.encoder_config_to_dict(enc.EncoderConfig()))
     mask_cfg = mk.MaskConfig(**{f.name: values[key] for key, f in _MASK_FIELDS.items()})
     return training.TrainConfig(**{key: values[key] for key in _TRAIN_FIELDS},
                                 mask=mask_cfg, encoder=enc.EncoderConfig(**enc_values))
@@ -153,9 +126,13 @@ def read_scores_tsv(path: str) -> tuple[list[str], np.ndarray]:
                 f"scores file needs 'token<TAB>value' rows, got {len(cols)} columns",
                 line=lineno, column=1)
         try:
-            values.append(float(cols[1]))
+            value = float(cols[1])
         except ValueError as exc:
             raise CorpusParseError(f"bad attention value {cols[1]!r}", line=lineno, column=2) from exc
+        if not math.isfinite(value):
+            raise CorpusParseError(f"attention value {cols[1]!r} is not finite",
+                                   line=lineno, column=2)
+        values.append(value)
         tokens.append(cols[0])
     if not tokens:
         raise EmptyInputError("scores file contains no rows")

@@ -1,7 +1,10 @@
 """Trainable self-attention encoder producing contextual token states.
 
 Input rows concatenate word, POS, and dependency features; [CLS]/[SEP] use
-reserved vocabulary ids with zeroed POS/dependency parts.
+reserved vocabulary ids with zeroed POS/dependency parts. The input
+projection is one graph node and each layer another: `_block` runs the
+layer on plain arrays through the autodiff kernels and hands its gradients
+back in one hand-written backward.
 """
 
 from __future__ import annotations
@@ -285,6 +288,54 @@ def _dropout_masks(cfg: EncoderConfig, seg: ad.Segments, rng: np.random.Generato
     return attn, out_rows, ffn_rows
 
 
+# The parameters of one encoder layer, in the order `_block` takes them.
+_LAYER_PARAMS = ("Wq", "Wk", "Wv", "Wo", "bo", "ln1.g", "ln1.b",
+                "ffn.W1", "ffn.b1", "ffn.W2", "ffn.b2", "ln2.g", "ln2.b")
+
+
+def _block(x: Tensor, layer_params: tuple[Tensor, ...], cfg: EncoderConfig, seg: ad.Segments,
+           drops: tuple[np.ndarray, np.ndarray, np.ndarray] | None) -> tuple[Tensor, np.ndarray]:
+    """One encoder layer as one graph node: Q/K/V projections, segment-masked
+    attention, Wo and dropout, residual and LN1, the GELU FFN and dropout,
+    residual and LN2. `drops` holds the layer's attention, attention-output
+    and FFN dropout masks, or None. Returns (output, attention probabilities)."""
+    wq, wk, wv, wo, bo, g1, c1, w1, b1, w2, b2, g2, c2 = (p.data for p in layer_params)
+    drop_attn, drop_out, drop_ffn = drops if drops is not None else (None, None, None)
+    xd = x.data
+    merged, probs, attention_back = ad.multi_head_attention(
+        xd @ wq, xd @ wk, xd @ wv, cfg.n_heads, 1.0 / np.sqrt(cfg.d_k), drop_attn, seg)
+    attn_out = merged @ wo + bo
+    if drop_out is not None:
+        attn_out *= drop_out
+    x1, ln1_back = layer_norm(xd + attn_out, g1, c1, cfg.layernorm_eps)
+    act, gelu_back = ad.gelu(x1 @ w1 + b1)
+    if drop_ffn is not None:
+        act *= drop_ffn
+    out, ln2_back = layer_norm(x1 + (act @ w2 + b2), g2, c2, cfg.layernorm_eps)
+
+    def backward(g):
+        ds2, dg2, dc2 = ln2_back(g)
+        dw2, db2 = act.T @ ds2, ds2.sum(axis=0)
+        dh = ds2 @ w2.T
+        if drop_ffn is not None:
+            dh *= drop_ffn
+        dh = gelu_back(dh)
+        dw1, db1 = x1.T @ dh, dh.sum(axis=0)
+        ds1, dg1, dc1 = ln1_back(ds2 + dh @ w1.T)
+        del ds2, dh   # row-sized gradients go as soon as they are used
+        da = ds1 * drop_out if drop_out is not None else ds1
+        dwo, dbo = merged.T @ da, da.sum(axis=0)
+        dq, dk, dv = attention_back(da @ wo.T)
+        del da
+        dx = ds1 + dq @ wq.T
+        dx += dk @ wk.T
+        dx += dv @ wv.T
+        return (dx, xd.T @ dq, xd.T @ dk, xd.T @ dv, dwo, dbo, dg1, dc1,
+                dw1, db1, dw2, db2, dg2, dc2)
+
+    return ad.fused(out, (x,) + layer_params, backward), probs
+
+
 def encode(
     params: ParamStore,
     cfg: EncoderConfig,
@@ -302,26 +353,12 @@ def encode(
     seg = ad.segments_of(embedded.data.shape[0], segments)
     masks = _dropout_masks(cfg, seg, rng) if dropping else None
 
-    def drop(t: Tensor, which: int, layer: int) -> Tensor:
-        return ad.mul(t, Tensor(masks[which][layer])) if dropping else t
-
     x = ad.affine(embedded, params["enc.in_proj.W"], params["enc.in_proj.b"])
-    scale = 1.0 / np.sqrt(cfg.d_k)
     attention_maps: list[np.ndarray] = []
     for layer in range(cfg.n_layers):
-        p = f"enc.L{layer}"
-        q = ad.matmul(x, params[f"{p}.Wq"])
-        k = ad.matmul(x, params[f"{p}.Wk"])
-        v = ad.matmul(x, params[f"{p}.Wv"])
-        merged, probs = ad.multi_head_attention(
-            q, k, v, cfg.n_heads, scale,
-            drop_masks=masks[0][layer] if dropping else None, segments=seg)
+        x, probs = _block(x, tuple(params[f"enc.L{layer}.{name}"] for name in _LAYER_PARAMS),
+                          cfg, seg, tuple(m[layer] for m in masks) if dropping else None)
         attention_maps.append(probs)
-        attn_out = drop(ad.affine(merged, params[f"{p}.Wo"], params[f"{p}.bo"]), 1, layer)
-        x = layer_norm(ad.add(x, attn_out), params[f"{p}.ln1.g"], params[f"{p}.ln1.b"], cfg.layernorm_eps)
-        hidden_act = drop(ad.gelu(ad.affine(x, params[f"{p}.ffn.W1"], params[f"{p}.ffn.b1"])), 2, layer)
-        ff = ad.affine(hidden_act, params[f"{p}.ffn.W2"], params[f"{p}.ffn.b2"])
-        x = layer_norm(ad.add(x, ff), params[f"{p}.ln2.g"], params[f"{p}.ln2.b"], cfg.layernorm_eps)
     return EncodedSequence(states=x, attention_maps=attention_maps)
 
 
@@ -409,7 +446,3 @@ def load_checkpoint(path: str):
 
 def encoder_config_to_dict(cfg: EncoderConfig) -> dict:
     return asdict(cfg)
-
-
-def encoder_config_from_dict(d: dict) -> EncoderConfig:
-    return EncoderConfig(**d)

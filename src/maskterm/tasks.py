@@ -235,9 +235,9 @@ class AbsaModel:
         return enc.encode(self.params, self.enc_cfg, emb, train_mode=train, rng=rng,
                           segments=inp.segments)
 
-    def _mask_states(self, seq: enc.EncodedSequence, inp: enc.ModelInput,
-                     surrogate: bool, aspect_vec: Tensor | None = None):
-        """Strategy dispatch: returns (states for the head, decision, attn)."""
+    def _mask_states(self, seq: enc.EncodedSequence, inp: enc.ModelInput, surrogate: bool):
+        """Strategy dispatch: returns (states for the head, decision, attn).
+        ACTM on ASC input weighs attention by relevance to the pooled aspect."""
         cfg = self.mask_cfg
         states = seq.states
         seg = inp.segments
@@ -256,7 +256,8 @@ class AbsaModel:
         else:
             actm = self.actm_params()
             relevance = None
-            if aspect_vec is not None:
+            if inp.aspect_spans is not None:
+                aspect_vec = enc.pool_aspect(states, inp.aspect_spans)
                 relevance = mk.aspect_relevance(states, attn, aspect_vec, actm.beta, seg)
             tau = mk.actm_threshold(attn, actm, relevance=relevance, segments=seg)
         decision = mk.apply_mask(attn, tau, states, protected=inp.protected,
@@ -285,8 +286,7 @@ class AbsaModel:
         """Polarity probabilities, one row per (example, aspect index) instance."""
         inp = enc.pack_inputs([enc.asc_input(ex, idx, self.vocab) for ex, idx in instances])
         seq = self._encode_input(inp, train, rng, masked_content)
-        aspect_vec = enc.pool_aspect(seq.states, inp.aspect_spans)
-        states, decision, attn = self._mask_states(seq, inp, surrogate, aspect_vec=aspect_vec)
+        states, decision, attn = self._mask_states(seq, inp, surrogate)
         if self.mask_cfg.strategy == "aam":
             pooled = enc.pool_aspect(states, inp.aspect_spans)
         else:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -13,7 +14,7 @@ from . import masking as mk
 from . import tasks
 from .autodiff import Tensor
 from .corpus import TokenizedExample
-from .exceptions import CompatibilityError, ContractError, NumericError
+from .exceptions import CompatibilityError, ConfigError, ContractError, NumericError
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -40,6 +41,35 @@ class TrainConfig:
             raise ContractError("learning_rate must be positive")
         if self.l2_lambda < 0.0:
             raise ContractError("l2_lambda must be non-negative")
+
+
+def _cast(key: str, value, default):
+    """`value` for `key`, held to the type of the key's default: a bool key
+    takes only a JSON boolean, an int key an integer or a whole float, a
+    float key a finite number but no boolean (a None default, the per-task
+    *_init fields, also takes null), a string key a string."""
+    if value is None and default is None:
+        return None
+    kind = float if default is None else type(default)
+    if type(value) is kind and kind is not float:
+        return value
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
+
+
+def typed_values(name: str, raw, defaults: dict) -> dict:
+    """Every key of `defaults`, given a value of its type in the `raw`
+    object or its default; unknown keys are rejected. Used for JSON configs
+    and checkpoint headers alike."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(raw) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return {key: _cast(key, raw.get(key, default), default) for key, default in defaults.items()}
 
 
 @dataclass
@@ -346,12 +376,14 @@ def save_model(path: str, model: tasks.AbsaModel) -> None:
 def load_model(path: str) -> tasks.AbsaModel:
     config, seed, arrays = enc.load_checkpoint(path)
     try:
-        enc_cfg = enc.encoder_config_from_dict(config["encoder"])
-        mask_cfg = mk.MaskConfig(**config["mask"])
+        enc_cfg = enc.EncoderConfig(**typed_values(
+            "checkpoint encoder config", config["encoder"], asdict(enc.EncoderConfig())))
+        mask_cfg = mk.MaskConfig(**typed_values(
+            "checkpoint mask config", config["mask"], asdict(mk.MaskConfig())))
         vocab = enc.Vocab(config["vocab"])
         task = config["task"]
-    except (KeyError, TypeError) as exc:
-        raise CompatibilityError(f"checkpoint config incomplete: {exc}") from exc
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise CompatibilityError(f"checkpoint config unusable: {exc}") from exc
     model = tasks.AbsaModel(task, enc_cfg, mask_cfg, vocab, seed)
     names = model.params.names()
     if names != list(arrays):

@@ -144,6 +144,13 @@ class TestBackward:
         ad.backward(ad.mul(x, x))
         assert x.grad == pytest.approx(8.0)
 
+    def test_gradient_handed_to_two_leaves_stays_apart(self):
+        a = ad.Tensor([1.0, 2.0], requires_grad=True)
+        b = ad.Tensor([3.0, 4.0], requires_grad=True)
+        shared = ad.add(a, b)   # its backward gives both leaves one array
+        ad.backward(ad.tsum(ad.add(ad.add(shared, ad.mul(a, 2.0)), ad.mul(a, 3.0))))
+        assert np.array_equal(a.grad, [6.0, 6.0]) and np.array_equal(b.grad, [1.0, 1.0])
+
     def test_linearity_on_random_graphs(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -186,7 +193,7 @@ class TestFiniteness:
             for out in (
                 ad.softmax(v),
                 ad.log_clamped(ad.Tensor(np.abs(v.data))),
-                ad.gelu(v),
+                ad.Tensor(ad.gelu(v.data)[0]),
                 ad.sqrt(ad.Tensor(np.abs(v.data))),
                 ad.matmul(m, m),
                 ad.aggregate(v, "sd"),

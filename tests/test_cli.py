@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maskterm import cli, corpus, training
-from maskterm.exceptions import ConfigError, NumericError
+from maskterm.exceptions import CompatibilityError, ConfigError, CorpusParseError, NumericError
 
 from fixtures import SEM14_FIXTURE, SEM16_FIXTURE, MALFORMED_FIXTURE
 
@@ -53,6 +53,15 @@ class TestMaskDemo:
     def test_malformed_scores_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("just-one-column\n", encoding="utf-8")
+        assert cli.main(["mask-demo", "--scores", str(bad)]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_score_rejected(self, tmp_path, value):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(f"the\t0.1\nfood\t{value}\n", encoding="utf-8")
+        with pytest.raises(CorpusParseError) as exc:
+            cli.read_scores_tsv(str(bad))
+        assert (exc.value.line, exc.value.column) == (2, 2)
         assert cli.main(["mask-demo", "--scores", str(bad)]) == 2
 
     def test_sentence_requires_ckpt(self, capsys):
@@ -278,6 +287,26 @@ class TestInputErrors:
         cli.main(["synth", "--seed", "1", "--size", "4", "--out", str(data)])
         ckpt = tmp_path / "partial.ckpt"
         ckpt.write_bytes(b'{"version": "ckpt_v1"}\n')
+        self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+
+    @pytest.mark.parametrize("block,key,value", [
+        ("mask", "amom_iterations", 2.5),
+        ("mask", "learnable", 1),
+        ("mask", "fixed_tau", "0.05"),
+        ("encoder", "hidden", 16.5),
+        ("encoder", "dropout_rate", None),
+    ])
+    def test_checkpoint_value_of_the_wrong_type(self, trained, tmp_path, capsys, block, key, value):
+        data, cfg, _, _ = trained
+        ckpt = tmp_path / "model.ckpt"
+        assert cli.main(["train", "--task", "ate", "--config", str(cfg), "--data", str(data),
+                         "--ckpt-out", str(ckpt)]) == 0
+        header, _, blob = ckpt.read_bytes().partition(b"\n")
+        doc = json.loads(header)
+        doc["config"][block][key] = value
+        ckpt.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + blob)
+        with pytest.raises(CompatibilityError):
+            training.load_model(str(ckpt))
         self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
 
     def test_truncated_data_line(self, tmp_path, capsys):

@@ -126,11 +126,143 @@ class TestEncode:
         assert np.array_equal(a, b)
 
 
+def _graph_nodes(out: Tensor, stop: Tensor) -> int:
+    """Recorded nodes between `out` and `stop`, `out` included and `stop` not."""
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if t is not stop and t._parents and id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+def _digest(a) -> float:
+    """One fixed random projection of an array; any change to an entry moves it."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    return float(np.random.default_rng(0).normal(size=a.size) @ a)
+
+
+# Digests of a packed encode of BLOCK_SENTENCES and of its backward, in train
+# mode (dropout 0.25) and in eval mode, as recorded when each encoder layer was
+# about fourteen graph nodes: the states, each layer's attention maps and the
+# gradient of every encoder parameter.
+BLOCK_SENTENCES = ("great", "the steak was great", "service slow", "the wine list was awful",
+                   "we arrived at noon and left")
+BLOCK_DIGESTS = {
+    True: {
+        "states": -9.767637440919572,
+        "attention.L0": 0.9314920468537267,
+        "attention.L1": 0.9282648803557051,
+        "emb.word": 82.69420104794102,
+        "emb.pos": 49.170406237906846,
+        "enc.in_proj.W": 84.32714377463728,
+        "enc.in_proj.b": -87.63618074463736,
+        "enc.L0.Wq": 18.35399390093653,
+        "enc.L0.Wk": -17.7379401133628,
+        "enc.L0.Wv": 83.10773555492372,
+        "enc.L0.Wo": -38.71008350232092,
+        "enc.L0.bo": -135.70449113076387,
+        "enc.L0.ln1.g": 15.742288825894361,
+        "enc.L0.ln1.b": -95.35427792615852,
+        "enc.L0.ffn.W1": 189.2736275518637,
+        "enc.L0.ffn.b1": 27.55420755259259,
+        "enc.L0.ffn.W2": 59.38905659943997,
+        "enc.L0.ffn.b2": -88.80240578459983,
+        "enc.L0.ln2.g": 13.951873850599531,
+        "enc.L0.ln2.b": -137.8198518903251,
+        "enc.L1.Wq": 5.309260090917743,
+        "enc.L1.Wk": 167.78445356811153,
+        "enc.L1.Wv": -2.3029126236571997,
+        "enc.L1.Wo": -98.52292217245812,
+        "enc.L1.bo": 13.530517508579791,
+        "enc.L1.ln1.g": 55.69763773598319,
+        "enc.L1.ln1.b": 48.77259595355088,
+        "enc.L1.ffn.W1": -59.787273886023144,
+        "enc.L1.ffn.b1": -3.4908076750425203,
+        "enc.L1.ffn.W2": 111.5788696509315,
+        "enc.L1.ffn.b2": 44.02754517267075,
+        "enc.L1.ln2.g": 16.79701594289385,
+        "enc.L1.ln2.b": 6.612395246615338,
+    },
+    False: {
+        "states": -68.97631416977258,
+        "attention.L0": 0.9314920468537267,
+        "attention.L1": 1.9877710317591908,
+        "emb.word": 72.05001814981624,
+        "emb.pos": 19.314296204651903,
+        "enc.in_proj.W": 33.83142242014259,
+        "enc.in_proj.b": -64.72909937822851,
+        "enc.L0.Wq": 17.590987350511348,
+        "enc.L0.Wk": -12.000909286928726,
+        "enc.L0.Wv": 191.16403711438784,
+        "enc.L0.Wo": -122.85642045125604,
+        "enc.L0.bo": 27.093865452223813,
+        "enc.L0.ln1.g": 38.955706799022614,
+        "enc.L0.ln1.b": 50.11177778801881,
+        "enc.L0.ffn.W1": -48.7018283707088,
+        "enc.L0.ffn.b1": 57.97568417781452,
+        "enc.L0.ffn.W2": 160.63226044523276,
+        "enc.L0.ffn.b2": 42.64629460081066,
+        "enc.L0.ln2.g": 43.1368256198125,
+        "enc.L0.ln2.b": 56.60983079454983,
+        "enc.L1.Wq": 23.9595309372328,
+        "enc.L1.Wk": -20.340205542300687,
+        "enc.L1.Wv": 81.05616243565743,
+        "enc.L1.Wo": -240.5717305979228,
+        "enc.L1.bo": 129.41324772561455,
+        "enc.L1.ln1.g": 99.58781115123179,
+        "enc.L1.ln1.b": 136.00910537859664,
+        "enc.L1.ffn.W1": -21.875765020132278,
+        "enc.L1.ffn.b1": 19.474227091934036,
+        "enc.L1.ffn.W2": 274.44618884593433,
+        "enc.L1.ffn.b2": 58.01652754084025,
+        "enc.L1.ln2.g": 25.944532745920664,
+        "enc.L1.ln2.b": 6.612395246615338,
+    },
+}
+
+
+def _packed_block_case(train: bool):
+    """(config, params, embedded input, encoded sequence) of BLOCK_SENTENCES
+    packed into one batch, after a backward of a random projection of the states."""
+    examples = [corpus.make_example(s, []) for s in BLOCK_SENTENCES]
+    vocab = enc.Vocab.build(examples)
+    cfg = enc.EncoderConfig(vocab_size=len(vocab.words), d_w=4, d_p=2, hidden=8,
+                            n_layers=2, n_heads=2, d_ff=12, dropout_rate=0.25)
+    params = ad.ParamStore()
+    enc.init_encoder_params(params, cfg, np.random.default_rng(41))
+    rng = np.random.default_rng(42)
+    for t in params.tensors():   # biases and gains off their 0/1 init
+        t.data = t.data + rng.normal(0.0, 0.1, size=t.data.shape)
+    inp = enc.pack_inputs([enc.ate_input(ex, vocab) for ex in examples])
+    emb = enc.embed_tokens(params, cfg, inp)
+    seq = enc.encode(params, cfg, emb, train_mode=train, rng=np.random.default_rng(43),
+                     segments=inp.segments)
+    ad.backward(ad.tsum(ad.mul(seq.states, Tensor(rng.normal(size=seq.states.data.shape)))))
+    return cfg, params, emb, seq
+
+
+class TestBlock:
+    @pytest.mark.parametrize("train", [True, False])
+    def test_matches_recorded_layers(self, train):
+        _, params, _, seq = _packed_block_case(train)
+        got = {"states": _digest(seq.states.data)}
+        got.update({f"attention.L{i}": _digest(m) for i, m in enumerate(seq.attention_maps)})
+        got.update({name: _digest(t.grad) for name, t in params.items()})
+        assert got == pytest.approx(BLOCK_DIGESTS[train], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_one_node_per_layer(self, train):
+        cfg, _, emb, seq = _packed_block_case(train)
+        assert _graph_nodes(seq.states, emb) == cfg.n_layers + 1
+
+
 class TestLayerNorm:
     def test_normalized_rows_pre_gain(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(2.0, 3.0, size=(5, 32)))
-        out = ad.layer_norm(x, Tensor(np.ones(32)), Tensor(np.zeros(32)), 1e-12).data
+        x = rng.normal(2.0, 3.0, size=(5, 32))
+        out, _ = enc.layer_norm(x, np.ones(32), np.zeros(32), 1e-12)
         assert np.abs(out.mean(axis=1)).max() <= 1e-6
         assert np.abs(out.var(axis=1) - 1.0).max() <= 1e-4
 
@@ -171,6 +303,25 @@ class TestGradFlow:
             return ad.tsum(ad.mul(d, d))
 
         assert ad.finite_difference_check(f, params) < 1e-4
+
+    def test_finite_difference_with_dropout_over_packed_rows(self):
+        examples = [corpus.make_example(s, []) for s in ("great", "the steak was great")]
+        vocab = enc.Vocab.build(examples)
+        cfg = enc.EncoderConfig(vocab_size=len(vocab.words), d_w=6, d_p=2, hidden=8,
+                                n_layers=1, n_heads=2, d_ff=12, dropout_rate=0.3)
+        params = ad.ParamStore()
+        enc.init_encoder_params(params, cfg, np.random.default_rng(1))
+        inp = enc.pack_inputs([enc.ate_input(ex, vocab) for ex in examples])
+        target = Tensor(np.random.default_rng(3).normal(size=(len(inp), 8)))
+
+        def f():   # the same dropout masks on every call
+            seq = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp), train_mode=True,
+                             rng=np.random.default_rng(4), segments=inp.segments)
+            d = ad.sub(seq.states, target)
+            return ad.tsum(ad.mul(d, d))
+
+        names = [n for n in params.names() if n.startswith("enc.")]
+        assert ad.finite_difference_check(f, params, names=names) < 1e-4
 
 
 class TestCheckpoint:
