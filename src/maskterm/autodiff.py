@@ -13,7 +13,10 @@ rows of its own sequence.
 
 `fused` makes one node of hand-written math. The encoder kernels (attention,
 layer norm, GELU) work on plain arrays and return their output with a
-backward closure; the encoder chains them into one node per layer.
+backward closure; the encoder chains them into one node per layer. Dropout
+comes in as boolean keep-masks and a scale (`dropout_`), and a closure keeps
+only what its backward cannot cheaply rebuild: attention saves the
+probabilities, and its backward rebuilds the dropped ones from them.
 """
 
 from __future__ import annotations
@@ -442,16 +445,6 @@ def relu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def tanh(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    data = np.tanh(a.data)
-
-    def backward(g):
-        _accumulate(a, g * (1.0 - data * data))
-
-    return _make(data, (a,), backward)
-
-
 def log_clamped(a: Tensor, floor: float = LOG_CLAMP) -> Tensor:
     """log with the argument clamped below at `floor`; flat gradient under the clamp."""
     a = as_tensor(a)
@@ -669,16 +662,28 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
     return out, backward
 
 
+def dropout_(x: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
+    """Inverted dropout of `x` in place, `x *= keep; x *= scale` with a boolean
+    keep-mask: a kept element becomes x·scale, a dropped one x·0 with its
+    sign, bit for bit what multiplying by a float mask of 0s and `scale`s
+    gives. Returns `x`."""
+    x *= keep
+    x *= scale
+    return x
+
+
 def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
-                         scale: float, drop_masks: np.ndarray | None = None,
+                         scale: float, keep: np.ndarray | None = None, keep_scale: float = 1.0,
                          segments: Segments | None = None):
     """Scaled dot-product attention over column-partitioned heads of packed
     (rows, hidden) arrays; a query attends only to keys of its own segment.
 
     Works on padded (segments, heads, n_max, n_max) score arrays; padded keys
-    get zero weight. `drop_masks`, of that shape, multiplies the attention
-    probabilities. Returns (merged output, probabilities before dropout,
-    backward), backward(g) -> (dq, dk, dv).
+    get zero weight. `keep`, a boolean array of that shape, drops attention
+    probabilities, and `keep_scale` scales the kept ones (inverted dropout).
+    Only the probabilities are saved for backward, which rebuilds the dropped
+    ones from them and `keep`. Returns (merged output, probabilities before
+    dropout, backward), backward(g) -> (dq, dk, dv).
     """
     n, hidden = q.shape
     if hidden % n_heads != 0:
@@ -692,6 +697,13 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: i
     def merge(xh):  # inverse of heads
         return seg.unpad(xh.transpose(0, 2, 1, 3).reshape(seg.count, seg.n_max, hidden))
 
+    def dropped():   # probs after dropout, rebuilt wherever it is needed
+        if keep is None:
+            return probs
+        out = probs * keep
+        out *= keep_scale
+        return out
+
     qh, kh, vh = heads(q), heads(k), heads(v)
     probs = (qh @ _swap(kh)) * scale    # logits; the softmax runs in place
     if seg.count > 1:
@@ -699,19 +711,18 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: i
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    dropped = probs * drop_masks if drop_masks is not None else probs
 
     def backward(g):
         go = heads(g)
+        dv = merge(_swap(dropped()) @ go)
         dp = go @ _swap(vh)
-        if drop_masks is not None:
-            dp *= drop_masks
+        if keep is not None:
+            dropout_(dp, keep, keep_scale)
         dp -= (dp * probs).sum(axis=-1, keepdims=True)
         dp *= probs   # now the gradient of the logits
-        return (merge((dp @ kh) * scale), merge((_swap(dp) @ qh) * scale),
-                merge(_swap(dropped) @ go))
+        return merge((dp @ kh) * scale), merge((_swap(dp) @ qh) * scale), dv
 
-    return merge(dropped @ vh), probs, backward
+    return merge(dropped() @ vh), probs, backward
 
 
 # -- aggregation -------------------------------------------------------------------

@@ -4,7 +4,9 @@ Input rows concatenate word, POS, and dependency features; [CLS]/[SEP] use
 reserved vocabulary ids with zeroed POS/dependency parts. The input
 projection is one graph node and each layer another: `_block` runs the
 layer on plain arrays through the autodiff kernels and hands its gradients
-back in one hand-written backward.
+back in one hand-written backward. In training, dropout masks are boolean
+keep-masks (one byte an entry) applied with the scale 1 / (1 - rate), which
+gives the same bits as multiplying by a float mask.
 """
 
 from __future__ import annotations
@@ -262,21 +264,22 @@ layer_norm = ad.layer_norm
 
 
 def _dropout_masks(cfg: EncoderConfig, seg: ad.Segments, rng: np.random.Generator):
-    """Inverted-dropout masks of every layer: attention probabilities
-    (layers, B, heads, n_max, n_max), attention output (layers, N, hidden)
-    and FFN hidden units (layers, N, d_ff).
+    """Boolean keep-masks of every layer: attention probabilities
+    (layers, B, heads, n_max, n_max), False in the padding, attention output
+    (layers, N, hidden) and FFN hidden units (layers, N, d_ff). `_block`
+    applies each as `x *= keep; x *= 1 / (1 - rate)` (inverted dropout).
 
     Drawn sequence by sequence, each in the order a lone sequence uses them
     (per layer: each head, the attention output, the FFN), so a packed batch
     replays exactly the draws of its sequences run one at a time."""
     rate, heads, hidden, d_ff = cfg.dropout_rate, cfg.n_heads, cfg.hidden, cfg.d_ff
     layers, m = cfg.n_layers, seg.n_max
-    attn = np.zeros((layers, seg.count, heads, m, m))
-    out_rows = np.empty((layers, seg.total, hidden))
-    ffn_rows = np.empty((layers, seg.total, d_ff))
+    attn = np.zeros((layers, seg.count, heads, m, m), dtype=bool)
+    out_rows = np.empty((layers, seg.total, hidden), dtype=bool)
+    ffn_rows = np.empty((layers, seg.total, d_ff), dtype=bool)
     for b, (lo, n) in enumerate(zip(seg.offsets, seg.lengths)):
         sizes = (heads * n * n, n * hidden, n * d_ff)
-        draws = (rng.random(layers * sum(sizes)) >= rate) / (1.0 - rate)
+        draws = rng.random(layers * sum(sizes)) >= rate
         at = 0
         for layer in range(layers):
             attn[layer, b, :, :n, :n] = draws[at:at + sizes[0]].reshape(heads, n, n)
@@ -298,32 +301,34 @@ def _block(x: Tensor, layer_params: tuple[Tensor, ...], cfg: EncoderConfig, seg:
     """One encoder layer as one graph node: Q/K/V projections, segment-masked
     attention, Wo and dropout, residual and LN1, the GELU FFN and dropout,
     residual and LN2. `drops` holds the layer's attention, attention-output
-    and FFN dropout masks, or None. Returns (output, attention probabilities)."""
+    and FFN boolean keep-masks, or None. Returns (output, attention
+    probabilities)."""
     wq, wk, wv, wo, bo, g1, c1, w1, b1, w2, b2, g2, c2 = (p.data for p in layer_params)
-    drop_attn, drop_out, drop_ffn = drops if drops is not None else (None, None, None)
+    keep_attn, keep_out, keep_ffn = drops if drops is not None else (None, None, None)
+    keep_scale = 1.0 / (1.0 - cfg.dropout_rate)
     xd = x.data
     merged, probs, attention_back = ad.multi_head_attention(
-        xd @ wq, xd @ wk, xd @ wv, cfg.n_heads, 1.0 / np.sqrt(cfg.d_k), drop_attn, seg)
+        xd @ wq, xd @ wk, xd @ wv, cfg.n_heads, 1.0 / np.sqrt(cfg.d_k), keep_attn, keep_scale, seg)
     attn_out = merged @ wo + bo
-    if drop_out is not None:
-        attn_out *= drop_out
+    if keep_out is not None:
+        ad.dropout_(attn_out, keep_out, keep_scale)
     x1, ln1_back = layer_norm(xd + attn_out, g1, c1, cfg.layernorm_eps)
     act, gelu_back = ad.gelu(x1 @ w1 + b1)
-    if drop_ffn is not None:
-        act *= drop_ffn
+    if keep_ffn is not None:
+        ad.dropout_(act, keep_ffn, keep_scale)
     out, ln2_back = layer_norm(x1 + (act @ w2 + b2), g2, c2, cfg.layernorm_eps)
 
     def backward(g):
         ds2, dg2, dc2 = ln2_back(g)
         dw2, db2 = act.T @ ds2, ds2.sum(axis=0)
         dh = ds2 @ w2.T
-        if drop_ffn is not None:
-            dh *= drop_ffn
+        if keep_ffn is not None:
+            ad.dropout_(dh, keep_ffn, keep_scale)
         dh = gelu_back(dh)
         dw1, db1 = x1.T @ dh, dh.sum(axis=0)
         ds1, dg1, dc1 = ln1_back(ds2 + dh @ w1.T)
         del ds2, dh   # row-sized gradients go as soon as they are used
-        da = ds1 * drop_out if drop_out is not None else ds1
+        da = ds1 * keep_out * keep_scale if keep_out is not None else ds1
         dwo, dbo = merged.T @ da, da.sum(axis=0)
         dq, dk, dv = attention_back(da @ wo.T)
         del da

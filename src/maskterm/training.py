@@ -160,6 +160,9 @@ def train(config: TrainConfig, train_set: list[TokenizedExample],
             raise ContractError("ASC training requires aspect annotations")
     else:
         instances = list(train_set)
+    # evaluate() rejects an empty set too; checked here so that no epoch is spent first
+    if not (eval_set if config.task == "ate" else any(ex.aspects for ex in eval_set)):
+        raise ContractError("evaluation set has no instances")
 
     data_rng = np.random.default_rng(config.seed)
     dropout_rng = np.random.default_rng(config.seed + 1)
@@ -205,18 +208,34 @@ def report_metrics(report: tasks.EvalReport, task: str) -> dict:
 EVAL_CHUNK = 32
 
 
-def _chunks(items: list) -> list[list]:
-    return [items[lo:lo + EVAL_CHUNK] for lo in range(0, len(items), EVAL_CHUNK)]
+def _predict_by_length(predict, items: list, rows: list[int]) -> list:
+    """`predict` over chunks of EVAL_CHUNK items taken in order of their row
+    counts `rows`, so a chunk pads little; results come back in input order."""
+    order = sorted(range(len(items)), key=rows.__getitem__)
+    results = [None] * len(items)
+    for lo in range(0, len(order), EVAL_CHUNK):
+        chunk = order[lo:lo + EVAL_CHUNK]
+        for i, result in zip(chunk, predict([items[i] for i in chunk])):
+            results[i] = result
+    return results
+
+
+def _aspect_length(ex: TokenizedExample, aspect_idx: int) -> int:
+    """Tokens of an aspect, which ASC appends to its sentence; 0 if unprojected."""
+    span = ex.aspects[aspect_idx].token_span
+    return span[1] - span[0] + 1 if span is not None else 0
 
 
 def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str) -> tasks.EvalReport:
     """Deterministic evaluation with dropout off, on the calling thread only.
 
     Instances run through the model's packed prediction in chunks of
-    EVAL_CHUNK; AMOM runs one packed forward per regeneration round of a
-    chunk."""
+    EVAL_CHUNK instances of similar length; AMOM runs one packed forward per
+    regeneration round of a chunk. An empty set is a ContractError."""
     if task == "ate":
-        predictions = [tags for chunk in _chunks(dataset) for tags in model.predict_bio(chunk)]
+        if not dataset:
+            raise ContractError("ATE evaluation requires examples")
+        predictions = _predict_by_length(model.predict_bio, dataset, [len(ex) for ex in dataset])
         tp = n_pred = n_gold = 0
         tag_counts = {c: {"tp": 0, "fp": 0, "fn": 0} for c in tasks.BIO_CLASSES}
         for ex, tags in zip(dataset, predictions):
@@ -241,7 +260,8 @@ def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str)
     instances = asc_instances(dataset)
     if not instances:
         raise ContractError("ASC evaluation requires aspect annotations")
-    preds = [label for chunk in _chunks(instances) for label in model.predict_polarity(chunk)]
+    preds = _predict_by_length(model.predict_polarity, instances,
+                               [len(ex) + _aspect_length(ex, i) for ex, i in instances])
     golds = [ex.aspects[i].polarity for ex, i in instances]
     accuracy, macro, per_class = tasks.asc_metrics(preds, golds)
     return tasks.EvalReport(asc={"acc": accuracy, "macro_f1": macro}, per_class=per_class)

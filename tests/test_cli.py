@@ -282,6 +282,15 @@ class TestInputErrors:
         cli.main(["synth", "--seed", "1", "--size", "4", "--out", str(data)])
         self.exits_2(["eval", "--ckpt", str(tmp_path), "--data", str(data)], capsys)
 
+    def test_empty_evaluation_set(self, trained, tmp_path, capsys):
+        data, cfg, _, _ = trained
+        ckpt = tmp_path / "model.ckpt"
+        assert cli.main(["train", "--task", "ate", "--config", str(cfg), "--data", str(data),
+                         "--ckpt-out", str(ckpt)]) == 0
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(empty)], capsys)
+
     def test_checkpoint_header_without_manifest(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         cli.main(["synth", "--seed", "1", "--size", "4", "--out", str(data)])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from maskterm import autodiff as ad
 from maskterm import corpus
 from maskterm import encoder as enc
+from maskterm import masking as mk
+from maskterm import tasks
 from maskterm.autodiff import Tensor
 from maskterm.exceptions import CompatibilityError, ConfigError, ContractError, LengthError
 
@@ -256,6 +259,53 @@ class TestBlock:
     def test_one_node_per_layer(self, train):
         cfg, _, emb, seq = _packed_block_case(train)
         assert _graph_nodes(seq.states, emb) == cfg.n_layers + 1
+
+
+# Bytes the graph of `TestSavedState._asc_batch` held before backward when the
+# dropout masks were float64 and attention kept its dropped probabilities too:
+# 14,004,959 (tracemalloc, numpy 2.4). Boolean masks and dropped
+# probabilities rebuilt in backward bring it to about 9.28 MB.
+FLOAT_MASK_GRAPH_BYTES = 14_004_959
+
+
+class TestSavedState:
+    """A training graph keeps only what backward needs, in the smallest dtype."""
+
+    @staticmethod
+    def _asc_batch():
+        """An ASC model with the default encoder (dropout 0.1) and 8 instances
+        of 30-58 tokens."""
+        words = ["was", "great", "but", "the", "service", "slow", "and", "wine", "fine", "staff"]
+        examples = []
+        for b, n in enumerate(range(30, 61, 4)):
+            text = " ".join(["steak"] + [words[(i + b) % len(words)] for i in range(n - 1)])
+            examples.append(corpus.make_example(
+                text, [corpus.AspectAnnotation("steak", 0, 5, "positive")]))
+        vocab = enc.Vocab.build(examples)
+        model = tasks.AbsaModel("asc", enc.EncoderConfig(vocab_size=len(vocab.words)),
+                                mk.MaskConfig(strategy="none"), vocab, 0)
+        return model, [(ex, 0) for ex in examples]
+
+    def test_graph_holds_less_than_with_float_masks(self):
+        model, instances = self._asc_batch()
+        model.forward_asc(instances, train=True, rng=np.random.default_rng(0))   # warm-up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = model.forward_asc(instances, train=True, rng=np.random.default_rng(0))
+            loss = tasks.asc_loss(out.probs, ["positive"] * len(instances), model.params, 0.0)
+            del out
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        ad.backward(loss)
+        assert held < 0.7 * FLOAT_MASK_GRAPH_BYTES
+
+    def test_dropout_masks_are_boolean(self):
+        cfg = enc.EncoderConfig()
+        masks = enc._dropout_masks(cfg, ad.Segments([34, 5]), np.random.default_rng(0))
+        assert [m.dtype for m in masks] == [np.dtype(bool)] * 3
+        assert not masks[0][:, 1, :, 5:, :].any() and not masks[0][:, 1, :, :, 5:].any()
 
 
 class TestLayerNorm:

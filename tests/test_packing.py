@@ -143,6 +143,47 @@ def test_evaluate_counts_equal_sum_of_one_instance_calls(task, strategy):
     assert sum(n for (_, key), n in summed.items() if key in ("tp", "fn")) > training.EVAL_CHUNK
 
 
+def mixed_lengths():
+    """Short synthetic sentences, each followed by itself behind a long preamble."""
+    preamble = "after a long wait at the crowded bar we finally sat down by the window and "
+    out = []
+    for ex in corpus.synth_corpus(seed=43, size=24):
+        shift = len(preamble)
+        out += [ex, corpus.make_example(preamble + ex.text, [
+            AspectAnnotation(a.term, a.char_from + shift, a.char_to + shift, a.polarity)
+            for a in ex.aspects])]
+    return out
+
+
+@pytest.mark.parametrize("strategy", ["actm", "amom"])
+@pytest.mark.parametrize("task", ["ate", "asc"])
+def test_evaluate_chunks_by_length_and_keeps_input_order(task, strategy, monkeypatch):
+    data = mixed_lengths()
+    model, _ = make_model(task, strategy, "mean", data)
+    full = training.evaluate(model, data, task)
+    summed = Counter()
+    for dataset in one_instance_sets(task, data):
+        summed.update(count_table(training.evaluate(model, dataset, task)))
+    assert +summed == +count_table(full)
+
+    # Labels that name their instance come back to it; chunks run shortest first.
+    lengths = []
+    if task == "ate":
+        def oracle(self, batch):
+            lengths.extend(len(ex) for ex in batch)
+            return [list(ex.bio_tags) for ex in batch]
+        monkeypatch.setattr(tasks.AbsaModel, "predict_bio", oracle)
+        assert training.evaluate(model, data, task).ate == {"p": 1.0, "r": 1.0, "f1": 1.0}
+    else:
+        def oracle(self, batch):
+            lengths.extend(len(ex) + ex.aspects[i].token_span[1] - ex.aspects[i].token_span[0]
+                           for ex, i in batch)
+            return [ex.aspects[i].polarity for ex, i in batch]
+        monkeypatch.setattr(tasks.AbsaModel, "predict_polarity", oracle)
+        assert training.evaluate(model, data, task).asc["acc"] == 1.0
+    assert len(lengths) > training.EVAL_CHUNK and lengths == sorted(lengths)
+
+
 # batch_loss of AMOM, which runs every instance on its own, as recorded before
 # packing: (task, train mode) -> loss.
 AMOM_LOSSES = {
@@ -180,19 +221,24 @@ AMOM_EVAL_HIDDEN = {
 
 @pytest.mark.parametrize("task", list(AMOM_EVAL_COUNTS))
 def test_amom_evaluate_unchanged(task, monkeypatch):
-    """Evaluation now packs a chunk's instances into one forward per round;
-    the log regroups each call's hidden sets by instance."""
+    """Evaluation now packs a chunk's instances into one forward per round,
+    in an order of its choosing; the log regroups each call's hidden sets by
+    instance, instances in input order."""
     data = corpus.synth_corpus(seed=21, size=6)
     model, _ = make_model(task, "amom", "mean", data)
     name = f"forward_{task}"
     inner = getattr(model, name)
-    hidden = {}
+
+    def key(item):   # ASC instances are (example, aspect index) tuples made per call
+        return (id(item[0]), item[1]) if task == "asc" else id(item)
+
+    hidden = {key(item): [] for item in items_for(task, data)}
     calls = []
 
     def logged(items, *args, masked_content=None, **kwargs):
         calls.append(len(items))
         for k, item in enumerate(items):
-            hidden.setdefault(id(item), []).append(sorted(masked_content[k]) if masked_content else [])
+            hidden[key(item)].append(sorted(masked_content[k]) if masked_content else [])
         return inner(items, *args, masked_content=masked_content, **kwargs)
 
     monkeypatch.setattr(model, name, logged)

@@ -51,6 +51,13 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             training.train(small_config(), [], [])
 
+    @pytest.mark.parametrize("task", ["ate", "asc"])
+    def test_empty_evaluation_set_rejected_before_training(self, data, task, monkeypatch):
+        train_set, _ = data
+        monkeypatch.setattr(training, "batch_loss", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(ContractError):
+            training.train(small_config(task=task), train_set[:8], [])
+
     def test_asc_requires_aspects(self):
         bare = [corpus.make_example("nothing to see here", [])]
         with pytest.raises(ContractError):
@@ -118,6 +125,13 @@ class TestEvaluate:
         a = training.evaluate(model, eval_set, "ate")
         b = training.evaluate(model, eval_set, "ate")
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("task", ["ate", "asc"])
+    def test_empty_evaluation_set_rejected(self, data, task):
+        train_set, eval_set = data
+        model, _ = training.train(small_config(task=task, epochs=1), train_set[:8], eval_set[:8])
+        with pytest.raises(ContractError):
+            training.evaluate(model, [], task)
 
     def test_oracle_predictions_score_one(self, data, monkeypatch):
         train_set, eval_set = data
