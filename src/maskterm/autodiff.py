@@ -36,7 +36,7 @@ LOG_CLAMP = 1e-12
 NORM_EPS = 1e-12
 NEG_INF_LOGIT = -1e9   # added to barred logits; exp() of it underflows to 0
 
-# Thread-local so concurrent no_grad evaluation cannot poison other threads.
+# Thread-local, so a no_grad block in one thread leaves recording on in the others.
 _GRAD_STATE = threading.local()
 
 
@@ -82,50 +82,11 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return take(self, idx)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def as_tensor(x) -> Tensor:
@@ -208,11 +169,6 @@ def _make(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
                 out._backward = backward
                 out.requires_grad = True
                 return out
-        for p in parents:
-            if p._parents:
-                out._parents = parents
-                out._backward = backward
-                return out
     return out
 
 
@@ -246,7 +202,7 @@ def fused(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
     each parent in order; parents outside differentiation drop theirs."""
     def accumulate(g):
         for p, grad in zip(parents, backward(g)):
-            if p.requires_grad or p._parents:
+            if p.requires_grad:
                 _accumulate(p, grad)
 
     return _make(data, parents, accumulate)
@@ -260,9 +216,9 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _make(data, (a, b), backward)
@@ -273,9 +229,9 @@ def sub(a, b) -> Tensor:
     data = a.data - b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             _accumulate(b, _unbroadcast(-g, b.data.shape))
 
     return _make(data, (a, b), backward)
@@ -286,9 +242,9 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), backward)
@@ -299,9 +255,9 @@ def div(a, b) -> Tensor:
     data = a.data / b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _make(data, (a, b), backward)
@@ -323,22 +279,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             _accumulate(a, g @ b.data.T)
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             _accumulate(b, a.data.T @ g)
 
     return _make(data, (a, b), backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.T
-
-    def backward(g):
-        _accumulate(a, g.T)
-
-    return _make(data, (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -408,12 +354,6 @@ def segment_mean(x: Tensor, segments: Segments) -> Tensor:
     return mul(segment_sum(x, segments), inv.reshape((-1,) + (1,) * (as_tensor(x).data.ndim - 1)))
 
 
-def gather_rows(a: Tensor, ids) -> Tensor:
-    """Row lookup (embedding gather); backward scatter-adds into the table."""
-    ids = np.asarray(ids, dtype=np.intp)
-    return take(a, ids)
-
-
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     if not parts:
@@ -424,7 +364,7 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad or p._parents:
+            if p.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
                 _accumulate(p, g[tuple(sl)])
@@ -482,10 +422,6 @@ def clamp(a: Tensor, lo=None, hi=None) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def clamp_min(a: Tensor, lo: float) -> Tensor:
-    return clamp(a, lo=lo)
-
-
 def softmax(v: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted softmax along `axis`; rows sum to one."""
     v = as_tensor(v)
@@ -529,11 +465,11 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data = x.data @ w.data + b.data
 
     def backward(g):
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             _accumulate(x, g @ w.data.T)
-        if w.requires_grad or w._parents:
+        if w.requires_grad:
             _accumulate(w, x.data.T @ g)
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             _accumulate(b, g.sum(axis=0))
 
     return _make(data, (x, w, b), backward)
@@ -589,10 +525,10 @@ def soft_span_remix(states: Tensor, z: Tensor, ramp: float, scale: float,
         dt = dmod * ratio
         dratio = (dmod * t).sum(axis=-1, keepdims=True)
         dm = (dt * logits + dratio * inv_len) * valid
-        if z.requires_grad or z._parents:
+        if z.requires_grad:
             inside = (pre > 0.0) & (pre < 1.0)
             _accumulate(z, np.asarray((dm * inside).sum() * (1.0 / ramp)))
-        if states.requires_grad or states._parents:
+        if states.requires_grad:
             dp = dt * m * scale
             dunit = dp @ unit + _swap(dp) @ unit
             ds += dunit / norms
@@ -682,8 +618,8 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: i
     get zero weight. `keep`, a boolean array of that shape, drops attention
     probabilities, and `keep_scale` scales the kept ones (inverted dropout).
     Only the probabilities are saved for backward, which rebuilds the dropped
-    ones from them and `keep`. Returns (merged output, probabilities before
-    dropout, backward), backward(g) -> (dq, dk, dv).
+    ones from them and `keep`. Returns (merged output, backward),
+    backward(g) -> (dq, dk, dv).
     """
     n, hidden = q.shape
     if hidden % n_heads != 0:
@@ -722,7 +658,7 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: i
         dp *= probs   # now the gradient of the logits
         return merge((dp @ kh) * scale), merge((_swap(dp) @ qh) * scale), dv
 
-    return merge(dropped() @ vh), probs, backward
+    return merge(dropped() @ vh), backward
 
 
 # -- aggregation -------------------------------------------------------------------
@@ -791,7 +727,7 @@ def backward(loss: Tensor) -> None:
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in visited and (p._parents or p.requires_grad):
+            if id(p) not in visited and p.requires_grad:
                 stack.append((p, False))
     loss_grad = np.ones_like(loss.data)
     _accumulate(loss, loss_grad)
@@ -834,9 +770,6 @@ class ParamStore:
 
     def tensors(self):
         return self._entries.values()
-
-    def total_count(self) -> int:
-        return sum(t.data.size for t in self._entries.values())
 
     def zero_grad(self) -> None:
         for t in self._entries.values():

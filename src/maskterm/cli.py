@@ -6,7 +6,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -37,8 +37,7 @@ def config_from_dict(raw: dict) -> training.TrainConfig:
     data = dict(raw)
     encoder_raw = data.pop("encoder", {})
     values = training.typed_values("config", data, CONFIG_DEFAULTS)
-    enc_values = training.typed_values("encoder config", encoder_raw,
-                                       enc.encoder_config_to_dict(enc.EncoderConfig()))
+    enc_values = training.typed_values("encoder config", encoder_raw, asdict(enc.EncoderConfig()))
     mask_cfg = mk.MaskConfig(**{f.name: values[key] for key, f in _MASK_FIELDS.items()})
     return training.TrainConfig(**{key: values[key] for key in _TRAIN_FIELDS},
                                 mask=mask_cfg, encoder=enc.EncoderConfig(**enc_values))
@@ -139,28 +138,17 @@ def read_scores_tsv(path: str) -> tuple[list[str], np.ndarray]:
     return tokens, np.asarray(values)
 
 
-def _threshold_decision(tokens, attn, aggregator: str, alpha: float,
-                        protected=None) -> mk.MaskDecision:
-    params = mk.ActmParams(
-        w_a=Tensor(np.zeros(1)),
-        alpha=Tensor(alpha),
-        gamma=Tensor(0.0),
-        beta=Tensor(1.0),
-        aggregator=aggregator,
-        d_k=1,
-    )
-    tau = mk.actm_threshold(attn, params)
-    dummy = Tensor(np.zeros((len(tokens), 1)))
-    return mk.apply_mask(attn, tau, dummy, protected=protected)
-
-
 def cmd_mask_demo(args) -> int:
     if args.scores:
         tokens, values = read_scores_tsv(args.scores)
+        attn, protected, decision = Tensor(values), None, None
         alpha = args.alpha if args.alpha is not None else 1.0
-        decision = _threshold_decision(tokens, Tensor(values), args.aggregator, alpha)
     else:
         model = training.load_model(args.ckpt)
+        if model.task != "ate":
+            raise CompatibilityError(
+                f"mask-demo --sentence needs an ATE checkpoint; this one was trained for "
+                f"task {model.task!r}")
         example = corpus.make_example(args.sentence, [])
         out = model.forward_ate([example])
         if out.decision is None or out.attn is None:
@@ -168,11 +156,11 @@ def cmd_mask_demo(args) -> int:
                 f"checkpoint's {model.mask_cfg.strategy!r} strategy produces no threshold trace"
             )
         tokens = ["[CLS]"] + example.tokens + ["[SEP]"]
-        if args.alpha is None:
-            decision = out.decision
-        else:
-            decision = _threshold_decision(tokens, out.attn, args.aggregator,
-                                           args.alpha, protected=out.inp.protected)
+        attn, protected, decision, alpha = out.attn, out.inp.protected, out.decision, args.alpha
+    if alpha is not None:   # recut with alpha times the aggregate, no relevance term
+        tau = mk.actm_threshold(attn, Tensor(alpha), args.aggregator)
+        decision = mk.apply_mask(attn, tau, Tensor(np.zeros((len(tokens), 1))),
+                                 protected=protected)
     sys.stdout.write(mk.format_mask_trace(tokens, decision))
     return 0
 

@@ -85,6 +85,9 @@ class TokenizedExample:
             if asp.polarity not in POLARITIES:
                 raise ContractError(f"aspect {asp.term!r} has unknown polarity {asp.polarity!r}")
             s, e = asp.token_span
+            if not (isinstance(s, int) and isinstance(e, int)):
+                raise ContractError(f"aspect {asp.term!r} token span {asp.token_span!r} "
+                                    "is not a pair of integers")
             if not (0 <= s <= e < n):
                 raise ContractError(f"aspect {asp.term!r} projects outside the sentence")
 

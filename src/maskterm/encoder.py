@@ -1,10 +1,12 @@
 """Trainable self-attention encoder producing contextual token states.
 
-Input rows concatenate word, POS, and dependency features; [CLS]/[SEP] use
-reserved vocabulary ids with zeroed POS/dependency parts. The input
-projection is one graph node and each layer another: `_block` runs the
+Input rows concatenate word, POS, and dependency features (`d_D` is the
+corpus's DEP_DIM); [CLS]/[SEP] use reserved vocabulary ids with zeroed
+POS/dependency parts. `encode` returns the final states, one Tensor. The
+input projection is one graph node and each layer another: `_block` runs the
 layer on plain arrays through the autodiff kernels and hands its gradients
-back in one hand-written backward. In training, dropout masks are boolean
+back in one hand-written backward; the attention probabilities stay inside
+that node, for its backward only. In training, dropout masks are boolean
 keep-masks (one byte an entry) applied with the scale 1 / (1 - rate), which
 gives the same bits as multiplying by a float mask.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +56,9 @@ class EncoderConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.layernorm_eps <= 0.0:
             raise ConfigError("layernorm_eps must be positive")
+        if self.d_D != DEP_DIM:
+            raise ConfigError(f"d_D must be {DEP_DIM}, the width of the dependency features, "
+                              f"got {self.d_D}")
 
     @property
     def d_k(self) -> int:
@@ -188,12 +193,6 @@ def pack_inputs(inputs: list[ModelInput]) -> ModelInput:
     )
 
 
-@dataclass
-class EncodedSequence:
-    states: Tensor                     # (N, hidden)
-    attention_maps: list[np.ndarray]   # per layer, (B, heads, n_max, n_max), padded keys 0
-
-
 def sinusoidal_encoding(n: int, dim: int) -> np.ndarray:
     pe = np.zeros((n, dim))
     position = np.arange(n)[:, None]
@@ -251,9 +250,9 @@ def embed_tokens(params: ParamStore, cfg: EncoderConfig, inp: ModelInput) -> Ten
     seg = inp.segments
     if seg.n_max > cfg.max_len:
         raise LengthError(f"sequence length {seg.n_max} exceeds max_len {cfg.max_len}")
-    word = ad.gather_rows(params["emb.word"], inp.token_ids)
+    word = ad.take(params["emb.word"], inp.token_ids)
     word = ad.add(word, Tensor(sinusoidal_encoding(seg.n_max, cfg.d_w)[seg.positions]))
-    pos = ad.gather_rows(params["emb.pos"], inp.pos_ids)
+    pos = ad.take(params["emb.pos"], inp.pos_ids)
     pos_mask = (~inp.special).astype(np.float64)[:, None]
     pos = ad.mul(pos, Tensor(pos_mask))
     dep = Tensor(inp.dep)
@@ -297,17 +296,16 @@ _LAYER_PARAMS = ("Wq", "Wk", "Wv", "Wo", "bo", "ln1.g", "ln1.b",
 
 
 def _block(x: Tensor, layer_params: tuple[Tensor, ...], cfg: EncoderConfig, seg: ad.Segments,
-           drops: tuple[np.ndarray, np.ndarray, np.ndarray] | None) -> tuple[Tensor, np.ndarray]:
+           drops: tuple[np.ndarray, np.ndarray, np.ndarray] | None) -> Tensor:
     """One encoder layer as one graph node: Q/K/V projections, segment-masked
     attention, Wo and dropout, residual and LN1, the GELU FFN and dropout,
     residual and LN2. `drops` holds the layer's attention, attention-output
-    and FFN boolean keep-masks, or None. Returns (output, attention
-    probabilities)."""
+    and FFN boolean keep-masks, or None."""
     wq, wk, wv, wo, bo, g1, c1, w1, b1, w2, b2, g2, c2 = (p.data for p in layer_params)
     keep_attn, keep_out, keep_ffn = drops if drops is not None else (None, None, None)
     keep_scale = 1.0 / (1.0 - cfg.dropout_rate)
     xd = x.data
-    merged, probs, attention_back = ad.multi_head_attention(
+    merged, attention_back = ad.multi_head_attention(
         xd @ wq, xd @ wk, xd @ wv, cfg.n_heads, 1.0 / np.sqrt(cfg.d_k), keep_attn, keep_scale, seg)
     attn_out = merged @ wo + bo
     if keep_out is not None:
@@ -338,7 +336,7 @@ def _block(x: Tensor, layer_params: tuple[Tensor, ...], cfg: EncoderConfig, seg:
         return (dx, xd.T @ dq, xd.T @ dk, xd.T @ dv, dwo, dbo, dg1, dc1,
                 dw1, db1, dw2, db2, dg2, dc2)
 
-    return ad.fused(out, (x,) + layer_params, backward), probs
+    return ad.fused(out, (x,) + layer_params, backward)
 
 
 def encode(
@@ -348,10 +346,11 @@ def encode(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
     segments: ad.Segments | None = None,
-) -> EncodedSequence:
-    """Stack of self-attention blocks over packed sequences (`segments`, one
-    sequence of all rows when None); attention stays inside each sequence.
-    Deterministic whenever train_mode is off."""
+) -> Tensor:
+    """Contextual states (rows, hidden) from a stack of self-attention blocks
+    over packed sequences (`segments`, one sequence of all rows when None);
+    attention stays inside each sequence. Deterministic whenever train_mode
+    is off."""
     dropping = train_mode and cfg.dropout_rate > 0.0
     if dropping and rng is None:
         raise ContractError("train_mode with dropout needs a random generator")
@@ -359,12 +358,10 @@ def encode(
     masks = _dropout_masks(cfg, seg, rng) if dropping else None
 
     x = ad.affine(embedded, params["enc.in_proj.W"], params["enc.in_proj.b"])
-    attention_maps: list[np.ndarray] = []
     for layer in range(cfg.n_layers):
-        x, probs = _block(x, tuple(params[f"enc.L{layer}.{name}"] for name in _LAYER_PARAMS),
-                          cfg, seg, tuple(m[layer] for m in masks) if dropping else None)
-        attention_maps.append(probs)
-    return EncodedSequence(states=x, attention_maps=attention_maps)
+        x = _block(x, tuple(params[f"enc.L{layer}.{name}"] for name in _LAYER_PARAMS),
+                   cfg, seg, tuple(m[layer] for m in masks) if dropping else None)
+    return x
 
 
 def pool_aspect(states: Tensor, spans) -> Tensor:
@@ -447,7 +444,3 @@ def load_checkpoint(path: str):
     if offset != len(blob):
         raise CompatibilityError("checkpoint blob longer than its manifest")
     return header["config"], header["seed"], arrays
-
-
-def encoder_config_to_dict(cfg: EncoderConfig) -> dict:
-    return asdict(cfg)

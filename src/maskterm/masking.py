@@ -3,6 +3,10 @@
 Three adaptive families plus a fixed-threshold baseline:
   - ACTM: mask tokens whose attention score falls under a learnable,
     context-aggregated threshold (plus an aspect-relevance term for ASC).
+    `actm_threshold` takes the weights alpha and gamma as tensors: the
+    model's parameters in training, constants in `mask-demo`. `apply_mask`
+    returns a MaskDecision: the attention, thresholds and verdicts that
+    traces print, and the masked states the head reads.
   - AAM: soft distance ramp with a learnable span that reshapes attention
     around every position.
   - AMOM: remask a number of positions set by how good the last prediction
@@ -26,7 +30,7 @@ making the objective genuinely differentiable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,37 +84,13 @@ class MaskConfig:
 
 
 @dataclass
-class ActmParams:
-    """Learnable pieces of the adaptive contextual threshold."""
-
-    w_a: Tensor                       # (hidden,) attention scoring weights
-    alpha: Tensor                     # scalar threshold weight
-    gamma: Tensor                     # scalar relevance weight (ASC only)
-    beta: Tensor                      # scalar relevance sharpness
-    aggregator: str
-    d_k: int
-    learnable: bool = True
-
-    def __post_init__(self):
-        if self.d_k < 1:
-            raise ContractError("d_k must be at least 1")
-        if not self.learnable:
-            if float(self.alpha.data) != 1.0 or float(self.gamma.data) != 1.0:
-                raise ContractError("constant-weight mode requires alpha = gamma = 1")
-
-
-@dataclass
 class MaskDecision:
     """Per-token verdicts of one threshold pass, hard semantics throughout."""
 
     attn: np.ndarray                  # (n,) attention scores
     tau: np.ndarray                   # (n,) thresholds
     kept: np.ndarray                  # (n,) bool
-    masked_scores: np.ndarray         # attn where kept, else 0
     masked_states: Tensor             # (n, hidden), masked rows zeroed
-    gate: Tensor                      # (n,) multiplicative gate used downstream
-    attn_t: Tensor | None = None      # differentiable attention vector
-    protected: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
 
 # -- ACTM --------------------------------------------------------------------
@@ -141,7 +121,7 @@ def aspect_relevance(states: Tensor, attn: Tensor, aspect_vec: Tensor, beta,
     dots = ad.tsum(ad.mul(weighted, ad.take(vecs, seg.ids)), axis=1)
     row_norms = ad.sqrt(ad.tsum(ad.square(weighted), axis=1))
     vec_norms = ad.sqrt(ad.tsum(ad.square(vecs), axis=1))
-    denom = ad.clamp_min(ad.mul(row_norms, ad.take(vec_norms, seg.ids)), ad.NORM_EPS)
+    denom = ad.clamp(ad.mul(row_norms, ad.take(vec_norms, seg.ids)), lo=ad.NORM_EPS)
     cos = ad.div(dots, denom)
     live = (row_norms.data > ad.NORM_EPS).astype(np.float64)
     cos = ad.mul(cos, Tensor(live))
@@ -153,15 +133,15 @@ def aspect_relevance(states: Tensor, attn: Tensor, aspect_vec: Tensor, beta,
     return rel
 
 
-def actm_threshold(attn: Tensor, params: ActmParams, relevance: Tensor | None = None,
-                   segments: ad.Segments | None = None) -> Tensor:
+def actm_threshold(attn: Tensor, alpha: Tensor, aggregator: str, relevance: Tensor | None = None,
+                   gamma: Tensor | None = None, segments: ad.Segments | None = None) -> Tensor:
     """Threshold vector alpha * aggregate(attn) (+ gamma * relevance per
-    token), the aggregate taken over each sequence."""
+    token, given both), the aggregate taken over each sequence."""
     seg = ad.segments_of(attn.data.shape[0], segments)
-    pooled = ad.aggregate(attn, params.aggregator, seg)
-    tau = ad.take(ad.mul(params.alpha, pooled), seg.ids)
+    pooled = ad.aggregate(attn, aggregator, seg)
+    tau = ad.take(ad.mul(alpha, pooled), seg.ids)
     if relevance is not None:
-        tau = ad.add(tau, ad.mul(relevance, params.gamma))
+        tau = ad.add(tau, ad.mul(relevance, gamma))
     return tau
 
 
@@ -206,16 +186,11 @@ def apply_mask(
         gate = ad.add(margin, Tensor(prot_mask.astype(np.float64)))
     else:
         gate = ad.straight_through(margin, kept.astype(np.float64))
-    masked_states = ad.mul(states, ad.reshape(gate, (n, 1)))
     return MaskDecision(
         attn=attn.data.copy(),
         tau=tau.data.copy(),
         kept=kept,
-        masked_scores=np.where(kept, attn.data, 0.0),
-        masked_states=masked_states,
-        gate=gate,
-        attn_t=attn,
-        protected=np.flatnonzero(prot_mask),
+        masked_states=ad.mul(states, ad.reshape(gate, (n, 1))),
     )
 
 

@@ -47,20 +47,17 @@ def decode_bio_spans(tags: list[str]) -> list[tuple[int, int]]:
     return spans
 
 
-def span_counts(pred: list[tuple[int, int]], gold: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """(exact matches, predicted count, gold count) for micro-averaged F1."""
-    return len(set(pred) & set(gold)), len(pred), len(gold)
-
-
 def ate_span_f1(pred, gold) -> tuple[float, float, float]:
-    """Exact-match span precision/recall/F1.
+    """Exact-match span precision/recall/F1, micro-averaged over whatever
+    the spans are keyed by (evaluation pairs each span with its example).
 
     Empty prediction yields precision 1, empty gold yields recall 1, and F1
     is 0 whenever precision + recall is 0.
     """
-    tp, n_pred, n_gold = span_counts(list(pred), list(gold))
-    precision = tp / n_pred if n_pred else 1.0
-    recall = tp / n_gold if n_gold else 1.0
+    pred, gold = list(pred), list(gold)
+    tp = len(set(pred) & set(gold))
+    precision = tp / len(pred) if pred else 1.0
+    recall = tp / len(gold) if gold else 1.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f1
 
@@ -168,7 +165,6 @@ class AbsaModel:
         enc.init_encoder_params(self.params, enc_cfg, rng)
         self._init_mask_params()
         self._init_head(rng)
-        self.mask_d_k = enc_cfg.hidden
 
     def _needs_attention(self) -> bool:
         s = self.mask_cfg.strategy
@@ -206,21 +202,9 @@ class AbsaModel:
 
     # -- shared plumbing ------------------------------------------------------
 
-    def actm_params(self) -> mk.ActmParams:
-        one = Tensor(1.0)
-        return mk.ActmParams(
-            w_a=self.params["mask.w_a"],
-            alpha=self.params["mask.alpha"] if "mask.alpha" in self.params else one,
-            gamma=self.params["mask.gamma"] if "mask.gamma" in self.params else one,
-            beta=self.params["mask.beta"] if "mask.beta" in self.params else one,
-            aggregator=self.mask_cfg.aggregator,
-            d_k=self.mask_d_k,
-            learnable=self.mask_cfg.learnable,
-        )
-
     def _encode_input(self, inp: enc.ModelInput, train: bool,
                       rng: np.random.Generator | None,
-                      masked_content: list[frozenset[int]] | None) -> enc.EncodedSequence:
+                      masked_content: list[frozenset[int]] | None) -> Tensor:
         emb = enc.embed_tokens(self.params, self.enc_cfg, inp)
         if masked_content is not None and any(masked_content):
             if len(masked_content) != len(inp.segments):
@@ -235,31 +219,33 @@ class AbsaModel:
         return enc.encode(self.params, self.enc_cfg, emb, train_mode=train, rng=rng,
                           segments=inp.segments)
 
-    def _mask_states(self, seq: enc.EncodedSequence, inp: enc.ModelInput, surrogate: bool):
+    def _mask_states(self, states: Tensor, inp: enc.ModelInput, surrogate: bool):
         """Strategy dispatch: returns (states for the head, decision, attn).
         ACTM on ASC input weighs attention by relevance to the pooled aspect."""
         cfg = self.mask_cfg
-        states = seq.states
+        params = self.params
+        d_k = self.enc_cfg.hidden
         seg = inp.segments
         if cfg.strategy == "none" or cfg.strategy == "amom":
             attn = None
             if self._needs_attention():
-                attn = mk.token_attention(states, self.params["mask.w_a"], self.mask_d_k, seg)
+                attn = mk.token_attention(states, params["mask.w_a"], d_k, seg)
             return states, None, attn
         if cfg.strategy == "aam":
-            z = ad.clamp(self.params["mask.z"], 0.0, float(self.enc_cfg.max_len))
-            remixed = mk.aam_remix(states, z, cfg.aam_ramp, self.mask_d_k, seg)
+            z = ad.clamp(params["mask.z"], 0.0, float(self.enc_cfg.max_len))
+            remixed = mk.aam_remix(states, z, cfg.aam_ramp, d_k, seg)
             return remixed, None, None
-        attn = mk.token_attention(states, self.params["mask.w_a"], self.mask_d_k, seg)
+        attn = mk.token_attention(states, params["mask.w_a"], d_k, seg)
         if cfg.strategy == "fixed":
             tau = mk.fixed_threshold(attn, cfg.fixed_tau)
         else:
-            actm = self.actm_params()
-            relevance = None
+            relevance = gamma = None
             if inp.aspect_spans is not None:
                 aspect_vec = enc.pool_aspect(states, inp.aspect_spans)
-                relevance = mk.aspect_relevance(states, attn, aspect_vec, actm.beta, seg)
-            tau = mk.actm_threshold(attn, actm, relevance=relevance, segments=seg)
+                relevance = mk.aspect_relevance(states, attn, aspect_vec, params["mask.beta"], seg)
+                gamma = params["mask.gamma"]
+            tau = mk.actm_threshold(attn, params["mask.alpha"], cfg.aggregator,
+                                    relevance, gamma, seg)
         decision = mk.apply_mask(attn, tau, states, protected=inp.protected,
                                  surrogate=surrogate, segments=seg)
         return decision.masked_states, decision, attn
@@ -274,8 +260,8 @@ class AbsaModel:
                     masked_content: list[frozenset[int]] | None = None) -> TaskOutput:
         """BIO probabilities of every sentence token, sentence after sentence."""
         inp = enc.pack_inputs([enc.ate_input(ex, self.vocab) for ex in examples])
-        seq = self._encode_input(inp, train, rng, masked_content)
-        states, decision, attn = self._mask_states(seq, inp, surrogate)
+        encoded = self._encode_input(inp, train, rng, masked_content)
+        states, decision, attn = self._mask_states(encoded, inp, surrogate)
         logits = ad.affine(states, self.params["head.ate.W"], self.params["head.ate.b"])
         content = logits[inp.content_positions]
         return TaskOutput(ad.softmax(content, axis=-1), decision, inp, attn)
@@ -285,8 +271,8 @@ class AbsaModel:
                     masked_content: list[frozenset[int]] | None = None) -> TaskOutput:
         """Polarity probabilities, one row per (example, aspect index) instance."""
         inp = enc.pack_inputs([enc.asc_input(ex, idx, self.vocab) for ex, idx in instances])
-        seq = self._encode_input(inp, train, rng, masked_content)
-        states, decision, attn = self._mask_states(seq, inp, surrogate)
+        encoded = self._encode_input(inp, train, rng, masked_content)
+        states, decision, attn = self._mask_states(encoded, inp, surrogate)
         if self.mask_cfg.strategy == "aam":
             pooled = enc.pool_aspect(states, inp.aspect_spans)
         else:
@@ -299,7 +285,7 @@ class AbsaModel:
                 denom = content_seg.lengths
             summed = ad.segment_sum(states[inp.content_positions], content_seg)
             pooled = ad.mul(summed, Tensor((1.0 / denom)[:, None]))
-        feats = ad.concat([seq.states[inp.segments.offsets], pooled], axis=1)
+        feats = ad.concat([encoded[inp.segments.offsets], pooled], axis=1)
         logits = ad.affine(feats, self.params["head.asc.W"], self.params["head.asc.b"])
         return TaskOutput(ad.softmax(logits, axis=-1), decision, inp, attn)
 

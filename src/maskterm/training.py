@@ -236,24 +236,18 @@ def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str)
         if not dataset:
             raise ContractError("ATE evaluation requires examples")
         predictions = _predict_by_length(model.predict_bio, dataset, [len(ex) for ex in dataset])
-        tp = n_pred = n_gold = 0
+        pred_spans, gold_spans = [], []
         tag_counts = {c: {"tp": 0, "fp": 0, "fn": 0} for c in tasks.BIO_CLASSES}
-        for ex, tags in zip(dataset, predictions):
-            pred_spans = tasks.decode_bio_spans(tags)
-            gold_spans = tasks.decode_bio_spans(ex.bio_tags)
-            t, p, g = tasks.span_counts(pred_spans, gold_spans)
-            tp += t
-            n_pred += p
-            n_gold += g
+        for i, (ex, tags) in enumerate(zip(dataset, predictions)):
+            pred_spans += [(i, span) for span in tasks.decode_bio_spans(tags)]
+            gold_spans += [(i, span) for span in tasks.decode_bio_spans(ex.bio_tags)]
             for pt, gt in zip(tags, ex.bio_tags):
                 if pt == gt:
                     tag_counts[gt]["tp"] += 1
                 else:
                     tag_counts[pt]["fp"] += 1
                     tag_counts[gt]["fn"] += 1
-        precision = tp / n_pred if n_pred else 1.0
-        recall = tp / n_gold if n_gold else 1.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        precision, recall, f1 = tasks.ate_span_f1(pred_spans, gold_spans)
         return tasks.EvalReport(ate={"p": precision, "r": recall, "f1": f1},
                                 per_class=tag_counts)
 
@@ -383,7 +377,7 @@ def model_config_dict(model: tasks.AbsaModel) -> dict:
     return {
         "task": model.task,
         "mask": asdict(model.mask_cfg),
-        "encoder": enc.encoder_config_to_dict(model.enc_cfg),
+        "encoder": asdict(model.enc_cfg),
         "vocab": model.vocab.words,
         "dropout_seed": model.seed + 1,
     }
@@ -394,6 +388,8 @@ def save_model(path: str, model: tasks.AbsaModel) -> None:
 
 
 def load_model(path: str) -> tasks.AbsaModel:
+    """The model a checkpoint holds; a frozen parameter (constant-weight
+    ACTM's alpha, gamma and beta) must load at its initial value."""
     config, seed, arrays = enc.load_checkpoint(path)
     try:
         enc_cfg = enc.EncoderConfig(**typed_values(
@@ -414,5 +410,9 @@ def load_model(path: str) -> tasks.AbsaModel:
             raise CompatibilityError(
                 f"parameter {name} shape {arrays[name].shape} != expected {tensor.data.shape}"
             )
+        if name in model.frozen and not np.array_equal(arrays[name], tensor.data):
+            raise CompatibilityError(
+                f"frozen parameter {name} is {arrays[name].tolist()}, not its initial "
+                f"{tensor.data.tolist()}")
         tensor.data = arrays[name].copy()
     return model

@@ -218,7 +218,7 @@ class TestParamStore:
         params.add("b", np.zeros((2, 3)))
         params.add("a", np.zeros(4))
         assert params.names() == ["b", "a"]
-        assert params.total_count() == 10
+        assert len(params) == 2
 
 
 class TestStraightThrough:

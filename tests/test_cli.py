@@ -276,6 +276,7 @@ class TestInputErrors:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        return err
 
     def test_checkpoint_is_a_directory(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
@@ -315,6 +316,39 @@ class TestInputErrors:
         doc["config"][block][key] = value
         ckpt.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + blob)
         with pytest.raises(CompatibilityError):
+            training.load_model(str(ckpt))
+        self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+
+    def test_mask_demo_sentence_on_an_asc_checkpoint(self, trained, tmp_path, capsys):
+        data, cfg, _, _ = trained
+        ckpt = tmp_path / "asc.ckpt"
+        assert cli.main(["train", "--task", "asc", "--config", str(cfg), "--data", str(data),
+                         "--ckpt-out", str(ckpt)]) == 0
+        err = self.exits_2(["mask-demo", "--sentence", "the steak was great.",
+                            "--ckpt", str(ckpt)], capsys)
+        assert "task 'asc'" in err
+
+    def test_frozen_weight_moved_in_the_checkpoint(self, tmp_path, capsys):
+        """Constant-weight ACTM holds alpha at 1; a checkpoint that says 0.7 is refused."""
+        data = tmp_path / "d.jsonl"
+        cli.main(["synth", "--seed", "1", "--size", "8", "--out", str(data)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "mask_strategy": "actm", "learnable": False,
+                                   "encoder": {"d_w": 8, "d_p": 2, "hidden": 8, "n_layers": 1,
+                                               "n_heads": 2, "d_ff": 8}}), encoding="utf-8")
+        ckpt = tmp_path / "model.ckpt"
+        assert cli.main(["train", "--task", "ate", "--config", str(cfg), "--data", str(data),
+                         "--ckpt-out", str(ckpt)]) == 0
+        header, _, blob = ckpt.read_bytes().partition(b"\n")
+        offset = 0
+        for entry in json.loads(header)["manifest"]:
+            if entry["name"] == "mask.alpha":
+                break
+            offset += 8 * int(np.prod(entry["shape"]))
+        assert np.frombuffer(blob, "<f8", count=1, offset=offset)[0] == 1.0
+        blob = blob[:offset] + np.array([0.7], "<f8").tobytes() + blob[offset + 8:]
+        ckpt.write_bytes(header + b"\n" + blob)
+        with pytest.raises(CompatibilityError, match="mask.alpha"):
             training.load_model(str(ckpt))
         self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
 

@@ -299,6 +299,16 @@ class TestReadExamples:
             corpus.read_examples(path)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("span", [[1.5, 1.5], [0, 1.0], ["0", "1"]])
+    def test_token_span_ends_must_be_integers(self, tmp_path, span):
+        """ASC slices the sentence by these ends, which fails on any but ints."""
+        rec = self.record()
+        rec["aspects"][0]["token_span"] = span
+        path = self.write_lines(tmp_path, [json.dumps(self.record()), json.dumps(rec)])
+        with pytest.raises(CorpusParseError, match="pair of integers") as exc:
+            corpus.read_examples(path)
+        assert exc.value.line == 2
+
     def test_unknown_polarity_rejected(self, tmp_path):
         rec = self.record()
         rec["aspects"][0]["polarity"] = "conflict"

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -35,6 +36,12 @@ class TestConfig:
     def test_d_k(self):
         cfg = enc.EncoderConfig(hidden=64, n_heads=4)
         assert cfg.d_k == 16
+
+    @pytest.mark.parametrize("d_D", [0, 23, 50])
+    def test_dependency_width_is_fixed(self, d_D):
+        """Any other width fails only at the first forward, in the input projection."""
+        with pytest.raises(ConfigError, match="24"):
+            enc.EncoderConfig(d_D=d_D)
 
 
 class TestEmbed:
@@ -77,40 +84,40 @@ class TestEmbed:
 
 
 class TestEncode:
-    def test_single_token_attention_map(self, small_setup):
-        _, vocab, cfg, params = small_setup
-        ex = corpus.make_example("hi", [])
-        inp = enc.ate_input(ex, vocab)
-        # strip to one position by encoding a 1-row embedded input directly
-        emb = enc.embed_tokens(params, cfg, inp)
-        one = emb[slice(0, 1)]
-        seq = enc.encode(params, cfg, one)
-        for layer_maps in seq.attention_maps:
-            for m in layer_maps[0]:
-                assert np.allclose(m, [[1.0]])
+    def test_single_token_attention_map(self):
+        """A lone row attends only to itself: its output is its V row."""
+        rng = np.random.default_rng(6)
+        q, k, v = rng.normal(size=(3, 1, 8))
+        out, _ = ad.multi_head_attention(q, k, v, 4, 0.5)
+        assert np.allclose(out, v)
 
     def test_deterministic_when_not_training(self, small_setup):
         examples, vocab, cfg, params = small_setup
         inp = enc.ate_input(examples[1], vocab)
-        a = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp)).states.data
-        b = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp)).states.data
+        a = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp)).data
+        b = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp)).data
         assert np.array_equal(a, b)
 
     def test_attention_rows_sum_to_one(self, small_setup):
+        """With V all ones the output of each row is the sum of its weights,
+        padded keys of a packed batch included."""
         examples, vocab, cfg, params = small_setup
-        for ex in examples[:4]:
-            seq = enc.encode(params, cfg, enc.embed_tokens(params, cfg, enc.ate_input(ex, vocab)))
-            for layer_maps in seq.attention_maps:
-                for m in layer_maps[0]:
-                    assert np.abs(m.sum(axis=1) - 1.0).max() <= 1e-6
+        inputs = [enc.ate_input(ex, vocab) for ex in examples[:4]]
+        for inp in inputs + [enc.pack_inputs(inputs)]:
+            emb = enc.embed_tokens(params, cfg, inp).data
+            x = emb @ params["enc.in_proj.W"].data + params["enc.in_proj.b"].data
+            q, k = x @ params["enc.L0.Wq"].data, x @ params["enc.L0.Wk"].data
+            out, _ = ad.multi_head_attention(q, k, np.ones_like(x), cfg.n_heads,
+                                             1.0 / np.sqrt(cfg.d_k), segments=inp.segments)
+            assert np.abs(out - 1.0).max() <= 1e-6
 
     def test_permutation_equivariance_without_positions(self, small_setup):
         _, _, cfg, params = small_setup
         rng = np.random.default_rng(5)
         x = rng.normal(size=(6, cfg.d_in))
         perm = rng.permutation(6)
-        out = enc.encode(params, cfg, Tensor(x)).states.data
-        out_p = enc.encode(params, cfg, Tensor(x[perm])).states.data
+        out = enc.encode(params, cfg, Tensor(x)).data
+        out_p = enc.encode(params, cfg, Tensor(x[perm])).data
         assert np.allclose(out_p, out[perm], atol=1e-9)
 
     def test_dropout_requires_rng(self, small_setup):
@@ -123,9 +130,9 @@ class TestEncode:
         examples, vocab, cfg, params = small_setup
         inp = enc.ate_input(examples[0], vocab)
         a = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp),
-                       train_mode=True, rng=np.random.default_rng(7)).states.data
+                       train_mode=True, rng=np.random.default_rng(7)).data
         b = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp),
-                       train_mode=True, rng=np.random.default_rng(7)).states.data
+                       train_mode=True, rng=np.random.default_rng(7)).data
         assert np.array_equal(a, b)
 
 
@@ -148,15 +155,13 @@ def _digest(a) -> float:
 
 # Digests of a packed encode of BLOCK_SENTENCES and of its backward, in train
 # mode (dropout 0.25) and in eval mode, as recorded when each encoder layer was
-# about fourteen graph nodes: the states, each layer's attention maps and the
-# gradient of every encoder parameter.
+# about fourteen graph nodes: the states and the gradient of every encoder
+# parameter.
 BLOCK_SENTENCES = ("great", "the steak was great", "service slow", "the wine list was awful",
                    "we arrived at noon and left")
 BLOCK_DIGESTS = {
     True: {
         "states": -9.767637440919572,
-        "attention.L0": 0.9314920468537267,
-        "attention.L1": 0.9282648803557051,
         "emb.word": 82.69420104794102,
         "emb.pos": 49.170406237906846,
         "enc.in_proj.W": 84.32714377463728,
@@ -190,8 +195,6 @@ BLOCK_DIGESTS = {
     },
     False: {
         "states": -68.97631416977258,
-        "attention.L0": 0.9314920468537267,
-        "attention.L1": 1.9877710317591908,
         "emb.word": 72.05001814981624,
         "emb.pos": 19.314296204651903,
         "enc.in_proj.W": 33.83142242014259,
@@ -227,7 +230,7 @@ BLOCK_DIGESTS = {
 
 
 def _packed_block_case(train: bool):
-    """(config, params, embedded input, encoded sequence) of BLOCK_SENTENCES
+    """(config, params, embedded input, encoded states) of BLOCK_SENTENCES
     packed into one batch, after a backward of a random projection of the states."""
     examples = [corpus.make_example(s, []) for s in BLOCK_SENTENCES]
     vocab = enc.Vocab.build(examples)
@@ -240,25 +243,24 @@ def _packed_block_case(train: bool):
         t.data = t.data + rng.normal(0.0, 0.1, size=t.data.shape)
     inp = enc.pack_inputs([enc.ate_input(ex, vocab) for ex in examples])
     emb = enc.embed_tokens(params, cfg, inp)
-    seq = enc.encode(params, cfg, emb, train_mode=train, rng=np.random.default_rng(43),
-                     segments=inp.segments)
-    ad.backward(ad.tsum(ad.mul(seq.states, Tensor(rng.normal(size=seq.states.data.shape)))))
-    return cfg, params, emb, seq
+    states = enc.encode(params, cfg, emb, train_mode=train, rng=np.random.default_rng(43),
+                        segments=inp.segments)
+    ad.backward(ad.tsum(ad.mul(states, Tensor(rng.normal(size=states.data.shape)))))
+    return cfg, params, emb, states
 
 
 class TestBlock:
     @pytest.mark.parametrize("train", [True, False])
     def test_matches_recorded_layers(self, train):
-        _, params, _, seq = _packed_block_case(train)
-        got = {"states": _digest(seq.states.data)}
-        got.update({f"attention.L{i}": _digest(m) for i, m in enumerate(seq.attention_maps)})
+        _, params, _, states = _packed_block_case(train)
+        got = {"states": _digest(states.data)}
         got.update({name: _digest(t.grad) for name, t in params.items()})
         assert got == pytest.approx(BLOCK_DIGESTS[train], rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("train", [True, False])
     def test_one_node_per_layer(self, train):
-        cfg, _, emb, seq = _packed_block_case(train)
-        assert _graph_nodes(seq.states, emb) == cfg.n_layers + 1
+        cfg, _, emb, states = _packed_block_case(train)
+        assert _graph_nodes(states, emb) == cfg.n_layers + 1
 
 
 # Bytes the graph of `TestSavedState._asc_batch` held before backward when the
@@ -348,8 +350,7 @@ class TestGradFlow:
         target = Tensor(np.random.default_rng(3).normal(size=(len(ex) + 2, 8)))
 
         def f():
-            seq = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp))
-            d = ad.sub(seq.states, target)
+            d = ad.sub(enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp)), target)
             return ad.tsum(ad.mul(d, d))
 
         assert ad.finite_difference_check(f, params) < 1e-4
@@ -365,9 +366,9 @@ class TestGradFlow:
         target = Tensor(np.random.default_rng(3).normal(size=(len(inp), 8)))
 
         def f():   # the same dropout masks on every call
-            seq = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp), train_mode=True,
-                             rng=np.random.default_rng(4), segments=inp.segments)
-            d = ad.sub(seq.states, target)
+            states = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp), train_mode=True,
+                                rng=np.random.default_rng(4), segments=inp.segments)
+            d = ad.sub(states, target)
             return ad.tsum(ad.mul(d, d))
 
         names = [n for n in params.names() if n.startswith("enc.")]
@@ -378,11 +379,11 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, small_setup):
         _, vocab, cfg, params = small_setup
         path = tmp_path / "enc.ckpt"
-        config = {"encoder": enc.encoder_config_to_dict(cfg), "vocab": vocab.words}
+        config = {"encoder": asdict(cfg), "vocab": vocab.words}
         enc.save_checkpoint(str(path), params, config, seed=13)
         loaded_cfg, seed, arrays = enc.load_checkpoint(str(path))
         assert seed == 13
-        assert loaded_cfg["encoder"] == enc.encoder_config_to_dict(cfg)
+        assert loaded_cfg["encoder"] == asdict(cfg)
         assert list(arrays) == params.names()
         for name, t in params.items():
             assert np.array_equal(arrays[name], t.data)

@@ -4,7 +4,7 @@ MasktermError, which the CLI turns into exit 2 with one `error:` line."""
 
 import json
 import re
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -112,11 +112,11 @@ def config_file():
            "alpha_init": 0.5, "encoder": {"d_w": 8, "hidden": 16, "n_heads": 2}}
 
     def check(cfg):
-        defaults = {**cli.CONFIG_DEFAULTS, **enc.encoder_config_to_dict(enc.EncoderConfig())}
+        defaults = {**cli.CONFIG_DEFAULTS, **asdict(enc.EncoderConfig())}
         values = {**{f.name: getattr(cfg, f.name) for f in fields(cfg)},
                   **{("mask_strategy" if f.name == "strategy" else f.name): getattr(cfg.mask, f.name)
                      for f in fields(cfg.mask)},
-                  **enc.encoder_config_to_dict(cfg.encoder)}
+                  **asdict(cfg.encoder)}
         for key, default in defaults.items():
             kinds = (float, type(None)) if default is None else (type(default),)
             assert type(values[key]) in kinds, key

@@ -16,19 +16,6 @@ TABLE_SCORES = np.array([0.0460, 0.1082, 0.0561, 0.0867, 0.0775, 0.0323, 0.0265,
 TABLE_KEPT = {"steak", "incredibly", "tender", "but", "service", "slow"}
 
 
-def make_actm(aggregator="mean", alpha=1.0, gamma=0.0, beta=1.0, w_a=None,
-              d_k=4, learnable=True):
-    return mk.ActmParams(
-        w_a=Tensor(w_a if w_a is not None else np.zeros(4), requires_grad=True),
-        alpha=Tensor(alpha, requires_grad=True),
-        gamma=Tensor(gamma, requires_grad=True),
-        beta=Tensor(beta, requires_grad=True),
-        aggregator=aggregator,
-        d_k=d_k,
-        learnable=learnable,
-    )
-
-
 class TestTokenAttention:
     def test_zero_weights_uniform(self):
         states = Tensor(np.random.default_rng(0).normal(size=(5, 4)))
@@ -125,13 +112,11 @@ class TestAspectRelevance:
         states = Tensor(rng.normal(size=(5, 6)))
         aspect = Tensor(rng.normal(size=6))
         coeffs = Tensor(rng.normal(size=(5, 6)))
-        actm = mk.ActmParams(w_a=w_a, alpha=alpha, gamma=gamma, beta=beta,
-                             aggregator="mean", d_k=6)
 
         def f():
             attn = mk.token_attention(states, w_a, d_k=6)
             rel = mk.aspect_relevance(states, attn, aspect, beta)
-            tau = mk.actm_threshold(attn, actm, relevance=rel)
+            tau = mk.actm_threshold(attn, alpha, "mean", relevance=rel, gamma=gamma)
             decision = mk.apply_mask(attn, tau, states, surrogate=True)
             return ad.tsum(ad.mul(decision.masked_states, coeffs))
 
@@ -141,30 +126,29 @@ class TestAspectRelevance:
 class TestActmThreshold:
     def test_table_mean_threshold(self):
         attn = Tensor(TABLE_SCORES)
-        tau = mk.actm_threshold(attn, make_actm(alpha=1.0))
+        tau = mk.actm_threshold(attn, Tensor(1.0), "mean")
         assert tau.data.shape == (14,)
         assert np.all(np.abs(tau.data - 0.0590) <= 1e-4)
         assert np.allclose(tau.data, tau.data[0])
 
     def test_alpha_zero_masks_nothing(self):
         attn = Tensor(TABLE_SCORES)
-        tau = mk.actm_threshold(attn, make_actm(alpha=0.0))
+        tau = mk.actm_threshold(attn, Tensor(0.0), "mean")
         decision = mk.apply_mask(attn, tau, Tensor(np.ones((14, 3))))
         assert decision.kept.all()
 
     def test_gamma_zero_equals_ate_mode(self):
         attn = Tensor(TABLE_SCORES)
-        params = make_actm(alpha=0.8, gamma=0.0)
         rel = Tensor(np.random.default_rng(0).dirichlet(np.ones(14)))
-        ate = mk.actm_threshold(attn, params)
-        asc = mk.actm_threshold(attn, params, relevance=rel)
+        ate = mk.actm_threshold(attn, Tensor(0.8), "mean")
+        asc = mk.actm_threshold(attn, Tensor(0.8), "mean", relevance=rel, gamma=Tensor(0.0))
         assert np.allclose(ate.data, asc.data, atol=1e-15)
 
 
 class TestApplyMask:
     def test_table_case(self):
         attn = Tensor(TABLE_SCORES)
-        tau = mk.actm_threshold(attn, make_actm(alpha=1.0))
+        tau = mk.actm_threshold(attn, Tensor(1.0), "mean")
         states = Tensor(np.random.default_rng(0).normal(size=(14, 8)))
         decision = mk.apply_mask(attn, tau, states)
         kept_tokens = {t for t, k in zip(TABLE_TOKENS, decision.kept) if k}
@@ -185,11 +169,11 @@ class TestApplyMask:
         attn = Tensor([0.3, 0.7])
         decision = mk.apply_mask(attn, Tensor([0.3, 0.8]), Tensor(np.ones((2, 2))))
         assert decision.kept[0] and not decision.kept[1]
-        assert decision.masked_scores[0] == 0.3 and decision.masked_scores[1] == 0.0
+        assert decision.masked_states.data.tolist() == [[1.0, 1.0], [0.0, 0.0]]
 
     def test_all_masked_fallback_keeps_top(self):
         attn = Tensor(TABLE_SCORES)
-        tau = mk.actm_threshold(attn, make_actm(alpha=2.0))
+        tau = mk.actm_threshold(attn, Tensor(2.0), "mean")
         decision = mk.apply_mask(attn, tau, Tensor(np.ones((14, 2))))
         assert decision.kept.sum() == 1
         assert TABLE_TOKENS[int(np.flatnonzero(decision.kept)[0])] == "steak"
@@ -202,26 +186,26 @@ class TestApplyMask:
 
     def test_idempotent_for_fixed_inputs(self):
         attn = Tensor(TABLE_SCORES)
-        tau = mk.actm_threshold(attn, make_actm(alpha=1.0))
+        tau = mk.actm_threshold(attn, Tensor(1.0), "mean")
         states = Tensor(np.random.default_rng(2).normal(size=(14, 4)))
         first = mk.apply_mask(attn, tau, states)
         second = mk.apply_mask(attn, tau, states)
         assert np.array_equal(first.kept, second.kept)
-        assert np.array_equal(first.masked_scores, second.masked_scores)
+        assert np.array_equal(first.tau, second.tau)
         assert np.array_equal(first.masked_states.data, second.masked_states.data)
 
-    def test_masked_scores_invariant(self):
+    def test_masked_states_invariant(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = int(rng.integers(2, 20))
             attn = ad.softmax(Tensor(rng.normal(size=n)))
             tau = Tensor(rng.uniform(0, 2.0 / n, size=n))
-            decision = mk.apply_mask(attn, tau, Tensor(rng.normal(size=(n, 3))))
+            states = Tensor(rng.normal(size=(n, 3)))
+            decision = mk.apply_mask(attn, tau, states)
             for i in range(n):
                 if decision.kept[i]:
-                    assert decision.masked_scores[i] == decision.attn[i]
+                    assert np.array_equal(decision.masked_states.data[i], states.data[i])
                 else:
-                    assert decision.masked_scores[i] == 0.0
                     assert not decision.masked_states.data[i].any()
 
 
@@ -235,8 +219,7 @@ class TestActmMonotonicity:
             for agg in ad.AGGREGATOR_KINDS:
                 prev = None
                 for alpha in [0.0, 0.5, 1.0, 1.5, 2.0]:
-                    params = make_actm(aggregator=agg, alpha=alpha)
-                    tau = mk.actm_threshold(attn, params)
+                    tau = mk.actm_threshold(attn, Tensor(alpha), agg)
                     kept = frozenset(np.flatnonzero(mk.apply_mask(attn, tau, states).kept).tolist())
                     if prev is not None:
                         assert kept <= prev, f"kept set grew under alpha={alpha} agg={agg}"
@@ -494,7 +477,7 @@ class TestAmomRegenerate:
 class TestTrace:
     def test_format_round_trip(self):
         attn = Tensor(TABLE_SCORES)
-        tau = mk.actm_threshold(attn, make_actm(alpha=1.0))
+        tau = mk.actm_threshold(attn, Tensor(1.0), "mean")
         decision = mk.apply_mask(attn, tau, Tensor(np.zeros((14, 2))))
         text = mk.format_mask_trace(TABLE_TOKENS, decision)
         lines = text.strip().split("\n")
