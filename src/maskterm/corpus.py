@@ -1,4 +1,4 @@
-"""Review ingestion: XML parsing, tokenization, BIO tagging, feature annotation.
+"""Review ingestion: XML parsing, tokenization, BIO tagging, POS tagging.
 
 Everything here is pure: the same bytes always produce the same examples.
 """
@@ -26,14 +26,6 @@ POLARITIES = ("positive", "negative", "neutral")
 POS_TAGS = ("DET", "ADP", "CONJ", "PRON", "VERB", "ADJ", "ADV", "NOUN", "NUM", "PUNCT", "OTHER")
 POS_INDEX = {t: i for i, t in enumerate(POS_TAGS)}
 
-DEP_RELATIONS = (
-    "root", "det", "nsubj", "dobj", "amod", "advmod", "prep", "pobj",
-    "conj", "cc", "compound", "punct", "aux", "cop", "dep",
-)
-DEP_REL_INDEX = {r: i for i, r in enumerate(DEP_RELATIONS)}
-DEP_OFFSET_CLIP = 4
-DEP_DIM = len(DEP_RELATIONS) + (2 * DEP_OFFSET_CLIP + 1)  # 15 relations + 9 offset buckets
-
 
 @dataclass
 class AspectAnnotation:
@@ -48,12 +40,11 @@ class AspectAnnotation:
 
 @dataclass
 class TokenizedExample:
-    """A tokenized, BIO-tagged, feature-annotated review sentence."""
+    """A tokenized, BIO-tagged, POS-tagged review sentence."""
 
     tokens: list[str]
     char_spans: list[tuple[int, int]]
     pos_ids: list[int]
-    dep_features: np.ndarray  # (n, DEP_DIM) float64
     bio_tags: list[str]
     aspects: list[AspectAnnotation] = field(default_factory=list)
     text: str = ""
@@ -65,8 +56,7 @@ class TokenizedExample:
         n = len(self.tokens)
         if n < 1:
             raise ContractError("example must contain at least one token")
-        if not (len(self.char_spans) == len(self.pos_ids) == len(self.bio_tags) == n
-                and self.dep_features.shape == (n, DEP_DIM)):
+        if not len(self.char_spans) == len(self.pos_ids) == len(self.bio_tags) == n:
             raise ContractError("per-token sequences disagree in length")
         if not all(isinstance(t, str) and t for t in self.tokens):
             raise ContractError("tokens must be non-empty strings")
@@ -238,62 +228,6 @@ def pos_tag(tokens: list[str]) -> list[int]:
     return [POS_INDEX[pos_tag_word(t)] for t in tokens]
 
 
-# -- dependency features ----------------------------------------------------------
-
-
-def encode_dep_row(head_offset: int, relation: str) -> np.ndarray:
-    vec = np.zeros(DEP_DIM)
-    vec[DEP_REL_INDEX.get(relation, DEP_REL_INDEX["dep"])] = 1.0
-    bucket = int(np.clip(head_offset, -DEP_OFFSET_CLIP, DEP_OFFSET_CLIP))
-    vec[len(DEP_RELATIONS) + bucket + DEP_OFFSET_CLIP] = 1.0
-    return vec
-
-
-def load_dep_features(tokens: list[str], rows: list[tuple[str, int, str]] | None) -> np.ndarray:
-    """Per-token syntactic feature vectors; zero-filled when no parse is supplied."""
-    n = len(tokens)
-    if rows is None:
-        return np.zeros((n, DEP_DIM))
-    if len(rows) != n:
-        raise AlignmentError(f"dependency rows ({len(rows)}) do not match token count ({n})")
-    return np.stack([encode_dep_row(off, rel) for _, off, rel in rows])
-
-
-def utf8_lines(path: str):
-    """(line number, text without its line ending) of each line of a file;
-    a line that is not UTF-8 raises CorpusParseError."""
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                yield lineno, raw.decode("utf-8").rstrip("\r\n")
-            except UnicodeDecodeError as exc:
-                raise CorpusParseError(f"not UTF-8: {exc.reason}", line=lineno) from exc
-
-
-def read_dep_file(path: str) -> list[list[tuple[str, int, str]]]:
-    """Companion parse file: tab-separated token/head_offset/relation rows,
-    blank line between sentences."""
-    sentences: list[list[tuple[str, int, str]]] = []
-    current: list[tuple[str, int, str]] = []
-    for lineno, line in utf8_lines(path):
-        if not line.strip():
-            if current:
-                sentences.append(current)
-                current = []
-            continue
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise CorpusParseError(f"expected 3 tab-separated columns, got {len(cols)}", line=lineno, column=1)
-        try:
-            offset = int(cols[1])
-        except ValueError as exc:
-            raise CorpusParseError(f"head offset {cols[1]!r} is not an integer", line=lineno, column=2) from exc
-        current.append((cols[0], offset, cols[2]))
-    if current:
-        sentences.append(current)
-    return sentences
-
-
 # -- SemEval XML -------------------------------------------------------------------
 
 
@@ -345,6 +279,8 @@ def parse_semeval_xml(data: bytes | str, schema: str):
     except ET.ParseError as exc:
         line, column = exc.position
         raise CorpusParseError(f"malformed XML: {exc.msg.split(':')[0]}", line=line, column=column) from exc
+    except (LookupError, ValueError) as exc:   # an encoding the XML parser cannot use
+        raise CorpusParseError(f"unusable XML encoding declaration: {exc}", line=1) from exc
 
     entries: list[tuple[str, list[AspectAnnotation]]] = []
     summary = DatasetSummary()
@@ -382,8 +318,7 @@ def parse_semeval_xml(data: bytes | str, schema: str):
 # -- example assembly ---------------------------------------------------------------
 
 
-def make_example(text: str, aspects: list[AspectAnnotation],
-                 dep_rows: list[tuple[str, int, str]] | None = None) -> TokenizedExample:
+def make_example(text: str, aspects: list[AspectAnnotation]) -> TokenizedExample:
     """Tokenize a sentence and project its annotations into a TokenizedExample."""
     tokens, spans = tokenize(text)
     projected = []
@@ -394,7 +329,6 @@ def make_example(text: str, aspects: list[AspectAnnotation],
         tokens=tokens,
         char_spans=spans,
         pos_ids=pos_tag(tokens),
-        dep_features=load_dep_features(tokens, dep_rows),
         bio_tags=char_span_to_bio(spans, aspects),
         aspects=projected,
         text=text,
@@ -481,7 +415,6 @@ def example_to_record(ex: TokenizedExample) -> dict:
         "tokens": ex.tokens,
         "spans": [list(s) for s in ex.char_spans],
         "pos": ex.pos_ids,
-        "dep": ex.dep_features.tolist(),
         "bio": ex.bio_tags,
         "aspects": [
             {
@@ -509,7 +442,6 @@ def record_to_example(rec: dict) -> TokenizedExample:
         tokens=list(rec["tokens"]),
         char_spans=[tuple(s) for s in rec["spans"]],
         pos_ids=list(rec["pos"]),
-        dep_features=np.asarray(rec["dep"], dtype=np.float64),
         bio_tags=list(rec["bio"]),
         aspects=aspects,
         text=rec.get("text", ""),
@@ -522,10 +454,22 @@ def write_examples(path: str, examples: list[TokenizedExample]) -> None:
             fh.write(json.dumps(example_to_record(ex), ensure_ascii=False) + "\n")
 
 
+def utf8_lines(path: str):
+    """(line number, text without its line ending) of each line of a file;
+    a line that is not UTF-8 raises CorpusParseError."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                yield lineno, raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise CorpusParseError(f"not UTF-8: {exc.reason}", line=lineno) from exc
+
+
 def read_examples(path: str) -> list[TokenizedExample]:
     """Examples of a line-delimited JSON file, each one validated; a line
     that is not UTF-8 or not JSON, lacks a key, holds a value of the wrong
-    type or fails validation raises CorpusParseError with its line number."""
+    type or fails validation raises CorpusParseError with its line number.
+    Other keys, such as the `dep` rows of older files, are ignored."""
     out = []
     for lineno, line in utf8_lines(path):
         if not line.strip():

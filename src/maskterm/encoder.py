@@ -1,8 +1,8 @@
 """Trainable self-attention encoder producing contextual token states.
 
-Input rows concatenate word, POS, and dependency features (`d_D` is the
-corpus's DEP_DIM); [CLS]/[SEP] use reserved vocabulary ids with zeroed
-POS/dependency parts. `encode` returns the final states, one Tensor. The
+Input rows concatenate a word embedding, carrying the position signal, and a
+POS embedding; [CLS]/[SEP] use reserved vocabulary ids with a zeroed POS
+part. `encode` returns the final states, one Tensor. The
 input projection is one graph node and each layer another: `_block` runs the
 layer on plain arrays through the autodiff kernels and hands its gradients
 back in one hand-written backward; the attention probabilities stay inside
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
-from .corpus import DEP_DIM, POS_TAGS, TokenizedExample
+from .corpus import POS_TAGS, TokenizedExample
 from .exceptions import CompatibilityError, ConfigError, ContractError, LengthError
 
 UNK_ID = 0
@@ -37,7 +37,6 @@ class EncoderConfig:
     vocab_size: int = 0          # content words; reserved ids come on top
     d_w: int = 32
     d_p: int = 8
-    d_D: int = DEP_DIM
     hidden: int = 64
     n_layers: int = 2
     n_heads: int = 4
@@ -50,15 +49,14 @@ class EncoderConfig:
         if min(self.d_w, self.d_p, self.hidden, self.n_layers, self.n_heads, self.d_ff,
                self.max_len) < 1:
             raise ConfigError("encoder sizes must be >= 1")
+        if self.vocab_size < 0:
+            raise ConfigError(f"vocab_size must be >= 0, got {self.vocab_size}")
         if self.hidden % self.n_heads != 0:
             raise ConfigError(f"hidden ({self.hidden}) must be divisible by n_heads ({self.n_heads})")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.layernorm_eps <= 0.0:
             raise ConfigError("layernorm_eps must be positive")
-        if self.d_D != DEP_DIM:
-            raise ConfigError(f"d_D must be {DEP_DIM}, the width of the dependency features, "
-                              f"got {self.d_D}")
 
     @property
     def d_k(self) -> int:
@@ -66,7 +64,7 @@ class EncoderConfig:
 
     @property
     def d_in(self) -> int:
-        return self.d_w + self.d_p + self.d_D
+        return self.d_w + self.d_p
 
 
 class Vocab:
@@ -90,13 +88,12 @@ class Vocab:
 
 @dataclass
 class ModelInput:
-    """Encoder-ready rows of one or more sequences packed end to end, plus
-    bookkeeping for masking and losses. Positions are packed row indices,
-    grouped by sequence."""
+    """Word and POS ids of one or more sequences packed end to end, one row
+    each, plus bookkeeping for masking and losses. Positions are packed row
+    indices, grouped by sequence."""
 
     token_ids: np.ndarray            # (N,) int
     pos_ids: np.ndarray              # (N,) int; ignored where special
-    dep: np.ndarray                  # (N, d_D)
     special: np.ndarray              # (N,) bool, True at [CLS]/[SEP]
     content_positions: np.ndarray    # rows of the sentence tokens
     protected: np.ndarray            # rows the masking must keep
@@ -120,13 +117,11 @@ def ate_input(example: TokenizedExample, vocab: Vocab) -> ModelInput:
     n = len(example.tokens)
     ids = np.array([CLS_ID] + [vocab.id_of(t) for t in example.tokens] + [SEP_ID])
     pos = np.array([0] + example.pos_ids + [0])
-    dep = np.vstack([np.zeros((1, DEP_DIM)), example.dep_features, np.zeros((1, DEP_DIM))])
     special = np.zeros(n + 2, dtype=bool)
     special[0] = special[-1] = True
     return ModelInput(
         token_ids=ids,
         pos_ids=pos,
-        dep=dep,
         special=special,
         content_positions=np.arange(1, n + 1),
         protected=np.array([0, n + 1]),
@@ -143,16 +138,11 @@ def asc_input(example: TokenizedExample, aspect_idx: int, vocab: Vocab) -> Model
     n = len(example.tokens)
     asp_tokens = example.tokens[s:e + 1]
     asp_pos = example.pos_ids[s:e + 1]
-    asp_dep = example.dep_features[s:e + 1]
     ids = np.array(
         [CLS_ID] + [vocab.id_of(t) for t in example.tokens] + [SEP_ID]
         + [vocab.id_of(t) for t in asp_tokens] + [SEP_ID]
     )
     pos = np.array([0] + example.pos_ids + [0] + asp_pos + [0])
-    dep = np.vstack([
-        np.zeros((1, DEP_DIM)), example.dep_features, np.zeros((1, DEP_DIM)),
-        asp_dep, np.zeros((1, DEP_DIM)),
-    ])
     total = len(ids)
     special = np.zeros(total, dtype=bool)
     special[0] = special[n + 1] = special[total - 1] = True
@@ -161,7 +151,6 @@ def asc_input(example: TokenizedExample, aspect_idx: int, vocab: Vocab) -> Model
     return ModelInput(
         token_ids=ids,
         pos_ids=pos,
-        dep=dep,
         special=special,
         content_positions=np.arange(1, n + 1),
         protected=protected,
@@ -184,7 +173,6 @@ def pack_inputs(inputs: list[ModelInput]) -> ModelInput:
     return ModelInput(
         token_ids=np.concatenate([i.token_ids for i in inputs]),
         pos_ids=np.concatenate([i.pos_ids for i in inputs]),
-        dep=np.concatenate([i.dep for i in inputs]),
         special=np.concatenate([i.special for i in inputs]),
         content_positions=rows("content_positions"),
         protected=rows("protected"),
@@ -245,8 +233,9 @@ def len_with_reserved(cfg: EncoderConfig) -> int:
 
 
 def embed_tokens(params: ParamStore, cfg: EncoderConfig, inp: ModelInput) -> Tensor:
-    """Concatenate word/POS/dependency features, word part carrying the
-    sinusoidal position signal, which restarts at every packed sequence."""
+    """Input rows (N, d_w + d_p): the word embedding plus the sinusoidal
+    position signal, which restarts at every packed sequence, then the POS
+    embedding, zero at [CLS]/[SEP]."""
     seg = inp.segments
     if seg.n_max > cfg.max_len:
         raise LengthError(f"sequence length {seg.n_max} exceeds max_len {cfg.max_len}")
@@ -255,8 +244,7 @@ def embed_tokens(params: ParamStore, cfg: EncoderConfig, inp: ModelInput) -> Ten
     pos = ad.take(params["emb.pos"], inp.pos_ids)
     pos_mask = (~inp.special).astype(np.float64)[:, None]
     pos = ad.mul(pos, Tensor(pos_mask))
-    dep = Tensor(inp.dep)
-    return ad.concat([word, pos, dep], axis=1)
+    return ad.concat([word, pos], axis=1)
 
 
 layer_norm = ad.layer_norm

@@ -45,7 +45,7 @@ class MaskConfig:
 
     strategy: str = "actm"            # actm | aam | amom | fixed | none
     aggregator: str = "mean"          # mean | median | sd
-    learnable: bool = True            # False pins alpha = gamma = 1 (constant-weight mode)
+    learnable: bool = True            # False pins alpha = gamma = beta = 1 (constant-weight mode)
     # None -> per-task defaults: ATE starts permissive (alpha 0.5); ASC starts
     # clause-selective with the threshold cut at mean relevance (alpha = 1 + |gamma|).
     alpha_init: float | None = None

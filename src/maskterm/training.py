@@ -292,7 +292,7 @@ def _tiny_config(strategy: str, task: str, seed: int = 11) -> TrainConfig:
         aam_ramp=2.0,
     )
     encoder_cfg = enc.EncoderConfig(
-        d_w=6, d_p=2, d_D=24, hidden=12, n_layers=1, n_heads=2, d_ff=16,
+        d_w=6, d_p=2, hidden=12, n_layers=1, n_heads=2, d_ff=16,
         dropout_rate=0.0, max_len=16,
     )
     return TrainConfig(task=task, seed=seed, l2_lambda=0.01, mask=mask, encoder=encoder_cfg)
@@ -388,19 +388,24 @@ def save_model(path: str, model: tasks.AbsaModel) -> None:
 
 
 def load_model(path: str) -> tasks.AbsaModel:
-    """The model a checkpoint holds; a frozen parameter (constant-weight
-    ACTM's alpha, gamma and beta) must load at its initial value."""
+    """The model a checkpoint holds. The vocabulary must be a list of
+    vocab_size distinct strings, every parameter finite, and a frozen parameter
+    (constant-weight ACTM's alpha, gamma and beta) at its initial value."""
     config, seed, arrays = enc.load_checkpoint(path)
     try:
         enc_cfg = enc.EncoderConfig(**typed_values(
             "checkpoint encoder config", config["encoder"], asdict(enc.EncoderConfig())))
         mask_cfg = mk.MaskConfig(**typed_values(
             "checkpoint mask config", config["mask"], asdict(mk.MaskConfig())))
-        vocab = enc.Vocab(config["vocab"])
+        words = config["vocab"]
         task = config["task"]
     except (KeyError, TypeError, ConfigError) as exc:
         raise CompatibilityError(f"checkpoint config unusable: {exc}") from exc
-    model = tasks.AbsaModel(task, enc_cfg, mask_cfg, vocab, seed)
+    if not (isinstance(words, list) and all(isinstance(w, str) for w in words)
+            and len(set(words)) == len(words) == enc_cfg.vocab_size):
+        raise CompatibilityError(f"checkpoint vocab is not a list of vocab_size "
+                                 f"({enc_cfg.vocab_size}) distinct strings")
+    model = tasks.AbsaModel(task, enc_cfg, mask_cfg, enc.Vocab(words), seed)
     names = model.params.names()
     if names != list(arrays):
         raise CompatibilityError("checkpoint manifest does not match the model's parameters")
@@ -410,6 +415,8 @@ def load_model(path: str) -> tasks.AbsaModel:
             raise CompatibilityError(
                 f"parameter {name} shape {arrays[name].shape} != expected {tensor.data.shape}"
             )
+        if not np.isfinite(arrays[name]).all():
+            raise CompatibilityError(f"parameter {name} holds non-finite values")
         if name in model.frozen and not np.array_equal(arrays[name], tensor.data):
             raise CompatibilityError(
                 f"frozen parameter {name} is {arrays[name].tolist()}, not its initial "

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from maskterm import cli, corpus, training
+from maskterm import cli, corpus, tasks, training
+from maskterm import encoder as enc
+from maskterm import masking as mk
 from maskterm.exceptions import CompatibilityError, ConfigError, CorpusParseError, NumericError
 
 from fixtures import SEM14_FIXTURE, SEM16_FIXTURE, MALFORMED_FIXTURE
@@ -278,6 +280,27 @@ class TestInputErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         return err
 
+    @staticmethod
+    def trained_ate(trained, tmp_path):
+        """(data, checkpoint path, header object, blob) of an ATE model trained
+        on the `trained` data and config."""
+        data, cfg, _, _ = trained
+        ckpt = tmp_path / "model.ckpt"
+        assert cli.main(["train", "--task", "ate", "--config", str(cfg), "--data", str(data),
+                         "--ckpt-out", str(ckpt)]) == 0
+        header, _, blob = ckpt.read_bytes().partition(b"\n")
+        return data, ckpt, json.loads(header), blob
+
+    @staticmethod
+    def blob_offset(doc, name):
+        """Byte offset of parameter `name` in a checkpoint blob."""
+        offset = 0
+        for entry in doc["manifest"]:
+            if entry["name"] == name:
+                return offset
+            offset += 8 * int(np.prod(entry["shape"]))
+        raise KeyError(name)
+
     def test_checkpoint_is_a_directory(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         cli.main(["synth", "--seed", "1", "--size", "4", "--out", str(data)])
@@ -340,17 +363,63 @@ class TestInputErrors:
         assert cli.main(["train", "--task", "ate", "--config", str(cfg), "--data", str(data),
                          "--ckpt-out", str(ckpt)]) == 0
         header, _, blob = ckpt.read_bytes().partition(b"\n")
-        offset = 0
-        for entry in json.loads(header)["manifest"]:
-            if entry["name"] == "mask.alpha":
-                break
-            offset += 8 * int(np.prod(entry["shape"]))
+        offset = self.blob_offset(json.loads(header), "mask.alpha")
         assert np.frombuffer(blob, "<f8", count=1, offset=offset)[0] == 1.0
         blob = blob[:offset] + np.array([0.7], "<f8").tobytes() + blob[offset + 8:]
         ckpt.write_bytes(header + b"\n" + blob)
         with pytest.raises(CompatibilityError, match="mask.alpha"):
             training.load_model(str(ckpt))
         self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+
+    @pytest.mark.parametrize("edit", [
+        lambda config: config["encoder"].update(vocab_size=-10),
+        lambda config: config["vocab"].extend(f"extra{i}" for i in range(40)),
+        lambda config: config["vocab"].__setitem__(1, config["vocab"][0]),
+    ], ids=["negative-size", "longer-list", "repeated-word"])
+    def test_checkpoint_vocab_is_vocab_size_distinct_words(self, trained, tmp_path, capsys, edit):
+        """A negative size would fail in the embedding allocation, a list
+        longer than the size would give word ids past the embedding table,
+        and a repeated word would silently move a word to another row."""
+        data, ckpt, doc, blob = self.trained_ate(trained, tmp_path)
+        edit(doc["config"])
+        ckpt.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + blob)
+        with pytest.raises(CompatibilityError, match="vocab"):
+            training.load_model(str(ckpt))
+        self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+
+    def test_non_finite_parameter_in_the_checkpoint(self, trained, tmp_path, capsys):
+        """A NaN head bias would tag every token B and still print metrics."""
+        data, ckpt, doc, blob = self.trained_ate(trained, tmp_path)
+        offset = self.blob_offset(doc, "head.ate.b")
+        blob = blob[:offset] + np.array([np.nan], "<f8").tobytes() + blob[offset + 8:]
+        ckpt.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + blob)
+        with pytest.raises(CompatibilityError, match="head.ate.b"):
+            training.load_model(str(ckpt))
+        self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+
+    def test_checkpoint_with_dependency_columns(self, tmp_path, capsys):
+        """Checkpoints written when every input row carried 24 dependency
+        columns have `d_D` in the encoder config and a (64, 64) default
+        in_proj.W; the version tag did not change, and `d_D` names the cause."""
+        data = tmp_path / "d.jsonl"
+        cli.main(["synth", "--seed", "1", "--size", "4", "--out", str(data)])
+        vocab = enc.Vocab.build(corpus.read_examples(str(data)))
+        model = tasks.AbsaModel("ate", enc.EncoderConfig(vocab_size=len(vocab.words)),
+                                mk.MaskConfig(), vocab, 0)
+        ckpt = tmp_path / "old.ckpt"
+        training.save_model(str(ckpt), model)
+        header, _, blob = ckpt.read_bytes().partition(b"\n")
+        doc = json.loads(header)
+        doc["config"]["encoder"]["d_D"] = 24
+        entry = next(e for e in doc["manifest"] if e["name"] == "enc.in_proj.W")
+        assert entry["shape"] == [40, 64]
+        entry["shape"] = [64, 64]
+        end = self.blob_offset(doc, "enc.in_proj.W") + 40 * 64 * 8
+        blob = blob[:end] + bytes(24 * 64 * 8) + blob[end:]
+        ckpt.write_bytes(json.dumps(doc, sort_keys=True).encode("utf-8") + b"\n" + blob)
+        assert doc["version"] == enc.CHECKPOINT_VERSION == "ckpt_v1"
+        err = self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+        assert "d_D" in err
 
     def test_truncated_data_line(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"

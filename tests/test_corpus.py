@@ -120,33 +120,6 @@ class TestPosTag:
             assert tag in corpus.POS_TAGS
 
 
-class TestDepFeatures:
-    def test_zero_fallback(self):
-        feats = corpus.load_dep_features(["a", "b"], None)
-        assert feats.shape == (2, corpus.DEP_DIM) and not feats.any()
-
-    def test_one_hot_encoding(self):
-        row = corpus.encode_dep_row(1, "amod")
-        assert row[corpus.DEP_REL_INDEX["amod"]] == 1.0
-        assert row[len(corpus.DEP_RELATIONS) + 1 + corpus.DEP_OFFSET_CLIP] == 1.0
-        assert row.sum() == 2.0
-
-    def test_offset_clipping(self):
-        row = corpus.encode_dep_row(9, "amod")
-        assert row[len(corpus.DEP_RELATIONS) + 4 + corpus.DEP_OFFSET_CLIP] == 1.0
-
-    def test_row_count_mismatch(self):
-        with pytest.raises(AlignmentError):
-            corpus.load_dep_features(["a", "b"], [("a", 0, "root")])
-
-    def test_dep_file_round_trip(self, tmp_path):
-        path = tmp_path / "parse.tsv"
-        path.write_text("the\t1\tdet\nsteak\t0\troot\n\nhi\t0\troot\n", encoding="utf-8")
-        sentences = corpus.read_dep_file(str(path))
-        assert len(sentences) == 2
-        assert sentences[0] == [("the", 1, "det"), ("steak", 0, "root")]
-
-
 class TestParseSemeval:
     def test_sem14_fixture(self):
         entries, summary = corpus.parse_semeval_xml(SEM14_FIXTURE, "sem14")
@@ -174,6 +147,14 @@ class TestParseSemeval:
     def test_malformed_xml_reports_position(self):
         with pytest.raises(CorpusParseError, match="line"):
             corpus.parse_semeval_xml(MALFORMED_FIXTURE, "sem14")
+
+    @pytest.mark.parametrize("encoding", ["TTF-8", "UTF-7", "rot13", "idna"])
+    def test_unusable_encoding_declaration(self, encoding):
+        """Unknown and multi-byte encodings raise LookupError or ValueError in the parser."""
+        data = SEM14_FIXTURE.replace('encoding="UTF-8"', f'encoding="{encoding}"', 1)
+        assert data != SEM14_FIXTURE
+        with pytest.raises(CorpusParseError, match="encoding declaration.*line 1"):
+            corpus.parse_semeval_xml(data.encode(), "sem14")
 
     def test_missing_attribute_names_element(self):
         with pytest.raises(SchemaError, match="aspectTerm"):
@@ -228,12 +209,29 @@ class TestSynthCorpus:
             assert back.char_spans == orig.char_spans
             assert back.pos_ids == orig.pos_ids
             assert back.bio_tags == orig.bio_tags
-            assert np.array_equal(back.dep_features, orig.dep_features)
             assert [a.token_span for a in back.aspects] == [a.token_span for a in orig.aspects]
 
     def test_record_keys_are_stable(self):
         rec = corpus.example_to_record(corpus.synth_corpus(seed=1, size=1)[0])
-        assert list(rec) == ["tokens", "spans", "pos", "dep", "bio", "aspects", "text"]
+        assert list(rec) == ["tokens", "spans", "pos", "bio", "aspects", "text"]
+
+    def test_file_with_dependency_rows_still_loads(self, tmp_path):
+        """Files written before the dependency columns were dropped carry a
+        `dep` key of zero rows after `pos` (built here byte for byte as that
+        writer wrote it); the key is ignored."""
+        examples = corpus.synth_corpus(seed=2, size=5)
+        path = tmp_path / "old.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for ex in examples:
+                rec = corpus.example_to_record(ex)
+                old = {key: rec[key] for key in ("tokens", "spans", "pos")}
+                old["dep"] = [[0.0] * 24 for _ in ex.tokens]
+                old.update(rec)
+                fh.write(json.dumps(old, ensure_ascii=False) + "\n")
+        loaded = corpus.read_examples(str(path))
+        assert [(ex.tokens, ex.char_spans, ex.pos_ids, ex.bio_tags, ex.aspects, ex.text)
+                for ex in loaded] == [(ex.tokens, ex.char_spans, ex.pos_ids, ex.bio_tags,
+                                       ex.aspects, ex.text) for ex in examples]
 
 
 class TestReadExamples:
@@ -263,7 +261,7 @@ class TestReadExamples:
         with pytest.raises(CorpusParseError, match=r"lacks key 'aspects' \(line 1\)"):
             corpus.read_examples(path)
 
-    @pytest.mark.parametrize("changes", [{"tokens": 5}, {"dep": "x"}, {"spans": [1, 2]},
+    @pytest.mark.parametrize("changes", [{"tokens": 5}, {"pos": "x"}, {"spans": [1, 2]},
                                          {"bio": None}, {"aspects": [7]}])
     def test_wrong_type(self, tmp_path, changes):
         path = self.write_lines(tmp_path, [json.dumps(self.record(**changes))])

@@ -37,11 +37,9 @@ class TestConfig:
         cfg = enc.EncoderConfig(hidden=64, n_heads=4)
         assert cfg.d_k == 16
 
-    @pytest.mark.parametrize("d_D", [0, 23, 50])
-    def test_dependency_width_is_fixed(self, d_D):
-        """Any other width fails only at the first forward, in the input projection."""
-        with pytest.raises(ConfigError, match="24"):
-            enc.EncoderConfig(d_D=d_D)
+    def test_negative_vocab_size_rejected(self):
+        with pytest.raises(ConfigError, match="vocab_size"):
+            enc.EncoderConfig(vocab_size=-10)
 
 
 class TestEmbed:
@@ -51,10 +49,15 @@ class TestEmbed:
         emb = enc.embed_tokens(params, cfg, inp)
         assert emb.data.shape == (len(examples[0]) + 2, cfg.d_in)
 
-    def test_zero_dep_fallback_propagates(self, small_setup):
+    def test_rows_are_word_and_pos_parts_only(self, small_setup):
+        """Each row is its word embedding plus the position signal, then its
+        POS embedding (zero at [CLS]/[SEP]), and nothing more."""
         examples, vocab, cfg, params = small_setup
-        emb = enc.embed_tokens(params, cfg, enc.ate_input(examples[0], vocab))
-        assert not emb.data[:, cfg.d_w + cfg.d_p:].any()
+        inp = enc.ate_input(examples[0], vocab)
+        emb = enc.embed_tokens(params, cfg, inp).data
+        word = params["emb.word"].data[inp.token_ids] + enc.sinusoidal_encoding(len(inp), cfg.d_w)
+        pos = params["emb.pos"].data[inp.pos_ids] * ~inp.special[:, None]
+        assert np.array_equal(emb, np.hstack([word, pos]))
 
     def test_identical_tokens_differ_only_in_position_slice(self, small_setup):
         _, vocab, cfg, params = small_setup
@@ -154,77 +157,80 @@ def _digest(a) -> float:
 
 
 # Digests of a packed encode of BLOCK_SENTENCES and of its backward, in train
-# mode (dropout 0.25) and in eval mode, as recorded when each encoder layer was
-# about fourteen graph nodes: the states and the gradient of every encoder
-# parameter.
+# mode (dropout 0.25) and in eval mode: the states and the gradient of every
+# encoder parameter. Recorded when the 24 always-zero dependency input columns
+# were dropped; the code before that change, given these parameters with 24
+# zero rows appended to in_proj.W, gives the same bits (and a zero gradient on
+# those rows). That code matched the digests recorded when each encoder layer
+# was about fourteen graph nodes.
 BLOCK_SENTENCES = ("great", "the steak was great", "service slow", "the wine list was awful",
                    "we arrived at noon and left")
 BLOCK_DIGESTS = {
     True: {
-        "states": -9.767637440919572,
-        "emb.word": 82.69420104794102,
-        "emb.pos": 49.170406237906846,
-        "enc.in_proj.W": 84.32714377463728,
-        "enc.in_proj.b": -87.63618074463736,
-        "enc.L0.Wq": 18.35399390093653,
-        "enc.L0.Wk": -17.7379401133628,
-        "enc.L0.Wv": 83.10773555492372,
-        "enc.L0.Wo": -38.71008350232092,
-        "enc.L0.bo": -135.70449113076387,
-        "enc.L0.ln1.g": 15.742288825894361,
-        "enc.L0.ln1.b": -95.35427792615852,
-        "enc.L0.ffn.W1": 189.2736275518637,
-        "enc.L0.ffn.b1": 27.55420755259259,
-        "enc.L0.ffn.W2": 59.38905659943997,
-        "enc.L0.ffn.b2": -88.80240578459983,
-        "enc.L0.ln2.g": 13.951873850599531,
-        "enc.L0.ln2.b": -137.8198518903251,
-        "enc.L1.Wq": 5.309260090917743,
-        "enc.L1.Wk": 167.78445356811153,
-        "enc.L1.Wv": -2.3029126236571997,
-        "enc.L1.Wo": -98.52292217245812,
-        "enc.L1.bo": 13.530517508579791,
-        "enc.L1.ln1.g": 55.69763773598319,
-        "enc.L1.ln1.b": 48.77259595355088,
-        "enc.L1.ffn.W1": -59.787273886023144,
-        "enc.L1.ffn.b1": -3.4908076750425203,
-        "enc.L1.ffn.W2": 111.5788696509315,
-        "enc.L1.ffn.b2": 44.02754517267075,
-        "enc.L1.ln2.g": 16.79701594289385,
-        "enc.L1.ln2.b": 6.612395246615338,
+        "states": 190.70189046260512,
+        "emb.word": 51.66701872905243,
+        "emb.pos": -27.74652581720103,
+        "enc.in_proj.W": 20.71470988458698,
+        "enc.in_proj.b": -74.68003941384326,
+        "enc.L0.Wq": 55.74057292348985,
+        "enc.L0.Wk": -160.44457500315065,
+        "enc.L0.Wv": 18.052245387968185,
+        "enc.L0.Wo": 357.81963700267653,
+        "enc.L0.bo": -20.577441957830924,
+        "enc.L0.ln1.g": 27.66694560349915,
+        "enc.L0.ln1.b": 17.194153965527534,
+        "enc.L0.ffn.W1": 5.885726388138092,
+        "enc.L0.ffn.b1": -29.096619866248194,
+        "enc.L0.ffn.W2": -83.8336054031719,
+        "enc.L0.ffn.b2": -10.620184489699623,
+        "enc.L0.ln2.g": 8.985911949759144,
+        "enc.L0.ln2.b": -47.86264794918796,
+        "enc.L1.Wq": 108.69996451946324,
+        "enc.L1.Wk": -327.3899407614431,
+        "enc.L1.Wv": 189.1759406365336,
+        "enc.L1.Wo": 36.61927743169811,
+        "enc.L1.bo": 47.818489729136324,
+        "enc.L1.ln1.g": -32.70806232400919,
+        "enc.L1.ln1.b": -31.782743895418523,
+        "enc.L1.ffn.W1": 104.83056301672181,
+        "enc.L1.ffn.b1": -10.617026464780226,
+        "enc.L1.ffn.W2": -48.80986767077596,
+        "enc.L1.ffn.b2": -32.994759222870194,
+        "enc.L1.ln2.g": 11.129213591310673,
+        "enc.L1.ln2.b": -12.341500980463891,
     },
     False: {
-        "states": -68.97631416977258,
-        "emb.word": 72.05001814981624,
-        "emb.pos": 19.314296204651903,
-        "enc.in_proj.W": 33.83142242014259,
-        "enc.in_proj.b": -64.72909937822851,
-        "enc.L0.Wq": 17.590987350511348,
-        "enc.L0.Wk": -12.000909286928726,
-        "enc.L0.Wv": 191.16403711438784,
-        "enc.L0.Wo": -122.85642045125604,
-        "enc.L0.bo": 27.093865452223813,
-        "enc.L0.ln1.g": 38.955706799022614,
-        "enc.L0.ln1.b": 50.11177778801881,
-        "enc.L0.ffn.W1": -48.7018283707088,
-        "enc.L0.ffn.b1": 57.97568417781452,
-        "enc.L0.ffn.W2": 160.63226044523276,
-        "enc.L0.ffn.b2": 42.64629460081066,
-        "enc.L0.ln2.g": 43.1368256198125,
-        "enc.L0.ln2.b": 56.60983079454983,
-        "enc.L1.Wq": 23.9595309372328,
-        "enc.L1.Wk": -20.340205542300687,
-        "enc.L1.Wv": 81.05616243565743,
-        "enc.L1.Wo": -240.5717305979228,
-        "enc.L1.bo": 129.41324772561455,
-        "enc.L1.ln1.g": 99.58781115123179,
-        "enc.L1.ln1.b": 136.00910537859664,
-        "enc.L1.ffn.W1": -21.875765020132278,
-        "enc.L1.ffn.b1": 19.474227091934036,
-        "enc.L1.ffn.W2": 274.44618884593433,
-        "enc.L1.ffn.b2": 58.01652754084025,
-        "enc.L1.ln2.g": 25.944532745920664,
-        "enc.L1.ln2.b": 6.612395246615338,
+        "states": 111.64959482080158,
+        "emb.word": -41.985275941205984,
+        "emb.pos": -91.4586426710974,
+        "enc.in_proj.W": 42.83015647786988,
+        "enc.in_proj.b": -49.627657102904294,
+        "enc.L0.Wq": -7.669020653886369,
+        "enc.L0.Wk": -82.7800722244697,
+        "enc.L0.Wv": -43.73448792778891,
+        "enc.L0.Wo": 57.461244988185655,
+        "enc.L0.bo": -123.67816598474349,
+        "enc.L0.ln1.g": -51.90246361603459,
+        "enc.L0.ln1.b": -98.4667940818085,
+        "enc.L0.ffn.W1": -125.55712098224934,
+        "enc.L0.ffn.b1": 15.119113519014881,
+        "enc.L0.ffn.W2": -132.56746159522203,
+        "enc.L0.ffn.b2": -36.93002878321011,
+        "enc.L0.ln2.g": 31.429006492080806,
+        "enc.L0.ln2.b": -54.404066238179645,
+        "enc.L1.Wq": -5.780933220606286,
+        "enc.L1.Wk": 7.534324157795222,
+        "enc.L1.Wv": 159.54835486399418,
+        "enc.L1.Wo": -44.22387371090105,
+        "enc.L1.bo": -16.411463675474547,
+        "enc.L1.ln1.g": 12.280854619144023,
+        "enc.L1.ln1.b": -18.075557108937485,
+        "enc.L1.ffn.W1": 91.86580337339196,
+        "enc.L1.ffn.b1": -20.07279105633716,
+        "enc.L1.ffn.W2": 180.73303714803822,
+        "enc.L1.ffn.b2": -26.615143861846114,
+        "enc.L1.ln2.g": 8.189110627885437,
+        "enc.L1.ln2.b": -12.341500980463891,
     },
 }
 
@@ -341,7 +347,7 @@ class TestGradFlow:
     def test_finite_difference_through_encoder(self):
         ex = corpus.make_example("the steak was great", [])
         vocab = enc.Vocab.build([ex])
-        cfg = enc.EncoderConfig(vocab_size=len(vocab.words), d_w=6, d_p=2, d_D=24,
+        cfg = enc.EncoderConfig(vocab_size=len(vocab.words), d_w=6, d_p=2,
                                 hidden=8, n_layers=1, n_heads=2, d_ff=12, dropout_rate=0.0)
         params = ad.ParamStore()
         enc.init_encoder_params(params, cfg, np.random.default_rng(1))

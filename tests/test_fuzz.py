@@ -33,6 +33,15 @@ def flip_bits(data, rng):
     return bytes(out)
 
 
+def flip_high_bits(data, rng):
+    """Flips 1-3 bits of the sign and top exponent byte of little-endian
+    float64 values, where one flip can turn a value in [1, 2) into inf or NaN."""
+    out = bytearray(data)
+    for _ in range(int(rng.integers(1, 4))):
+        out[8 * int(rng.integers(len(out) // 8)) + 7] ^= 1 << int(rng.integers(8))
+    return bytes(out)
+
+
 def drop_json_key(doc, rng):
     """Deletes one key, picked among every object nested in `doc`."""
     holders = []
@@ -86,6 +95,14 @@ def on_header(mutate):
     def apply(data, rng):
         header, blob = data.split(b"\n", 1)
         return mutate(header, rng) + b"\n" + blob
+    return apply
+
+
+def on_blob(mutate):
+    """`mutate` applied to the checkpoint's parameter blob only."""
+    def apply(data, rng):
+        header, blob = data.split(b"\n", 1)
+        return header + b"\n" + mutate(blob, rng)
     return apply
 
 
@@ -148,16 +165,6 @@ def scores_file():
             cli.read_scores_tsv, check)
 
 
-def dep_file():
-    text = "the\t1\tdet\nsteak\t1\tnsubj\nwas\t0\troot\n\nhi\t0\troot\nthere\t-1\tadvmod\n"
-
-    def check(sentences):
-        for sentence in sentences:
-            for token, offset, relation in sentence:
-                assert type(token) is str and type(offset) is int and type(relation) is str
-    return lambda tmp_path: text.encode(), corpus.read_dep_file, check
-
-
 def xml_file(fixture, schema):
     def load(path):
         with open(path, "rb") as fh:
@@ -174,9 +181,9 @@ PLAIN = (truncate, flip_bits)
 FORMATS = {
     "jsonl": (examples_file(), PLAIN + (drop_jsonl_key,)),
     "config": (config_file(), PLAIN + (drop_object_key,)),
-    "checkpoint": (checkpoint_file(), tuple(map(on_header, PLAIN + (drop_object_key,)))),
+    "checkpoint": (checkpoint_file(), tuple(map(on_header, PLAIN + (drop_object_key,)))
+                   + (on_blob(flip_high_bits),)),
     "scores": (scores_file(), PLAIN + (drop_tsv_column,)),
-    "deps": (dep_file(), PLAIN + (drop_tsv_column,)),
     "sem14": (xml_file(SEM14_FIXTURE, "sem14"), PLAIN + (drop_xml_attribute,)),
     "sem16": (xml_file(SEM16_FIXTURE, "sem16"), PLAIN + (drop_xml_attribute,)),
 }

@@ -18,7 +18,7 @@ from maskterm.autodiff import Tensor
 from maskterm.corpus import AspectAnnotation
 from maskterm.exceptions import DimensionError
 
-SMALL = enc.EncoderConfig(d_w=8, d_p=2, d_D=24, hidden=16, n_layers=2, n_heads=2, d_ff=24,
+SMALL = enc.EncoderConfig(d_w=8, d_p=2, hidden=16, n_layers=2, n_heads=2, d_ff=24,
                           dropout_rate=0.1)
 STRATEGIES = [("none", "mean"), ("fixed", "mean"), ("actm", "mean"), ("actm", "median"),
               ("actm", "sd"), ("aam", "mean")]
@@ -184,13 +184,16 @@ def test_evaluate_chunks_by_length_and_keeps_input_order(task, strategy, monkeyp
     assert len(lengths) > training.EVAL_CHUNK and lengths == sorted(lengths)
 
 
-# batch_loss of AMOM, which runs every instance on its own, as recorded before
-# packing: (task, train mode) -> loss.
+# batch_loss of AMOM, which runs every instance on its own: (task, train mode)
+# -> loss. First recorded before packing; re-recorded when the 24 always-zero
+# dependency input columns were dropped, which changes the init of SMALL. The
+# code before that change gives the same losses from these parameters with 24
+# zero rows appended to in_proj.W; so do the evaluation pins below.
 AMOM_LOSSES = {
-    ("ate", False): 67.06936471885174,
-    ("ate", True): 60.91749327280372,
-    ("asc", False): 27.010885676380546,
-    ("asc", True): 26.312498244344496,
+    ("ate", False): 18.424291944816655,
+    ("ate", True): 22.938112896773923,
+    ("asc", False): 6.16289145632085,
+    ("asc", True): 7.678826790279308,
 }
 
 
@@ -203,19 +206,20 @@ def test_amom_batch_loss_unchanged(task, train):
     assert abs(float(loss.data) - AMOM_LOSSES[(task, train)]) <= 1e-10
 
 
-# evaluate() of AMOM, as recorded when it refined every instance on its own:
-# the per-class counts, and for each instance in turn the content indices each
-# of its forwards hid.
+# evaluate() of AMOM, first recorded when it refined every instance on its own
+# and re-recorded with AMOM_LOSSES: the per-class counts, and for each instance
+# in turn the content indices each of its forwards hid.
 AMOM_EVAL_COUNTS = {
-    "ate": {"B": {"fn": 4, "fp": 15, "tp": 3}, "I": {"fn": 2, "fp": 12, "tp": 1},
-            "O": {"fn": 25, "fp": 4, "tp": 6}},
-    "asc": {"negative": {"f1": 0.0, "fn": 6, "fp": 0, "tp": 0},
-            "neutral": {"f1": 0.25, "fn": 0, "fp": 6, "tp": 1}},
+    "ate": {"B": {"fn": 5, "fp": 2, "tp": 2}, "I": {"fn": 2, "fp": 1, "tp": 1},
+            "O": {"fn": 3, "fp": 7, "tp": 28}},
+    "asc": {"negative": {"f1": 0.923076923076923, "fn": 0, "fp": 1, "tp": 6},
+            "neutral": {"f1": 0.0, "fn": 1, "fp": 0, "tp": 0}},
 }
 AMOM_EVAL_HIDDEN = {
-    "ate": [[], [4], [4], [], [4], [1], [], [2], [9], [], [1], [5], [], [1], [4], [], [6], [2]],
-    "asc": [[], [0], [0], [], [0], [0], [], [0], [0], [], [0], [0], [], [3], [3], [], [0], [0],
-            [], [0], [0]],
+    "ate": [[], [0], [0], [], [3], [1], [], [1, 8], [1, 8], [], [0], [0], [], [0], [0], [],
+            [4], [4]],
+    "asc": [[], [3], [3], [], [2], [2], [], [4], [4], [], [3, 4, 6], [4], [], [2], [2], [],
+            [3], [3], [], [4], [4]],
 }
 
 

@@ -12,7 +12,7 @@ from maskterm import training
 from maskterm.autodiff import Tensor
 from maskterm.exceptions import CompatibilityError, ContractError, NumericError
 
-SMALL_ENCODER = enc.EncoderConfig(d_w=8, d_p=2, d_D=24, hidden=16, n_layers=1,
+SMALL_ENCODER = enc.EncoderConfig(d_w=8, d_p=2, hidden=16, n_layers=1,
                                   n_heads=2, d_ff=24)
 
 
