@@ -775,19 +775,13 @@ class ParamStore:
         for t in self._entries.values():
             t.grad = None
 
-    def l2_sum(self) -> Tensor:
-        """Sum of squares over every entry (the regularizer's norm term), in
-        one node whose backward adds 2 * g * theta to each entry."""
-        tensors = tuple(self._entries.values())
+    def l2_sum(self) -> float:
+        """Sum of squares over every entry, in entry order: the L2 term's
+        norm, whose gradient Adam adds outside the graph."""
         total = np.float64(0.0)
-        for t in tensors:
+        for t in self._entries.values():
             total = total + (t.data * t.data).sum()
-
-        def backward(g):
-            for t in tensors:
-                _accumulate(t, 2.0 * g * t.data)
-
-        return _make(np.asarray(total), tensors, backward)
+        return float(total)
 
 
 # -- gradient checking -----------------------------------------------------------------

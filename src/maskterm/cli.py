@@ -151,12 +151,13 @@ def cmd_mask_demo(args) -> int:
                 f"task {model.task!r}")
         example = corpus.make_example(args.sentence, [])
         out = model.forward_ate([example])
-        if out.decision is None or out.attn is None:
+        decision = out.decision
+        if decision is None:
             raise CompatibilityError(
                 f"checkpoint's {model.mask_cfg.strategy!r} strategy produces no threshold trace"
             )
         tokens = ["[CLS]"] + example.tokens + ["[SEP]"]
-        attn, protected, decision, alpha = out.attn, out.inp.protected, out.decision, args.alpha
+        attn, protected, alpha = Tensor(decision.attn), out.inp.protected, args.alpha
     if alpha is not None:   # recut with alpha times the aggregate, no relevance term
         tau = mk.actm_threshold(attn, Tensor(alpha), args.aggregator)
         decision = mk.apply_mask(attn, tau, Tensor(np.zeros((len(tokens), 1))),

@@ -4,9 +4,10 @@ Three adaptive families plus a fixed-threshold baseline:
   - ACTM: mask tokens whose attention score falls under a learnable,
     context-aggregated threshold (plus an aspect-relevance term for ASC).
     `actm_threshold` takes the weights alpha and gamma as tensors: the
-    model's parameters in training, constants in `mask-demo`. `apply_mask`
-    returns a MaskDecision: the attention, thresholds and verdicts that
-    traces print, and the masked states the head reads.
+    model's parameters, or constants in constant-weight mode and in
+    `mask-demo`. `apply_mask` returns a MaskDecision: the attention,
+    thresholds and verdicts that traces print, and the masked states the
+    head reads.
   - AAM: soft distance ramp with a learnable span that reshapes attention
     around every position.
   - AMOM: remask a number of positions set by how good the last prediction
@@ -17,8 +18,9 @@ Three adaptive families plus a fixed-threshold baseline:
     Training rates a round by its correctness ratio against gold and remasks
     wrong positions first, then those of lowest gold probability; inference,
     without gold, rates it by mean max-probability and remasks the least
-    confident positions. ASC remasks the sentence tokens of lowest attention
-    in both, since its one prediction cannot rank positions.
+    confident positions. ASC remasks the sentence tokens outside the aspect
+    from left to right in both: its one prediction cannot rank positions, and
+    no learned weight ranks them.
 
 The threshold cut is a step function, so training uses a straight-through
 gate: the forward pass applies the hard rule, while gradients flow through
@@ -45,7 +47,7 @@ class MaskConfig:
 
     strategy: str = "actm"            # actm | aam | amom | fixed | none
     aggregator: str = "mean"          # mean | median | sd
-    learnable: bool = True            # False pins alpha = gamma = beta = 1 (constant-weight mode)
+    learnable: bool = True            # False: alpha = gamma = beta = 1 as constants, not parameters
     # None -> per-task defaults: ATE starts permissive (alpha 0.5); ASC starts
     # clause-selective with the threshold cut at mean relevance (alpha = 1 + |gamma|).
     alpha_init: float | None = None
@@ -254,7 +256,7 @@ def amom_select_positions(gold_probs: np.ndarray, correct: np.ndarray, n_mask: i
 
 
 def _amom_remask(probs: np.ndarray, maskable: int, cfg: MaskConfig, gold=None,
-                 relevance=None) -> set[int]:
+                 positional: bool = False) -> set[int]:
     """One instance's positions to hide next round, from its own rows alone."""
     if gold is None:
         confidence = probs.max(axis=1)
@@ -263,8 +265,8 @@ def _amom_remask(probs: np.ndarray, maskable: int, cfg: MaskConfig, gold=None,
         pred = probs.argmax(axis=-1)
         ratio = amom_correctness_ratio(pred.tolist(), gold.tolist())
     _, n_mask = amom_mask_count(ratio, maskable, cfg)
-    if relevance is not None:
-        chosen = amom_select_positions(relevance, np.ones(maskable, dtype=bool), n_mask)
+    if positional:
+        chosen = range(n_mask)
     elif gold is not None:
         gold_probs = probs[np.arange(gold.size), gold]
         chosen = amom_select_positions(gold_probs, pred == gold, n_mask)
@@ -273,7 +275,7 @@ def _amom_remask(probs: np.ndarray, maskable: int, cfg: MaskConfig, gold=None,
     return set(chosen)
 
 
-def amom_regenerate(forward, cfg: MaskConfig, count: int, gold=None, relevance=None):
+def amom_regenerate(forward, cfg: MaskConfig, count: int, gold=None, maskable=None):
     """Iterative remask-and-regenerate loop over a batch of `count`
     instances, for training and inference alike.
 
@@ -286,10 +288,10 @@ def amom_regenerate(forward, cfg: MaskConfig, count: int, gold=None, relevance=N
     `cfg.amom_iterations` rounds after the unmasked first pass hides
     amom_mask_count(R) of its positions, where R is the correctness ratio
     against its `gold` class ids (one array per instance, one id per row), or
-    without gold its mean max-probability. The positions are the
-    lowest-`relevance` ones of its `len(relevance[b])` maskable ones when
-    relevance vectors are given; otherwise, with gold, the wrong ones first
-    and then by gold probability; otherwise the least confident ones. An
+    without gold its mean max-probability. Given `maskable` counts, one per
+    instance, the positions are the first ones of its `maskable[b]`;
+    otherwise they are among its rows: with gold, the wrong ones first and
+    then by gold probability, without gold the least confident ones. An
     instance with nothing to mask keeps its first-pass result. Returns
     (final probs per instance, losses, masked sets), the last two with one
     entry per (round, instance) pair in call order, the first pass included
@@ -299,12 +301,11 @@ def amom_regenerate(forward, cfg: MaskConfig, count: int, gold=None, relevance=N
     probs = list(first)
     losses = list(first_losses or [None] * count)
     masked_history: list[set[int]] = []
-    maskable = [p.shape[0] for p in probs] if relevance is None else [len(r) for r in relevance]
-    active = [b for b in range(count) if maskable[b]]
+    counts = [p.shape[0] for p in probs] if maskable is None else maskable
+    active = [b for b in range(count) if counts[b]]
     for _ in range(cfg.amom_iterations if active else 0):
-        masked = {b: _amom_remask(probs[b], maskable[b], cfg,
-                                  None if gold is None else gold[b],
-                                  None if relevance is None else relevance[b])
+        masked = {b: _amom_remask(probs[b], counts[b], cfg,
+                                  None if gold is None else gold[b], maskable is not None)
                   for b in active}
         masked_history.extend(masked.values())
         round_probs, round_losses = forward(masked)

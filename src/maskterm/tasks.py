@@ -78,10 +78,9 @@ def ate_loss(probs: Tensor, gold_tags: list[str]) -> Tensor:
     return -ad.tsum(ad.log_clamped(picked))
 
 
-def asc_loss(probs: Tensor, gold_classes: list[str],
-             params: ParamStore, l2_lambda: float) -> Tensor:
-    """Instance-averaged multiclass cross-entropy over (B, 3) probabilities
-    plus (lambda/2) * ||theta||^2 over every stored parameter."""
+def asc_loss(probs: Tensor, gold_classes: list[str]) -> Tensor:
+    """Instance-averaged multiclass cross-entropy over (B, 3) probabilities.
+    The L2 term is not part of it: training adds its gradient in Adam."""
     b = probs.data.shape[0]
     if b == 0:
         raise ContractError("asc_loss needs a non-empty batch")
@@ -89,10 +88,7 @@ def asc_loss(probs: Tensor, gold_classes: list[str],
         raise DimensionError(f"predictions {probs.data.shape} vs {len(gold_classes)} labels")
     ids = np.array([ASC_INDEX[g] for g in gold_classes])
     picked = probs[(np.arange(b), ids)]
-    loss = ad.mul(ad.tsum(ad.log_clamped(picked)), -1.0 / b)
-    if l2_lambda != 0.0:
-        loss = ad.add(loss, ad.mul(params.l2_sum(), l2_lambda / 2.0))
-    return loss
+    return ad.mul(ad.tsum(ad.log_clamped(picked)), -1.0 / b)
 
 
 # -- metrics -----------------------------------------------------------------------
@@ -144,7 +140,6 @@ class TaskOutput:
     probs: Tensor                    # (sum of sentence lengths, 3) for ATE, (B, 3) for ASC
     decision: mk.MaskDecision | None
     inp: enc.ModelInput              # the packed batch
-    attn: Tensor | None = None
 
 
 class AbsaModel:
@@ -160,34 +155,21 @@ class AbsaModel:
         self.vocab = vocab
         self.seed = seed
         self.params = ParamStore()
-        self.frozen: set[str] = set()
+        self.actm_weights: dict[str, Tensor] = {}   # parameters, or constants if not learnable
         rng = np.random.default_rng(seed)
         enc.init_encoder_params(self.params, enc_cfg, rng)
         self._init_mask_params()
         self._init_head(rng)
 
-    def _needs_attention(self) -> bool:
-        s = self.mask_cfg.strategy
-        return s in ("actm", "fixed") or (s == "amom" and self.task == "asc")
-
     def _init_mask_params(self) -> None:
         cfg = self.mask_cfg
-        if self._needs_attention():
+        if cfg.strategy in ("actm", "fixed"):
             self.params.add("mask.w_a", np.zeros(self.enc_cfg.hidden))
         if cfg.strategy == "actm":
-            if cfg.learnable:
-                self.params.add("mask.alpha", cfg.resolved_init("alpha_init", self.task))
-            else:
-                self.params.add("mask.alpha", 1.0)
-                self.frozen.add("mask.alpha")
-            if self.task == "asc":
-                if cfg.learnable:
-                    self.params.add("mask.gamma", cfg.resolved_init("gamma_init", self.task))
-                    self.params.add("mask.beta", cfg.resolved_init("beta_init", self.task))
-                else:
-                    self.params.add("mask.gamma", 1.0)
-                    self.params.add("mask.beta", 1.0)
-                    self.frozen.update({"mask.gamma", "mask.beta"})
+            for w in ("alpha", "gamma", "beta") if self.task == "asc" else ("alpha",):
+                self.actm_weights[w] = (
+                    self.params.add(f"mask.{w}", cfg.resolved_init(f"{w}_init", self.task))
+                    if cfg.learnable else Tensor(1.0))
         elif cfg.strategy == "aam":
             self.params.add("mask.z", cfg.aam_span_init)
 
@@ -220,35 +202,30 @@ class AbsaModel:
                           segments=inp.segments)
 
     def _mask_states(self, states: Tensor, inp: enc.ModelInput, surrogate: bool):
-        """Strategy dispatch: returns (states for the head, decision, attn).
+        """Strategy dispatch: returns (states for the head, decision).
         ACTM on ASC input weighs attention by relevance to the pooled aspect."""
         cfg = self.mask_cfg
-        params = self.params
         d_k = self.enc_cfg.hidden
         seg = inp.segments
         if cfg.strategy == "none" or cfg.strategy == "amom":
-            attn = None
-            if self._needs_attention():
-                attn = mk.token_attention(states, params["mask.w_a"], d_k, seg)
-            return states, None, attn
+            return states, None
         if cfg.strategy == "aam":
-            z = ad.clamp(params["mask.z"], 0.0, float(self.enc_cfg.max_len))
-            remixed = mk.aam_remix(states, z, cfg.aam_ramp, d_k, seg)
-            return remixed, None, None
-        attn = mk.token_attention(states, params["mask.w_a"], d_k, seg)
+            z = ad.clamp(self.params["mask.z"], 0.0, float(self.enc_cfg.max_len))
+            return mk.aam_remix(states, z, cfg.aam_ramp, d_k, seg), None
+        attn = mk.token_attention(states, self.params["mask.w_a"], d_k, seg)
         if cfg.strategy == "fixed":
             tau = mk.fixed_threshold(attn, cfg.fixed_tau)
         else:
+            w = self.actm_weights
             relevance = gamma = None
             if inp.aspect_spans is not None:
                 aspect_vec = enc.pool_aspect(states, inp.aspect_spans)
-                relevance = mk.aspect_relevance(states, attn, aspect_vec, params["mask.beta"], seg)
-                gamma = params["mask.gamma"]
-            tau = mk.actm_threshold(attn, params["mask.alpha"], cfg.aggregator,
-                                    relevance, gamma, seg)
+                relevance = mk.aspect_relevance(states, attn, aspect_vec, w["beta"], seg)
+                gamma = w["gamma"]
+            tau = mk.actm_threshold(attn, w["alpha"], cfg.aggregator, relevance, gamma, seg)
         decision = mk.apply_mask(attn, tau, states, protected=inp.protected,
                                  surrogate=surrogate, segments=seg)
-        return decision.masked_states, decision, attn
+        return decision.masked_states, decision
 
     # -- task forwards ------------------------------------------------------------
     # Each forward runs a whole batch as one packed graph; a single example is
@@ -261,10 +238,10 @@ class AbsaModel:
         """BIO probabilities of every sentence token, sentence after sentence."""
         inp = enc.pack_inputs([enc.ate_input(ex, self.vocab) for ex in examples])
         encoded = self._encode_input(inp, train, rng, masked_content)
-        states, decision, attn = self._mask_states(encoded, inp, surrogate)
+        states, decision = self._mask_states(encoded, inp, surrogate)
         logits = ad.affine(states, self.params["head.ate.W"], self.params["head.ate.b"])
         content = logits[inp.content_positions]
-        return TaskOutput(ad.softmax(content, axis=-1), decision, inp, attn)
+        return TaskOutput(ad.softmax(content, axis=-1), decision, inp)
 
     def forward_asc(self, instances: list[tuple[TokenizedExample, int]], train: bool = False,
                     surrogate: bool = False, rng: np.random.Generator | None = None,
@@ -272,7 +249,7 @@ class AbsaModel:
         """Polarity probabilities, one row per (example, aspect index) instance."""
         inp = enc.pack_inputs([enc.asc_input(ex, idx, self.vocab) for ex, idx in instances])
         encoded = self._encode_input(inp, train, rng, masked_content)
-        states, decision, attn = self._mask_states(encoded, inp, surrogate)
+        states, decision = self._mask_states(encoded, inp, surrogate)
         if self.mask_cfg.strategy == "aam":
             pooled = enc.pool_aspect(states, inp.aspect_spans)
         else:
@@ -287,12 +264,12 @@ class AbsaModel:
             pooled = ad.mul(summed, Tensor((1.0 / denom)[:, None]))
         feats = ad.concat([encoded[inp.segments.offsets], pooled], axis=1)
         logits = ad.affine(feats, self.params["head.asc.W"], self.params["head.asc.b"])
-        return TaskOutput(ad.softmax(logits, axis=-1), decision, inp, attn)
+        return TaskOutput(ad.softmax(logits, axis=-1), decision, inp)
 
     # -- AMOM -------------------------------------------------------------------------
     # One adapter per task around masking.amom_regenerate, for the loss
     # (`scored`: remask by gold, one loss per instance and round) and for
-    # prediction (remask by confidence or attention, no losses). Both return
+    # prediction (remask by confidence, no losses). Both return
     # amom_regenerate's (probs per instance, losses, masked sets).
 
     def amom_ate(self, examples: list[TokenizedExample], scored: bool = False,
@@ -313,10 +290,10 @@ class AbsaModel:
 
     def amom_asc(self, instances: list[tuple[TokenizedExample, int]], scored: bool = False,
                  train: bool = False, rng: np.random.Generator | None = None):
-        """Remasks each instance's sentence tokens outside its aspect span,
-        lowest attention first, the attention taken from one unmasked no-grad
-        base pass over the batch. Without losses to record, that pass is also
-        the first round, the only one that masks nothing."""
+        """Remasks each instance's sentence tokens outside its aspect span, left
+        to right. One unmasked no-grad base pass over the batch gives the packed
+        rows that say which those are; without losses to record, it is also the
+        first round, the only one that masks nothing."""
         with ad.no_grad():
             base = self.forward_asc(instances)
         inp = base.inp
@@ -324,7 +301,6 @@ class AbsaModel:
         content = np.split(inp.content_positions, inp.content_segments.offsets[1:])
         maskable = [[c for c, pos in enumerate(rows.tolist()) if pos not in protected]
                     for rows in content]
-        relevance = [base.attn.data[rows[m]] for rows, m in zip(content, maskable)]
         golds = [ex.aspects[i].polarity for ex, i in instances]
 
         def forward(masked: dict[int, set[int]]):
@@ -333,12 +309,13 @@ class AbsaModel:
             hidden = [frozenset(maskable[b][i] for i in m) for b, m in masked.items()]
             out = self.forward_asc([instances[b] for b in masked], train=train, rng=rng,
                                    masked_content=hidden)
-            losses = ([asc_loss(out.probs[k:k + 1], [golds[b]], self.params, 0.0)
+            losses = ([asc_loss(out.probs[k:k + 1], [golds[b]])
                        for k, b in enumerate(masked)] if scored else None)
             return out.probs.data[:, None], losses
 
         gold_ids = [np.array([ASC_INDEX[g]]) for g in golds] if scored else None
-        return mk.amom_regenerate(forward, self.mask_cfg, len(instances), gold_ids, relevance)
+        return mk.amom_regenerate(forward, self.mask_cfg, len(instances), gold_ids,
+                                  [len(m) for m in maskable])
 
     # -- prediction helpers ----------------------------------------------------------
     # AMOM predicts from its last regeneration round.

@@ -27,7 +27,7 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
     learning_rate: float = 2e-5
-    l2_lambda: float = 0.01
+    l2_lambda: float = 0.01           # ASC only: ATE trains without L2 decay
     seed: int = 0
     mask: mk.MaskConfig = field(default_factory=mk.MaskConfig)
     encoder: enc.EncoderConfig = field(default_factory=enc.EncoderConfig)
@@ -86,12 +86,14 @@ class RunLog:
 
 
 class Adam:
-    """Adam with bias correction; parameters listed in `frozen` never move."""
+    """Adam with bias correction, on each gradient plus `l2` * theta: coupled
+    L2 decay, the gradient of (l2/2) * ||theta||^2 kept out of the graph. A
+    parameter with no loss gradient steps on l2 * theta alone."""
 
-    def __init__(self, params: ad.ParamStore, lr: float, frozen: set[str] | None = None):
+    def __init__(self, params: ad.ParamStore, lr: float, l2: float = 0.0):
         self.params = params
         self.lr = lr
-        self.frozen = frozen or set()
+        self.l2 = l2
         self.t = 0
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
@@ -101,9 +103,11 @@ class Adam:
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, tensor in self.params.items():
-            if name in self.frozen or tensor.grad is None:
-                continue
             g = tensor.grad
+            if self.l2:
+                g = self.l2 * tensor.data if g is None else g + self.l2 * tensor.data
+            if g is None:
+                continue
             self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
             self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
             m_hat = self.m[name] / bc1
@@ -126,29 +130,29 @@ def batch_loss(model: tasks.AbsaModel, config: TrainConfig, batch, train: bool, 
     """One differentiable scalar per batch, the batch run as one packed graph.
 
     ATE: per-example token-summed cross-entropy, averaged over the batch.
-    ASC: instance-averaged cross-entropy plus the L2 term, added once.
+    ASC: instance-averaged cross-entropy; its L2 term is not in the graph
+    (Adam adds its gradient, `train` adds its value to the logged loss).
     AMOM runs each instance as a batch of one, so dropout draws keep the
     order of a lone instance, and averages its per-round losses first.
     """
     if config.mask.strategy == "amom":
         amom = model.amom_ate if config.task == "ate" else model.amom_asc
-        loss = _mean_tensor([_mean_tensor(amom([item], scored=True, train=train, rng=rng)[1])
+        return _mean_tensor([_mean_tensor(amom([item], scored=True, train=train, rng=rng)[1])
                              for item in batch])
-        if config.task == "asc" and config.l2_lambda != 0.0:
-            loss = ad.add(loss, ad.mul(model.params.l2_sum(), config.l2_lambda / 2.0))
-        return loss
     if config.task == "ate":
         out = model.forward_ate(batch, train=train, rng=rng)
         tags = [tag for ex in batch for tag in ex.bio_tags]
         return ad.mul(tasks.ate_loss(out.probs, tags), 1.0 / len(batch))
     out = model.forward_asc(batch, train=train, rng=rng)
     golds = [ex.aspects[aspect_idx].polarity for ex, aspect_idx in batch]
-    return tasks.asc_loss(out.probs, golds, model.params, config.l2_lambda)
+    return tasks.asc_loss(out.probs, golds)
 
 
 def train(config: TrainConfig, train_set: list[TokenizedExample],
           eval_set: list[TokenizedExample]):
-    """Run the full optimization; returns (model, RunLog)."""
+    """Run the full optimization; returns (model, RunLog). An epoch's
+    `train_loss` is the cross-entropy plus, for ASC, the L2 term
+    (lambda/2) * ||theta||^2, which `l2_term` logs alone."""
     if not train_set:
         raise ContractError("training set is empty")
     vocab = enc.Vocab.build(train_set)
@@ -166,18 +170,20 @@ def train(config: TrainConfig, train_set: list[TokenizedExample],
 
     data_rng = np.random.default_rng(config.seed)
     dropout_rng = np.random.default_rng(config.seed + 1)
-    optimizer = Adam(model.params, config.learning_rate, frozen=model.frozen)
+    l2 = config.l2_lambda if config.task == "asc" else 0.0
+    optimizer = Adam(model.params, config.learning_rate, l2)
     log = RunLog()
     for epoch in range(config.epochs):
         started = time.perf_counter()
         order = data_rng.permutation(len(instances))
-        epoch_loss = 0.0
+        epoch_loss = epoch_l2 = 0.0
         seen = 0
         for lo in range(0, len(instances), config.batch_size):
             batch = [instances[i] for i in order[lo:lo + config.batch_size]]
             model.params.zero_grad()
             loss = batch_loss(model, config, batch, train=True, rng=dropout_rng)
-            value = float(loss.data)
+            l2_term = model.params.l2_sum() * (l2 / 2.0) if l2 else 0.0
+            value = float(loss.data) + l2_term
             if not np.isfinite(value):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch} batch {lo // config.batch_size} "
@@ -187,12 +193,14 @@ def train(config: TrainConfig, train_set: list[TokenizedExample],
             del loss   # free this batch's graph before the next one is built
             optimizer.step()
             epoch_loss += value * len(batch)
+            epoch_l2 += l2_term * len(batch)
             seen += len(batch)
         report = evaluate(model, eval_set, config.task)
         param_norm = float(np.sqrt(sum((t.data ** 2).sum() for t in model.params.tensors())))
         log.append(
             epoch=epoch,
             train_loss=epoch_loss / max(seen, 1),
+            l2_term=epoch_l2 / max(seen, 1),
             eval=report_metrics(report, config.task),
             wall_time_s=round(time.perf_counter() - started, 4),
             param_norm=param_norm,
@@ -295,7 +303,7 @@ def _tiny_config(strategy: str, task: str, seed: int = 11) -> TrainConfig:
         d_w=6, d_p=2, hidden=12, n_layers=1, n_heads=2, d_ff=16,
         dropout_rate=0.0, max_len=16,
     )
-    return TrainConfig(task=task, seed=seed, l2_lambda=0.01, mask=mask, encoder=encoder_cfg)
+    return TrainConfig(task=task, seed=seed, mask=mask, encoder=encoder_cfg)
 
 
 def _param_groups(model: tasks.AbsaModel) -> dict[str, list[str]]:
@@ -322,9 +330,15 @@ def grad_check_suite(h: float = 1e-5, seed: int = 11) -> dict[str, dict[str, flo
     """
     report: dict[str, dict[str, float]] = {}
 
-    quad = ad.ParamStore()
-    quad.add("theta", np.random.default_rng(seed).normal(size=5))
-    report["quadratic"] = {"theta": ad.finite_difference_check(lambda: quad.l2_sum(), quad, h=h)}
+    def l2_sum(theta):
+        quad = ad.ParamStore()
+        quad.add("theta", theta)
+        return quad.l2_sum()
+
+    theta = np.random.default_rng(seed).normal(size=5)
+    central = np.array([(l2_sum(theta + e) - l2_sum(theta - e)) / (2 * h) for e in np.eye(5) * h])
+    errors = np.abs(2 * theta - central) / np.maximum(1e-8, np.abs(central))
+    report["quadratic"] = {"theta": float(errors.max())}   # closed form against central differences
 
     def check(label: str, strategy: str, task: str, instances, skip=()):
         config = _tiny_config(strategy, task, seed=seed)
@@ -352,12 +366,11 @@ def grad_check_suite(h: float = 1e-5, seed: int = 11) -> dict[str, dict[str, flo
 
             def objective():
                 out = model.forward_asc(instances, surrogate=True)
-                return tasks.asc_loss(out.probs, golds, model.params, config.l2_lambda)
+                return tasks.asc_loss(out.probs, golds)
 
         group_errors = {}
         for group, names in _param_groups(model).items():
-            names = [n for n in names if n not in model.frozen]
-            if names and group not in skip:
+            if group not in skip:
                 group_errors[group] = ad.finite_difference_check(objective, model.params, h=h, names=names)
         report[label] = group_errors
 
@@ -379,7 +392,6 @@ def model_config_dict(model: tasks.AbsaModel) -> dict:
         "mask": asdict(model.mask_cfg),
         "encoder": asdict(model.enc_cfg),
         "vocab": model.vocab.words,
-        "dropout_seed": model.seed + 1,
     }
 
 
@@ -389,8 +401,8 @@ def save_model(path: str, model: tasks.AbsaModel) -> None:
 
 def load_model(path: str) -> tasks.AbsaModel:
     """The model a checkpoint holds. The vocabulary must be a list of
-    vocab_size distinct strings, every parameter finite, and a frozen parameter
-    (constant-weight ACTM's alpha, gamma and beta) at its initial value."""
+    vocab_size distinct strings, the manifest must list the model's
+    parameters in order, and every parameter must be finite."""
     config, seed, arrays = enc.load_checkpoint(path)
     try:
         enc_cfg = enc.EncoderConfig(**typed_values(
@@ -408,7 +420,11 @@ def load_model(path: str) -> tasks.AbsaModel:
     model = tasks.AbsaModel(task, enc_cfg, mask_cfg, enc.Vocab(words), seed)
     names = model.params.names()
     if names != list(arrays):
-        raise CompatibilityError("checkpoint manifest does not match the model's parameters")
+        missing = next((n for n in names if n not in arrays), None)
+        unexpected = next((n for n in arrays if n not in model.params), None)
+        raise CompatibilityError(
+            f"checkpoint manifest does not match the parameters of the {task} {mask_cfg.strategy!r} "
+            f"model (first missing: {missing}, first unexpected: {unexpected})")
     for name in names:
         tensor = model.params[name]
         if arrays[name].shape != tensor.data.shape:
@@ -417,9 +433,5 @@ def load_model(path: str) -> tasks.AbsaModel:
             )
         if not np.isfinite(arrays[name]).all():
             raise CompatibilityError(f"parameter {name} holds non-finite values")
-        if name in model.frozen and not np.array_equal(arrays[name], tensor.data):
-            raise CompatibilityError(
-                f"frozen parameter {name} is {arrays[name].tolist()}, not its initial "
-                f"{tensor.data.tolist()}")
         tensor.data = arrays[name].copy()
     return model

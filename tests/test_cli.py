@@ -351,25 +351,48 @@ class TestInputErrors:
                             "--ckpt", str(ckpt)], capsys)
         assert "task 'asc'" in err
 
-    def test_frozen_weight_moved_in_the_checkpoint(self, tmp_path, capsys):
-        """Constant-weight ACTM holds alpha at 1; a checkpoint that says 0.7 is refused."""
+    def small_checkpoint(self, tmp_path, task, **config):
+        """(data, checkpoint path, header object, blob) of a one-epoch model
+        with a small encoder and the given config keys."""
         data = tmp_path / "d.jsonl"
         cli.main(["synth", "--seed", "1", "--size", "8", "--out", str(data)])
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epochs": 1, "mask_strategy": "actm", "learnable": False,
+        cfg.write_text(json.dumps({"epochs": 1, **config,
                                    "encoder": {"d_w": 8, "d_p": 2, "hidden": 8, "n_layers": 1,
                                                "n_heads": 2, "d_ff": 8}}), encoding="utf-8")
         ckpt = tmp_path / "model.ckpt"
-        assert cli.main(["train", "--task", "ate", "--config", str(cfg), "--data", str(data),
+        assert cli.main(["train", "--task", task, "--config", str(cfg), "--data", str(data),
                          "--ckpt-out", str(ckpt)]) == 0
         header, _, blob = ckpt.read_bytes().partition(b"\n")
-        offset = self.blob_offset(json.loads(header), "mask.alpha")
-        assert np.frombuffer(blob, "<f8", count=1, offset=offset)[0] == 1.0
-        blob = blob[:offset] + np.array([0.7], "<f8").tobytes() + blob[offset + 8:]
-        ckpt.write_bytes(header + b"\n" + blob)
-        with pytest.raises(CompatibilityError, match="mask.alpha"):
+        return data, ckpt, json.loads(header), blob
+
+    def with_parameter(self, ckpt, doc, blob, name, before, values):
+        """Rewrites the checkpoint with parameter `name` put in front of `before`."""
+        offset = self.blob_offset(doc, before)
+        k = [entry["name"] for entry in doc["manifest"]].index(before)
+        doc["manifest"].insert(k, {"name": name, "shape": list(np.shape(values))})
+        blob = blob[:offset] + np.asarray(values, "<f8").tobytes() + blob[offset:]
+        ckpt.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + blob)
+
+    def test_frozen_weight_moved_in_the_checkpoint(self, tmp_path, capsys):
+        """Constant-weight ACTM holds alpha as the constant 1, not a parameter;
+        a checkpoint that carries it, moved to 0.7, is refused by name."""
+        data, ckpt, doc, blob = self.small_checkpoint(tmp_path, "ate", mask_strategy="actm",
+                                                      learnable=False)
+        assert "mask.alpha" not in [entry["name"] for entry in doc["manifest"]]
+        self.with_parameter(ckpt, doc, blob, "mask.alpha", "head.ate.W", 0.7)
+        with pytest.raises(CompatibilityError, match="first unexpected: mask.alpha"):
             training.load_model(str(ckpt))
-        self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+        err = self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+        assert "first missing: None, first unexpected: mask.alpha" in err
+
+    def test_checkpoint_with_an_amom_scoring_weight(self, tmp_path, capsys):
+        """AMOM ASC checkpoints used to carry a scoring weight mask.w_a that
+        never trained; such a checkpoint is refused by name."""
+        data, ckpt, doc, blob = self.small_checkpoint(tmp_path, "asc", mask_strategy="amom")
+        self.with_parameter(ckpt, doc, blob, "mask.w_a", "head.asc.W", np.zeros(8))
+        err = self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+        assert "'amom' model (first missing: None, first unexpected: mask.w_a)" in err
 
     @pytest.mark.parametrize("edit", [
         lambda config: config["encoder"].update(vocab_size=-10),

@@ -301,7 +301,7 @@ class TestSavedState:
         try:
             before = tracemalloc.get_traced_memory()[0]
             out = model.forward_asc(instances, train=True, rng=np.random.default_rng(0))
-            loss = tasks.asc_loss(out.probs, ["positive"] * len(instances), model.params, 0.0)
+            loss = tasks.asc_loss(out.probs, ["positive"] * len(instances))
             del out
             held = tracemalloc.get_traced_memory()[0] - before
         finally:

@@ -392,7 +392,9 @@ class TestAmomRegenerate:
         _, _, history = mk.amom_regenerate(self.stub_forward(probs), cfg, 1, [gold])
         assert history[0] == {1, 3}
 
-    def test_asc_mode_uses_relevance(self):
+    def test_asc_mode_hides_left_to_right(self):
+        """Given maskable counts, the one prediction row ranks nothing: the
+        first positions are hidden, as many as the ratio asks for."""
         gold = np.array([1])
         probs = np.array([[0.2, 0.8]])
 
@@ -400,8 +402,10 @@ class TestAmomRegenerate:
             return [probs], None
 
         cfg = mk.MaskConfig(amom_mu_min=0.4, amom_mu_max=0.4, amom_iterations=1)
-        _, _, history = mk.amom_regenerate(forward, cfg, 1, [gold], relevance=[np.array([0.5])])
+        _, _, history = mk.amom_regenerate(forward, cfg, 1, [gold], maskable=[1])
         assert history[0] == {0}
+        _, _, history = mk.amom_regenerate(forward, cfg, 1, [gold], maskable=[8])
+        assert history[0] == {0, 1, 2}   # round(0.4 * 8 + 0.5) positions
 
     def test_without_gold_remasks_least_confident(self, monkeypatch):
         probs = np.array([
@@ -432,15 +436,15 @@ class TestAmomRegenerate:
             return [np.array([[0.2, 0.8, 0.0]])], None
 
         _, losses, history = mk.amom_regenerate(forward, mk.MaskConfig(), 1, [np.array([1])],
-                                                relevance=[np.zeros(0)])
+                                                maskable=[0])
         assert calls == [{0: set()}] and losses == [None] and history == []
 
-    @pytest.mark.parametrize("selector", ["gold", "confidence", "relevance"])
+    @pytest.mark.parametrize("selector", ["gold", "confidence", "maskable"])
     def test_instances_run_together_as_alone(self, selector):
         rng = np.random.default_rng(8)
         base = [rng.dirichlet(np.ones(3), size=m) for m in (7, 4)]
         gold = [rng.integers(0, 3, size=p.shape[0]) for p in base] if selector == "gold" else None
-        relevance = [rng.random(5), rng.random(3)] if selector == "relevance" else None
+        maskable = [5, 3] if selector == "maskable" else None
         cfg = mk.MaskConfig(amom_mu_min=0.2, amom_mu_max=0.6, amom_iterations=3)
         calls = []
         stub = self.stub_forward(*base, scored=True)
@@ -449,11 +453,11 @@ class TestAmomRegenerate:
             calls.append(list(masked))
             return stub(masked)
 
-        probs, losses, history = mk.amom_regenerate(forward, cfg, 2, gold, relevance)
+        probs, losses, history = mk.amom_regenerate(forward, cfg, 2, gold, maskable)
         assert calls == [[0, 1]] * 4
         for b in range(2):
             alone = mk.amom_regenerate(self.stub_forward(base[b], scored=True), cfg, 1,
-                                       gold and [gold[b]], relevance and [relevance[b]])
+                                       gold and [gold[b]], maskable and [maskable[b]])
             assert np.array_equal(probs[b], alone[0][0])
             assert losses[b::2] == alone[1] and history[b::2] == alone[2]
             assert len(alone[2]) == 3 and all(alone[2])
@@ -468,8 +472,7 @@ class TestAmomRegenerate:
             return stub(masked)
 
         cfg = mk.MaskConfig(amom_iterations=2)
-        probs, losses, history = mk.amom_regenerate(forward, cfg, 2, relevance=[np.zeros(0),
-                                                                                np.array([0.3, 0.1])])
+        probs, losses, history = mk.amom_regenerate(forward, cfg, 2, maskable=[0, 2])
         assert calls == [[0, 1], [1], [1]]
         assert np.array_equal(probs[0], base[0]) and len(history) == 2 and len(losses) == 4
 

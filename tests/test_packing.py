@@ -188,12 +188,16 @@ def test_evaluate_chunks_by_length_and_keeps_input_order(task, strategy, monkeyp
 # -> loss. First recorded before packing; re-recorded when the 24 always-zero
 # dependency input columns were dropped, which changes the init of SMALL. The
 # code before that change gives the same losses from these parameters with 24
-# zero rows appended to in_proj.W; so do the evaluation pins below.
+# zero rows appended to in_proj.W; so do the evaluation pins below. The ASC
+# entries were re-recorded again when AMOM ASC lost its scoring weight mask.w_a
+# (make_model then draws other head weights) and its loss lost the L2 term: the
+# code before that change, given these parameters and mask.w_a = 0, gives these
+# losses plus (l2_lambda / 2) * ||theta||^2, and the same evaluation pins.
 AMOM_LOSSES = {
     ("ate", False): 18.424291944816655,
     ("ate", True): 22.938112896773923,
-    ("asc", False): 6.16289145632085,
-    ("asc", True): 7.678826790279308,
+    ("asc", False): 23.521206388192226,
+    ("asc", True): 23.429867885544176,
 }
 
 
@@ -212,14 +216,14 @@ def test_amom_batch_loss_unchanged(task, train):
 AMOM_EVAL_COUNTS = {
     "ate": {"B": {"fn": 5, "fp": 2, "tp": 2}, "I": {"fn": 2, "fp": 1, "tp": 1},
             "O": {"fn": 3, "fp": 7, "tp": 28}},
-    "asc": {"negative": {"f1": 0.923076923076923, "fn": 0, "fp": 1, "tp": 6},
-            "neutral": {"f1": 0.0, "fn": 1, "fp": 0, "tp": 0}},
+    "asc": {"negative": {"f1": 0.0, "fn": 6, "fp": 0, "tp": 0},
+            "neutral": {"f1": 0.25, "fn": 0, "fp": 6, "tp": 1}},
 }
 AMOM_EVAL_HIDDEN = {
     "ate": [[], [0], [0], [], [3], [1], [], [1, 8], [1, 8], [], [0], [0], [], [0], [0], [],
             [4], [4]],
-    "asc": [[], [3], [3], [], [2], [2], [], [4], [4], [], [3, 4, 6], [4], [], [2], [2], [],
-            [3], [3], [], [4], [4]],
+    "asc": [[], [0], [0], [], [0], [0], [], [0], [0], [], [0], [0], [], [0], [0], [],
+            [0], [0], [], [0], [0]],
 }
 
 
@@ -271,6 +275,30 @@ def test_amom_packed_evaluation_matches_batches_of_one(task, monkeypatch):
     packed = training.evaluate(model, examples, task).per_class
     monkeypatch.setattr(training, "EVAL_CHUNK", 1)
     assert training.evaluate(model, examples, task).per_class == packed
+
+
+@pytest.mark.parametrize("scored", [False, True], ids=["predict", "loss"])
+def test_amom_asc_hides_leftmost_tokens_outside_the_aspect(scored, monkeypatch):
+    """AMOM ASC has no weight that ranks tokens: each round hides the first
+    sentence tokens outside the instance's aspect span, never an aspect token."""
+    examples = mixed_lengths()[:8]
+    model, _ = make_model("asc", "amom", "mean", examples)
+    items = training.asc_instances(examples)
+    hidden = []
+    inner = model.forward_asc
+
+    def logged(batch, *args, masked_content=None, **kwargs):
+        if masked_content is not None:
+            hidden.extend(zip(batch, masked_content))
+        return inner(batch, *args, masked_content=masked_content, **kwargs)
+
+    monkeypatch.setattr(model, "forward_asc", logged)
+    model.amom_asc(items, scored=scored)
+    assert any(len(h) > 1 for _, h in hidden)
+    for (ex, i), h in hidden:
+        start, end = ex.aspects[i].token_span
+        outside = [c for c in range(len(ex)) if not start <= c <= end]
+        assert h == frozenset(outside[:len(h)])
 
 
 class TestAamRemix:

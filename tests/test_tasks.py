@@ -101,23 +101,25 @@ class TestAteLoss:
 
 
 class TestAscLoss:
+    """The ASC objective: `asc_loss`, the cross-entropy alone, plus the L2 term
+    (lambda/2) * ParamStore.l2_sum(), which Adam differentiates and `train`
+    adds to the logged loss (tests/test_training.py holds Adam's part)."""
+
     def test_uniform_is_ln3(self):
-        params = ParamStore()
         probs = Tensor(np.full((1, 3), 1.0 / 3.0))
-        loss = tasks.asc_loss(probs, ["positive"], params, l2_lambda=0.0)
+        loss = tasks.asc_loss(probs, ["positive"])
         assert loss.item() == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_l2_term_alone(self):
         params = ParamStore()
         params.add("theta", [1.0, 2.0])
         probs = Tensor(np.array([[1.0, 0.0, 0.0]]))
-        loss = tasks.asc_loss(probs, ["positive"], params, l2_lambda=0.01)
-        assert loss.item() == pytest.approx(0.025, abs=1e-12)
+        assert tasks.asc_loss(probs, ["positive"]).item() == pytest.approx(0.0, abs=1e-12)
+        assert params.l2_sum() * 0.01 / 2.0 == pytest.approx(0.025, abs=1e-12)
 
     def test_perfect_lambda_zero(self):
-        params = ParamStore()
         probs = Tensor(np.array([[0.0, 1.0, 0.0]]))
-        assert tasks.asc_loss(probs, ["negative"], params, 0.0).item() == pytest.approx(0.0, abs=1e-9)
+        assert tasks.asc_loss(probs, ["negative"]).item() == pytest.approx(0.0, abs=1e-9)
 
     def test_l2_matches_direct_summation(self):
         rng = np.random.default_rng(2)
@@ -125,22 +127,30 @@ class TestAscLoss:
         params.add("a", rng.normal(size=(7, 5)))
         params.add("b", rng.normal(size=11))
         lam = 0.01
-        probs = Tensor(np.array([[1.0, 0.0, 0.0]]))
-        loss = tasks.asc_loss(probs, ["positive"], params, lam).item()
         direct = math.fsum(float(x) ** 2 for t in params.tensors() for x in t.data.reshape(-1))
-        assert abs(loss - lam / 2.0 * direct) <= 1e-12
+        assert abs(params.l2_sum() * lam / 2.0 - lam / 2.0 * direct) <= 1e-12
 
     def test_decreases_with_lambda(self):
-        params = ParamStore()
-        params.add("theta", [3.0])
-        probs = Tensor(np.full((1, 3), 1.0 / 3.0))
-        high = tasks.asc_loss(probs, ["neutral"], params, 0.1).item()
-        low = tasks.asc_loss(probs, ["neutral"], params, 0.01).item()
-        assert low < high
+        """The logged ASC loss of an epoch of one batch: the same cross-entropy
+        at the same initial parameters, and a ten times smaller L2 term."""
+        from maskterm import training
+
+        data = corpus.synth_corpus(seed=4, size=3)
+        encoder = enc.EncoderConfig(d_w=4, d_p=2, hidden=8, n_layers=1, n_heads=2, d_ff=8)
+        logged = {}
+        for lam in (0.1, 0.01):
+            config = training.TrainConfig(task="asc", epochs=1, l2_lambda=lam, encoder=encoder,
+                                          mask=mk.MaskConfig(strategy="none"))
+            logged[lam] = training.train(config, data, data)[1].records[0]
+        high, low = logged[0.1], logged[0.01]
+        assert low["train_loss"] < high["train_loss"]
+        assert low["l2_term"] == pytest.approx(high["l2_term"] / 10, rel=1e-12)
+        assert (low["train_loss"] - low["l2_term"]
+                == pytest.approx(high["train_loss"] - high["l2_term"], rel=1e-12))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):
-            tasks.asc_loss(Tensor(np.zeros((0, 3))), [], ParamStore(), 0.0)
+            tasks.asc_loss(Tensor(np.zeros((0, 3))), [])
 
 
 class TestAscMetrics:
@@ -252,7 +262,7 @@ class TestForwards:
         model = tasks.AbsaModel("ate", cfg, mk.MaskConfig(strategy="actm"), vocab, seed=0)
         from maskterm.training import Adam
 
-        opt = Adam(model.params, lr=0.01, frozen=model.frozen)
+        opt = Adam(model.params, lr=0.01)
         for _ in range(200):
             model.params.zero_grad()
             out = model.forward_ate([ex])
@@ -270,12 +280,12 @@ class TestForwards:
         model = tasks.AbsaModel("asc", cfg, mk.MaskConfig(strategy="actm"), vocab, seed=0)
         from maskterm.training import Adam
 
-        opt = Adam(model.params, lr=0.03, frozen=model.frozen)
+        opt = Adam(model.params, lr=0.03)
         gold = ex.aspects[0].polarity
         for _ in range(200):
             model.params.zero_grad()
             out = model.forward_asc([(ex, 0)])
-            loss = tasks.asc_loss(out.probs, [gold], model.params, 0.0)
+            loss = tasks.asc_loss(out.probs, [gold])
             ad.backward(loss)
             opt.step()
         out = model.forward_asc([(ex, 0)])

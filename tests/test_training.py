@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -109,13 +110,86 @@ class TestTrainLoop:
         assert len(log.records) == 1
 
     def test_constant_weight_mode_pins_alpha(self, data):
+        """Constant-weight ACTM holds alpha as a constant, not a parameter."""
         train_set, eval_set = data
         cfg = training.TrainConfig(
             task="ate", epochs=2, batch_size=16, seed=4,
             mask=mk.MaskConfig(strategy="actm", learnable=False),
             encoder=SMALL_ENCODER)
         model, _ = training.train(cfg, train_set, eval_set)
-        assert float(model.params["mask.alpha"].data) == 1.0
+        assert "mask.alpha" not in model.params
+        assert float(model.actm_weights["alpha"].data) == 1.0
+
+    @pytest.mark.parametrize("task", ["ate", "asc"])
+    def test_l2_term_logged_apart(self, data, task, monkeypatch):
+        """`l2_term` is the batch-weighted mean of (lambda/2) * ||theta||^2 at
+        each batch's parameters, 0 for ATE; `train_loss` includes it."""
+        train_set, eval_set = data
+        seen = []
+        original = training.batch_loss
+
+        def spy(model, config, batch, train, rng):
+            seen.append((len(batch), model.params.l2_sum() * config.l2_lambda / 2.0))
+            return original(model, config, batch, train, rng)
+
+        monkeypatch.setattr(training, "batch_loss", spy)
+        _, log = training.train(small_config(task=task, epochs=1), train_set[:20], eval_set[:4])
+        record = log.records[0]
+        if task == "ate":
+            assert record["l2_term"] == 0.0
+        else:
+            expected = sum(n * term for n, term in seen) / sum(n for n, _ in seen)
+            assert len(seen) > 1 and record["l2_term"] == pytest.approx(expected, rel=1e-12)
+            assert 0.0 < record["l2_term"] < record["train_loss"]
+
+    @pytest.mark.parametrize("strategy", mk.MaskConfig.STRATEGIES)
+    @pytest.mark.parametrize("task", ["ate", "asc"])
+    def test_every_parameter_gets_a_loss_gradient(self, data, task, strategy):
+        """No parameter sits in the store that the loss does not reach."""
+        train_set, _ = data
+        config = small_config(task=task, strategy=strategy)
+        vocab = enc.Vocab.build(train_set)
+        encoder = dataclasses.replace(SMALL_ENCODER, vocab_size=len(vocab.words))
+        model = tasks.AbsaModel(task, encoder, config.mask, vocab, config.seed)
+        batch = train_set[:4] if task == "ate" else training.asc_instances(train_set[:4])
+        ad.backward(training.batch_loss(model, config, batch, train=True,
+                                        rng=np.random.default_rng(0)))
+        assert [n for n, t in model.params.items() if t.grad is None] == []
+
+
+class TestAdam:
+    def test_l2_gradient_matches_the_graph_l2(self, data):
+        """After one step, the gradient Adam used (m / (1 - beta1)) is that of a
+        graph of the cross-entropy plus (lambda/2) * ||theta||^2."""
+        train_set, _ = data
+        config = small_config(task="asc")
+        vocab = enc.Vocab.build(train_set)
+        encoder = dataclasses.replace(SMALL_ENCODER, vocab_size=len(vocab.words))
+        model = tasks.AbsaModel("asc", encoder, config.mask, vocab, config.seed)
+        batch = training.asc_instances(train_set[:6])
+        lam = config.l2_lambda
+
+        loss = training.batch_loss(model, config, batch, train=False, rng=None)
+        for t in model.params.tensors():
+            loss = ad.add(loss, ad.mul(ad.tsum(ad.square(t)), lam / 2.0))
+        ad.backward(loss)
+        expected = {name: t.grad.copy() for name, t in model.params.items()}
+
+        model.params.zero_grad()
+        ad.backward(training.batch_loss(model, config, batch, train=False, rng=None))
+        optimizer = training.Adam(model.params, 1e-3, lam)
+        optimizer.step()
+        for name, grad in expected.items():
+            used = optimizer.m[name] / (1.0 - training.ADAM_BETA1)
+            assert np.abs(used - grad).max() <= 1e-12 * np.abs(grad).max(), name
+
+    def test_parameter_without_loss_gradient_decays_alone(self):
+        params = ad.ParamStore()
+        theta = params.add("theta", [3.0, -2.0])
+        training.Adam(params, 0.1).step()
+        assert theta.data.tolist() == [3.0, -2.0]
+        training.Adam(params, 0.1, l2=0.01).step()
+        assert np.allclose(theta.data, [2.9, -1.9], atol=1e-6)
 
 
 class TestEvaluate:
@@ -171,6 +245,17 @@ class TestCheckpointRoundTrip:
         after = training.evaluate(loaded, eval_set, "ate").to_json()
         assert before == after
 
+    def test_checkpoint_with_a_dropout_seed_loads(self, data, tmp_path):
+        """Checkpoints used to carry an unread `dropout_seed` in their config."""
+        train_set, eval_set = data
+        model, _ = training.train(small_config(epochs=1), train_set[:8], eval_set[:4])
+        path = tmp_path / "model.ckpt"
+        config = dict(training.model_config_dict(model), dropout_seed=model.seed + 1)
+        enc.save_checkpoint(str(path), model.params, config, model.seed)
+        loaded = training.load_model(str(path))
+        for name in model.params.names():
+            assert np.array_equal(loaded.params[name].data, model.params[name].data)
+
     def test_manifest_mismatch_rejected(self, data, tmp_path):
         train_set, eval_set = data
         ate_model, _ = training.train(small_config(epochs=1), train_set, eval_set)
@@ -179,7 +264,8 @@ class TestCheckpointRoundTrip:
         config, seed, arrays = enc.load_checkpoint(str(path))
         config["task"] = "asc"
         enc.save_checkpoint(str(path), ate_model.params, config, seed)
-        with pytest.raises(CompatibilityError):
+        with pytest.raises(CompatibilityError,
+                           match="first missing: mask.gamma, first unexpected: head.ate.W"):
             training.load_model(str(path))
 
 
