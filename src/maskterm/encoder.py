@@ -14,7 +14,6 @@ gives the same bits as multiplying by a float mask.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +21,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
 from .corpus import POS_TAGS, TokenizedExample
-from .exceptions import CompatibilityError, ConfigError, ContractError, LengthError
+from .exceptions import ConfigError, ContractError, LengthError
 
 UNK_ID = 0
 CLS_ID = 1
 SEP_ID = 2
 RESERVED = 3
-
-CHECKPOINT_VERSION = "ckpt_v1"
 
 
 @dataclass
@@ -366,69 +363,3 @@ def pool_aspect(states: Tensor, spans) -> Tensor:
     rows = starts[seg.ids] + seg.positions
     return ad.segment_mean(ad.take(states, rows), seg)
 
-
-# -- checkpoints -----------------------------------------------------------------
-
-
-def save_checkpoint(path: str, params: ParamStore, config: dict, seed: int) -> None:
-    """JSON header line + little-endian float64 blob in manifest order."""
-    manifest = [{"name": name, "shape": list(t.data.shape)} for name, t in params.items()]
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "config": config,
-        "seed": seed,
-        "manifest": manifest,
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for _, t in params.items():
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-
-
-def _manifest_entry(entry) -> tuple[str, tuple[int, ...]]:
-    """(name, shape) of one checkpoint manifest entry."""
-    name = entry.get("name") if isinstance(entry, dict) else None
-    shape = entry.get("shape") if isinstance(entry, dict) else None
-    if not (isinstance(name, str) and isinstance(shape, list)
-            and all(isinstance(d, int) and d >= 0 for d in shape)):
-        raise CompatibilityError(f"malformed checkpoint manifest entry {entry!r}")
-    return name, tuple(shape)
-
-
-def load_checkpoint(path: str):
-    """Returns (config dict, seed, ordered name->array map)."""
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        blob = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CompatibilityError(f"unreadable checkpoint header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CompatibilityError("checkpoint header is not a JSON object")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CompatibilityError(
-            f"checkpoint version {header.get('version')!r} != {CHECKPOINT_VERSION!r}"
-        )
-    missing = [key for key in ("manifest", "config", "seed") if key not in header]
-    if missing:
-        raise CompatibilityError(f"checkpoint header lacks {', '.join(missing)}")
-    if not isinstance(header["seed"], int):
-        raise CompatibilityError(f"checkpoint seed {header['seed']!r} is not an integer")
-    if not isinstance(header["manifest"], list):
-        raise CompatibilityError("checkpoint manifest is not a list")
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for entry in header["manifest"]:
-        name, shape = _manifest_entry(entry)
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if offset + nbytes > len(blob):
-            raise CompatibilityError("checkpoint blob shorter than its manifest")
-        arrays[name] = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=offset
-        ).reshape(shape).astype(np.float64)
-        offset += nbytes
-    if offset != len(blob):
-        raise CompatibilityError("checkpoint blob longer than its manifest")
-    return header["config"], header["seed"], arrays

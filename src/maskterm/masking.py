@@ -60,7 +60,7 @@ class MaskConfig:
     amom_mu_max: float = 0.5
     amom_iterations: int = 2
 
-    ATE_DEFAULTS = {"alpha_init": 0.5, "gamma_init": 0.0, "beta_init": 1.0}
+    ATE_DEFAULTS = {"alpha_init": 0.5}   # an ATE model has no gamma or beta
     ASC_DEFAULTS = {"alpha_init": 1.5, "gamma_init": -0.5, "beta_init": 4.0}
 
     def resolved_init(self, name: str, task: str) -> float:

@@ -1,7 +1,10 @@
-"""Deterministic optimization loop, evaluation, and the gradient-check harness."""
+"""Deterministic optimization loop, evaluation, the gradient-check harness,
+and checkpoints: `save_model` and `load_model` are the only code that knows
+their format."""
 
 from __future__ import annotations
 
+import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -41,6 +44,8 @@ class TrainConfig:
             raise ContractError("learning_rate must be positive")
         if self.l2_lambda < 0.0:
             raise ContractError("l2_lambda must be non-negative")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
 def _cast(key: str, value, default):
@@ -80,8 +85,6 @@ class RunLog:
         self.records.append(record)
 
     def to_ldjson(self) -> str:
-        import json
-
         return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
 
 
@@ -385,25 +388,60 @@ def grad_check_suite(h: float = 1e-5, seed: int = 11) -> dict[str, dict[str, flo
 
 # -- checkpoints ----------------------------------------------------------------------
 
+CHECKPOINT_VERSION = "ckpt_v1"
 
-def model_config_dict(model: tasks.AbsaModel) -> dict:
-    return {
-        "task": model.task,
-        "mask": asdict(model.mask_cfg),
-        "encoder": asdict(model.enc_cfg),
-        "vocab": model.vocab.words,
-    }
+
+def _manifest(params: ad.ParamStore) -> list[dict]:
+    """The name and shape of every parameter, in store order: the order of the blob."""
+    return [{"name": name, "shape": list(t.data.shape)} for name, t in params.items()]
 
 
 def save_model(path: str, model: tasks.AbsaModel) -> None:
-    enc.save_checkpoint(path, model.params, model_config_dict(model), model.seed)
+    """A JSON header line (version, config, seed, manifest), then every
+    parameter as little-endian float64 in manifest order."""
+    config = {"task": model.task, "mask": asdict(model.mask_cfg),
+              "encoder": asdict(model.enc_cfg), "vocab": model.vocab.words}
+    header = {"version": CHECKPOINT_VERSION, "config": config, "seed": model.seed,
+              "manifest": _manifest(model.params)}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        for t in model.params.tensors():
+            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+
+
+def _read_checkpoint(path: str) -> tuple[dict, bytes]:
+    """The header object, held to its version and keys and a seed that is a
+    non-negative integer, and the blob after it."""
+    with open(path, "rb") as fh:
+        header_line = fh.readline()
+        blob = fh.read()
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CompatibilityError(f"unreadable checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CompatibilityError("checkpoint header is not a JSON object")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CompatibilityError(
+            f"checkpoint version {header.get('version')!r} != {CHECKPOINT_VERSION!r}")
+    missing = [key for key in ("manifest", "config", "seed") if key not in header]
+    if missing:
+        raise CompatibilityError(f"checkpoint header lacks {', '.join(missing)}")
+    if not (type(header["seed"]) is int and header["seed"] >= 0):
+        raise CompatibilityError(f"checkpoint seed {header['seed']!r} is not a non-negative integer")
+    if not isinstance(header["manifest"], list):
+        raise CompatibilityError("checkpoint manifest is not a list")
+    return header, blob
 
 
 def load_model(path: str) -> tasks.AbsaModel:
-    """The model a checkpoint holds. The vocabulary must be a list of
-    vocab_size distinct strings, the manifest must list the model's
-    parameters in order, and every parameter must be finite."""
-    config, seed, arrays = enc.load_checkpoint(path)
+    """The model a checkpoint holds. The model is built from the header's
+    config; the vocabulary must be a list of vocab_size distinct strings, the
+    manifest must equal the model's own (every parameter's name and shape,
+    in order), the blob must hold exactly those values, and every value must
+    be finite."""
+    header, blob = _read_checkpoint(path)
+    config = header["config"]
     try:
         enc_cfg = enc.EncoderConfig(**typed_values(
             "checkpoint encoder config", config["encoder"], asdict(enc.EncoderConfig())))
@@ -417,21 +455,26 @@ def load_model(path: str) -> tasks.AbsaModel:
             and len(set(words)) == len(words) == enc_cfg.vocab_size):
         raise CompatibilityError(f"checkpoint vocab is not a list of vocab_size "
                                  f"({enc_cfg.vocab_size}) distinct strings")
-    model = tasks.AbsaModel(task, enc_cfg, mask_cfg, enc.Vocab(words), seed)
-    names = model.params.names()
-    if names != list(arrays):
-        missing = next((n for n in names if n not in arrays), None)
-        unexpected = next((n for n in arrays if n not in model.params), None)
+    model = tasks.AbsaModel(task, enc_cfg, mask_cfg, enc.Vocab(words), header["seed"])
+    got, expected = header["manifest"], _manifest(model.params)
+    if got != expected:
+        names = model.params.names()
+        got_names = [e.get("name") if isinstance(e, dict) else e for e in got]
+        missing = next((n for n in names if n not in got_names), None)
+        unexpected = next((n for n in got_names if n not in names), None)
+        at = next(i for i in range(max(len(got), len(expected)))
+                  if got[i:i + 1] != expected[i:i + 1])
         raise CompatibilityError(
             f"checkpoint manifest does not match the parameters of the {task} {mask_cfg.strategy!r} "
-            f"model (first missing: {missing}, first unexpected: {unexpected})")
-    for name in names:
-        tensor = model.params[name]
-        if arrays[name].shape != tensor.data.shape:
-            raise CompatibilityError(
-                f"parameter {name} shape {arrays[name].shape} != expected {tensor.data.shape}"
-            )
-        if not np.isfinite(arrays[name]).all():
+            f"model (first missing: {missing}, first unexpected: {unexpected}): "
+            f"entry {at} is {got[at:at + 1]}, the model's {expected[at:at + 1]}")
+    sizes = [t.data.size for t in model.params.tensors()]
+    if len(blob) != 8 * sum(sizes):
+        raise CompatibilityError(
+            f"checkpoint blob holds {len(blob)} bytes, its manifest {8 * sum(sizes)}")
+    values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    for (name, tensor), part in zip(model.params.items(), np.split(values, np.cumsum(sizes)[:-1])):
+        if not np.isfinite(part).all():
             raise CompatibilityError(f"parameter {name} holds non-finite values")
-        tensor.data = arrays[name].copy()
+        tensor.data = part.reshape(tensor.data.shape)
     return model

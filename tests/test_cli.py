@@ -394,6 +394,44 @@ class TestInputErrors:
         err = self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
         assert "'amom' model (first missing: None, first unexpected: mask.w_a)" in err
 
+    def test_negative_seed_in_the_config(self, trained, tmp_path, capsys):
+        data, _, _, _ = trained
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "seed": -1}), encoding="utf-8")
+        err = self.exits_2(["train", "--config", str(cfg), "--data", str(data)], capsys)
+        assert "seed" in err
+
+    @pytest.mark.parametrize("seed", [-1, True])
+    def test_checkpoint_seed_is_a_non_negative_integer(self, trained, tmp_path, capsys, seed):
+        """-1 would fail in the model's random generator and `true` load as 1."""
+        data, ckpt, doc, blob = self.trained_ate(trained, tmp_path)
+        doc["seed"] = seed
+        ckpt.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + blob)
+        err = self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+        assert "seed" in err
+
+    @pytest.mark.parametrize("case", ["repeated", "swapped", "transposed"])
+    def test_checkpoint_manifest_entry_differs_from_the_model(self, tmp_path, capsys, case):
+        """A manifest that repeats, swaps or reshapes a parameter is refused,
+        and the message names the first entry that differs from the model's.
+        The repeated entry comes with its own bytes, all 7.0."""
+        data, ckpt, doc, blob = self.small_checkpoint(tmp_path, "ate")
+        manifest = doc["manifest"]
+        if case == "repeated":
+            at = 1
+            self.with_parameter(ckpt, doc, blob, "emb.word", "emb.word",
+                                np.full(manifest[0]["shape"], 7.0))
+        else:
+            if case == "swapped":   # enc.L0.Wq and enc.L0.Wk, of one shape
+                at = 4
+                manifest[4], manifest[5] = manifest[5], manifest[4]
+            else:
+                at = 0
+                manifest[0]["shape"].reverse()
+            ckpt.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + blob)
+        err = self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+        assert f"entry {at} is [{manifest[at]}]" in err
+
     @pytest.mark.parametrize("edit", [
         lambda config: config["encoder"].update(vocab_size=-10),
         lambda config: config["vocab"].extend(f"extra{i}" for i in range(40)),
@@ -440,7 +478,7 @@ class TestInputErrors:
         end = self.blob_offset(doc, "enc.in_proj.W") + 40 * 64 * 8
         blob = blob[:end] + bytes(24 * 64 * 8) + blob[end:]
         ckpt.write_bytes(json.dumps(doc, sort_keys=True).encode("utf-8") + b"\n" + blob)
-        assert doc["version"] == enc.CHECKPOINT_VERSION == "ckpt_v1"
+        assert doc["version"] == training.CHECKPOINT_VERSION == "ckpt_v1"
         err = self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
         assert "d_D" in err
 

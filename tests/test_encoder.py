@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from maskterm import corpus
 from maskterm import encoder as enc
 from maskterm import masking as mk
 from maskterm import tasks
+from maskterm import training
 from maskterm.autodiff import Tensor
 from maskterm.exceptions import CompatibilityError, ConfigError, ContractError, LengthError
 
@@ -381,58 +381,72 @@ class TestGradFlow:
         assert ad.finite_difference_check(f, params, names=names) < 1e-4
 
 
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path, small_setup):
-        _, vocab, cfg, params = small_setup
-        path = tmp_path / "enc.ckpt"
-        config = {"encoder": asdict(cfg), "vocab": vocab.words}
-        enc.save_checkpoint(str(path), params, config, seed=13)
-        loaded_cfg, seed, arrays = enc.load_checkpoint(str(path))
-        assert seed == 13
-        assert loaded_cfg["encoder"] == asdict(cfg)
-        assert list(arrays) == params.names()
-        for name, t in params.items():
-            assert np.array_equal(arrays[name], t.data)
+# Stands for the config of a valid model in the headers below.
+VALID_CONFIG = "valid config"
 
-    def test_same_params_give_identical_bytes(self, tmp_path, small_setup):
-        _, vocab, cfg, params = small_setup
-        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        config = {"vocab": vocab.words}
-        enc.save_checkpoint(str(a), params, config, seed=1)
-        enc.save_checkpoint(str(b), params, config, seed=1)
-        assert a.read_bytes() == b.read_bytes()
+
+class TestCheckpoint:
+    """The format, through `training.save_model` and `training.load_model`."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path, small_setup):
+        """(path, model) of a saved ATE model on the small setup's encoder."""
+        _, vocab, cfg, _ = small_setup
+        model = tasks.AbsaModel("ate", cfg, mk.MaskConfig(), vocab, 13)
+        path = tmp_path / "model.ckpt"
+        training.save_model(str(path), model)
+        return path, model
+
+    def test_round_trip_bit_exact(self, saved):
+        path, model = saved
+        loaded = training.load_model(str(path))
+        assert loaded.seed == 13
+        assert loaded.enc_cfg == model.enc_cfg and loaded.vocab.words == model.vocab.words
+        assert loaded.params.names() == model.params.names()
+        for name, t in model.params.items():
+            assert np.array_equal(loaded.params[name].data, t.data)
+
+    def test_same_params_give_identical_bytes(self, saved):
+        path, model = saved
+        again = path.with_name("again.ckpt")
+        training.save_model(str(again), model)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b'{"version": "ckpt_v0", "manifest": [], "config": {}, "seed": 0}\n')
-        with pytest.raises(CompatibilityError):
-            enc.load_checkpoint(str(path))
+        with pytest.raises(CompatibilityError, match="version"):
+            training.load_model(str(path))
 
     @pytest.mark.parametrize("header", [
         {"version": "ckpt_v1"},
-        {"version": "ckpt_v1", "config": {}, "seed": 0},
+        {"version": "ckpt_v1", "config": VALID_CONFIG, "seed": 0},
         {"version": "ckpt_v1", "manifest": [], "seed": 0},
-        {"version": "ckpt_v1", "manifest": [], "config": {}},
-        {"version": "ckpt_v1", "manifest": [], "config": {}, "seed": "0"},
-        {"version": "ckpt_v1", "manifest": {}, "config": {}, "seed": 0},
-        {"version": "ckpt_v1", "manifest": [{"name": "w"}], "config": {}, "seed": 0},
-        {"version": "ckpt_v1", "manifest": [{"name": 3, "shape": [1]}], "config": {}, "seed": 0},
-        {"version": "ckpt_v1", "manifest": [{"name": "w", "shape": [-1]}], "config": {},
+        {"version": "ckpt_v1", "manifest": [], "config": VALID_CONFIG},
+        {"version": "ckpt_v1", "manifest": [], "config": VALID_CONFIG, "seed": "0"},
+        {"version": "ckpt_v1", "manifest": {}, "config": VALID_CONFIG, "seed": 0},
+        {"version": "ckpt_v1", "manifest": [{"name": "w"}], "config": VALID_CONFIG, "seed": 0},
+        {"version": "ckpt_v1", "manifest": [{"name": 3, "shape": [1]}], "config": VALID_CONFIG,
          "seed": 0},
-        {"version": "ckpt_v1", "manifest": ["w"], "config": {}, "seed": 0},
+        {"version": "ckpt_v1", "manifest": [{"name": "w", "shape": [-1]}],
+         "config": VALID_CONFIG, "seed": 0},
+        {"version": "ckpt_v1", "manifest": ["w"], "config": VALID_CONFIG, "seed": 0},
         ["ckpt_v1"],
     ])
-    def test_partial_header_rejected(self, tmp_path, header):
-        path = tmp_path / "partial.ckpt"
+    def test_partial_header_rejected(self, saved, header):
+        """Each case carries the config of a valid model where it has one, so
+        a malformed manifest is rejected by the comparison with the model's."""
+        path, _ = saved
+        if isinstance(header, dict) and header.get("config") == VALID_CONFIG:
+            header = dict(header, config=json.loads(path.read_bytes().partition(b"\n")[0])["config"])
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n")
-        with pytest.raises(CompatibilityError):
-            enc.load_checkpoint(str(path))
+        with pytest.raises(CompatibilityError) as err:
+            training.load_model(str(path))
+        if isinstance(header, dict) and header.get("manifest"):   # a non-empty list of entries
+            assert "manifest does not match the parameters" in str(err.value)
 
-    def test_truncated_blob_rejected(self, tmp_path, small_setup):
-        _, vocab, cfg, params = small_setup
-        path = tmp_path / "trunc.ckpt"
-        enc.save_checkpoint(str(path), params, {"vocab": vocab.words}, seed=1)
-        data = path.read_bytes()
-        path.write_bytes(data[:-16])
-        with pytest.raises(CompatibilityError):
-            enc.load_checkpoint(str(path))
+    def test_truncated_blob_rejected(self, saved):
+        path, _ = saved
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(CompatibilityError, match="blob"):
+            training.load_model(str(path))

@@ -1,6 +1,7 @@
-"""Seeded fuzz of every input read from outside: truncated, bit-flipped and
-key-dropped variants of a valid file either load a valid object or raise a
-MasktermError, which the CLI turns into exit 2 with one `error:` line."""
+"""Seeded fuzz of every input read from outside: truncated, bit-flipped,
+key-dropped and, for JSON objects, number-negated variants of a valid file
+either load a valid object or raise a MasktermError, which the CLI turns into
+exit 2 with one `error:` line."""
 
 import json
 import re
@@ -63,6 +64,29 @@ def drop_json_key(doc, rng):
     return doc
 
 
+def negate_json_number(doc, rng):
+    """Negates one int or float, picked among every number nested in `doc`;
+    0 becomes -1."""
+    holders = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            items = node.items()
+        elif isinstance(node, list):
+            items = enumerate(node)
+        else:
+            return
+        for key, child in items:
+            if type(child) in (int, float):
+                holders.append((node, key))
+            walk(child)
+
+    walk(doc)
+    holder, key = holders[int(rng.integers(len(holders)))]
+    holder[key] = -holder[key] or -1
+    return doc
+
+
 def drop_jsonl_key(data, rng):
     lines = data.decode().splitlines()
     b = int(rng.integers(len(lines)))
@@ -88,6 +112,10 @@ def drop_xml_attribute(data, rng):
 
 def drop_object_key(data, rng):
     return json.dumps(drop_json_key(json.loads(data), rng)).encode()
+
+
+def negate_object_number(data, rng):
+    return json.dumps(negate_json_number(json.loads(data), rng)).encode()
 
 
 def on_header(mutate):
@@ -180,8 +208,9 @@ def xml_file(fixture, schema):
 PLAIN = (truncate, flip_bits)
 FORMATS = {
     "jsonl": (examples_file(), PLAIN + (drop_jsonl_key,)),
-    "config": (config_file(), PLAIN + (drop_object_key,)),
-    "checkpoint": (checkpoint_file(), tuple(map(on_header, PLAIN + (drop_object_key,)))
+    "config": (config_file(), PLAIN + (drop_object_key, negate_object_number)),
+    "checkpoint": (checkpoint_file(),
+                   tuple(map(on_header, PLAIN + (drop_object_key, negate_object_number)))
                    + (on_blob(flip_high_bits),)),
     "scores": (scores_file(), PLAIN + (drop_tsv_column,)),
     "sem14": (xml_file(SEM14_FIXTURE, "sem14"), PLAIN + (drop_xml_attribute,)),

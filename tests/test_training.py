@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -27,6 +28,14 @@ def small_config(task="ate", strategy="actm", epochs=2, seed=5):
 @pytest.fixture(scope="module")
 def data():
     return corpus.synth_corpus(seed=11, size=48), corpus.synth_corpus(seed=12, size=16)
+
+
+def edit_header(path, edit) -> None:
+    """Applies `edit` to the JSON header object of the checkpoint at `path`."""
+    header, _, blob = path.read_bytes().partition(b"\n")
+    doc = json.loads(header)
+    edit(doc)
+    path.write_bytes(json.dumps(doc, sort_keys=True).encode("utf-8") + b"\n" + blob)
 
 
 def strip_wall_time(log: training.RunLog) -> list[dict]:
@@ -250,8 +259,8 @@ class TestCheckpointRoundTrip:
         train_set, eval_set = data
         model, _ = training.train(small_config(epochs=1), train_set[:8], eval_set[:4])
         path = tmp_path / "model.ckpt"
-        config = dict(training.model_config_dict(model), dropout_seed=model.seed + 1)
-        enc.save_checkpoint(str(path), model.params, config, model.seed)
+        training.save_model(str(path), model)
+        edit_header(path, lambda doc: doc["config"].update(dropout_seed=model.seed + 1))
         loaded = training.load_model(str(path))
         for name in model.params.names():
             assert np.array_equal(loaded.params[name].data, model.params[name].data)
@@ -261,12 +270,23 @@ class TestCheckpointRoundTrip:
         ate_model, _ = training.train(small_config(epochs=1), train_set, eval_set)
         path = tmp_path / "model.ckpt"
         training.save_model(str(path), ate_model)
-        config, seed, arrays = enc.load_checkpoint(str(path))
-        config["task"] = "asc"
-        enc.save_checkpoint(str(path), ate_model.params, config, seed)
+        edit_header(path, lambda doc: doc["config"].update(task="asc"))
         with pytest.raises(CompatibilityError,
                            match="first missing: mask.gamma, first unexpected: head.ate.W"):
             training.load_model(str(path))
+
+    def test_bytes_are_pinned(self, tmp_path):
+        """The sha256 of a tiny ASC model whose parameters are set to
+        0.00, 0.01, 0.02, ... in each array: the format's bytes cannot drift."""
+        model = tasks.AbsaModel("asc", enc.EncoderConfig(vocab_size=2, d_w=4, d_p=2, hidden=4,
+                                                         n_layers=1, n_heads=2, d_ff=4),
+                                mk.MaskConfig(), enc.Vocab(["steak", "great"]), 7)
+        for t in model.params.tensors():
+            t.data = (np.arange(t.data.size) * 0.01).reshape(t.data.shape)
+        path = tmp_path / "pinned.ckpt"
+        training.save_model(str(path), model)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "647f35c63bb992e5bf7dc9ecf235a03a4d8320fcf3b95281455aceb0d8e9e2c4")
 
 
 class TestGradCheckSuite:
