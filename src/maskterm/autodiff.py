@@ -1,8 +1,16 @@
-"""Dense float64 tensors with reverse-mode differentiation.
+"""Dense float32 or float64 tensors with reverse-mode differentiation.
 
 Small on purpose: 2-D matrices and vectors, the handful of ops the encoder,
 masking strategies, and task heads need, plus a central finite-difference
 checker used to validate every gradient path.
+
+A tensor keeps float32 data as float32 and holds anything else as float64;
+gradients take their tensor's dtype. Models run in float32, and the
+finite-difference checks in float64. A constant operand of an elementwise
+op (a Python scale, a mask, a table: anything but a Tensor) takes the dtype
+of the Tensor it meets, so constants never widen a float32 graph. Under
+NumPy 2 a float64 array, 0-d or not, or an `np.float64` scalar would, so
+the kernels take scales as Python floats.
 
 A batch of sequences is packed end to end into one `(sum of lengths, width)`
 matrix and described by `Segments`. Tensors stay 2-D at the API: row-wise
@@ -61,7 +69,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple = ()
@@ -91,6 +100,15 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as Tensors; a constant one takes the other's dtype."""
+    if not isinstance(a, Tensor) and isinstance(b, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.data.dtype))
+    elif not isinstance(b, Tensor) and isinstance(a, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
+    return as_tensor(a), as_tensor(b)
 
 
 class Segments:
@@ -188,7 +206,7 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     # t's own array and later gradients add into it in place: a parameter
     # used by many nodes then costs no new array per contribution.
     if t.grad is None:
-        t.grad = g if g.base is None and g.dtype == np.float64 else g.astype(np.float64, copy=True)
+        t.grad = g if g.base is None and g.dtype == t.data.dtype else g.astype(t.data.dtype)
         t._owns_grad = False
     elif t._owns_grad:
         t.grad += g
@@ -212,7 +230,7 @@ def fused(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data + b.data
 
     def backward(g):
@@ -225,7 +243,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data - b.data
 
     def backward(g):
@@ -238,7 +256,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data * b.data
 
     def backward(g):
@@ -251,7 +269,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data / b.data
 
     def backward(g):
@@ -499,9 +517,10 @@ def soft_span_remix(states: Tensor, z: Tensor, ramp: float, scale: float,
     unit = s / norms
     logits = (unit @ _swap(unit)) * scale
     idx = np.arange(seg.n_max)
-    pre = ((z.data + ramp) - np.abs(idx[:, None] - idx[None, :])) * (1.0 / ramp)
+    distance = np.abs(idx[:, None] - idx[None, :]).astype(s.dtype)
+    pre = ((z.data + ramp) - distance) * (1.0 / ramp)
     m = np.where(valid, np.clip(pre, 0.0, 1.0), 0.0)
-    inv_len = (1.0 / seg.lengths)[:, None, None]
+    inv_len = (1.0 / seg.lengths).astype(s.dtype)[:, None, None]
     ratio = m.sum(axis=-1, keepdims=True) * inv_len
     support = m > 0.0
     t = logits * m
@@ -543,7 +562,7 @@ def soft_span_remix(states: Tensor, z: Tensor, ramp: float, scale: float,
 def straight_through(soft: Tensor, hard_values: np.ndarray) -> Tensor:
     """Forward the hard values; route gradients to `soft` unchanged."""
     soft = as_tensor(soft)
-    data = np.asarray(hard_values, dtype=np.float64).copy()
+    data = np.array(hard_values, dtype=soft.data.dtype)
     if data.shape != soft.data.shape:
         raise DimensionError(
             f"straight_through shapes differ: {data.shape} vs {soft.data.shape}"
@@ -643,7 +662,7 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: i
     qh, kh, vh = heads(q), heads(k), heads(v)
     probs = (qh @ _swap(kh)) * scale    # logits; the softmax runs in place
     if seg.count > 1:
-        probs += np.where(seg.valid(), 0.0, -np.inf)[:, None, None, :]
+        probs += np.where(seg.valid(), 0.0, -np.inf).astype(probs.dtype)[:, None, None, :]
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
@@ -741,15 +760,17 @@ def backward(loss: Tensor) -> None:
 
 
 class ParamStore:
-    """Ordered name -> Tensor map of trainable parameters."""
+    """Ordered name -> Tensor map of trainable parameters, all of one dtype."""
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self._entries: OrderedDict[str, Tensor] = OrderedDict()
 
     def add(self, name: str, data) -> Tensor:
+        """Register `data`, rounded to the store's dtype."""
         if name in self._entries:
             raise ContractError(f"duplicate parameter name {name!r}")
-        t = Tensor(data, requires_grad=True)
+        t = Tensor(np.asarray(data, dtype=self.dtype), requires_grad=True)
         self._entries[name] = t
         return t
 
@@ -776,11 +797,12 @@ class ParamStore:
             t.grad = None
 
     def l2_sum(self) -> float:
-        """Sum of squares over every entry, in entry order: the L2 term's
-        norm, whose gradient Adam adds outside the graph."""
+        """Sum of squares over every entry, in entry order and in float64
+        whatever the entries' dtype: the L2 term's norm, whose gradient Adam
+        adds outside the graph."""
         total = np.float64(0.0)
         for t in self._entries.values():
-            total = total + (t.data * t.data).sum()
+            total = total + np.square(t.data, dtype=np.float64).sum()
         return float(total)
 
 

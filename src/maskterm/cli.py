@@ -139,6 +139,8 @@ def read_scores_tsv(path: str) -> tuple[list[str], np.ndarray]:
 
 
 def cmd_mask_demo(args) -> int:
+    if args.alpha is not None and not math.isfinite(args.alpha):
+        raise ConfigError(f"--alpha must be a finite number, got {args.alpha!r}")
     if args.scores:
         tokens, values = read_scores_tsv(args.scores)
         attn, protected, decision = Tensor(values), None, None

@@ -9,11 +9,16 @@ back in one hand-written backward; the attention probabilities stay inside
 that node, for its backward only. In training, dropout masks are boolean
 keep-masks (one byte an entry) applied with the scale 1 / (1 - rate), which
 gives the same bits as multiplying by a float mask.
+
+The encoder computes in the dtype of its parameters: float32 in a model,
+float64 in the gradient checks. Every constant it builds, such as the
+position table, takes that dtype.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,9 +225,9 @@ def init_encoder_params(params: ParamStore, cfg: EncoderConfig, rng: np.random.G
         params.add(f"{p}.ffn.b1", np.zeros(cfg.d_ff))
         params.add(f"{p}.ffn.W2", rng.normal(0.0, 1.0 / np.sqrt(cfg.d_ff), size=(cfg.d_ff, cfg.hidden)))
         params.add(f"{p}.ffn.b2", np.zeros(cfg.hidden))
-        params.add(f"{p}.ln2.g", np.ones(cfg.hidden))
+        last = layer == cfg.n_layers - 1
+        params.add(f"{p}.ln2.g", np.full(cfg.hidden, FINAL_GAIN_INIT if last else 1.0))
         params.add(f"{p}.ln2.b", np.zeros(cfg.hidden))
-    params[f"enc.L{cfg.n_layers - 1}.ln2.g"].data = np.full(cfg.hidden, FINAL_GAIN_INIT)
 
 
 def len_with_reserved(cfg: EncoderConfig) -> int:
@@ -237,10 +242,8 @@ def embed_tokens(params: ParamStore, cfg: EncoderConfig, inp: ModelInput) -> Ten
     if seg.n_max > cfg.max_len:
         raise LengthError(f"sequence length {seg.n_max} exceeds max_len {cfg.max_len}")
     word = ad.take(params["emb.word"], inp.token_ids)
-    word = ad.add(word, Tensor(sinusoidal_encoding(seg.n_max, cfg.d_w)[seg.positions]))
-    pos = ad.take(params["emb.pos"], inp.pos_ids)
-    pos_mask = (~inp.special).astype(np.float64)[:, None]
-    pos = ad.mul(pos, Tensor(pos_mask))
+    word = ad.add(word, sinusoidal_encoding(seg.n_max, cfg.d_w)[seg.positions])
+    pos = ad.mul(ad.take(params["emb.pos"], inp.pos_ids), (~inp.special)[:, None])
     return ad.concat([word, pos], axis=1)
 
 
@@ -291,7 +294,7 @@ def _block(x: Tensor, layer_params: tuple[Tensor, ...], cfg: EncoderConfig, seg:
     keep_scale = 1.0 / (1.0 - cfg.dropout_rate)
     xd = x.data
     merged, attention_back = ad.multi_head_attention(
-        xd @ wq, xd @ wk, xd @ wv, cfg.n_heads, 1.0 / np.sqrt(cfg.d_k), keep_attn, keep_scale, seg)
+        xd @ wq, xd @ wk, xd @ wv, cfg.n_heads, 1.0 / math.sqrt(cfg.d_k), keep_attn, keep_scale, seg)
     attn_out = merged @ wo + bo
     if keep_out is not None:
         ad.dropout_(attn_out, keep_out, keep_scale)

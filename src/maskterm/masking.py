@@ -125,13 +125,12 @@ def aspect_relevance(states: Tensor, attn: Tensor, aspect_vec: Tensor, beta,
     vec_norms = ad.sqrt(ad.tsum(ad.square(vecs), axis=1))
     denom = ad.clamp(ad.mul(row_norms, ad.take(vec_norms, seg.ids)), lo=ad.NORM_EPS)
     cos = ad.div(dots, denom)
-    live = (row_norms.data > ad.NORM_EPS).astype(np.float64)
-    cos = ad.mul(cos, Tensor(live))
+    cos = ad.mul(cos, row_norms.data > ad.NORM_EPS)   # 0 where the weighted row is null
     rel = ad.segment_softmax(ad.mul(cos, beta), seg)
     null = (vec_norms.data <= ad.NORM_EPS)[seg.ids]
     if null.any():
         uniform = 1.0 / seg.lengths[seg.ids]
-        rel = ad.add(ad.mul(rel, Tensor(~null)), Tensor(np.where(null, uniform, 0.0)))
+        rel = ad.add(ad.mul(rel, ~null), np.where(null, uniform, 0.0))
     return rel
 
 
@@ -185,9 +184,9 @@ def apply_mask(
 
     margin = ad.relu(ad.sub(attn, tau))
     if surrogate:
-        gate = ad.add(margin, Tensor(prot_mask.astype(np.float64)))
+        gate = ad.add(margin, prot_mask)
     else:
-        gate = ad.straight_through(margin, kept.astype(np.float64))
+        gate = ad.straight_through(margin, kept)
     return MaskDecision(
         attn=attn.data.copy(),
         tau=tau.data.copy(),
@@ -198,7 +197,7 @@ def apply_mask(
 
 def fixed_threshold(attn: Tensor, tau_value: float) -> Tensor:
     """Constant threshold vector for the non-adaptive baseline."""
-    return Tensor(np.full(attn.data.shape[0], float(tau_value)))
+    return Tensor(np.full(attn.data.shape[0], tau_value, dtype=attn.data.dtype))
 
 
 # -- AAM ----------------------------------------------------------------------
@@ -216,7 +215,7 @@ def aam_remix(states: Tensor, z: Tensor, ramp: float, d_k: int,
     not depend on the state norm."""
     if ramp <= 0.0:
         raise ContractError(f"ramp length must be positive, got {ramp}")
-    z_t = z if isinstance(z, Tensor) else Tensor(float(z))
+    z_t = z if isinstance(z, Tensor) else Tensor(np.asarray(z, dtype=states.data.dtype))
     return ad.soft_span_remix(states, z_t, ramp, math.sqrt(d_k), segments)
 
 

@@ -143,10 +143,16 @@ class TaskOutput:
 
 
 class AbsaModel:
-    """Encoder + one masking strategy + one task head, parameters included."""
+    """Encoder + one masking strategy + one task head, parameters included.
+
+    The model computes in `dtype`: float32 by default, as training and
+    loaded checkpoints use it, or float64, the reference precision of the
+    gradient checks. Parameters take the same init draws whatever the dtype,
+    rounded to it, and every constant the model builds takes it too.
+    """
 
     def __init__(self, task: str, enc_cfg: enc.EncoderConfig, mask_cfg: mk.MaskConfig,
-                 vocab: enc.Vocab, seed: int):
+                 vocab: enc.Vocab, seed: int, dtype=np.float32):
         if task not in ("ate", "asc"):
             raise ContractError(f"unknown task {task!r}")
         self.task = task
@@ -154,7 +160,7 @@ class AbsaModel:
         self.mask_cfg = mask_cfg
         self.vocab = vocab
         self.seed = seed
-        self.params = ParamStore()
+        self.params = ParamStore(dtype)
         self.actm_weights: dict[str, Tensor] = {}   # parameters, or constants if not learnable
         rng = np.random.default_rng(seed)
         enc.init_encoder_params(self.params, enc_cfg, rng)
@@ -169,7 +175,7 @@ class AbsaModel:
             for w in ("alpha", "gamma", "beta") if self.task == "asc" else ("alpha",):
                 self.actm_weights[w] = (
                     self.params.add(f"mask.{w}", cfg.resolved_init(f"{w}_init", self.task))
-                    if cfg.learnable else Tensor(1.0))
+                    if cfg.learnable else Tensor(np.ones((), self.params.dtype)))
         elif cfg.strategy == "aam":
             self.params.add("mask.z", cfg.aam_span_init)
 
@@ -197,7 +203,7 @@ class AbsaModel:
             for start, hidden in zip(starts, masked_content):
                 for c in hidden:
                     keep[inp.content_positions[start + c]] = 0.0
-            emb = ad.mul(emb, Tensor(keep))
+            emb = ad.mul(emb, keep)
         return enc.encode(self.params, self.enc_cfg, emb, train_mode=train, rng=rng,
                           segments=inp.segments)
 
@@ -261,7 +267,7 @@ class AbsaModel:
                 # surrogate mode needs a perturbation-stable constant divisor
                 denom = content_seg.lengths
             summed = ad.segment_sum(states[inp.content_positions], content_seg)
-            pooled = ad.mul(summed, Tensor((1.0 / denom)[:, None]))
+            pooled = ad.mul(summed, (1.0 / denom)[:, None])
         feats = ad.concat([encoded[inp.segments.offsets], pooled], axis=1)
         logits = ad.affine(feats, self.params["head.asc.W"], self.params["head.asc.b"])
         return TaskOutput(ad.softmax(logits, axis=-1), decision, inp)

@@ -199,7 +199,8 @@ def train(config: TrainConfig, train_set: list[TokenizedExample],
             epoch_l2 += l2_term * len(batch)
             seen += len(batch)
         report = evaluate(model, eval_set, config.task)
-        param_norm = float(np.sqrt(sum((t.data ** 2).sum() for t in model.params.tensors())))
+        param_norm = float(np.sqrt(sum(np.square(t.data, dtype=np.float64).sum()
+                                       for t in model.params.tensors())))
         log.append(
             epoch=epoch,
             train_loss=epoch_loss / max(seen, 1),
@@ -323,8 +324,8 @@ def _param_groups(model: tasks.AbsaModel) -> dict[str, list[str]]:
 
 def grad_check_suite(h: float = 1e-5, seed: int = 11) -> dict[str, dict[str, float]]:
     """Finite-difference validation of every differentiable parameter group on
-    tiny models, one per strategy/task pairing, plus packed batches of three
-    ASC instances of different lengths. The packed checks skip the encoder
+    tiny float64 models, one per strategy/task pairing, plus packed batches of
+    three ASC instances of different lengths. The packed checks skip the encoder
     group: tests/test_packing.py shows packed encoder gradients equal those of
     batches of one, which the single-instance checks validate.
 
@@ -348,7 +349,7 @@ def grad_check_suite(h: float = 1e-5, seed: int = 11) -> dict[str, dict[str, flo
         examples = [ex for ex, _ in instances]
         vocab = enc.Vocab.build(examples)
         enc_cfg = replace(config.encoder, vocab_size=len(vocab.words))
-        model = tasks.AbsaModel(task, enc_cfg, config.mask, vocab, config.seed)
+        model = tasks.AbsaModel(task, enc_cfg, config.mask, vocab, config.seed, np.float64)
         # Heads and scoring weights start at zero in real training; randomize
         # them here so every gradient path under test is non-trivial (zero
         # heads would make upstream gradients vanish identically).
@@ -398,7 +399,8 @@ def _manifest(params: ad.ParamStore) -> list[dict]:
 
 def save_model(path: str, model: tasks.AbsaModel) -> None:
     """A JSON header line (version, config, seed, manifest), then every
-    parameter as little-endian float64 in manifest order."""
+    parameter as little-endian float64 in manifest order. Widening a float32
+    model's values to float64 is exact, so they load back bit for bit."""
     config = {"task": model.task, "mask": asdict(model.mask_cfg),
               "encoder": asdict(model.enc_cfg), "vocab": model.vocab.words}
     header = {"version": CHECKPOINT_VERSION, "config": config, "seed": model.seed,
@@ -435,11 +437,15 @@ def _read_checkpoint(path: str) -> tuple[dict, bytes]:
 
 
 def load_model(path: str) -> tasks.AbsaModel:
-    """The model a checkpoint holds. The model is built from the header's
-    config; the vocabulary must be a list of vocab_size distinct strings, the
-    manifest must equal the model's own (every parameter's name and shape,
-    in order), the blob must hold exactly those values, and every value must
-    be finite."""
+    """The float32 model a checkpoint holds. The model is built from the
+    header's config; the vocabulary must be a list of vocab_size distinct
+    strings, the manifest must equal the model's own (every parameter's name
+    and shape, in order), the blob must hold exactly those values, and every
+    value must be finite once rounded to float32: a finite float64 beyond
+    float32's range is rejected. The blob is float64 whatever the model's
+    dtype. A checkpoint of a float64 model, which every model was before
+    models ran in float32, loads rounded to float32, so its predictions can
+    differ slightly from those of the model that was saved."""
     header, blob = _read_checkpoint(path)
     config = header["config"]
     try:
@@ -472,9 +478,11 @@ def load_model(path: str) -> tasks.AbsaModel:
     if len(blob) != 8 * sum(sizes):
         raise CompatibilityError(
             f"checkpoint blob holds {len(blob)} bytes, its manifest {8 * sum(sizes)}")
-    values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):   # rejected below if not finite
+        values = np.frombuffer(blob, dtype="<f8").astype(model.params.dtype)
     for (name, tensor), part in zip(model.params.items(), np.split(values, np.cumsum(sizes)[:-1])):
         if not np.isfinite(part).all():
-            raise CompatibilityError(f"parameter {name} holds non-finite values")
+            raise CompatibilityError(f"parameter {name} holds values that are not finite "
+                                     f"in {model.params.dtype}")
         tensor.data = part.reshape(tensor.data.shape)
     return model

@@ -66,6 +66,13 @@ class TestMaskDemo:
         assert (exc.value.line, exc.value.column) == (2, 2)
         assert cli.main(["mask-demo", "--scores", str(bad)]) == 2
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_alpha_rejected(self, scores_file, capsys, alpha):
+        """A non-finite alpha would print nan or inf thresholds for every token."""
+        assert cli.main(["mask-demo", "--scores", scores_file, f"--alpha={alpha}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --alpha") and err.count("\n") == 1
+
     def test_sentence_requires_ckpt(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["mask-demo", "--sentence", "the steak was great."])
@@ -457,6 +464,17 @@ class TestInputErrors:
         with pytest.raises(CompatibilityError, match="head.ate.b"):
             training.load_model(str(ckpt))
         self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+
+    def test_parameter_beyond_the_float32_range(self, trained, tmp_path, capsys):
+        """A finite 1e300 is inf once rounded to float32, the dtype models run in."""
+        data, ckpt, doc, blob = self.trained_ate(trained, tmp_path)
+        offset = self.blob_offset(doc, "head.ate.b") + 8
+        blob = blob[:offset] + np.array([1e300], "<f8").tobytes() + blob[offset + 8:]
+        ckpt.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + blob)
+        with pytest.raises(CompatibilityError, match="head.ate.b"):
+            training.load_model(str(ckpt))
+        err = self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+        assert "parameter head.ate.b" in err
 
     def test_checkpoint_with_dependency_columns(self, tmp_path, capsys):
         """Checkpoints written when every input row carried 24 dependency

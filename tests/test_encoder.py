@@ -403,8 +403,19 @@ class TestCheckpoint:
         assert loaded.seed == 13
         assert loaded.enc_cfg == model.enc_cfg and loaded.vocab.words == model.vocab.words
         assert loaded.params.names() == model.params.names()
+        assert loaded.params.dtype == model.params.dtype == np.float32
         for name, t in model.params.items():
             assert np.array_equal(loaded.params[name].data, t.data)
+
+    def test_float64_checkpoint_loads_rounded_to_float32(self, tmp_path, small_setup):
+        """Checkpoints of models that ran in float64 load into float32 models."""
+        _, vocab, cfg, _ = small_setup
+        model = tasks.AbsaModel("ate", cfg, mk.MaskConfig(), vocab, 13, np.float64)
+        path = tmp_path / "wide.ckpt"
+        training.save_model(str(path), model)
+        loaded = training.load_model(str(path))
+        for name, t in model.params.items():
+            assert np.array_equal(loaded.params[name].data, t.data.astype(np.float32)), name
 
     def test_same_params_give_identical_bytes(self, saved):
         path, model = saved

@@ -39,17 +39,20 @@ def batch_examples():
     return examples[:5]
 
 
-def make_model(task, strategy, aggregator, examples):
+def make_model(task, strategy, aggregator, examples, dtype=np.float64):
+    """A model in `dtype`; float64 by default, since the bounds and pins
+    below are of float64 arithmetic."""
     mask = mk.MaskConfig(strategy=strategy, aggregator=aggregator)
     config = training.TrainConfig(task=task, seed=3, mask=mask, encoder=SMALL)
     vocab = enc.Vocab.build(examples)
-    model = tasks.AbsaModel(task, replace(SMALL, vocab_size=len(vocab.words)), mask, vocab, 3)
+    model = tasks.AbsaModel(task, replace(SMALL, vocab_size=len(vocab.words)), mask, vocab, 3,
+                            dtype)
     # Zero heads and scoring weights would make every path trivial.
     rng = np.random.default_rng(5)
     for name in model.params.names():
         if name.startswith("head.") or name == "mask.w_a":
             t = model.params[name]
-            t.data = rng.normal(0.0, 0.5, size=t.data.shape)
+            t.data = rng.normal(0.0, 0.5, size=t.data.shape).astype(dtype)
     return model, config
 
 
@@ -100,6 +103,31 @@ def test_packed_batch_matches_batches_of_one(task, strategy, aggregator, train):
     for name, g in grads_1.items():
         scale = max(np.abs(g).max(), 1e-12)
         assert np.abs(grads[name] - g).max() <= 1e-9 * scale, name
+
+
+@pytest.mark.parametrize("strategy,aggregator", STRATEGIES + [("amom", "mean")])
+@pytest.mark.parametrize("task", ["ate", "asc"])
+def test_float32_packed_batch_matches_batches_of_one(task, strategy, aggregator):
+    """In float32 a packed batch predicts what its instances predict alone,
+    as the benchmark checks, with probabilities equal to rtol 1e-5. Below
+    1e-8 a probability's relative error is its logit's absolute one, so
+    those are held to 1e-8 absolute."""
+    examples = batch_examples()
+    model, _ = make_model(task, strategy, aggregator, examples, np.float32)
+    items = items_for(task, examples)
+    if strategy == "amom":
+        def probs(batch):
+            amom = model.amom_ate if task == "ate" else model.amom_asc
+            return np.concatenate(amom(batch)[0])
+    else:
+        def probs(batch):
+            return forward(model, task, batch, False, None).probs.data
+    packed = probs(items)
+    assert packed.dtype == np.float32
+    np.testing.assert_allclose(packed, np.concatenate([probs([item]) for item in items]),
+                               rtol=1e-5, atol=1e-8)
+    predict = model.predict_bio if task == "ate" else model.predict_polarity
+    assert predict(items) == [p for item in items for p in predict([item])]
 
 
 @pytest.mark.parametrize("task", ["ate", "asc"])

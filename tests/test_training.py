@@ -84,6 +84,7 @@ class TestTrainLoop:
         train_set, eval_set = data
         m1, l1 = training.train(small_config(seed=9), train_set, eval_set)
         m2, l2 = training.train(small_config(seed=9), train_set, eval_set)
+        assert m1.params.dtype == np.float32
         for name in m1.params.names():
             assert np.array_equal(m1.params[name].data, m2.params[name].data)
         assert strip_wall_time(l1) == strip_wall_time(l2)
@@ -174,7 +175,7 @@ class TestAdam:
         config = small_config(task="asc")
         vocab = enc.Vocab.build(train_set)
         encoder = dataclasses.replace(SMALL_ENCODER, vocab_size=len(vocab.words))
-        model = tasks.AbsaModel("asc", encoder, config.mask, vocab, config.seed)
+        model = tasks.AbsaModel("asc", encoder, config.mask, vocab, config.seed, np.float64)
         batch = training.asc_instances(train_set[:6])
         lam = config.l2_lambda
 
