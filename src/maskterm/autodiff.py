@@ -1,14 +1,13 @@
 """Dense float32 or float64 tensors with reverse-mode differentiation.
 
-Small on purpose: 2-D matrices and vectors, the handful of ops the encoder,
-masking strategies, and task heads need, plus a central finite-difference
-checker used to validate every gradient path.
+Small on purpose: 2-D matrices and vectors, and the handful of ops the
+encoder, masking strategies, and task heads need.
 
 A tensor keeps float32 data as float32 and holds anything else as float64;
-gradients take their tensor's dtype. Models run in float32, and the
-finite-difference checks in float64. A constant operand of an elementwise
-op (a Python scale, a mask, a table: anything but a Tensor) takes the dtype
-of the Tensor it meets, so constants never widen a float32 graph. Under
+gradients take their tensor's dtype. Models run in float32, and the tests'
+finite-difference checks in float64. A constant operand of an elementwise op
+(a Python scale, a mask, a table: anything but a Tensor) takes the dtype of
+the Tensor it meets, so constants never widen a float32 graph. Under
 NumPy 2 a float64 array, 0-d or not, or an `np.float64` scalar would, so
 the kernels take scales as Python floats.
 
@@ -38,7 +37,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .exceptions import ContractError, DimensionError, NumericError
+from .exceptions import ContractError, DimensionError
 
 LOG_CLAMP = 1e-12
 NORM_EPS = 1e-12
@@ -329,14 +328,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
     return _make(data, (a,), backward)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    if count == 0:
-        raise DimensionError("mean over empty axis")
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 # -- indexing ----------------------------------------------------------------
@@ -804,60 +795,3 @@ class ParamStore:
         for t in self._entries.values():
             total = total + np.square(t.data, dtype=np.float64).sum()
         return float(total)
-
-
-# -- gradient checking -----------------------------------------------------------------
-
-
-def finite_difference_check(
-    f: Callable[[], Tensor],
-    params: ParamStore,
-    h: float = 1e-5,
-    names: list[str] | None = None,
-    return_details: bool = False,
-):
-    """Compare backward() gradients of the scalar map `f` against central differences.
-
-    Returns the max over checked coordinates of
-    |analytic - central| / max(1e-8, |central|); with return_details, also a
-    per-parameter dict of the same statistic.
-    """
-    check_names = list(names) if names is not None else params.names()
-    params.zero_grad()
-    out = f()
-    if not np.isfinite(out.data).all():
-        raise NumericError("objective returned a non-finite value")
-    backward(out)
-    analytic = {
-        name: (params[name].grad.copy() if params[name].grad is not None else np.zeros_like(params[name].data))
-        for name in check_names
-    }
-
-    def value() -> float:
-        with no_grad():
-            y = f()
-        val = float(y.data)
-        if not math.isfinite(val):
-            raise NumericError("objective returned a non-finite value during probing")
-        return val
-
-    details: dict[str, float] = {}
-    worst = 0.0
-    for name in check_names:
-        flat = params[name].data.reshape(-1)
-        ana = analytic[name].reshape(-1)
-        err = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = value()
-            flat[i] = orig - h
-            fm = value()
-            flat[i] = orig
-            central = (fp - fm) / (2.0 * h)
-            err = max(err, abs(ana[i] - central) / max(1e-8, abs(central)))
-        details[name] = err
-        worst = max(worst, err)
-    if return_details:
-        return worst, details
-    return worst

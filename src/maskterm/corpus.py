@@ -368,6 +368,8 @@ def synth_corpus(seed: int, size: int) -> list[TokenizedExample]:
     """
     if size < 1:
         raise ContractError(f"corpus size must be >= 1, got {size}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     examples = []
     for _ in range(size):

@@ -230,6 +230,17 @@ def init_encoder_params(params: ParamStore, cfg: EncoderConfig, rng: np.random.G
         params.add(f"{p}.ln2.b", np.zeros(cfg.hidden))
 
 
+def param_count(cfg: EncoderConfig) -> int:
+    """Values `init_encoder_params` registers for `cfg`, counted without allocating any."""
+    h, f = cfg.hidden, cfg.d_ff
+    return (len_with_reserved(cfg) * cfg.d_w + len(POS_TAGS) * cfg.d_p + (cfg.d_in + 1) * h
+            + cfg.n_layers * (4 * h * h + 2 * h * f + f + 6 * h))
+
+
+def sizes(cfg: EncoderConfig) -> str:
+    return f"d_w {cfg.d_w}, d_p {cfg.d_p}, hidden {cfg.hidden}, d_ff {cfg.d_ff}, n_layers {cfg.n_layers}"
+
+
 def len_with_reserved(cfg: EncoderConfig) -> int:
     return cfg.vocab_size + RESERVED
 

@@ -1,6 +1,5 @@
-"""Deterministic optimization loop, evaluation, the gradient-check harness,
-and checkpoints: `save_model` and `load_model` are the only code that knows
-their format."""
+"""Deterministic optimization loop, evaluation, and checkpoints:
+`save_model` and `load_model` are the only code that knows their format."""
 
 from __future__ import annotations
 
@@ -160,7 +159,10 @@ def train(config: TrainConfig, train_set: list[TokenizedExample],
         raise ContractError("training set is empty")
     vocab = enc.Vocab.build(train_set)
     enc_cfg = replace(config.encoder, vocab_size=len(vocab.words))
-    model = tasks.AbsaModel(config.task, enc_cfg, config.mask, vocab, config.seed)
+    try:
+        model = tasks.AbsaModel(config.task, enc_cfg, config.mask, vocab, config.seed)
+    except (MemoryError, ValueError) as exc:   # numpy refuses an array this large at once
+        raise ConfigError(f"cannot allocate the encoder ({enc.sizes(enc_cfg)}): {exc}") from exc
     if config.task == "asc":
         instances = asc_instances(train_set)
         if not instances:
@@ -273,120 +275,6 @@ def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str)
     return tasks.EvalReport(asc={"acc": accuracy, "macro_f1": macro}, per_class=per_class)
 
 
-# -- gradient-check harness ---------------------------------------------------------
-
-
-def _tiny_example() -> TokenizedExample:
-    from .corpus import make_example, AspectAnnotation
-
-    text = "steak was great"
-    return make_example(text, [AspectAnnotation("steak", 0, 5, "positive")])
-
-
-def _tiny_batch() -> list[tuple[TokenizedExample, int]]:
-    """Three ASC instances of different lengths for the packed checks."""
-    from .corpus import make_example, AspectAnnotation
-
-    return [
-        (_tiny_example(), 0),
-        (make_example("the wine list was awful", [AspectAnnotation("wine list", 4, 13, "negative")]), 0),
-        (make_example("service slow", [AspectAnnotation("service", 0, 7, "neutral")]), 0),
-    ]
-
-
-def _tiny_config(strategy: str, task: str, seed: int = 11) -> TrainConfig:
-    mask = mk.MaskConfig(
-        strategy=strategy,
-        alpha_init=0.9,
-        gamma_init=0.2,
-        beta_init=1.1,
-        aam_span_init=1.3,
-        aam_ramp=2.0,
-    )
-    encoder_cfg = enc.EncoderConfig(
-        d_w=6, d_p=2, hidden=12, n_layers=1, n_heads=2, d_ff=16,
-        dropout_rate=0.0, max_len=16,
-    )
-    return TrainConfig(task=task, seed=seed, mask=mask, encoder=encoder_cfg)
-
-
-def _param_groups(model: tasks.AbsaModel) -> dict[str, list[str]]:
-    groups: dict[str, list[str]] = {}
-    for name in model.params.names():
-        if name.startswith("mask."):
-            groups.setdefault(name.split(".", 1)[1], []).append(name)
-        elif name.startswith("head."):
-            groups.setdefault("head", []).append(name)
-        else:
-            groups.setdefault("encoder", []).append(name)
-    return groups
-
-
-def grad_check_suite(h: float = 1e-5, seed: int = 11) -> dict[str, dict[str, float]]:
-    """Finite-difference validation of every differentiable parameter group on
-    tiny float64 models, one per strategy/task pairing, plus packed batches of
-    three ASC instances of different lengths. The packed checks skip the encoder
-    group: tests/test_packing.py shows packed encoder gradients equal those of
-    batches of one, which the single-instance checks validate.
-
-    Threshold cuts run in surrogate mode, where the margin path is the forward
-    value, so the checked objective is genuinely differentiable.
-    """
-    report: dict[str, dict[str, float]] = {}
-
-    def l2_sum(theta):
-        quad = ad.ParamStore()
-        quad.add("theta", theta)
-        return quad.l2_sum()
-
-    theta = np.random.default_rng(seed).normal(size=5)
-    central = np.array([(l2_sum(theta + e) - l2_sum(theta - e)) / (2 * h) for e in np.eye(5) * h])
-    errors = np.abs(2 * theta - central) / np.maximum(1e-8, np.abs(central))
-    report["quadratic"] = {"theta": float(errors.max())}   # closed form against central differences
-
-    def check(label: str, strategy: str, task: str, instances, skip=()):
-        config = _tiny_config(strategy, task, seed=seed)
-        examples = [ex for ex, _ in instances]
-        vocab = enc.Vocab.build(examples)
-        enc_cfg = replace(config.encoder, vocab_size=len(vocab.words))
-        model = tasks.AbsaModel(task, enc_cfg, config.mask, vocab, config.seed, np.float64)
-        # Heads and scoring weights start at zero in real training; randomize
-        # them here so every gradient path under test is non-trivial (zero
-        # heads would make upstream gradients vanish identically).
-        spread_rng = np.random.default_rng(seed + 100)
-        if "mask.w_a" in model.params:
-            model.params["mask.w_a"].data = spread_rng.normal(0.0, 0.6, size=enc_cfg.hidden)
-        for name in model.params.names():
-            if name.startswith("head."):
-                t = model.params[name]
-                t.data = spread_rng.normal(0.0, 0.4, size=t.data.shape)
-
-        if task == "ate":
-            def objective():
-                out = model.forward_ate(examples, surrogate=True)
-                return tasks.ate_loss(out.probs, [t for ex in examples for t in ex.bio_tags])
-        else:
-            golds = [ex.aspects[i].polarity for ex, i in instances]
-
-            def objective():
-                out = model.forward_asc(instances, surrogate=True)
-                return tasks.asc_loss(out.probs, golds)
-
-        group_errors = {}
-        for group, names in _param_groups(model).items():
-            if group not in skip:
-                group_errors[group] = ad.finite_difference_check(objective, model.params, h=h, names=names)
-        report[label] = group_errors
-
-    single = [(_tiny_example(), 0)]
-    check("actm_ate", "actm", "ate", single)
-    check("actm_asc", "actm", "asc", single)
-    check("aam_ate", "aam", "ate", single)
-    check("actm_asc_packed", "actm", "asc", _tiny_batch(), skip=("encoder",))
-    check("aam_asc_packed", "aam", "asc", _tiny_batch(), skip=("encoder",))
-    return report
-
-
 # -- checkpoints ----------------------------------------------------------------------
 
 CHECKPOINT_VERSION = "ckpt_v1"
@@ -439,10 +327,11 @@ def _read_checkpoint(path: str) -> tuple[dict, bytes]:
 def load_model(path: str) -> tasks.AbsaModel:
     """The float32 model a checkpoint holds. The model is built from the
     header's config; the vocabulary must be a list of vocab_size distinct
-    strings, the manifest must equal the model's own (every parameter's name
-    and shape, in order), the blob must hold exactly those values, and every
-    value must be finite once rounded to float32: a finite float64 beyond
-    float32's range is rejected. The blob is float64 whatever the model's
+    strings, the blob must hold at least the encoder's values before any
+    parameter is allocated, the manifest must equal the model's own (every
+    parameter's name and shape, in order), the blob must hold exactly those
+    values, and every value must be finite once rounded to float32: a finite
+    float64 beyond float32's range is rejected. The blob is float64 whatever the model's
     dtype. A checkpoint of a float64 model, which every model was before
     models ran in float32, loads rounded to float32, so its predictions can
     differ slightly from those of the model that was saved."""
@@ -461,6 +350,10 @@ def load_model(path: str) -> tasks.AbsaModel:
             and len(set(words)) == len(words) == enc_cfg.vocab_size):
         raise CompatibilityError(f"checkpoint vocab is not a list of vocab_size "
                                  f"({enc_cfg.vocab_size}) distinct strings")
+    needed = 8 * enc.param_count(enc_cfg)
+    if len(blob) < needed:   # checked before any parameter is allocated
+        raise CompatibilityError(f"checkpoint blob holds {len(blob)} bytes, fewer than the {needed} "
+                                 f"of its config's encoder ({enc.sizes(enc_cfg)})")
     model = tasks.AbsaModel(task, enc_cfg, mask_cfg, enc.Vocab(words), header["seed"])
     got, expected = header["manifest"], _manifest(model.params)
     if got != expected:

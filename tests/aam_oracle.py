@@ -24,10 +24,8 @@ def _soft_mask_tensor(distances: np.ndarray, z: Tensor, ramp: float) -> Tensor:
     return ad.clamp(scaled, 0.0, 1.0)
 
 
-def aam_ratio(mask_values) -> float | Tensor:
+def aam_ratio(mask_values) -> float:
     """Masking ratio: mean of the soft mask over the sequence."""
-    if isinstance(mask_values, Tensor):
-        return ad.tmean(mask_values)
     values = np.asarray(mask_values, dtype=np.float64)
     if values.size == 0:
         raise DimensionError("masking ratio of an empty vector")
@@ -56,7 +54,7 @@ def aam_attention(query_pos: int, scores: Tensor, z, ramp: float) -> Tensor:
         one_hot = np.zeros(n)
         one_hot[query_pos] = 1.0
         return Tensor(one_hot)
-    ratio = ad.tmean(m)
+    ratio = ad.mul(ad.tsum(m), 1.0 / n)
     modulated = ad.mul(ad.mul(scores, m), ratio)
     barrier = np.where(support, 0.0, ad.NEG_INF_LOGIT)
     return ad.softmax(ad.add(modulated, Tensor(barrier)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gradcheck as gc
 from maskterm import autodiff as ad
 from maskterm.exceptions import ContractError, DimensionError
 
@@ -141,7 +142,7 @@ class TestBackward:
             p = ad.softmax(ad.matmul(h, w2), axis=-1)
             return ad.tsum(ad.mul(p, p))
 
-        assert ad.finite_difference_check(f, params, h=1e-5) < 1e-6
+        assert gc.finite_difference_check(f, params, h=1e-5) < 1e-6
 
     def test_accumulation_without_reset(self):
         x = ad.Tensor(2.0, requires_grad=True)
@@ -188,13 +189,13 @@ class TestFiniteDifference:
     def test_exact_quadratic(self):
         params = ad.ParamStore()
         params.add("theta", np.random.default_rng(2).normal(size=6))
-        assert ad.finite_difference_check(lambda: _sum_of_squares(params), params) < 1e-8
+        assert gc.finite_difference_check(lambda: _sum_of_squares(params), params) < 1e-8
 
     def test_details_per_parameter(self):
         params = ad.ParamStore()
         params.add("a", [1.0, 2.0])
         params.add("b", [[0.5]])
-        worst, detail = ad.finite_difference_check(lambda: _sum_of_squares(params), params,
+        worst, detail = gc.finite_difference_check(lambda: _sum_of_squares(params), params,
                                                    return_details=True)
         assert set(detail) == {"a", "b"} and worst == max(detail.values())
 
@@ -229,6 +230,19 @@ class TestParamStore:
         params.add("a", np.zeros(4))
         assert params.names() == ["b", "a"]
         assert len(params) == 2
+
+    def test_l2_sum_gradient_is_two_theta(self):
+        """The closed form 2 theta, against central differences of `l2_sum`."""
+        h = 1e-5
+        theta = np.random.default_rng(11).normal(size=5)
+
+        def l2_sum(values):
+            params = ad.ParamStore()
+            params.add("theta", values)
+            return params.l2_sum()
+
+        central = np.array([(l2_sum(theta + e) - l2_sum(theta - e)) / (2 * h) for e in np.eye(5) * h])
+        assert (np.abs(2 * theta - central) / np.maximum(1e-8, np.abs(central))).max() < 1e-8
 
 
 class TestStraightThrough:

@@ -408,6 +408,39 @@ class TestInputErrors:
         err = self.exits_2(["train", "--config", str(cfg), "--data", str(data)], capsys)
         assert "seed" in err
 
+    def test_negative_synth_seed(self, tmp_path, capsys):
+        err = self.exits_2(["synth", "--seed", "-1", "--size", "4",
+                            "--out", str(tmp_path / "d.jsonl")], capsys)
+        assert "seed" in err
+
+    @pytest.mark.parametrize("key", ["d_w", "hidden", "d_ff"])
+    def test_encoder_size_too_large_to_allocate(self, trained, tmp_path, capsys, key):
+        """numpy refuses these arrays at once."""
+        data, _, _, _ = trained
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "encoder": {key: 2**40}}), encoding="utf-8")
+        err = self.exits_2(["train", "--task", "ate", "--config", str(cfg), "--data", str(data)],
+                           capsys)
+        assert f"{key} {2**40}" in err
+
+    @pytest.mark.parametrize("key,value", [("d_w", 2**40), ("hidden", 2**40), ("d_ff", 2**40),
+                                           ("n_layers", 10**9)])
+    def test_checkpoint_encoder_beyond_its_blob(self, tmp_path, capsys, monkeypatch, key, value):
+        """Refused before any parameter is allocated: a billion layers would
+        be allocated one after another until memory runs out."""
+        data, ckpt, doc, blob = self.small_checkpoint(tmp_path, "ate")
+        doc["config"]["encoder"][key] = value
+        ckpt.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + blob)
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("encoder parameters allocated")
+
+        monkeypatch.setattr(enc, "init_encoder_params", no_allocation)
+        with pytest.raises(CompatibilityError, match="blob"):
+            training.load_model(str(ckpt))
+        err = self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+        assert f"{key} {value}" in err
+
     @pytest.mark.parametrize("seed", [-1, True])
     def test_checkpoint_seed_is_a_non_negative_integer(self, trained, tmp_path, capsys, seed):
         """-1 would fail in the model's random generator and `true` load as 1."""

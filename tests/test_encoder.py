@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import gradcheck as gc
 from maskterm import autodiff as ad
 from maskterm import corpus
 from maskterm import encoder as enc
@@ -359,7 +361,7 @@ class TestGradFlow:
             d = ad.sub(enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp)), target)
             return ad.tsum(ad.mul(d, d))
 
-        assert ad.finite_difference_check(f, params) < 1e-4
+        assert gc.finite_difference_check(f, params) < 1e-4
 
     def test_finite_difference_with_dropout_over_packed_rows(self):
         examples = [corpus.make_example(s, []) for s in ("great", "the steak was great")]
@@ -378,7 +380,7 @@ class TestGradFlow:
             return ad.tsum(ad.mul(d, d))
 
         names = [n for n in params.names() if n.startswith("enc.")]
-        assert ad.finite_difference_check(f, params, names=names) < 1e-4
+        assert gc.finite_difference_check(f, params, names=names) < 1e-4
 
 
 # Stands for the config of a valid model in the headers below.
@@ -445,16 +447,27 @@ class TestCheckpoint:
         ["ckpt_v1"],
     ])
     def test_partial_header_rejected(self, saved, header):
-        """Each case carries the config of a valid model where it has one, so
-        a malformed manifest is rejected by the comparison with the model's."""
+        """Each case carries the config and the blob of a valid model where it
+        has a config, so a malformed manifest is rejected by the comparison
+        with the model's."""
         path, _ = saved
+        valid_header, _, blob = path.read_bytes().partition(b"\n")
         if isinstance(header, dict) and header.get("config") == VALID_CONFIG:
-            header = dict(header, config=json.loads(path.read_bytes().partition(b"\n")[0])["config"])
-        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n")
+            header = dict(header, config=json.loads(valid_header)["config"])
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
         with pytest.raises(CompatibilityError) as err:
             training.load_model(str(path))
         if isinstance(header, dict) and header.get("manifest"):   # a non-empty list of entries
             assert "manifest does not match the parameters" in str(err.value)
+
+    @pytest.mark.parametrize("sizes", [{}, {"d_w": 5, "d_p": 3, "hidden": 6, "n_layers": 3,
+                                            "n_heads": 3, "d_ff": 7}])
+    def test_param_count_counts_what_init_registers(self, small_setup, sizes):
+        _, vocab, cfg, _ = small_setup
+        enc_cfg = dataclasses.replace(cfg, **sizes)
+        params = ad.ParamStore()
+        enc.init_encoder_params(params, enc_cfg, np.random.default_rng(0))
+        assert enc.param_count(enc_cfg) == sum(t.data.size for t in params.tensors())
 
     def test_truncated_blob_rejected(self, saved):
         path, _ = saved

@@ -87,6 +87,22 @@ def negate_json_number(doc, rng):
     return doc
 
 
+# No n_layers: should the checkpoint's blob check ever fail, 2**40 layers
+# would be allocated one after another until memory ran out (test_cli checks
+# it with the allocation patched out); numpy refuses the other sizes at once.
+ENCODER_SIZES = ("d_w", "d_p", "hidden", "n_heads", "d_ff", "max_len")
+
+
+def inflate_encoder_size(data, rng):
+    """Sets one size of the `encoder` object, at the top of a config or in a
+    checkpoint header's `config`, to 2**40. Only encoder sizes: an inflated
+    epoch or round count would make a run effectively endless."""
+    doc = json.loads(data)
+    encoder = doc["encoder"] if "encoder" in doc else doc["config"]["encoder"]
+    encoder[ENCODER_SIZES[int(rng.integers(len(ENCODER_SIZES)))]] = 2**40
+    return json.dumps(doc).encode()
+
+
 def drop_jsonl_key(data, rng):
     lines = data.decode().splitlines()
     b = int(rng.integers(len(lines)))
@@ -208,9 +224,10 @@ def xml_file(fixture, schema):
 PLAIN = (truncate, flip_bits)
 FORMATS = {
     "jsonl": (examples_file(), PLAIN + (drop_jsonl_key,)),
-    "config": (config_file(), PLAIN + (drop_object_key, negate_object_number)),
+    "config": (config_file(), PLAIN + (drop_object_key, negate_object_number, inflate_encoder_size)),
     "checkpoint": (checkpoint_file(),
-                   tuple(map(on_header, PLAIN + (drop_object_key, negate_object_number)))
+                   tuple(map(on_header, PLAIN + (drop_object_key, negate_object_number,
+                                                 inflate_encoder_size)))
                    + (on_blob(flip_high_bits),)),
     "scores": (scores_file(), PLAIN + (drop_tsv_column,)),
     "sem14": (xml_file(SEM14_FIXTURE, "sem14"), PLAIN + (drop_xml_attribute,)),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import aam_oracle as oracle
+import gradcheck as gc
 from maskterm import autodiff as ad
 from maskterm import masking as mk
 from maskterm.autodiff import Tensor
@@ -88,7 +89,7 @@ class TestAspectRelevance:
         rel = packed()
         assert np.allclose(rel.data[:3], 1.0 / 3)
         assert np.abs(rel.data[3:] - alone.data).max() <= 1e-15
-        assert ad.finite_difference_check(lambda: ad.tsum(ad.mul(packed(), coeffs)), params) < 1e-6
+        assert gc.finite_difference_check(lambda: ad.tsum(ad.mul(packed(), coeffs)), params) < 1e-6
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(3)
@@ -120,7 +121,7 @@ class TestAspectRelevance:
             decision = mk.apply_mask(attn, tau, states, surrogate=True)
             return ad.tsum(ad.mul(decision.masked_states, coeffs))
 
-        assert ad.finite_difference_check(f, params) < 1e-4
+        assert gc.finite_difference_check(f, params) < 1e-4
 
 
 class TestActmThreshold:
@@ -306,7 +307,7 @@ class TestAamAttention:
             w = oracle.aam_attention(1, scores, z=z, ramp=2.0)
             return ad.tsum(ad.mul(w, coeff))
 
-        assert ad.finite_difference_check(f, params) < 1e-4
+        assert gc.finite_difference_check(f, params) < 1e-4
 
 
 class TestAmomPieces:

@@ -288,16 +288,3 @@ class TestCheckpointRoundTrip:
         training.save_model(str(path), model)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "647f35c63bb992e5bf7dc9ecf235a03a4d8320fcf3b95281455aceb0d8e9e2c4")
-
-
-class TestGradCheckSuite:
-    def test_all_groups_under_tolerance(self):
-        report = training.grad_check_suite()
-        assert report["quadratic"]["theta"] < 1e-8
-        for label in ("actm_ate", "actm_asc", "aam_ate", "actm_asc_packed", "aam_asc_packed"):
-            for group, err in report[label].items():
-                assert err < 1e-4, (label, group, err)
-        assert {"w_a", "alpha", "gamma", "beta", "encoder", "head"} <= set(report["actm_asc"])
-        assert "z" in report["aam_ate"]
-        assert {"w_a", "alpha", "gamma", "beta", "head"} <= set(report["actm_asc_packed"])
-        assert "z" in report["aam_asc_packed"]
