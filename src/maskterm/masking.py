@@ -292,13 +292,14 @@ def amom_regenerate(forward, cfg: MaskConfig, count: int, gold=None, maskable=No
     otherwise they are among its rows: with gold, the wrong ones first and
     then by gold probability, without gold the least confident ones. An
     instance with nothing to mask keeps its first-pass result. Returns
-    (final probs per instance, losses, masked sets), the last two with one
-    entry per (round, instance) pair in call order, the first pass included
-    in the losses.
+    (final probs per instance, losses per instance, masked sets): each
+    instance's losses are one list, its first pass first and then one entry
+    per round it ran (only the first pass if it had nothing to mask); the
+    masked sets are flat, one per (round, instance) pair in call order.
     """
     first, first_losses = forward({b: set() for b in range(count)})
     probs = list(first)
-    losses = list(first_losses or [None] * count)
+    losses = [[loss] for loss in first_losses or [None] * count]
     masked_history: list[set[int]] = []
     counts = [p.shape[0] for p in probs] if maskable is None else maskable
     active = [b for b in range(count) if counts[b]]
@@ -308,9 +309,9 @@ def amom_regenerate(forward, cfg: MaskConfig, count: int, gold=None, maskable=No
                   for b in active}
         masked_history.extend(masked.values())
         round_probs, round_losses = forward(masked)
-        for b, p in zip(active, round_probs):
+        for b, p, loss in zip(active, round_probs, round_losses or [None] * len(active)):
             probs[b] = p
-        losses.extend(round_losses or [None] * len(active))
+            losses[b].append(loss)
     return probs, losses, masked_history
 
 

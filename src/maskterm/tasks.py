@@ -276,7 +276,7 @@ class AbsaModel:
     # One adapter per task around masking.amom_regenerate, for the loss
     # (`scored`: remask by gold, one loss per instance and round) and for
     # prediction (remask by confidence, no losses). Both return
-    # amom_regenerate's (probs per instance, losses, masked sets).
+    # amom_regenerate's (probs per instance, losses per instance, masked sets).
 
     def amom_ate(self, examples: list[TokenizedExample], scored: bool = False,
                  train: bool = False, rng: np.random.Generator | None = None):
@@ -297,21 +297,17 @@ class AbsaModel:
     def amom_asc(self, instances: list[tuple[TokenizedExample, int]], scored: bool = False,
                  train: bool = False, rng: np.random.Generator | None = None):
         """Remasks each instance's sentence tokens outside its aspect span, left
-        to right. One unmasked no-grad base pass over the batch gives the packed
-        rows that say which those are; without losses to record, it is also the
-        first round, the only one that masks nothing."""
-        with ad.no_grad():
-            base = self.forward_asc(instances)
-        inp = base.inp
-        protected = set(inp.protected.tolist())
-        content = np.split(inp.content_positions, inp.content_segments.offsets[1:])
-        maskable = [[c for c, pos in enumerate(rows.tolist()) if pos not in protected]
-                    for rows in content]
+        to right: the content rows `enc.asc_input` does not protect. The first
+        round is an ordinary forward that hides nothing. An aspect with no
+        token span has nothing listed here; that first forward refuses it."""
+        maskable = []
+        for ex, i in instances:
+            span = ex.aspects[i].token_span
+            maskable.append([] if span is None else
+                            [c for c in range(len(ex)) if not span[0] <= c <= span[1]])
         golds = [ex.aspects[i].polarity for ex, i in instances]
 
         def forward(masked: dict[int, set[int]]):
-            if not (scored or any(masked.values())):
-                return base.probs.data[:, None], None
             hidden = [frozenset(maskable[b][i] for i in m) for b, m in masked.items()]
             out = self.forward_asc([instances[b] for b in masked], train=train, rng=rng,
                                    masked_content=hidden)

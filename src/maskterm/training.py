@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -134,13 +135,14 @@ def batch_loss(model: tasks.AbsaModel, config: TrainConfig, batch, train: bool, 
     ATE: per-example token-summed cross-entropy, averaged over the batch.
     ASC: instance-averaged cross-entropy; its L2 term is not in the graph
     (Adam adds its gradient, `train` adds its value to the logged loss).
-    AMOM runs each instance as a batch of one, so dropout draws keep the
-    order of a lone instance, and averages its per-round losses first.
+    AMOM runs the batch through one packed remask-and-regenerate loop, one
+    forward per round, and averages each instance's per-round losses first,
+    then the instances.
     """
     if config.mask.strategy == "amom":
         amom = model.amom_ate if config.task == "ate" else model.amom_asc
-        return _mean_tensor([_mean_tensor(amom([item], scored=True, train=train, rng=rng)[1])
-                             for item in batch])
+        losses = amom(batch, scored=True, train=train, rng=rng)[1]
+        return _mean_tensor([_mean_tensor(per_round) for per_round in losses])
     if config.task == "ate":
         out = model.forward_ate(batch, train=train, rng=rng)
         tags = [tag for ex in batch for tag in ex.bio_tags]
@@ -201,15 +203,13 @@ def train(config: TrainConfig, train_set: list[TokenizedExample],
             epoch_l2 += l2_term * len(batch)
             seen += len(batch)
         report = evaluate(model, eval_set, config.task)
-        param_norm = float(np.sqrt(sum(np.square(t.data, dtype=np.float64).sum()
-                                       for t in model.params.tensors())))
         log.append(
             epoch=epoch,
             train_loss=epoch_loss / max(seen, 1),
             l2_term=epoch_l2 / max(seen, 1),
             eval=report_metrics(report, config.task),
             wall_time_s=round(time.perf_counter() - started, 4),
-            param_norm=param_norm,
+            param_norm=math.sqrt(model.params.l2_sum()),
         )
     return model, log
 

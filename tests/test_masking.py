@@ -379,7 +379,7 @@ class TestAmomRegenerate:
         probs = np.array([[0.6, 0.3, 0.1], [0.2, 0.7, 0.1]])
         cfg = mk.MaskConfig(amom_iterations=1)
         _, losses, history = mk.amom_regenerate(self.stub_forward(probs), cfg, 1, [gold])
-        assert len(history) == 1 and len(losses) == 2
+        assert len(history) == 1 and [len(per_round) for per_round in losses] == [2]
 
     def test_incorrect_positions_selected_first(self):
         gold = np.array([0, 0, 0, 0])
@@ -427,7 +427,7 @@ class TestAmomRegenerate:
         _, losses, history = mk.amom_regenerate(self.stub_forward(probs), cfg, 1)
         # R = mean max-probability 0.6 -> mu 0.45 -> round(1.8) = 2 positions
         assert ratios == [pytest.approx(0.6, abs=1e-15)]
-        assert history == [{1, 3}] and len(losses) == 2
+        assert history == [{1, 3}] and [len(per_round) for per_round in losses] == [2]
 
     def test_nothing_maskable_runs_first_pass_only(self):
         calls = []
@@ -438,7 +438,7 @@ class TestAmomRegenerate:
 
         _, losses, history = mk.amom_regenerate(forward, mk.MaskConfig(), 1, [np.array([1])],
                                                 maskable=[0])
-        assert calls == [{0: set()}] and losses == [None] and history == []
+        assert calls == [{0: set()}] and losses == [[None]] and history == []
 
     @pytest.mark.parametrize("selector", ["gold", "confidence", "maskable"])
     def test_instances_run_together_as_alone(self, selector):
@@ -460,7 +460,7 @@ class TestAmomRegenerate:
             alone = mk.amom_regenerate(self.stub_forward(base[b], scored=True), cfg, 1,
                                        gold and [gold[b]], maskable and [maskable[b]])
             assert np.array_equal(probs[b], alone[0][0])
-            assert losses[b::2] == alone[1] and history[b::2] == alone[2]
+            assert [losses[b]] == alone[1] and history[b::2] == alone[2]
             assert len(alone[2]) == 3 and all(alone[2])
 
     def test_instance_with_nothing_maskable_sits_out(self):
@@ -475,7 +475,8 @@ class TestAmomRegenerate:
         cfg = mk.MaskConfig(amom_iterations=2)
         probs, losses, history = mk.amom_regenerate(forward, cfg, 2, maskable=[0, 2])
         assert calls == [[0, 1], [1], [1]]
-        assert np.array_equal(probs[0], base[0]) and len(history) == 2 and len(losses) == 4
+        assert np.array_equal(probs[0], base[0]) and len(history) == 2
+        assert [len(per_round) for per_round in losses] == [1, 3]
 
 
 class TestTrace:

@@ -212,21 +212,29 @@ def test_evaluate_chunks_by_length_and_keeps_input_order(task, strategy, monkeyp
     assert len(lengths) > training.EVAL_CHUNK and lengths == sorted(lengths)
 
 
-# batch_loss of AMOM, which runs every instance on its own: (task, train mode)
-# -> loss. First recorded before packing; re-recorded when the 24 always-zero
-# dependency input columns were dropped, which changes the init of SMALL. The
-# code before that change gives the same losses from these parameters with 24
-# zero rows appended to in_proj.W; so do the evaluation pins below. The ASC
-# entries were re-recorded again when AMOM ASC lost its scoring weight mask.w_a
-# (make_model then draws other head weights) and its loss lost the L2 term: the
-# code before that change, given these parameters and mask.w_a = 0, gives these
-# losses plus (l2_lambda / 2) * ||theta||^2, and the same evaluation pins.
+# batch_loss of AMOM: (task, train mode) -> loss. First recorded before
+# packing, when AMOM training ran every instance on its own; re-recorded when
+# the 24 always-zero dependency input columns were dropped, which changes the
+# init of SMALL. The code before that change gives the same losses from these
+# parameters with 24 zero rows appended to in_proj.W; so do the evaluation pins
+# below. The ASC entries were re-recorded again when AMOM ASC lost its scoring
+# weight mask.w_a (make_model then draws other head weights) and its loss lost
+# the L2 term: the code before that change, given these parameters and
+# mask.w_a = 0, gives these losses plus (l2_lambda / 2) * ||theta||^2, and the
+# same evaluation pins.
+# The train-mode entries were re-recorded when AMOM training packed the batch
+# into one loop (ATE 22.938112896773923, ASC 23.429867885544176 before): the
+# dropout draws now run round by round, not instance by instance. The mean of
+# batch_loss over batches of one, sharing one generator, still gives the old
+# values (test_amom_training_draws_instance_by_instance_when_alone).
 AMOM_LOSSES = {
     ("ate", False): 18.424291944816655,
-    ("ate", True): 22.938112896773923,
+    ("ate", True): 23.5674124088784,
     ("asc", False): 23.521206388192226,
-    ("asc", True): 23.429867885544176,
+    ("asc", True): 23.265537540332392,
 }
+# The train-mode losses before packing, which batches of one still give.
+AMOM_LOSSES_ALONE = {"ate": 22.938112896773923, "asc": 23.429867885544176}
 
 
 @pytest.mark.parametrize("task,train", list(AMOM_LOSSES))
@@ -236,6 +244,58 @@ def test_amom_batch_loss_unchanged(task, train):
     loss = training.batch_loss(model, config, items_for(task, data), train=train,
                                rng=np.random.default_rng(9))
     assert abs(float(loss.data) - AMOM_LOSSES[(task, train)]) <= 1e-10
+
+
+@pytest.mark.parametrize("task", list(AMOM_LOSSES_ALONE))
+def test_amom_training_draws_instance_by_instance_when_alone(task):
+    data = corpus.synth_corpus(seed=21, size=6)
+    model, config = make_model(task, "amom", "mean", data)
+    rng = np.random.default_rng(9)
+    losses = [float(training.batch_loss(model, config, [item], train=True, rng=rng).data)
+              for item in items_for(task, data)]
+    assert abs(np.mean(losses) - AMOM_LOSSES_ALONE[task]) <= 1e-10
+
+
+@pytest.mark.parametrize("task", ["ate", "asc"])
+def test_amom_packed_loss_matches_batches_of_one(task):
+    """With dropout off, the packed scored loss and every gradient equal the
+    mean over batches of one; the batch holds an ASC instance with nothing
+    to mask, which contributes its first-pass loss alone."""
+    examples = batch_examples()
+    model, config = make_model(task, "amom", "mean", examples)
+    items = items_for(task, examples)
+    loss, grads = loss_and_grads(model, config, [items], False, seed=23)
+    loss_1, grads_1 = loss_and_grads(model, config, [[item] for item in items], False, seed=23)
+    assert abs(loss - loss_1) <= 1e-10
+    assert grads.keys() == grads_1.keys() == set(model.params.names())
+    for name, g in grads_1.items():
+        assert np.abs(grads[name] - g).max() <= 1e-10, name
+    if task == "asc":
+        losses = model.amom_asc(items, scored=True)[1]
+        assert len(examples[0]) == 1 and len(losses[0]) == 1
+        assert [len(per_round) for per_round in losses[1:]] == [
+            1 + model.mask_cfg.amom_iterations] * (len(items) - 1)
+
+
+@pytest.mark.parametrize("task", ["ate", "asc"])
+def test_amom_training_forwards_once_per_round(task, monkeypatch):
+    """A training batch_loss makes one packed forward per round, every one
+    recording a graph: no extra no-grad pass."""
+    examples = batch_examples()
+    model, config = make_model(task, "amom", "mean", examples)
+    items = items_for(task, examples)
+    name = f"forward_{task}"
+    inner = getattr(model, name)
+    calls = []
+
+    def logged(batch, *args, **kwargs):
+        calls.append((len(batch), ad._grad_enabled()))
+        return inner(batch, *args, **kwargs)
+
+    monkeypatch.setattr(model, name, logged)
+    training.batch_loss(model, config, items, train=True, rng=np.random.default_rng(9))
+    assert len(calls) == 1 + model.mask_cfg.amom_iterations
+    assert calls[0] == (len(items), True) and all(grad for _, grad in calls)
 
 
 # evaluate() of AMOM, first recorded when it refined every instance on its own
