@@ -10,7 +10,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from . import corpus, encoder as enc, masking as mk, tasks, training
+from . import autodiff as ad, corpus, encoder as enc, masking as mk, tasks, training
 from .autodiff import Tensor
 from .exceptions import (
     CompatibilityError,
@@ -96,8 +96,7 @@ def cmd_train(args) -> int:
     if args.runlog_out:
         with open(args.runlog_out, "w", encoding="utf-8") as fh:
             fh.write(log.to_ldjson())
-    report = training.evaluate(model, eval_set, config.task)
-    print(report.to_json())
+    print(log.final_report.to_json())
     return 0
 
 
@@ -178,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="parse review XML into line-delimited JSON examples")
     p.add_argument("--input", required=True, help="path to the XML file")
-    p.add_argument("--schema", required=True, choices=["sem14", "sem16"],
+    p.add_argument("--schema", required=True, choices=corpus.SCHEMAS,
                    help="sem14: aspectTerm elements; sem16: Opinion targets (2015/16 layout)")
     p.add_argument("--out", required=True, help="output .jsonl path")
     p.set_defaults(func=cmd_ingest)
@@ -190,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model and report final metrics")
-    p.add_argument("--task", choices=["ate", "asc"], help="overrides the config's task")
+    p.add_argument("--task", choices=tasks.TASKS, help="overrides the config's task")
     p.add_argument("--config", help="JSON config path (defaults apply when omitted)")
     p.add_argument("--data", required=True, help="training examples (.jsonl)")
     p.add_argument("--eval", help="evaluation examples (.jsonl); defaults to --data")
@@ -201,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--task", choices=["ate", "asc"], help="must match the checkpoint")
+    p.add_argument("--task", choices=tasks.TASKS, help="must match the checkpoint")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("mask-demo", help="print a token/attention/threshold mask trace")
@@ -209,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--scores", help="TSV of token<TAB>attention rows, used verbatim")
     source.add_argument("--sentence", help="sentence to run through a trained checkpoint")
     p.add_argument("--ckpt", help="checkpoint path (required with --sentence)")
-    p.add_argument("--aggregator", choices=["mean", "median", "sd"], default="mean")
+    p.add_argument("--aggregator", choices=ad.AGGREGATOR_KINDS,
+                   default=mk.MaskConfig.aggregator)
     p.add_argument("--alpha", type=float, default=None,
                    help="threshold weight (default: 1.0 with --scores, as trained with --sentence)")
     p.set_defaults(func=cmd_mask_demo)

@@ -22,6 +22,7 @@ from .exceptions import (
 )
 
 POLARITIES = ("positive", "negative", "neutral")
+SCHEMAS = ("sem14", "sem16")   # review XML layouts parse_semeval_xml reads
 
 POS_TAGS = ("DET", "ADP", "CONJ", "PRON", "VERB", "ADJ", "ADV", "NOUN", "NUM", "PUNCT", "OTHER")
 POS_INDEX = {t: i for i, t in enumerate(POS_TAGS)}
@@ -60,7 +61,7 @@ class TokenizedExample:
             raise ContractError("per-token sequences disagree in length")
         if not all(isinstance(t, str) and t for t in self.tokens):
             raise ContractError("tokens must be non-empty strings")
-        if not all(isinstance(p, int) and 0 <= p < len(POS_TAGS) for p in self.pos_ids):
+        if not all(type(p) is int and 0 <= p < len(POS_TAGS) for p in self.pos_ids):
             raise ContractError("POS id outside the tag set")
         prev = "O"
         for tag in self.bio_tags:
@@ -75,7 +76,7 @@ class TokenizedExample:
             if asp.polarity not in POLARITIES:
                 raise ContractError(f"aspect {asp.term!r} has unknown polarity {asp.polarity!r}")
             s, e = asp.token_span
-            if not (isinstance(s, int) and isinstance(e, int)):
+            if not (type(s) is int and type(e) is int):
                 raise ContractError(f"aspect {asp.term!r} token span {asp.token_span!r} "
                                     "is not a pair of integers")
             if not (0 <= s <= e < n):
@@ -272,7 +273,7 @@ def parse_semeval_xml(data: bytes | str, schema: str):
     positive/negative/neutral are dropped and counted in the summary's
     `skipped` tally; NULL or empty targets are dropped silently.
     """
-    if schema not in ("sem14", "sem16"):
+    if schema not in SCHEMAS:
         raise ContractError(f"unknown schema {schema!r}; expected sem14 or sem16")
     try:
         root = ET.fromstring(data)

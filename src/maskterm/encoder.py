@@ -1,14 +1,16 @@
 """Trainable self-attention encoder producing contextual token states.
 
-Input rows concatenate a word embedding, carrying the position signal, and a
-POS embedding; [CLS]/[SEP] use reserved vocabulary ids with a zeroed POS
-part. `encode` returns the final states, one Tensor. The
-input projection is one graph node and each layer another: `_block` runs the
-layer on plain arrays through the autodiff kernels and hands its gradients
-back in one hand-written backward; the attention probabilities stay inside
-that node, for its backward only. In training, dropout masks are boolean
-keep-masks (one byte an entry) applied with the scale 1 / (1 - rate), which
-gives the same bits as multiplying by a float mask.
+`pack_inputs` writes a whole batch's input rows in one pass, every sequence
+end to end: [CLS] + sentence + [SEP], and for ASC the aspect's tokens and a
+closing [SEP]. Input rows concatenate a word embedding, carrying the
+position signal, and a POS embedding; [CLS]/[SEP] use reserved vocabulary
+ids with a zeroed POS part. `encode` returns the final states, one Tensor.
+The input projection is one graph node and each layer another: `_block`
+runs the layer on plain arrays through the autodiff kernels and hands its
+gradients back in one hand-written backward; the attention probabilities
+stay inside that node, for its backward only. In training, dropout masks are
+boolean keep-masks (one byte an entry) applied with the scale 1 / (1 - rate),
+which gives the same bits as multiplying by a float mask.
 
 The encoder computes in the dtype of its parameters: float32 in a model,
 float64 in the gradient checks. Every constant it builds, such as the
@@ -90,7 +92,7 @@ class Vocab:
 
 @dataclass
 class ModelInput:
-    """Word and POS ids of one or more sequences packed end to end, one row
+    """Word and POS ids of a batch's sequences packed end to end, one row
     each, plus bookkeeping for masking and losses. Positions are packed row
     indices, grouped by sequence."""
 
@@ -98,7 +100,7 @@ class ModelInput:
     pos_ids: np.ndarray              # (N,) int; ignored where special
     special: np.ndarray              # (N,) bool, True at [CLS]/[SEP]
     content_positions: np.ndarray    # rows of the sentence tokens
-    protected: np.ndarray            # rows the masking must keep
+    protected: np.ndarray            # rows the masking must keep, ascending
     lengths: tuple[int, ...]         # rows of each sequence
     aspect_spans: np.ndarray | None = None   # (B, 2) inclusive in-sentence aspect rows (ASC)
 
@@ -114,72 +116,45 @@ class ModelInput:
         return self.segments.of_rows(self.content_positions)
 
 
-def ate_input(example: TokenizedExample, vocab: Vocab) -> ModelInput:
-    """[CLS] + sentence + [SEP]."""
-    n = len(example.tokens)
-    ids = np.array([CLS_ID] + [vocab.id_of(t) for t in example.tokens] + [SEP_ID])
-    pos = np.array([0] + example.pos_ids + [0])
-    special = np.zeros(n + 2, dtype=bool)
-    special[0] = special[-1] = True
-    return ModelInput(
-        token_ids=ids,
-        pos_ids=pos,
-        special=special,
-        content_positions=np.arange(1, n + 1),
-        protected=np.array([0, n + 1]),
-        lengths=(n + 2,),
-    )
-
-
-def asc_input(example: TokenizedExample, aspect_idx: int, vocab: Vocab) -> ModelInput:
-    """[CLS] + sentence + [SEP] + aspect tokens + [SEP]."""
-    aspect = example.aspects[aspect_idx]
-    if aspect.token_span is None:
-        raise ContractError(f"aspect {aspect.term!r} has no token-span projection")
-    s, e = aspect.token_span
-    n = len(example.tokens)
-    asp_tokens = example.tokens[s:e + 1]
-    asp_pos = example.pos_ids[s:e + 1]
-    ids = np.array(
-        [CLS_ID] + [vocab.id_of(t) for t in example.tokens] + [SEP_ID]
-        + [vocab.id_of(t) for t in asp_tokens] + [SEP_ID]
-    )
-    pos = np.array([0] + example.pos_ids + [0] + asp_pos + [0])
-    total = len(ids)
-    special = np.zeros(total, dtype=bool)
-    special[0] = special[n + 1] = special[total - 1] = True
-    # specials, the in-sentence aspect span and the appended aspect copy
-    protected = np.concatenate(([0], np.arange(s + 1, e + 2), np.arange(n + 1, total)))
-    return ModelInput(
-        token_ids=ids,
-        pos_ids=pos,
-        special=special,
-        content_positions=np.arange(1, n + 1),
-        protected=protected,
-        lengths=(total,),
-        aspect_spans=np.array([[s + 1, e + 1]]),
-    )
-
-
-def pack_inputs(inputs: list[ModelInput]) -> ModelInput:
-    """One ModelInput holding every sequence of `inputs` end to end."""
-    if not inputs:
+def pack_inputs(vocab: Vocab, examples: list[TokenizedExample],
+                aspects: list[int] | None = None) -> ModelInput:
+    """A batch's rows in one pass: [CLS] + sentence + [SEP] for each example
+    and, given `aspects` (ASC: one aspect index per example), that aspect's
+    tokens and a closing [SEP]. Masking keeps the specials and, for ASC, the
+    in-sentence aspect span and the appended copy."""
+    if not examples:
         raise ContractError("cannot pack an empty batch")
-    if len(inputs) == 1:
-        return inputs[0]
-    starts = np.cumsum([0] + [len(i) for i in inputs[:-1]])
-
-    def rows(name):
-        return np.concatenate([getattr(i, name) + start for i, start in zip(inputs, starts)])
-
+    ids, pos, special, content, protected, lengths, spans = [], [], [], [], [], [], []
+    for b, ex in enumerate(examples):
+        start, n = len(ids), len(ex.tokens)
+        words = [vocab.id_of(t) for t in ex.tokens]
+        ids += [CLS_ID, *words, SEP_ID]
+        pos += [0, *ex.pos_ids, 0]
+        special += [True, *[False] * n, True]
+        content += range(start + 1, start + n + 1)
+        if aspects is None:
+            protected += (start, start + n + 1)
+        else:
+            aspect = ex.aspects[aspects[b]]
+            if aspect.token_span is None:
+                raise ContractError(f"aspect {aspect.term!r} has no token-span projection")
+            s, e = aspect.token_span
+            ids += [*words[s:e + 1], SEP_ID]
+            pos += [*ex.pos_ids[s:e + 1], 0]
+            special += [*[False] * (e - s + 1), True]
+            protected.append(start)
+            protected += range(start + s + 1, start + e + 2)
+            protected += range(start + n + 1, len(ids))
+            spans.append((start + s + 1, start + e + 1))
+        lengths.append(len(ids) - start)
     return ModelInput(
-        token_ids=np.concatenate([i.token_ids for i in inputs]),
-        pos_ids=np.concatenate([i.pos_ids for i in inputs]),
-        special=np.concatenate([i.special for i in inputs]),
-        content_positions=rows("content_positions"),
-        protected=rows("protected"),
-        lengths=tuple(len(i) for i in inputs),
-        aspect_spans=rows("aspect_spans") if inputs[0].aspect_spans is not None else None,
+        token_ids=np.array(ids),
+        pos_ids=np.array(pos),
+        special=np.array(special),
+        content_positions=np.array(content, dtype=int),
+        protected=np.array(protected, dtype=int),
+        lengths=tuple(lengths),
+        aspect_spans=None if aspects is None else np.array(spans),
     )
 
 

@@ -10,17 +10,17 @@ Three adaptive families plus a fixed-threshold baseline:
     head reads.
   - AAM: soft distance ramp with a learnable span that reshapes attention
     around every position.
-  - AMOM: remask a number of positions set by how good the last prediction
-    was, and regenerate predictions for a fixed number of rounds. One loop,
-    amom_regenerate, serves training and inference: it decides for each
-    instance of a batch from that instance's rows and runs each round as one
-    packed forward over the instances that still have positions to mask.
+  - AMOM: remask a number of content tokens set by how good the last
+    prediction was, and regenerate predictions for a fixed number of rounds.
+    One loop, amom_regenerate, serves training and inference: it decides for
+    each instance of a batch from that instance's rows and runs each round as
+    one packed forward over the instances that still have tokens to mask.
     Training rates a round by its correctness ratio against gold and remasks
-    wrong positions first, then those of lowest gold probability; inference,
+    wrong tokens first, then those of lowest gold probability; inference,
     without gold, rates it by mean max-probability and remasks the least
-    confident positions. ASC remasks the sentence tokens outside the aspect
-    from left to right in both: its one prediction cannot rank positions, and
-    no learned weight ranks them.
+    confident tokens. An ASC instance may hide the sentence tokens outside
+    its aspect and hides them from left to right in both: its one prediction
+    row cannot rank them, and no learned weight ranks them.
 
 The threshold cut is a step function, so training uses a straight-through
 gate: the forward pass applies the hard rule, while gradients flow through
@@ -32,6 +32,7 @@ making the objective genuinely differentiable.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,42 +255,44 @@ def amom_select_positions(gold_probs: np.ndarray, correct: np.ndarray, n_mask: i
     return [int(i) for i in order[:n_mask]]
 
 
-def _amom_remask(probs: np.ndarray, maskable: int, cfg: MaskConfig, gold=None,
-                 positional: bool = False) -> set[int]:
-    """One instance's positions to hide next round, from its own rows alone."""
+def _amom_remask(probs: np.ndarray, maskable: Sequence[int], cfg: MaskConfig,
+                 gold=None) -> set[int]:
+    """One instance's content indices to hide next round, from its own rows
+    alone. One prediction row ranks nothing: the first maskable indices go."""
     if gold is None:
         confidence = probs.max(axis=1)
         ratio = float(confidence.mean())
     else:
         pred = probs.argmax(axis=-1)
         ratio = amom_correctness_ratio(pred.tolist(), gold.tolist())
-    _, n_mask = amom_mask_count(ratio, maskable, cfg)
-    if positional:
-        chosen = range(n_mask)
-    elif gold is not None:
-        gold_probs = probs[np.arange(gold.size), gold]
-        chosen = amom_select_positions(gold_probs, pred == gold, n_mask)
+    _, n_mask = amom_mask_count(ratio, len(maskable), cfg)
+    if probs.shape[0] == 1:
+        return set(maskable[:n_mask])
+    rows = np.asarray(maskable, dtype=np.intp)
+    if gold is not None:
+        chosen = amom_select_positions(probs[rows, gold[rows]], pred[rows] == gold[rows], n_mask)
     else:
-        chosen = amom_select_positions(confidence, np.ones(maskable, dtype=bool), n_mask)
-    return set(chosen)
+        chosen = amom_select_positions(confidence[rows], np.ones(rows.size, dtype=bool), n_mask)
+    return {int(rows[i]) for i in chosen}
 
 
-def amom_regenerate(forward, cfg: MaskConfig, count: int, gold=None, maskable=None):
-    """Iterative remask-and-regenerate loop over a batch of `count`
-    instances, for training and inference alike.
+def amom_regenerate(forward, cfg: MaskConfig, maskable: list[Sequence[int]], gold=None):
+    """Iterative remask-and-regenerate loop over a batch of instances, for
+    training and inference alike; `maskable[b]` lists the content indices
+    instance b may hide.
 
     `forward(masked)` takes a dict from instance index to the set of that
-    instance's maskable positions to hide, runs those instances as one packed
+    instance's content indices to hide, runs those instances as one packed
     pass and returns, in the dict's order, one probability array (m, C) per
     instance and one loss Tensor per instance, or None for the losses.
 
     Every decision is made per instance from its own rows. Each of the
     `cfg.amom_iterations` rounds after the unmasked first pass hides
-    amom_mask_count(R) of its positions, where R is the correctness ratio
-    against its `gold` class ids (one array per instance, one id per row), or
-    without gold its mean max-probability. Given `maskable` counts, one per
-    instance, the positions are the first ones of its `maskable[b]`;
-    otherwise they are among its rows: with gold, the wrong ones first and
+    amom_mask_count(R) of its maskable indices, where R is the correctness
+    ratio against its `gold` class ids (one array per instance, one id per
+    row), or without gold its mean max-probability. An instance with one
+    prediction row hides its first maskable indices; any other ranks them by
+    its rows, one row per content index: with gold, the wrong ones first and
     then by gold probability, without gold the least confident ones. An
     instance with nothing to mask keeps its first-pass result. Returns
     (final probs per instance, losses per instance, masked sets): each
@@ -297,15 +300,14 @@ def amom_regenerate(forward, cfg: MaskConfig, count: int, gold=None, maskable=No
     per round it ran (only the first pass if it had nothing to mask); the
     masked sets are flat, one per (round, instance) pair in call order.
     """
+    count = len(maskable)
     first, first_losses = forward({b: set() for b in range(count)})
     probs = list(first)
     losses = [[loss] for loss in first_losses or [None] * count]
     masked_history: list[set[int]] = []
-    counts = [p.shape[0] for p in probs] if maskable is None else maskable
-    active = [b for b in range(count) if counts[b]]
+    active = [b for b in range(count) if len(maskable[b])]
     for _ in range(cfg.amom_iterations if active else 0):
-        masked = {b: _amom_remask(probs[b], counts[b], cfg,
-                                  None if gold is None else gold[b], maskable is not None)
+        masked = {b: _amom_remask(probs[b], maskable[b], cfg, None if gold is None else gold[b])
                   for b in active}
         masked_history.extend(masked.values())
         round_probs, round_losses = forward(masked)

@@ -16,6 +16,7 @@ from .autodiff import ParamStore, Tensor
 from .corpus import TokenizedExample
 from .exceptions import ContractError, DimensionError
 
+TASKS = ("ate", "asc")
 BIO_CLASSES = ("B", "I", "O")
 BIO_INDEX = {c: i for i, c in enumerate(BIO_CLASSES)}
 ASC_CLASSES = ("positive", "negative", "neutral")
@@ -153,7 +154,7 @@ class AbsaModel:
 
     def __init__(self, task: str, enc_cfg: enc.EncoderConfig, mask_cfg: mk.MaskConfig,
                  vocab: enc.Vocab, seed: int, dtype=np.float32):
-        if task not in ("ate", "asc"):
+        if task not in TASKS:
             raise ContractError(f"unknown task {task!r}")
         self.task = task
         self.enc_cfg = enc_cfg
@@ -242,7 +243,7 @@ class AbsaModel:
                     surrogate: bool = False, rng: np.random.Generator | None = None,
                     masked_content: list[frozenset[int]] | None = None) -> TaskOutput:
         """BIO probabilities of every sentence token, sentence after sentence."""
-        inp = enc.pack_inputs([enc.ate_input(ex, self.vocab) for ex in examples])
+        inp = enc.pack_inputs(self.vocab, examples)
         encoded = self._encode_input(inp, train, rng, masked_content)
         states, decision = self._mask_states(encoded, inp, surrogate)
         logits = ad.affine(states, self.params["head.ate.W"], self.params["head.ate.b"])
@@ -253,7 +254,7 @@ class AbsaModel:
                     surrogate: bool = False, rng: np.random.Generator | None = None,
                     masked_content: list[frozenset[int]] | None = None) -> TaskOutput:
         """Polarity probabilities, one row per (example, aspect index) instance."""
-        inp = enc.pack_inputs([enc.asc_input(ex, idx, self.vocab) for ex, idx in instances])
+        inp = enc.pack_inputs(self.vocab, [ex for ex, _ in instances], [i for _, i in instances])
         encoded = self._encode_input(inp, train, rng, masked_content)
         states, decision = self._mask_states(encoded, inp, surrogate)
         if self.mask_cfg.strategy == "aam":
@@ -292,14 +293,16 @@ class AbsaModel:
                       if scored else None)
             return [out.probs.data[r] for r in rows], losses
 
-        return mk.amom_regenerate(forward, self.mask_cfg, len(examples), gold)
+        return mk.amom_regenerate(forward, self.mask_cfg, [range(len(ex)) for ex in examples],
+                                  gold)
 
     def amom_asc(self, instances: list[tuple[TokenizedExample, int]], scored: bool = False,
                  train: bool = False, rng: np.random.Generator | None = None):
-        """Remasks each instance's sentence tokens outside its aspect span, left
-        to right: the content rows `enc.asc_input` does not protect. The first
-        round is an ordinary forward that hides nothing. An aspect with no
-        token span has nothing listed here; that first forward refuses it."""
+        """Each instance may hide its sentence tokens outside its aspect span,
+        the content rows `enc.pack_inputs` does not protect; with one
+        prediction row, it hides them left to right. The first round is an
+        ordinary forward that hides nothing. An aspect with no token span has
+        nothing listed here; that first forward refuses it."""
         maskable = []
         for ex, i in instances:
             span = ex.aspects[i].token_span
@@ -308,16 +311,14 @@ class AbsaModel:
         golds = [ex.aspects[i].polarity for ex, i in instances]
 
         def forward(masked: dict[int, set[int]]):
-            hidden = [frozenset(maskable[b][i] for i in m) for b, m in masked.items()]
             out = self.forward_asc([instances[b] for b in masked], train=train, rng=rng,
-                                   masked_content=hidden)
+                                   masked_content=[frozenset(m) for m in masked.values()])
             losses = ([asc_loss(out.probs[k:k + 1], [golds[b]])
                        for k, b in enumerate(masked)] if scored else None)
             return out.probs.data[:, None], losses
 
         gold_ids = [np.array([ASC_INDEX[g]]) for g in golds] if scored else None
-        return mk.amom_regenerate(forward, self.mask_cfg, len(instances), gold_ids,
-                                  [len(m) for m in maskable])
+        return mk.amom_regenerate(forward, self.mask_cfg, maskable, gold_ids)
 
     # -- prediction helpers ----------------------------------------------------------
     # AMOM predicts from its last regeneration round.

@@ -36,7 +36,7 @@ class TrainConfig:
     encoder: enc.EncoderConfig = field(default_factory=enc.EncoderConfig)
 
     def __post_init__(self):
-        if self.task not in ("ate", "asc"):
+        if self.task not in tasks.TASKS:
             raise ContractError(f"unknown task {self.task!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractError("epochs and batch_size must be >= 1")
@@ -80,6 +80,7 @@ def typed_values(name: str, raw, defaults: dict) -> dict:
 @dataclass
 class RunLog:
     records: list[dict] = field(default_factory=list)
+    final_report: tasks.EvalReport | None = None   # the last epoch's evaluation
 
     def append(self, **record) -> None:
         self.records.append(record)
@@ -211,6 +212,7 @@ def train(config: TrainConfig, train_set: list[TokenizedExample],
             wall_time_s=round(time.perf_counter() - started, 4),
             param_norm=math.sqrt(model.params.l2_sum()),
         )
+    log.final_report = report
     return model, log
 
 

@@ -9,7 +9,7 @@ import types
 
 import pytest
 
-from maskterm import autodiff, corpus, encoder as enc, masking as mk, training
+from maskterm import autodiff, corpus, encoder as enc, masking as mk, tasks, training
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -57,3 +57,9 @@ def test_install_layers_hooks_every_name_and_restores(harness, task, strategy, c
                 "forward_calls", counter):
         assert rec.counters[key] > 0, key
     assert rec.named("encoder.attention") and rec.named("encoder.layer_norm")
+
+
+@pytest.mark.parametrize("name", ["predict_bio", "predict_polarity", "forward_ate", "forward_asc"])
+def test_model_methods_perfbench_patches_exist(name):
+    """perfbench's own tests patch these model methods by name."""
+    assert callable(getattr(tasks.AbsaModel, name, None))

@@ -170,6 +170,24 @@ class TestTrainEval:
         eval_report = capsys.readouterr().out.strip()
         assert json.loads(train_report) == json.loads(eval_report)
 
+    def test_train_evaluates_the_final_model_once(self, trained, tmp_path, capsys, monkeypatch):
+        """`train` evaluates after its last epoch; the command prints that report."""
+        data, cfg, _, _ = trained
+        one_epoch = tmp_path / "cfg.json"
+        one_epoch.write_text(json.dumps(dict(json.loads(cfg.read_text()), epochs=1)))
+        reports = []
+        evaluate = training.evaluate
+
+        def counted(*args):
+            reports.append(evaluate(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(training, "evaluate", counted)
+        assert cli.main(["train", "--task", "ate", "--config", str(one_epoch),
+                         "--data", str(data)]) == 0
+        assert len(reports) == 1
+        assert capsys.readouterr().out == reports[0].to_json() + "\n"
+
     def test_eval_task_mismatch_exit_2(self, trained, capsys):
         data, cfg, ckpt, _ = trained
         cli.main(["train", "--task", "ate", "--config", str(cfg),

@@ -307,6 +307,25 @@ class TestReadExamples:
             corpus.read_examples(path)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("field,value", [("pos", [True, 7, 7, 4, 6, 5, 9]),
+                                             ("pos", [0, 7, 7, 4, 6, 5, False]),
+                                             ("token_span", [True, 2]),
+                                             ("token_span", [1, True])],
+                             ids=["pos-true", "pos-false", "span-start", "span-end"])
+    def test_json_booleans_are_not_ids(self, tmp_path, field, value):
+        """Python reads true as 1 and false as 0; each of these would load as
+        a valid id or span."""
+        rec = corpus.example_to_record(corpus.synth_corpus(1, 1)[0])
+        bad = json.loads(json.dumps(rec))
+        if field == "pos":
+            bad["pos"] = value
+        else:
+            bad["aspects"][0]["token_span"] = value
+        path = self.write_lines(tmp_path, [json.dumps(rec), json.dumps(bad)])
+        with pytest.raises(CorpusParseError) as exc:
+            corpus.read_examples(path)
+        assert exc.value.line == 2
+
     def test_unknown_polarity_rejected(self, tmp_path):
         rec = self.record()
         rec["aspects"][0]["polarity"] = "conflict"

@@ -47,7 +47,7 @@ class TestConfig:
 class TestEmbed:
     def test_shape_contract(self, small_setup):
         examples, vocab, cfg, params = small_setup
-        inp = enc.ate_input(examples[0], vocab)
+        inp = enc.pack_inputs(vocab, [examples[0]])
         emb = enc.embed_tokens(params, cfg, inp)
         assert emb.data.shape == (len(examples[0]) + 2, cfg.d_in)
 
@@ -55,7 +55,7 @@ class TestEmbed:
         """Each row is its word embedding plus the position signal, then its
         POS embedding (zero at [CLS]/[SEP]), and nothing more."""
         examples, vocab, cfg, params = small_setup
-        inp = enc.ate_input(examples[0], vocab)
+        inp = enc.pack_inputs(vocab, [examples[0]])
         emb = enc.embed_tokens(params, cfg, inp).data
         word = params["emb.word"].data[inp.token_ids] + enc.sinusoidal_encoding(len(inp), cfg.d_w)
         pos = params["emb.pos"].data[inp.pos_ids] * ~inp.special[:, None]
@@ -64,14 +64,14 @@ class TestEmbed:
     def test_identical_tokens_differ_only_in_position_slice(self, small_setup):
         _, vocab, cfg, params = small_setup
         ex = corpus.make_example("steak steak", [])
-        emb = enc.embed_tokens(params, cfg, enc.ate_input(ex, vocab)).data
+        emb = enc.embed_tokens(params, cfg, enc.pack_inputs(vocab, [ex])).data
         diff = emb[1] - emb[2]
         assert np.abs(diff[:cfg.d_w]).max() > 0
         assert np.allclose(diff[cfg.d_w:], 0.0)
 
     def test_special_positions_have_zero_pos_part(self, small_setup):
         examples, vocab, cfg, params = small_setup
-        inp = enc.ate_input(examples[0], vocab)
+        inp = enc.pack_inputs(vocab, [examples[0]])
         emb = enc.embed_tokens(params, cfg, inp).data
         pos_slice = emb[:, cfg.d_w:cfg.d_w + cfg.d_p]
         assert not pos_slice[0].any() and not pos_slice[-1].any()
@@ -85,7 +85,7 @@ class TestEmbed:
         examples, vocab, _, params = small_setup
         cfg = enc.EncoderConfig(vocab_size=len(vocab.words), max_len=3)
         with pytest.raises(LengthError):
-            enc.embed_tokens(params, cfg, enc.ate_input(examples[0], vocab))
+            enc.embed_tokens(params, cfg, enc.pack_inputs(vocab, [examples[0]]))
 
 
 class TestEncode:
@@ -98,7 +98,7 @@ class TestEncode:
 
     def test_deterministic_when_not_training(self, small_setup):
         examples, vocab, cfg, params = small_setup
-        inp = enc.ate_input(examples[1], vocab)
+        inp = enc.pack_inputs(vocab, [examples[1]])
         a = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp)).data
         b = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp)).data
         assert np.array_equal(a, b)
@@ -107,8 +107,8 @@ class TestEncode:
         """With V all ones the output of each row is the sum of its weights,
         padded keys of a packed batch included."""
         examples, vocab, cfg, params = small_setup
-        inputs = [enc.ate_input(ex, vocab) for ex in examples[:4]]
-        for inp in inputs + [enc.pack_inputs(inputs)]:
+        inputs = [enc.pack_inputs(vocab, [ex]) for ex in examples[:4]]
+        for inp in inputs + [enc.pack_inputs(vocab, examples[:4])]:
             emb = enc.embed_tokens(params, cfg, inp).data
             x = emb @ params["enc.in_proj.W"].data + params["enc.in_proj.b"].data
             q, k = x @ params["enc.L0.Wq"].data, x @ params["enc.L0.Wk"].data
@@ -127,13 +127,13 @@ class TestEncode:
 
     def test_dropout_requires_rng(self, small_setup):
         examples, vocab, cfg, params = small_setup
-        emb = enc.embed_tokens(params, cfg, enc.ate_input(examples[0], vocab))
+        emb = enc.embed_tokens(params, cfg, enc.pack_inputs(vocab, [examples[0]]))
         with pytest.raises(ContractError):
             enc.encode(params, cfg, emb, train_mode=True)
 
     def test_train_mode_dropout_is_seeded(self, small_setup):
         examples, vocab, cfg, params = small_setup
-        inp = enc.ate_input(examples[0], vocab)
+        inp = enc.pack_inputs(vocab, [examples[0]])
         a = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp),
                        train_mode=True, rng=np.random.default_rng(7)).data
         b = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp),
@@ -249,7 +249,7 @@ def _packed_block_case(train: bool):
     rng = np.random.default_rng(42)
     for t in params.tensors():   # biases and gains off their 0/1 init
         t.data = t.data + rng.normal(0.0, 0.1, size=t.data.shape)
-    inp = enc.pack_inputs([enc.ate_input(ex, vocab) for ex in examples])
+    inp = enc.pack_inputs(vocab, examples)
     emb = enc.embed_tokens(params, cfg, inp)
     states = enc.encode(params, cfg, emb, train_mode=train, rng=np.random.default_rng(43),
                         segments=inp.segments)
@@ -354,7 +354,7 @@ class TestGradFlow:
         params = ad.ParamStore()
         enc.init_encoder_params(params, cfg, np.random.default_rng(1))
         params["enc.L0.Wq"].data = np.random.default_rng(2).normal(0, 0.3, size=(8, 8))
-        inp = enc.ate_input(ex, vocab)
+        inp = enc.pack_inputs(vocab, [ex])
         target = Tensor(np.random.default_rng(3).normal(size=(len(ex) + 2, 8)))
 
         def f():
@@ -370,7 +370,7 @@ class TestGradFlow:
                                 n_layers=1, n_heads=2, d_ff=12, dropout_rate=0.3)
         params = ad.ParamStore()
         enc.init_encoder_params(params, cfg, np.random.default_rng(1))
-        inp = enc.pack_inputs([enc.ate_input(ex, vocab) for ex in examples])
+        inp = enc.pack_inputs(vocab, examples)
         target = Tensor(np.random.default_rng(3).normal(size=(len(inp), 8)))
 
         def f():   # the same dropout masks on every call

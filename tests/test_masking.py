@@ -370,7 +370,7 @@ class TestAmomRegenerate:
         probs = np.full((10, 3), 0.05)
         probs[np.arange(10), gold] = 0.9
         cfg = mk.MaskConfig(amom_mu_min=0.1, amom_mu_max=0.5, amom_iterations=1)
-        _, _, history = mk.amom_regenerate(self.stub_forward(probs), cfg, 1, [gold])
+        _, _, history = mk.amom_regenerate(self.stub_forward(probs), cfg, [range(10)], [gold])
         assert len(history) == 1
         assert len(history[0]) == max(1, int(math.floor(0.1 * 10 + 0.5)))
 
@@ -378,7 +378,7 @@ class TestAmomRegenerate:
         gold = np.array([0, 1])
         probs = np.array([[0.6, 0.3, 0.1], [0.2, 0.7, 0.1]])
         cfg = mk.MaskConfig(amom_iterations=1)
-        _, losses, history = mk.amom_regenerate(self.stub_forward(probs), cfg, 1, [gold])
+        _, losses, history = mk.amom_regenerate(self.stub_forward(probs), cfg, [range(2)], [gold])
         assert len(history) == 1 and [len(per_round) for per_round in losses] == [2]
 
     def test_incorrect_positions_selected_first(self):
@@ -390,12 +390,12 @@ class TestAmomRegenerate:
             [0.1, 0.2, 0.7],     # incorrect
         ])
         cfg = mk.MaskConfig(amom_mu_min=0.5, amom_mu_max=0.5, amom_iterations=1)
-        _, _, history = mk.amom_regenerate(self.stub_forward(probs), cfg, 1, [gold])
+        _, _, history = mk.amom_regenerate(self.stub_forward(probs), cfg, [range(4)], [gold])
         assert history[0] == {1, 3}
 
     def test_asc_mode_hides_left_to_right(self):
-        """Given maskable counts, the one prediction row ranks nothing: the
-        first positions are hidden, as many as the ratio asks for."""
+        """One prediction row ranks nothing: the first maskable indices are
+        hidden, as many as the ratio asks for."""
         gold = np.array([1])
         probs = np.array([[0.2, 0.8]])
 
@@ -403,10 +403,24 @@ class TestAmomRegenerate:
             return [probs], None
 
         cfg = mk.MaskConfig(amom_mu_min=0.4, amom_mu_max=0.4, amom_iterations=1)
-        _, _, history = mk.amom_regenerate(forward, cfg, 1, [gold], maskable=[1])
+        _, _, history = mk.amom_regenerate(forward, cfg, [[0]], [gold])
         assert history[0] == {0}
-        _, _, history = mk.amom_regenerate(forward, cfg, 1, [gold], maskable=[8])
+        _, _, history = mk.amom_regenerate(forward, cfg, [range(8)], [gold])
         assert history[0] == {0, 1, 2}   # round(0.4 * 8 + 0.5) positions
+
+    def test_ranks_only_maskable_indices(self):
+        """Rows rank the instance's maskable content indices alone, and the
+        hidden set holds content indices."""
+        gold = np.array([0, 0, 0, 0])
+        probs = np.array([
+            [0.9, 0.05, 0.05],   # correct, high confidence
+            [0.2, 0.7, 0.1],     # incorrect, not maskable
+            [0.55, 0.4, 0.05],   # correct, lower confidence
+            [0.1, 0.2, 0.7],     # incorrect
+        ])
+        cfg = mk.MaskConfig(amom_mu_min=0.5, amom_mu_max=0.5, amom_iterations=1)
+        _, _, history = mk.amom_regenerate(self.stub_forward(probs), cfg, [[0, 2, 3]], [gold])
+        assert history == [{2, 3}]   # round(0.5 * 3 + 0.5) = 2 of the three
 
     def test_without_gold_remasks_least_confident(self, monkeypatch):
         probs = np.array([
@@ -424,7 +438,7 @@ class TestAmomRegenerate:
 
         monkeypatch.setattr(mk, "amom_mask_count", spy)
         cfg = mk.MaskConfig(amom_mu_min=0.25, amom_mu_max=0.75, amom_iterations=1)
-        _, losses, history = mk.amom_regenerate(self.stub_forward(probs), cfg, 1)
+        _, losses, history = mk.amom_regenerate(self.stub_forward(probs), cfg, [range(4)])
         # R = mean max-probability 0.6 -> mu 0.45 -> round(1.8) = 2 positions
         assert ratios == [pytest.approx(0.6, abs=1e-15)]
         assert history == [{1, 3}] and [len(per_round) for per_round in losses] == [2]
@@ -436,8 +450,7 @@ class TestAmomRegenerate:
             calls.append(dict(masked))
             return [np.array([[0.2, 0.8, 0.0]])], None
 
-        _, losses, history = mk.amom_regenerate(forward, mk.MaskConfig(), 1, [np.array([1])],
-                                                maskable=[0])
+        _, losses, history = mk.amom_regenerate(forward, mk.MaskConfig(), [[]], [np.array([1])])
         assert calls == [{0: set()}] and losses == [[None]] and history == []
 
     @pytest.mark.parametrize("selector", ["gold", "confidence", "maskable"])
@@ -445,7 +458,8 @@ class TestAmomRegenerate:
         rng = np.random.default_rng(8)
         base = [rng.dirichlet(np.ones(3), size=m) for m in (7, 4)]
         gold = [rng.integers(0, 3, size=p.shape[0]) for p in base] if selector == "gold" else None
-        maskable = [5, 3] if selector == "maskable" else None
+        maskable = ([[0, 2, 3, 5, 6], [1, 2, 3]] if selector == "maskable"
+                    else [range(p.shape[0]) for p in base])
         cfg = mk.MaskConfig(amom_mu_min=0.2, amom_mu_max=0.6, amom_iterations=3)
         calls = []
         stub = self.stub_forward(*base, scored=True)
@@ -454,11 +468,11 @@ class TestAmomRegenerate:
             calls.append(list(masked))
             return stub(masked)
 
-        probs, losses, history = mk.amom_regenerate(forward, cfg, 2, gold, maskable)
+        probs, losses, history = mk.amom_regenerate(forward, cfg, maskable, gold)
         assert calls == [[0, 1]] * 4
         for b in range(2):
-            alone = mk.amom_regenerate(self.stub_forward(base[b], scored=True), cfg, 1,
-                                       gold and [gold[b]], maskable and [maskable[b]])
+            alone = mk.amom_regenerate(self.stub_forward(base[b], scored=True), cfg, [maskable[b]],
+                                       gold and [gold[b]])
             assert np.array_equal(probs[b], alone[0][0])
             assert [losses[b]] == alone[1] and history[b::2] == alone[2]
             assert len(alone[2]) == 3 and all(alone[2])
@@ -473,7 +487,7 @@ class TestAmomRegenerate:
             return stub(masked)
 
         cfg = mk.MaskConfig(amom_iterations=2)
-        probs, losses, history = mk.amom_regenerate(forward, cfg, 2, maskable=[0, 2])
+        probs, losses, history = mk.amom_regenerate(forward, cfg, [[], [0, 1]])
         assert calls == [[0, 1], [1], [1]]
         assert np.array_equal(probs[0], base[0]) and len(history) == 2
         assert [len(per_round) for per_round in losses] == [1, 3]

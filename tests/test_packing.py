@@ -16,7 +16,7 @@ from maskterm import tasks
 from maskterm import training
 from maskterm.autodiff import Tensor
 from maskterm.corpus import AspectAnnotation
-from maskterm.exceptions import DimensionError
+from maskterm.exceptions import ContractError, DimensionError
 
 SMALL = enc.EncoderConfig(d_w=8, d_p=2, hidden=16, n_layers=2, n_heads=2, d_ff=24,
                           dropout_rate=0.1)
@@ -137,6 +137,79 @@ def test_packed_instances_differ_in_length(task):
     model, _ = make_model(task, "none", "mean", examples)
     lengths = forward(model, task, items_for(task, examples), False, None).inp.lengths
     assert len(set(lengths)) == len(lengths) >= 4
+
+
+# Every field of the packed input of batch_examples(), recorded from the
+# builders that wrote one input per instance and concatenated them.
+PACKED_LAYOUT = {
+    "ate": {
+        "token_ids": [1, 15, 2, 1, 16, 20, 11, 19, 9, 6, 16, 13, 19, 14, 2, 1, 16, 7, 19, 9, 3,
+                      2, 1, 16, 7, 19, 12, 4, 3, 2, 1, 16, 5, 10, 19, 17, 21, 6, 16, 18, 19, 8,
+                      3, 2],
+        "pos_ids": [0, 7, 0, 0, 0, 7, 7, 4, 5, 2, 0, 7, 4, 5, 0, 0, 0, 7, 4, 5, 9, 0, 0, 0, 7,
+                    4, 6, 5, 9, 0, 0, 0, 7, 7, 4, 6, 5, 2, 0, 7, 4, 5, 9, 0],
+        "special": [0, 2, 3, 14, 15, 21, 22, 29, 30, 43],   # as row indices
+        "content_positions": [1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17, 18, 19, 20, 23, 24,
+                              25, 26, 27, 28, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42],
+        "protected": [0, 2, 3, 14, 15, 21, 22, 29, 30, 43],
+        "lengths": [3, 12, 7, 8, 14],
+        "aspect_spans": None,
+    },
+    "asc": {
+        "token_ids": [1, 15, 2, 15, 2, 1, 16, 20, 11, 19, 9, 6, 16, 13, 19, 14, 2, 20, 11, 2, 1,
+                      16, 20, 11, 19, 9, 6, 16, 13, 19, 14, 2, 13, 2, 1, 16, 7, 19, 9, 3, 2, 7, 2,
+                      1, 16, 7, 19, 12, 4, 3, 2, 7, 2, 1, 16, 5, 10, 19, 17, 21, 6, 16, 18, 19, 8,
+                      3, 2, 5, 10, 2, 1, 16, 5, 10, 19, 17, 21, 6, 16, 18, 19, 8, 3, 2, 18, 2],
+        "pos_ids": [0, 7, 0, 7, 0, 0, 0, 7, 7, 4, 5, 2, 0, 7, 4, 5, 0, 7, 7, 0, 0, 0, 7, 7, 4, 5,
+                    2, 0, 7, 4, 5, 0, 7, 0, 0, 0, 7, 4, 5, 9, 0, 7, 0, 0, 0, 7, 4, 6, 5, 9, 0, 7,
+                    0, 0, 0, 7, 7, 4, 6, 5, 2, 0, 7, 4, 5, 9, 0, 7, 7, 0, 0, 0, 7, 7, 4, 6, 5, 2,
+                    0, 7, 4, 5, 9, 0, 7, 0],
+        "special": [0, 2, 4, 5, 16, 19, 20, 31, 33, 34, 40, 42, 43, 50, 52, 53, 66, 69, 70, 83,
+                    85],
+        "content_positions": [1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 21, 22, 23, 24, 25, 26, 27,
+                              28, 29, 30, 35, 36, 37, 38, 39, 44, 45, 46, 47, 48, 49, 54, 55,
+                              56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 71, 72, 73, 74, 75, 76,
+                              77, 78, 79, 80, 81, 82],
+        "protected": [0, 1, 2, 3, 4, 5, 7, 8, 16, 17, 18, 19, 20, 28, 31, 32, 33, 34, 36, 40,
+                      41, 42, 43, 45, 50, 51, 52, 53, 55, 56, 66, 67, 68, 69, 70, 79, 83, 84, 85],
+        "lengths": [5, 15, 14, 9, 10, 17, 16],
+        "aspect_spans": [[1, 1], [7, 8], [28, 28], [36, 36], [45, 45], [55, 56], [79, 79]],
+    },
+}
+
+
+@pytest.mark.parametrize("task", list(PACKED_LAYOUT))
+def test_packed_layout_unchanged(task):
+    """The one-token all-aspect sentence and the two-aspect sentence included."""
+    examples = batch_examples()
+    vocab = enc.Vocab.build(examples)
+    if task == "ate":
+        inp = enc.pack_inputs(vocab, examples)
+    else:
+        instances = training.asc_instances(examples)
+        inp = enc.pack_inputs(vocab, [ex for ex, _ in instances], [i for _, i in instances])
+    pin = PACKED_LAYOUT[task]
+    for name in ("token_ids", "pos_ids", "content_positions", "protected"):
+        assert getattr(inp, name).dtype == np.int64 and getattr(inp, name).tolist() == pin[name]
+    assert inp.special.dtype == bool and np.flatnonzero(inp.special).tolist() == pin["special"]
+    assert inp.lengths == tuple(pin["lengths"])
+    if pin["aspect_spans"] is None:
+        assert inp.aspect_spans is None
+    else:
+        assert inp.aspect_spans.dtype == np.int64
+        assert inp.aspect_spans.tolist() == pin["aspect_spans"]
+
+
+def test_asc_refuses_an_aspect_without_token_span():
+    examples = batch_examples()
+    model, _ = make_model("asc", "amom", "mean", examples)
+    unprojected = replace(examples[1], aspects=[replace(examples[1].aspects[0], token_span=None)])
+    items = training.asc_instances(examples[:1]) + [(unprojected, 0)]
+    with pytest.raises(ContractError, match="no token-span projection"):
+        model.forward_asc(items)
+    for scored in (False, True):
+        with pytest.raises(ContractError, match="no token-span projection"):
+            model.amom_asc(items, scored=scored)
 
 
 def test_actm_masks_inside_the_packed_batch():
