@@ -14,9 +14,11 @@ the kernels take scales as Python floats.
 A batch of sequences is packed end to end into one `(sum of lengths, width)`
 matrix and described by `Segments`. Tensors stay 2-D at the API: row-wise
 ops need no change, segment ops reduce within each sequence, and the ops
-that mix rows (attention, the soft-span remix, the median) pad segments
-into `(segments, longest, ...)` arrays internally, so a row only ever sees
-rows of its own sequence.
+that mix rows pad segments internally, so a row only ever sees rows of its
+own sequence. The soft-span remix and the median pad into `(segments,
+longest, ...)` arrays; attention keeps its scores keys-outer, `(longest
+keys, segments, heads, longest queries)`, so that its softmax reduces over
+the leading axis.
 
 `fused` makes one node of hand-written math. The encoder kernels (attention,
 layer norm, GELU) work on plain arrays and return their output with a
@@ -624,11 +626,18 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: i
     """Scaled dot-product attention over column-partitioned heads of packed
     (rows, hidden) arrays; a query attends only to keys of its own segment.
 
-    Works on padded (segments, heads, n_max, n_max) score arrays; padded keys
-    get zero weight. `keep`, a boolean array of that shape, drops attention
-    probabilities, and `keep_scale` scales the kept ones (inverted dropout).
-    Only the probabilities are saved for backward, which rebuilds the dropped
-    ones from them and `keep`. Returns (merged output, backward),
+    Scores are padded keys-outer, as (n_max keys, segments, heads, n_max
+    queries) arrays, in one layout for every batch size: the softmax reduces
+    over axis 0 in contiguous passes, and the batched matmuls write and read
+    the scores through transposed views. Padded keys get exactly zero
+    probability. The probabilities stay unnormalised, as exponentials and
+    each query's reciprocal sum, which scales the small per-query arrays
+    instead. `keep`, a boolean array of the score layout, drops attention
+    probabilities, and `keep_scale` scales the kept ones (inverted dropout);
+    the logit scale rides on q and the dropout scale on v. Backward keeps the
+    exponentials, rebuilds the dropped ones from them and `keep`, and reads
+    each query's sum over keys of dprobs * probs off the output, which is
+    therefore returned read-only. Returns (merged output, backward),
     backward(g) -> (dq, dk, dv).
     """
     n, hidden = q.shape
@@ -643,32 +652,42 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: i
     def merge(xh):  # inverse of heads
         return seg.unpad(xh.transpose(0, 2, 1, 3).reshape(seg.count, seg.n_max, hidden))
 
-    def dropped():   # probs after dropout, rebuilt wherever it is needed
-        if keep is None:
-            return probs
-        out = probs * keep
-        out *= keep_scale
-        return out
+    def by_query(p):   # keys-outer -> (count, heads, queries, keys), a view
+        return p.transpose(1, 2, 3, 0)
 
-    qh, kh, vh = heads(q), heads(k), heads(v)
-    probs = (qh @ _swap(kh)) * scale    # logits; the softmax runs in place
+    def by_key(p):     # keys-outer -> (count, heads, keys, queries), a view
+        return p.transpose(1, 2, 0, 3)
+
+    def dropped(buffer=None):   # exps times keep, rebuilt wherever needed
+        return exps if keep is None else np.multiply(exps, keep, out=buffer)
+
+    if keep is None:
+        keep_scale = 1.0
+    qh, kh, vh = heads(q * scale), heads(k), heads(v if keep is None else v * keep_scale)
+    exps = np.empty((seg.n_max, seg.count, n_heads, seg.n_max), dtype=qh.dtype)
+    np.matmul(kh, _swap(qh), out=by_key(exps))   # logits; exponentiated in place
     if seg.count > 1:
-        probs += np.where(seg.valid(), 0.0, -np.inf).astype(probs.dtype)[:, None, None, :]
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+        exps[~seg.valid().T] = -np.inf
+    exps -= exps.max(axis=0)
+    np.exp(exps, out=exps)
+    inv = (1.0 / exps.sum(axis=0))[..., None]   # (count, heads, queries, 1)
 
     def backward(g):
         go = heads(g)
-        dv = merge(_swap(dropped()) @ go)
-        dp = go @ _swap(vh)
+        dp = np.empty_like(exps)
+        dv = merge(by_key(dropped(dp)) @ (go * inv)) * keep_scale
+        np.matmul(vh, _swap(go), out=by_key(dp))
         if keep is not None:
-            dropout_(dp, keep, keep_scale)
-        dp -= (dp * probs).sum(axis=-1, keepdims=True)
-        dp *= probs   # now the gradient of the logits
-        return merge((dp @ kh) * scale), merge((_swap(dp) @ qh) * scale), dv
+            dp *= keep
+        # The sum over keys of dp * probs is, per query and head, that of g * out.
+        rows = np.einsum("nhd,nhd->nh", g.reshape(n, n_heads, -1), out.reshape(n, n_heads, -1))
+        dp -= seg.pad(rows).transpose(0, 2, 1)
+        dp *= exps   # now the logits' gradient but for each query's factor inv
+        return merge((by_query(dp) @ kh) * inv) * scale, merge(by_key(dp) @ (qh * inv)), dv
 
-    return merge(dropped() @ vh), backward
+    out = merge((by_query(dropped()) @ vh) * inv)
+    out.flags.writeable = False   # backward reads it
+    return out, backward
 
 
 # -- aggregation -------------------------------------------------------------------

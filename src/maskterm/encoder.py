@@ -8,9 +8,15 @@ ids with a zeroed POS part. `encode` returns the final states, one Tensor.
 The input projection is one graph node and each layer another: `_block`
 runs the layer on plain arrays through the autodiff kernels and hands its
 gradients back in one hand-written backward; the attention probabilities
-stay inside that node, for its backward only. In training, dropout masks are
-boolean keep-masks (one byte an entry) applied with the scale 1 / (1 - rate),
-which gives the same bits as multiplying by a float mask.
+stay inside that node, for its backward only.
+
+In training, dropout masks are boolean keep-masks (one byte an entry). Each
+flag comes from a 16-bit lane of the generator's raw 64-bit words, read
+little-endian, and keeps its unit when the lane is >= cut = round(rate *
+65536); so the rate is applied as cut / 65536 and kept units are scaled by
+65536 / (65536 - cut). Every sequence draws whole words, so a packed batch
+replays its sequences' draws as if each ran alone. The attention mask is
+laid out keys-outer, like the attention scores (`ad.multi_head_attention`).
 
 The encoder computes in the dtype of its parameters: float32 in a model,
 float64 in the gradient checks. Every constant it builds, such as the
@@ -34,6 +40,7 @@ UNK_ID = 0
 CLS_ID = 1
 SEP_ID = 2
 RESERVED = 3
+DROPOUT_LANES = 1 << 16   # values of the 16-bit lanes dropout draws
 
 
 @dataclass
@@ -59,8 +66,22 @@ class EncoderConfig:
             raise ConfigError(f"hidden ({self.hidden}) must be divisible by n_heads ({self.n_heads})")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        # Dropout draws 16-bit lanes, so the rate is applied as dropout_cut / 65536.
+        if self.dropout_cut == DROPOUT_LANES:
+            raise ConfigError(f"dropout_rate {self.dropout_rate} rounds to 65536/65536, "
+                              "which would drop every unit")
         if self.layernorm_eps <= 0.0:
             raise ConfigError("layernorm_eps must be positive")
+
+    @property
+    def dropout_cut(self) -> int:
+        """A 16-bit dropout lane keeps its unit when >= this: round(rate * 65536)."""
+        return round(self.dropout_rate * DROPOUT_LANES)
+
+    @property
+    def keep_scale(self) -> float:
+        """The inverted-dropout scale of a kept unit, 1 / (1 - dropout_cut / 65536)."""
+        return DROPOUT_LANES / (DROPOUT_LANES - self.dropout_cut)
 
     @property
     def d_k(self) -> int:
@@ -237,30 +258,35 @@ layer_norm = ad.layer_norm
 
 
 def _dropout_masks(cfg: EncoderConfig, seg: ad.Segments, rng: np.random.Generator):
-    """Boolean keep-masks of every layer: attention probabilities
-    (layers, B, heads, n_max, n_max), False in the padding, attention output
-    (layers, N, hidden) and FFN hidden units (layers, N, d_ff). `_block`
-    applies each as `x *= keep; x *= 1 / (1 - rate)` (inverted dropout).
+    """Boolean keep-masks of every layer: attention probabilities keys-outer,
+    (layers, n_max keys, B, heads, n_max queries), False in the padding,
+    attention output (layers, N, hidden) and FFN hidden units (layers, N, d_ff).
+    `_block` scales the kept units by `cfg.keep_scale` (inverted dropout).
 
-    Drawn sequence by sequence, each in the order a lone sequence uses them
-    (per layer: each head, the attention output, the FFN), so a packed batch
-    replays exactly the draws of its sequences run one at a time."""
-    rate, heads, hidden, d_ff = cfg.dropout_rate, cfg.n_heads, cfg.hidden, cfg.d_ff
-    layers, m = cfg.n_layers, seg.n_max
-    attn = np.zeros((layers, seg.count, heads, m, m), dtype=bool)
+    One `rng.bit_generator.random_raw` call draws the batch's 64-bit words,
+    read as little-endian 16-bit lanes, low lane first, so the masks do not
+    depend on the host's byte order; a lane keeps its unit when it is >=
+    `cfg.dropout_cut`. Each sequence takes whole words, in batch order: its
+    attention flags of every layer (layer, key, head, query), then its
+    attention-output and FFN flags (layer, row, column), and the lanes left
+    in its last word go unused. So a packed batch replays exactly the draws
+    of its sequences run one at a time."""
+    layers, heads, hidden, d_ff, m = cfg.n_layers, cfg.n_heads, cfg.hidden, cfg.d_ff, seg.n_max
+    sizes = [(layers * n * heads * n, layers * n * hidden, layers * n * d_ff)
+             for n in seg.lengths.tolist()]
+    words = [-(-sum(lanes) // 4) for lanes in sizes]   # 4 lanes a word
+    keep = (rng.bit_generator.random_raw(sum(words)).astype("<u8", copy=False).view("<u2")
+            >= cfg.dropout_cut)
+    attn = np.zeros((layers, m, seg.count, heads, m), dtype=bool)
     out_rows = np.empty((layers, seg.total, hidden), dtype=bool)
     ffn_rows = np.empty((layers, seg.total, d_ff), dtype=bool)
-    for b, (lo, n) in enumerate(zip(seg.offsets, seg.lengths)):
-        sizes = (heads * n * n, n * hidden, n * d_ff)
-        draws = rng.random(layers * sum(sizes)) >= rate
-        at = 0
-        for layer in range(layers):
-            attn[layer, b, :, :n, :n] = draws[at:at + sizes[0]].reshape(heads, n, n)
-            at += sizes[0]
-            out_rows[layer, lo:lo + n] = draws[at:at + sizes[1]].reshape(n, hidden)
-            at += sizes[1]
-            ffn_rows[layer, lo:lo + n] = draws[at:at + sizes[2]].reshape(n, d_ff)
-            at += sizes[2]
+    at = 0
+    for b, (lo, n) in enumerate(zip(seg.offsets.tolist(), seg.lengths.tolist())):
+        a, o, f = sizes[b]
+        attn[:, :n, b, :, :n] = keep[at:at + a].reshape(layers, n, heads, n)
+        out_rows[:, lo:lo + n] = keep[at + a:at + a + o].reshape(layers, n, hidden)
+        ffn_rows[:, lo:lo + n] = keep[at + a + o:at + a + o + f].reshape(layers, n, d_ff)
+        at += 4 * words[b]
     return attn, out_rows, ffn_rows
 
 
@@ -277,7 +303,7 @@ def _block(x: Tensor, layer_params: tuple[Tensor, ...], cfg: EncoderConfig, seg:
     and FFN boolean keep-masks, or None."""
     wq, wk, wv, wo, bo, g1, c1, w1, b1, w2, b2, g2, c2 = (p.data for p in layer_params)
     keep_attn, keep_out, keep_ffn = drops if drops is not None else (None, None, None)
-    keep_scale = 1.0 / (1.0 - cfg.dropout_rate)
+    keep_scale = cfg.keep_scale
     xd = x.data
     merged, attention_back = ad.multi_head_attention(
         xd @ wq, xd @ wk, xd @ wv, cfg.n_heads, 1.0 / math.sqrt(cfg.d_k), keep_attn, keep_scale, seg)
@@ -325,7 +351,7 @@ def encode(
     over packed sequences (`segments`, one sequence of all rows when None);
     attention stays inside each sequence. Deterministic whenever train_mode
     is off."""
-    dropping = train_mode and cfg.dropout_rate > 0.0
+    dropping = train_mode and cfg.dropout_cut > 0
     if dropping and rng is None:
         raise ContractError("train_mode with dropout needs a random generator")
     seg = ad.segments_of(embedded.data.shape[0], segments)

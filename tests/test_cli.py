@@ -431,6 +431,17 @@ class TestInputErrors:
                             "--out", str(tmp_path / "d.jsonl")], capsys)
         assert "seed" in err
 
+    def test_dropout_rate_that_rounds_to_every_lane(self, trained, tmp_path, capsys):
+        """Dropout applies the rate as round(rate * 65536) / 65536; this one
+        would drop every unit and scale the kept ones by 1 / 0."""
+        data, _, _, _ = trained
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "encoder": {"dropout_rate": 0.9999999}}),
+                       encoding="utf-8")
+        err = self.exits_2(["train", "--task", "ate", "--config", str(cfg), "--data", str(data)],
+                           capsys)
+        assert "dropout_rate" in err
+
     @pytest.mark.parametrize("key", ["d_w", "hidden", "d_ff"])
     def test_encoder_size_too_large_to_allocate(self, trained, tmp_path, capsys, key):
         """numpy refuses these arrays at once."""

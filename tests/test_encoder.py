@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,14 @@ class TestConfig:
     def test_negative_vocab_size_rejected(self):
         with pytest.raises(ConfigError, match="vocab_size"):
             enc.EncoderConfig(vocab_size=-10)
+
+    def test_dropout_rate_is_applied_in_65536ths(self):
+        cfg = enc.EncoderConfig(dropout_rate=0.1)
+        assert cfg.dropout_cut == 6554 and cfg.keep_scale == 65536 / (65536 - 6554)
+
+    def test_dropout_rate_that_rounds_to_one_rejected(self):
+        with pytest.raises(ConfigError, match="dropout_rate"):
+            enc.EncoderConfig(dropout_rate=0.9999999)
 
 
 class TestEmbed:
@@ -141,6 +150,62 @@ class TestEncode:
         assert np.array_equal(a, b)
 
 
+def _attention_oracle(q, k, v, g, lengths, n_heads, scale, keep=None, keep_scale=1.0):
+    """Output and (dq, dk, dv) of plain softmax(q k^T * scale) v, for each
+    sequence alone and each head in a loop, with `g` the output's gradient;
+    `keep` holds dropout keep-flags keys-outer, (keys, segments, heads, queries)."""
+    out, dq, dk, dv = (np.zeros_like(q) for _ in range(4))
+    d = q.shape[1] // n_heads
+    lo = 0
+    for b, n in enumerate(lengths):
+        for h in range(n_heads):
+            rows, cols = slice(lo, lo + n), slice(h * d, (h + 1) * d)
+            qs, ks, vs, gs = q[rows, cols], k[rows, cols], v[rows, cols], g[rows, cols]
+            s = qs @ ks.T * scale
+            p = np.exp(s - s.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            drop = np.ones((n, n)) if keep is None else keep[:n, b, h, :n].T * keep_scale
+            out[rows, cols] = (p * drop) @ vs
+            dv[rows, cols] = (p * drop).T @ gs
+            dp = (gs @ vs.T) * drop
+            ds = p * (dp - (dp * p).sum(axis=1, keepdims=True))
+            dq[rows, cols] = ds @ ks * scale
+            dk[rows, cols] = ds.T @ qs * scale
+        lo += n
+    return out, (dq, dk, dv)
+
+
+class TestAttentionOracle:
+    @pytest.mark.parametrize("lengths", [[5, 1, 9, 3], [7]])
+    @pytest.mark.parametrize("dropping", [False, True])
+    def test_matches_per_sequence_per_head_softmax(self, lengths, dropping):
+        rng = np.random.default_rng(11)
+        seg = ad.Segments(lengths)
+        q, k, v, g = rng.normal(size=(4, seg.total, 8))
+        keep = None
+        if dropping:
+            keep = rng.random((seg.n_max, seg.count, 2, seg.n_max)) >= 0.3
+            keep &= seg.valid().T[:, :, None, None] & seg.valid()[None, :, None, :]
+        out, backward = ad.multi_head_attention(q, k, v, 2, 0.7, keep, 1.0 / 0.7, seg)
+        want, want_grads = _attention_oracle(q, k, v, g, lengths, 2, 0.7, keep, 1.0 / 0.7)
+        np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-13)
+        for got, ref in zip(backward(g), want_grads):
+            np.testing.assert_allclose(got, ref, rtol=1e-11, atol=1e-12)
+
+    def test_padded_keys_get_exactly_zero_probability(self):
+        rng = np.random.default_rng(12)
+        seg = ad.Segments([5, 1, 9, 3])
+        q, k, v = rng.normal(size=(3, seg.total, 8)).astype(np.float32)
+        _, backward = ad.multi_head_attention(q, k, v, 2, 0.5, segments=seg)
+        saved = dict(zip(backward.__code__.co_freevars,
+                         (cell.cell_contents for cell in backward.__closure__)))
+        assert saved["exps"].shape == (9, 4, 2, 9)   # (keys, segments, heads, queries)
+        probs = saved["exps"] * saved["inv"][..., 0]
+        for b, n in enumerate(seg.lengths):
+            assert (probs[n:, b] == 0.0).all()
+            assert np.abs(probs[:n, b].sum(axis=0) - 1.0).max() <= 1e-6
+
+
 def _graph_nodes(out: Tensor, stop: Tensor) -> int:
     """Recorded nodes between `out` and `stop`, `out` included and `stop` not."""
     seen, stack = set(), [out]
@@ -165,40 +230,44 @@ def _digest(a) -> float:
 # zero rows appended to in_proj.W, gives the same bits (and a zero gradient on
 # those rows). That code matched the digests recorded when each encoder layer
 # was about fourteen graph nodes.
+# The train-mode digests were re-recorded when dropout came to draw 16-bit lanes
+# (the rate applied as round(rate * 65536) / 65536) and attention went
+# keys-outer; the attention kernel before that change, given the same lane masks
+# in its own layout, gives them to 2e-14 relative ("states" was 190.70189046260512).
 BLOCK_SENTENCES = ("great", "the steak was great", "service slow", "the wine list was awful",
                    "we arrived at noon and left")
 BLOCK_DIGESTS = {
     True: {
-        "states": 190.70189046260512,
-        "emb.word": 51.66701872905243,
-        "emb.pos": -27.74652581720103,
-        "enc.in_proj.W": 20.71470988458698,
-        "enc.in_proj.b": -74.68003941384326,
-        "enc.L0.Wq": 55.74057292348985,
-        "enc.L0.Wk": -160.44457500315065,
-        "enc.L0.Wv": 18.052245387968185,
-        "enc.L0.Wo": 357.81963700267653,
-        "enc.L0.bo": -20.577441957830924,
-        "enc.L0.ln1.g": 27.66694560349915,
-        "enc.L0.ln1.b": 17.194153965527534,
-        "enc.L0.ffn.W1": 5.885726388138092,
-        "enc.L0.ffn.b1": -29.096619866248194,
-        "enc.L0.ffn.W2": -83.8336054031719,
-        "enc.L0.ffn.b2": -10.620184489699623,
-        "enc.L0.ln2.g": 8.985911949759144,
-        "enc.L0.ln2.b": -47.86264794918796,
-        "enc.L1.Wq": 108.69996451946324,
-        "enc.L1.Wk": -327.3899407614431,
-        "enc.L1.Wv": 189.1759406365336,
-        "enc.L1.Wo": 36.61927743169811,
-        "enc.L1.bo": 47.818489729136324,
-        "enc.L1.ln1.g": -32.70806232400919,
-        "enc.L1.ln1.b": -31.782743895418523,
-        "enc.L1.ffn.W1": 104.83056301672181,
-        "enc.L1.ffn.b1": -10.617026464780226,
-        "enc.L1.ffn.W2": -48.80986767077596,
-        "enc.L1.ffn.b2": -32.994759222870194,
-        "enc.L1.ln2.g": 11.129213591310673,
+        "states": 100.58977034558588,
+        "emb.word": 81.76130496048334,
+        "emb.pos": -23.439338960267076,
+        "enc.in_proj.W": -95.27012325837414,
+        "enc.in_proj.b": -5.3259249996537195,
+        "enc.L0.Wq": -16.17636411145243,
+        "enc.L0.Wk": -38.43245659244778,
+        "enc.L0.Wv": 172.76898025330874,
+        "enc.L0.Wo": 156.44688529901887,
+        "enc.L0.bo": -87.78688615603056,
+        "enc.L0.ln1.g": 8.849269327071013,
+        "enc.L0.ln1.b": -57.175454872001026,
+        "enc.L0.ffn.W1": -336.151741514388,
+        "enc.L0.ffn.b1": -47.83407062039298,
+        "enc.L0.ffn.W2": -169.53901804240002,
+        "enc.L0.ffn.b2": -72.85847095124234,
+        "enc.L0.ln2.g": 68.41773277819047,
+        "enc.L0.ln2.b": -111.97985882620861,
+        "enc.L1.Wq": -102.93596597186612,
+        "enc.L1.Wk": 228.0328008062661,
+        "enc.L1.Wv": 141.08159144027638,
+        "enc.L1.Wo": -294.97230954529437,
+        "enc.L1.bo": -7.8631374146588735,
+        "enc.L1.ln1.g": 32.00642680016565,
+        "enc.L1.ln1.b": -13.722860527978533,
+        "enc.L1.ffn.W1": 186.66453144318342,
+        "enc.L1.ffn.b1": 12.214711814766629,
+        "enc.L1.ffn.W2": 36.30989810561485,
+        "enc.L1.ffn.b2": -27.815685396407282,
+        "enc.L1.ln2.g": 9.024995954068364,
         "enc.L1.ln2.b": -12.341500980463891,
     },
     False: {
@@ -315,7 +384,52 @@ class TestSavedState:
         cfg = enc.EncoderConfig()
         masks = enc._dropout_masks(cfg, ad.Segments([34, 5]), np.random.default_rng(0))
         assert [m.dtype for m in masks] == [np.dtype(bool)] * 3
-        assert not masks[0][:, 1, :, 5:, :].any() and not masks[0][:, 1, :, :, 5:].any()
+
+
+class TestDropoutMasks:
+    # Odd sizes, so that no sequence's flag count below fills whole 64-bit words.
+    CFG = enc.EncoderConfig(hidden=6, n_heads=3, d_ff=5, n_layers=3, dropout_rate=0.25)
+
+    @staticmethod
+    def flags(cfg, n):
+        return cfg.n_layers * n * (cfg.n_heads * n + cfg.hidden + cfg.d_ff)
+
+    def test_packed_batch_draws_as_its_sequences_alone(self):
+        lengths = [5, 1, 2]
+        assert all(self.flags(self.CFG, n) % 4 for n in lengths)
+        seg = ad.Segments(lengths)
+        rng_packed, rng_alone = np.random.default_rng(3), np.random.default_rng(3)
+        attn, out, ffn = enc._dropout_masks(self.CFG, seg, rng_packed)
+        for b, (lo, n) in enumerate(zip(seg.offsets, lengths)):
+            attn_1, out_1, ffn_1 = enc._dropout_masks(self.CFG, ad.Segments([n]), rng_alone)
+            assert np.array_equal(attn[:, :n, b, :, :n], attn_1[:, :, 0])
+            assert np.array_equal(out[:, lo:lo + n], out_1)
+            assert np.array_equal(ffn[:, lo:lo + n], ffn_1)
+        assert rng_packed.bit_generator.state == rng_alone.bit_generator.state
+
+    def test_attention_mask_is_false_in_the_padding(self):
+        attn = enc._dropout_masks(self.CFG, ad.Segments([5, 1, 2]), np.random.default_rng(0))[0]
+        # (layers, keys, segments, heads, queries)
+        assert not attn[:, 1:, 1].any() and not attn[:, :, 1, :, 1:].any()
+        assert not attn[:, 2:, 2].any() and not attn[:, :, 2, :, 2:].any()
+        assert attn[:, :5, 0].any() and attn[:, :2, 2, :, :2].any()
+
+    def test_flags_are_16_bit_lanes_low_lane_first(self):
+        # One row: 1 attention flag, 2 output flags and 1 FFN flag fill one word.
+        cfg = enc.EncoderConfig(hidden=2, n_heads=1, d_ff=1, n_layers=1, dropout_rate=0.5)
+        attn, out, ffn = enc._dropout_masks(cfg, ad.Segments([1]), np.random.default_rng(5))
+        word = int(np.random.default_rng(5).bit_generator.random_raw(1)[0])
+        lanes = [(word >> (16 * i)) & 0xFFFF for i in range(4)]
+        assert [attn[0, 0, 0, 0, 0], *out[0, 0], ffn[0, 0, 0]] == [x >= 32768 for x in lanes]
+
+    def test_keep_fraction_matches_the_quantised_rate(self):
+        cfg = enc.EncoderConfig()
+        masks = enc._dropout_masks(cfg, ad.Segments([60] * 20), np.random.default_rng(1))
+        flags = sum(m.size for m in masks)
+        assert flags >= 1_000_000
+        p = 1.0 - cfg.dropout_cut / 65536
+        kept = sum(int(m.sum()) for m in masks) / flags
+        assert abs(kept - p) <= 5.0 * math.sqrt(p * (1.0 - p) / flags)
 
 
 class TestLayerNorm:
