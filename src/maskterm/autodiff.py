@@ -1,7 +1,10 @@
 """Dense float32 or float64 tensors with reverse-mode differentiation.
 
-Small on purpose: 2-D matrices and vectors, and the handful of ops the
-encoder, masking strategies, and task heads need.
+Small on purpose: 2-D matrices and vectors, and only the ops the model
+calls. Elementwise `add` and `mul`; `tsum`, `take`, `concat` and the
+segment sum and mean; `affine`, `softmax`, `log_clamped` and `clamp`; the
+soft-span remix of AAM; and `fused`, which makes one node of hand-written
+math.
 
 A tensor keeps float32 data as float32 and holds anything else as float64;
 gradients take their tensor's dtype. Models run in float32, and the tests'
@@ -15,17 +18,17 @@ A batch of sequences is packed end to end into one `(sum of lengths, width)`
 matrix and described by `Segments`. Tensors stay 2-D at the API: row-wise
 ops need no change, segment ops reduce within each sequence, and the ops
 that mix rows pad segments internally, so a row only ever sees rows of its
-own sequence. The soft-span remix and the median pad into `(segments,
-longest, ...)` arrays; attention keeps its scores keys-outer, `(longest
-keys, segments, heads, longest queries)`, so that its softmax reduces over
-the leading axis.
+own sequence. The soft-span remix pads into `(segments, longest, ...)`
+arrays; attention keeps its scores keys-outer, `(longest keys, segments,
+heads, longest queries)`, so that its softmax reduces over the leading axis.
 
-`fused` makes one node of hand-written math. The encoder kernels (attention,
-layer norm, GELU) work on plain arrays and return their output with a
-backward closure; the encoder chains them into one node per layer. Dropout
-comes in as boolean keep-masks and a scale (`dropout_`), and a closure keeps
-only what its backward cannot cheaply rebuild: attention saves the
-probabilities, and its backward rebuilds the dropped ones from them.
+The encoder kernels (attention, layer norm, GELU) work on plain arrays and
+return their output with a backward closure; the encoder chains them into
+one fused node per layer, as `tasks` chains the threshold kernels of
+`masking` into one node. Dropout comes in as boolean keep-masks and a scale
+(`dropout_`), and a closure keeps only what its backward cannot cheaply
+rebuild: attention saves the probabilities, and its backward rebuilds the
+dropped ones from them.
 """
 
 from __future__ import annotations
@@ -243,19 +246,6 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
     data = a.data * b.data
@@ -269,65 +259,16 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def square(a) -> Tensor:
-    return mul(a, a)
-
-
-# -- linear algebra -----------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"matmul expects compatible 2-D operands, got {a.data.shape} and {b.data.shape}"
-        )
-    data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
-
-    return _make(data, (a, b), backward)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def backward(g):
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return _make(data, (a,), backward)
-
-
 # -- reductions ----------------------------------------------------------------
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a: Tensor) -> Tensor:
+    """Sum of every entry."""
     a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    data = a.data.sum()
 
     def backward(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+        _accumulate(a, np.full_like(a.data, g))
 
     return _make(data, (a,), backward)
 
@@ -386,16 +327,6 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
 # -- nonlinearities -----------------------------------------------------------
 
 
-def relu(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    data = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        _accumulate(a, g * (a.data > 0.0))
-
-    return _make(data, (a,), backward)
-
-
 def log_clamped(a: Tensor, floor: float = LOG_CLAMP) -> Tensor:
     """log with the argument clamped below at `floor`; flat gradient under the clamp."""
     a = as_tensor(a)
@@ -408,27 +339,12 @@ def log_clamped(a: Tensor, floor: float = LOG_CLAMP) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def sqrt(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    data = np.sqrt(np.maximum(a.data, 0.0))
-
-    def backward(g):
-        _accumulate(a, g * 0.5 / np.maximum(data, NORM_EPS))
-
-    return _make(data, (a,), backward)
-
-
-def clamp(a: Tensor, lo=None, hi=None) -> Tensor:
+def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     a = as_tensor(a)
     data = np.clip(a.data, lo, hi)
 
     def backward(g):
-        inside = np.ones_like(a.data, dtype=bool)
-        if lo is not None:
-            inside &= a.data > lo
-        if hi is not None:
-            inside &= a.data < hi
-        _accumulate(a, g * inside)
+        _accumulate(a, g * ((a.data > lo) & (a.data < hi)))
 
     return _make(data, (a,), backward)
 
@@ -444,23 +360,6 @@ def softmax(v: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
-        _accumulate(v, data * (g - dot))
-
-    return _make(data, (v,), backward)
-
-
-def segment_softmax(v: Tensor, segments: Segments | None = None) -> Tensor:
-    """Max-subtracted softmax of a vector within each segment."""
-    v = as_tensor(v)
-    if v.data.ndim != 1 or v.data.size == 0:
-        raise DimensionError(f"segment_softmax expects a non-empty vector, got shape {v.data.shape}")
-    seg = segments_of(v.data.size, segments)
-    shifted = v.data - np.maximum.reduceat(v.data, seg.offsets)[seg.ids]
-    e = np.exp(shifted)
-    data = e / seg.sum(e)[seg.ids]
-
-    def backward(g):
-        dot = seg.sum(g * data)[seg.ids]
         _accumulate(v, data * (g - dot))
 
     return _make(data, (v,), backward)
@@ -550,21 +449,6 @@ def soft_span_remix(states: Tensor, z: Tensor, ramp: float, scale: float,
             _accumulate(states, seg.unpad(ds))
 
     return _make(data, (states, z), backward)
-
-
-def straight_through(soft: Tensor, hard_values: np.ndarray) -> Tensor:
-    """Forward the hard values; route gradients to `soft` unchanged."""
-    soft = as_tensor(soft)
-    data = np.array(hard_values, dtype=soft.data.dtype)
-    if data.shape != soft.data.shape:
-        raise DimensionError(
-            f"straight_through shapes differ: {data.shape} vs {soft.data.shape}"
-        )
-
-    def backward(g):
-        _accumulate(soft, g)
-
-    return _make(data, (soft,), backward)
 
 
 # -- encoder kernels ---------------------------------------------------------------
@@ -688,51 +572,6 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: i
     out = merge((by_query(dropped()) @ vh) * inv)
     out.flags.writeable = False   # backward reads it
     return out, backward
-
-
-# -- aggregation -------------------------------------------------------------------
-
-
-AGGREGATOR_KINDS = ("mean", "median", "sd")
-
-
-def _segment_median(scores: Tensor, seg: Segments) -> Tensor:
-    """Median of each segment, the mean of the two middle values when even;
-    ties keep index order. Gradient goes to the middle values."""
-    order = np.argsort(seg.pad(scores.data, np.inf), axis=1, kind="stable")
-    rows = np.arange(seg.count)
-    half = seg.lengths // 2
-    hi = seg.offsets + order[rows, half]
-    lo = seg.offsets + order[rows, half - 1 + seg.lengths % 2]
-    data = (scores.data[lo] + scores.data[hi]) * 0.5
-
-    def backward(g):
-        full = np.zeros_like(scores.data)
-        np.add.at(full, lo, 0.5 * g)
-        np.add.at(full, hi, 0.5 * g)
-        _accumulate(scores, full)
-
-    return _make(data, (scores,), backward)
-
-
-def aggregate(scores: Tensor, kind: str, segments: Segments | None = None) -> Tensor:
-    """Pool a score vector: mean, median, or population SD. A scalar without
-    `segments`, else one value per segment."""
-    scores = as_tensor(scores)
-    if scores.data.ndim != 1 or scores.data.size == 0:
-        raise DimensionError(f"aggregate expects a non-empty vector, got shape {scores.data.shape}")
-    seg = segments_of(scores.data.size, segments)
-    kind = kind.lower()
-    if kind == "mean":
-        pooled = segment_mean(scores, seg)
-    elif kind == "median":
-        pooled = _segment_median(scores, seg)
-    elif kind == "sd":
-        centered = sub(scores, take(segment_mean(scores, seg), seg.ids))
-        pooled = sqrt(segment_mean(square(centered), seg))
-    else:
-        raise ContractError(f"unknown aggregator {kind!r}; expected one of {AGGREGATOR_KINDS}")
-    return pooled if segments is not None else reshape(pooled, ())
 
 
 # -- backward pass ---------------------------------------------------------------

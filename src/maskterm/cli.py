@@ -10,8 +10,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from . import autodiff as ad, corpus, encoder as enc, masking as mk, tasks, training
-from .autodiff import Tensor
+from . import corpus, encoder as enc, masking as mk, tasks, training
 from .exceptions import (
     CompatibilityError,
     ConfigError,
@@ -141,8 +140,8 @@ def cmd_mask_demo(args) -> int:
     if args.alpha is not None and not math.isfinite(args.alpha):
         raise ConfigError(f"--alpha must be a finite number, got {args.alpha!r}")
     if args.scores:
-        tokens, values = read_scores_tsv(args.scores)
-        attn, protected, decision = Tensor(values), None, None
+        tokens, attn = read_scores_tsv(args.scores)
+        protected, decision = None, None
         alpha = args.alpha if args.alpha is not None else 1.0
     else:
         model = training.load_model(args.ckpt)
@@ -158,11 +157,11 @@ def cmd_mask_demo(args) -> int:
                 f"checkpoint's {model.mask_cfg.strategy!r} strategy produces no threshold trace"
             )
         tokens = ["[CLS]"] + example.tokens + ["[SEP]"]
-        attn, protected, alpha = Tensor(decision.attn), out.inp.protected, args.alpha
+        attn, protected, alpha = decision.attn, out.inp.protected, args.alpha
     if alpha is not None:   # recut with alpha times the aggregate, no relevance term
-        tau = mk.actm_threshold(attn, Tensor(alpha), args.aggregator)
-        decision = mk.apply_mask(attn, tau, Tensor(np.zeros((len(tokens), 1))),
-                                 protected=protected)
+        # A float64 alpha keeps the recut of a float32 model's attention in float64.
+        tau, _ = mk.actm_threshold(attn, np.float64(alpha), args.aggregator)
+        decision = mk.apply_mask(attn, tau, protected=protected)
     sys.stdout.write(mk.format_mask_trace(tokens, decision))
     return 0
 
@@ -208,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--scores", help="TSV of token<TAB>attention rows, used verbatim")
     source.add_argument("--sentence", help="sentence to run through a trained checkpoint")
     p.add_argument("--ckpt", help="checkpoint path (required with --sentence)")
-    p.add_argument("--aggregator", choices=ad.AGGREGATOR_KINDS,
+    p.add_argument("--aggregator", choices=mk.AGGREGATOR_KINDS,
                    default=mk.MaskConfig.aggregator)
     p.add_argument("--alpha", type=float, default=None,
                    help="threshold weight (default: 1.0 with --scores, as trained with --sentence)")

@@ -3,11 +3,6 @@
 Three adaptive families plus a fixed-threshold baseline:
   - ACTM: mask tokens whose attention score falls under a learnable,
     context-aggregated threshold (plus an aspect-relevance term for ASC).
-    `actm_threshold` takes the weights alpha and gamma as tensors: the
-    model's parameters, or constants in constant-weight mode and in
-    `mask-demo`. `apply_mask` returns a MaskDecision: the attention,
-    thresholds and verdicts that traces print, and the masked states the
-    head reads.
   - AAM: soft distance ramp with a learnable span that reshapes attention
     around every position.
   - AMOM: remask a number of content tokens set by how good the last
@@ -22,24 +17,33 @@ Three adaptive families plus a fixed-threshold baseline:
     its aspect and hides them from left to right in both: its one prediction
     row cannot rank them, and no learned weight ranks them.
 
-The threshold cut is a step function, so training uses a straight-through
-gate: the forward pass applies the hard rule, while gradients flow through
-kept scores and through the margin max(0, attn - tau). Gradient checks run
-with surrogate=True, where that margin path is the forward value as well,
-making the objective genuinely differentiable.
+The threshold kernels of ACTM and the baseline work on plain arrays, as the
+encoder's do, and return their output with a `backward(g)` closure;
+`apply_mask` returns a MaskDecision that carries it. `tasks` chains them
+into one fused node, and `mask-demo` calls them to recut a trace.
+
+The threshold cut is a step function, so `apply_mask` uses a straight-through
+gate (Bengio et al. 2013, arXiv:1308.3432): the forward pass applies the hard
+rule, while gradients flow through kept scores and through the margin
+max(0, attn - tau). Gradient checks run with surrogate=True, where that
+margin path is the forward value as well, making the objective genuinely
+differentiable.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .exceptions import ContractError, DimensionError
+
+
+AGGREGATOR_KINDS = ("mean", "median", "sd")
 
 
 @dataclass
@@ -76,7 +80,7 @@ class MaskConfig:
     def __post_init__(self):
         if self.strategy not in self.STRATEGIES:
             raise ContractError(f"unknown masking strategy {self.strategy!r}")
-        if self.aggregator not in ad.AGGREGATOR_KINDS:
+        if self.aggregator not in AGGREGATOR_KINDS:
             raise ContractError(f"unknown aggregator {self.aggregator!r}")
         if self.aam_ramp <= 0.0:
             raise ContractError("AAM ramp length must be positive")
@@ -93,80 +97,147 @@ class MaskDecision:
     attn: np.ndarray                  # (n,) attention scores
     tau: np.ndarray                   # (n,) thresholds
     kept: np.ndarray                  # (n,) bool
-    masked_states: Tensor             # (n, hidden), masked rows zeroed
+    masked_states: np.ndarray | None = None   # (n, hidden), masked rows zeroed
+    backward: Callable | None = field(default=None, repr=False)   # g -> (dattn, dtau, dstates)
 
 
 # -- ACTM --------------------------------------------------------------------
 
 
-def token_attention(states: Tensor, w_a: Tensor, d_k: int,
-                    segments: ad.Segments | None = None) -> Tensor:
+def _segment_softmax(v: np.ndarray, seg: ad.Segments):
+    """Max-subtracted softmax of a vector within each segment, and its backward."""
+    e = np.exp(v - np.maximum.reduceat(v, seg.offsets)[seg.ids])
+    out = e / seg.sum(e)[seg.ids]
+    return out, lambda g: out * (g - seg.sum(g * out)[seg.ids])
+
+
+def token_attention(states: np.ndarray, w_a: np.ndarray, d_k: int,
+                    segments: ad.Segments | None = None):
     """Per-token scalar scores from the scoring vector, softmax-normalized
-    within each sequence."""
-    n, hidden = states.data.shape
-    if w_a.data.shape != (hidden,):
-        raise DimensionError(
-            f"scoring weights shape {w_a.data.shape} does not match state width {hidden}"
-        )
-    scores = ad.reshape(ad.matmul(states, ad.reshape(w_a, (hidden, 1))), (n,))
-    return ad.segment_softmax(ad.mul(scores, 1.0 / math.sqrt(d_k)), segments)
+    within each sequence. Returns (attn, backward), backward(g) ->
+    (dstates, dw_a)."""
+    n, hidden = states.shape
+    if w_a.shape != (hidden,):
+        raise DimensionError(f"scoring weights shape {w_a.shape} does not match state width {hidden}")
+    scale = 1.0 / math.sqrt(d_k)
+    scores = (states @ w_a.reshape(hidden, 1)).reshape(n)
+    attn, softmax_backward = _segment_softmax(scores * scale, ad.segments_of(n, segments))
+
+    def backward(g):
+        dscores = softmax_backward(g) * scale
+        return np.outer(dscores, w_a), dscores @ states
+
+    return attn, backward
 
 
-def aspect_relevance(states: Tensor, attn: Tensor, aspect_vec: Tensor, beta,
-                     segments: ad.Segments | None = None) -> Tensor:
+def aspect_relevance(states: np.ndarray, attn: np.ndarray, aspect_vec: np.ndarray, beta,
+                     segments: ad.Segments | None = None):
     """Softmax over each sequence's tokens of scaled cosine between weighted
     token vectors and that sequence's aspect representation (one row of
-    `aspect_vec` per sequence); uniform where the aspect vector is null."""
-    n, hidden = states.data.shape
+    `aspect_vec` per sequence); uniform where the aspect vector is null.
+    Returns (relevance, backward), backward(g) -> (dstates, dattn,
+    daspect_vec, dbeta)."""
+    n, hidden = states.shape
     seg = ad.segments_of(n, segments)
-    vecs = ad.reshape(aspect_vec, (-1, hidden))
-    weighted = ad.mul(states, ad.reshape(attn, (n, 1)))
-    dots = ad.tsum(ad.mul(weighted, ad.take(vecs, seg.ids)), axis=1)
-    row_norms = ad.sqrt(ad.tsum(ad.square(weighted), axis=1))
-    vec_norms = ad.sqrt(ad.tsum(ad.square(vecs), axis=1))
-    denom = ad.clamp(ad.mul(row_norms, ad.take(vec_norms, seg.ids)), lo=ad.NORM_EPS)
-    cos = ad.div(dots, denom)
-    cos = ad.mul(cos, row_norms.data > ad.NORM_EPS)   # 0 where the weighted row is null
-    rel = ad.segment_softmax(ad.mul(cos, beta), seg)
-    null = (vec_norms.data <= ad.NORM_EPS)[seg.ids]
+    vecs = aspect_vec.reshape(-1, hidden)
+    weighted = states * attn.reshape(n, 1)
+    paired = vecs[seg.ids]
+    dots = (weighted * paired).sum(axis=1)
+    row_norms = np.sqrt(np.maximum((weighted * weighted).sum(axis=1), 0.0))
+    vec_norms = np.sqrt(np.maximum((vecs * vecs).sum(axis=1), 0.0))
+    norms = row_norms * vec_norms[seg.ids]
+    denom = np.clip(norms, ad.NORM_EPS, None)
+    cos = dots / denom
+    live = row_norms > ad.NORM_EPS
+    cos_live = cos * live   # 0 where the weighted row is null
+    rel, softmax_backward = _segment_softmax(cos_live * beta, seg)
+    null = (vec_norms <= ad.NORM_EPS)[seg.ids]
     if null.any():
-        uniform = 1.0 / seg.lengths[seg.ids]
-        rel = ad.add(ad.mul(rel, ~null), np.where(null, uniform, 0.0))
-    return rel
+        rel = rel * ~null + np.where(null, 1.0 / seg.lengths[seg.ids], 0.0).astype(rel.dtype)
+
+    def backward(g):
+        dlogits = softmax_backward(g * ~null if null.any() else g)
+        ddots = dlogits * beta * live / denom
+        dnorms = -(ddots * cos) * (norms > ad.NORM_EPS)
+        drow = dnorms * vec_norms[seg.ids] / np.maximum(row_norms, ad.NORM_EPS)
+        dvec = seg.sum(dnorms * row_norms) / np.maximum(vec_norms, ad.NORM_EPS)
+        dweighted = ddots[:, None] * paired + drow[:, None] * weighted
+        dvecs = seg.sum(ddots[:, None] * weighted) + dvec[:, None] * vecs
+        return (dweighted * attn.reshape(n, 1), (dweighted * states).sum(axis=1),
+                dvecs.reshape(aspect_vec.shape), (dlogits * cos_live).sum())
+
+    return rel, backward
 
 
-def actm_threshold(attn: Tensor, alpha: Tensor, aggregator: str, relevance: Tensor | None = None,
-                   gamma: Tensor | None = None, segments: ad.Segments | None = None) -> Tensor:
+def _aggregate(scores: np.ndarray, kind: str, seg: ad.Segments):
+    """Per-segment mean, median or population SD of a score vector; an even
+    segment's median is the mean of its two middle values, ties in index
+    order. Returns (pooled, backward), backward(g) -> dscores."""
+    inv = (1.0 / seg.lengths).astype(scores.dtype)
+    if kind == "mean":
+        return seg.sum(scores) * inv, lambda g: (g * inv)[seg.ids]
+    if kind == "median":
+        order = np.argsort(seg.pad(scores, np.inf), axis=1, kind="stable")
+        rows = np.arange(seg.count)
+        half = seg.lengths // 2
+        hi = seg.offsets + order[rows, half]
+        lo = seg.offsets + order[rows, half - 1 + seg.lengths % 2]
+
+        def median_backward(g):   # one lo and one hi per segment: no index repeats
+            d = np.zeros_like(scores)
+            d[lo] += 0.5 * g
+            d[hi] += 0.5 * g
+            return d
+
+        return (scores[lo] + scores[hi]) * 0.5, median_backward
+    if kind == "sd":
+        centered = scores - (seg.sum(scores) * inv)[seg.ids]
+        sd = np.sqrt(np.maximum(seg.sum(centered * centered) * inv, 0.0))
+
+        # The centering's own gradient drops out: each segment's centered scores sum to 0.
+        return sd, lambda g: centered * (g * inv / np.maximum(sd, ad.NORM_EPS))[seg.ids]
+    raise ContractError(f"unknown aggregator {kind!r}; expected one of {AGGREGATOR_KINDS}")
+
+
+def actm_threshold(attn: np.ndarray, alpha, aggregator: str, relevance: np.ndarray | None = None,
+                   gamma=None, segments: ad.Segments | None = None):
     """Threshold vector alpha * aggregate(attn) (+ gamma * relevance per
-    token, given both), the aggregate taken over each sequence."""
-    seg = ad.segments_of(attn.data.shape[0], segments)
-    pooled = ad.aggregate(attn, aggregator, seg)
-    tau = ad.take(ad.mul(alpha, pooled), seg.ids)
+    token, given both), the aggregate taken over each sequence. Returns
+    (tau, backward), backward(g) -> (dattn, dalpha, drelevance, dgamma), the
+    last two None without relevance."""
+    seg = ad.segments_of(attn.shape[0], segments)
+    pooled, pool_backward = _aggregate(attn, aggregator, seg)
+    tau = (alpha * pooled)[seg.ids]
     if relevance is not None:
-        tau = ad.add(tau, ad.mul(relevance, gamma))
-    return tau
+        tau = tau + relevance * gamma
+
+    def backward(g):
+        dpooled = seg.sum(g)
+        dattn, dalpha = pool_backward(dpooled * alpha), (dpooled * pooled).sum()
+        if relevance is None:
+            return dattn, dalpha, None, None
+        return dattn, dalpha, g * gamma, (g * relevance).sum()
+
+    return tau, backward
 
 
-def apply_mask(
-    attn: Tensor,
-    tau: Tensor,
-    states: Tensor,
-    protected=None,
-    surrogate: bool = False,
-    segments: ad.Segments | None = None,
-) -> MaskDecision:
+def apply_mask(attn: np.ndarray, tau: np.ndarray, states: np.ndarray | None = None,
+               protected=None, surrogate: bool = False,
+               segments: ad.Segments | None = None) -> MaskDecision:
     """Zero the state rows whose attention falls under the threshold.
 
     Ties are kept. Protected positions (row indices) are always kept. If
     every unprotected token of a sequence would be masked, its
     highest-attention one survives so downstream heads never see an all-zero
-    context.
+    context. Without states, only the verdicts are decided.
+
+    A row's gate is its verdict, or with `surrogate` the margin plus 1 where
+    protected; in both, the gate's gradient is the margin's, g * (attn > tau).
     """
-    n = attn.data.shape[0]
-    if tau.data.shape != (n,) or states.data.shape[0] != n:
-        raise DimensionError(
-            f"attn {attn.data.shape}, tau {tau.data.shape}, states {states.data.shape} misaligned"
-        )
+    n = attn.shape[0]
+    if tau.shape != (n,) or (states is not None and states.shape[0] != n):
+        raise DimensionError(f"attn {attn.shape}, tau {tau.shape}, "
+                             f"states {getattr(states, 'shape', None)} misaligned")
     seg = ad.segments_of(n, segments)
     prot = np.fromiter(() if protected is None else protected, dtype=np.intp)
     outside = (prot < 0) | (prot >= n)
@@ -174,31 +245,33 @@ def apply_mask(
         raise ContractError(f"protected index {prot[outside][0]} outside 0..{n - 1}")
     prot_mask = np.zeros(n, dtype=bool)
     prot_mask[prot] = True
-    kept = (attn.data >= tau.data) | prot_mask
+    kept = (attn >= tau) | prot_mask
     free = ~prot_mask
     starved = (np.logical_or.reduceat(free, seg.offsets)
                & ~np.logical_or.reduceat(kept & free, seg.offsets))
     for b in np.flatnonzero(starved):
         rows = slice(seg.offsets[b], seg.offsets[b] + seg.lengths[b])
-        scores = np.where(free[rows], attn.data[rows], -np.inf)
+        scores = np.where(free[rows], attn[rows], -np.inf)
         kept[seg.offsets[b] + int(np.argmax(scores))] = True
+    decision = MaskDecision(attn=attn.copy(), tau=tau.copy(), kept=kept)
+    if states is None:
+        return decision
 
-    margin = ad.relu(ad.sub(attn, tau))
-    if surrogate:
-        gate = ad.add(margin, prot_mask)
-    else:
-        gate = ad.straight_through(margin, kept)
-    return MaskDecision(
-        attn=attn.data.copy(),
-        tau=tau.data.copy(),
-        kept=kept,
-        masked_states=ad.mul(states, ad.reshape(gate, (n, 1))),
-    )
+    margin = np.maximum(attn - tau, 0.0)
+    gate = (margin + prot_mask if surrogate else kept.astype(margin.dtype)).reshape(n, 1)
+
+    def backward(g):
+        dmargin = (g * states).sum(axis=1) * (attn > tau)
+        return dmargin, -dmargin, g * gate
+
+    decision.masked_states = states * gate
+    decision.backward = backward
+    return decision
 
 
-def fixed_threshold(attn: Tensor, tau_value: float) -> Tensor:
+def fixed_threshold(attn: np.ndarray, tau_value: float) -> np.ndarray:
     """Constant threshold vector for the non-adaptive baseline."""
-    return Tensor(np.full(attn.data.shape[0], tau_value, dtype=attn.data.dtype))
+    return np.full(attn.shape[0], tau_value, dtype=attn.dtype)
 
 
 # -- AAM ----------------------------------------------------------------------

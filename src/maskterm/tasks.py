@@ -210,7 +210,12 @@ class AbsaModel:
 
     def _mask_states(self, states: Tensor, inp: enc.ModelInput, surrogate: bool):
         """Strategy dispatch: returns (states for the head, decision).
-        ACTM on ASC input weighs attention by relevance to the pooled aspect."""
+
+        ACTM and `fixed` chain the threshold kernels of `masking` into one
+        fused node. Its parents are the states, `mask.w_a`, ACTM's alpha
+        (and on ASC input gamma, beta and the pooled aspect vector, against
+        which ACTM weighs attention by relevance); alpha, gamma and beta are
+        parameters, or constants when not learnable."""
         cfg = self.mask_cfg
         d_k = self.enc_cfg.hidden
         seg = inp.segments
@@ -219,20 +224,41 @@ class AbsaModel:
         if cfg.strategy == "aam":
             z = ad.clamp(self.params["mask.z"], 0.0, float(self.enc_cfg.max_len))
             return mk.aam_remix(states, z, cfg.aam_ramp, d_k, seg), None
-        attn = mk.token_attention(states, self.params["mask.w_a"], d_k, seg)
+        w_a = self.params["mask.w_a"]
+        x = states.data
+        attn, attn_backward = mk.token_attention(x, w_a.data, d_k, seg)
+        parents, tau_backward, relevance_backward = (states, w_a), None, None
         if cfg.strategy == "fixed":
             tau = mk.fixed_threshold(attn, cfg.fixed_tau)
         else:
             w = self.actm_weights
+            parents += (w["alpha"],)
             relevance = gamma = None
             if inp.aspect_spans is not None:
                 aspect_vec = enc.pool_aspect(states, inp.aspect_spans)
-                relevance = mk.aspect_relevance(states, attn, aspect_vec, w["beta"], seg)
-                gamma = w["gamma"]
-            tau = mk.actm_threshold(attn, w["alpha"], cfg.aggregator, relevance, gamma, seg)
-        decision = mk.apply_mask(attn, tau, states, protected=inp.protected,
+                relevance, relevance_backward = mk.aspect_relevance(
+                    x, attn, aspect_vec.data, w["beta"].data, seg)
+                gamma = w["gamma"].data
+                parents += (w["gamma"], w["beta"], aspect_vec)
+            tau, tau_backward = mk.actm_threshold(attn, w["alpha"].data, cfg.aggregator,
+                                                  relevance, gamma, seg)
+        decision = mk.apply_mask(attn, tau, x, protected=inp.protected,
                                  surrogate=surrogate, segments=seg)
-        return decision.masked_states, decision
+
+        def backward(g):   # gradients in the order of `parents`
+            dattn, dtau, dx = decision.backward(g)
+            weights = []
+            if tau_backward is not None:
+                dattn_tau, dalpha, drelevance, dgamma = tau_backward(dtau)
+                dattn, weights = dattn + dattn_tau, [dalpha]
+                if relevance_backward is not None:
+                    dx_rel, dattn_rel, daspect, dbeta = relevance_backward(drelevance)
+                    dx, dattn = dx + dx_rel, dattn + dattn_rel
+                    weights += [dgamma, dbeta, daspect]
+            dx_attn, dw_a = attn_backward(dattn)
+            return [dx + dx_attn, dw_a] + weights
+
+        return ad.fused(decision.masked_states, parents, backward), decision
 
     # -- task forwards ------------------------------------------------------------
     # Each forward runs a whole batch as one packed graph; a single example is

@@ -20,7 +20,7 @@ def aam_soft_mask(x, z, ramp: float):
 
 
 def _soft_mask_tensor(distances: np.ndarray, z: Tensor, ramp: float) -> Tensor:
-    scaled = ad.mul(ad.sub(ad.add(z, ramp), Tensor(distances)), 1.0 / ramp)
+    scaled = ad.mul(ad.add(ad.add(z, ramp), Tensor(-distances)), 1.0 / ramp)
     return ad.clamp(scaled, 0.0, 1.0)
 
 

@@ -5,19 +5,28 @@ import pytest
 
 import gradcheck as gc
 from maskterm import autodiff as ad
+from maskterm import masking as mk
 from maskterm.exceptions import ContractError, DimensionError
 
 TABLE_SCORES = [0.0460, 0.1082, 0.0561, 0.0867, 0.0775, 0.0323, 0.0265,
                 0.0319, 0.0275, 0.0977, 0.0794, 0.0413, 0.0648, 0.0493]
 
 
+def matmul(a, b):
+    """a @ b through `affine` with a zero bias."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    return ad.affine(a, b, np.zeros(b.data.shape[1]))
+
+
 class TestMatmul:
+    """The matrix product of `affine`."""
+
     def test_identity(self):
-        out = ad.matmul(ad.Tensor(np.eye(2)), ad.Tensor([[1.0, 2.0], [3.0, 4.0]]))
+        out = matmul(ad.Tensor(np.eye(2)), ad.Tensor([[1.0, 2.0], [3.0, 4.0]]))
         assert np.allclose(out.data, [[1, 2], [3, 4]])
 
     def test_selector_row(self):
-        out = ad.matmul(ad.Tensor([[1.0, 0.0]]), ad.Tensor([[5.0], [7.0]]))
+        out = matmul(ad.Tensor([[1.0, 0.0]]), ad.Tensor([[5.0], [7.0]]))
         assert out.data.shape == (1, 1) and out.data[0, 0] == 5.0
 
     def test_against_triple_loop(self):
@@ -28,16 +37,16 @@ class TestMatmul:
             for j in range(2):
                 for k in range(4):
                     ref[i, j] += a[i, k] * b[k, j]
-        assert np.allclose(ad.matmul(ad.Tensor(a), ad.Tensor(b)).data, ref, atol=1e-12)
+        assert np.allclose(matmul(ad.Tensor(a), ad.Tensor(b)).data, ref, atol=1e-12)
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 2))))
+            matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 2))))
 
     def test_gradients_flow_to_both(self):
         a = ad.Tensor(np.ones((2, 2)), requires_grad=True)
         b = ad.Tensor(np.ones((2, 2)), requires_grad=True)
-        ad.backward(ad.tsum(ad.matmul(a, b)))
+        ad.backward(ad.tsum(matmul(a, b)))
         assert np.allclose(a.grad, 2.0) and np.allclose(b.grad, 2.0)
 
 
@@ -69,54 +78,71 @@ class TestSoftmax:
             ad.softmax(ad.Tensor(np.zeros((0,))))
 
 
+def aggregate(scores, kind):
+    """The aggregate of a score vector on every one of its tokens, as
+    `masking.actm_threshold` gives it at alpha 1, and its backward."""
+    return mk.actm_threshold(np.asarray(scores, dtype=np.float64), 1.0, kind)
+
+
 class TestAggregate:
+    """The threshold's aggregators over a score vector, and their backward."""
+
     def test_table_mean(self):
-        out = ad.aggregate(ad.Tensor(TABLE_SCORES), "mean")
-        assert out.item() == pytest.approx(0.0590, abs=1e-4)
+        tau, _ = aggregate(TABLE_SCORES, "mean")
+        assert tau[0] == pytest.approx(0.0590, abs=1e-4)
 
     def test_median_odd(self):
-        assert ad.aggregate(ad.Tensor([1.0, 3.0, 2.0]), "median").item() == 2.0
+        assert aggregate([1.0, 3.0, 2.0], "median")[0].tolist() == [2.0] * 3
 
     def test_median_even(self):
-        assert ad.aggregate(ad.Tensor([4.0, 1.0, 3.0, 2.0]), "median").item() == 2.5
+        assert aggregate([4.0, 1.0, 3.0, 2.0], "median")[0].tolist() == [2.5] * 4
 
     def test_sd_constant(self):
-        assert ad.aggregate(ad.Tensor([1.0, 1.0, 1.0]), "sd").item() == 0.0
+        assert aggregate([1.0, 1.0, 1.0], "sd")[0].tolist() == [0.0] * 3
 
     def test_mean_of_constant_is_constant(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             c = float(rng.normal())
             n = int(rng.integers(1, 30))
-            assert ad.aggregate(ad.Tensor(np.full(n, c)), "mean").item() == pytest.approx(c)
+            assert aggregate(np.full(n, c), "mean")[0] == pytest.approx(c)
 
     def test_sd_nonnegative(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             v = rng.normal(size=rng.integers(1, 30))
-            assert ad.aggregate(ad.Tensor(v), "sd").item() >= 0.0
+            assert (aggregate(v, "sd")[0] >= 0.0).all()
 
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
-            ad.aggregate(ad.Tensor(np.zeros(0)), "mean")
+            aggregate(np.zeros(0), "mean")
+
+    def test_unknown_aggregator_rejected(self):
+        with pytest.raises(ContractError, match="unknown aggregator 'max'"):
+            aggregate([1.0, 2.0], "max")
 
     def test_median_gradient_routes_to_middles(self):
-        v = ad.Tensor([1.0, 3.0, 2.0], requires_grad=True)
-        ad.backward(ad.aggregate(v, "median"))
-        assert np.allclose(v.grad, [0.0, 0.0, 1.0])
-        w = ad.Tensor([4.0, 1.0, 3.0, 2.0], requires_grad=True)
-        ad.backward(ad.aggregate(w, "median"))
-        assert np.allclose(w.grad, [0.0, 0.0, 0.5, 0.5])
+        _, backward = aggregate([1.0, 3.0, 2.0], "median")
+        assert backward(np.array([1.0, 0.0, 0.0]))[0].tolist() == [0.0, 0.0, 1.0]
+        _, backward = aggregate([4.0, 1.0, 3.0, 2.0], "median")
+        assert backward(np.array([1.0, 0.0, 0.0, 0.0]))[0].tolist() == [0.0, 0.0, 0.5, 0.5]
+
+    def test_median_ties_keep_index_order(self):
+        """Of equal scores, the earlier one sorts first: the middle pair of
+        [2, 1, 2, 1] is the second 1 and the first 2."""
+        tau, backward = aggregate([2.0, 1.0, 2.0, 1.0], "median")
+        assert tau[0] == 1.5
+        assert backward(np.array([1.0, 0.0, 0.0, 0.0]))[0].tolist() == [0.5, 0.0, 0.0, 0.5]
 
     def test_sd_gradient_finite_for_constant_input(self):
-        v = ad.Tensor([2.0, 2.0, 2.0], requires_grad=True)
-        ad.backward(ad.aggregate(v, "sd"))
-        assert np.isfinite(v.grad).all()
+        _, backward = aggregate([2.0, 2.0, 2.0], "sd")
+        dattn = backward(np.array([1.0, 0.0, 0.0]))[0]
+        assert np.isfinite(dattn).all() and not dattn.any()
 
 
 def _smooth(z):
-    """sqrt(z^2 + 1): a smooth nonlinearity built from ops the package keeps."""
-    return ad.sqrt(ad.add(ad.square(z), 1.0))
+    """log(z^2 + 1): a smooth nonlinearity built from ops the package keeps."""
+    return ad.log_clamped(ad.add(ad.mul(z, z), 1.0))
 
 
 class TestBackward:
@@ -134,12 +160,14 @@ class TestBackward:
         rng = np.random.default_rng(7)
         params = ad.ParamStore()
         w1 = params.add("w1", rng.normal(size=(3, 4)))
+        b1 = params.add("b1", rng.normal(size=4))
         w2 = params.add("w2", rng.normal(size=(4, 2)))
+        b2 = params.add("b2", rng.normal(size=2))
         x = ad.Tensor(rng.normal(size=(2, 3)))
 
         def f():
-            h = _smooth(ad.matmul(x, w1))
-            p = ad.softmax(ad.matmul(h, w2), axis=-1)
+            h = _smooth(ad.affine(x, w1, b1))
+            p = ad.softmax(ad.affine(h, w2, b2), axis=-1)
             return ad.tsum(ad.mul(p, p))
 
         assert gc.finite_difference_check(f, params, h=1e-5) < 1e-6
@@ -178,7 +206,7 @@ class TestBackward:
 
 def _sum_of_squares(params):
     """Sum of squares of every entry, as a graph."""
-    parts = [ad.tsum(ad.square(t)) for t in params.tensors()]
+    parts = [ad.tsum(ad.mul(t, t)) for t in params.tensors()]
     total = parts[0]
     for part in parts[1:]:
         total = ad.add(total, part)
@@ -210,9 +238,9 @@ class TestFiniteness:
                 ad.softmax(v),
                 ad.log_clamped(ad.Tensor(np.abs(v.data))),
                 ad.Tensor(ad.gelu(v.data)[0]),
-                ad.sqrt(ad.Tensor(np.abs(v.data))),
-                ad.matmul(m, m),
-                ad.aggregate(v, "sd"),
+                ad.log_clamped(ad.softmax(m, axis=-1)),
+                ad.affine(m, m, v),
+                ad.tsum(ad.mul(m, m)),
             ):
                 assert np.isfinite(out.data).all()
 
@@ -246,9 +274,13 @@ class TestParamStore:
 
 
 class TestStraightThrough:
+    """The straight-through gate of `masking.apply_mask`."""
+
     def test_forward_hard_backward_soft(self):
-        soft = ad.Tensor([0.2, 0.8], requires_grad=True)
-        out = ad.straight_through(soft, np.array([0.0, 1.0]))
-        assert np.allclose(out.data, [0.0, 1.0])
-        ad.backward(ad.tsum(ad.mul(out, ad.Tensor([3.0, 5.0]))))
-        assert np.allclose(soft.grad, [3.0, 5.0])
+        """Rows are scaled by the hard verdict; the gradient reaches the
+        margin max(0, attn - tau) as if that were the gate."""
+        decision = mk.apply_mask(np.array([0.2, 0.8, 0.6]), np.full(3, 0.5), np.ones((3, 1)))
+        assert decision.masked_states.tolist() == [[0.0], [1.0], [1.0]]
+        dattn, dtau, dstates = decision.backward(np.array([[3.0], [5.0], [7.0]]))
+        assert dattn.tolist() == [0.0, 5.0, 7.0] and dtau.tolist() == [0.0, -5.0, -7.0]
+        assert dstates.tolist() == [[0.0], [5.0], [7.0]]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -31,6 +32,22 @@ def parse_trace(output: str):
     return rows, total, mean
 
 
+# sha256 prefixes of `mask-demo --scores` output over TABLE_ROWS, per
+# aggregator and --alpha (None: the default), recorded when the recut ran on
+# autodiff tensors with a dummy state matrix.
+DEMO_DIGESTS = {
+    ("mean", None): "a4fc88bbd73fbf59",
+    ("mean", "0"): "7a9140858a59b4ec",
+    ("mean", "2.0"): "13de958b501982f9",
+    ("median", None): "92167584d831f454",
+    ("median", "0"): "7a9140858a59b4ec",
+    ("median", "2.0"): "3d3ba6ca222d26b1",
+    ("sd", None): "03b31b5c09c94f0a",
+    ("sd", "0"): "7a9140858a59b4ec",
+    ("sd", "2.0"): "aa647a27112ef4c1",
+}
+
+
 class TestMaskDemo:
     def test_table_replay(self, scores_file, capsys):
         assert cli.main(["mask-demo", "--scores", scores_file,
@@ -40,6 +57,13 @@ class TestMaskDemo:
         assert mean == pytest.approx(0.0590, abs=1e-4)
         kept = {r[0] for r in rows if r[3] == "yes"}
         assert kept == {"steak", "incredibly", "tender", "but", "service", "slow"}
+
+    @pytest.mark.parametrize("aggregator,alpha", list(DEMO_DIGESTS))
+    def test_scores_output_unchanged(self, scores_file, capsys, aggregator, alpha):
+        argv = ["mask-demo", "--scores", scores_file, "--aggregator", aggregator]
+        assert cli.main(argv + ([] if alpha is None else ["--alpha", alpha])) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == DEMO_DIGESTS[(aggregator, alpha)]
 
     def test_alpha_zero_keeps_all(self, scores_file, capsys):
         assert cli.main(["mask-demo", "--scores", scores_file, "--alpha", "0"]) == 0

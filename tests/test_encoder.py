@@ -472,7 +472,7 @@ class TestGradFlow:
         target = Tensor(np.random.default_rng(3).normal(size=(len(ex) + 2, 8)))
 
         def f():
-            d = ad.sub(enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp)), target)
+            d = ad.add(enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp)), -target)
             return ad.tsum(ad.mul(d, d))
 
         assert gc.finite_difference_check(f, params) < 1e-4
@@ -490,7 +490,7 @@ class TestGradFlow:
         def f():   # the same dropout masks on every call
             states = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp), train_mode=True,
                                 rng=np.random.default_rng(4), segments=inp.segments)
-            d = ad.sub(states, target)
+            d = ad.add(states, -target)
             return ad.tsum(ad.mul(d, d))
 
         names = [n for n in params.names() if n.startswith("enc.")]

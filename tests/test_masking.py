@@ -17,21 +17,45 @@ TABLE_SCORES = np.array([0.0460, 0.1082, 0.0561, 0.0867, 0.0775, 0.0323, 0.0265,
 TABLE_KEPT = {"steak", "incredibly", "tender", "but", "service", "slow"}
 
 
+def central_differences(f, inputs, coeffs, h=1e-6):
+    """The gradient of sum(coeffs * f(*inputs)) with respect to each input
+    array, by central differences; the inputs are perturbed in place."""
+    grads = []
+    for x in inputs:
+        flat = x.reshape(-1)   # a view, 0-d arrays included
+        grad = np.zeros(flat.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = (coeffs * f(*inputs)).sum()
+            flat[i] = orig - h
+            down = (coeffs * f(*inputs)).sum()
+            flat[i] = orig
+            grad[i] = (up - down) / (2 * h)
+        grads.append(grad.reshape(x.shape))
+    return grads
+
+
+def assert_gradients(analytic, numeric):
+    for a, n in zip(analytic, numeric):
+        np.testing.assert_allclose(a, n, rtol=1e-6, atol=1e-8)
+
+
 class TestTokenAttention:
     def test_zero_weights_uniform(self):
-        states = Tensor(np.random.default_rng(0).normal(size=(5, 4)))
-        attn = mk.token_attention(states, Tensor(np.zeros(4)), d_k=4)
-        assert np.allclose(attn.data, 0.2)
+        states = np.random.default_rng(0).normal(size=(5, 4))
+        attn, _ = mk.token_attention(states, np.zeros(4), d_k=4)
+        assert np.allclose(attn, 0.2)
 
     def test_singleton(self):
-        attn = mk.token_attention(Tensor(np.ones((1, 4))), Tensor(np.ones(4)), d_k=4)
-        assert np.allclose(attn.data, [1.0])
+        attn, _ = mk.token_attention(np.ones((1, 4)), np.ones(4), d_k=4)
+        assert np.allclose(attn, [1.0])
 
     def test_matches_exp_sum_oracle(self):
         rng = np.random.default_rng(4)
         states = rng.normal(size=(3, 6))
         w = rng.normal(size=6)
-        attn = mk.token_attention(Tensor(states), Tensor(w), d_k=6).data
+        attn, _ = mk.token_attention(states, w, d_k=6)
         logits = states @ w / math.sqrt(6)
         expect = np.exp(logits) / np.exp(logits).sum()
         assert np.allclose(attn, expect, atol=1e-12)
@@ -41,173 +65,172 @@ class TestTokenAttention:
         for _ in range(100):
             n = int(rng.integers(1, 30))
             states = rng.normal(size=(n, 8))
-            attn = mk.token_attention(Tensor(states), Tensor(rng.normal(size=8)), d_k=8)
-            assert abs(attn.data.sum() - 1.0) <= 1e-9
+            attn, _ = mk.token_attention(states, rng.normal(size=8), d_k=8)
+            assert abs(attn.sum() - 1.0) <= 1e-9
 
 
 class TestAspectRelevance:
     def test_beta_zero_uniform(self):
         rng = np.random.default_rng(1)
-        states = Tensor(rng.normal(size=(7, 4)))
-        attn = Tensor(np.full(7, 1.0 / 7))
-        rel = mk.aspect_relevance(states, attn, Tensor(rng.normal(size=4)), Tensor(0.0))
-        assert np.abs(rel.data - 1.0 / 7).max() <= 1e-12
+        states = rng.normal(size=(7, 4))
+        rel, _ = mk.aspect_relevance(states, np.full(7, 1.0 / 7), rng.normal(size=4), 0.0)
+        assert np.abs(rel - 1.0 / 7).max() <= 1e-12
 
     def test_singleton(self):
-        rel = mk.aspect_relevance(Tensor(np.ones((1, 3))), Tensor([1.0]),
-                                  Tensor([1.0, 0.0, 0.0]), Tensor(1.0))
-        assert np.allclose(rel.data, [1.0])
+        rel, _ = mk.aspect_relevance(np.ones((1, 3)), np.array([1.0]), np.array([1.0, 0.0, 0.0]),
+                                     1.0)
+        assert np.allclose(rel, [1.0])
 
     def test_two_token_cosines_one_and_zero(self):
-        states = Tensor(np.array([[2.0, 0.0], [0.0, 3.0]]))
-        attn = Tensor(np.array([0.5, 0.5]))
-        rel = mk.aspect_relevance(states, attn, Tensor([1.0, 0.0]), Tensor(1.0))
+        states = np.array([[2.0, 0.0], [0.0, 3.0]])
+        rel, _ = mk.aspect_relevance(states, np.array([0.5, 0.5]), np.array([1.0, 0.0]), 1.0)
         e = math.e
-        assert np.allclose(rel.data, [e / (e + 1.0), 1.0 / (e + 1.0)], atol=1e-12)
+        assert np.allclose(rel, [e / (e + 1.0), 1.0 / (e + 1.0)], atol=1e-12)
 
     def test_zero_aspect_vector_uniform(self):
-        states = Tensor(np.random.default_rng(2).normal(size=(4, 3)))
-        rel = mk.aspect_relevance(states, Tensor(np.full(4, 0.25)),
-                                  Tensor(np.zeros(3)), Tensor(2.0))
-        assert np.allclose(rel.data, 0.25)
+        states = np.random.default_rng(2).normal(size=(4, 3))
+        rel, _ = mk.aspect_relevance(states, np.full(4, 0.25), np.zeros(3), 2.0)
+        assert np.allclose(rel, 0.25)
 
     def test_packed_null_vector_uniform_only_in_its_segment(self):
         rng = np.random.default_rng(4)
-        states = Tensor(rng.normal(size=(7, 3)))
-        attn = Tensor(rng.uniform(0.1, 1.0, size=7))
+        states = rng.normal(size=(7, 3))
+        attn = rng.uniform(0.1, 1.0, size=7)
         vec = rng.normal(size=3)
-        params = ad.ParamStore()
-        beta = params.add("beta", 1.4)
-        coeffs = Tensor(rng.normal(size=7))
+        beta = np.array(1.4)
+        coeffs = rng.normal(size=7)
 
-        def packed():
-            return mk.aspect_relevance(states, attn, Tensor(np.stack([np.zeros(3), vec])),
-                                       beta, ad.Segments([3, 4]))
+        def packed(beta):
+            return mk.aspect_relevance(states, attn, np.stack([np.zeros(3), vec]), beta,
+                                       ad.Segments([3, 4]))
 
-        alone = mk.aspect_relevance(Tensor(states.data[3:]), Tensor(attn.data[3:]),
-                                    Tensor(vec), beta)
-        rel = packed()
-        assert np.allclose(rel.data[:3], 1.0 / 3)
-        assert np.abs(rel.data[3:] - alone.data).max() <= 1e-15
-        assert gc.finite_difference_check(lambda: ad.tsum(ad.mul(packed(), coeffs)), params) < 1e-6
+        alone, _ = mk.aspect_relevance(states[3:], attn[3:], vec, beta)
+        rel, backward = packed(beta)
+        assert np.allclose(rel[:3], 1.0 / 3)
+        assert np.abs(rel[3:] - alone).max() <= 1e-15
+        assert_gradients([backward(coeffs)[3]],
+                         central_differences(lambda b: packed(b)[0], [beta], coeffs))
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             n = int(rng.integers(1, 20))
-            states = Tensor(rng.normal(size=(n, 5)))
-            attn = ad.softmax(Tensor(rng.normal(size=n)))
-            rel = mk.aspect_relevance(states, attn, Tensor(rng.normal(size=5)),
-                                      Tensor(float(rng.normal())))
-            assert abs(rel.data.sum() - 1.0) <= 1e-9
+            states = rng.normal(size=(n, 5))
+            attn = ad.softmax(Tensor(rng.normal(size=n))).data
+            rel, _ = mk.aspect_relevance(states, attn, rng.normal(size=5), float(rng.normal()))
+            assert abs(rel.sum() - 1.0) <= 1e-9
 
     def test_differentiable_wrt_w_a_and_beta(self):
         # Composed the way the pipeline consumes them: attention and relevance
         # feed the threshold, whose margin gates the states.
         rng = np.random.default_rng(8)
-        params = ad.ParamStore()
-        w_a = params.add("w_a", rng.normal(size=6) * 0.3)
-        alpha = params.add("alpha", 0.9)
-        gamma = params.add("gamma", 0.2)
-        beta = params.add("beta", 1.3)
-        states = Tensor(rng.normal(size=(5, 6)))
-        aspect = Tensor(rng.normal(size=6))
-        coeffs = Tensor(rng.normal(size=(5, 6)))
+        w_a = rng.normal(size=6) * 0.3
+        alpha, gamma, beta = np.array(0.9), np.array(0.2), np.array(1.3)
+        states = rng.normal(size=(5, 6))
+        aspect = rng.normal(size=6)
+        coeffs = rng.normal(size=(5, 6))
 
-        def f():
-            attn = mk.token_attention(states, w_a, d_k=6)
-            rel = mk.aspect_relevance(states, attn, aspect, beta)
-            tau = mk.actm_threshold(attn, alpha, "mean", relevance=rel, gamma=gamma)
+        def f(w_a, alpha, gamma, beta):
+            attn, attn_backward = mk.token_attention(states, w_a, d_k=6)
+            rel, rel_backward = mk.aspect_relevance(states, attn, aspect, beta)
+            tau, tau_backward = mk.actm_threshold(attn, alpha, "mean", relevance=rel, gamma=gamma)
             decision = mk.apply_mask(attn, tau, states, surrogate=True)
-            return ad.tsum(ad.mul(decision.masked_states, coeffs))
 
-        assert gc.finite_difference_check(f, params) < 1e-4
+            def backward(g):
+                dattn, dtau, _ = decision.backward(g)
+                dattn_tau, dalpha, drel, dgamma = tau_backward(dtau)
+                _, dattn_rel, _, dbeta = rel_backward(drel)
+                _, dw_a = attn_backward(dattn + dattn_tau + dattn_rel)
+                return [dw_a, dalpha, dgamma, dbeta]
+
+            return decision.masked_states, backward
+
+        inputs = [w_a, alpha, gamma, beta]
+        assert_gradients(f(*inputs)[1](coeffs),
+                         central_differences(lambda *x: f(*x)[0], inputs, coeffs))
 
 
 class TestActmThreshold:
     def test_table_mean_threshold(self):
-        attn = Tensor(TABLE_SCORES)
-        tau = mk.actm_threshold(attn, Tensor(1.0), "mean")
-        assert tau.data.shape == (14,)
-        assert np.all(np.abs(tau.data - 0.0590) <= 1e-4)
-        assert np.allclose(tau.data, tau.data[0])
+        tau, _ = mk.actm_threshold(TABLE_SCORES, 1.0, "mean")
+        assert tau.shape == (14,)
+        assert np.all(np.abs(tau - 0.0590) <= 1e-4)
+        assert np.allclose(tau, tau[0])
 
     def test_alpha_zero_masks_nothing(self):
-        attn = Tensor(TABLE_SCORES)
-        tau = mk.actm_threshold(attn, Tensor(0.0), "mean")
-        decision = mk.apply_mask(attn, tau, Tensor(np.ones((14, 3))))
+        tau, _ = mk.actm_threshold(TABLE_SCORES, 0.0, "mean")
+        decision = mk.apply_mask(TABLE_SCORES, tau, np.ones((14, 3)))
         assert decision.kept.all()
 
     def test_gamma_zero_equals_ate_mode(self):
-        attn = Tensor(TABLE_SCORES)
-        rel = Tensor(np.random.default_rng(0).dirichlet(np.ones(14)))
-        ate = mk.actm_threshold(attn, Tensor(0.8), "mean")
-        asc = mk.actm_threshold(attn, Tensor(0.8), "mean", relevance=rel, gamma=Tensor(0.0))
-        assert np.allclose(ate.data, asc.data, atol=1e-15)
+        rel = np.random.default_rng(0).dirichlet(np.ones(14))
+        ate, _ = mk.actm_threshold(TABLE_SCORES, 0.8, "mean")
+        asc, _ = mk.actm_threshold(TABLE_SCORES, 0.8, "mean", relevance=rel, gamma=0.0)
+        assert np.allclose(ate, asc, atol=1e-15)
 
 
 class TestApplyMask:
     def test_table_case(self):
-        attn = Tensor(TABLE_SCORES)
-        tau = mk.actm_threshold(attn, Tensor(1.0), "mean")
-        states = Tensor(np.random.default_rng(0).normal(size=(14, 8)))
-        decision = mk.apply_mask(attn, tau, states)
+        tau, _ = mk.actm_threshold(TABLE_SCORES, 1.0, "mean")
+        states = np.random.default_rng(0).normal(size=(14, 8))
+        decision = mk.apply_mask(TABLE_SCORES, tau, states)
         kept_tokens = {t for t, k in zip(TABLE_TOKENS, decision.kept) if k}
         assert kept_tokens == TABLE_KEPT
         assert (~decision.kept).sum() == 8
-        assert not decision.masked_states.data[~decision.kept].any()
-        assert np.array_equal(decision.masked_states.data[decision.kept],
-                              states.data[decision.kept])
+        assert not decision.masked_states[~decision.kept].any()
+        assert np.array_equal(decision.masked_states[decision.kept], states[decision.kept])
 
     def test_zero_threshold_keeps_everything(self):
-        attn = Tensor(TABLE_SCORES)
-        states = Tensor(np.random.default_rng(1).normal(size=(14, 4)))
-        decision = mk.apply_mask(attn, Tensor(np.zeros(14)), states)
+        states = np.random.default_rng(1).normal(size=(14, 4))
+        decision = mk.apply_mask(TABLE_SCORES, np.zeros(14), states)
         assert decision.kept.all()
-        assert np.array_equal(decision.masked_states.data, states.data)
+        assert np.array_equal(decision.masked_states, states)
 
     def test_boundary_tie_kept(self):
-        attn = Tensor([0.3, 0.7])
-        decision = mk.apply_mask(attn, Tensor([0.3, 0.8]), Tensor(np.ones((2, 2))))
+        decision = mk.apply_mask(np.array([0.3, 0.7]), np.array([0.3, 0.8]), np.ones((2, 2)))
         assert decision.kept[0] and not decision.kept[1]
-        assert decision.masked_states.data.tolist() == [[1.0, 1.0], [0.0, 0.0]]
+        assert decision.masked_states.tolist() == [[1.0, 1.0], [0.0, 0.0]]
 
     def test_all_masked_fallback_keeps_top(self):
-        attn = Tensor(TABLE_SCORES)
-        tau = mk.actm_threshold(attn, Tensor(2.0), "mean")
-        decision = mk.apply_mask(attn, tau, Tensor(np.ones((14, 2))))
+        tau, _ = mk.actm_threshold(TABLE_SCORES, 2.0, "mean")
+        decision = mk.apply_mask(TABLE_SCORES, tau, np.ones((14, 2)))
         assert decision.kept.sum() == 1
         assert TABLE_TOKENS[int(np.flatnonzero(decision.kept)[0])] == "steak"
 
     def test_protected_always_kept(self):
-        attn = Tensor([0.01, 0.5, 0.49])
-        decision = mk.apply_mask(attn, Tensor(np.full(3, 0.4)), Tensor(np.ones((3, 2))),
+        decision = mk.apply_mask(np.array([0.01, 0.5, 0.49]), np.full(3, 0.4), np.ones((3, 2)),
                                  protected={0})
         assert decision.kept.tolist() == [True, True, True]
 
     def test_idempotent_for_fixed_inputs(self):
-        attn = Tensor(TABLE_SCORES)
-        tau = mk.actm_threshold(attn, Tensor(1.0), "mean")
-        states = Tensor(np.random.default_rng(2).normal(size=(14, 4)))
-        first = mk.apply_mask(attn, tau, states)
-        second = mk.apply_mask(attn, tau, states)
+        tau, _ = mk.actm_threshold(TABLE_SCORES, 1.0, "mean")
+        states = np.random.default_rng(2).normal(size=(14, 4))
+        first = mk.apply_mask(TABLE_SCORES, tau, states)
+        second = mk.apply_mask(TABLE_SCORES, tau, states)
         assert np.array_equal(first.kept, second.kept)
         assert np.array_equal(first.tau, second.tau)
-        assert np.array_equal(first.masked_states.data, second.masked_states.data)
+        assert np.array_equal(first.masked_states, second.masked_states)
 
     def test_masked_states_invariant(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = int(rng.integers(2, 20))
-            attn = ad.softmax(Tensor(rng.normal(size=n)))
-            tau = Tensor(rng.uniform(0, 2.0 / n, size=n))
-            states = Tensor(rng.normal(size=(n, 3)))
+            attn = ad.softmax(Tensor(rng.normal(size=n))).data
+            tau = rng.uniform(0, 2.0 / n, size=n)
+            states = rng.normal(size=(n, 3))
             decision = mk.apply_mask(attn, tau, states)
             for i in range(n):
                 if decision.kept[i]:
-                    assert np.array_equal(decision.masked_states.data[i], states.data[i])
+                    assert np.array_equal(decision.masked_states[i], states[i])
                 else:
-                    assert not decision.masked_states.data[i].any()
+                    assert not decision.masked_states[i].any()
+
+    def test_without_states_only_the_verdicts(self):
+        tau, _ = mk.actm_threshold(TABLE_SCORES, 1.0, "mean")
+        decision = mk.apply_mask(TABLE_SCORES, tau, protected={0})
+        with_states = mk.apply_mask(TABLE_SCORES, tau, np.ones((14, 2)), protected={0})
+        assert np.array_equal(decision.kept, with_states.kept)
+        assert decision.masked_states is None and decision.backward is None
 
 
 class TestActmMonotonicity:
@@ -215,16 +238,103 @@ class TestActmMonotonicity:
         rng = np.random.default_rng(42)
         for _ in range(100):
             n = int(rng.integers(2, 65))
-            attn = Tensor(rng.dirichlet(np.ones(n)))
-            states = Tensor(np.ones((n, 2)))
-            for agg in ad.AGGREGATOR_KINDS:
+            attn = rng.dirichlet(np.ones(n))
+            for agg in mk.AGGREGATOR_KINDS:
                 prev = None
                 for alpha in [0.0, 0.5, 1.0, 1.5, 2.0]:
-                    tau = mk.actm_threshold(attn, Tensor(alpha), agg)
-                    kept = frozenset(np.flatnonzero(mk.apply_mask(attn, tau, states).kept).tolist())
+                    tau, _ = mk.actm_threshold(attn, alpha, agg)
+                    kept = frozenset(np.flatnonzero(mk.apply_mask(attn, tau).kept).tolist())
                     if prev is not None:
                         assert kept <= prev, f"kept set grew under alpha={alpha} agg={agg}"
                     prev = kept
+
+
+class TestKernelGradients:
+    """Each threshold kernel's backward against central differences, in
+    float64, on a packed batch of sequences of 1, 4 and 5 tokens."""
+
+    SEG = ad.Segments([1, 4, 5])
+
+    @staticmethod
+    def draws(seed=0):
+        rng = np.random.default_rng(seed)
+        return rng, rng.normal(size=(10, 3)), rng.uniform(0.05, 0.6, size=10)
+
+    def test_token_attention(self):
+        rng, states, _ = self.draws()
+        w_a, coeffs = rng.normal(size=3), rng.normal(size=10)
+
+        def f(states, w_a):
+            return mk.token_attention(states, w_a, 3, self.SEG)
+
+        assert_gradients(f(states, w_a)[1](coeffs),
+                         central_differences(lambda *x: f(*x)[0], [states, w_a], coeffs))
+
+    @pytest.mark.parametrize("null", [False, True], ids=["aspects", "null-aspect"])
+    def test_aspect_relevance(self, null):
+        """With a null aspect vector the second sequence's relevance is
+        uniform and gets no gradient; the other vectors are checked."""
+        rng, states, attn = self.draws(1)
+        vecs, beta, coeffs = rng.normal(size=(3, 3)), np.array(1.3), rng.normal(size=10)
+        live = [0, 2] if null else [0, 1, 2]
+
+        def f(states, attn, live_vecs, beta):
+            full = np.zeros((3, 3))
+            full[live] = live_vecs
+            return mk.aspect_relevance(states, attn, full, beta, self.SEG)
+
+        inputs = [states, attn, vecs[live], beta]
+        rel, backward = f(*inputs)
+        dstates, dattn, dvecs, dbeta = backward(coeffs)
+        if null:
+            assert np.allclose(rel[1:5], 0.25) and not dvecs[1].any()
+            assert not dstates[1:5].any() and not dattn[1:5].any()
+        assert_gradients([dstates, dattn, dvecs[live], dbeta],
+                         central_differences(lambda *x: f(*x)[0], inputs, coeffs))
+
+    @pytest.mark.parametrize("aggregator", mk.AGGREGATOR_KINDS)
+    def test_actm_threshold(self, aggregator):
+        rng, _, attn = self.draws(2)
+        alpha, gamma = np.array(0.9), np.array(-0.4)
+        relevance, coeffs = rng.uniform(size=10), rng.normal(size=10)
+
+        def f(attn, alpha, relevance, gamma):
+            return mk.actm_threshold(attn, alpha, aggregator, relevance, gamma, self.SEG)
+
+        inputs = [attn, alpha, relevance, gamma]
+        assert_gradients(f(*inputs)[1](coeffs),
+                         central_differences(lambda *x: f(*x)[0], inputs, coeffs))
+
+    def test_sd_of_a_constant_segment_has_zero_gradient(self):
+        attn = np.array([0.3, 2.0, 2.0, 2.0, 2.0, 0.1, 0.5, 0.2, 0.9, 0.4])
+        tau, backward = mk.actm_threshold(attn, 1.0, "sd", segments=self.SEG)
+        dattn = backward(np.ones(10))[0]
+        assert not tau[1:5].any()
+        assert np.isfinite(dattn).all() and not dattn[1:5].any() and dattn[5:].any()
+
+    def test_gate_in_both_modes(self):
+        """The surrogate gate, margin plus protection, against central
+        differences; the straight-through gate forwards the hard verdict
+        and hands attn and tau the same gradient."""
+        rng, states, attn = self.draws(3)
+        tau, coeffs = rng.uniform(0.05, 0.6, size=10), rng.normal(size=(10, 3))
+        protected = [0, 5]
+
+        def f(attn, tau, states, surrogate=True):
+            return mk.apply_mask(attn, tau, states, protected, surrogate, self.SEG)
+
+        inputs = [attn, tau, states]
+        surrogate = f(*inputs)
+        gate = np.maximum(attn - tau, 0.0) + np.isin(np.arange(10), protected)
+        assert np.array_equal(surrogate.masked_states, states * gate[:, None])
+        assert_gradients(surrogate.backward(coeffs),
+                         central_differences(lambda *x: f(*x).masked_states, inputs, coeffs))
+        hard = f(*inputs, surrogate=False)
+        assert np.array_equal(hard.masked_states, states * hard.kept[:, None])
+        dattn, dtau, dstates = hard.backward(coeffs)
+        assert np.array_equal(dattn, surrogate.backward(coeffs)[0]) and np.array_equal(dtau, -dattn)
+        assert_gradients([dstates], central_differences(
+            lambda s: f(attn, tau, s, surrogate=False).masked_states, [states], coeffs))
 
 
 class TestAamSoftMask:
@@ -495,9 +605,8 @@ class TestAmomRegenerate:
 
 class TestTrace:
     def test_format_round_trip(self):
-        attn = Tensor(TABLE_SCORES)
-        tau = mk.actm_threshold(attn, Tensor(1.0), "mean")
-        decision = mk.apply_mask(attn, tau, Tensor(np.zeros((14, 2))))
+        tau, _ = mk.actm_threshold(TABLE_SCORES, 1.0, "mean")
+        decision = mk.apply_mask(TABLE_SCORES, tau)
         text = mk.format_mask_trace(TABLE_TOKENS, decision)
         lines = text.strip().split("\n")
         assert lines[0] == "token\tattn\ttau\tkept"

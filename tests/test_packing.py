@@ -1,6 +1,7 @@
 """A packed batch gives what its instances give when run as batches of one."""
 
 import dataclasses
+import hashlib
 from collections import Counter
 from dataclasses import replace
 
@@ -218,6 +219,100 @@ def test_actm_masks_inside_the_packed_batch():
     model, _ = make_model("asc", "actm", "mean", examples)
     out = model.forward_asc(training.asc_instances(examples))
     assert not out.decision.kept.all()
+
+
+def digest(a) -> str:
+    """The first 16 hex digits of the sha256 of an array's dtype, shape and bytes."""
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()[:16]
+
+
+# The threshold stage's forward on batch_examples() with make_model's
+# weights: digests of attn, relevance (ASC ACTM only), tau, kept and the
+# masked states, then the kept count. Recorded when the stage was built from
+# generic autodiff ops, one node per step; the fused kernels give the same bits.
+THRESHOLD_PINS = {
+    ("ate", "actm", "mean", "float64"):
+        ("a1d9783808020887", None, "ba2db947c6b7aa45",
+         "c19f82fb97375d2d", "849cf999152cc13f", 25),
+    ("ate", "actm", "median", "float64"):
+        ("a1d9783808020887", None, "5da4bb7b7d0fa860",
+         "4eb88d322205494f", "7a995a341522c5e8", 34),
+    ("ate", "actm", "sd", "float64"):
+        ("a1d9783808020887", None, "111c4d00af3bf5d9",
+         "e952b73e44432e6f", "368450ae351e9023", 20),
+    ("ate", "fixed", "mean", "float64"):
+        ("a1d9783808020887", None, "bb7e4a6acbfce5a5",
+         "3947b28dcbe9a4f3", "5e7225516151c69e", 23),
+    ("asc", "actm", "mean", "float64"):
+        ("d6b278d5d9babda4", "b8e285e06959c0fc", "3e1bb97aace62222",
+         "2bf400be695b7f84", "78338afa3f9e0128", 50),
+    ("asc", "actm", "median", "float64"):
+        ("d6b278d5d9babda4", "b8e285e06959c0fc", "2b0a4975b0d9e6e6",
+         "7eb4dfcf79ff4994", "17b3773f675f79e4", 65),
+    ("asc", "actm", "sd", "float64"):
+        ("d6b278d5d9babda4", "b8e285e06959c0fc", "0ae3f611b4a49ed1",
+         "ddd7a104c7eec8c9", "efe7f230e7862d45", 46),
+    ("asc", "fixed", "mean", "float64"):
+        ("d6b278d5d9babda4", None, "7610b0ca684161f7",
+         "4affea306f36eefe", "291d4a86a4397418", 52),
+    ("ate", "actm", "mean", "float32"):
+        ("6a1e012d07fa3525", None, "4498e24ee678de09",
+         "c19f82fb97375d2d", "4893e894b60b7362", 25),
+    ("ate", "actm", "median", "float32"):
+        ("6a1e012d07fa3525", None, "2c51029267f9a70e",
+         "4eb88d322205494f", "0f43a233a4d3d04b", 34),
+    ("ate", "actm", "sd", "float32"):
+        ("6a1e012d07fa3525", None, "dcd286e945410cb4",
+         "e952b73e44432e6f", "ce35645f730a3929", 20),
+    ("ate", "fixed", "mean", "float32"):
+        ("6a1e012d07fa3525", None, "945e8c1b71d8e9ca",
+         "3947b28dcbe9a4f3", "0372d1327d990284", 23),
+    ("asc", "actm", "mean", "float32"):
+        ("4894b3a4f20dabd2", "9d1535c1e982a7b5", "3bd18f7f4a80949a",
+         "2bf400be695b7f84", "98a42043fcf920de", 50),
+    ("asc", "actm", "median", "float32"):
+        ("4894b3a4f20dabd2", "9d1535c1e982a7b5", "a4265b8330f27ca6",
+         "7eb4dfcf79ff4994", "1a9654a22f6b60b1", 65),
+    ("asc", "actm", "sd", "float32"):
+        ("4894b3a4f20dabd2", "9d1535c1e982a7b5", "9bddccad6895d864",
+         "ddd7a104c7eec8c9", "54165ecd383495fc", 46),
+    ("asc", "fixed", "mean", "float32"):
+        ("4894b3a4f20dabd2", None, "7d4381822469d16a",
+         "4affea306f36eefe", "a507a46c5add65ab", 52),
+}
+
+
+@pytest.mark.parametrize("key", list(THRESHOLD_PINS), ids="-".join)
+def test_threshold_forward_unchanged(key, monkeypatch):
+    task, strategy, aggregator, dtype = key
+    examples = batch_examples()
+    model, _ = make_model(task, strategy, aggregator, examples, np.dtype(dtype))
+    relevance = []
+    inner = mk.aspect_relevance
+
+    def spy(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        relevance.append(out[0])
+        return out
+
+    monkeypatch.setattr(mk, "aspect_relevance", spy)
+    d = forward(model, task, items_for(task, examples), False, None).decision
+    got = (digest(d.attn), digest(relevance[0]) if relevance else None, digest(d.tau),
+           digest(d.kept), digest(d.masked_states), int(d.kept.sum()))
+    assert got == THRESHOLD_PINS[key]
+
+
+def test_ate_actm_keeps_every_token_at_default_init():
+    """`mask.w_a` starts at 0, so attention is uniform and tau, alpha times
+    its mean, sits under every score: ATE ACTM masks nothing at init."""
+    examples = batch_examples()
+    vocab = enc.Vocab.build(examples)
+    model = tasks.AbsaModel("ate", replace(SMALL, vocab_size=len(vocab.words)),
+                            mk.MaskConfig(strategy="actm"), vocab, 3)
+    out = model.forward_ate(examples)
+    assert not model.params["mask.w_a"].data.any()
+    assert out.decision.kept.all() and out.decision.kept.size == len(out.inp)
 
 
 def one_instance_sets(task, examples):
@@ -509,9 +604,14 @@ class TestSegments:
             ad.Segments([2, 0])
 
     def test_segment_aggregates(self):
+        """Each segment's aggregate, as ACTM's threshold at alpha 1 spreads it
+        over the segment's tokens."""
         seg = ad.Segments([3, 4])
-        v = Tensor([1.0, 3.0, 2.0, 4.0, 1.0, 3.0, 2.0])
-        assert ad.aggregate(v, "median", seg).data.tolist() == [2.0, 2.5]
-        assert ad.aggregate(v, "mean", seg).data.tolist() == [2.0, 2.5]
-        sd = ad.aggregate(v, "sd", seg).data
-        assert np.allclose(sd, [np.std([1, 3, 2]), np.std([4, 1, 3, 2])])
+        v = np.array([1.0, 3.0, 2.0, 4.0, 1.0, 3.0, 2.0])
+
+        def pooled(kind):
+            return mk.actm_threshold(v, 1.0, kind, segments=seg)[0][seg.offsets]
+
+        assert pooled("median").tolist() == [2.0, 2.5]
+        assert pooled("mean").tolist() == [2.0, 2.5]
+        assert np.allclose(pooled("sd"), [np.std([1, 3, 2]), np.std([4, 1, 3, 2])])

@@ -181,7 +181,7 @@ class TestAdam:
 
         loss = training.batch_loss(model, config, batch, train=False, rng=None)
         for t in model.params.tensors():
-            loss = ad.add(loss, ad.mul(ad.tsum(ad.square(t)), lam / 2.0))
+            loss = ad.add(loss, ad.mul(ad.tsum(ad.mul(t, t)), lam / 2.0))
         ad.backward(loss)
         expected = {name: t.grad.copy() for name, t in model.params.items()}
 
