@@ -10,7 +10,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from . import corpus, encoder as enc, masking as mk, tasks, training
+from . import autodiff as ad, corpus, encoder as enc, masking as mk, tasks, training
 from .exceptions import (
     CompatibilityError,
     ConfigError,
@@ -150,7 +150,8 @@ def cmd_mask_demo(args) -> int:
                 f"mask-demo --sentence needs an ATE checkpoint; this one was trained for "
                 f"task {model.task!r}")
         example = corpus.make_example(args.sentence, [])
-        out = model.forward_ate([example])
+        with ad.no_grad():   # the trace reads only the decision
+            out = model.forward_ate([example])
         decision = out.decision
         if decision is None:
             raise CompatibilityError(

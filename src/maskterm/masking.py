@@ -13,9 +13,11 @@ Three adaptive families plus a fixed-threshold baseline:
     Training rates a round by its correctness ratio against gold and remasks
     wrong tokens first, then those of lowest gold probability; inference,
     without gold, rates it by mean max-probability and remasks the least
-    confident tokens. An ASC instance may hide the sentence tokens outside
-    its aspect and hides them from left to right in both: its one prediction
-    row cannot rank them, and no learned weight ranks them.
+    confident tokens. One adapter, `tasks.AbsaModel.amom`, serves ATE and ASC
+    alike: only the content indices an instance may hide and its gold ids
+    differ by task. An instance with one prediction row (ASC, which may hide
+    the sentence tokens outside its aspect) hides them from left to right in
+    both modes: its one row cannot rank them, and no learned weight does.
 
 The threshold kernels of ACTM and the baseline work on plain arrays, as the
 encoder's do, and return their output with a `backward(g)` closure;
@@ -53,8 +55,7 @@ class MaskConfig:
     strategy: str = "actm"            # actm | aam | amom | fixed | none
     aggregator: str = "mean"          # mean | median | sd
     learnable: bool = True            # False: alpha = gamma = beta = 1 as constants, not parameters
-    # None -> per-task defaults: ATE starts permissive (alpha 0.5); ASC starts
-    # clause-selective with the threshold cut at mean relevance (alpha = 1 + |gamma|).
+    # None -> the task's default in tasks.ACTM_WEIGHTS; an ATE model has no gamma or beta.
     alpha_init: float | None = None
     gamma_init: float | None = None
     beta_init: float | None = None
@@ -64,16 +65,6 @@ class MaskConfig:
     amom_mu_min: float = 0.1
     amom_mu_max: float = 0.5
     amom_iterations: int = 2
-
-    ATE_DEFAULTS = {"alpha_init": 0.5}   # an ATE model has no gamma or beta
-    ASC_DEFAULTS = {"alpha_init": 1.5, "gamma_init": -0.5, "beta_init": 4.0}
-
-    def resolved_init(self, name: str, task: str) -> float:
-        value = getattr(self, name)
-        if value is not None:
-            return float(value)
-        defaults = self.ASC_DEFAULTS if task == "asc" else self.ATE_DEFAULTS
-        return defaults[name]
 
     STRATEGIES = ("actm", "aam", "amom", "fixed", "none")
 
@@ -352,7 +343,7 @@ def _amom_remask(probs: np.ndarray, maskable: Sequence[int], cfg: MaskConfig,
 def amom_regenerate(forward, cfg: MaskConfig, maskable: list[Sequence[int]], gold=None):
     """Iterative remask-and-regenerate loop over a batch of instances, for
     training and inference alike; `maskable[b]` lists the content indices
-    instance b may hide.
+    instance b may hide. `tasks.AbsaModel.amom` calls it for either task.
 
     `forward(masked)` takes a dict from instance index to the set of that
     instance's content indices to hide, runs those instances as one packed

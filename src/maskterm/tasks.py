@@ -4,6 +4,7 @@ encoder and a masking strategy together."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -21,6 +22,11 @@ BIO_CLASSES = ("B", "I", "O")
 BIO_INDEX = {c: i for i, c in enumerate(BIO_CLASSES)}
 ASC_CLASSES = ("positive", "negative", "neutral")
 ASC_INDEX = {c: i for i, c in enumerate(ASC_CLASSES)}
+# ACTM's weights per task, in parameter order, with the initial value each
+# takes where MaskConfig leaves its `<name>_init` None. ATE starts permissive
+# (alpha 0.5); ASC starts clause-selective, the threshold cut at mean
+# relevance (alpha = 1 + |gamma|).
+ACTM_WEIGHTS = {"ate": {"alpha": 0.5}, "asc": {"alpha": 1.5, "gamma": -0.5, "beta": 4.0}}
 
 
 # -- span decoding and span-level F1 ------------------------------------------
@@ -66,6 +72,12 @@ def ate_span_f1(pred, gold) -> tuple[float, float, float]:
 # -- losses ----------------------------------------------------------------------
 
 
+def cross_entropy(probs: Tensor, gold: np.ndarray) -> Tensor:
+    """Cross-entropy summed over the rows of (m, C) probabilities, one gold class id per row."""
+    picked = probs[(np.arange(len(gold)), gold)]
+    return -ad.tsum(ad.log_clamped(picked))
+
+
 def ate_loss(probs: Tensor, gold_tags: list[str]) -> Tensor:
     """BIO cross-entropy summed (not averaged) over the sentence tokens."""
     m = len(gold_tags)
@@ -74,9 +86,7 @@ def ate_loss(probs: Tensor, gold_tags: list[str]) -> Tensor:
     sums = probs.data.sum(axis=1)
     if np.abs(sums - 1.0).max() > 1e-6:
         raise ContractError("probability rows must sum to 1")
-    ids = np.array([BIO_INDEX[t] for t in gold_tags])
-    picked = probs[(np.arange(m), ids)]
-    return -ad.tsum(ad.log_clamped(picked))
+    return cross_entropy(probs, np.array([BIO_INDEX[t] for t in gold_tags]))
 
 
 def asc_loss(probs: Tensor, gold_classes: list[str]) -> Tensor:
@@ -87,9 +97,11 @@ def asc_loss(probs: Tensor, gold_classes: list[str]) -> Tensor:
         raise ContractError("asc_loss needs a non-empty batch")
     if probs.data.shape != (b, len(ASC_CLASSES)) or b != len(gold_classes):
         raise DimensionError(f"predictions {probs.data.shape} vs {len(gold_classes)} labels")
-    ids = np.array([ASC_INDEX[g] for g in gold_classes])
-    picked = probs[(np.arange(b), ids)]
-    return ad.mul(ad.tsum(ad.log_clamped(picked)), -1.0 / b)
+    return ad.mul(cross_entropy(probs, np.array([ASC_INDEX[g] for g in gold_classes])), 1.0 / b)
+
+
+def _mean_tensor(parts: list[Tensor]) -> Tensor:
+    return ad.mul(functools.reduce(ad.add, parts), 1.0 / len(parts))
 
 
 # -- metrics -----------------------------------------------------------------------
@@ -141,6 +153,7 @@ class TaskOutput:
     probs: Tensor                    # (sum of sentence lengths, 3) for ATE, (B, 3) for ASC
     decision: mk.MaskDecision | None
     inp: enc.ModelInput              # the packed batch
+    rows: ad.Segments                # rows of `probs` per instance: its tokens (ATE), one (ASC)
 
 
 class AbsaModel:
@@ -173,9 +186,10 @@ class AbsaModel:
         if cfg.strategy in ("actm", "fixed"):
             self.params.add("mask.w_a", np.zeros(self.enc_cfg.hidden))
         if cfg.strategy == "actm":
-            for w in ("alpha", "gamma", "beta") if self.task == "asc" else ("alpha",):
+            for w, default in ACTM_WEIGHTS[self.task].items():
+                init = getattr(cfg, f"{w}_init")
                 self.actm_weights[w] = (
-                    self.params.add(f"mask.{w}", cfg.resolved_init(f"{w}_init", self.task))
+                    self.params.add(f"mask.{w}", default if init is None else init)
                     if cfg.learnable else Tensor(np.ones((), self.params.dtype)))
         elif cfg.strategy == "aam":
             self.params.add("mask.z", cfg.aam_span_init)
@@ -274,7 +288,7 @@ class AbsaModel:
         states, decision = self._mask_states(encoded, inp, surrogate)
         logits = ad.affine(states, self.params["head.ate.W"], self.params["head.ate.b"])
         content = logits[inp.content_positions]
-        return TaskOutput(ad.softmax(content, axis=-1), decision, inp)
+        return TaskOutput(ad.softmax(content, axis=-1), decision, inp, inp.content_segments)
 
     def forward_asc(self, instances: list[tuple[TokenizedExample, int]], train: bool = False,
                     surrogate: bool = False, rng: np.random.Generator | None = None,
@@ -297,73 +311,90 @@ class AbsaModel:
             pooled = ad.mul(summed, (1.0 / denom)[:, None])
         feats = ad.concat([encoded[inp.segments.offsets], pooled], axis=1)
         logits = ad.affine(feats, self.params["head.asc.W"], self.params["head.asc.b"])
-        return TaskOutput(ad.softmax(logits, axis=-1), decision, inp)
+        return TaskOutput(ad.softmax(logits, axis=-1), decision, inp,
+                          ad.Segments([1] * len(instances)))
+
+    def forward(self, items: list, **kwargs) -> TaskOutput:
+        """`forward_ate` on examples or `forward_asc` on (example, aspect
+        index) instances, whichever the model's task is."""
+        return (self.forward_ate if self.task == "ate" else self.forward_asc)(items, **kwargs)
+
+    def loss(self, items: list, train: bool = False,
+             rng: np.random.Generator | None = None) -> Tensor:
+        """The batch's training loss: each instance's cross-entropy, summed
+        over its prediction rows, averaged over the batch. ASC's L2 term is
+        not in it (Adam adds its gradient, `training.train` its value to the
+        logged loss). AMOM averages each instance's per-round losses first,
+        from one packed forward per round."""
+        if self.mask_cfg.strategy == "amom":
+            losses = self.amom(items, scored=True, train=train, rng=rng)[1]
+            return _mean_tensor([_mean_tensor(per_round) for per_round in losses])
+        out = self.forward(items, train=train, rng=rng)
+        if self.task == "asc":
+            return asc_loss(out.probs, [ex.aspects[i].polarity for ex, i in items])
+        tags = [tag for ex in items for tag in ex.bio_tags]
+        return ad.mul(ate_loss(out.probs, tags), 1.0 / len(items))
 
     # -- AMOM -------------------------------------------------------------------------
-    # One adapter per task around masking.amom_regenerate, for the loss
+    # One adapter around masking.amom_regenerate for both tasks, for the loss
     # (`scored`: remask by gold, one loss per instance and round) and for
-    # prediction (remask by confidence, no losses). Both return
-    # amom_regenerate's (probs per instance, losses per instance, masked sets).
+    # prediction (remask by confidence, no losses). Only the maskable content
+    # indices and the gold class ids of each instance depend on the task.
 
-    def amom_ate(self, examples: list[TokenizedExample], scored: bool = False,
-                 train: bool = False, rng: np.random.Generator | None = None):
-        gold = [np.array([BIO_INDEX[t] for t in ex.bio_tags]) for ex in examples] if scored else None
+    def gold_ids(self, items: list) -> list[np.ndarray]:
+        """The gold class id of each instance's prediction rows."""
+        if self.task == "ate":
+            return [np.array([BIO_INDEX[t] for t in ex.bio_tags]) for ex in items]
+        return [np.array([ASC_INDEX[ex.aspects[i].polarity]]) for ex, i in items]
 
-        def forward(masked: dict[int, set[int]]):
-            batch = [examples[b] for b in masked]
-            out = self.forward_ate(batch, train=train, rng=rng,
-                                   masked_content=[frozenset(m) for m in masked.values()])
-            seg = out.inp.content_segments
-            rows = [slice(o, o + n) for o, n in zip(seg.offsets, seg.lengths)]
-            losses = ([ate_loss(out.probs[r], ex.bio_tags) for r, ex in zip(rows, batch)]
-                      if scored else None)
-            return [out.probs.data[r] for r in rows], losses
-
-        return mk.amom_regenerate(forward, self.mask_cfg, [range(len(ex)) for ex in examples],
-                                  gold)
-
-    def amom_asc(self, instances: list[tuple[TokenizedExample, int]], scored: bool = False,
-                 train: bool = False, rng: np.random.Generator | None = None):
-        """Each instance may hide its sentence tokens outside its aspect span,
-        the content rows `enc.pack_inputs` does not protect; with one
-        prediction row, it hides them left to right. The first round is an
-        ordinary forward that hides nothing. An aspect with no token span has
-        nothing listed here; that first forward refuses it."""
+    def _maskable(self, items: list) -> list:
+        """The content indices each instance may hide. ATE: every sentence
+        token. ASC: the sentence tokens outside its aspect span, the content
+        rows `enc.pack_inputs` does not protect; an aspect with no token span
+        lists none, and the first forward refuses it."""
+        if self.task == "ate":
+            return [range(len(ex)) for ex in items]
         maskable = []
-        for ex, i in instances:
+        for ex, i in items:
             span = ex.aspects[i].token_span
             maskable.append([] if span is None else
                             [c for c in range(len(ex)) if not span[0] <= c <= span[1]])
-        golds = [ex.aspects[i].polarity for ex, i in instances]
+        return maskable
+
+    def amom(self, items: list, scored: bool = False, train: bool = False,
+             rng: np.random.Generator | None = None):
+        """amom_regenerate's (probs per instance, losses per instance, masked
+        sets) for a batch of the model's instances. The first round is an
+        ordinary forward that hides nothing."""
+        gold = self.gold_ids(items) if scored else None
 
         def forward(masked: dict[int, set[int]]):
-            out = self.forward_asc([instances[b] for b in masked], train=train, rng=rng,
-                                   masked_content=[frozenset(m) for m in masked.values()])
-            losses = ([asc_loss(out.probs[k:k + 1], [golds[b]])
-                       for k, b in enumerate(masked)] if scored else None)
-            return out.probs.data[:, None], losses
+            out = self.forward([items[b] for b in masked], train=train, rng=rng,
+                               masked_content=[frozenset(m) for m in masked.values()])
+            rows = [slice(o, o + n) for o, n in zip(out.rows.offsets, out.rows.lengths)]
+            losses = ([cross_entropy(out.probs[r], gold[b]) for r, b in zip(rows, masked)]
+                      if scored else None)
+            return [out.probs.data[r] for r in rows], losses
 
-        gold_ids = [np.array([ASC_INDEX[g]]) for g in golds] if scored else None
-        return mk.amom_regenerate(forward, self.mask_cfg, maskable, gold_ids)
+        return mk.amom_regenerate(forward, self.mask_cfg, self._maskable(items), gold)
 
-    # -- prediction helpers ----------------------------------------------------------
-    # AMOM predicts from its last regeneration round.
+    # -- prediction -----------------------------------------------------------------
+
+    def predict_ids(self, items: list) -> list[np.ndarray]:
+        """The argmax class id of each instance's prediction rows. AMOM
+        predicts from its last regeneration round."""
+        with ad.no_grad():
+            if self.mask_cfg.strategy == "amom":
+                probs = self.amom(items)[0]
+            else:
+                out = self.forward(items)
+                probs = np.split(out.probs.data, out.rows.offsets[1:])
+        return [p.argmax(axis=1) for p in probs]
 
     def predict_bio(self, examples: list[TokenizedExample]) -> list[list[str]]:
         """BIO tags of each example's tokens."""
-        with ad.no_grad():
-            if self.mask_cfg.strategy == "amom":
-                probs = self.amom_ate(examples)[0]
-            else:
-                out = self.forward_ate(examples)
-                probs = np.split(out.probs.data, out.inp.content_segments.offsets[1:])
-        return [[BIO_CLASSES[i] for i in p.argmax(axis=1)] for p in probs]
+        return [[BIO_CLASSES[i] for i in ids] for ids in self.predict_ids(examples)]
 
     def predict_polarity(self, instances: list[tuple[TokenizedExample, int]]) -> list[str]:
         """Polarity label of each (example, aspect index) instance."""
-        with ad.no_grad():
-            if self.mask_cfg.strategy == "amom":
-                probs = np.concatenate(self.amom_asc(instances)[0])
-            else:
-                probs = self.forward_asc(instances).probs.data
-        return [ASC_CLASSES[i] for i in probs.argmax(axis=1)]
+        return [ASC_CLASSES[ids[0]] for ids in self.predict_ids(instances)]

@@ -123,34 +123,10 @@ def asc_instances(dataset: list[TokenizedExample]) -> list[tuple[TokenizedExampl
     return [(ex, i) for ex in dataset for i in range(len(ex.aspects))]
 
 
-def _mean_tensor(parts: list[Tensor]) -> Tensor:
-    total = parts[0]
-    for p in parts[1:]:
-        total = ad.add(total, p)
-    return ad.mul(total, 1.0 / len(parts))
-
-
 def batch_loss(model: tasks.AbsaModel, config: TrainConfig, batch, train: bool, rng) -> Tensor:
-    """One differentiable scalar per batch, the batch run as one packed graph.
-
-    ATE: per-example token-summed cross-entropy, averaged over the batch.
-    ASC: instance-averaged cross-entropy; its L2 term is not in the graph
-    (Adam adds its gradient, `train` adds its value to the logged loss).
-    AMOM runs the batch through one packed remask-and-regenerate loop, one
-    forward per round, and averages each instance's per-round losses first,
-    then the instances.
-    """
-    if config.mask.strategy == "amom":
-        amom = model.amom_ate if config.task == "ate" else model.amom_asc
-        losses = amom(batch, scored=True, train=train, rng=rng)[1]
-        return _mean_tensor([_mean_tensor(per_round) for per_round in losses])
-    if config.task == "ate":
-        out = model.forward_ate(batch, train=train, rng=rng)
-        tags = [tag for ex in batch for tag in ex.bio_tags]
-        return ad.mul(tasks.ate_loss(out.probs, tags), 1.0 / len(batch))
-    out = model.forward_asc(batch, train=train, rng=rng)
-    golds = [ex.aspects[aspect_idx].polarity for ex, aspect_idx in batch]
-    return tasks.asc_loss(out.probs, golds)
+    """One differentiable scalar per batch, the batch run as one packed graph:
+    `AbsaModel.loss`. The model holds the run's task and mask config."""
+    return model.loss(batch, train=train, rng=rng)
 
 
 def train(config: TrainConfig, train_set: list[TokenizedExample],

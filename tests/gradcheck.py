@@ -115,11 +115,12 @@ def build(task: str, strategy: str, learnable: bool, packed: bool):
     """The case's float64 model, dropout off, with its heads and `mask.w_a`
     drawn, and the scalar objective its check differentiates.
 
-    ACTM and `fixed` differentiate the surrogate forward plus the task loss:
-    the threshold cut's margin path is then the forward value as well, so
-    the objective is genuinely differentiable. `none`, AAM and AMOM
-    differentiate what training does, `training.batch_loss`; for AMOM that
-    is the scored per-round loss through the masked-content path.
+    ACTM and `fixed` differentiate the surrogate forward plus the gold
+    cross-entropy summed over the prediction rows: the threshold cut's
+    margin path is then the forward value as well, so the objective is
+    genuinely differentiable. `none`, AAM and AMOM differentiate what
+    training does, `training.batch_loss`; for AMOM that is the scored
+    per-round loss through the masked-content path.
     """
     config = tiny_config(task, strategy, learnable)
     instances = tiny_batch() if packed else [(tiny_example(), 0)]
@@ -137,16 +138,10 @@ def build(task: str, strategy: str, learnable: bool, packed: bool):
 
     batch = examples if task == "ate" else instances
     if strategy in ("actm", "fixed"):
-        if task == "ate":
-            tags = [t for ex in examples for t in ex.bio_tags]
+        gold = np.concatenate(model.gold_ids(batch))
 
-            def objective():
-                return tasks.ate_loss(model.forward_ate(examples, surrogate=True).probs, tags)
-        else:
-            golds = [ex.aspects[i].polarity for ex, i in instances]
-
-            def objective():
-                return tasks.asc_loss(model.forward_asc(instances, surrogate=True).probs, golds)
+        def objective():
+            return tasks.cross_entropy(model.forward(batch, surrogate=True).probs, gold)
     else:
         def objective():
             return training.batch_loss(model, config, batch, train=False, rng=None)

@@ -63,3 +63,11 @@ def test_install_layers_hooks_every_name_and_restores(harness, task, strategy, c
 def test_model_methods_perfbench_patches_exist(name):
     """perfbench's own tests patch these model methods by name."""
     assert callable(getattr(tasks.AbsaModel, name, None))
+
+
+@pytest.mark.parametrize("module,name", [(training, "asc_instances"), (tasks, "BIO_CLASSES"),
+                                         (tasks, "ASC_CLASSES")])
+def test_module_names_perfbench_reads_exist(module, name):
+    """perfbench counts ASC instances with `training.asc_instances` and
+    checks predicted labels against the class tuples."""
+    assert hasattr(module, name)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from maskterm import autodiff as ad
 from maskterm import cli, corpus, tasks, training
 from maskterm import encoder as enc
 from maskterm import masking as mk
@@ -230,6 +231,24 @@ class TestTrainEval:
         rows, total, _ = parse_trace(capsys.readouterr().out)
         assert rows[0][0] == "[CLS]" and rows[-1][0] == "[SEP]"
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_mask_demo_records_no_graph(self, trained, capsys, monkeypatch):
+        data, cfg, ckpt, _ = trained
+        cli.main(["train", "--task", "ate", "--config", str(cfg),
+                  "--data", str(data), "--ckpt-out", str(ckpt)])
+        capsys.readouterr()
+        recording = []
+        inner = tasks.AbsaModel.forward_ate
+
+        def logged(self, *args, **kwargs):
+            recording.append(ad._grad_enabled())
+            return inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(tasks.AbsaModel, "forward_ate", logged)
+        assert cli.main(["mask-demo", "--sentence", "the steak was great.",
+                         "--ckpt", str(ckpt)]) == 0
+        assert recording == [False]
+        assert parse_trace(capsys.readouterr().out)[0][0][0] == "[CLS]"
 
     def test_same_seed_same_metrics(self, trained, capsys):
         data, cfg, _, _ = trained

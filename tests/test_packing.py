@@ -61,12 +61,6 @@ def items_for(task, examples):
     return examples if task == "ate" else training.asc_instances(examples)
 
 
-def forward(model, task, items, train, rng):
-    if task == "ate":
-        return model.forward_ate(items, train=train, rng=rng)
-    return model.forward_asc(items, train=train, rng=rng)
-
-
 def loss_and_grads(model, config, batches, train, seed):
     """Mean batch_loss over `batches` (one shared generator) and its gradients."""
     rng = np.random.default_rng(seed)
@@ -89,9 +83,9 @@ def test_packed_batch_matches_batches_of_one(task, strategy, aggregator, train):
     items = items_for(task, examples)
     assert len(items) >= 4
 
-    packed = forward(model, task, items, train, np.random.default_rng(17))
+    packed = model.forward(items, train=train, rng=np.random.default_rng(17))
     rng = np.random.default_rng(17)
-    singles = [forward(model, task, [item], train, rng) for item in items]
+    singles = [model.forward([item], train=train, rng=rng) for item in items]
     assert np.abs(packed.probs.data - np.concatenate([s.probs.data for s in singles])).max() <= 1e-10
     if packed.decision is not None:
         assert np.array_equal(packed.decision.kept,
@@ -112,23 +106,29 @@ def test_float32_packed_batch_matches_batches_of_one(task, strategy, aggregator)
     """In float32 a packed batch predicts what its instances predict alone,
     as the benchmark checks, with probabilities equal to rtol 1e-5. Below
     1e-8 a probability's relative error is its logit's absolute one, so
-    those are held to 1e-8 absolute."""
+    those are held to 1e-8 absolute. `rows` splits a forward's
+    probabilities by instance, and the predicted ids are each part's argmax."""
     examples = batch_examples()
     model, _ = make_model(task, strategy, aggregator, examples, np.float32)
     items = items_for(task, examples)
     if strategy == "amom":
-        def probs(batch):
-            amom = model.amom_ate if task == "ate" else model.amom_asc
-            return np.concatenate(amom(batch)[0])
+        def parts(batch):
+            return model.amom(batch)[0]
     else:
-        def probs(batch):
-            return forward(model, task, batch, False, None).probs.data
-    packed = probs(items)
+        def parts(batch):
+            out = model.forward(batch)
+            return np.split(out.probs.data, out.rows.offsets[1:])
+    packed = np.concatenate(parts(items))
     assert packed.dtype == np.float32
-    np.testing.assert_allclose(packed, np.concatenate([probs([item]) for item in items]),
+    np.testing.assert_allclose(packed, np.concatenate([p for item in items for p in parts([item])]),
                                rtol=1e-5, atol=1e-8)
-    predict = model.predict_bio if task == "ate" else model.predict_polarity
-    assert predict(items) == [p for item in items for p in predict([item])]
+    ids = [p.tolist() for p in model.predict_ids(items)]
+    assert ids == [p.tolist() for item in items for p in model.predict_ids([item])]
+    assert ids == [p.argmax(axis=1).tolist() for p in parts(items)]
+
+    out = model.forward(items)
+    rows = [len(ex) for ex in items] if task == "ate" else [1] * len(items)
+    assert out.rows.lengths.tolist() == rows and out.rows.total == out.probs.data.shape[0]
 
 
 @pytest.mark.parametrize("task", ["ate", "asc"])
@@ -136,7 +136,7 @@ def test_packed_instances_differ_in_length(task):
     examples = batch_examples()
     assert min(len(ex) for ex in examples) == 1
     model, _ = make_model(task, "none", "mean", examples)
-    lengths = forward(model, task, items_for(task, examples), False, None).inp.lengths
+    lengths = model.forward(items_for(task, examples)).inp.lengths
     assert len(set(lengths)) == len(lengths) >= 4
 
 
@@ -210,7 +210,7 @@ def test_asc_refuses_an_aspect_without_token_span():
         model.forward_asc(items)
     for scored in (False, True):
         with pytest.raises(ContractError, match="no token-span projection"):
-            model.amom_asc(items, scored=scored)
+            model.amom(items, scored=scored)
 
 
 def test_actm_masks_inside_the_packed_batch():
@@ -297,7 +297,7 @@ def test_threshold_forward_unchanged(key, monkeypatch):
         return out
 
     monkeypatch.setattr(mk, "aspect_relevance", spy)
-    d = forward(model, task, items_for(task, examples), False, None).decision
+    d = model.forward(items_for(task, examples)).decision
     got = (digest(d.attn), digest(relevance[0]) if relevance else None, digest(d.tau),
            digest(d.kept), digest(d.masked_states), int(d.kept.sum()))
     assert got == THRESHOLD_PINS[key]
@@ -445,7 +445,7 @@ def test_amom_packed_loss_matches_batches_of_one(task):
     for name, g in grads_1.items():
         assert np.abs(grads[name] - g).max() <= 1e-10, name
     if task == "asc":
-        losses = model.amom_asc(items, scored=True)[1]
+        losses = model.amom(items, scored=True)[1]
         assert len(examples[0]) == 1 and len(losses[0]) == 1
         assert [len(per_round) for per_round in losses[1:]] == [
             1 + model.mask_cfg.amom_iterations] * (len(items) - 1)
@@ -522,10 +522,9 @@ def test_amom_packed_evaluation_matches_batches_of_one(task, monkeypatch):
     examples = batch_examples()
     model, _ = make_model(task, "amom", "mean", examples)
     items = items_for(task, examples)
-    amom = model.amom_ate if task == "ate" else model.amom_asc
     with ad.no_grad():
-        probs, _, history = amom(items)
-        singles = [amom([item]) for item in items]
+        probs, _, history = model.amom(items)
+        singles = [model.amom([item]) for item in items]
     for b, (probs_1, _, _) in enumerate(singles):
         assert np.abs(probs[b] - probs_1[0]).max() <= 1e-10
     active = [b for b, single in enumerate(singles) if single[2]]
@@ -555,7 +554,7 @@ def test_amom_asc_hides_leftmost_tokens_outside_the_aspect(scored, monkeypatch):
         return inner(batch, *args, masked_content=masked_content, **kwargs)
 
     monkeypatch.setattr(model, "forward_asc", logged)
-    model.amom_asc(items, scored=scored)
+    model.amom(items, scored=scored)
     assert any(len(h) > 1 for _, h in hidden)
     for (ex, i), h in hidden:
         start, end = ex.aspects[i].token_span

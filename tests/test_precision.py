@@ -58,7 +58,7 @@ def test_training_step_and_prediction_stay_float32(monkeypatch, examples, task, 
                                     rng=np.random.default_rng(0)))
     optimizer = training.Adam(model.params, 1e-3, l2=0.01)
     optimizer.step()
-    (model.predict_bio if task == "ate" else model.predict_polarity)(items)
+    model.predict_ids(items)
 
     float32 = np.dtype(np.float32)
     assert created and set(created) == {float32}
