@@ -2,9 +2,8 @@
 
 Small on purpose: 2-D matrices and vectors, and only the ops the model
 calls. Elementwise `add` and `mul`; `tsum`, `take`, `concat` and the
-segment sum and mean; `affine`, `softmax`, `log_clamped` and `clamp`; the
-soft-span remix of AAM; and `fused`, which makes one node of hand-written
-math.
+segment sum and mean; `affine`, `softmax` and `log_clamped`; and `fused`,
+which makes one node of hand-written math.
 
 A tensor keeps float32 data as float32 and holds anything else as float64;
 gradients take their tensor's dtype. Models run in float32, and the tests'
@@ -16,16 +15,16 @@ the kernels take scales as Python floats.
 
 A batch of sequences is packed end to end into one `(sum of lengths, width)`
 matrix and described by `Segments`. Tensors stay 2-D at the API: row-wise
-ops need no change, segment ops reduce within each sequence, and the ops
-that mix rows pad segments internally, so a row only ever sees rows of its
-own sequence. The soft-span remix pads into `(segments, longest, ...)`
-arrays; attention keeps its scores keys-outer, `(longest keys, segments,
-heads, longest queries)`, so that its softmax reduces over the leading axis.
+ops need no change, and segment ops reduce within each sequence. Only
+attention, the one kernel here that mixes rows, pads segments, so that a row
+only ever sees rows of its own sequence. It keeps its scores keys-outer,
+`(longest keys, segments, heads, longest queries)`, so that its softmax
+reduces over the leading axis.
 
 The encoder kernels (attention, layer norm, GELU) work on plain arrays and
 return their output with a backward closure; the encoder chains them into
-one fused node per layer, as `tasks` chains the threshold kernels of
-`masking` into one node. Dropout comes in as boolean keep-masks and a scale
+one fused node per layer, as `tasks` chains the kernels of a masking
+strategy into one node. Dropout comes in as boolean keep-masks and a scale
 (`dropout_`), and a closure keeps only what its backward cannot cheaply
 rebuild: attention saves the probabilities, and its backward rebuilds the
 dropped ones from them.
@@ -45,8 +44,6 @@ import numpy as np
 from .exceptions import ContractError, DimensionError
 
 LOG_CLAMP = 1e-12
-NORM_EPS = 1e-12
-NEG_INF_LOGIT = -1e9   # added to barred logits; exp() of it underflows to 0
 
 # Thread-local, so a no_grad block in one thread leaves recording on in the others.
 _GRAD_STATE = threading.local()
@@ -70,7 +67,7 @@ def no_grad():
 class Tensor:
     """Immutable-by-convention array node in the differentiation record."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_owns_grad")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
@@ -79,7 +76,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple = ()
         self._backward: Callable[[np.ndarray], None] | None = None
-        self._owns_grad = False
 
     @property
     def shape(self) -> tuple:
@@ -205,18 +201,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    # The first gradient may be shared with other tensors or be a view into
-    # another buffer, so it is never written to. The sum of the first two is
-    # t's own array and later gradients add into it in place: a parameter
-    # used by many nodes then costs no new array per contribution.
+    # A gradient may be shared with other tensors or be a view into another
+    # buffer, so none is ever written to: the first is kept as it comes and
+    # each later one makes a new array.
     if t.grad is None:
-        t.grad = g if g.base is None and g.dtype == t.data.dtype else g.astype(t.data.dtype)
-        t._owns_grad = False
-    elif t._owns_grad:
-        t.grad += g
+        t.grad = g if g.dtype == t.data.dtype else g.astype(t.data.dtype)
     else:
         t.grad = t.grad + g
-        t._owns_grad = True
 
 
 def fused(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
@@ -339,16 +330,6 @@ def log_clamped(a: Tensor, floor: float = LOG_CLAMP) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    a = as_tensor(a)
-    data = np.clip(a.data, lo, hi)
-
-    def backward(g):
-        _accumulate(a, g * ((a.data > lo) & (a.data < hi)))
-
-    return _make(data, (a,), backward)
-
-
 def softmax(v: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted softmax along `axis`; rows sum to one."""
     v = as_tensor(v)
@@ -383,72 +364,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, g.sum(axis=0))
 
     return _make(data, (x, w, b), backward)
-
-
-def _swap(x: np.ndarray) -> np.ndarray:
-    return x.swapaxes(-1, -2)
-
-
-def soft_span_remix(states: Tensor, z: Tensor, ramp: float, scale: float,
-                    segments: Segments | None = None) -> Tensor:
-    """Adaptive-span re-aggregation of every row, fused into one node.
-
-    Row p of a segment becomes the softmax-weighted mix of that segment's
-    rows. Logits are cosines between rows times `scale`, multiplied by the
-    soft span mask m = clamp((R + z - |p - j|) / R, 0, 1) and by the mean of
-    m over the segment; keys where m is 0 get NEG_INF_LOGIT instead. A row
-    whose mask is 0 everywhere copies itself. Works on padded (segments,
-    n_max, n_max) arrays.
-    """
-    states, z = as_tensor(states), as_tensor(z)
-    seg = segments_of(states.data.shape[0], segments)
-    s = seg.pad(states.data)
-    valid = seg.valid()[:, None, :]
-    root = np.sqrt(np.maximum((s * s).sum(axis=-1, keepdims=True), 0.0))
-    norms = np.maximum(root, NORM_EPS)
-    unit = s / norms
-    logits = (unit @ _swap(unit)) * scale
-    idx = np.arange(seg.n_max)
-    distance = np.abs(idx[:, None] - idx[None, :]).astype(s.dtype)
-    pre = ((z.data + ramp) - distance) * (1.0 / ramp)
-    m = np.where(valid, np.clip(pre, 0.0, 1.0), 0.0)
-    inv_len = (1.0 / seg.lengths).astype(s.dtype)[:, None, None]
-    ratio = m.sum(axis=-1, keepdims=True) * inv_len
-    support = m > 0.0
-    t = logits * m
-    scores = np.where(support, t * ratio, NEG_INF_LOGIT)
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    attn = e / e.sum(axis=-1, keepdims=True)
-    lonely = ~support.any(axis=-1)
-    if lonely.any():
-        b, p = np.nonzero(lonely)
-        attn[b, p] = 0.0
-        attn[b, p, p] = 1.0
-    data = seg.unpad(attn @ s)
-
-    def backward(g):
-        go = seg.pad(g)
-        ds = _swap(attn) @ go
-        da = go @ _swap(s)
-        dmod = attn * (da - (da * attn).sum(axis=-1, keepdims=True))
-        dmod[lonely] = 0.0
-        dt = dmod * ratio
-        dratio = (dmod * t).sum(axis=-1, keepdims=True)
-        dm = (dt * logits + dratio * inv_len) * valid
-        if z.requires_grad:
-            inside = (pre > 0.0) & (pre < 1.0)
-            _accumulate(z, np.asarray((dm * inside).sum() * (1.0 / ramp)))
-        if states.requires_grad:
-            dp = dt * m * scale
-            dunit = dp @ unit + _swap(dp) @ unit
-            ds += dunit / norms
-            dnorms = -(dunit * s / (norms * norms)).sum(axis=-1, keepdims=True)
-            dsq = dnorms * (root > NORM_EPS) * 0.5 / np.maximum(root, NORM_EPS)
-            ds += 2.0 * s * dsq
-            _accumulate(states, seg.unpad(ds))
-
-    return _make(data, (states, z), backward)
 
 
 # -- encoder kernels ---------------------------------------------------------------
@@ -502,6 +417,10 @@ def dropout_(x: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
     x *= keep
     x *= scale
     return x
+
+
+def _swap(x: np.ndarray) -> np.ndarray:
+    return x.swapaxes(-1, -2)
 
 
 def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,

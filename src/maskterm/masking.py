@@ -19,10 +19,11 @@ Three adaptive families plus a fixed-threshold baseline:
     the sentence tokens outside its aspect) hides them from left to right in
     both modes: its one row cannot rank them, and no learned weight does.
 
-The threshold kernels of ACTM and the baseline work on plain arrays, as the
+The kernels of ACTM, the baseline and AAM work on plain arrays, as the
 encoder's do, and return their output with a `backward(g)` closure;
-`apply_mask` returns a MaskDecision that carries it. `tasks` chains them
-into one fused node, and `mask-demo` calls them to recut a trace.
+`apply_mask` returns a MaskDecision that carries it. `tasks` chains a
+strategy's kernels into one fused node, AAM's remix as it does the threshold
+kernels, and `mask-demo` calls the threshold kernels to recut a trace.
 
 The threshold cut is a step function, so `apply_mask` uses a straight-through
 gate (Bengio et al. 2013, arXiv:1308.3432): the forward pass applies the hard
@@ -41,11 +42,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .exceptions import ContractError, DimensionError
 
 
 AGGREGATOR_KINDS = ("mean", "median", "sd")
+NORM_EPS = 1e-12
+NEG_INF_LOGIT = -1e9   # added to barred logits; exp() of it underflows to 0
 
 
 @dataclass
@@ -137,21 +139,21 @@ def aspect_relevance(states: np.ndarray, attn: np.ndarray, aspect_vec: np.ndarra
     row_norms = np.sqrt(np.maximum((weighted * weighted).sum(axis=1), 0.0))
     vec_norms = np.sqrt(np.maximum((vecs * vecs).sum(axis=1), 0.0))
     norms = row_norms * vec_norms[seg.ids]
-    denom = np.clip(norms, ad.NORM_EPS, None)
+    denom = np.clip(norms, NORM_EPS, None)
     cos = dots / denom
-    live = row_norms > ad.NORM_EPS
+    live = row_norms > NORM_EPS
     cos_live = cos * live   # 0 where the weighted row is null
     rel, softmax_backward = _segment_softmax(cos_live * beta, seg)
-    null = (vec_norms <= ad.NORM_EPS)[seg.ids]
+    null = (vec_norms <= NORM_EPS)[seg.ids]
     if null.any():
         rel = rel * ~null + np.where(null, 1.0 / seg.lengths[seg.ids], 0.0).astype(rel.dtype)
 
     def backward(g):
         dlogits = softmax_backward(g * ~null if null.any() else g)
         ddots = dlogits * beta * live / denom
-        dnorms = -(ddots * cos) * (norms > ad.NORM_EPS)
-        drow = dnorms * vec_norms[seg.ids] / np.maximum(row_norms, ad.NORM_EPS)
-        dvec = seg.sum(dnorms * row_norms) / np.maximum(vec_norms, ad.NORM_EPS)
+        dnorms = -(ddots * cos) * (norms > NORM_EPS)
+        drow = dnorms * vec_norms[seg.ids] / np.maximum(row_norms, NORM_EPS)
+        dvec = seg.sum(dnorms * row_norms) / np.maximum(vec_norms, NORM_EPS)
         dweighted = ddots[:, None] * paired + drow[:, None] * weighted
         dvecs = seg.sum(ddots[:, None] * weighted) + dvec[:, None] * vecs
         return (dweighted * attn.reshape(n, 1), (dweighted * states).sum(axis=1),
@@ -186,7 +188,7 @@ def _aggregate(scores: np.ndarray, kind: str, seg: ad.Segments):
         sd = np.sqrt(np.maximum(seg.sum(centered * centered) * inv, 0.0))
 
         # The centering's own gradient drops out: each segment's centered scores sum to 0.
-        return sd, lambda g: centered * (g * inv / np.maximum(sd, ad.NORM_EPS))[seg.ids]
+        return sd, lambda g: centered * (g * inv / np.maximum(sd, NORM_EPS))[seg.ids]
     raise ContractError(f"unknown aggregator {kind!r}; expected one of {AGGREGATOR_KINDS}")
 
 
@@ -268,20 +270,66 @@ def fixed_threshold(attn: np.ndarray, tau_value: float) -> np.ndarray:
 # -- AAM ----------------------------------------------------------------------
 
 
-def aam_remix(states: Tensor, z: Tensor, ramp: float, d_k: int,
-              segments: ad.Segments | None = None) -> Tensor:
-    """Re-aggregate every position from its learnable span: row p becomes a
-    mix of nearby states of its own sequence, weighted by a softmax whose
-    logits the soft span mask min[max[(R + z - |p - j|)/R, 0], 1] and its
-    mean modulate and whose support it bounds; every row of every sequence
-    in one fused node.
+def aam_remix(states: np.ndarray, z, ramp: float, d_k: int,
+              segments: ad.Segments | None = None):
+    """Re-aggregate every position from its learnable span: row p of a
+    sequence becomes the softmax-weighted mix of that sequence's rows.
 
-    Content logits use row-normalized states so the softmax temperature does
-    not depend on the state norm."""
+    Logits are cosines between rows times sqrt(d_k), so the softmax
+    temperature does not depend on the state norm. They are multiplied by
+    the soft span mask m = min[max[(R + z - |p - j|)/R, 0], 1] and by the
+    mean of m over the sequence; keys where m is 0 get NEG_INF_LOGIT
+    instead. A row whose mask is 0 everywhere copies itself. Works on padded
+    (segments, n_max, n_max) arrays. Returns (out, backward), backward(g) ->
+    (dstates, dz)."""
     if ramp <= 0.0:
         raise ContractError(f"ramp length must be positive, got {ramp}")
-    z_t = z if isinstance(z, Tensor) else Tensor(np.asarray(z, dtype=states.data.dtype))
-    return ad.soft_span_remix(states, z_t, ramp, math.sqrt(d_k), segments)
+    scale = math.sqrt(d_k)
+    seg = ad.segments_of(states.shape[0], segments)
+    s = seg.pad(states)
+    valid = seg.valid()[:, None, :]
+    root = np.sqrt(np.maximum((s * s).sum(axis=-1, keepdims=True), 0.0))
+    norms = np.maximum(root, NORM_EPS)
+    unit = s / norms
+    logits = (unit @ unit.transpose(0, 2, 1)) * scale
+    idx = np.arange(seg.n_max)
+    distance = np.abs(idx[:, None] - idx[None, :]).astype(s.dtype)
+    pre = ((z + ramp) - distance) * (1.0 / ramp)
+    m = np.where(valid, np.clip(pre, 0.0, 1.0), 0.0)
+    inv_len = (1.0 / seg.lengths).astype(s.dtype)[:, None, None]
+    ratio = m.sum(axis=-1, keepdims=True) * inv_len
+    support = m > 0.0
+    t = logits * m
+    scores = np.where(support, t * ratio, NEG_INF_LOGIT)
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    attn = e / e.sum(axis=-1, keepdims=True)
+    lonely = ~support.any(axis=-1)
+    if lonely.any():
+        b, p = np.nonzero(lonely)
+        attn[b, p] = 0.0
+        attn[b, p, p] = 1.0
+
+    def backward(g):
+        go = seg.pad(g)
+        ds = attn.transpose(0, 2, 1) @ go
+        da = go @ s.transpose(0, 2, 1)
+        dmod = attn * (da - (da * attn).sum(axis=-1, keepdims=True))
+        dmod[lonely] = 0.0
+        dt = dmod * ratio
+        dratio = (dmod * t).sum(axis=-1, keepdims=True)
+        dm = (dt * logits + dratio * inv_len) * valid
+        inside = (pre > 0.0) & (pre < 1.0)
+        dz = np.asarray((dm * inside).sum() * (1.0 / ramp))
+        dp = dt * m * scale
+        dunit = dp @ unit + dp.transpose(0, 2, 1) @ unit
+        ds += dunit / norms
+        dnorms = -(dunit * s / (norms * norms)).sum(axis=-1, keepdims=True)
+        dsq = dnorms * (root > NORM_EPS) * 0.5 / np.maximum(root, NORM_EPS)
+        ds += 2.0 * s * dsq
+        return seg.unpad(ds), dz
+
+    return seg.unpad(attn @ s), backward
 
 
 # -- AMOM --------------------------------------------------------------------------

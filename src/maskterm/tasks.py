@@ -225,19 +225,28 @@ class AbsaModel:
     def _mask_states(self, states: Tensor, inp: enc.ModelInput, surrogate: bool):
         """Strategy dispatch: returns (states for the head, decision).
 
-        ACTM and `fixed` chain the threshold kernels of `masking` into one
-        fused node. Its parents are the states, `mask.w_a`, ACTM's alpha
-        (and on ASC input gamma, beta and the pooled aspect vector, against
-        which ACTM weighs attention by relevance); alpha, gamma and beta are
-        parameters, or constants when not learnable."""
+        Each strategy's kernels of `masking` are chained into one fused node.
+        AAM's parents are the states and `mask.z`, clipped to [0, max_len]
+        with a clamp's gradient. The threshold node's parents are the states,
+        `mask.w_a`, ACTM's alpha (and on ASC input gamma, beta and the pooled
+        aspect vector, against which ACTM weighs attention by relevance);
+        alpha, gamma and beta are parameters, or constants when not learnable."""
         cfg = self.mask_cfg
         d_k = self.enc_cfg.hidden
         seg = inp.segments
         if cfg.strategy == "none" or cfg.strategy == "amom":
             return states, None
         if cfg.strategy == "aam":
-            z = ad.clamp(self.params["mask.z"], 0.0, float(self.enc_cfg.max_len))
-            return mk.aam_remix(states, z, cfg.aam_ramp, d_k, seg), None
+            z, max_len = self.params["mask.z"], float(self.enc_cfg.max_len)
+            out, remix_backward = mk.aam_remix(states.data, np.clip(z.data, 0.0, max_len),
+                                               cfg.aam_ramp, d_k, seg)
+            inside = (z.data > 0.0) & (z.data < max_len)
+
+            def aam_backward(g):
+                dx, dz = remix_backward(g)
+                return dx, dz * inside
+
+            return ad.fused(out, (states, z), aam_backward), None
         w_a = self.params["mask.w_a"]
         x = states.data
         attn, attn_backward = mk.token_attention(x, w_a.data, d_k, seg)

@@ -223,7 +223,10 @@ def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str)
 
     Instances run through the model's packed prediction in chunks of
     EVAL_CHUNK instances of similar length; AMOM runs one packed forward per
-    regeneration round of a chunk. An empty set is a ContractError."""
+    regeneration round of a chunk. An empty set, or a task that is not the
+    model's, is a ContractError."""
+    if task != model.task:
+        raise ContractError(f"cannot evaluate a {model.task} model on {task!r}")
     if task == "ate":
         if not dataset:
             raise ContractError("ATE evaluation requires examples")

@@ -1,11 +1,12 @@
-"""Per-row numpy and autodiff twins of the fused AAM remix, kept as test
-oracles for `masking.aam_remix` (`autodiff.soft_span_remix`)."""
+"""Per-row numpy and autodiff twins of the AAM remix kernel, kept as test
+oracles for `masking.aam_remix`."""
 
 import math
 
 import numpy as np
 
 from maskterm import autodiff as ad
+from maskterm import masking as mk
 from maskterm.autodiff import Tensor
 from maskterm.exceptions import ContractError, DimensionError
 
@@ -20,8 +21,12 @@ def aam_soft_mask(x, z, ramp: float):
 
 
 def _soft_mask_tensor(distances: np.ndarray, z: Tensor, ramp: float) -> Tensor:
+    """The soft mask as a graph: the clamp to [0, 1] is `scaled` where it lies
+    strictly inside, plus the constant 1 where it reaches 1, which gives the
+    clamp's value and slope."""
     scaled = ad.mul(ad.add(ad.add(z, ramp), Tensor(-distances)), 1.0 / ramp)
-    return ad.clamp(scaled, 0.0, 1.0)
+    inside = (scaled.data > 0.0) & (scaled.data < 1.0)
+    return ad.add(ad.mul(scaled, inside), scaled.data >= 1.0)
 
 
 def aam_ratio(mask_values) -> float:
@@ -56,5 +61,5 @@ def aam_attention(query_pos: int, scores: Tensor, z, ramp: float) -> Tensor:
         return Tensor(one_hot)
     ratio = ad.mul(ad.tsum(m), 1.0 / n)
     modulated = ad.mul(ad.mul(scores, m), ratio)
-    barrier = np.where(support, 0.0, ad.NEG_INF_LOGIT)
+    barrier = np.where(support, 0.0, mk.NEG_INF_LOGIT)
     return ad.softmax(ad.add(modulated, Tensor(barrier)))

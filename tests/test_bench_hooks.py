@@ -56,6 +56,8 @@ def test_install_layers_hooks_every_name_and_restores(harness, task, strategy, c
     for key in ("steps", "train_instances", "eval_instances", "graph_nodes", "encoder_rows",
                 "forward_calls", counter):
         assert rec.counters[key] > 0, key
+    if strategy == "aam":   # every AAM forward remixes exactly the rows it encoded
+        assert rec.counters["aam_rows"] == rec.counters["encoder_rows"]
     assert rec.named("encoder.attention") and rec.named("encoder.layer_norm")
 
 

@@ -336,6 +336,25 @@ class TestKernelGradients:
         assert_gradients([dstates], central_differences(
             lambda s: f(attn, tau, s, surrogate=False).masked_states, [states], coeffs))
 
+    @pytest.mark.parametrize("z", [1.3, -2.5], ids=["ramp", "empty-support"])
+    def test_aam_remix(self, z):
+        """z = 1.3 puts distances 2 and 3 on the ramp, away from its kinks.
+        z = -2.5 leaves every row with an empty support: each copies itself,
+        and z gets no gradient."""
+        rng, states, _ = self.draws(4)
+        z, coeffs = np.array(z), rng.normal(size=(10, 3))
+
+        def f(states, z):
+            return mk.aam_remix(states, z, 2.0, 3, self.SEG)
+
+        out, backward = f(states, z)
+        dstates, dz = backward(coeffs)
+        if z < -2.0:
+            assert np.array_equal(out, states) and np.array_equal(dstates, coeffs)
+            assert dz == 0.0
+        assert_gradients([dstates, dz],
+                         central_differences(lambda *x: f(*x)[0], [states, z], coeffs))
+
 
 class TestAamSoftMask:
     def test_exact_grid(self):

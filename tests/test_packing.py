@@ -303,6 +303,68 @@ def test_threshold_forward_unchanged(key, monkeypatch):
     assert got == THRESHOLD_PINS[key]
 
 
+# The AAM stage on batch_examples() with make_model's weights: the digest of
+# its output states, the packed batch_loss in eval mode and in train mode
+# (dropout drawn from seed 9), then the digests of the train-mode gradients of
+# mask.z and enc.in_proj.W. Recorded when the remix was an autodiff op behind
+# a separate clamp node on z; the masking kernel in one fused node gives the
+# same bits.
+AAM_PINS = {
+    ("ate", "float64"): ("acf79ad57539adb4", 27.807451822576862, 23.605219122891295,
+                         "782661f5c00094d2", "f26cd7795d0b4065"),
+    ("ate", "float32"): ("c4dd40e615c9dd26", 27.807449340820312, 23.6052188873291,
+                         "07e5ef6f389df3fd", "15d501a6e66da7c1"),
+    ("asc", "float64"): ("00e52e7443b60fed", 16.032040018906997, 17.690860578549973,
+                         "2db4a66b81b7e19e", "ceda0010b9b85c9e"),
+    ("asc", "float32"): ("59cac80a6e4e995c", 16.032041549682617, 17.69085693359375,
+                         "f4890966be623d7d", "6a797f037a7262dd"),
+}
+
+
+@pytest.mark.parametrize("key", list(AAM_PINS), ids="-".join)
+def test_aam_stage_unchanged(key, monkeypatch):
+    task, dtype = key
+    examples = batch_examples()
+    model, config = make_model(task, "aam", "mean", examples, np.dtype(dtype))
+    items = items_for(task, examples)
+    states = []
+    inner = model._mask_states
+
+    def spy(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        states.append(out[0].data.copy())
+        return out
+
+    monkeypatch.setattr(model, "_mask_states", spy)
+    eval_loss = training.batch_loss(model, config, items, train=False, rng=None)
+    model.params.zero_grad()
+    train_loss = training.batch_loss(model, config, items, train=True,
+                                     rng=np.random.default_rng(9))
+    ad.backward(train_loss)
+    got = (digest(states[0]), float(eval_loss.data), float(train_loss.data),
+           digest(model.params["mask.z"].grad), digest(model.params["enc.in_proj.W"].grad))
+    assert got == AAM_PINS[key]
+
+
+@pytest.mark.parametrize("task", ["ate", "asc"])
+def test_aam_span_outside_its_range_is_clipped_and_gets_no_gradient(task):
+    """mask.z below 0 or above max_len acts as the nearer bound, and its
+    gradient is exactly 0 while the encoder's is not."""
+    examples = batch_examples()
+    model, config = make_model(task, "aam", "mean", examples)
+    items = items_for(task, examples)
+    z = model.params["mask.z"]
+    for outside, bound in ((-0.5, 0.0), (model.enc_cfg.max_len + 3.0, model.enc_cfg.max_len)):
+        z.data = np.array(bound)
+        at_bound = float(training.batch_loss(model, config, items, train=False, rng=None).data)
+        z.data = np.array(outside)
+        model.params.zero_grad()
+        loss = training.batch_loss(model, config, items, train=False, rng=None)
+        ad.backward(loss)
+        assert float(loss.data) == at_bound
+        assert z.grad == 0.0 and model.params["enc.in_proj.W"].grad.any()
+
+
 def test_ate_actm_keeps_every_token_at_default_init():
     """`mask.w_a` starts at 0, so attention is uniform and tau, alpha times
     its mean, sits under every score: ATE ACTM masks nothing at init."""
@@ -570,21 +632,19 @@ class TestAamRemix:
         unit = states / np.linalg.norm(states, axis=1, keepdims=True)
         logits = unit @ unit.T * np.sqrt(d_k)
         rows = np.stack([oracle.aam_attention(p, Tensor(logits[p]), z, ramp).data for p in range(7)])
-        got = mk.aam_remix(Tensor(states), Tensor(z), ramp, d_k).data
+        got, _ = mk.aam_remix(states, z, ramp, d_k)
         assert np.abs(got - rows @ states).max() <= 1e-12
 
     def test_empty_support_copies_the_row(self):
         states = np.random.default_rng(3).normal(size=(4, 3))
-        got = mk.aam_remix(Tensor(states), Tensor(-5.0), 2.0, 3).data
+        got, _ = mk.aam_remix(states, -5.0, 2.0, 3)
         assert np.array_equal(got, states)
 
     def test_packed_rows_stay_in_their_sequence(self):
         rng = np.random.default_rng(4)
         a, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 3))
-        z = Tensor(3.0)
-        packed = mk.aam_remix(Tensor(np.vstack([a, b])), z, 2.0, 3, ad.Segments([5, 3])).data
-        alone = np.vstack([mk.aam_remix(Tensor(a), z, 2.0, 3).data,
-                           mk.aam_remix(Tensor(b), z, 2.0, 3).data])
+        packed, _ = mk.aam_remix(np.vstack([a, b]), 3.0, 2.0, 3, ad.Segments([5, 3]))
+        alone = np.vstack([mk.aam_remix(a, 3.0, 2.0, 3)[0], mk.aam_remix(b, 3.0, 2.0, 3)[0]])
         assert np.abs(packed - alone).max() <= 1e-12
 
 

@@ -217,6 +217,14 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             training.evaluate(model, [], task)
 
+    @pytest.mark.parametrize("task,other", [("ate", "asc"), ("asc", "ate")])
+    def test_other_task_rejected(self, data, task, other):
+        train_set, eval_set = data
+        model, _ = training.train(small_config(task=task, strategy="aam", epochs=1),
+                                  train_set[:8], eval_set[:8])
+        with pytest.raises(ContractError, match=f"{task} model"):
+            training.evaluate(model, eval_set, other)
+
     def test_oracle_predictions_score_one(self, data, monkeypatch):
         train_set, eval_set = data
         model, _ = training.train(small_config(epochs=1), train_set[:8], eval_set[:8])
