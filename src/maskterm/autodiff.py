@@ -1,9 +1,9 @@
 """Dense float32 or float64 tensors with reverse-mode differentiation.
 
 Small on purpose: 2-D matrices and vectors, and only the ops the model
-calls. Elementwise `add` and `mul`; `tsum`, `take`, `concat` and the
-segment sum and mean; `affine`, `softmax` and `log_clamped`; and `fused`,
-which makes one node of hand-written math.
+calls. Elementwise `add` and `mul`; `take`, `concat` and the segment sum
+and mean; `affine` and `softmax`; and `fused`, which makes one node of
+hand-written math.
 
 A tensor keeps float32 data as float32 and holds anything else as float64;
 gradients take their tensor's dtype. Models run in float32, and the tests'
@@ -42,8 +42,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .exceptions import ContractError, DimensionError
-
-LOG_CLAMP = 1e-12
 
 # Thread-local, so a no_grad block in one thread leaves recording on in the others.
 _GRAD_STATE = threading.local()
@@ -90,9 +88,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __getitem__(self, idx):
         return take(self, idx)
@@ -250,21 +245,7 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-# -- reductions ----------------------------------------------------------------
-
-
-def tsum(a: Tensor) -> Tensor:
-    """Sum of every entry."""
-    a = as_tensor(a)
-    data = a.data.sum()
-
-    def backward(g):
-        _accumulate(a, np.full_like(a.data, g))
-
-    return _make(data, (a,), backward)
-
-
-# -- indexing ----------------------------------------------------------------
+# -- indexing and reductions ----------------------------------------------------
 
 
 def take(a: Tensor, idx) -> Tensor:
@@ -316,18 +297,6 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 
 # -- nonlinearities -----------------------------------------------------------
-
-
-def log_clamped(a: Tensor, floor: float = LOG_CLAMP) -> Tensor:
-    """log with the argument clamped below at `floor`; flat gradient under the clamp."""
-    a = as_tensor(a)
-    safe = np.maximum(a.data, floor)
-    data = np.log(safe)
-
-    def backward(g):
-        _accumulate(a, g * (a.data > floor) / safe)
-
-    return _make(data, (a,), backward)
 
 
 def softmax(v: Tensor, axis: int = -1) -> Tensor:

@@ -137,6 +137,16 @@ class ModelInput:
         return self.segments.of_rows(self.content_positions)
 
 
+def packed_length(ex: TokenizedExample, aspect: int | None = None) -> int:
+    """Rows `pack_inputs` gives one instance: [CLS] + sentence + [SEP], and
+    given an aspect index (ASC) that aspect's tokens and a closing [SEP]. An
+    aspect without a token span adds its [SEP] alone; packing refuses it."""
+    if aspect is None:
+        return len(ex.tokens) + 2
+    span = ex.aspects[aspect].token_span
+    return len(ex.tokens) + 3 + (0 if span is None else span[1] - span[0] + 1)
+
+
 def pack_inputs(vocab: Vocab, examples: list[TokenizedExample],
                 aspects: list[int] | None = None) -> ModelInput:
     """A batch's rows in one pass: [CLS] + sentence + [SEP] for each example
@@ -167,7 +177,7 @@ def pack_inputs(vocab: Vocab, examples: list[TokenizedExample],
             protected += range(start + s + 1, start + e + 2)
             protected += range(start + n + 1, len(ids))
             spans.append((start + s + 1, start + e + 1))
-        lengths.append(len(ids) - start)
+        lengths.append(packed_length(ex, None if aspects is None else aspects[b]))
     return ModelInput(
         token_ids=np.array(ids),
         pos_ids=np.array(pos),

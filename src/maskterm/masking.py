@@ -396,7 +396,8 @@ def amom_regenerate(forward, cfg: MaskConfig, maskable: list[Sequence[int]], gol
     `forward(masked)` takes a dict from instance index to the set of that
     instance's content indices to hide, runs those instances as one packed
     pass and returns, in the dict's order, one probability array (m, C) per
-    instance and one loss Tensor per instance, or None for the losses.
+    instance. Whatever it records (`AbsaModel.amom` its loss nodes) stays
+    with the caller.
 
     Every decision is made per instance from its own rows. Each of the
     `cfg.amom_iterations` rounds after the unmasked first pass hides
@@ -407,26 +408,24 @@ def amom_regenerate(forward, cfg: MaskConfig, maskable: list[Sequence[int]], gol
     its rows, one row per content index: with gold, the wrong ones first and
     then by gold probability, without gold the least confident ones. An
     instance with nothing to mask keeps its first-pass result. Returns
-    (final probs per instance, losses per instance, masked sets): each
-    instance's losses are one list, its first pass first and then one entry
-    per round it ran (only the first pass if it had nothing to mask); the
-    masked sets are flat, one per (round, instance) pair in call order.
+    (final probs per instance, rounds per instance, masked sets): an
+    instance's rounds count the forwards it ran in, 1 + `cfg.amom_iterations`
+    or 1 if it had nothing to mask; the masked sets are flat, one per
+    (round, instance) pair in call order.
     """
     count = len(maskable)
-    first, first_losses = forward({b: set() for b in range(count)})
-    probs = list(first)
-    losses = [[loss] for loss in first_losses or [None] * count]
+    probs = list(forward({b: set() for b in range(count)}))
+    rounds = [1] * count
     masked_history: list[set[int]] = []
     active = [b for b in range(count) if len(maskable[b])]
     for _ in range(cfg.amom_iterations if active else 0):
         masked = {b: _amom_remask(probs[b], maskable[b], cfg, None if gold is None else gold[b])
                   for b in active}
         masked_history.extend(masked.values())
-        round_probs, round_losses = forward(masked)
-        for b, p, loss in zip(active, round_probs, round_losses or [None] * len(active)):
+        for b, p in zip(active, forward(masked)):
             probs[b] = p
-            losses[b].append(loss)
-    return probs, losses, masked_history
+            rounds[b] += 1
+    return probs, rounds, masked_history
 
 
 # -- trace output -------------------------------------------------------------------

@@ -27,6 +27,7 @@ ASC_INDEX = {c: i for i, c in enumerate(ASC_CLASSES)}
 # (alpha 0.5); ASC starts clause-selective, the threshold cut at mean
 # relevance (alpha = 1 + |gamma|).
 ACTM_WEIGHTS = {"ate": {"alpha": 0.5}, "asc": {"alpha": 1.5, "gamma": -0.5, "beta": 4.0}}
+LOG_CLAMP = 1e-12   # the loss takes log(max(p, LOG_CLAMP))
 
 
 # -- span decoding and span-level F1 ------------------------------------------
@@ -72,36 +73,39 @@ def ate_span_f1(pred, gold) -> tuple[float, float, float]:
 # -- losses ----------------------------------------------------------------------
 
 
-def cross_entropy(probs: Tensor, gold: np.ndarray) -> Tensor:
-    """Cross-entropy summed over the rows of (m, C) probabilities, one gold class id per row."""
-    picked = probs[(np.arange(len(gold)), gold)]
-    return -ad.tsum(ad.log_clamped(picked))
+def nll(probs: Tensor, gold: np.ndarray, weight) -> Tensor:
+    """-sum(weight * log p) over the gold entries p of (m, C) probabilities,
+    one gold class id per row, p clamped below at LOG_CLAMP (no gradient
+    there). `weight` is a Python float, applied after the sum, or one weight
+    per row. One fused node; its backward writes the gold entries alone."""
+    p = probs.data
+    if len(gold) != p.shape[0]:
+        raise DimensionError(f"probabilities {p.shape} vs {len(gold)} gold ids")
+    if not len(gold):
+        raise ContractError("the loss needs a non-empty batch")
+    rows = np.arange(len(gold))
+    picked = p[rows, gold]
+    safe = np.maximum(picked, LOG_CLAMP)
+    logs = np.log(safe)
+    w = np.asarray(weight, dtype=p.dtype)
+    data = -(logs.sum() * w) if w.ndim == 0 else -(logs * w).sum()
+
+    def backward(g):
+        full = np.zeros_like(p)
+        full[rows, gold] = -(g * w) * (picked > LOG_CLAMP) / safe
+        return (full,)
+
+    return ad.fused(data, (probs,), backward)
 
 
 def ate_loss(probs: Tensor, gold_tags: list[str]) -> Tensor:
     """BIO cross-entropy summed (not averaged) over the sentence tokens."""
-    m = len(gold_tags)
-    if probs.data.shape != (m, len(BIO_CLASSES)):
-        raise DimensionError(f"probabilities {probs.data.shape} vs {m} gold tags")
+    if probs.data.shape != (len(gold_tags), len(BIO_CLASSES)):
+        raise DimensionError(f"probabilities {probs.data.shape} vs {len(gold_tags)} gold tags")
     sums = probs.data.sum(axis=1)
     if np.abs(sums - 1.0).max() > 1e-6:
         raise ContractError("probability rows must sum to 1")
-    return cross_entropy(probs, np.array([BIO_INDEX[t] for t in gold_tags]))
-
-
-def asc_loss(probs: Tensor, gold_classes: list[str]) -> Tensor:
-    """Instance-averaged multiclass cross-entropy over (B, 3) probabilities.
-    The L2 term is not part of it: training adds its gradient in Adam."""
-    b = probs.data.shape[0]
-    if b == 0:
-        raise ContractError("asc_loss needs a non-empty batch")
-    if probs.data.shape != (b, len(ASC_CLASSES)) or b != len(gold_classes):
-        raise DimensionError(f"predictions {probs.data.shape} vs {len(gold_classes)} labels")
-    return ad.mul(cross_entropy(probs, np.array([ASC_INDEX[g] for g in gold_classes])), 1.0 / b)
-
-
-def _mean_tensor(parts: list[Tensor]) -> Tensor:
-    return ad.mul(functools.reduce(ad.add, parts), 1.0 / len(parts))
+    return nll(probs, np.array([BIO_INDEX[t] for t in gold_tags]), 1.0)
 
 
 # -- metrics -----------------------------------------------------------------------
@@ -331,24 +335,24 @@ class AbsaModel:
     def loss(self, items: list, train: bool = False,
              rng: np.random.Generator | None = None) -> Tensor:
         """The batch's training loss: each instance's cross-entropy, summed
-        over its prediction rows, averaged over the batch. ASC's L2 term is
-        not in it (Adam adds its gradient, `training.train` its value to the
-        logged loss). AMOM averages each instance's per-round losses first,
-        from one packed forward per round."""
+        over its prediction rows, averaged over the batch, as one `nll` node
+        over the packed rows of each forward. ASC's L2 term is not in it
+        (Adam adds its gradient, `training.train` its value to the logged
+        loss). AMOM averages each instance's rounds first: `amom` weighs
+        every row of instance b by 1/(B * R_b) in each of its R_b rounds, and
+        the rounds' nodes are summed."""
         if self.mask_cfg.strategy == "amom":
-            losses = self.amom(items, scored=True, train=train, rng=rng)[1]
-            return _mean_tensor([_mean_tensor(per_round) for per_round in losses])
+            rounds: list[Tensor] = []
+            self.amom(items, train=train, rng=rng, losses=rounds)
+            return functools.reduce(ad.add, rounds)
         out = self.forward(items, train=train, rng=rng)
-        if self.task == "asc":
-            return asc_loss(out.probs, [ex.aspects[i].polarity for ex, i in items])
-        tags = [tag for ex in items for tag in ex.bio_tags]
-        return ad.mul(ate_loss(out.probs, tags), 1.0 / len(items))
+        return nll(out.probs, np.concatenate(self.gold_ids(items)), 1.0 / len(items))
 
     # -- AMOM -------------------------------------------------------------------------
     # One adapter around masking.amom_regenerate for both tasks, for the loss
-    # (`scored`: remask by gold, one loss per instance and round) and for
-    # prediction (remask by confidence, no losses). Only the maskable content
-    # indices and the gold class ids of each instance depend on the task.
+    # (remask by gold, one loss node per round) and for prediction (remask by
+    # confidence, no losses). Only the maskable content indices and the gold
+    # class ids of each instance depend on the task.
 
     def gold_ids(self, items: list) -> list[np.ndarray]:
         """The gold class id of each instance's prediction rows."""
@@ -370,22 +374,36 @@ class AbsaModel:
                             [c for c in range(len(ex)) if not span[0] <= c <= span[1]])
         return maskable
 
-    def amom(self, items: list, scored: bool = False, train: bool = False,
-             rng: np.random.Generator | None = None):
-        """amom_regenerate's (probs per instance, losses per instance, masked
-        sets) for a batch of the model's instances. The first round is an
-        ordinary forward that hides nothing."""
-        gold = self.gold_ids(items) if scored else None
+    def amom(self, items: list, train: bool = False, rng: np.random.Generator | None = None,
+             losses: list[Tensor] | None = None):
+        """amom_regenerate's (probs per instance, rounds per instance, masked
+        sets) for a batch of the model's instances; the first round is an
+        ordinary forward that hides nothing.
+
+        Given a list `losses`, the rounds remask by gold and each forward
+        appends one `nll` node over its packed rows, each row of instance b
+        weighed 1/(B * R_b): B is the batch size and R_b the instance's round
+        count, known before the first forward (1 + amom_iterations, or 1 with
+        nothing to mask). The nodes sum to the batch mean of each instance's
+        mean loss over its rounds."""
+        gold = None if losses is None else self.gold_ids(items)
+        maskable = self._maskable(items)
+        if losses is not None:   # 1/B and 1/R_b each rounded to the dtype, as scaling twice rounds them
+            dtype = self.params.dtype
+            rounds = np.array([1 + self.mask_cfg.amom_iterations if len(m) else 1
+                               for m in maskable])
+            weight = np.asarray(1.0 / len(items), dtype) * (1.0 / rounds).astype(dtype)
 
         def forward(masked: dict[int, set[int]]):
             out = self.forward([items[b] for b in masked], train=train, rng=rng,
                                masked_content=[frozenset(m) for m in masked.values()])
-            rows = [slice(o, o + n) for o, n in zip(out.rows.offsets, out.rows.lengths)]
-            losses = ([cross_entropy(out.probs[r], gold[b]) for r, b in zip(rows, masked)]
-                      if scored else None)
-            return [out.probs.data[r] for r in rows], losses
+            if losses is not None:
+                batch = list(masked)
+                losses.append(nll(out.probs, np.concatenate([gold[b] for b in batch]),
+                                  np.repeat(weight[batch], out.rows.lengths)))
+            return np.split(out.probs.data, out.rows.offsets[1:])
 
-        return mk.amom_regenerate(forward, self.mask_cfg, self._maskable(items), gold)
+        return mk.amom_regenerate(forward, self.mask_cfg, maskable, gold)
 
     # -- prediction -----------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from . import masking as mk
 from . import tasks
 from .autodiff import Tensor
 from .corpus import TokenizedExample
-from .exceptions import CompatibilityError, ConfigError, ContractError, NumericError
+from .exceptions import CompatibilityError, ConfigError, ContractError, LengthError, NumericError
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -131,26 +131,19 @@ def batch_loss(model: tasks.AbsaModel, config: TrainConfig, batch, train: bool, 
 
 def train(config: TrainConfig, train_set: list[TokenizedExample],
           eval_set: list[TokenizedExample]):
-    """Run the full optimization; returns (model, RunLog). An epoch's
-    `train_loss` is the cross-entropy plus, for ASC, the L2 term
-    (lambda/2) * ||theta||^2, which `l2_term` logs alone."""
-    if not train_set:
-        raise ContractError("training set is empty")
+    """Run the full optimization; returns (model, RunLog). Both sets are
+    checked by `_instances` before the first step. An epoch's `train_loss` is
+    the cross-entropy plus, for ASC, the L2 term (lambda/2) * ||theta||^2,
+    which `l2_term` logs alone."""
+    instances, _ = _instances(train_set, config.task, config.encoder.max_len, "training")
+    # evaluate() checks its set too; checked here so that no epoch is spent first
+    _instances(eval_set, config.task, config.encoder.max_len, "evaluation")
     vocab = enc.Vocab.build(train_set)
     enc_cfg = replace(config.encoder, vocab_size=len(vocab.words))
     try:
         model = tasks.AbsaModel(config.task, enc_cfg, config.mask, vocab, config.seed)
     except (MemoryError, ValueError) as exc:   # numpy refuses an array this large at once
         raise ConfigError(f"cannot allocate the encoder ({enc.sizes(enc_cfg)}): {exc}") from exc
-    if config.task == "asc":
-        instances = asc_instances(train_set)
-        if not instances:
-            raise ContractError("ASC training requires aspect annotations")
-    else:
-        instances = list(train_set)
-    # evaluate() rejects an empty set too; checked here so that no epoch is spent first
-    if not (eval_set if config.task == "ate" else any(ex.aspects for ex in eval_set)):
-        raise ContractError("evaluation set has no instances")
 
     data_rng = np.random.default_rng(config.seed)
     dropout_rng = np.random.default_rng(config.seed + 1)
@@ -212,10 +205,23 @@ def _predict_by_length(predict, items: list, rows: list[int]) -> list:
     return results
 
 
-def _aspect_length(ex: TokenizedExample, aspect_idx: int) -> int:
-    """Tokens of an aspect, which ASC appends to its sentence; 0 if unprojected."""
-    span = ex.aspects[aspect_idx].token_span
-    return span[1] - span[0] + 1 if span is not None else 0
+def _instances(dataset: list[TokenizedExample], task: str, max_len: int, role: str):
+    """A `role` set's instances, ASC's in `asc_instances` order, and each
+    one's packed rows. A set without instances is a ContractError, and an
+    instance that packs more than `max_len` rows a LengthError that names
+    its example."""
+    items, lengths = [], []
+    for k, ex in enumerate(dataset):
+        for aspect in [None] if task == "ate" else range(len(ex.aspects)):
+            items.append(ex if aspect is None else (ex, aspect))
+            lengths.append(enc.packed_length(ex, aspect))
+            if lengths[-1] > max_len:
+                which = "" if aspect is None else f" (aspect {aspect})"
+                raise LengthError(f"{role} example {k}{which} packs {lengths[-1]} rows, "
+                                  f"more than max_len {max_len}")
+    if not items:
+        raise ContractError(f"{role} set has no {task.upper()} instances")
+    return items, lengths
 
 
 def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str) -> tasks.EvalReport:
@@ -224,13 +230,13 @@ def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str)
     Instances run through the model's packed prediction in chunks of
     EVAL_CHUNK instances of similar length; AMOM runs one packed forward per
     regeneration round of a chunk. An empty set, or a task that is not the
-    model's, is a ContractError."""
+    model's, is a ContractError; an instance that packs more than max_len
+    rows is a LengthError before the first chunk runs."""
     if task != model.task:
         raise ContractError(f"cannot evaluate a {model.task} model on {task!r}")
+    items, lengths = _instances(dataset, task, model.enc_cfg.max_len, "evaluation")
     if task == "ate":
-        if not dataset:
-            raise ContractError("ATE evaluation requires examples")
-        predictions = _predict_by_length(model.predict_bio, dataset, [len(ex) for ex in dataset])
+        predictions = _predict_by_length(model.predict_bio, items, lengths)
         pred_spans, gold_spans = [], []
         tag_counts = {c: {"tp": 0, "fp": 0, "fn": 0} for c in tasks.BIO_CLASSES}
         for i, (ex, tags) in enumerate(zip(dataset, predictions)):
@@ -246,12 +252,8 @@ def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str)
         return tasks.EvalReport(ate={"p": precision, "r": recall, "f1": f1},
                                 per_class=tag_counts)
 
-    instances = asc_instances(dataset)
-    if not instances:
-        raise ContractError("ASC evaluation requires aspect annotations")
-    preds = _predict_by_length(model.predict_polarity, instances,
-                               [len(ex) + _aspect_length(ex, i) for ex, i in instances])
-    golds = [ex.aspects[i].polarity for ex, i in instances]
+    preds = _predict_by_length(model.predict_polarity, items, lengths)
+    golds = [ex.aspects[i].polarity for ex, i in items]
     accuracy, macro, per_class = tasks.asc_metrics(preds, golds)
     return tasks.EvalReport(asc={"acc": accuracy, "macro_f1": macro}, per_class=per_class)
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from gradcheck import tsum
 from maskterm import autodiff as ad
 from maskterm import masking as mk
 from maskterm.autodiff import Tensor
@@ -59,7 +60,7 @@ def aam_attention(query_pos: int, scores: Tensor, z, ramp: float) -> Tensor:
         one_hot = np.zeros(n)
         one_hot[query_pos] = 1.0
         return Tensor(one_hot)
-    ratio = ad.mul(ad.tsum(m), 1.0 / n)
+    ratio = ad.mul(tsum(m), 1.0 / n)
     modulated = ad.mul(ad.mul(scores, m), ratio)
     barrier = np.where(support, 0.0, mk.NEG_INF_LOGIT)
     return ad.softmax(ad.add(modulated, Tensor(barrier)))

@@ -1,6 +1,7 @@
-"""Central finite differences against `backward()`, and the tiny float64
-models on which the gradient checks run every task × strategy pair, on one
-instance and on a packed batch of three."""
+"""Central finite differences against `backward()`; the sum and clamped log
+as graph nodes, which test objectives and oracles use and the model does
+not; and the tiny float64 models on which the gradient checks run every
+task × strategy pair, on one instance and on a packed batch of three."""
 
 import math
 from dataclasses import replace
@@ -16,6 +17,7 @@ from maskterm.corpus import AspectAnnotation, make_example
 from maskterm.exceptions import NumericError
 
 SEED = 11
+
 # Heads start at zero and `mask.w_a` at zero in training, which would make
 # the gradients upstream of them vanish identically; the checks draw them.
 # Heads stay small: at sigma 0.4 the ASC softmaxes saturate, the gradients
@@ -26,6 +28,17 @@ W_A_SIGMA = 0.6
 CASES = ([(task, strategy, True, packed) for task in ("ate", "asc")
           for strategy in mk.MaskConfig.STRATEGIES for packed in (False, True)]
          + [("asc", "actm", False, False)])
+
+
+def tsum(a: ad.Tensor) -> ad.Tensor:
+    """Sum of every entry, as a graph node: a scalar objective for the checks."""
+    return ad.fused(a.data.sum(), (a,), lambda g: (np.full_like(a.data, g),))
+
+
+def log_clamped(a: ad.Tensor) -> ad.Tensor:
+    """log(max(a, tasks.LOG_CLAMP)) as a graph node, flat under the clamp."""
+    safe = np.maximum(a.data, tasks.LOG_CLAMP)
+    return ad.fused(np.log(safe), (a,), lambda g: (g * (a.data > tasks.LOG_CLAMP) / safe,))
 
 
 def case_id(case) -> str:
@@ -141,7 +154,7 @@ def build(task: str, strategy: str, learnable: bool, packed: bool):
         gold = np.concatenate(model.gold_ids(batch))
 
         def objective():
-            return tasks.cross_entropy(model.forward(batch, surrogate=True).probs, gold)
+            return tasks.nll(model.forward(batch, surrogate=True).probs, gold, 1.0)
     else:
         def objective():
             return training.batch_loss(model, config, batch, train=False, rng=None)

@@ -1,0 +1,45 @@
+"""The training loss as a graph of generic autodiff ops, one cross-entropy
+per instance and forward, kept as a test oracle for `AbsaModel.loss`: each
+instance's cross-entropy summed over its prediction rows, averaged over the
+AMOM rounds the instance ran (one round without AMOM), then over the batch."""
+
+import functools
+
+import numpy as np
+
+import gradcheck as gc
+from maskterm import autodiff as ad
+from maskterm import masking as mk
+
+
+def cross_entropy(probs: ad.Tensor, gold: np.ndarray) -> ad.Tensor:
+    """Cross-entropy summed over the rows of (m, C) probabilities, one gold class id per row."""
+    picked = probs[(np.arange(len(gold)), gold)]
+    return ad.mul(gc.tsum(gc.log_clamped(picked)), -1.0)
+
+
+def _mean(parts: list[ad.Tensor]) -> ad.Tensor:
+    return ad.mul(functools.reduce(ad.add, parts), 1.0 / len(parts))
+
+
+def batch_loss(model, items: list, train: bool, rng) -> ad.Tensor:
+    """The loss of `model` on a batch, from the same forwards `model.loss`
+    makes: AMOM runs the same remask-by-gold loop, `masking.amom_regenerate`."""
+    gold = model.gold_ids(items)
+    per_instance: list[list[ad.Tensor]] = [[] for _ in items]
+
+    def forward(masked):
+        out = model.forward([items[b] for b in masked], train=train, rng=rng,
+                            masked_content=[frozenset(m) for m in masked.values()])
+        probs = []
+        for b, start, n in zip(masked, out.rows.offsets, out.rows.lengths):
+            rows = out.probs[start:start + n]
+            per_instance[b].append(cross_entropy(rows, gold[b]))
+            probs.append(rows.data)
+        return probs
+
+    if model.mask_cfg.strategy == "amom":
+        mk.amom_regenerate(forward, model.mask_cfg, model._maskable(items), gold)
+    else:
+        forward({b: set() for b in range(len(items))})
+    return _mean([_mean(losses) for losses in per_instance])

@@ -374,6 +374,22 @@ class TestInputErrors:
         cli.main(["synth", "--seed", "1", "--size", "4", "--out", str(data)])
         self.exits_2(["eval", "--ckpt", str(tmp_path), "--data", str(data)], capsys)
 
+    def test_too_long_evaluation_example_fails_before_training(self, trained, tmp_path,
+                                                                capsys, monkeypatch):
+        data, cfg, _, _ = trained
+        words = ["good"] * 200
+        long = corpus.make_example("steak " + " ".join(words),
+                                   [corpus.AspectAnnotation("steak", 0, 5, "positive")])
+        evalset = tmp_path / "eval.jsonl"
+        corpus.write_examples(str(evalset), corpus.synth_corpus(seed=2, size=4) + [long])
+        steps = []
+        monkeypatch.setattr(training, "batch_loss", lambda *args, **kwargs: steps.append(1))
+        for task in ("ate", "asc"):
+            err = self.exits_2(["train", "--task", task, "--config", str(cfg), "--data", str(data),
+                                "--eval", str(evalset)], capsys)
+            assert "evaluation example 4" in err and "max_len 128" in err
+        assert steps == []
+
     def test_empty_evaluation_set(self, trained, tmp_path, capsys):
         data, cfg, _, _ = trained
         ckpt = tmp_path / "model.ckpt"

@@ -322,7 +322,7 @@ def _packed_block_case(train: bool):
     emb = enc.embed_tokens(params, cfg, inp)
     states = enc.encode(params, cfg, emb, train_mode=train, rng=np.random.default_rng(43),
                         segments=inp.segments)
-    ad.backward(ad.tsum(ad.mul(states, Tensor(rng.normal(size=states.data.shape)))))
+    ad.backward(gc.tsum(ad.mul(states, Tensor(rng.normal(size=states.data.shape)))))
     return cfg, params, emb, states
 
 
@@ -372,7 +372,8 @@ class TestSavedState:
         try:
             before = tracemalloc.get_traced_memory()[0]
             out = model.forward_asc(instances, train=True, rng=np.random.default_rng(0))
-            loss = tasks.asc_loss(out.probs, ["positive"] * len(instances))
+            loss = tasks.nll(out.probs, np.concatenate(model.gold_ids(instances)),
+                             1.0 / len(instances))
             del out
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -472,8 +473,8 @@ class TestGradFlow:
         target = Tensor(np.random.default_rng(3).normal(size=(len(ex) + 2, 8)))
 
         def f():
-            d = ad.add(enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp)), -target)
-            return ad.tsum(ad.mul(d, d))
+            d = ad.add(enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp)), -target.data)
+            return gc.tsum(ad.mul(d, d))
 
         assert gc.finite_difference_check(f, params) < 1e-4
 
@@ -490,8 +491,8 @@ class TestGradFlow:
         def f():   # the same dropout masks on every call
             states = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp), train_mode=True,
                                 rng=np.random.default_rng(4), segments=inp.segments)
-            d = ad.add(states, -target)
-            return ad.tsum(ad.mul(d, d))
+            d = ad.add(states, -target.data)
+            return gc.tsum(ad.mul(d, d))
 
         names = [n for n in params.names() if n.startswith("enc.")]
         assert gc.finite_difference_check(f, params, names=names) < 1e-4

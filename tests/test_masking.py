@@ -434,7 +434,7 @@ class TestAamAttention:
 
         def f():
             w = oracle.aam_attention(1, scores, z=z, ramp=2.0)
-            return ad.tsum(ad.mul(w, coeff))
+            return gc.tsum(ad.mul(w, coeff))
 
         assert gc.finite_difference_check(f, params) < 1e-4
 
@@ -481,17 +481,15 @@ class TestAmomPieces:
 
 class TestAmomRegenerate:
     @staticmethod
-    def stub_forward(*base_probs, scored=False):
-        """Masked positions of instance b collapse to a uniform prediction;
-        with `scored`, its loss is its summed negative log max-probability."""
+    def stub_forward(*base_probs):
+        """Masked positions of instance b collapse to a uniform prediction."""
         def forward(masked):
             probs = []
             for b, hidden in masked.items():
                 p = base_probs[b].copy()
                 p[sorted(hidden)] = 1.0 / p.shape[1]
                 probs.append(p)
-            losses = [float(-np.log(p.max(axis=1)).sum()) for p in probs] if scored else None
-            return probs, losses
+            return probs
         return forward
 
     def test_perfect_prediction_masks_minimum(self):
@@ -507,8 +505,8 @@ class TestAmomRegenerate:
         gold = np.array([0, 1])
         probs = np.array([[0.6, 0.3, 0.1], [0.2, 0.7, 0.1]])
         cfg = mk.MaskConfig(amom_iterations=1)
-        _, losses, history = mk.amom_regenerate(self.stub_forward(probs), cfg, [range(2)], [gold])
-        assert len(history) == 1 and [len(per_round) for per_round in losses] == [2]
+        _, rounds, history = mk.amom_regenerate(self.stub_forward(probs), cfg, [range(2)], [gold])
+        assert len(history) == 1 and rounds == [2]
 
     def test_incorrect_positions_selected_first(self):
         gold = np.array([0, 0, 0, 0])
@@ -529,7 +527,7 @@ class TestAmomRegenerate:
         probs = np.array([[0.2, 0.8]])
 
         def forward(masked):
-            return [probs], None
+            return [probs]
 
         cfg = mk.MaskConfig(amom_mu_min=0.4, amom_mu_max=0.4, amom_iterations=1)
         _, _, history = mk.amom_regenerate(forward, cfg, [[0]], [gold])
@@ -567,20 +565,20 @@ class TestAmomRegenerate:
 
         monkeypatch.setattr(mk, "amom_mask_count", spy)
         cfg = mk.MaskConfig(amom_mu_min=0.25, amom_mu_max=0.75, amom_iterations=1)
-        _, losses, history = mk.amom_regenerate(self.stub_forward(probs), cfg, [range(4)])
+        _, rounds, history = mk.amom_regenerate(self.stub_forward(probs), cfg, [range(4)])
         # R = mean max-probability 0.6 -> mu 0.45 -> round(1.8) = 2 positions
         assert ratios == [pytest.approx(0.6, abs=1e-15)]
-        assert history == [{1, 3}] and [len(per_round) for per_round in losses] == [2]
+        assert history == [{1, 3}] and rounds == [2]
 
     def test_nothing_maskable_runs_first_pass_only(self):
         calls = []
 
         def forward(masked):
             calls.append(dict(masked))
-            return [np.array([[0.2, 0.8, 0.0]])], None
+            return [np.array([[0.2, 0.8, 0.0]])]
 
-        _, losses, history = mk.amom_regenerate(forward, mk.MaskConfig(), [[]], [np.array([1])])
-        assert calls == [{0: set()}] and losses == [[None]] and history == []
+        _, rounds, history = mk.amom_regenerate(forward, mk.MaskConfig(), [[]], [np.array([1])])
+        assert calls == [{0: set()}] and rounds == [1] and history == []
 
     @pytest.mark.parametrize("selector", ["gold", "confidence", "maskable"])
     def test_instances_run_together_as_alone(self, selector):
@@ -591,19 +589,19 @@ class TestAmomRegenerate:
                     else [range(p.shape[0]) for p in base])
         cfg = mk.MaskConfig(amom_mu_min=0.2, amom_mu_max=0.6, amom_iterations=3)
         calls = []
-        stub = self.stub_forward(*base, scored=True)
+        stub = self.stub_forward(*base)
 
         def forward(masked):
             calls.append(list(masked))
             return stub(masked)
 
-        probs, losses, history = mk.amom_regenerate(forward, cfg, maskable, gold)
+        probs, rounds, history = mk.amom_regenerate(forward, cfg, maskable, gold)
         assert calls == [[0, 1]] * 4
         for b in range(2):
-            alone = mk.amom_regenerate(self.stub_forward(base[b], scored=True), cfg, [maskable[b]],
+            alone = mk.amom_regenerate(self.stub_forward(base[b]), cfg, [maskable[b]],
                                        gold and [gold[b]])
             assert np.array_equal(probs[b], alone[0][0])
-            assert [losses[b]] == alone[1] and history[b::2] == alone[2]
+            assert [rounds[b]] == alone[1] == [4] and history[b::2] == alone[2]
             assert len(alone[2]) == 3 and all(alone[2])
 
     def test_instance_with_nothing_maskable_sits_out(self):
@@ -616,10 +614,10 @@ class TestAmomRegenerate:
             return stub(masked)
 
         cfg = mk.MaskConfig(amom_iterations=2)
-        probs, losses, history = mk.amom_regenerate(forward, cfg, [[], [0, 1]])
+        probs, rounds, history = mk.amom_regenerate(forward, cfg, [[], [0, 1]])
         assert calls == [[0, 1], [1], [1]]
         assert np.array_equal(probs[0], base[0]) and len(history) == 2
-        assert [len(per_round) for per_round in losses] == [1, 3]
+        assert rounds == [1, 3]
 
 
 class TestTrace:

@@ -210,7 +210,7 @@ def test_asc_refuses_an_aspect_without_token_span():
         model.forward_asc(items)
     for scored in (False, True):
         with pytest.raises(ContractError, match="no token-span projection"):
-            model.amom(items, scored=scored)
+            model.amom(items, losses=[] if scored else None)
 
 
 def test_actm_masks_inside_the_packed_batch():
@@ -507,10 +507,9 @@ def test_amom_packed_loss_matches_batches_of_one(task):
     for name, g in grads_1.items():
         assert np.abs(grads[name] - g).max() <= 1e-10, name
     if task == "asc":
-        losses = model.amom(items, scored=True)[1]
-        assert len(examples[0]) == 1 and len(losses[0]) == 1
-        assert [len(per_round) for per_round in losses[1:]] == [
-            1 + model.mask_cfg.amom_iterations] * (len(items) - 1)
+        rounds = model.amom(items, losses=[])[1]
+        assert len(examples[0]) == 1 and rounds[0] == 1
+        assert rounds[1:] == [1 + model.mask_cfg.amom_iterations] * (len(items) - 1)
 
 
 @pytest.mark.parametrize("task", ["ate", "asc"])
@@ -616,7 +615,7 @@ def test_amom_asc_hides_leftmost_tokens_outside_the_aspect(scored, monkeypatch):
         return inner(batch, *args, masked_content=masked_content, **kwargs)
 
     monkeypatch.setattr(model, "forward_asc", logged)
-    model.amom(items, scored=scored)
+    model.amom(items, losses=[] if scored else None)
     assert any(len(h) > 1 for _, h in hidden)
     for (ex, i), h in hidden:
         start, end = ex.aspects[i].token_span

@@ -100,26 +100,31 @@ class TestAteLoss:
             assert tasks.ate_loss(probs, gold).item() >= 0.0
 
 
+def asc_gold(*classes):
+    return np.array([tasks.ASC_INDEX[c] for c in classes], dtype=int)
+
+
 class TestAscLoss:
-    """The ASC objective: `asc_loss`, the cross-entropy alone, plus the L2 term
+    """The ASC objective: `nll` over the batch's rows, each instance's
+    cross-entropy weighed 1/B, alone, plus the L2 term
     (lambda/2) * ParamStore.l2_sum(), which Adam differentiates and `train`
     adds to the logged loss (tests/test_training.py holds Adam's part)."""
 
     def test_uniform_is_ln3(self):
         probs = Tensor(np.full((1, 3), 1.0 / 3.0))
-        loss = tasks.asc_loss(probs, ["positive"])
+        loss = tasks.nll(probs, asc_gold("positive"), 1.0)
         assert loss.item() == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_l2_term_alone(self):
         params = ParamStore()
         params.add("theta", [1.0, 2.0])
         probs = Tensor(np.array([[1.0, 0.0, 0.0]]))
-        assert tasks.asc_loss(probs, ["positive"]).item() == pytest.approx(0.0, abs=1e-12)
+        assert tasks.nll(probs, asc_gold("positive"), 1.0).item() == pytest.approx(0.0, abs=1e-12)
         assert params.l2_sum() * 0.01 / 2.0 == pytest.approx(0.025, abs=1e-12)
 
     def test_perfect_lambda_zero(self):
         probs = Tensor(np.array([[0.0, 1.0, 0.0]]))
-        assert tasks.asc_loss(probs, ["negative"]).item() == pytest.approx(0.0, abs=1e-9)
+        assert tasks.nll(probs, asc_gold("negative"), 1.0).item() == pytest.approx(0.0, abs=1e-9)
 
     def test_l2_matches_direct_summation(self):
         rng = np.random.default_rng(2)
@@ -150,7 +155,7 @@ class TestAscLoss:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):
-            tasks.asc_loss(Tensor(np.zeros((0, 3))), [])
+            tasks.nll(Tensor(np.zeros((0, 3))), asc_gold(), 1.0)
 
 
 class TestAscMetrics:
@@ -285,7 +290,7 @@ class TestForwards:
         for _ in range(200):
             model.params.zero_grad()
             out = model.forward_asc([(ex, 0)])
-            loss = tasks.asc_loss(out.probs, [gold])
+            loss = tasks.nll(out.probs, asc_gold(gold), 1.0)
             ad.backward(loss)
             opt.step()
         out = model.forward_asc([(ex, 0)])

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import gradcheck as gc
 from maskterm import autodiff as ad
 from maskterm import corpus
 from maskterm import encoder as enc
@@ -12,7 +13,7 @@ from maskterm import masking as mk
 from maskterm import tasks
 from maskterm import training
 from maskterm.autodiff import Tensor
-from maskterm.exceptions import CompatibilityError, ContractError, NumericError
+from maskterm.exceptions import CompatibilityError, ContractError, LengthError, NumericError
 
 SMALL_ENCODER = enc.EncoderConfig(d_w=8, d_p=2, hidden=16, n_layers=1,
                                   n_heads=2, d_ff=24)
@@ -181,7 +182,7 @@ class TestAdam:
 
         loss = training.batch_loss(model, config, batch, train=False, rng=None)
         for t in model.params.tensors():
-            loss = ad.add(loss, ad.mul(ad.tsum(ad.mul(t, t)), lam / 2.0))
+            loss = ad.add(loss, ad.mul(gc.tsum(ad.mul(t, t)), lam / 2.0))
         ad.backward(loss)
         expected = {name: t.grad.copy() for name, t in model.params.items()}
 
@@ -248,6 +249,69 @@ class TestEvaluate:
                             lambda self, batch: ["positive"] * len(batch))
         report = training.evaluate(model, examples, "asc")
         assert report.asc["acc"] == pytest.approx(0.5)
+
+
+def long_example(tokens: int) -> corpus.TokenizedExample:
+    """A sentence of `tokens` tokens whose one aspect is its first token."""
+    return corpus.make_example("steak " + " ".join(["good"] * (tokens - 1)),
+                               [corpus.AspectAnnotation("steak", 0, 5, "positive")])
+
+
+class TestLengthsCheckedFirst:
+    """An instance that packs more than max_len rows fails `train` before its
+    first step and `evaluate` before its first chunk, wherever it sits. ASC
+    appends the aspect and a [SEP] to the sentence, so a sentence 3 tokens
+    short of max_len with a one-token aspect is too long for ASC alone."""
+
+    MAX_LEN = 24
+    CASES = [("ate", "sentence"), ("asc", "sentence"), ("asc", "aspect")]
+
+    def planted(self, task, cause):
+        """Synthetic data that fits, with the too-long example last."""
+        data = corpus.synth_corpus(seed=4, size=8)
+        ex = long_example(self.MAX_LEN - (1 if cause == "sentence" else 3))
+        if cause == "sentence":
+            assert enc.packed_length(ex) == self.MAX_LEN + 1
+        else:
+            assert enc.packed_length(ex) < self.MAX_LEN < enc.packed_length(ex, 0)
+        return data, data + [ex]
+
+    def config(self, task):
+        encoder = dataclasses.replace(SMALL_ENCODER, max_len=self.MAX_LEN)
+        return dataclasses.replace(small_config(task), encoder=encoder)
+
+    @pytest.mark.parametrize("role", ["training", "evaluation"])
+    @pytest.mark.parametrize("task,cause", CASES)
+    def test_train_fails_before_the_first_step(self, task, cause, role, monkeypatch):
+        fits, planted = self.planted(task, cause)
+        steps = []
+        monkeypatch.setattr(training, "batch_loss", lambda *args, **kwargs: steps.append(1))
+        train_set, eval_set = (planted, fits) if role == "training" else (fits, planted)
+        with pytest.raises(LengthError, match=f"^{role} example {len(fits)}\\b"):
+            training.train(self.config(task), train_set, eval_set)
+        assert steps == []
+
+    @pytest.mark.parametrize("task,cause", CASES)
+    def test_evaluate_fails_before_the_first_chunk(self, task, cause, monkeypatch):
+        fits, planted = self.planted(task, cause)
+        config = self.config(task)
+        vocab = enc.Vocab.build(fits)
+        model = tasks.AbsaModel(task, dataclasses.replace(config.encoder,
+                                                          vocab_size=len(vocab.words)),
+                                config.mask, vocab, 0)
+        chunks = []
+        for name in ("predict_bio", "predict_polarity"):
+            monkeypatch.setattr(model, name, lambda items: chunks.append(items))
+        with pytest.raises(LengthError, match=f"^evaluation example {len(fits)}\\b"):
+            training.evaluate(model, planted, task)
+        assert chunks == []
+
+    @pytest.mark.parametrize("aspect", [None, 0, 1])
+    def test_packed_length_is_the_packed_layout(self, aspect):
+        ex = next(ex for ex in corpus.synth_corpus(seed=4, size=8) if len(ex.aspects) >= 2)
+        vocab = enc.Vocab.build([ex])
+        inp = enc.pack_inputs(vocab, [ex], None if aspect is None else [aspect])
+        assert enc.packed_length(ex, aspect) == len(inp.token_ids) == inp.lengths[0]
 
 
 class TestCheckpointRoundTrip:
