@@ -1,9 +1,12 @@
 """Dense float32 or float64 tensors with reverse-mode differentiation.
 
-Small on purpose: 2-D matrices and vectors, and only the ops the model
-calls. Elementwise `add` and `mul`; `take`, `concat` and the segment sum
-and mean; `affine` and `softmax`; and `fused`, which makes one node of
-hand-written math.
+Small on purpose: 2-D matrices and vectors, and few ops. `fused` makes one
+node of hand-written math, and a packed forward of the model is a chain of
+such nodes: the embedding, one per encoder layer, the masking stage, the
+task head and the loss. The generic ops are the glue that is left:
+elementwise `add` and `mul`, `take` and the segment sum and mean (ACTM's
+pooled aspect vector), `affine` (the encoder's input projection) and
+`softmax`.
 
 A tensor keeps float32 data as float32 and holds anything else as float64;
 gradients take their tensor's dtype. Models run in float32, and the tests'
@@ -21,13 +24,13 @@ only ever sees rows of its own sequence. It keeps its scores keys-outer,
 `(longest keys, segments, heads, longest queries)`, so that its softmax
 reduces over the leading axis.
 
-The encoder kernels (attention, layer norm, GELU) work on plain arrays and
+The kernels (attention, layer norm, GELU, softmax) work on plain arrays and
 return their output with a backward closure; the encoder chains them into
 one fused node per layer, as `tasks` chains the kernels of a masking
-strategy into one node. Dropout comes in as boolean keep-masks and a scale
-(`dropout_`), and a closure keeps only what its backward cannot cheaply
-rebuild: attention saves the probabilities, and its backward rebuilds the
-dropped ones from them.
+strategy or a task head into one node. Dropout comes in as boolean
+keep-masks and a scale (`dropout_`), and a closure keeps only what its
+backward cannot cheaply rebuild: attention saves the probabilities, and its
+backward rebuilds the dropped ones from them.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -278,24 +281,6 @@ def segment_mean(x: Tensor, segments: Segments) -> Tensor:
     return mul(segment_sum(x, segments), inv.reshape((-1,) + (1,) * (as_tensor(x).data.ndim - 1)))
 
 
-def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    if not parts:
-        raise DimensionError("concat of zero tensors")
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                _accumulate(p, g[tuple(sl)])
-
-    return _make(data, tuple(parts), backward)
-
-
 # -- nonlinearities -----------------------------------------------------------
 
 
@@ -304,15 +289,8 @@ def softmax(v: Tensor, axis: int = -1) -> Tensor:
     v = as_tensor(v)
     if v.data.ndim == 0 or v.data.shape[axis] == 0:
         raise DimensionError(f"softmax over empty axis {axis} of shape {v.data.shape}")
-    shifted = v.data - v.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        _accumulate(v, data * (g - dot))
-
-    return _make(data, (v,), backward)
+    data, softmax_backward = softmax_kernel(v.data, axis)
+    return fused(data, (v,), lambda g: (softmax_backward(g),))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -335,10 +313,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(data, (x, w, b), backward)
 
 
-# -- encoder kernels ---------------------------------------------------------------
-# Plain-array math of the encoder block. Each kernel returns its output and a
-# `backward(g)` closure over what the gradient needs; `encoder._block` chains
-# them inside one `fused` node.
+# -- kernels -----------------------------------------------------------------------
+# Plain-array math of the encoder block and the task heads. Each kernel returns
+# its output and a `backward(g)` closure over what the gradient needs;
+# `encoder._block` and the heads of `tasks` chain them inside one `fused` node.
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
@@ -354,6 +332,18 @@ def gelu(x: np.ndarray):
         return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
 
     return out, backward
+
+
+def softmax_kernel(x: np.ndarray, axis: int = -1):
+    """Max-subtracted softmax along `axis`. Returns (probs, backward),
+    backward(g) -> dx."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    probs = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        return probs * (g - (g * probs).sum(axis=axis, keepdims=True))
+
+    return probs, backward
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:

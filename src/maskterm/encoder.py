@@ -4,11 +4,12 @@
 end to end: [CLS] + sentence + [SEP], and for ASC the aspect's tokens and a
 closing [SEP]. Input rows concatenate a word embedding, carrying the
 position signal, and a POS embedding; [CLS]/[SEP] use reserved vocabulary
-ids with a zeroed POS part. `encode` returns the final states, one Tensor.
-The input projection is one graph node and each layer another: `_block`
-runs the layer on plain arrays through the autodiff kernels and hands its
-gradients back in one hand-written backward; the attention probabilities
-stay inside that node, for its backward only.
+ids with a zeroed POS part. `embed_tokens` builds them as one graph node,
+which also zeroes the rows AMOM hides. `encode` returns the final states,
+one Tensor. The input projection is one graph node and each layer another:
+`_block` runs the layer on plain arrays through the autodiff kernels and
+hands its gradients back in one hand-written backward; the attention
+probabilities stay inside that node, for its backward only.
 
 In training, dropout masks are boolean keep-masks (one byte an entry). Each
 flag comes from a 16-bit lane of the generator's raw 64-bit words, read
@@ -19,8 +20,9 @@ replays its sequences' draws as if each ran alone. The attention mask is
 laid out keys-outer, like the attention scores (`ad.multi_head_attention`).
 
 The encoder computes in the dtype of its parameters: float32 in a model,
-float64 in the gradient checks. Every constant it builds, such as the
-position table, takes that dtype.
+float64 in the gradient checks. Every constant it builds takes that dtype;
+what depends on shapes alone, the position table and the layers' parameter
+names, is built once per shape.
 """
 
 from __future__ import annotations
@@ -251,17 +253,63 @@ def len_with_reserved(cfg: EncoderConfig) -> int:
     return cfg.vocab_size + RESERVED
 
 
-def embed_tokens(params: ParamStore, cfg: EncoderConfig, inp: ModelInput) -> Tensor:
-    """Input rows (N, d_w + d_p): the word embedding plus the sinusoidal
-    position signal, which restarts at every packed sequence, then the POS
-    embedding, zero at [CLS]/[SEP]."""
+@functools.cache
+def position_table(n: int, dim: int, dtype: np.dtype) -> np.ndarray:
+    """`sinusoidal_encoding(n, dim)` in `dtype`, built once per shape and
+    shared by every forward, hence read-only; n <= max_len bounds the cache."""
+    table = sinusoidal_encoding(n, dim).astype(dtype)
+    table.flags.writeable = False
+    return table
+
+
+def _hidden_keep(inp: ModelInput, masked_content: list | None, dtype: np.dtype):
+    """(N, 1) row keep of the tokens `masked_content` hides, or None when it
+    hides none. Each index must name a sentence token of its own sequence."""
+    if masked_content is None or not any(masked_content):
+        return None
+    content = inp.content_segments
+    if len(masked_content) != content.count:
+        raise ContractError(f"{len(masked_content)} masked-content sets for {content.count} sequences")
+    keep = np.ones((len(inp), 1))
+    for b, (start, n, hidden) in enumerate(
+            zip(content.offsets.tolist(), content.lengths.tolist(), masked_content)):
+        for c in hidden:
+            if not 0 <= c < n:
+                raise ContractError(f"masked content index {c} of instance {b} is outside "
+                                    f"its {n} sentence tokens")
+            keep[inp.content_positions[start + c]] = 0.0
+    return keep.astype(dtype)
+
+
+def embed_tokens(params: ParamStore, cfg: EncoderConfig, inp: ModelInput,
+                 masked_content: list | None = None) -> Tensor:
+    """Input rows (N, d_w + d_p) as one graph node over `emb.word` and
+    `emb.pos`: the word embedding plus the sinusoidal position signal, which
+    restarts at every packed sequence, then the POS embedding, zero at
+    [CLS]/[SEP]. `masked_content`, one set of sentence-token indices per
+    sequence, zeroes the rows of those tokens (AMOM's hidden tokens)."""
     seg = inp.segments
     if seg.n_max > cfg.max_len:
         raise LengthError(f"sequence length {seg.n_max} exceeds max_len {cfg.max_len}")
-    word = ad.take(params["emb.word"], inp.token_ids)
-    word = ad.add(word, sinusoidal_encoding(seg.n_max, cfg.d_w)[seg.positions])
-    pos = ad.mul(ad.take(params["emb.pos"], inp.pos_ids), (~inp.special)[:, None])
-    return ad.concat([word, pos], axis=1)
+    word, pos = params["emb.word"], params["emb.pos"]
+    dtype = word.data.dtype
+    keep = _hidden_keep(inp, masked_content, dtype)
+    not_special = (~inp.special)[:, None].astype(dtype)
+    rows = np.concatenate([word.data[inp.token_ids]
+                           + position_table(seg.n_max, cfg.d_w, dtype)[seg.positions],
+                           pos.data[inp.pos_ids] * not_special], axis=1)
+    if keep is not None:
+        rows *= keep
+
+    def backward(g):
+        if keep is not None:
+            g = g * keep
+        dword, dpos = np.zeros_like(word.data), np.zeros_like(pos.data)
+        np.add.at(dword, inp.token_ids, g[:, :cfg.d_w])
+        np.add.at(dpos, inp.pos_ids, g[:, cfg.d_w:] * not_special)
+        return dword, dpos
+
+    return ad.fused(rows, (word, pos), backward)
 
 
 layer_norm = ad.layer_norm
@@ -303,6 +351,13 @@ def _dropout_masks(cfg: EncoderConfig, seg: ad.Segments, rng: np.random.Generato
 # The parameters of one encoder layer, in the order `_block` takes them.
 _LAYER_PARAMS = ("Wq", "Wk", "Wv", "Wo", "bo", "ln1.g", "ln1.b",
                 "ffn.W1", "ffn.b1", "ffn.W2", "ffn.b2", "ln2.g", "ln2.b")
+
+
+@functools.cache
+def _layer_names(n_layers: int) -> tuple[tuple[str, ...], ...]:
+    """Each layer's full parameter names, in `_LAYER_PARAMS` order."""
+    return tuple(tuple(f"enc.L{layer}.{name}" for name in _LAYER_PARAMS)
+                 for layer in range(n_layers))
 
 
 def _block(x: Tensor, layer_params: tuple[Tensor, ...], cfg: EncoderConfig, seg: ad.Segments,
@@ -368,23 +423,27 @@ def encode(
     masks = _dropout_masks(cfg, seg, rng) if dropping else None
 
     x = ad.affine(embedded, params["enc.in_proj.W"], params["enc.in_proj.b"])
-    for layer in range(cfg.n_layers):
-        x = _block(x, tuple(params[f"enc.L{layer}.{name}"] for name in _LAYER_PARAMS),
+    for layer, names in enumerate(_layer_names(cfg.n_layers)):
+        x = _block(x, tuple(params[name] for name in names),
                    cfg, seg, tuple(m[layer] for m in masks) if dropping else None)
     return x
 
 
-def pool_aspect(states: Tensor, spans) -> Tensor:
-    """Mean of the state rows covering each inclusive (start, end) span, one
-    output row per span."""
+def aspect_rows(spans, n: int) -> tuple[np.ndarray, ad.Segments]:
+    """The rows covering each inclusive (start, end) span of n state rows,
+    span after span, and their layout, one segment per span."""
     spans = np.asarray(spans, dtype=np.intp).reshape(-1, 2)
     starts, ends = spans[:, 0], spans[:, 1]
-    n = states.data.shape[0]
     bad = (starts > ends) | (starts < 0) | (ends >= n)
     if bad.any():
         s, e = spans[np.flatnonzero(bad)[0]]
         raise ContractError(f"aspect span ({s}, {e}) is empty or outside 0..{n - 1}")
     seg = ad.Segments(ends - starts + 1)
-    rows = starts[seg.ids] + seg.positions
-    return ad.segment_mean(ad.take(states, rows), seg)
+    return starts[seg.ids] + seg.positions, seg
 
+
+def pool_aspect(states: Tensor, spans) -> Tensor:
+    """Mean of the state rows covering each inclusive (start, end) span, one
+    output row per span."""
+    rows, seg = aspect_rows(spans, states.data.shape[0])
+    return ad.segment_mean(ad.take(states, rows), seg)

@@ -1,6 +1,12 @@
 """Task heads for aspect term extraction (BIO tagging) and aspect sentiment
 classification, with their losses, metrics, and the model that binds the
-encoder and a masking strategy together."""
+encoder and a masking strategy together.
+
+A packed forward records one graph node per stage: the embedding, the
+input projection, each encoder layer, the masking stage (none for `none`
+and AMOM; ASC ACTM adds three for its pooled aspect vector) and the task
+head, `ate_head` or `asc_head`; a training loss adds one `nll` node per
+forward."""
 
 from __future__ import annotations
 
@@ -108,6 +114,49 @@ def ate_loss(probs: Tensor, gold_tags: list[str]) -> Tensor:
     return nll(probs, np.array([BIO_INDEX[t] for t in gold_tags]), 1.0)
 
 
+# -- heads -------------------------------------------------------------------------
+
+
+def ate_head(states: Tensor, content_rows: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    """BIO probabilities of the `content_rows` of `states` as one graph node:
+    the affine head over every row, as one matrix product rounds them, then
+    the content rows' softmax."""
+    x = states.data
+    logits = x @ w.data + b.data
+    probs, softmax_backward = ad.softmax_kernel(logits[content_rows])
+
+    def backward(g):
+        dlogits = np.zeros_like(logits)
+        np.add.at(dlogits, content_rows, softmax_backward(g))
+        return dlogits @ w.data.T, x.T @ dlogits, dlogits.sum(axis=0)
+
+    return ad.fused(probs, (states, w, b), backward)
+
+
+def asc_head(encoded: Tensor, states: Tensor, cls_rows: np.ndarray, pool_rows: np.ndarray,
+             pool_segments: ad.Segments, divisor: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    """Polarity probabilities, one row per instance, as one graph node: the
+    instance's [CLS] row of `encoded` next to its `pool_rows` of `states`
+    (one segment of `pool_segments` each) summed and divided by its
+    `divisor`, then the affine head and a softmax. `states` may be `encoded`
+    itself, which then takes both gradients."""
+    hidden = encoded.data.shape[1]
+    scale = (1.0 / divisor)[:, None].astype(states.data.dtype)
+    feats = np.concatenate([encoded.data[cls_rows],
+                            pool_segments.sum(states.data[pool_rows]) * scale], axis=1)
+    probs, softmax_backward = ad.softmax_kernel(feats @ w.data + b.data)
+
+    def backward(g):
+        dlogits = softmax_backward(g)
+        dfeats = dlogits @ w.data.T
+        dencoded, dstates = np.zeros_like(encoded.data), np.zeros_like(states.data)
+        np.add.at(dencoded, cls_rows, dfeats[:, :hidden])
+        np.add.at(dstates, pool_rows, (dfeats[:, hidden:] * scale)[pool_segments.ids])
+        return dencoded, dstates, feats.T @ dlogits, dlogits.sum(axis=0)
+
+    return ad.fused(probs, (encoded, states, w, b), backward)
+
+
 # -- metrics -----------------------------------------------------------------------
 
 
@@ -212,17 +261,7 @@ class AbsaModel:
     def _encode_input(self, inp: enc.ModelInput, train: bool,
                       rng: np.random.Generator | None,
                       masked_content: list[frozenset[int]] | None) -> Tensor:
-        emb = enc.embed_tokens(self.params, self.enc_cfg, inp)
-        if masked_content is not None and any(masked_content):
-            if len(masked_content) != len(inp.segments):
-                raise ContractError(
-                    f"{len(masked_content)} masked-content sets for {len(inp.segments)} sequences")
-            starts = inp.content_segments.offsets
-            keep = np.ones((len(inp), 1))
-            for start, hidden in zip(starts, masked_content):
-                for c in hidden:
-                    keep[inp.content_positions[start + c]] = 0.0
-            emb = ad.mul(emb, keep)
+        emb = enc.embed_tokens(self.params, self.enc_cfg, inp, masked_content)
         return enc.encode(self.params, self.enc_cfg, emb, train_mode=train, rng=rng,
                           segments=inp.segments)
 
@@ -299,9 +338,9 @@ class AbsaModel:
         inp = enc.pack_inputs(self.vocab, examples)
         encoded = self._encode_input(inp, train, rng, masked_content)
         states, decision = self._mask_states(encoded, inp, surrogate)
-        logits = ad.affine(states, self.params["head.ate.W"], self.params["head.ate.b"])
-        content = logits[inp.content_positions]
-        return TaskOutput(ad.softmax(content, axis=-1), decision, inp, inp.content_segments)
+        probs = ate_head(states, inp.content_positions,
+                         self.params["head.ate.W"], self.params["head.ate.b"])
+        return TaskOutput(probs, decision, inp, inp.content_segments)
 
     def forward_asc(self, instances: list[tuple[TokenizedExample, int]], train: bool = False,
                     surrogate: bool = False, rng: np.random.Generator | None = None,
@@ -310,22 +349,20 @@ class AbsaModel:
         inp = enc.pack_inputs(self.vocab, [ex for ex, _ in instances], [i for _, i in instances])
         encoded = self._encode_input(inp, train, rng, masked_content)
         states, decision = self._mask_states(encoded, inp, surrogate)
-        if self.mask_cfg.strategy == "aam":
-            pooled = enc.pool_aspect(states, inp.aspect_spans)
-        else:
-            content_seg = inp.content_segments
+        if self.mask_cfg.strategy == "aam":   # the aspect span's mean
+            rows, pool_seg = enc.aspect_rows(inp.aspect_spans, len(inp))
+            divisor = pool_seg.lengths
+        else:   # the content mean, over the kept tokens when a mask decided
+            rows, pool_seg = inp.content_positions, inp.content_segments
             if decision is not None and not surrogate:
-                kept = decision.kept[inp.content_positions].astype(np.intp)
-                denom = np.maximum(1, content_seg.sum(kept))
+                kept = decision.kept[rows].astype(np.intp)
+                divisor = np.maximum(1, pool_seg.sum(kept))
             else:
                 # surrogate mode needs a perturbation-stable constant divisor
-                denom = content_seg.lengths
-            summed = ad.segment_sum(states[inp.content_positions], content_seg)
-            pooled = ad.mul(summed, (1.0 / denom)[:, None])
-        feats = ad.concat([encoded[inp.segments.offsets], pooled], axis=1)
-        logits = ad.affine(feats, self.params["head.asc.W"], self.params["head.asc.b"])
-        return TaskOutput(ad.softmax(logits, axis=-1), decision, inp,
-                          ad.Segments([1] * len(instances)))
+                divisor = pool_seg.lengths
+        probs = asc_head(encoded, states, inp.segments.offsets, rows, pool_seg, divisor,
+                         self.params["head.asc.W"], self.params["head.asc.b"])
+        return TaskOutput(probs, decision, inp, ad.Segments([1] * len(instances)))
 
     def forward(self, items: list, **kwargs) -> TaskOutput:
         """`forward_ate` on examples or `forward_asc` on (example, aspect

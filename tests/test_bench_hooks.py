@@ -58,6 +58,9 @@ def test_install_layers_hooks_every_name_and_restores(harness, task, strategy, c
         assert rec.counters[key] > 0, key
     if strategy == "aam":   # every AAM forward remixes exactly the rows it encoded
         assert rec.counters["aam_rows"] == rec.counters["encoder_rows"]
+    # one embedding stage per forward, AMOM's remasked rounds included, so
+    # that encoder.embed_tokens.ms_per_inst times one stage per forward
+    assert len(rec.named("encoder.embed_tokens")) == rec.counters["forward_calls"]
     assert rec.named("encoder.attention") and rec.named("encoder.layer_norm")
 
 

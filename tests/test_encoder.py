@@ -96,6 +96,51 @@ class TestEmbed:
         with pytest.raises(LengthError):
             enc.embed_tokens(params, cfg, enc.pack_inputs(vocab, [examples[0]]))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_position_table_is_built_once_and_read_only(self, dtype):
+        cfg = enc.EncoderConfig()
+        for n in range(1, cfg.max_len + 1):
+            table = enc.position_table(n, cfg.d_w, np.dtype(dtype))
+            want = enc.sinusoidal_encoding(n, cfg.d_w).astype(dtype)
+            assert table.dtype == want.dtype and table.tobytes() == want.tobytes()
+            assert enc.position_table(n, cfg.d_w, np.dtype(dtype)) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+
+    def test_hidden_rows_are_zero_and_the_rest_unchanged(self, small_setup):
+        examples, vocab, cfg, params = small_setup
+        inp = enc.pack_inputs(vocab, examples[:2])
+        plain = enc.embed_tokens(params, cfg, inp).data
+        hidden = enc.embed_tokens(params, cfg, inp, [frozenset({0}), frozenset({1, 2})]).data
+        rows = inp.content_positions[[0, len(examples[0]) + 1, len(examples[0]) + 2]]
+        assert not hidden[rows].any()
+        others = np.setdiff1d(np.arange(len(inp)), rows)
+        assert np.array_equal(hidden[others], plain[others])
+
+    def test_kernel_matches_central_differences(self):
+        """Word and POS gradients through the position signal, the specials'
+        zeroed POS part and AMOM's hidden rows, in float64 on a tiny batch."""
+        examples = [corpus.make_example("the steak was great", []),
+                    corpus.make_example("steak steak", [])]
+        vocab = enc.Vocab.build(examples)
+        cfg = enc.EncoderConfig(vocab_size=len(vocab.words), d_w=4, d_p=2, hidden=8,
+                                n_layers=1, n_heads=2, d_ff=8)
+        params = ad.ParamStore(np.float64)
+        enc.init_encoder_params(params, cfg, np.random.default_rng(7))
+        inp = enc.pack_inputs(vocab, examples)
+        masked = [frozenset({2}), frozenset({0})]   # "was", and one of two "steak"s
+        coeff = Tensor(np.random.default_rng(8).normal(size=(len(inp), cfg.d_in)))
+
+        def objective():
+            return gc.tsum(ad.mul(enc.embed_tokens(params, cfg, inp, masked), coeff))
+
+        names = ["emb.word", "emb.pos"]
+        assert gc.finite_difference_check(objective, params, names=names) < 1e-4
+        params.zero_grad()
+        ad.backward(objective())
+        assert not params["emb.word"].grad[vocab.id_of("was")].any()   # seen only hidden
+        assert params["emb.word"].grad[enc.CLS_ID].any()   # specials keep their word part
+
 
 class TestEncode:
     def test_single_token_attention_map(self):

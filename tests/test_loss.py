@@ -77,13 +77,14 @@ def test_loss_matches_per_instance_oracle(task, strategy, train):
         assert rounds[0] == nothing_to_mask
 
 
-def graph_nodes(loss: Tensor) -> int:
-    """Nodes `autodiff.backward` visits: the loss and every recorded ancestor."""
+def graph_nodes(loss: Tensor, leaves: bool = True) -> int:
+    """Nodes `autodiff.backward` visits: the loss and every recorded ancestor,
+    or without `leaves` the loss and every op node behind it."""
     seen = {id(loss)}
     stack = [loss]
     while stack:
         for parent in stack.pop()._parents:
-            if id(parent) not in seen and (parent._parents or parent.requires_grad):
+            if id(parent) not in seen and (parent._parents or leaves and parent.requires_grad):
                 seen.add(id(parent))
                 stack.append(parent)
     return len(seen)
@@ -103,6 +104,29 @@ def test_amom_training_batch_graph_stays_small():
     rounds = model.amom(items, losses=[])[1]
     iterations = model.mask_cfg.amom_iterations
     assert rounds == [1] + [1 + iterations] * 31
+
+
+# Non-leaf nodes of a 32-instance float32 training loss (two encoder layers,
+# as the default encoder has). Per packed forward: the embedding, the input
+# projection, one node per layer, the masking stage but for `none` and AMOM,
+# the head and the loss; ASC ACTM adds the three of its pooled aspect vector,
+# and AMOM sums its three rounds' loss nodes with two adds. The comments give
+# the counts from before the embedding and the heads were one node each.
+NON_LEAF_NODES = {
+    "ate": {"none": 6, "fixed": 7, "actm": 7, "aam": 7, "amom": 20},    # 12, 13, 13, 13, 40
+    "asc": {"none": 6, "fixed": 7, "actm": 10, "aam": 7, "amom": 20},   # 16, 17, 20, 17, 52
+}
+
+
+@pytest.mark.parametrize("strategy", mk.MaskConfig.STRATEGIES)
+@pytest.mark.parametrize("task", tasks.TASKS)
+def test_training_graph_has_one_node_per_forward_stage(task, strategy):
+    data = examples(31)
+    items = items_for(task, data)[:32]
+    assert len(items) == 32
+    model = make_model(task, strategy, data, np.float32)
+    loss = model.loss(items, train=True, rng=np.random.default_rng(9))
+    assert graph_nodes(loss, leaves=False) == NON_LEAF_NODES[task][strategy]
 
 
 class TestNll:

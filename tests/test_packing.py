@@ -623,6 +623,21 @@ def test_amom_asc_hides_leftmost_tokens_outside_the_aspect(scored, monkeypatch):
         assert h == frozenset(outside[:len(h)])
 
 
+@pytest.mark.parametrize("index", ["past-the-end", "negative"])
+def test_masked_content_index_outside_its_instance_rejected(index):
+    """A hidden index is a sentence-token index of its own instance. Unchecked,
+    index len(sentence 0) on instance 0 hid token 0 of instance 1 (bit-equal
+    states), and -1 wrapped to the last row of the last instance."""
+    examples = batch_examples()[1:3]
+    model, _ = make_model("ate", "none", "mean", examples)
+    bad = len(examples[0]) if index == "past-the-end" else -1
+    with pytest.raises(ContractError, match=f"index {bad} of instance 0 is outside its "
+                                            f"{len(examples[0])} sentence tokens"):
+        model.forward_ate(examples, masked_content=[frozenset({bad}), frozenset()])
+    legal = model.forward_ate(examples, masked_content=[frozenset(), frozenset({0})])
+    assert legal.probs.data.shape == (sum(len(ex) for ex in examples), 3)
+
+
 class TestAamRemix:
     def test_matches_per_row_attention(self):
         rng = np.random.default_rng(2)

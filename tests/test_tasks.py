@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import gradcheck as gc
 from maskterm import autodiff as ad
 from maskterm import corpus
 from maskterm import encoder as enc
@@ -295,3 +296,66 @@ class TestForwards:
             opt.step()
         out = model.forward_asc([(ex, 0)])
         assert out.probs.data[0, tasks.ASC_INDEX[gold]] > 0.99
+
+
+class TestHeadKernels:
+    """Each task head is one fused node; its hand-written backward against
+    central differences in float64, on tiny shapes."""
+
+    @staticmethod
+    def store(rng, **shapes):
+        params = ParamStore(np.float64)
+        for name, shape in shapes.items():
+            params.add(name, rng.normal(0.0, 0.7, size=shape))
+        return params
+
+    @staticmethod
+    def objective(head, rng):
+        """A random projection of the head's probabilities, a scalar."""
+        coeff = Tensor(rng.normal(size=head().data.shape))
+        return lambda: gc.tsum(ad.mul(head(), coeff))
+
+    def test_ate_head_matches_central_differences(self):
+        rng = np.random.default_rng(61)
+        params = self.store(rng, states=(7, 4), W=(4, 3), b=(3,))
+        content = np.array([1, 2, 3, 5])   # rows 0, 4 and 6 are specials
+
+        def head():
+            return tasks.ate_head(params["states"], content, params["W"], params["b"])
+
+        assert head().data.shape == (4, 3) and np.allclose(head().data.sum(axis=1), 1.0)
+        assert gc.finite_difference_check(self.objective(head, rng), params) < 1e-4
+
+    def test_asc_head_on_one_states_tensor_matches_central_differences(self):
+        """Under `none` and AMOM the pooled rows come from the encoder's own
+        states, so the one tensor takes the [CLS] and the pooling gradients."""
+        rng = np.random.default_rng(62)
+        params = self.store(rng, encoded=(9, 4), W=(8, 3), b=(3,))
+        content = np.array([1, 2, 5, 6, 7])
+        seg = ad.Segments([2, 3])
+        divisor = np.array([1, 3])   # a kept count: one of the first instance's two
+
+        def head():
+            x = params["encoded"]
+            return tasks.asc_head(x, x, np.array([0, 4]), content, seg, divisor,
+                                  params["W"], params["b"])
+
+        assert head().data.shape == (2, 3)
+        assert gc.finite_difference_check(self.objective(head, rng), params) < 1e-4
+
+    def test_asc_head_aspect_span_pooling_matches_central_differences(self):
+        """AAM pools each instance's aspect span of the remixed states."""
+        rng = np.random.default_rng(63)
+        params = self.store(rng, encoded=(10, 4), states=(10, 4), W=(8, 3), b=(3,))
+        rows, seg = enc.aspect_rows([(1, 2), (7, 7)], 10)
+        assert rows.tolist() == [1, 2, 7]
+
+        def head():
+            return tasks.asc_head(params["encoded"], params["states"], np.array([0, 5]), rows,
+                                  seg, seg.lengths, params["W"], params["b"])
+
+        assert gc.finite_difference_check(self.objective(head, rng), params) < 1e-4
+        params.zero_grad()
+        ad.backward(self.objective(head, rng)())
+        assert not params["states"].grad[[0, 3, 4, 5, 6, 8, 9]].any()
+        assert not params["encoded"].grad[[1, 2, 3, 4, 6, 7, 8, 9]].any()
