@@ -1,24 +1,20 @@
 """Dense float32 or float64 tensors with reverse-mode differentiation.
 
-Small on purpose: 2-D matrices and vectors, and few ops. `fused` makes one
-node of hand-written math, and a packed forward of the model is a chain of
-such nodes: the embedding, one per encoder layer, the masking stage, the
-task head and the loss. The generic ops are the glue that is left:
-elementwise `add` and `mul`, `take` and the segment sum and mean (ACTM's
-pooled aspect vector), `affine` (the encoder's input projection) and
-`softmax`.
+Small on purpose: 2-D matrices and vectors, and one way to make a node.
+`fused` makes one node of hand-written math, and a packed forward of the
+model is a chain of such nodes: the embedding with the input projection, one
+per encoder layer, the masking stage, the task head and the loss.
 
 A tensor keeps float32 data as float32 and holds anything else as float64;
 gradients take their tensor's dtype. Models run in float32, and the tests'
-finite-difference checks in float64. A constant operand of an elementwise op
-(a Python scale, a mask, a table: anything but a Tensor) takes the dtype of
-the Tensor it meets, so constants never widen a float32 graph. Under
-NumPy 2 a float64 array, 0-d or not, or an `np.float64` scalar would, so
-the kernels take scales as Python floats.
+finite-difference checks in float64. Every constant a kernel builds takes
+the dtype of the arrays it meets, so constants never widen a float32 graph.
+Under NumPy 2 a float64 array, 0-d or not, or an `np.float64` scalar would,
+so the kernels take scales as Python floats.
 
 A batch of sequences is packed end to end into one `(sum of lengths, width)`
 matrix and described by `Segments`. Tensors stay 2-D at the API: row-wise
-ops need no change, and segment ops reduce within each sequence. Only
+math needs no change, and segment sums reduce within each sequence. Only
 attention, the one kernel here that mixes rows, pads segments, so that a row
 only ever sees rows of its own sequence. It keeps its scores keys-outer,
 `(longest keys, segments, heads, longest queries)`, so that its softmax
@@ -92,22 +88,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __getitem__(self, idx):
-        return take(self, idx)
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _operands(a, b) -> tuple[Tensor, Tensor]:
-    """Both operands as Tensors; a constant one takes the other's dtype."""
-    if not isinstance(a, Tensor) and isinstance(b, Tensor):
-        a = Tensor(np.asarray(a, dtype=b.data.dtype))
-    elif not isinstance(b, Tensor) and isinstance(a, Tensor):
-        b = Tensor(np.asarray(b, dtype=a.data.dtype))
-    return as_tensor(a), as_tensor(b)
-
 
 class Segments:
     """Row layout of a packed batch: consecutive runs of rows, one per sequence.
@@ -176,28 +156,6 @@ def segments_of(n: int, segments: Segments | None) -> Segments:
     return segments
 
 
-def _make(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
-    out = Tensor(data)
-    if _grad_enabled():
-        for p in parents:
-            if p.requires_grad:
-                out._parents = parents
-                out._backward = backward
-                out.requires_grad = True
-                return out
-    return out
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to the operand's shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     # A gradient may be shared with other tensors or be a view into another
     # buffer, so none is ever written to: the first is kept as it comes and
@@ -210,107 +168,18 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 def fused(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
     """One node over hand-written math: `backward(g)` returns a gradient for
-    each parent in order; parents outside differentiation drop theirs."""
-    def accumulate(g):
-        for p, grad in zip(parents, backward(g)):
-            if p.requires_grad:
-                _accumulate(p, grad)
+    each parent in order; parents outside differentiation drop theirs. The
+    node records its parents only outside `no_grad` and when one of them
+    needs a gradient."""
+    out = Tensor(data)
+    if _grad_enabled() and any(p.requires_grad for p in parents):
+        def accumulate(g):
+            for p, grad in zip(parents, backward(g)):
+                if p.requires_grad:
+                    _accumulate(p, grad)
 
-    return _make(data, parents, accumulate)
-
-
-# -- elementwise arithmetic --------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
-# -- indexing and reductions ----------------------------------------------------
-
-
-def take(a: Tensor, idx) -> Tensor:
-    a = as_tensor(a)
-    data = a.data[idx]
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        _accumulate(a, full)
-
-    return _make(data, (a,), backward)
-
-
-def segment_sum(x: Tensor, segments: Segments) -> Tensor:
-    """Sum of each segment's rows: (total, ...) -> (count, ...)."""
-    x = as_tensor(x)
-    segments = segments_of(x.data.shape[0], segments)
-    data = segments.sum(x.data)
-
-    def backward(g):
-        _accumulate(x, g[segments.ids])
-
-    return _make(data, (x,), backward)
-
-
-def segment_mean(x: Tensor, segments: Segments) -> Tensor:
-    """Mean of each segment's rows: (total, ...) -> (count, ...)."""
-    inv = 1.0 / segments.lengths
-    return mul(segment_sum(x, segments), inv.reshape((-1,) + (1,) * (as_tensor(x).data.ndim - 1)))
-
-
-# -- nonlinearities -----------------------------------------------------------
-
-
-def softmax(v: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax along `axis`; rows sum to one."""
-    v = as_tensor(v)
-    if v.data.ndim == 0 or v.data.shape[axis] == 0:
-        raise DimensionError(f"softmax over empty axis {axis} of shape {v.data.shape}")
-    data, softmax_backward = softmax_kernel(v.data, axis)
-    return fused(data, (v,), lambda g: (softmax_backward(g),))
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b in one node."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise DimensionError(
-            f"affine expects compatible 2-D operands, got {x.data.shape} and {w.data.shape}"
-        )
-    data = x.data @ w.data + b.data
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
-        if w.requires_grad:
-            _accumulate(w, x.data.T @ g)
-        if b.requires_grad:
-            _accumulate(b, g.sum(axis=0))
-
-    return _make(data, (x, w, b), backward)
+        out._parents, out._backward, out.requires_grad = parents, accumulate, True
+    return out
 
 
 # -- kernels -----------------------------------------------------------------------

@@ -4,12 +4,13 @@
 end to end: [CLS] + sentence + [SEP], and for ASC the aspect's tokens and a
 closing [SEP]. Input rows concatenate a word embedding, carrying the
 position signal, and a POS embedding; [CLS]/[SEP] use reserved vocabulary
-ids with a zeroed POS part. `embed_tokens` builds them as one graph node,
-which also zeroes the rows AMOM hides. `encode` returns the final states,
-one Tensor. The input projection is one graph node and each layer another:
-`_block` runs the layer on plain arrays through the autodiff kernels and
-hands its gradients back in one hand-written backward; the attention
-probabilities stay inside that node, for its backward only.
+ids with a zeroed POS part. `embed_tokens` builds them and projects them to
+the hidden width as one graph node, which also zeroes the rows AMOM hides.
+`encode` returns the final states, one Tensor. Each layer is one graph
+node: `_block` runs the layer on plain arrays through the autodiff kernels
+and hands its gradients back in one hand-written backward; the attention
+probabilities stay inside that node, for its backward only. `pool_aspect`
+is a plain-array kernel too, which ACTM's threshold node chains in.
 
 In training, dropout masks are boolean keep-masks (one byte an entry). Each
 flag comes from a 16-bit lane of the generator's raw 64-bit words, read
@@ -283,15 +284,18 @@ def _hidden_keep(inp: ModelInput, masked_content: list | None, dtype: np.dtype):
 
 def embed_tokens(params: ParamStore, cfg: EncoderConfig, inp: ModelInput,
                  masked_content: list | None = None) -> Tensor:
-    """Input rows (N, d_w + d_p) as one graph node over `emb.word` and
-    `emb.pos`: the word embedding plus the sinusoidal position signal, which
-    restarts at every packed sequence, then the POS embedding, zero at
-    [CLS]/[SEP]. `masked_content`, one set of sentence-token indices per
-    sequence, zeroes the rows of those tokens (AMOM's hidden tokens)."""
+    """The encoder's input (N, hidden) as one graph node over `emb.word`,
+    `emb.pos` and the input projection: each row is the word embedding plus
+    the sinusoidal position signal, which restarts at every packed sequence,
+    then the POS embedding, zero at [CLS]/[SEP], times `enc.in_proj.W` plus
+    `enc.in_proj.b`. `masked_content`, one set of sentence-token indices per
+    sequence, zeroes the rows of those tokens (AMOM's hidden tokens) before
+    the projection."""
     seg = inp.segments
     if seg.n_max > cfg.max_len:
         raise LengthError(f"sequence length {seg.n_max} exceeds max_len {cfg.max_len}")
     word, pos = params["emb.word"], params["emb.pos"]
+    proj_w, proj_b = params["enc.in_proj.W"], params["enc.in_proj.b"]
     dtype = word.data.dtype
     keep = _hidden_keep(inp, masked_content, dtype)
     not_special = (~inp.special)[:, None].astype(dtype)
@@ -302,14 +306,16 @@ def embed_tokens(params: ParamStore, cfg: EncoderConfig, inp: ModelInput,
         rows *= keep
 
     def backward(g):
+        dw, db = rows.T @ g, g.sum(axis=0)
+        g = g @ proj_w.data.T
         if keep is not None:
             g = g * keep
         dword, dpos = np.zeros_like(word.data), np.zeros_like(pos.data)
         np.add.at(dword, inp.token_ids, g[:, :cfg.d_w])
         np.add.at(dpos, inp.pos_ids, g[:, cfg.d_w:] * not_special)
-        return dword, dpos
+        return dword, dpos, dw, db
 
-    return ad.fused(rows, (word, pos), backward)
+    return ad.fused(rows @ proj_w.data + proj_b.data, (word, pos, proj_w, proj_b), backward)
 
 
 layer_norm = ad.layer_norm
@@ -413,16 +419,16 @@ def encode(
     segments: ad.Segments | None = None,
 ) -> Tensor:
     """Contextual states (rows, hidden) from a stack of self-attention blocks
-    over packed sequences (`segments`, one sequence of all rows when None);
-    attention stays inside each sequence. Deterministic whenever train_mode
-    is off."""
+    over the projected input rows of `embed_tokens`, packed sequences
+    (`segments`, one sequence of all rows when None); attention stays inside
+    each sequence. Deterministic whenever train_mode is off."""
     dropping = train_mode and cfg.dropout_cut > 0
     if dropping and rng is None:
         raise ContractError("train_mode with dropout needs a random generator")
     seg = ad.segments_of(embedded.data.shape[0], segments)
     masks = _dropout_masks(cfg, seg, rng) if dropping else None
 
-    x = ad.affine(embedded, params["enc.in_proj.W"], params["enc.in_proj.b"])
+    x = embedded
     for layer, names in enumerate(_layer_names(cfg.n_layers)):
         x = _block(x, tuple(params[name] for name in names),
                    cfg, seg, tuple(m[layer] for m in masks) if dropping else None)
@@ -442,8 +448,15 @@ def aspect_rows(spans, n: int) -> tuple[np.ndarray, ad.Segments]:
     return starts[seg.ids] + seg.positions, seg
 
 
-def pool_aspect(states: Tensor, spans) -> Tensor:
+def pool_aspect(states: np.ndarray, spans):
     """Mean of the state rows covering each inclusive (start, end) span, one
-    output row per span."""
-    rows, seg = aspect_rows(spans, states.data.shape[0])
-    return ad.segment_mean(ad.take(states, rows), seg)
+    output row per span. Returns (vec, backward), backward(g) -> dstates."""
+    rows, seg = aspect_rows(spans, states.shape[0])
+    inv = (1.0 / seg.lengths).astype(states.dtype)[:, None]
+
+    def backward(g):
+        dstates = np.zeros_like(states)
+        np.add.at(dstates, rows, (g * inv)[seg.ids])
+        return dstates
+
+    return seg.sum(states[rows]) * inv, backward

@@ -279,11 +279,14 @@ def aam_remix(states: np.ndarray, z, ramp: float, d_k: int,
     temperature does not depend on the state norm. They are multiplied by
     the soft span mask m = min[max[(R + z - |p - j|)/R, 0], 1] and by the
     mean of m over the sequence; keys where m is 0 get NEG_INF_LOGIT
-    instead. A row whose mask is 0 everywhere copies itself. Works on padded
-    (segments, n_max, n_max) arrays. Returns (out, backward), backward(g) ->
-    (dstates, dz)."""
+    instead. z must exceed -R, which keeps each row's own key in its
+    support; the model clips z to >= 0. Works on padded (segments, n_max,
+    n_max) arrays. Returns (out, backward), backward(g) -> (dstates, dz)."""
     if ramp <= 0.0:
         raise ContractError(f"ramp length must be positive, got {ramp}")
+    if z <= -ramp:
+        raise ContractError(f"span z = {float(z)} must exceed -ramp = {-ramp}, "
+                            "or no row keeps its own key")
     scale = math.sqrt(d_k)
     seg = ad.segments_of(states.shape[0], segments)
     s = seg.pad(states)
@@ -304,18 +307,12 @@ def aam_remix(states: np.ndarray, z, ramp: float, d_k: int,
     scores -= scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
     attn = e / e.sum(axis=-1, keepdims=True)
-    lonely = ~support.any(axis=-1)
-    if lonely.any():
-        b, p = np.nonzero(lonely)
-        attn[b, p] = 0.0
-        attn[b, p, p] = 1.0
 
     def backward(g):
         go = seg.pad(g)
         ds = attn.transpose(0, 2, 1) @ go
         da = go @ s.transpose(0, 2, 1)
         dmod = attn * (da - (da * attn).sum(axis=-1, keepdims=True))
-        dmod[lonely] = 0.0
         dt = dmod * ratio
         dratio = (dmod * t).sum(axis=-1, keepdims=True)
         dm = (dt * logits + dratio * inv_len) * valid

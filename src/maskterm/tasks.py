@@ -2,11 +2,10 @@
 classification, with their losses, metrics, and the model that binds the
 encoder and a masking strategy together.
 
-A packed forward records one graph node per stage: the embedding, the
+A packed forward records one graph node per stage: the embedding with the
 input projection, each encoder layer, the masking stage (none for `none`
-and AMOM; ASC ACTM adds three for its pooled aspect vector) and the task
-head, `ate_head` or `asc_head`; a training loss adds one `nll` node per
-forward."""
+and AMOM) and the task head, `ate_head` or `asc_head`; a training loss adds
+one `nll` node per forward, and AMOM one node that sums its rounds."""
 
 from __future__ import annotations
 
@@ -271,9 +270,10 @@ class AbsaModel:
         Each strategy's kernels of `masking` are chained into one fused node.
         AAM's parents are the states and `mask.z`, clipped to [0, max_len]
         with a clamp's gradient. The threshold node's parents are the states,
-        `mask.w_a`, ACTM's alpha (and on ASC input gamma, beta and the pooled
-        aspect vector, against which ACTM weighs attention by relevance);
-        alpha, gamma and beta are parameters, or constants when not learnable."""
+        `mask.w_a`, ACTM's alpha, and on ASC input gamma and beta; ASC ACTM
+        pools the aspect span's states inside the node and weighs attention
+        by relevance to that vector. Alpha, gamma and beta are parameters, or
+        constants when not learnable."""
         cfg = self.mask_cfg
         d_k = self.enc_cfg.hidden
         seg = inp.segments
@@ -301,11 +301,11 @@ class AbsaModel:
             parents += (w["alpha"],)
             relevance = gamma = None
             if inp.aspect_spans is not None:
-                aspect_vec = enc.pool_aspect(states, inp.aspect_spans)
+                aspect_vec, pool_backward = enc.pool_aspect(x, inp.aspect_spans)
                 relevance, relevance_backward = mk.aspect_relevance(
-                    x, attn, aspect_vec.data, w["beta"].data, seg)
+                    x, attn, aspect_vec, w["beta"].data, seg)
                 gamma = w["gamma"].data
-                parents += (w["gamma"], w["beta"], aspect_vec)
+                parents += (w["gamma"], w["beta"])
             tau, tau_backward = mk.actm_threshold(attn, w["alpha"].data, cfg.aggregator,
                                                   relevance, gamma, seg)
         decision = mk.apply_mask(attn, tau, x, protected=inp.protected,
@@ -313,16 +313,19 @@ class AbsaModel:
 
         def backward(g):   # gradients in the order of `parents`
             dattn, dtau, dx = decision.backward(g)
-            weights = []
+            weights, daspect = [], None
             if tau_backward is not None:
                 dattn_tau, dalpha, drelevance, dgamma = tau_backward(dtau)
                 dattn, weights = dattn + dattn_tau, [dalpha]
                 if relevance_backward is not None:
                     dx_rel, dattn_rel, daspect, dbeta = relevance_backward(drelevance)
                     dx, dattn = dx + dx_rel, dattn + dattn_rel
-                    weights += [dgamma, dbeta, daspect]
+                    weights += [dgamma, dbeta]
             dx_attn, dw_a = attn_backward(dattn)
-            return [dx + dx_attn, dw_a] + weights
+            dx = dx + dx_attn
+            if daspect is not None:   # added last, the summation order the pins hold to
+                dx = dx + pool_backward(daspect)
+            return [dx, dw_a] + weights
 
         return ad.fused(decision.masked_states, parents, backward), decision
 
@@ -377,11 +380,12 @@ class AbsaModel:
         (Adam adds its gradient, `training.train` its value to the logged
         loss). AMOM averages each instance's rounds first: `amom` weighs
         every row of instance b by 1/(B * R_b) in each of its R_b rounds, and
-        the rounds' nodes are summed."""
+        one node sums the rounds' nodes."""
         if self.mask_cfg.strategy == "amom":
             rounds: list[Tensor] = []
             self.amom(items, train=train, rng=rng, losses=rounds)
-            return functools.reduce(ad.add, rounds)
+            return ad.fused(functools.reduce(np.add, [r.data for r in rounds]), tuple(rounds),
+                            lambda g: (g,) * len(rounds))
         out = self.forward(items, train=train, rng=rng)
         return nll(out.probs, np.concatenate(self.gold_ids(items)), 1.0 / len(items))
 

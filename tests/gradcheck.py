@@ -1,7 +1,8 @@
-"""Central finite differences against `backward()`; the sum and clamped log
-as graph nodes, which test objectives and oracles use and the model does
-not; and the tiny float64 models on which the gradient checks run every
-task × strategy pair, on one instance and on a packed batch of three."""
+"""Central finite differences against `backward()`; a few `ad.fused` nodes
+that test objectives and oracles build from and the model does not (sums,
+a dot product, a scale and a clamped log); and the tiny float64 models on
+which the gradient checks run every task × strategy pair, on one instance
+and on a packed batch of three."""
 
 import math
 from dataclasses import replace
@@ -30,9 +31,20 @@ CASES = ([(task, strategy, True, packed) for task in ("ate", "asc")
          + [("asc", "actm", False, False)])
 
 
-def tsum(a: ad.Tensor) -> ad.Tensor:
-    """Sum of every entry, as a graph node: a scalar objective for the checks."""
-    return ad.fused(a.data.sum(), (a,), lambda g: (np.full_like(a.data, g),))
+def tsum(*parts: ad.Tensor) -> ad.Tensor:
+    """Sum of every entry of every part, as a graph node: a scalar objective."""
+    return ad.fused(sum(a.data.sum() for a in parts), parts,
+                    lambda g: tuple(np.full_like(a.data, g) for a in parts))
+
+
+def dot(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """sum(a * b) as a graph node; `dot(t, t)` is t's sum of squares."""
+    return ad.fused((a.data * b.data).sum(), (a, b), lambda g: (g * b.data, g * a.data))
+
+
+def scale(a: ad.Tensor, s: float) -> ad.Tensor:
+    """a * s as a graph node, for a Python float s."""
+    return ad.fused(a.data * s, (a,), lambda g: (g * s,))
 
 
 def log_clamped(a: ad.Tensor) -> ad.Tensor:

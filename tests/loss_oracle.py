@@ -1,9 +1,8 @@
-"""The training loss as a graph of generic autodiff ops, one cross-entropy
-per instance and forward, kept as a test oracle for `AbsaModel.loss`: each
-instance's cross-entropy summed over its prediction rows, averaged over the
-AMOM rounds the instance ran (one round without AMOM), then over the batch."""
-
-import functools
+"""The training loss as a graph of one cross-entropy per instance and
+forward, built from the test nodes of `gradcheck`, kept as a test oracle for
+`AbsaModel.loss`: each instance's cross-entropy summed over its prediction
+rows, averaged over the AMOM rounds the instance ran (one round without
+AMOM), then over the batch."""
 
 import numpy as np
 
@@ -12,14 +11,16 @@ from maskterm import autodiff as ad
 from maskterm import masking as mk
 
 
-def cross_entropy(probs: ad.Tensor, gold: np.ndarray) -> ad.Tensor:
-    """Cross-entropy summed over the rows of (m, C) probabilities, one gold class id per row."""
-    picked = probs[(np.arange(len(gold)), gold)]
-    return ad.mul(gc.tsum(gc.log_clamped(picked)), -1.0)
+def cross_entropy(logs: ad.Tensor, rows: slice, gold: np.ndarray) -> ad.Tensor:
+    """Cross-entropy summed over `rows` of a forward's clamped log
+    probabilities, one gold class id per row."""
+    picked = np.zeros_like(logs.data)
+    picked[np.arange(rows.start, rows.stop), gold] = 1.0
+    return gc.scale(gc.dot(logs, ad.Tensor(picked)), -1.0)
 
 
 def _mean(parts: list[ad.Tensor]) -> ad.Tensor:
-    return ad.mul(functools.reduce(ad.add, parts), 1.0 / len(parts))
+    return gc.scale(gc.tsum(*parts), 1.0 / len(parts))
 
 
 def batch_loss(model, items: list, train: bool, rng) -> ad.Tensor:
@@ -31,12 +32,10 @@ def batch_loss(model, items: list, train: bool, rng) -> ad.Tensor:
     def forward(masked):
         out = model.forward([items[b] for b in masked], train=train, rng=rng,
                             masked_content=[frozenset(m) for m in masked.values()])
-        probs = []
+        logs = gc.log_clamped(out.probs)
         for b, start, n in zip(masked, out.rows.offsets, out.rows.lengths):
-            rows = out.probs[start:start + n]
-            per_instance[b].append(cross_entropy(rows, gold[b]))
-            probs.append(rows.data)
-        return probs
+            per_instance[b].append(cross_entropy(logs, slice(start, start + n), gold[b]))
+        return np.split(out.probs.data, out.rows.offsets[1:])
 
     if model.mask_cfg.strategy == "amom":
         mk.amom_regenerate(forward, model.mask_cfg, model._maskable(items), gold)

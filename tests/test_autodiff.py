@@ -12,70 +12,32 @@ TABLE_SCORES = [0.0460, 0.1082, 0.0561, 0.0867, 0.0775, 0.0323, 0.0265,
                 0.0319, 0.0275, 0.0977, 0.0794, 0.0413, 0.0648, 0.0493]
 
 
-def matmul(a, b):
-    """a @ b through `affine` with a zero bias."""
-    a, b = ad.as_tensor(a), ad.as_tensor(b)
-    return ad.affine(a, b, np.zeros(b.data.shape[1]))
-
-
-class TestMatmul:
-    """The matrix product of `affine`."""
-
-    def test_identity(self):
-        out = matmul(ad.Tensor(np.eye(2)), ad.Tensor([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.allclose(out.data, [[1, 2], [3, 4]])
-
-    def test_selector_row(self):
-        out = matmul(ad.Tensor([[1.0, 0.0]]), ad.Tensor([[5.0], [7.0]]))
-        assert out.data.shape == (1, 1) and out.data[0, 0] == 5.0
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(3)
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
-        ref = np.zeros((3, 2))
-        for i in range(3):
-            for j in range(2):
-                for k in range(4):
-                    ref[i, j] += a[i, k] * b[k, j]
-        assert np.allclose(matmul(ad.Tensor(a), ad.Tensor(b)).data, ref, atol=1e-12)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 2))))
-
-    def test_gradients_flow_to_both(self):
-        a = ad.Tensor(np.ones((2, 2)), requires_grad=True)
-        b = ad.Tensor(np.ones((2, 2)), requires_grad=True)
-        ad.backward(gc.tsum(matmul(a, b)))
-        assert np.allclose(a.grad, 2.0) and np.allclose(b.grad, 2.0)
-
-
 class TestSoftmax:
+    """`softmax_kernel`, the plain-array softmax of the task heads."""
+
+    @staticmethod
+    def softmax(v):
+        return ad.softmax_kernel(np.asarray(v, dtype=np.float64))[0]
+
     def test_uniform(self):
-        out = ad.softmax(ad.Tensor([0.0, 0.0, 0.0]))
-        assert np.allclose(out.data, 1.0 / 3.0)
+        assert np.allclose(self.softmax([0.0, 0.0, 0.0]), 1.0 / 3.0)
 
     def test_ln2_case(self):
-        out = ad.softmax(ad.Tensor([math.log(2.0), 0.0]))
-        assert np.allclose(out.data, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+        assert np.allclose(self.softmax([math.log(2.0), 0.0]), [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
     def test_large_logits_no_overflow(self):
-        out = ad.softmax(ad.Tensor([1000.0, 0.0]))
-        assert np.isfinite(out.data).all()
-        assert out.data[0] > 0.999999 and out.data[1] < 1e-6
+        out = self.softmax([1000.0, 0.0])
+        assert np.isfinite(out).all()
+        assert out[0] > 0.999999 and out[1] < 1e-6
 
     def test_sums_to_one_and_permutation_equivariant(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             v = rng.normal(scale=5.0, size=rng.integers(1, 20))
-            out = ad.softmax(ad.Tensor(v)).data
+            out = self.softmax(v)
             assert abs(out.sum() - 1.0) <= 1e-9
             perm = rng.permutation(v.size)
-            assert np.allclose(ad.softmax(ad.Tensor(v[perm])).data, out[perm], atol=1e-12)
-
-    def test_empty_axis_rejected(self):
-        with pytest.raises(DimensionError):
-            ad.softmax(ad.Tensor(np.zeros((0,))))
+            assert np.allclose(self.softmax(v[perm]), out[perm], atol=1e-12)
 
 
 def aggregate(scores, kind):
@@ -140,49 +102,50 @@ class TestAggregate:
         assert np.isfinite(dattn).all() and not dattn.any()
 
 
-def _smooth(z):
-    """log(z^2 + 1): a smooth nonlinearity of package ops and the checks' log."""
-    return gc.log_clamped(ad.add(ad.mul(z, z), 1.0))
+def _node(kernel, t, *args):
+    """A one-parent plain-array kernel, (out, backward), as a fused node."""
+    out, backward = kernel(t.data, *args)
+    return ad.fused(out, (t,), lambda g: (backward(g),))
 
 
 class TestBackward:
     def test_square(self):
         x = ad.Tensor(3.0, requires_grad=True)
-        ad.backward(ad.mul(x, x))
+        ad.backward(gc.dot(x, x))
         assert x.grad == pytest.approx(6.0)
 
     def test_constant_function_zero_grad(self):
         v = ad.Tensor([0.4, -1.0, 2.2], requires_grad=True)
-        ad.backward(gc.tsum(ad.softmax(v)))
+        ad.backward(gc.tsum(_node(ad.softmax_kernel, v)))
         assert np.allclose(v.grad, 0.0, atol=1e-12)
 
     def test_two_layer_composition_matches_finite_differences(self):
+        """A layer norm node (three parents) and GELU, then a softmax node,
+        with the input reaching the objective twice."""
         rng = np.random.default_rng(7)
         params = ad.ParamStore()
-        w1 = params.add("w1", rng.normal(size=(3, 4)))
-        b1 = params.add("b1", rng.normal(size=4))
-        w2 = params.add("w2", rng.normal(size=(4, 2)))
-        b2 = params.add("b2", rng.normal(size=2))
-        x = ad.Tensor(rng.normal(size=(2, 3)))
+        x = params.add("x", rng.normal(size=(2, 4)))
+        gain = params.add("gain", rng.normal(size=4))
+        bias = params.add("bias", rng.normal(size=4))
 
         def f():
-            h = _smooth(ad.affine(x, w1, b1))
-            p = ad.softmax(ad.affine(h, w2, b2), axis=-1)
-            return gc.tsum(ad.mul(p, p))
+            out, backward = ad.layer_norm(x.data, gain.data, bias.data, 1e-5)
+            p = _node(ad.softmax_kernel, _node(ad.gelu, ad.fused(out, (x, gain, bias), backward)))
+            return gc.tsum(gc.dot(p, p), gc.dot(x, p))
 
         assert gc.finite_difference_check(f, params, h=1e-5) < 1e-6
 
     def test_accumulation_without_reset(self):
         x = ad.Tensor(2.0, requires_grad=True)
-        ad.backward(ad.mul(x, x))
-        ad.backward(ad.mul(x, x))
+        ad.backward(gc.dot(x, x))
+        ad.backward(gc.dot(x, x))
         assert x.grad == pytest.approx(8.0)
 
     def test_gradient_handed_to_two_leaves_stays_apart(self):
         a = ad.Tensor([1.0, 2.0], requires_grad=True)
         b = ad.Tensor([3.0, 4.0], requires_grad=True)
-        shared = ad.add(a, b)   # its backward gives both leaves one array
-        ad.backward(gc.tsum(ad.add(ad.add(shared, ad.mul(a, 2.0)), ad.mul(a, 3.0))))
+        shared = ad.fused(a.data + b.data, (a, b), lambda g: (g, g))   # one array to both leaves
+        ad.backward(gc.tsum(shared, gc.scale(a, 2.0), gc.scale(a, 3.0)))
         assert np.array_equal(a.grad, [6.0, 6.0]) and np.array_equal(b.grad, [1.0, 1.0])
 
     def test_linearity_on_random_graphs(self):
@@ -190,27 +153,30 @@ class TestBackward:
         for _ in range(20):
             base = rng.normal(size=4)
             x = ad.Tensor(base, requires_grad=True)
-            ad.backward(ad.add(gc.tsum(ad.mul(x, x)), gc.tsum(_smooth(x))))
+            ad.backward(gc.tsum(gc.dot(x, x), _node(ad.gelu, x)))
             joint = x.grad.copy()
             x.grad = None
-            ad.backward(gc.tsum(ad.mul(x, x)))
+            ad.backward(gc.dot(x, x))
             g1 = x.grad.copy()
             x.grad = None
-            ad.backward(gc.tsum(_smooth(x)))
+            ad.backward(gc.tsum(_node(ad.gelu, x)))
             assert np.allclose(joint, g1 + x.grad, atol=1e-12)
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ContractError):
             ad.backward(ad.Tensor([1.0, 2.0], requires_grad=True))
 
+    def test_no_record_without_a_gradient_or_under_no_grad(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        assert not gc.scale(ad.Tensor([1.0, 2.0]), 2.0).requires_grad
+        with ad.no_grad():
+            out = gc.scale(x, 2.0)
+        assert not out.requires_grad and out._parents == ()
+
 
 def _sum_of_squares(params):
     """Sum of squares of every entry, as a graph."""
-    parts = [gc.tsum(ad.mul(t, t)) for t in params.tensors()]
-    total = parts[0]
-    for part in parts[1:]:
-        total = ad.add(total, part)
-    return total
+    return gc.tsum(*(gc.dot(t, t) for t in params.tensors()))
 
 
 class TestFiniteDifference:
@@ -232,17 +198,17 @@ class TestFiniteness:
     def test_finite_inputs_finite_outputs(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
-            v = ad.Tensor(rng.normal(scale=100.0, size=6))
-            m = ad.Tensor(rng.normal(scale=100.0, size=(6, 6)))
+            v = rng.normal(scale=100.0, size=6)
+            m = rng.normal(scale=100.0, size=(6, 6))
             for out in (
-                ad.softmax(v),
-                gc.log_clamped(ad.Tensor(np.abs(v.data))),
-                ad.Tensor(ad.gelu(v.data)[0]),
-                gc.log_clamped(ad.softmax(m, axis=-1)),
-                ad.affine(m, m, v),
-                gc.tsum(ad.mul(m, m)),
+                ad.softmax_kernel(v)[0],
+                gc.log_clamped(ad.Tensor(np.abs(v))).data,
+                ad.gelu(v)[0],
+                gc.log_clamped(ad.Tensor(ad.softmax_kernel(m, axis=-1)[0])).data,
+                ad.layer_norm(m, v, v, 1e-12)[0],
+                gc.dot(ad.Tensor(m), ad.Tensor(m)).data,
             ):
-                assert np.isfinite(out.data).all()
+                assert np.isfinite(out).all()
 
 
 class TestParamStore:

@@ -53,33 +53,54 @@ class TestConfig:
             enc.EncoderConfig(dropout_rate=0.9999999)
 
 
+@pytest.fixture(scope="module")
+def unprojected(small_setup):
+    """`small_setup` with an identity input projection, W = eye(d_in, hidden)
+    and b = 0: the first d_in columns of `embed_tokens` are then exactly its
+    rows before the projection, and the other columns zero."""
+    examples, vocab, cfg, _ = small_setup
+    params = ad.ParamStore()
+    enc.init_encoder_params(params, cfg, np.random.default_rng(0))
+    params["enc.in_proj.W"].data = np.eye(cfg.d_in, cfg.hidden)
+    return examples, vocab, cfg, params
+
+
 class TestEmbed:
     def test_shape_contract(self, small_setup):
         examples, vocab, cfg, params = small_setup
         inp = enc.pack_inputs(vocab, [examples[0]])
         emb = enc.embed_tokens(params, cfg, inp)
-        assert emb.data.shape == (len(examples[0]) + 2, cfg.d_in)
+        assert emb.data.shape == (len(examples[0]) + 2, cfg.hidden)
 
-    def test_rows_are_word_and_pos_parts_only(self, small_setup):
+    def test_rows_are_word_and_pos_parts_only(self, unprojected):
         """Each row is its word embedding plus the position signal, then its
         POS embedding (zero at [CLS]/[SEP]), and nothing more."""
-        examples, vocab, cfg, params = small_setup
+        examples, vocab, cfg, params = unprojected
         inp = enc.pack_inputs(vocab, [examples[0]])
         emb = enc.embed_tokens(params, cfg, inp).data
         word = params["emb.word"].data[inp.token_ids] + enc.sinusoidal_encoding(len(inp), cfg.d_w)
         pos = params["emb.pos"].data[inp.pos_ids] * ~inp.special[:, None]
-        assert np.array_equal(emb, np.hstack([word, pos]))
+        assert np.array_equal(emb[:, :cfg.d_in], np.hstack([word, pos]))
+        assert not emb[:, cfg.d_in:].any()
 
-    def test_identical_tokens_differ_only_in_position_slice(self, small_setup):
-        _, vocab, cfg, params = small_setup
+    def test_projection_is_the_input_affine_map(self, small_setup, unprojected):
+        """The output is the unprojected rows times `enc.in_proj.W` plus `enc.in_proj.b`."""
+        examples, vocab, cfg, params = small_setup
+        inp = enc.pack_inputs(vocab, examples[:2])
+        rows = enc.embed_tokens(unprojected[3], cfg, inp).data[:, :cfg.d_in]
+        want = rows @ params["enc.in_proj.W"].data + params["enc.in_proj.b"].data
+        assert np.array_equal(enc.embed_tokens(params, cfg, inp).data, want)
+
+    def test_identical_tokens_differ_only_in_position_slice(self, unprojected):
+        _, vocab, cfg, params = unprojected
         ex = corpus.make_example("steak steak", [])
         emb = enc.embed_tokens(params, cfg, enc.pack_inputs(vocab, [ex])).data
         diff = emb[1] - emb[2]
         assert np.abs(diff[:cfg.d_w]).max() > 0
         assert np.allclose(diff[cfg.d_w:], 0.0)
 
-    def test_special_positions_have_zero_pos_part(self, small_setup):
-        examples, vocab, cfg, params = small_setup
+    def test_special_positions_have_zero_pos_part(self, unprojected):
+        examples, vocab, cfg, params = unprojected
         inp = enc.pack_inputs(vocab, [examples[0]])
         emb = enc.embed_tokens(params, cfg, inp).data
         pos_slice = emb[:, cfg.d_w:cfg.d_w + cfg.d_p]
@@ -107,8 +128,8 @@ class TestEmbed:
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1.0
 
-    def test_hidden_rows_are_zero_and_the_rest_unchanged(self, small_setup):
-        examples, vocab, cfg, params = small_setup
+    def test_hidden_rows_are_zero_and_the_rest_unchanged(self, unprojected):
+        examples, vocab, cfg, params = unprojected
         inp = enc.pack_inputs(vocab, examples[:2])
         plain = enc.embed_tokens(params, cfg, inp).data
         hidden = enc.embed_tokens(params, cfg, inp, [frozenset({0}), frozenset({1, 2})]).data
@@ -117,9 +138,20 @@ class TestEmbed:
         others = np.setdiff1d(np.arange(len(inp)), rows)
         assert np.array_equal(hidden[others], plain[others])
 
+    def test_hidden_rows_project_to_the_bias(self, small_setup):
+        """A hidden row is zero before the projection, so `enc.in_proj.b` after it."""
+        examples, vocab, cfg, _ = small_setup
+        params = ad.ParamStore()
+        enc.init_encoder_params(params, cfg, np.random.default_rng(0))
+        params["enc.in_proj.b"].data = np.random.default_rng(1).normal(size=cfg.hidden)
+        inp = enc.pack_inputs(vocab, examples[:1])
+        out = enc.embed_tokens(params, cfg, inp, [frozenset({1})]).data
+        assert np.array_equal(out[inp.content_positions[1]], params["enc.in_proj.b"].data)
+
     def test_kernel_matches_central_differences(self):
-        """Word and POS gradients through the position signal, the specials'
-        zeroed POS part and AMOM's hidden rows, in float64 on a tiny batch."""
+        """Word, POS and input-projection gradients through the position
+        signal, the specials' zeroed POS part and AMOM's hidden rows, in
+        float64 on a tiny batch."""
         examples = [corpus.make_example("the steak was great", []),
                     corpus.make_example("steak steak", [])]
         vocab = enc.Vocab.build(examples)
@@ -129,12 +161,12 @@ class TestEmbed:
         enc.init_encoder_params(params, cfg, np.random.default_rng(7))
         inp = enc.pack_inputs(vocab, examples)
         masked = [frozenset({2}), frozenset({0})]   # "was", and one of two "steak"s
-        coeff = Tensor(np.random.default_rng(8).normal(size=(len(inp), cfg.d_in)))
+        coeff = Tensor(np.random.default_rng(8).normal(size=(len(inp), cfg.hidden)))
 
         def objective():
-            return gc.tsum(ad.mul(enc.embed_tokens(params, cfg, inp, masked), coeff))
+            return gc.dot(enc.embed_tokens(params, cfg, inp, masked), coeff)
 
-        names = ["emb.word", "emb.pos"]
+        names = ["emb.word", "emb.pos", "enc.in_proj.W", "enc.in_proj.b"]
         assert gc.finite_difference_check(objective, params, names=names) < 1e-4
         params.zero_grad()
         ad.backward(objective())
@@ -163,8 +195,7 @@ class TestEncode:
         examples, vocab, cfg, params = small_setup
         inputs = [enc.pack_inputs(vocab, [ex]) for ex in examples[:4]]
         for inp in inputs + [enc.pack_inputs(vocab, examples[:4])]:
-            emb = enc.embed_tokens(params, cfg, inp).data
-            x = emb @ params["enc.in_proj.W"].data + params["enc.in_proj.b"].data
+            x = enc.embed_tokens(params, cfg, inp).data
             q, k = x @ params["enc.L0.Wq"].data, x @ params["enc.L0.Wk"].data
             out, _ = ad.multi_head_attention(q, k, np.ones_like(x), cfg.n_heads,
                                              1.0 / np.sqrt(cfg.d_k), segments=inp.segments)
@@ -173,7 +204,7 @@ class TestEncode:
     def test_permutation_equivariance_without_positions(self, small_setup):
         _, _, cfg, params = small_setup
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(6, cfg.d_in))
+        x = rng.normal(size=(6, cfg.hidden))
         perm = rng.permutation(6)
         out = enc.encode(params, cfg, Tensor(x)).data
         out_p = enc.encode(params, cfg, Tensor(x[perm])).data
@@ -367,7 +398,7 @@ def _packed_block_case(train: bool):
     emb = enc.embed_tokens(params, cfg, inp)
     states = enc.encode(params, cfg, emb, train_mode=train, rng=np.random.default_rng(43),
                         segments=inp.segments)
-    ad.backward(gc.tsum(ad.mul(states, Tensor(rng.normal(size=states.data.shape)))))
+    ad.backward(gc.dot(states, Tensor(rng.normal(size=states.data.shape))))
     return cfg, params, emb, states
 
 
@@ -382,7 +413,7 @@ class TestBlock:
     @pytest.mark.parametrize("train", [True, False])
     def test_one_node_per_layer(self, train):
         cfg, _, emb, states = _packed_block_case(train)
-        assert _graph_nodes(states, emb) == cfg.n_layers + 1
+        assert _graph_nodes(states, emb) == cfg.n_layers   # n_layers + 1 with the projection apart
 
 
 # Bytes the graph of `TestSavedState._asc_batch` held before backward when the
@@ -488,21 +519,38 @@ class TestLayerNorm:
 
 
 class TestPoolAspect:
+    """The span-mean kernel ACTM's threshold node chains in on ASC."""
+
     def test_single_row(self):
-        states = Tensor(np.arange(12.0).reshape(3, 4))
-        assert np.array_equal(enc.pool_aspect(states, [(1, 1)]).data[0], states.data[1])
+        states = np.arange(12.0).reshape(3, 4)
+        assert np.array_equal(enc.pool_aspect(states, [(1, 1)])[0][0], states[1])
 
     def test_mean_idempotent_on_identical_rows(self):
-        states = Tensor(np.tile([1.0, 2.0], (3, 1)))
-        assert np.allclose(enc.pool_aspect(states, [(0, 2)]).data[0], [1.0, 2.0])
+        states = np.tile([1.0, 2.0], (3, 1))
+        assert np.allclose(enc.pool_aspect(states, [(0, 2)])[0][0], [1.0, 2.0])
 
     def test_hand_mean(self):
-        states = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.allclose(enc.pool_aspect(states, [(0, 1)]).data[0], [0.5, 0.5])
+        states = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert np.allclose(enc.pool_aspect(states, [(0, 1)])[0][0], [0.5, 0.5])
 
     def test_empty_span_rejected(self):
         with pytest.raises(ContractError):
-            enc.pool_aspect(Tensor(np.zeros((3, 2))), [(2, 1)])
+            enc.pool_aspect(np.zeros((3, 2)), [(2, 1)])
+
+    def test_backward_matches_central_differences(self):
+        """Overlapping spans of different lengths, in float64."""
+        rng = np.random.default_rng(12)
+        states, spans = rng.normal(size=(6, 3)), [(1, 3), (2, 2), (0, 5)]
+        coeffs = rng.normal(size=(3, 3))
+        h, central = 1e-6, np.zeros_like(states)
+        for i in np.ndindex(states.shape):
+            step = np.zeros_like(states)
+            step[i] = h
+            up = (coeffs * enc.pool_aspect(states + step, spans)[0]).sum()
+            down = (coeffs * enc.pool_aspect(states - step, spans)[0]).sum()
+            central[i] = (up - down) / (2 * h)
+        np.testing.assert_allclose(enc.pool_aspect(states, spans)[1](coeffs), central,
+                                   rtol=1e-6, atol=1e-8)
 
 
 class TestGradFlow:
@@ -518,8 +566,7 @@ class TestGradFlow:
         target = Tensor(np.random.default_rng(3).normal(size=(len(ex) + 2, 8)))
 
         def f():
-            d = ad.add(enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp)), -target.data)
-            return gc.tsum(ad.mul(d, d))
+            return gc.dot(enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp)), target)
 
         assert gc.finite_difference_check(f, params) < 1e-4
 
@@ -536,8 +583,7 @@ class TestGradFlow:
         def f():   # the same dropout masks on every call
             states = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp), train_mode=True,
                                 rng=np.random.default_rng(4), segments=inp.segments)
-            d = ad.add(states, -target.data)
-            return gc.tsum(ad.mul(d, d))
+            return gc.dot(states, target)
 
         names = [n for n in params.names() if n.startswith("enc.")]
         assert gc.finite_difference_check(f, params, names=names) < 1e-4

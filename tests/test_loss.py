@@ -1,6 +1,7 @@
 """`AbsaModel.loss`, one fused negative-log-likelihood node per packed
 forward, against the per-instance loss graph of `loss_oracle`."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -107,14 +108,18 @@ def test_amom_training_batch_graph_stays_small():
 
 
 # Non-leaf nodes of a 32-instance float32 training loss (two encoder layers,
-# as the default encoder has). Per packed forward: the embedding, the input
-# projection, one node per layer, the masking stage but for `none` and AMOM,
-# the head and the loss; ASC ACTM adds the three of its pooled aspect vector,
-# and AMOM sums its three rounds' loss nodes with two adds. The comments give
-# the counts from before the embedding and the heads were one node each.
+# as the default encoder has). Per packed forward: the embedding with the
+# input projection, one node per layer, the masking stage but for `none` and
+# AMOM, the head and the loss; AMOM sums its three rounds' loss nodes in one
+# more. Before, in the order none, fixed, actm, aam, amom:
+# - with the input projection, ASC ACTM's pooled aspect vector (three nodes)
+#   and AMOM's round sum (two adds) as generic nodes: ATE 6, 7, 7, 7, 20 and
+#   ASC 6, 7, 10, 7, 20;
+# - before that, when the embedding and the heads were not one node each:
+#   ATE 12, 13, 13, 13, 40 and ASC 16, 17, 20, 17, 52.
 NON_LEAF_NODES = {
-    "ate": {"none": 6, "fixed": 7, "actm": 7, "aam": 7, "amom": 20},    # 12, 13, 13, 13, 40
-    "asc": {"none": 6, "fixed": 7, "actm": 10, "aam": 7, "amom": 20},   # 16, 17, 20, 17, 52
+    "ate": {"none": 5, "fixed": 6, "actm": 6, "aam": 6, "amom": 16},
+    "asc": {"none": 5, "fixed": 6, "actm": 6, "aam": 6, "amom": 16},
 }
 
 
@@ -127,6 +132,32 @@ def test_training_graph_has_one_node_per_forward_stage(task, strategy):
     model = make_model(task, strategy, data, np.float32)
     loss = model.loss(items, train=True, rng=np.random.default_rng(9))
     assert graph_nodes(loss, leaves=False) == NON_LEAF_NODES[task][strategy]
+
+
+def test_amom_rounds_sum_in_one_node():
+    """AMOM's loss is one node over its forwards' `nll` nodes: their sum,
+    whose backward hands each the same gradient."""
+    data = examples(6)
+    model = make_model("ate", "amom", data)
+    loss = model.loss(data, train=False)
+    rounds = loss._parents
+    assert len(rounds) == 1 + model.mask_cfg.amom_iterations
+    assert float(loss.data) == float(functools.reduce(np.add, [r.data for r in rounds]))
+    assert all(r._parents[0]._parents for r in rounds)   # each over its forward's probabilities
+
+
+@pytest.mark.parametrize("task", tasks.TASKS)
+def test_threshold_node_pools_the_aspect_itself(task):
+    """ACTM's threshold node has the encoder's states and the strategy's
+    weights for parents; on ASC the pooled aspect vector stays inside it."""
+    data = examples(6)
+    model = make_model(task, "actm", data)
+    head = model.forward(items_for(task, data)[:3]).probs
+    threshold = head._parents[1] if task == "asc" else head._parents[0]
+    weights = ["mask.w_a", "mask.alpha"] + (["mask.gamma", "mask.beta"] if task == "asc" else [])
+    assert threshold._parents[1:] == tuple(model.params[w] for w in weights)
+    if task == "asc":   # the head reads the encoder's states for [CLS] as well
+        assert threshold._parents[0] is head._parents[0]
 
 
 class TestNll:

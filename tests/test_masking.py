@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 import aam_oracle as oracle
-import gradcheck as gc
 from maskterm import autodiff as ad
 from maskterm import masking as mk
-from maskterm.autodiff import Tensor
 from maskterm.exceptions import ContractError
 
 TABLE_TOKENS = ["the", "steak", "was", "incredibly", "tender", "and", "flavor",
@@ -116,7 +114,7 @@ class TestAspectRelevance:
         for _ in range(100):
             n = int(rng.integers(1, 20))
             states = rng.normal(size=(n, 5))
-            attn = ad.softmax(Tensor(rng.normal(size=n))).data
+            attn = ad.softmax_kernel(rng.normal(size=n))[0]
             rel, _ = mk.aspect_relevance(states, attn, rng.normal(size=5), float(rng.normal()))
             assert abs(rel.sum() - 1.0) <= 1e-9
 
@@ -215,7 +213,7 @@ class TestApplyMask:
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = int(rng.integers(2, 20))
-            attn = ad.softmax(Tensor(rng.normal(size=n))).data
+            attn = ad.softmax_kernel(rng.normal(size=n))[0]
             tau = rng.uniform(0, 2.0 / n, size=n)
             states = rng.normal(size=(n, 3))
             decision = mk.apply_mask(attn, tau, states)
@@ -339,19 +337,18 @@ class TestKernelGradients:
     @pytest.mark.parametrize("z", [1.3, -2.5], ids=["ramp", "empty-support"])
     def test_aam_remix(self, z):
         """z = 1.3 puts distances 2 and 3 on the ramp, away from its kinks.
-        z = -2.5 leaves every row with an empty support: each copies itself,
-        and z gets no gradient."""
+        z = -2.5 would leave every row with an empty support: refused."""
         rng, states, _ = self.draws(4)
         z, coeffs = np.array(z), rng.normal(size=(10, 3))
 
         def f(states, z):
             return mk.aam_remix(states, z, 2.0, 3, self.SEG)
 
-        out, backward = f(states, z)
-        dstates, dz = backward(coeffs)
-        if z < -2.0:
-            assert np.array_equal(out, states) and np.array_equal(dstates, coeffs)
-            assert dz == 0.0
+        if z <= -2.0:
+            with pytest.raises(ContractError, match="must exceed -ramp"):
+                f(states, z)
+            return
+        dstates, dz = f(states, z)[1](coeffs)
         assert_gradients([dstates, dz],
                          central_differences(lambda *x: f(*x)[0], [states, z], coeffs))
 
@@ -395,9 +392,9 @@ class TestAamAttention:
     def test_saturated_mask_equals_plain_softmax(self):
         rng = np.random.default_rng(0)
         scores = rng.normal(size=6)
-        weights = oracle.aam_attention(2, Tensor(scores), z=10.0, ramp=2.0)
+        weights = oracle.aam_attention(2, scores, z=10.0, ramp=2.0)
         expect = np.exp(scores) / np.exp(scores).sum()
-        assert np.allclose(weights.data, expect, atol=1e-12)
+        assert np.allclose(weights, expect, atol=1e-12)
 
     def test_probability_vector_with_zero_support(self):
         rng = np.random.default_rng(1)
@@ -406,7 +403,7 @@ class TestAamAttention:
             p = int(rng.integers(n))
             z = float(rng.uniform(0, 4))
             ramp = float(rng.uniform(0.5, 3))
-            weights = oracle.aam_attention(p, Tensor(rng.normal(size=n)), z=z, ramp=ramp).data
+            weights = oracle.aam_attention(p, rng.normal(size=n), z=z, ramp=ramp)
             assert abs(weights.sum() - 1.0) <= 1e-9
             distances = np.abs(np.arange(n) - p)
             outside = oracle.aam_soft_mask(distances, z, ramp) == 0.0
@@ -423,20 +420,14 @@ class TestAamAttention:
         logits = scores * m * ratio
         expect = np.exp(logits - logits.max())
         expect /= expect.sum()
-        got = oracle.aam_attention(p, Tensor(scores), z=z, ramp=ramp).data
+        got = oracle.aam_attention(p, scores, z=z, ramp=ramp)
         assert np.allclose(got, expect, atol=1e-12)
 
-    def test_differentiable_in_ramp_region(self):
-        params = ad.ParamStore()
-        z = params.add("z", 1.3)
-        scores = Tensor(np.array([0.2, 0.5, -0.1, 0.8, 0.05]))
-        coeff = Tensor(np.array([1.0, -2.0, 0.5, 3.0, 1.5]))
-
-        def f():
-            w = oracle.aam_attention(1, scores, z=z, ramp=2.0)
-            return gc.tsum(ad.mul(w, coeff))
-
-        assert gc.finite_difference_check(f, params) < 1e-4
+    def test_empty_support_refused(self):
+        """At z = -ramp the query's own key leaves the mask, as every other does."""
+        with pytest.raises(ContractError, match="must exceed -ramp"):
+            oracle.aam_attention(0, np.zeros(3), z=-2.0, ramp=2.0)
+        assert oracle.aam_attention(0, np.zeros(3), z=-1.9, ramp=2.0).tolist() == [1.0, 0.0, 0.0]
 
 
 class TestAmomPieces:

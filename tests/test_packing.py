@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import aam_oracle as oracle
+import gradcheck as gc
 from maskterm import autodiff as ad
 from maskterm import corpus
 from maskterm import encoder as enc
 from maskterm import masking as mk
 from maskterm import tasks
 from maskterm import training
-from maskterm.autodiff import Tensor
 from maskterm.corpus import AspectAnnotation
 from maskterm.exceptions import ContractError, DimensionError
 
@@ -67,8 +67,8 @@ def loss_and_grads(model, config, batches, train, seed):
     model.params.zero_grad()
     total = 0.0
     for batch in batches:
-        loss = ad.mul(training.batch_loss(model, config, batch, train=train, rng=rng),
-                      1.0 / len(batches))
+        loss = gc.scale(training.batch_loss(model, config, batch, train=train, rng=rng),
+                        1.0 / len(batches))
         ad.backward(loss)
         total += float(loss.data)
     return total, {name: t.grad.copy() for name, t in model.params.items() if t.grad is not None}
@@ -349,12 +349,14 @@ def test_aam_stage_unchanged(key, monkeypatch):
 @pytest.mark.parametrize("task", ["ate", "asc"])
 def test_aam_span_outside_its_range_is_clipped_and_gets_no_gradient(task):
     """mask.z below 0 or above max_len acts as the nearer bound, and its
-    gradient is exactly 0 while the encoder's is not."""
+    gradient is exactly 0 while the encoder's is not. At or below -ramp,
+    where `aam_remix` itself refuses the span, the model still runs."""
     examples = batch_examples()
     model, config = make_model(task, "aam", "mean", examples)
     items = items_for(task, examples)
     z = model.params["mask.z"]
-    for outside, bound in ((-0.5, 0.0), (model.enc_cfg.max_len + 3.0, model.enc_cfg.max_len)):
+    for outside, bound in ((-0.5, 0.0), (-model.mask_cfg.aam_ramp - 3.0, 0.0),
+                           (model.enc_cfg.max_len + 3.0, model.enc_cfg.max_len)):
         z.data = np.array(bound)
         at_bound = float(training.batch_loss(model, config, items, train=False, rng=None).data)
         z.data = np.array(outside)
@@ -645,14 +647,15 @@ class TestAamRemix:
         z, ramp, d_k = 1.4, 2.0, 4
         unit = states / np.linalg.norm(states, axis=1, keepdims=True)
         logits = unit @ unit.T * np.sqrt(d_k)
-        rows = np.stack([oracle.aam_attention(p, Tensor(logits[p]), z, ramp).data for p in range(7)])
+        rows = np.stack([oracle.aam_attention(p, logits[p], z, ramp) for p in range(7)])
         got, _ = mk.aam_remix(states, z, ramp, d_k)
         assert np.abs(got - rows @ states).max() <= 1e-12
 
-    def test_empty_support_copies_the_row(self):
+    def test_empty_support_refused(self):
+        """At z <= -ramp no row keeps its own key; the model clips z to >= 0."""
         states = np.random.default_rng(3).normal(size=(4, 3))
-        got, _ = mk.aam_remix(states, -5.0, 2.0, 3)
-        assert np.array_equal(got, states)
+        with pytest.raises(ContractError, match="must exceed -ramp"):
+            mk.aam_remix(states, -5.0, 2.0, 3)
 
     def test_packed_rows_stay_in_their_sequence(self):
         rng = np.random.default_rng(4)

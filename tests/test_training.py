@@ -181,9 +181,8 @@ class TestAdam:
         lam = config.l2_lambda
 
         loss = training.batch_loss(model, config, batch, train=False, rng=None)
-        for t in model.params.tensors():
-            loss = ad.add(loss, ad.mul(gc.tsum(ad.mul(t, t)), lam / 2.0))
-        ad.backward(loss)
+        l2 = [gc.scale(gc.dot(t, t), lam / 2.0) for t in model.params.tensors()]
+        ad.backward(gc.tsum(loss, *l2))
         expected = {name: t.grad.copy() for name, t in model.params.items()}
 
         model.params.zero_grad()
