@@ -74,19 +74,8 @@ class Tensor:
         self._parents: tuple = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 class Segments:

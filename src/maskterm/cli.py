@@ -36,6 +36,8 @@ def config_from_dict(raw: dict) -> training.TrainConfig:
     data = dict(raw)
     encoder_raw = data.pop("encoder", {})
     values = training.typed_values("config", data, CONFIG_DEFAULTS)
+    if isinstance(encoder_raw, dict) and "vocab_size" in encoder_raw:
+        raise ConfigError("encoder.vocab_size is set by training from its vocabulary")
     enc_values = training.typed_values("encoder config", encoder_raw, asdict(enc.EncoderConfig()))
     mask_cfg = mk.MaskConfig(**{f.name: values[key] for key, f in _MASK_FIELDS.items()})
     return training.TrainConfig(**{key: values[key] for key in _TRAIN_FIELDS},

@@ -9,8 +9,8 @@ the hidden width as one graph node, which also zeroes the rows AMOM hides.
 `encode` returns the final states, one Tensor. Each layer is one graph
 node: `_block` runs the layer on plain arrays through the autodiff kernels
 and hands its gradients back in one hand-written backward; the attention
-probabilities stay inside that node, for its backward only. `pool_aspect`
-is a plain-array kernel too, which ACTM's threshold node chains in.
+probabilities stay inside that node, for its backward only. `pool_rows`
+is a plain-array kernel too, which ACTM's threshold node and `asc_head` chain in.
 
 In training, dropout masks are boolean keep-masks (one byte an entry). Each
 flag comes from a 16-bit lane of the generator's raw 64-bit words, read
@@ -448,15 +448,15 @@ def aspect_rows(spans, n: int) -> tuple[np.ndarray, ad.Segments]:
     return starts[seg.ids] + seg.positions, seg
 
 
-def pool_aspect(states: np.ndarray, spans):
-    """Mean of the state rows covering each inclusive (start, end) span, one
-    output row per span. Returns (vec, backward), backward(g) -> dstates."""
-    rows, seg = aspect_rows(spans, states.shape[0])
-    inv = (1.0 / seg.lengths).astype(states.dtype)[:, None]
+def pool_rows(states: np.ndarray, rows: np.ndarray, seg: ad.Segments, divisor: np.ndarray):
+    """The `rows` of `states`, one segment of `seg` per output row, summed
+    and divided by that segment's `divisor`; with `seg.lengths` as divisor,
+    each segment's mean. Returns (pooled, backward), backward(g) -> dstates."""
+    scale = (1.0 / divisor).astype(states.dtype)[:, None]
 
     def backward(g):
         dstates = np.zeros_like(states)
-        np.add.at(dstates, rows, (g * inv)[seg.ids])
+        np.add.at(dstates, rows, (g * scale)[seg.ids])
         return dstates
 
-    return seg.sum(states[rows]) * inv, backward
+    return seg.sum(states[rows]) * scale, backward

@@ -19,11 +19,13 @@ Three adaptive families plus a fixed-threshold baseline:
     the sentence tokens outside its aspect) hides them from left to right in
     both modes: its one row cannot rank them, and no learned weight does.
 
-The kernels of ACTM, the baseline and AAM work on plain arrays, as the
-encoder's do, and return their output with a `backward(g)` closure;
-`apply_mask` returns a MaskDecision that carries it. `tasks` chains a
-strategy's kernels into one fused node, AAM's remix as it does the threshold
-kernels, and `mask-demo` calls the threshold kernels to recut a trace.
+`init_params` registers a strategy's parameters, ACTM's with the task's
+defaults in ACTM_WEIGHTS, and `stage` runs it between encoder and head: it
+chains the strategy's kernels into one fused node, calling each through its
+module-level name, which perfbench wraps. The kernels of ACTM, the baseline
+and AAM work on plain arrays, as the encoder's do, and return their output
+with a `backward(g)` closure; `apply_mask` returns a MaskDecision that
+carries it. `mask-demo` calls the threshold kernels to recut a trace.
 
 The threshold cut is a step function, so `apply_mask` uses a straight-through
 gate (Bengio et al. 2013, arXiv:1308.3432): the forward pass applies the hard
@@ -42,12 +44,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import encoder as enc
 from .exceptions import ContractError, DimensionError
 
 
 AGGREGATOR_KINDS = ("mean", "median", "sd")
 NORM_EPS = 1e-12
 NEG_INF_LOGIT = -1e9   # added to barred logits; exp() of it underflows to 0
+# ACTM's weights per task, in parameter order, with the initial value each
+# takes where MaskConfig leaves its `<name>_init` None. ATE starts permissive
+# (alpha 0.5); ASC starts clause-selective, the threshold cut at mean
+# relevance (alpha = 1 + |gamma|).
+ACTM_WEIGHTS = {"ate": {"alpha": 0.5}, "asc": {"alpha": 1.5, "gamma": -0.5, "beta": 4.0}}
 
 
 @dataclass
@@ -57,7 +65,7 @@ class MaskConfig:
     strategy: str = "actm"            # actm | aam | amom | fixed | none
     aggregator: str = "mean"          # mean | median | sd
     learnable: bool = True            # False: alpha = gamma = beta = 1 as constants, not parameters
-    # None -> the task's default in tasks.ACTM_WEIGHTS; an ATE model has no gamma or beta.
+    # None -> the task's default in ACTM_WEIGHTS; an ATE model has no gamma or beta.
     alpha_init: float | None = None
     gamma_init: float | None = None
     beta_init: float | None = None
@@ -303,16 +311,14 @@ def aam_remix(states: np.ndarray, z, ramp: float, d_k: int,
     ratio = m.sum(axis=-1, keepdims=True) * inv_len
     support = m > 0.0
     t = logits * m
-    scores = np.where(support, t * ratio, NEG_INF_LOGIT)
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    attn = e / e.sum(axis=-1, keepdims=True)
+    attn, softmax_backward = ad.softmax_kernel(np.where(support, t * ratio, NEG_INF_LOGIT),
+                                               axis=-1)
 
     def backward(g):
         go = seg.pad(g)
         ds = attn.transpose(0, 2, 1) @ go
         da = go @ s.transpose(0, 2, 1)
-        dmod = attn * (da - (da * attn).sum(axis=-1, keepdims=True))
+        dmod = softmax_backward(da)
         dt = dmod * ratio
         dratio = (dmod * t).sum(axis=-1, keepdims=True)
         dm = (dt * logits + dratio * inv_len) * valid
@@ -327,6 +333,92 @@ def aam_remix(states: np.ndarray, z, ramp: float, d_k: int,
         return seg.unpad(ds), dz
 
     return seg.unpad(attn @ s), backward
+
+
+# -- the mask stage -------------------------------------------------------------
+
+
+def init_params(params: ad.ParamStore, cfg: MaskConfig, task: str, hidden: int) -> dict:
+    """Register the strategy's parameters in `params`: `mask.w_a` for ACTM
+    and the baseline, then ACTM's weights of `task` in ACTM_WEIGHTS order;
+    `mask.z` for AAM. Returns ACTM's weights by name: parameters, or
+    constants 1 when not learnable; none for the other strategies."""
+    weights: dict[str, ad.Tensor] = {}
+    if cfg.strategy in ("actm", "fixed"):
+        params.add("mask.w_a", np.zeros(hidden))
+    if cfg.strategy == "actm":
+        for w, default in ACTM_WEIGHTS[task].items():
+            init = getattr(cfg, f"{w}_init")
+            weights[w] = (params.add(f"mask.{w}", default if init is None else init)
+                          if cfg.learnable else ad.Tensor(np.ones((), params.dtype)))
+    elif cfg.strategy == "aam":
+        params.add("mask.z", cfg.aam_span_init)
+    return weights
+
+
+def stage(states: ad.Tensor, inp: enc.ModelInput, params: ad.ParamStore, weights: dict,
+          cfg: MaskConfig, enc_cfg: enc.EncoderConfig, surrogate: bool):
+    """The strategy run on a packed batch's encoded states: returns (states
+    for the head, decision); `none` and AMOM pass the states through.
+
+    Each strategy's kernels are chained into one fused node. AAM's parents
+    are the states and `mask.z`, clipped to [0, max_len] with a clamp's
+    gradient. The threshold node's parents are the states, `mask.w_a`, ACTM's
+    alpha, and on ASC input gamma and beta; ASC ACTM pools the aspect span's
+    states inside the node and weighs attention by relevance to that vector."""
+    d_k = enc_cfg.hidden
+    seg = inp.segments
+    if cfg.strategy == "none" or cfg.strategy == "amom":
+        return states, None
+    if cfg.strategy == "aam":
+        z, max_len = params["mask.z"], float(enc_cfg.max_len)
+        out, remix_backward = aam_remix(states.data, np.clip(z.data, 0.0, max_len),
+                                        cfg.aam_ramp, d_k, seg)
+        inside = (z.data > 0.0) & (z.data < max_len)
+
+        def aam_backward(g):
+            dx, dz = remix_backward(g)
+            return dx, dz * inside
+
+        return ad.fused(out, (states, z), aam_backward), None
+    w_a = params["mask.w_a"]
+    x = states.data
+    attn, attn_backward = token_attention(x, w_a.data, d_k, seg)
+    parents, tau_backward, relevance_backward = (states, w_a), None, None
+    if cfg.strategy == "fixed":
+        tau = fixed_threshold(attn, cfg.fixed_tau)
+    else:
+        parents += (weights["alpha"],)
+        relevance = gamma = None
+        if inp.aspect_spans is not None:
+            rows, pool_seg = enc.aspect_rows(inp.aspect_spans, x.shape[0])
+            aspect_vec, pool_backward = enc.pool_rows(x, rows, pool_seg, pool_seg.lengths)
+            relevance, relevance_backward = aspect_relevance(
+                x, attn, aspect_vec, weights["beta"].data, seg)
+            gamma = weights["gamma"].data
+            parents += (weights["gamma"], weights["beta"])
+        tau, tau_backward = actm_threshold(attn, weights["alpha"].data, cfg.aggregator,
+                                           relevance, gamma, seg)
+    decision = apply_mask(attn, tau, x, protected=inp.protected,
+                          surrogate=surrogate, segments=seg)
+
+    def backward(g):   # gradients in the order of `parents`
+        dattn, dtau, dx = decision.backward(g)
+        dweights, daspect = [], None
+        if tau_backward is not None:
+            dattn_tau, dalpha, drelevance, dgamma = tau_backward(dtau)
+            dattn, dweights = dattn + dattn_tau, [dalpha]
+            if relevance_backward is not None:
+                dx_rel, dattn_rel, daspect, dbeta = relevance_backward(drelevance)
+                dx, dattn = dx + dx_rel, dattn + dattn_rel
+                dweights += [dgamma, dbeta]
+        dx_attn, dw_a = attn_backward(dattn)
+        dx = dx + dx_attn
+        if daspect is not None:   # added last, the summation order the pins hold to
+            dx = dx + pool_backward(daspect)
+        return [dx, dw_a] + dweights
+
+    return ad.fused(decision.masked_states, parents, backward), decision
 
 
 # -- AMOM --------------------------------------------------------------------------

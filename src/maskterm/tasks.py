@@ -3,9 +3,10 @@ classification, with their losses, metrics, and the model that binds the
 encoder and a masking strategy together.
 
 A packed forward records one graph node per stage: the embedding with the
-input projection, each encoder layer, the masking stage (none for `none`
-and AMOM) and the task head, `ate_head` or `asc_head`; a training loss adds
-one `nll` node per forward, and AMOM one node that sums its rounds."""
+input projection, each encoder layer, `masking.stage` (none for `none` and
+AMOM) and the task head, `ate_head` or `asc_head`; a training loss adds one
+`nll` node per forward, and AMOM one node that sums its rounds. The model
+branches on the strategy only for AMOM's rounds and AAM's pooled rows."""
 
 from __future__ import annotations
 
@@ -27,11 +28,6 @@ BIO_CLASSES = ("B", "I", "O")
 BIO_INDEX = {c: i for i, c in enumerate(BIO_CLASSES)}
 ASC_CLASSES = ("positive", "negative", "neutral")
 ASC_INDEX = {c: i for i, c in enumerate(ASC_CLASSES)}
-# ACTM's weights per task, in parameter order, with the initial value each
-# takes where MaskConfig leaves its `<name>_init` None. ATE starts permissive
-# (alpha 0.5); ASC starts clause-selective, the threshold cut at mean
-# relevance (alpha = 1 + |gamma|).
-ACTM_WEIGHTS = {"ate": {"alpha": 0.5}, "asc": {"alpha": 1.5, "gamma": -0.5, "beta": 4.0}}
 LOG_CLAMP = 1e-12   # the loss takes log(max(p, LOG_CLAMP))
 
 
@@ -137,21 +133,19 @@ def asc_head(encoded: Tensor, states: Tensor, cls_rows: np.ndarray, pool_rows: n
     """Polarity probabilities, one row per instance, as one graph node: the
     instance's [CLS] row of `encoded` next to its `pool_rows` of `states`
     (one segment of `pool_segments` each) summed and divided by its
-    `divisor`, then the affine head and a softmax. `states` may be `encoded`
-    itself, which then takes both gradients."""
+    `divisor` (`encoder.pool_rows`), then the affine head and a softmax.
+    `states` may be `encoded` itself, which then takes both gradients."""
     hidden = encoded.data.shape[1]
-    scale = (1.0 / divisor)[:, None].astype(states.data.dtype)
-    feats = np.concatenate([encoded.data[cls_rows],
-                            pool_segments.sum(states.data[pool_rows]) * scale], axis=1)
+    pooled, pool_backward = enc.pool_rows(states.data, pool_rows, pool_segments, divisor)
+    feats = np.concatenate([encoded.data[cls_rows], pooled], axis=1)
     probs, softmax_backward = ad.softmax_kernel(feats @ w.data + b.data)
 
     def backward(g):
         dlogits = softmax_backward(g)
         dfeats = dlogits @ w.data.T
-        dencoded, dstates = np.zeros_like(encoded.data), np.zeros_like(states.data)
+        dencoded = np.zeros_like(encoded.data)
         np.add.at(dencoded, cls_rows, dfeats[:, :hidden])
-        np.add.at(dstates, pool_rows, (dfeats[:, hidden:] * scale)[pool_segments.ids])
-        return dencoded, dstates, feats.T @ dlogits, dlogits.sum(axis=0)
+        return dencoded, pool_backward(dfeats[:, hidden:]), feats.T @ dlogits, dlogits.sum(axis=0)
 
     return ad.fused(probs, (encoded, states, w, b), backward)
 
@@ -227,24 +221,10 @@ class AbsaModel:
         self.vocab = vocab
         self.seed = seed
         self.params = ParamStore(dtype)
-        self.actm_weights: dict[str, Tensor] = {}   # parameters, or constants if not learnable
         rng = np.random.default_rng(seed)
         enc.init_encoder_params(self.params, enc_cfg, rng)
-        self._init_mask_params()
+        self.actm_weights = mk.init_params(self.params, mask_cfg, task, enc_cfg.hidden)
         self._init_head(rng)
-
-    def _init_mask_params(self) -> None:
-        cfg = self.mask_cfg
-        if cfg.strategy in ("actm", "fixed"):
-            self.params.add("mask.w_a", np.zeros(self.enc_cfg.hidden))
-        if cfg.strategy == "actm":
-            for w, default in ACTM_WEIGHTS[self.task].items():
-                init = getattr(cfg, f"{w}_init")
-                self.actm_weights[w] = (
-                    self.params.add(f"mask.{w}", default if init is None else init)
-                    if cfg.learnable else Tensor(np.ones((), self.params.dtype)))
-        elif cfg.strategy == "aam":
-            self.params.add("mask.z", cfg.aam_span_init)
 
     def _init_head(self, rng: np.random.Generator) -> None:
         hidden = self.enc_cfg.hidden
@@ -257,77 +237,14 @@ class AbsaModel:
 
     # -- shared plumbing ------------------------------------------------------
 
-    def _encode_input(self, inp: enc.ModelInput, train: bool,
-                      rng: np.random.Generator | None,
-                      masked_content: list[frozenset[int]] | None) -> Tensor:
+    def _encode_and_mask(self, inp: enc.ModelInput, train: bool, surrogate: bool,
+                         rng: np.random.Generator | None, masked_content: list | None):
+        """(encoded states, states for the head, mask decision) of a batch."""
         emb = enc.embed_tokens(self.params, self.enc_cfg, inp, masked_content)
-        return enc.encode(self.params, self.enc_cfg, emb, train_mode=train, rng=rng,
-                          segments=inp.segments)
-
-    def _mask_states(self, states: Tensor, inp: enc.ModelInput, surrogate: bool):
-        """Strategy dispatch: returns (states for the head, decision).
-
-        Each strategy's kernels of `masking` are chained into one fused node.
-        AAM's parents are the states and `mask.z`, clipped to [0, max_len]
-        with a clamp's gradient. The threshold node's parents are the states,
-        `mask.w_a`, ACTM's alpha, and on ASC input gamma and beta; ASC ACTM
-        pools the aspect span's states inside the node and weighs attention
-        by relevance to that vector. Alpha, gamma and beta are parameters, or
-        constants when not learnable."""
-        cfg = self.mask_cfg
-        d_k = self.enc_cfg.hidden
-        seg = inp.segments
-        if cfg.strategy == "none" or cfg.strategy == "amom":
-            return states, None
-        if cfg.strategy == "aam":
-            z, max_len = self.params["mask.z"], float(self.enc_cfg.max_len)
-            out, remix_backward = mk.aam_remix(states.data, np.clip(z.data, 0.0, max_len),
-                                               cfg.aam_ramp, d_k, seg)
-            inside = (z.data > 0.0) & (z.data < max_len)
-
-            def aam_backward(g):
-                dx, dz = remix_backward(g)
-                return dx, dz * inside
-
-            return ad.fused(out, (states, z), aam_backward), None
-        w_a = self.params["mask.w_a"]
-        x = states.data
-        attn, attn_backward = mk.token_attention(x, w_a.data, d_k, seg)
-        parents, tau_backward, relevance_backward = (states, w_a), None, None
-        if cfg.strategy == "fixed":
-            tau = mk.fixed_threshold(attn, cfg.fixed_tau)
-        else:
-            w = self.actm_weights
-            parents += (w["alpha"],)
-            relevance = gamma = None
-            if inp.aspect_spans is not None:
-                aspect_vec, pool_backward = enc.pool_aspect(x, inp.aspect_spans)
-                relevance, relevance_backward = mk.aspect_relevance(
-                    x, attn, aspect_vec, w["beta"].data, seg)
-                gamma = w["gamma"].data
-                parents += (w["gamma"], w["beta"])
-            tau, tau_backward = mk.actm_threshold(attn, w["alpha"].data, cfg.aggregator,
-                                                  relevance, gamma, seg)
-        decision = mk.apply_mask(attn, tau, x, protected=inp.protected,
-                                 surrogate=surrogate, segments=seg)
-
-        def backward(g):   # gradients in the order of `parents`
-            dattn, dtau, dx = decision.backward(g)
-            weights, daspect = [], None
-            if tau_backward is not None:
-                dattn_tau, dalpha, drelevance, dgamma = tau_backward(dtau)
-                dattn, weights = dattn + dattn_tau, [dalpha]
-                if relevance_backward is not None:
-                    dx_rel, dattn_rel, daspect, dbeta = relevance_backward(drelevance)
-                    dx, dattn = dx + dx_rel, dattn + dattn_rel
-                    weights += [dgamma, dbeta]
-            dx_attn, dw_a = attn_backward(dattn)
-            dx = dx + dx_attn
-            if daspect is not None:   # added last, the summation order the pins hold to
-                dx = dx + pool_backward(daspect)
-            return [dx, dw_a] + weights
-
-        return ad.fused(decision.masked_states, parents, backward), decision
+        encoded = enc.encode(self.params, self.enc_cfg, emb, train_mode=train, rng=rng,
+                             segments=inp.segments)
+        return encoded, *mk.stage(encoded, inp, self.params, self.actm_weights, self.mask_cfg,
+                                  self.enc_cfg, surrogate)
 
     # -- task forwards ------------------------------------------------------------
     # Each forward runs a whole batch as one packed graph; a single example is
@@ -339,8 +256,7 @@ class AbsaModel:
                     masked_content: list[frozenset[int]] | None = None) -> TaskOutput:
         """BIO probabilities of every sentence token, sentence after sentence."""
         inp = enc.pack_inputs(self.vocab, examples)
-        encoded = self._encode_input(inp, train, rng, masked_content)
-        states, decision = self._mask_states(encoded, inp, surrogate)
+        _, states, decision = self._encode_and_mask(inp, train, surrogate, rng, masked_content)
         probs = ate_head(states, inp.content_positions,
                          self.params["head.ate.W"], self.params["head.ate.b"])
         return TaskOutput(probs, decision, inp, inp.content_segments)
@@ -350,8 +266,7 @@ class AbsaModel:
                     masked_content: list[frozenset[int]] | None = None) -> TaskOutput:
         """Polarity probabilities, one row per (example, aspect index) instance."""
         inp = enc.pack_inputs(self.vocab, [ex for ex, _ in instances], [i for _, i in instances])
-        encoded = self._encode_input(inp, train, rng, masked_content)
-        states, decision = self._mask_states(encoded, inp, surrogate)
+        encoded, states, decision = self._encode_and_mask(inp, train, surrogate, rng, masked_content)
         if self.mask_cfg.strategy == "aam":   # the aspect span's mean
             rows, pool_seg = enc.aspect_rows(inp.aspect_spans, len(inp))
             divisor = pool_seg.lengths

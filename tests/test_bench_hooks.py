@@ -33,7 +33,8 @@ def harness(monkeypatch):
 
 
 @pytest.mark.parametrize("task,strategy,counter", [
-    ("ate", "actm", "mask_positions"), ("asc", "aam", "aam_rows"), ("asc", "amom", "amom_rounds"),
+    ("ate", "actm", "mask_positions"), ("asc", "actm", "mask_positions"),
+    ("asc", "aam", "aam_rows"), ("asc", "amom", "amom_rounds"),
 ])
 def test_install_layers_hooks_every_name_and_restores(harness, task, strategy, counter):
     import spans
@@ -56,6 +57,9 @@ def test_install_layers_hooks_every_name_and_restores(harness, task, strategy, c
     for key in ("steps", "train_instances", "eval_instances", "graph_nodes", "encoder_rows",
                 "forward_calls", counter):
         assert rec.counters[key] > 0, key
+    if strategy == "actm":   # masking.stage calls the threshold kernels through the wrappers
+        for name in ("masking.token_attention", "masking.threshold", "masking.apply_mask"):
+            assert rec.named(name), name
     if strategy == "aam":   # every AAM forward remixes exactly the rows it encoded
         assert rec.counters["aam_rows"] == rec.counters["encoder_rows"]
     # one embedding stage per forward, AMOM's remasked rounds included, so

@@ -274,6 +274,19 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             cli.config_from_dict({"encoder": {"bogus": 3}})
 
+    def test_encoder_vocab_size_rejected(self, tmp_path, capsys):
+        """Training sets vocab_size from its vocabulary; a config may not."""
+        with pytest.raises(ConfigError, match="vocab_size"):
+            cli.config_from_dict({"encoder": {"vocab_size": 99999}})
+        cfg = tmp_path / "vocab.json"
+        cfg.write_text('{"encoder": {"vocab_size": 99999}}', encoding="utf-8")
+        data = tmp_path / "d.jsonl"
+        cli.main(["synth", "--seed", "1", "--size", "4", "--out", str(data)])
+        capsys.readouterr()
+        assert cli.main(["train", "--task", "ate", "--config", str(cfg),
+                         "--data", str(data)]) == 2
+        assert "vocab_size" in capsys.readouterr().err
+
     def test_defaults_match_documented_values(self):
         cfg = cli.config_from_dict({})
         assert cfg.epochs == 50

@@ -518,24 +518,31 @@ class TestLayerNorm:
         assert np.abs(out.var(axis=1) - 1.0).max() <= 1e-4
 
 
+def pool_aspect(states, spans):
+    """The span mean ACTM's threshold node chains in on ASC: `pool_rows`
+    over the `aspect_rows` of each span, divided by the span's length."""
+    rows, seg = enc.aspect_rows(spans, states.shape[0])
+    return enc.pool_rows(states, rows, seg, seg.lengths)
+
+
 class TestPoolAspect:
-    """The span-mean kernel ACTM's threshold node chains in on ASC."""
+    """`pool_rows` as the span-mean kernel ACTM's threshold node chains in on ASC."""
 
     def test_single_row(self):
         states = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(enc.pool_aspect(states, [(1, 1)])[0][0], states[1])
+        assert np.array_equal(pool_aspect(states, [(1, 1)])[0][0], states[1])
 
     def test_mean_idempotent_on_identical_rows(self):
         states = np.tile([1.0, 2.0], (3, 1))
-        assert np.allclose(enc.pool_aspect(states, [(0, 2)])[0][0], [1.0, 2.0])
+        assert np.allclose(pool_aspect(states, [(0, 2)])[0][0], [1.0, 2.0])
 
     def test_hand_mean(self):
         states = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(enc.pool_aspect(states, [(0, 1)])[0][0], [0.5, 0.5])
+        assert np.allclose(pool_aspect(states, [(0, 1)])[0][0], [0.5, 0.5])
 
     def test_empty_span_rejected(self):
         with pytest.raises(ContractError):
-            enc.pool_aspect(np.zeros((3, 2)), [(2, 1)])
+            pool_aspect(np.zeros((3, 2)), [(2, 1)])
 
     def test_backward_matches_central_differences(self):
         """Overlapping spans of different lengths, in float64."""
@@ -546,10 +553,10 @@ class TestPoolAspect:
         for i in np.ndindex(states.shape):
             step = np.zeros_like(states)
             step[i] = h
-            up = (coeffs * enc.pool_aspect(states + step, spans)[0]).sum()
-            down = (coeffs * enc.pool_aspect(states - step, spans)[0]).sum()
+            up = (coeffs * pool_aspect(states + step, spans)[0]).sum()
+            down = (coeffs * pool_aspect(states - step, spans)[0]).sum()
             central[i] = (up - down) / (2 * h)
-        np.testing.assert_allclose(enc.pool_aspect(states, spans)[1](coeffs), central,
+        np.testing.assert_allclose(pool_aspect(states, spans)[1](coeffs), central,
                                    rtol=1e-6, atol=1e-8)
 
 

@@ -1,0 +1,43 @@
+"""The package's import graph: numpy and the standard library from outside,
+and inside the package only modules lower in its layering, so no module
+reaches up (masking into tasks, say) and no third-party import creeps in."""
+
+import ast
+import pathlib
+import sys
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "maskterm"
+LAYERS = ("exceptions", "autodiff", "corpus", "encoder", "masking", "tasks", "training", "cli")
+
+
+def imported(tree: ast.Module) -> list[str]:
+    """The dotted name of everything a module imports, relative imports
+    spelt from `maskterm`: `from . import encoder` gives `maskterm.encoder`."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("maskterm." if node.level else "") + (node.module or "")
+            names += [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+    return names
+
+
+def test_every_module_is_layered():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_module_imports_stdlib_numpy_and_lower_layers_only(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    below = set(LAYERS[:LAYERS.index(module)])
+    for name in imported(tree):
+        top, _, rest = name.partition(".")
+        if top == "maskterm":
+            assert rest.partition(".")[0] in below, f"{module} imports {name}, not below it"
+        else:
+            assert top in sys.stdlib_module_names or top == "numpy", \
+                f"{module} imports {name}, neither numpy nor the standard library"

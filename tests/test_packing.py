@@ -328,14 +328,14 @@ def test_aam_stage_unchanged(key, monkeypatch):
     model, config = make_model(task, "aam", "mean", examples, np.dtype(dtype))
     items = items_for(task, examples)
     states = []
-    inner = model._mask_states
+    inner = mk.stage
 
     def spy(*args, **kwargs):
         out = inner(*args, **kwargs)
         states.append(out[0].data.copy())
         return out
 
-    monkeypatch.setattr(model, "_mask_states", spy)
+    monkeypatch.setattr(mk, "stage", spy)
     eval_loss = training.batch_loss(model, config, items, train=False, rng=None)
     model.params.zero_grad()
     train_loss = training.batch_loss(model, config, items, train=True,
