@@ -27,6 +27,13 @@ strategy or a task head into one node. Dropout comes in as boolean
 keep-masks and a scale (`dropout_`), and a closure keeps only what its
 backward cannot cheaply rebuild: attention saves the probabilities, and its
 backward rebuilds the dropped ones from them.
+
+`backward` also runs seeded: given the gradient of any node, it
+propagates it through that node's subgraph and returns the leaves'
+gradients from a sink of the calling thread, leaving every leaf's `grad`
+as it was. So two threads can run the backwards of two subgraphs that
+share leaves (the parameters) at once, and their caller adds the two
+sinks; `tasks` does this for the halves of a split forward.
 """
 
 from __future__ import annotations
@@ -42,23 +49,31 @@ import numpy as np
 
 from .exceptions import ContractError, DimensionError
 
-# Thread-local, so a no_grad block in one thread leaves recording on in the others.
+# Thread-local, so a no_grad block in one thread leaves recording on in the
+# others, and a seeded backward's sink (`backward`) takes only its own thread's
+# leaf gradients.
 _GRAD_STATE = threading.local()
 
 
-def _grad_enabled() -> bool:
+def grad_enabled() -> bool:
+    """Whether this thread records graph nodes."""
     return getattr(_GRAD_STATE, "enabled", True)
 
 
 @contextmanager
-def no_grad():
-    """Disable graph recording inside the block (evaluation fast path)."""
-    prev = _grad_enabled()
-    _GRAD_STATE.enabled = False
+def grad_mode(enabled: bool):
+    """Record graph nodes on this thread inside the block, or not."""
+    prev = grad_enabled()
+    _GRAD_STATE.enabled = enabled
     try:
         yield
     finally:
         _GRAD_STATE.enabled = prev
+
+
+def no_grad():
+    """Disable graph recording inside the block (evaluation fast path)."""
+    return grad_mode(False)
 
 
 class Tensor:
@@ -145,26 +160,33 @@ def segments_of(n: int, segments: Segments | None) -> Segments:
     return segments
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _added(total: np.ndarray | None, g: np.ndarray, dtype: np.dtype) -> np.ndarray:
     # A gradient may be shared with other tensors or be a view into another
     # buffer, so none is ever written to: the first is kept as it comes and
     # each later one makes a new array.
-    if t.grad is None:
-        t.grad = g if g.dtype == t.data.dtype else g.astype(t.data.dtype)
+    if total is None:
+        return g if g.dtype == dtype else g.astype(dtype)
+    return total + g
+
+
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    sink = getattr(_GRAD_STATE, "sink", None)
+    if sink is not None and t._backward is None:   # a leaf, inside a seeded backward
+        sink[t] = _added(sink.get(t), g, t.data.dtype)
     else:
-        t.grad = t.grad + g
+        t.grad = _added(t.grad, g, t.data.dtype)
 
 
 def fused(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
     """One node over hand-written math: `backward(g)` returns a gradient for
-    each parent in order; parents outside differentiation drop theirs. The
-    node records its parents only outside `no_grad` and when one of them
-    needs a gradient."""
+    each parent in order, or None for a parent it does not reach; parents
+    outside differentiation drop theirs. The node records its parents only
+    outside `no_grad` and when one of them needs a gradient."""
     out = Tensor(data)
-    if _grad_enabled() and any(p.requires_grad for p in parents):
+    if grad_enabled() and any(p.requires_grad for p in parents):
         def accumulate(g):
             for p, grad in zip(parents, backward(g)):
-                if p.requires_grad:
+                if p.requires_grad and grad is not None:
                     _accumulate(p, grad)
 
         out._parents, out._backward, out.requires_grad = parents, accumulate, True
@@ -313,11 +335,17 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: i
 # -- backward pass ---------------------------------------------------------------
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, seed: np.ndarray | None = None) -> dict[Tensor, np.ndarray] | None:
     """Accumulate into the grad buffer of every leaf reachable from a scalar
-    loss; intermediate gradients are dropped once propagated."""
-    if loss.data.size != 1:
+    loss; intermediate gradients are dropped once propagated.
+
+    Given `seed`, the gradient of `loss` (of its shape, so `loss` need not be
+    a scalar), the leaves' gradients go to a sink of the calling thread
+    instead, which is returned as {leaf: gradient}; no leaf's `grad` changes."""
+    if seed is None and loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+    if seed is not None and seed.shape != loss.data.shape:
+        raise DimensionError(f"seed of shape {seed.shape} for a node of shape {loss.data.shape}")
     topo: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -333,12 +361,18 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if id(p) not in visited and p.requires_grad:
                 stack.append((p, False))
-    loss_grad = np.ones_like(loss.data)
-    _accumulate(loss, loss_grad)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-            node.grad = None   # only leaves keep their gradient
+    outer = getattr(_GRAD_STATE, "sink", None)
+    sink = None if seed is None else {}
+    _GRAD_STATE.sink = sink
+    try:
+        _accumulate(loss, np.ones_like(loss.data) if seed is None else seed)
+        for node in reversed(topo):
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
+                node.grad = None   # only leaves keep their gradient
+    finally:
+        _GRAD_STATE.sink = outer
+    return sink
 
 
 # -- parameter store ----------------------------------------------------------------

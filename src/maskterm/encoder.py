@@ -17,8 +17,10 @@ flag comes from a 16-bit lane of the generator's raw 64-bit words, read
 little-endian, and keeps its unit when the lane is >= cut = round(rate *
 65536); so the rate is applied as cut / 65536 and kept units are scaled by
 65536 / (65536 - cut). Every sequence draws whole words, so a packed batch
-replays its sequences' draws as if each ran alone. The attention mask is
-laid out keys-outer, like the attention scores (`ad.multi_head_attention`).
+replays its sequences' draws as if each ran alone, and `dropout_words`
+draws them once for batches run apart (the halves of a split forward in
+`tasks`). The attention mask is laid out keys-outer, like the attention
+scores (`ad.multi_head_attention`).
 
 The encoder computes in the dtype of its parameters: float32 in a model,
 float64 in the gradient checks. Every constant it builds takes that dtype;
@@ -192,6 +194,26 @@ def pack_inputs(vocab: Vocab, examples: list[TokenizedExample],
     )
 
 
+def join_inputs(first: ModelInput, second: ModelInput) -> ModelInput:
+    """The packed input of `first`'s sequences followed by `second`'s, as
+    `pack_inputs` gives it for the two batches' examples together."""
+    shift = len(first)
+
+    def joined(name, shifted=False):
+        a, b = getattr(first, name), getattr(second, name)
+        return None if a is None else np.concatenate([a, b + shift if shifted else b])
+
+    return ModelInput(
+        token_ids=joined("token_ids"),
+        pos_ids=joined("pos_ids"),
+        special=joined("special"),
+        content_positions=joined("content_positions", shifted=True),
+        protected=joined("protected", shifted=True),
+        lengths=first.lengths + second.lengths,
+        aspect_spans=joined("aspect_spans", shifted=True),
+    )
+
+
 def sinusoidal_encoding(n: int, dim: int) -> np.ndarray:
     pe = np.zeros((n, dim))
     position = np.arange(n)[:, None]
@@ -321,36 +343,57 @@ def embed_tokens(params: ParamStore, cfg: EncoderConfig, inp: ModelInput,
 layer_norm = ad.layer_norm
 
 
-def _dropout_masks(cfg: EncoderConfig, seg: ad.Segments, rng: np.random.Generator):
+def _flags(cfg: EncoderConfig, n: int) -> tuple[int, int, int]:
+    """Dropout flags a sequence of n rows takes: attention, attention output, FFN."""
+    per_layer = cfg.n_layers * n
+    return per_layer * cfg.n_heads * n, per_layer * cfg.hidden, per_layer * cfg.d_ff
+
+
+def _words(cfg: EncoderConfig, n: int) -> int:
+    """Whole 64-bit words, 4 lanes each, a sequence of n rows draws."""
+    return -(-sum(_flags(cfg, n)) // 4)
+
+
+def dropout_words(cfg: EncoderConfig, groups, rng: np.random.Generator) -> list[np.ndarray]:
+    """The raw 64-bit dropout words of each group of sequences, given as row
+    counts, from one `rng.bit_generator.random_raw` call: each sequence's
+    words, in group order, are those it draws when its batch runs alone."""
+    counts = [sum(_words(cfg, n) for n in lengths) for lengths in groups]
+    return np.split(rng.bit_generator.random_raw(sum(counts)), np.cumsum(counts)[:-1])
+
+
+def _dropout_masks(cfg: EncoderConfig, seg: ad.Segments, rng: np.random.Generator | None = None,
+                   words: np.ndarray | None = None):
     """Boolean keep-masks of every layer: attention probabilities keys-outer,
     (layers, n_max keys, B, heads, n_max queries), False in the padding,
     attention output (layers, N, hidden) and FFN hidden units (layers, N, d_ff).
     `_block` scales the kept units by `cfg.keep_scale` (inverted dropout).
 
-    One `rng.bit_generator.random_raw` call draws the batch's 64-bit words,
-    read as little-endian 16-bit lanes, low lane first, so the masks do not
-    depend on the host's byte order; a lane keeps its unit when it is >=
-    `cfg.dropout_cut`. Each sequence takes whole words, in batch order: its
-    attention flags of every layer (layer, key, head, query), then its
-    attention-output and FFN flags (layer, row, column), and the lanes left
-    in its last word go unused. So a packed batch replays exactly the draws
-    of its sequences run one at a time."""
+    The batch's raw 64-bit `words` come from `dropout_words`, drawn here from
+    `rng` unless given, and are read as little-endian 16-bit lanes, low lane
+    first, so the masks do not depend on the host's byte order; a lane keeps
+    its unit when it is >= `cfg.dropout_cut`. Each sequence takes whole words,
+    in batch order: its attention flags of every layer (layer, key, head,
+    query), then its attention-output and FFN flags (layer, row, column), and
+    the lanes left in its last word go unused. So a packed batch replays
+    exactly the draws of its sequences run one at a time."""
     layers, heads, hidden, d_ff, m = cfg.n_layers, cfg.n_heads, cfg.hidden, cfg.d_ff, seg.n_max
-    sizes = [(layers * n * heads * n, layers * n * hidden, layers * n * d_ff)
-             for n in seg.lengths.tolist()]
-    words = [-(-sum(lanes) // 4) for lanes in sizes]   # 4 lanes a word
-    keep = (rng.bit_generator.random_raw(sum(words)).astype("<u8", copy=False).view("<u2")
-            >= cfg.dropout_cut)
+    lengths = seg.lengths.tolist()
+    if words is None:
+        words, = dropout_words(cfg, [lengths], rng)
+    if len(words) != sum(_words(cfg, n) for n in lengths):
+        raise ContractError(f"{len(words)} dropout words for sequences of {lengths} rows")
+    keep = words.astype("<u8", copy=False).view("<u2") >= cfg.dropout_cut
     attn = np.zeros((layers, m, seg.count, heads, m), dtype=bool)
     out_rows = np.empty((layers, seg.total, hidden), dtype=bool)
     ffn_rows = np.empty((layers, seg.total, d_ff), dtype=bool)
     at = 0
-    for b, (lo, n) in enumerate(zip(seg.offsets.tolist(), seg.lengths.tolist())):
-        a, o, f = sizes[b]
+    for b, (lo, n) in enumerate(zip(seg.offsets.tolist(), lengths)):
+        a, o, f = _flags(cfg, n)
         attn[:, :n, b, :, :n] = keep[at:at + a].reshape(layers, n, heads, n)
         out_rows[:, lo:lo + n] = keep[at + a:at + a + o].reshape(layers, n, hidden)
         ffn_rows[:, lo:lo + n] = keep[at + a + o:at + a + o + f].reshape(layers, n, d_ff)
-        at += 4 * words[b]
+        at += 4 * _words(cfg, n)
     return attn, out_rows, ffn_rows
 
 
@@ -417,16 +460,18 @@ def encode(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
     segments: ad.Segments | None = None,
+    words: np.ndarray | None = None,
 ) -> Tensor:
     """Contextual states (rows, hidden) from a stack of self-attention blocks
     over the projected input rows of `embed_tokens`, packed sequences
     (`segments`, one sequence of all rows when None); attention stays inside
-    each sequence. Deterministic whenever train_mode is off."""
+    each sequence. Deterministic whenever train_mode is off. Dropout draws
+    from `rng`, unless the batch's `words` (`dropout_words`) are given."""
     dropping = train_mode and cfg.dropout_cut > 0
-    if dropping and rng is None:
+    if dropping and rng is None and words is None:
         raise ContractError("train_mode with dropout needs a random generator")
     seg = ad.segments_of(embedded.data.shape[0], segments)
-    masks = _dropout_masks(cfg, seg, rng) if dropping else None
+    masks = _dropout_masks(cfg, seg, rng, words) if dropping else None
 
     x = embedded
     for layer, names in enumerate(_layer_names(cfg.n_layers)):

@@ -6,12 +6,28 @@ A packed forward records one graph node per stage: the embedding with the
 input projection, each encoder layer, `masking.stage` (none for `none` and
 AMOM) and the task head, `ate_head` or `asc_head`; a training loss adds one
 `nll` node per forward, and AMOM one node that sums its rounds. The model
-branches on the strategy only for AMOM's rounds and AAM's pooled rows."""
+branches on the strategy only for AMOM's rounds and AAM's pooled rows.
+
+`AbsaModel.forward` runs a packed batch of at least SPLIT_ROWS rows as two
+halves, the first ceil(B/2) instances and the rest: the calling thread runs
+half 0 and one worker thread half 1, under the caller's grad mode, and
+dropout words for both are drawn once, on the calling thread
+(`encoder.dropout_words`), so every sequence keeps its keep-masks. The
+halves' probabilities join in one node over the model's parameters; its
+backward seeds each half's subgraph with that half's rows of the gradient,
+runs the two seeded backwards (`autodiff.backward`) concurrently, and gives
+each parameter its half-0 sink's gradient plus its half-1 sink's, in that
+order. The split depends on row counts alone, never on the host's cores, so
+a seed gives the same bits on every machine; a half never splits again.
+Plain training batches, every AMOM round and every evaluation chunk run
+through it alike, and a batch below SPLIT_ROWS runs whole, as before."""
 
 from __future__ import annotations
 
 import functools
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +45,43 @@ BIO_INDEX = {c: i for i, c in enumerate(BIO_CLASSES)}
 ASC_CLASSES = ("positive", "negative", "neutral")
 ASC_INDEX = {c: i for i, c in enumerate(ASC_CLASSES)}
 LOG_CLAMP = 1e-12   # the loss takes log(max(p, LOG_CLAMP))
+# Packed rows from which a forward runs as two concurrent halves. On a
+# 2-vCPU x86-64 host at one BLAS thread, a training loss and backward in two
+# halves broke even with the whole batch at about 500 rows, on short
+# sentences and long reviews alike (0.85x at 349 rows, 1.0x at 512, 1.16x at
+# 676, 1.66x at 1,789); the cut sits at twice that crossover.
+SPLIT_ROWS = 1024
+
+
+def _new_worker() -> None:
+    """A new pool of one worker thread, which runs half 1 of every split
+    forward and backward; its thread starts at the first split. A forked
+    child gets its own, because the parent's thread does not run in it."""
+    global _HALF_WORKER
+    _HALF_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="maskterm-half")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):   # POSIX
+    os.register_at_fork(after_in_child=_new_worker)
+
+
+def _both(first, second):
+    """(first(), second()): `second` on the worker thread, under the calling
+    thread's grad mode, while `first` runs here. Both finish before an error
+    is raised, unchanged; when both fail, `first`'s is."""
+    enabled = ad.grad_enabled()
+
+    def in_worker():
+        with ad.grad_mode(enabled):
+            return second()
+
+    future = _HALF_WORKER.submit(in_worker)
+    try:
+        result = first()
+    finally:
+        wait((future,))
+    return result, future.result()
 
 
 # -- span decoding and span-level F1 ------------------------------------------
@@ -202,6 +255,18 @@ class TaskOutput:
     rows: ad.Segments                # rows of `probs` per instance: its tokens (ATE), one (ASC)
 
 
+def _join_decisions(first: mk.MaskDecision | None, second: mk.MaskDecision | None):
+    """Two halves' mask decisions as the whole batch's, without a backward."""
+    if first is None:
+        return None
+
+    def joined(name):
+        a, b = getattr(first, name), getattr(second, name)
+        return None if a is None else np.concatenate([a, b])
+
+    return mk.MaskDecision(joined("attn"), joined("tau"), joined("kept"), joined("masked_states"))
+
+
 class AbsaModel:
     """Encoder + one masking strategy + one task head, parameters included.
 
@@ -238,35 +303,41 @@ class AbsaModel:
     # -- shared plumbing ------------------------------------------------------
 
     def _encode_and_mask(self, inp: enc.ModelInput, train: bool, surrogate: bool,
-                         rng: np.random.Generator | None, masked_content: list | None):
+                         rng: np.random.Generator | None, masked_content: list | None,
+                         dropout_words: np.ndarray | None):
         """(encoded states, states for the head, mask decision) of a batch."""
         emb = enc.embed_tokens(self.params, self.enc_cfg, inp, masked_content)
         encoded = enc.encode(self.params, self.enc_cfg, emb, train_mode=train, rng=rng,
-                             segments=inp.segments)
+                             segments=inp.segments, words=dropout_words)
         return encoded, *mk.stage(encoded, inp, self.params, self.actm_weights, self.mask_cfg,
                                   self.enc_cfg, surrogate)
 
     # -- task forwards ------------------------------------------------------------
     # Each forward runs a whole batch as one packed graph; a single example is
     # a batch of one. `masked_content`, when given, holds one set per instance
-    # of sentence-token indices whose input rows are zeroed.
+    # of sentence-token indices whose input rows are zeroed; `dropout_words`,
+    # the batch's words from `encoder.dropout_words`, stand in for `rng`.
 
     def forward_ate(self, examples: list[TokenizedExample], train: bool = False,
                     surrogate: bool = False, rng: np.random.Generator | None = None,
-                    masked_content: list[frozenset[int]] | None = None) -> TaskOutput:
+                    masked_content: list[frozenset[int]] | None = None,
+                    dropout_words: np.ndarray | None = None) -> TaskOutput:
         """BIO probabilities of every sentence token, sentence after sentence."""
         inp = enc.pack_inputs(self.vocab, examples)
-        _, states, decision = self._encode_and_mask(inp, train, surrogate, rng, masked_content)
+        _, states, decision = self._encode_and_mask(inp, train, surrogate, rng, masked_content,
+                                                    dropout_words)
         probs = ate_head(states, inp.content_positions,
                          self.params["head.ate.W"], self.params["head.ate.b"])
         return TaskOutput(probs, decision, inp, inp.content_segments)
 
     def forward_asc(self, instances: list[tuple[TokenizedExample, int]], train: bool = False,
                     surrogate: bool = False, rng: np.random.Generator | None = None,
-                    masked_content: list[frozenset[int]] | None = None) -> TaskOutput:
+                    masked_content: list[frozenset[int]] | None = None,
+                    dropout_words: np.ndarray | None = None) -> TaskOutput:
         """Polarity probabilities, one row per (example, aspect index) instance."""
         inp = enc.pack_inputs(self.vocab, [ex for ex, _ in instances], [i for _, i in instances])
-        encoded, states, decision = self._encode_and_mask(inp, train, surrogate, rng, masked_content)
+        encoded, states, decision = self._encode_and_mask(inp, train, surrogate, rng, masked_content,
+                                                          dropout_words)
         if self.mask_cfg.strategy == "aam":   # the aspect span's mean
             rows, pool_seg = enc.aspect_rows(inp.aspect_spans, len(inp))
             divisor = pool_seg.lengths
@@ -282,10 +353,56 @@ class AbsaModel:
                          self.params["head.asc.W"], self.params["head.asc.b"])
         return TaskOutput(probs, decision, inp, ad.Segments([1] * len(instances)))
 
-    def forward(self, items: list, **kwargs) -> TaskOutput:
+    def forward(self, items: list, train: bool = False, surrogate: bool = False,
+                rng: np.random.Generator | None = None,
+                masked_content: list[frozenset[int]] | None = None) -> TaskOutput:
         """`forward_ate` on examples or `forward_asc` on (example, aspect
-        index) instances, whichever the model's task is."""
-        return (self.forward_ate if self.task == "ate" else self.forward_asc)(items, **kwargs)
+        index) instances, whichever the model's task is; a batch of at least
+        SPLIT_ROWS packed rows runs as two concurrent halves (module
+        docstring), whose outputs join as the whole batch's."""
+        run = self.forward_ate if self.task == "ate" else self.forward_asc
+        rows = self._packed_rows(items) if len(items) > 1 else []
+        if sum(rows) < SPLIT_ROWS:
+            return run(items, train=train, surrogate=surrogate, rng=rng,
+                       masked_content=masked_content)
+        k = (len(items) + 1) // 2
+        words = masked = (None, None)
+        if train and self.enc_cfg.dropout_cut > 0 and rng is not None:
+            words, rng = enc.dropout_words(self.enc_cfg, (rows[:k], rows[k:]), rng), None
+        if masked_content is not None:
+            masked = (masked_content[:k], masked_content[k:])
+
+        def half(h: int, part: slice):
+            return lambda: run(items[part], train=train, surrogate=surrogate, rng=rng,
+                               masked_content=masked[h], dropout_words=words[h])
+
+        return self._join(*_both(half(0, slice(None, k)), half(1, slice(k, None))))
+
+    def _packed_rows(self, items: list) -> list[int]:
+        """The rows `encoder.pack_inputs` gives each instance."""
+        if self.task == "ate":
+            return [enc.packed_length(ex) for ex in items]
+        return [enc.packed_length(ex, i) for ex, i in items]
+
+    def _join(self, first: TaskOutput, second: TaskOutput) -> TaskOutput:
+        """Two halves' outputs as the whole batch's: the probabilities as one
+        node over the model's parameters (module docstring), which gives a
+        parameter neither half reaches no gradient, and the inputs, mask
+        decisions and row layouts concatenated."""
+        halves = (first.probs, second.probs)
+        n0 = first.probs.data.shape[0]
+        leaves = tuple(self.params.tensors())
+
+        def backward(g):
+            sinks = _both(lambda: ad.backward(halves[0], g[:n0]),
+                          lambda: ad.backward(halves[1], g[n0:]))
+            grads = [[sink.get(p) for sink in sinks] for p in leaves]
+            return [g1 if g0 is None else g0 if g1 is None else g0 + g1 for g0, g1 in grads]
+
+        probs = ad.fused(np.concatenate([first.probs.data, second.probs.data]), leaves, backward)
+        return TaskOutput(probs, _join_decisions(first.decision, second.decision),
+                          enc.join_inputs(first.inp, second.inp),
+                          ad.Segments(np.concatenate([first.rows.lengths, second.rows.lengths])))
 
     def loss(self, items: list, train: bool = False,
              rng: np.random.Generator | None = None) -> Tensor:

@@ -112,10 +112,13 @@ class Adam:
                 g = self.l2 * tensor.data if g is None else g + self.l2 * tensor.data
             if g is None:
                 continue
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
+            m, v = self.m[name], self.v[name]   # updated in place, the same bits
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            m_hat = m / bc1
+            v_hat = v / bc2
             tensor.data = tensor.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
@@ -225,7 +228,7 @@ def _instances(dataset: list[TokenizedExample], task: str, max_len: int, role: s
 
 
 def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str) -> tasks.EvalReport:
-    """Deterministic evaluation with dropout off, on the calling thread only.
+    """Deterministic evaluation with dropout off.
 
     Instances run through the model's packed prediction in chunks of
     EVAL_CHUNK instances of similar length; AMOM runs one packed forward per

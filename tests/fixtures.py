@@ -1,4 +1,21 @@
-"""Shared XML fixtures for ingestion tests, with hand-counted expectations."""
+"""Shared XML fixtures for ingestion tests, with hand-counted expectations,
+and `run_python` for the tests that need a fresh process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import maskterm
+
+
+def run_python(script: str, **env: str) -> str:
+    """The stdout of `script`, run by this interpreter in a new process that
+    imports this checkout's `maskterm`, with `env` added to the environment."""
+    src = str(Path(maskterm.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src, **env),
+                         capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout
 
 # Two sentences, three aspect terms: positive x2, negative x1.
 SEM14_FIXTURE = """<?xml version="1.0" encoding="UTF-8"?>

@@ -2,16 +2,13 @@
 
 import ctypes
 import importlib
-import os
 import platform
-import subprocess
-import sys
 import types
-from pathlib import Path
 
 import pytest
 
 import maskterm
+from fixtures import run_python
 
 # Eight float32 arrays of 4 MiB, written and freed together, ten rounds: the
 # shape of a training step's temporaries, and above glibc's default mmap
@@ -38,11 +35,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy applies on glibc only")
 def test_freed_step_arrays_are_reused_without_page_faults():
-    env = dict(os.environ, PYTHONPATH=str(Path(maskterm.__file__).resolve().parent.parent))
-    out = subprocess.run([sys.executable, "-c", ROUNDS_SCRIPT], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
     # Mapped afresh each round, the nine rounds fault in tens of thousands of pages.
-    assert int(out.stdout) < 100
+    assert int(run_python(ROUNDS_SCRIPT)) < 100
 
 
 def _rejecting_mallopt(calls):

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -165,6 +166,34 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ContractError):
             ad.backward(ad.Tensor([1.0, 2.0], requires_grad=True))
+
+    def test_seeded_backward_returns_a_sink_and_leaves_grads_alone(self):
+        a = ad.Tensor([1.0, 2.0], requires_grad=True)
+        b = ad.Tensor([3.0, -1.0], requires_grad=True)
+        a.grad = np.array([10.0, 10.0])
+        node = ad.fused(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+        sink = ad.backward(gc.scale(node, 2.0), np.array([1.0, 0.5]))
+        assert sink.keys() == {a, b}
+        assert np.array_equal(sink[a], [6.0, -1.0]) and np.array_equal(sink[b], [2.0, 2.0])
+        assert np.array_equal(a.grad, [10.0, 10.0]) and b.grad is None
+        ad.backward(gc.dot(a, a))   # an unseeded backward after it writes grads again
+        assert np.array_equal(a.grad, [12.0, 14.0])
+        with pytest.raises(DimensionError):
+            ad.backward(node, np.ones(3))
+
+    def test_seeded_backwards_on_two_threads_keep_their_sinks_apart(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        seeds = [np.full(2, float(i)) for i in range(8)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            sinks = list(pool.map(lambda s: ad.backward(gc.scale(x, 3.0), s), seeds))
+        assert all(np.array_equal(sink[x], 3.0 * s) for sink, s in zip(sinks, seeds))
+        assert x.grad is None
+
+    def test_a_parent_handed_none_gets_no_gradient(self):
+        a = ad.Tensor([1.0], requires_grad=True)
+        b = ad.Tensor([2.0], requires_grad=True)
+        ad.backward(gc.tsum(ad.fused(a.data + b.data, (a, b), lambda g: (g, None))))
+        assert np.array_equal(a.grad, [1.0]) and b.grad is None
 
     def test_no_record_without_a_gradient_or_under_no_grad(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)

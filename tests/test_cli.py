@@ -241,7 +241,7 @@ class TestTrainEval:
         inner = tasks.AbsaModel.forward_ate
 
         def logged(self, *args, **kwargs):
-            recording.append(ad._grad_enabled())
+            recording.append(ad.grad_enabled())
             return inner(self, *args, **kwargs)
 
         monkeypatch.setattr(tasks.AbsaModel, "forward_ate", logged)

@@ -484,6 +484,23 @@ class TestDropoutMasks:
             assert np.array_equal(ffn[:, lo:lo + n], ffn_1)
         assert rng_packed.bit_generator.state == rng_alone.bit_generator.state
 
+    def test_words_drawn_once_for_two_groups_give_each_its_masks(self):
+        lengths = [5, 1, 2]
+        whole = enc._dropout_masks(self.CFG, ad.Segments(lengths), np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        first, second = enc.dropout_words(self.CFG, ([5, 1], [2]), rng)
+        halves = [enc._dropout_masks(self.CFG, ad.Segments([5, 1]), words=first),
+                  enc._dropout_masks(self.CFG, ad.Segments([2]), words=second)]
+        assert np.array_equal(whole[0][:, :, :2], halves[0][0])
+        assert np.array_equal(whole[0][:, :2, 2:, :, :2], halves[1][0])
+        for i in (1, 2):
+            assert np.array_equal(whole[i], np.concatenate([halves[0][i], halves[1][i]], axis=1))
+        after = np.random.default_rng(3)
+        after.bit_generator.random_raw(len(first) + len(second))
+        assert rng.bit_generator.state == after.bit_generator.state
+        with pytest.raises(ContractError):
+            enc._dropout_masks(self.CFG, ad.Segments([2]), words=first)
+
     def test_attention_mask_is_false_in_the_padding(self):
         attn = enc._dropout_masks(self.CFG, ad.Segments([5, 1, 2]), np.random.default_rng(0))[0]
         # (layers, keys, segments, heads, queries)

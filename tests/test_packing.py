@@ -526,7 +526,7 @@ def test_amom_training_forwards_once_per_round(task, monkeypatch):
     calls = []
 
     def logged(batch, *args, **kwargs):
-        calls.append((len(batch), ad._grad_enabled()))
+        calls.append((len(batch), ad.grad_enabled()))
         return inner(batch, *args, **kwargs)
 
     monkeypatch.setattr(model, name, logged)

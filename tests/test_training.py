@@ -193,6 +193,19 @@ class TestAdam:
             used = optimizer.m[name] / (1.0 - training.ADAM_BETA1)
             assert np.abs(used - grad).max() <= 1e-12 * np.abs(grad).max(), name
 
+    def test_moments_are_updated_in_place(self):
+        params = ad.ParamStore(np.float32)
+        theta = params.add("theta", [3.0, -2.0])
+        optimizer = training.Adam(params, 0.1)
+        m, v = optimizer.m["theta"], optimizer.v["theta"]
+        for g in ([0.5, -0.25], [0.125, 1.0]):
+            theta.grad = np.array(g, dtype=np.float32)
+            want_m = training.ADAM_BETA1 * m + (1 - training.ADAM_BETA1) * theta.grad
+            want_v = training.ADAM_BETA2 * v + (1 - training.ADAM_BETA2) * theta.grad * theta.grad
+            optimizer.step()
+            assert optimizer.m["theta"] is m and optimizer.v["theta"] is v
+            assert m.tobytes() == want_m.tobytes() and v.tobytes() == want_v.tobytes()
+
     def test_parameter_without_loss_gradient_decays_alone(self):
         params = ad.ParamStore()
         theta = params.add("theta", [3.0, -2.0])
