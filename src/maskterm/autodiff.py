@@ -22,8 +22,8 @@ reduces over the leading axis.
 
 The kernels (attention, layer norm, GELU, softmax) work on plain arrays and
 return their output with a backward closure; the encoder chains them into
-one fused node per layer, as `tasks` chains the kernels of a masking
-strategy or a task head into one node. Dropout comes in as boolean
+one fused node per layer, as `masking.stage` chains a masking strategy's
+kernels and `tasks` a task head's into one node. Dropout comes in as boolean
 keep-masks and a scale (`dropout_`), and a closure keeps only what its
 backward cannot cheaply rebuild: attention saves the probabilities, and its
 backward rebuilds the dropped ones from them.

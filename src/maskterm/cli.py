@@ -152,15 +152,15 @@ def cmd_mask_demo(args) -> int:
                 f"mask-demo --sentence needs an ATE checkpoint; this one was trained for "
                 f"task {model.task!r}")
         example = corpus.make_example(args.sentence, [])
+        inp = enc.pack_inputs(model.vocab, [example])
         with ad.no_grad():   # the trace reads only the decision
-            out = model.forward_ate([example])
-        decision = out.decision
+            _, _, decision = model.encode_and_mask(inp)
         if decision is None:
             raise CompatibilityError(
                 f"checkpoint's {model.mask_cfg.strategy!r} strategy produces no threshold trace"
             )
         tokens = ["[CLS]"] + example.tokens + ["[SEP]"]
-        attn, protected, alpha = decision.attn, out.inp.protected, args.alpha
+        attn, protected, alpha = decision.attn, inp.protected, args.alpha
     if alpha is not None:   # recut with alpha times the aggregate, no relevance term
         # A float64 alpha keeps the recut of a float32 model's attention in float64.
         tau, _ = mk.actm_threshold(attn, np.float64(alpha), args.aggregator)

@@ -12,15 +12,16 @@ and hands its gradients back in one hand-written backward; the attention
 probabilities stay inside that node, for its backward only. `pool_rows`
 is a plain-array kernel too, which ACTM's threshold node and `asc_head` chain in.
 
-In training, dropout masks are boolean keep-masks (one byte an entry). Each
-flag comes from a 16-bit lane of the generator's raw 64-bit words, read
-little-endian, and keeps its unit when the lane is >= cut = round(rate *
-65536); so the rate is applied as cut / 65536 and kept units are scaled by
-65536 / (65536 - cut). Every sequence draws whole words, so a packed batch
-replays its sequences' draws as if each ran alone, and `dropout_words`
-draws them once for batches run apart (the halves of a split forward in
-`tasks`). The attention mask is laid out keys-outer, like the attention
-scores (`ad.multi_head_attention`).
+Dropout comes in only as a batch's raw 64-bit words, which `dropout_words`
+draws from a generator: `encode` drops units when it is given them and is
+deterministic when it is not. The words become boolean keep-masks (one byte
+an entry): each flag is a 16-bit lane of the words, read little-endian, and
+keeps its unit when the lane is >= cut = round(rate * 65536); so the rate is
+applied as cut / 65536 and kept units are scaled by 65536 / (65536 - cut).
+Every sequence takes whole words, so a packed batch replays its sequences'
+draws as if each ran alone, and one draw serves batches run apart (the
+halves of a split forward in `tasks`). The attention mask is laid out
+keys-outer, like the attention scores (`ad.multi_head_attention`).
 
 The encoder computes in the dtype of its parameters: float32 in a model,
 float64 in the gradient checks. Every constant it builds takes that dtype;
@@ -194,26 +195,6 @@ def pack_inputs(vocab: Vocab, examples: list[TokenizedExample],
     )
 
 
-def join_inputs(first: ModelInput, second: ModelInput) -> ModelInput:
-    """The packed input of `first`'s sequences followed by `second`'s, as
-    `pack_inputs` gives it for the two batches' examples together."""
-    shift = len(first)
-
-    def joined(name, shifted=False):
-        a, b = getattr(first, name), getattr(second, name)
-        return None if a is None else np.concatenate([a, b + shift if shifted else b])
-
-    return ModelInput(
-        token_ids=joined("token_ids"),
-        pos_ids=joined("pos_ids"),
-        special=joined("special"),
-        content_positions=joined("content_positions", shifted=True),
-        protected=joined("protected", shifted=True),
-        lengths=first.lengths + second.lengths,
-        aspect_spans=joined("aspect_spans", shifted=True),
-    )
-
-
 def sinusoidal_encoding(n: int, dim: int) -> np.ndarray:
     pe = np.zeros((n, dim))
     position = np.arange(n)[:, None]
@@ -286,13 +267,16 @@ def position_table(n: int, dim: int, dtype: np.dtype) -> np.ndarray:
 
 
 def _hidden_keep(inp: ModelInput, masked_content: list | None, dtype: np.dtype):
-    """(N, 1) row keep of the tokens `masked_content` hides, or None when it
-    hides none. Each index must name a sentence token of its own sequence."""
-    if masked_content is None or not any(masked_content):
+    """(N, 1) row keep of the tokens `masked_content`, one set per sequence,
+    hides, or None when it hides none. Each index must name a sentence token
+    of its own sequence."""
+    if masked_content is None:
         return None
     content = inp.content_segments
     if len(masked_content) != content.count:
         raise ContractError(f"{len(masked_content)} masked-content sets for {content.count} sequences")
+    if not any(masked_content):
+        return None
     keep = np.ones((len(inp), 1))
     for b, (start, n, hidden) in enumerate(
             zip(content.offsets.tolist(), content.lengths.tolist(), masked_content)):
@@ -362,25 +346,21 @@ def dropout_words(cfg: EncoderConfig, groups, rng: np.random.Generator) -> list[
     return np.split(rng.bit_generator.random_raw(sum(counts)), np.cumsum(counts)[:-1])
 
 
-def _dropout_masks(cfg: EncoderConfig, seg: ad.Segments, rng: np.random.Generator | None = None,
-                   words: np.ndarray | None = None):
+def _dropout_masks(cfg: EncoderConfig, seg: ad.Segments, words: np.ndarray):
     """Boolean keep-masks of every layer: attention probabilities keys-outer,
     (layers, n_max keys, B, heads, n_max queries), False in the padding,
     attention output (layers, N, hidden) and FFN hidden units (layers, N, d_ff).
     `_block` scales the kept units by `cfg.keep_scale` (inverted dropout).
 
-    The batch's raw 64-bit `words` come from `dropout_words`, drawn here from
-    `rng` unless given, and are read as little-endian 16-bit lanes, low lane
-    first, so the masks do not depend on the host's byte order; a lane keeps
-    its unit when it is >= `cfg.dropout_cut`. Each sequence takes whole words,
+    The batch's raw 64-bit `words` come from `dropout_words` and are read as
+    little-endian 16-bit lanes, low lane first, so the masks do not depend on
+    the host's byte order; a lane keeps its unit when it is >= `cfg.dropout_cut`. Each sequence takes whole words,
     in batch order: its attention flags of every layer (layer, key, head,
     query), then its attention-output and FFN flags (layer, row, column), and
     the lanes left in its last word go unused. So a packed batch replays
     exactly the draws of its sequences run one at a time."""
     layers, heads, hidden, d_ff, m = cfg.n_layers, cfg.n_heads, cfg.hidden, cfg.d_ff, seg.n_max
     lengths = seg.lengths.tolist()
-    if words is None:
-        words, = dropout_words(cfg, [lengths], rng)
     if len(words) != sum(_words(cfg, n) for n in lengths):
         raise ContractError(f"{len(words)} dropout words for sequences of {lengths} rows")
     keep = words.astype("<u8", copy=False).view("<u2") >= cfg.dropout_cut
@@ -453,30 +433,20 @@ def _block(x: Tensor, layer_params: tuple[Tensor, ...], cfg: EncoderConfig, seg:
     return ad.fused(out, (x,) + layer_params, backward)
 
 
-def encode(
-    params: ParamStore,
-    cfg: EncoderConfig,
-    embedded: Tensor,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
-    segments: ad.Segments | None = None,
-    words: np.ndarray | None = None,
-) -> Tensor:
+def encode(params: ParamStore, cfg: EncoderConfig, embedded: Tensor,
+           segments: ad.Segments | None = None, words: np.ndarray | None = None) -> Tensor:
     """Contextual states (rows, hidden) from a stack of self-attention blocks
     over the projected input rows of `embed_tokens`, packed sequences
     (`segments`, one sequence of all rows when None); attention stays inside
-    each sequence. Deterministic whenever train_mode is off. Dropout draws
-    from `rng`, unless the batch's `words` (`dropout_words`) are given."""
-    dropping = train_mode and cfg.dropout_cut > 0
-    if dropping and rng is None and words is None:
-        raise ContractError("train_mode with dropout needs a random generator")
+    each sequence. Given the batch's dropout `words` (`dropout_words`), each
+    layer drops units by them; without, the states are deterministic."""
     seg = ad.segments_of(embedded.data.shape[0], segments)
-    masks = _dropout_masks(cfg, seg, rng, words) if dropping else None
+    masks = None if words is None else _dropout_masks(cfg, seg, words)
 
     x = embedded
     for layer, names in enumerate(_layer_names(cfg.n_layers)):
         x = _block(x, tuple(params[name] for name in names),
-                   cfg, seg, tuple(m[layer] for m in masks) if dropping else None)
+                   cfg, seg, None if masks is None else tuple(m[layer] for m in masks))
     return x
 
 

@@ -8,19 +8,23 @@ AMOM) and the task head, `ate_head` or `asc_head`; a training loss adds one
 `nll` node per forward, and AMOM one node that sums its rounds. The model
 branches on the strategy only for AMOM's rounds and AAM's pooled rows.
 
-`AbsaModel.forward` runs a packed batch of at least SPLIT_ROWS rows as two
-halves, the first ceil(B/2) instances and the rest: the calling thread runs
-half 0 and one worker thread half 1, under the caller's grad mode, and
-dropout words for both are drawn once, on the calling thread
-(`encoder.dropout_words`), so every sequence keeps its keep-masks. The
-halves' probabilities join in one node over the model's parameters; its
-backward seeds each half's subgraph with that half's rows of the gradient,
-runs the two seeded backwards (`autodiff.backward`) concurrently, and gives
-each parameter its half-0 sink's gradient plus its half-1 sink's, in that
-order. The split depends on row counts alone, never on the host's cores, so
-a seed gives the same bits on every machine; a half never splits again.
-Plain training batches, every AMOM round and every evaluation chunk run
-through it alike, and a batch below SPLIT_ROWS runs whole, as before."""
+`AbsaModel.forward` is the one place that draws dropout: given a generator
+(training), it draws the batch's dropout words once, on the calling thread
+(`encoder.dropout_words`), before any row is computed, and the encoder reads
+its keep-masks from them; without one (evaluation) nothing is dropped.
+
+It runs a packed batch of at least SPLIT_ROWS rows as two halves, the first
+ceil(B/2) instances and the rest: the calling thread runs half 0 and one
+worker thread half 1, under the caller's grad mode, each with its group of
+the one draw's words, so every sequence keeps its keep-masks. The halves'
+probabilities join in one node over the model's parameters; its backward
+seeds each half's subgraph with that half's rows of the gradient, runs the
+two seeded backwards (`autodiff.backward`) concurrently, and gives each
+parameter its half-0 sink's gradient plus its half-1 sink's, in that order.
+The split depends on row counts alone, never on the host's cores, so a seed
+gives the same bits on every machine; a half never splits again. Plain
+training batches, every AMOM round and every evaluation chunk run through
+it alike, and a batch below SPLIT_ROWS runs whole."""
 
 from __future__ import annotations
 
@@ -250,21 +254,7 @@ class EvalReport:
 @dataclass
 class TaskOutput:
     probs: Tensor                    # (sum of sentence lengths, 3) for ATE, (B, 3) for ASC
-    decision: mk.MaskDecision | None
-    inp: enc.ModelInput              # the packed batch
     rows: ad.Segments                # rows of `probs` per instance: its tokens (ATE), one (ASC)
-
-
-def _join_decisions(first: mk.MaskDecision | None, second: mk.MaskDecision | None):
-    """Two halves' mask decisions as the whole batch's, without a backward."""
-    if first is None:
-        return None
-
-    def joined(name):
-        a, b = getattr(first, name), getattr(second, name)
-        return None if a is None else np.concatenate([a, b])
-
-    return mk.MaskDecision(joined("attn"), joined("tau"), joined("kept"), joined("masked_states"))
 
 
 class AbsaModel:
@@ -302,42 +292,37 @@ class AbsaModel:
 
     # -- shared plumbing ------------------------------------------------------
 
-    def _encode_and_mask(self, inp: enc.ModelInput, train: bool, surrogate: bool,
-                         rng: np.random.Generator | None, masked_content: list | None,
-                         dropout_words: np.ndarray | None):
-        """(encoded states, states for the head, mask decision) of a batch."""
+    def encode_and_mask(self, inp: enc.ModelInput, surrogate: bool = False,
+                        masked_content: list | None = None, words: np.ndarray | None = None):
+        """(encoded states, states for the head, mask decision) of a packed
+        batch; the decision is None for `none` and AMOM."""
         emb = enc.embed_tokens(self.params, self.enc_cfg, inp, masked_content)
-        encoded = enc.encode(self.params, self.enc_cfg, emb, train_mode=train, rng=rng,
-                             segments=inp.segments, words=dropout_words)
+        encoded = enc.encode(self.params, self.enc_cfg, emb, inp.segments, words)
         return encoded, *mk.stage(encoded, inp, self.params, self.actm_weights, self.mask_cfg,
                                   self.enc_cfg, surrogate)
 
     # -- task forwards ------------------------------------------------------------
     # Each forward runs a whole batch as one packed graph; a single example is
     # a batch of one. `masked_content`, when given, holds one set per instance
-    # of sentence-token indices whose input rows are zeroed; `dropout_words`,
-    # the batch's words from `encoder.dropout_words`, stand in for `rng`.
+    # of sentence-token indices whose input rows are zeroed; `words`, the
+    # batch's dropout words from `encoder.dropout_words`, switch dropout on.
 
-    def forward_ate(self, examples: list[TokenizedExample], train: bool = False,
-                    surrogate: bool = False, rng: np.random.Generator | None = None,
+    def forward_ate(self, examples: list[TokenizedExample], surrogate: bool = False,
                     masked_content: list[frozenset[int]] | None = None,
-                    dropout_words: np.ndarray | None = None) -> TaskOutput:
+                    words: np.ndarray | None = None) -> TaskOutput:
         """BIO probabilities of every sentence token, sentence after sentence."""
         inp = enc.pack_inputs(self.vocab, examples)
-        _, states, decision = self._encode_and_mask(inp, train, surrogate, rng, masked_content,
-                                                    dropout_words)
+        _, states, _ = self.encode_and_mask(inp, surrogate, masked_content, words)
         probs = ate_head(states, inp.content_positions,
                          self.params["head.ate.W"], self.params["head.ate.b"])
-        return TaskOutput(probs, decision, inp, inp.content_segments)
+        return TaskOutput(probs, inp.content_segments)
 
-    def forward_asc(self, instances: list[tuple[TokenizedExample, int]], train: bool = False,
-                    surrogate: bool = False, rng: np.random.Generator | None = None,
+    def forward_asc(self, instances: list[tuple[TokenizedExample, int]], surrogate: bool = False,
                     masked_content: list[frozenset[int]] | None = None,
-                    dropout_words: np.ndarray | None = None) -> TaskOutput:
+                    words: np.ndarray | None = None) -> TaskOutput:
         """Polarity probabilities, one row per (example, aspect index) instance."""
         inp = enc.pack_inputs(self.vocab, [ex for ex, _ in instances], [i for _, i in instances])
-        encoded, states, decision = self._encode_and_mask(inp, train, surrogate, rng, masked_content,
-                                                          dropout_words)
+        encoded, states, decision = self.encode_and_mask(inp, surrogate, masked_content, words)
         if self.mask_cfg.strategy == "aam":   # the aspect span's mean
             rows, pool_seg = enc.aspect_rows(inp.aspect_spans, len(inp))
             divisor = pool_seg.lengths
@@ -351,32 +336,35 @@ class AbsaModel:
                 divisor = pool_seg.lengths
         probs = asc_head(encoded, states, inp.segments.offsets, rows, pool_seg, divisor,
                          self.params["head.asc.W"], self.params["head.asc.b"])
-        return TaskOutput(probs, decision, inp, ad.Segments([1] * len(instances)))
+        return TaskOutput(probs, ad.Segments([1] * len(instances)))
 
-    def forward(self, items: list, train: bool = False, surrogate: bool = False,
-                rng: np.random.Generator | None = None,
+    def forward(self, items: list, surrogate: bool = False, rng: np.random.Generator | None = None,
                 masked_content: list[frozenset[int]] | None = None) -> TaskOutput:
         """`forward_ate` on examples or `forward_asc` on (example, aspect
-        index) instances, whichever the model's task is; a batch of at least
-        SPLIT_ROWS packed rows runs as two concurrent halves (module
-        docstring), whose outputs join as the whole batch's."""
+        index) instances, whichever the model's task is. Given `rng`, units
+        drop by the words drawn from it here, once (module docstring); a
+        batch of at least SPLIT_ROWS packed rows runs as two concurrent
+        halves, whose probabilities join as the whole batch's."""
+        if masked_content is not None and len(masked_content) != len(items):
+            raise ContractError(f"{len(masked_content)} masked-content sets for "
+                                f"{len(items)} instances")
         run = self.forward_ate if self.task == "ate" else self.forward_asc
-        rows = self._packed_rows(items) if len(items) > 1 else []
-        if sum(rows) < SPLIT_ROWS:
-            return run(items, train=train, surrogate=surrogate, rng=rng,
-                       masked_content=masked_content)
+        rows = self._packed_rows(items)
         k = (len(items) + 1) // 2
-        words = masked = (None, None)
-        if train and self.enc_cfg.dropout_cut > 0 and rng is not None:
-            words, rng = enc.dropout_words(self.enc_cfg, (rows[:k], rows[k:]), rng), None
-        if masked_content is not None:
-            masked = (masked_content[:k], masked_content[k:])
+        parts = ([slice(None)] if len(items) < 2 or sum(rows) < SPLIT_ROWS
+                 else [slice(None, k), slice(k, None)])
+        words = [None] * len(parts)
+        if rng is not None and self.enc_cfg.dropout_cut > 0:
+            words = enc.dropout_words(self.enc_cfg, [rows[part] for part in parts], rng)
 
-        def half(h: int, part: slice):
-            return lambda: run(items[part], train=train, surrogate=surrogate, rng=rng,
-                               masked_content=masked[h], dropout_words=words[h])
+        def run_part(h: int) -> TaskOutput:
+            part = parts[h]
+            masked = None if masked_content is None else masked_content[part]
+            return run(items[part], surrogate=surrogate, masked_content=masked, words=words[h])
 
-        return self._join(*_both(half(0, slice(None, k)), half(1, slice(k, None))))
+        if len(parts) == 1:
+            return run_part(0)
+        return self._join(*_both(lambda: run_part(0), lambda: run_part(1)))
 
     def _packed_rows(self, items: list) -> list[int]:
         """The rows `encoder.pack_inputs` gives each instance."""
@@ -387,8 +375,8 @@ class AbsaModel:
     def _join(self, first: TaskOutput, second: TaskOutput) -> TaskOutput:
         """Two halves' outputs as the whole batch's: the probabilities as one
         node over the model's parameters (module docstring), which gives a
-        parameter neither half reaches no gradient, and the inputs, mask
-        decisions and row layouts concatenated."""
+        parameter neither half reaches no gradient, and the row layouts
+        concatenated."""
         halves = (first.probs, second.probs)
         n0 = first.probs.data.shape[0]
         leaves = tuple(self.params.tensors())
@@ -400,12 +388,10 @@ class AbsaModel:
             return [g1 if g0 is None else g0 if g1 is None else g0 + g1 for g0, g1 in grads]
 
         probs = ad.fused(np.concatenate([first.probs.data, second.probs.data]), leaves, backward)
-        return TaskOutput(probs, _join_decisions(first.decision, second.decision),
-                          enc.join_inputs(first.inp, second.inp),
-                          ad.Segments(np.concatenate([first.rows.lengths, second.rows.lengths])))
+        return TaskOutput(probs, ad.Segments(np.concatenate([first.rows.lengths,
+                                                             second.rows.lengths])))
 
-    def loss(self, items: list, train: bool = False,
-             rng: np.random.Generator | None = None) -> Tensor:
+    def loss(self, items: list, rng: np.random.Generator | None = None) -> Tensor:
         """The batch's training loss: each instance's cross-entropy, summed
         over its prediction rows, averaged over the batch, as one `nll` node
         over the packed rows of each forward. ASC's L2 term is not in it
@@ -415,10 +401,10 @@ class AbsaModel:
         one node sums the rounds' nodes."""
         if self.mask_cfg.strategy == "amom":
             rounds: list[Tensor] = []
-            self.amom(items, train=train, rng=rng, losses=rounds)
+            self.amom(items, rng, losses=rounds)
             return ad.fused(functools.reduce(np.add, [r.data for r in rounds]), tuple(rounds),
                             lambda g: (g,) * len(rounds))
-        out = self.forward(items, train=train, rng=rng)
+        out = self.forward(items, rng=rng)
         return nll(out.probs, np.concatenate(self.gold_ids(items)), 1.0 / len(items))
 
     # -- AMOM -------------------------------------------------------------------------
@@ -447,7 +433,7 @@ class AbsaModel:
                             [c for c in range(len(ex)) if not span[0] <= c <= span[1]])
         return maskable
 
-    def amom(self, items: list, train: bool = False, rng: np.random.Generator | None = None,
+    def amom(self, items: list, rng: np.random.Generator | None = None,
              losses: list[Tensor] | None = None):
         """amom_regenerate's (probs per instance, rounds per instance, masked
         sets) for a batch of the model's instances; the first round is an
@@ -468,7 +454,7 @@ class AbsaModel:
             weight = np.asarray(1.0 / len(items), dtype) * (1.0 / rounds).astype(dtype)
 
         def forward(masked: dict[int, set[int]]):
-            out = self.forward([items[b] for b in masked], train=train, rng=rng,
+            out = self.forward([items[b] for b in masked], rng=rng,
                                masked_content=[frozenset(m) for m in masked.values()])
             if losses is not None:
                 batch = list(masked)

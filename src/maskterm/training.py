@@ -126,10 +126,12 @@ def asc_instances(dataset: list[TokenizedExample]) -> list[tuple[TokenizedExampl
     return [(ex, i) for ex in dataset for i in range(len(ex.aspects))]
 
 
-def batch_loss(model: tasks.AbsaModel, config: TrainConfig, batch, train: bool, rng) -> Tensor:
+def batch_loss(model: tasks.AbsaModel, config: TrainConfig, batch,
+               rng: np.random.Generator | None = None) -> Tensor:
     """One differentiable scalar per batch, the batch run as one packed graph:
-    `AbsaModel.loss`. The model holds the run's task and mask config."""
-    return model.loss(batch, train=train, rng=rng)
+    `AbsaModel.loss`, with dropout drawn from `rng` when given. The model
+    holds the run's task and mask config."""
+    return model.loss(batch, rng)
 
 
 def train(config: TrainConfig, train_set: list[TokenizedExample],
@@ -161,7 +163,7 @@ def train(config: TrainConfig, train_set: list[TokenizedExample],
         for lo in range(0, len(instances), config.batch_size):
             batch = [instances[i] for i in order[lo:lo + config.batch_size]]
             model.params.zero_grad()
-            loss = batch_loss(model, config, batch, train=True, rng=dropout_rng)
+            loss = batch_loss(model, config, batch, dropout_rng)
             l2_term = model.params.l2_sum() * (l2 / 2.0) if l2 else 0.0
             value = float(loss.data) + l2_term
             if not np.isfinite(value):

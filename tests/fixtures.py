@@ -1,5 +1,7 @@
 """Shared XML fixtures for ingestion tests, with hand-counted expectations,
-and `run_python` for the tests that need a fresh process."""
+`run_python` for the tests that need a fresh process, and `packed_input`
+for the tests that read a batch's mask decision through
+`AbsaModel.encode_and_mask`."""
 
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import maskterm
+from maskterm import encoder as enc
 
 
 def run_python(script: str, **env: str) -> str:
@@ -16,6 +19,14 @@ def run_python(script: str, **env: str) -> str:
     out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src, **env),
                          capture_output=True, text=True, check=True, timeout=120)
     return out.stdout
+
+
+def packed_input(model, items):
+    """The packed input `model`'s forward builds for `items`: examples for
+    ATE, (example, aspect index) instances for ASC."""
+    if model.task == "ate":
+        return enc.pack_inputs(model.vocab, items)
+    return enc.pack_inputs(model.vocab, [ex for ex, _ in items], [i for _, i in items])
 
 # Two sentences, three aspect terms: positive x2, negative x1.
 SEM14_FIXTURE = """<?xml version="1.0" encoding="UTF-8"?>

@@ -169,5 +169,5 @@ def build(task: str, strategy: str, learnable: bool, packed: bool):
             return tasks.nll(model.forward(batch, surrogate=True).probs, gold, 1.0)
     else:
         def objective():
-            return training.batch_loss(model, config, batch, train=False, rng=None)
+            return training.batch_loss(model, config, batch)
     return model, objective

@@ -23,14 +23,14 @@ def _mean(parts: list[ad.Tensor]) -> ad.Tensor:
     return gc.scale(gc.tsum(*parts), 1.0 / len(parts))
 
 
-def batch_loss(model, items: list, train: bool, rng) -> ad.Tensor:
+def batch_loss(model, items: list, rng) -> ad.Tensor:
     """The loss of `model` on a batch, from the same forwards `model.loss`
     makes: AMOM runs the same remask-by-gold loop, `masking.amom_regenerate`."""
     gold = model.gold_ids(items)
     per_instance: list[list[ad.Tensor]] = [[] for _ in items]
 
     def forward(masked):
-        out = model.forward([items[b] for b in masked], train=train, rng=rng,
+        out = model.forward([items[b] for b in masked], rng=rng,
                             masked_content=[frozenset(m) for m in masked.values()])
         logs = gc.log_clamped(out.probs)
         for b, start, n in zip(masked, out.rows.offsets, out.rows.lengths):

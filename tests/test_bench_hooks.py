@@ -54,9 +54,12 @@ def test_install_layers_hooks_every_name_and_restores(harness, task, strategy, c
         rec.restore()
     assert (enc.encode, autodiff.multi_head_attention, mk.actm_threshold,
             autodiff.ParamStore.l2_sum, training.batch_loss) == originals
-    for key in ("steps", "train_instances", "eval_instances", "graph_nodes", "encoder_rows",
-                "forward_calls", counter):
+    for key in ("steps", "eval_instances", "graph_nodes", "encoder_rows", "forward_calls",
+                counter):
         assert rec.counters[key] > 0, key
+    # the harness reads batch_loss's batch by position
+    instances = examples if task == "ate" else training.asc_instances(examples)
+    assert rec.counters["train_instances"] == len(instances)
     if strategy == "actm":   # masking.stage calls the threshold kernels through the wrappers
         for name in ("masking.token_attention", "masking.threshold", "masking.apply_mask"):
             assert rec.named(name), name

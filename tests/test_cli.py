@@ -238,13 +238,13 @@ class TestTrainEval:
                   "--data", str(data), "--ckpt-out", str(ckpt)])
         capsys.readouterr()
         recording = []
-        inner = tasks.AbsaModel.forward_ate
+        inner = tasks.AbsaModel.encode_and_mask
 
         def logged(self, *args, **kwargs):
             recording.append(ad.grad_enabled())
             return inner(self, *args, **kwargs)
 
-        monkeypatch.setattr(tasks.AbsaModel, "forward_ate", logged)
+        monkeypatch.setattr(tasks.AbsaModel, "encode_and_mask", logged)
         assert cli.main(["mask-demo", "--sentence", "the steak was great.",
                          "--ckpt", str(ckpt)]) == 0
         assert recording == [False]

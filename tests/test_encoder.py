@@ -210,20 +210,29 @@ class TestEncode:
         out_p = enc.encode(params, cfg, Tensor(x[perm])).data
         assert np.allclose(out_p, out[perm], atol=1e-9)
 
-    def test_dropout_requires_rng(self, small_setup):
+    def test_no_words_means_no_dropout(self, small_setup):
+        """Dropout comes only as words: without them, a config with a
+        dropout rate gives the states of one without, whose words keep
+        every unit at scale 1."""
         examples, vocab, cfg, params = small_setup
-        emb = enc.embed_tokens(params, cfg, enc.pack_inputs(vocab, [examples[0]]))
-        with pytest.raises(ContractError):
-            enc.encode(params, cfg, emb, train_mode=True)
+        inp = enc.pack_inputs(vocab, [examples[0]])
+        emb = enc.embed_tokens(params, cfg, inp)
+        assert cfg.dropout_cut > 0
+        plain = dataclasses.replace(cfg, dropout_rate=0.0)
+        words, = enc.dropout_words(plain, [inp.lengths], np.random.default_rng(7))
+        assert np.array_equal(enc.encode(params, cfg, emb).data,
+                              enc.encode(params, plain, emb, words=words).data)
 
     def test_train_mode_dropout_is_seeded(self, small_setup):
         examples, vocab, cfg, params = small_setup
         inp = enc.pack_inputs(vocab, [examples[0]])
-        a = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp),
-                       train_mode=True, rng=np.random.default_rng(7)).data
-        b = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp),
-                       train_mode=True, rng=np.random.default_rng(7)).data
-        assert np.array_equal(a, b)
+
+        def states(words=None):
+            return enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp), words=words).data
+
+        a, b = (states(*enc.dropout_words(cfg, [inp.lengths], np.random.default_rng(7)))
+                for _ in range(2))
+        assert np.array_equal(a, b) and not np.array_equal(a, states())
 
 
 def _attention_oracle(q, k, v, g, lengths, n_heads, scale, keep=None, keep_scale=1.0):
@@ -396,8 +405,8 @@ def _packed_block_case(train: bool):
         t.data = t.data + rng.normal(0.0, 0.1, size=t.data.shape)
     inp = enc.pack_inputs(vocab, examples)
     emb = enc.embed_tokens(params, cfg, inp)
-    states = enc.encode(params, cfg, emb, train_mode=train, rng=np.random.default_rng(43),
-                        segments=inp.segments)
+    words = enc.dropout_words(cfg, [inp.lengths], np.random.default_rng(43))[0] if train else None
+    states = enc.encode(params, cfg, emb, segments=inp.segments, words=words)
     ad.backward(gc.dot(states, Tensor(rng.normal(size=states.data.shape))))
     return cfg, params, emb, states
 
@@ -443,11 +452,11 @@ class TestSavedState:
 
     def test_graph_holds_less_than_with_float_masks(self):
         model, instances = self._asc_batch()
-        model.forward_asc(instances, train=True, rng=np.random.default_rng(0))   # warm-up
+        model.forward(instances, rng=np.random.default_rng(0))   # warm-up
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = model.forward_asc(instances, train=True, rng=np.random.default_rng(0))
+            out = model.forward(instances, rng=np.random.default_rng(0))
             loss = tasks.nll(out.probs, np.concatenate(model.gold_ids(instances)),
                              1.0 / len(instances))
             del out
@@ -459,8 +468,13 @@ class TestSavedState:
 
     def test_dropout_masks_are_boolean(self):
         cfg = enc.EncoderConfig()
-        masks = enc._dropout_masks(cfg, ad.Segments([34, 5]), np.random.default_rng(0))
+        masks = dropout_masks(cfg, [34, 5], np.random.default_rng(0))
         assert [m.dtype for m in masks] == [np.dtype(bool)] * 3
+
+
+def dropout_masks(cfg, lengths, rng):
+    """`_dropout_masks` of sequences of `lengths` rows, their words drawn from `rng`."""
+    return enc._dropout_masks(cfg, ad.Segments(lengths), *enc.dropout_words(cfg, [lengths], rng))
 
 
 class TestDropoutMasks:
@@ -476,9 +490,9 @@ class TestDropoutMasks:
         assert all(self.flags(self.CFG, n) % 4 for n in lengths)
         seg = ad.Segments(lengths)
         rng_packed, rng_alone = np.random.default_rng(3), np.random.default_rng(3)
-        attn, out, ffn = enc._dropout_masks(self.CFG, seg, rng_packed)
+        attn, out, ffn = dropout_masks(self.CFG, lengths, rng_packed)
         for b, (lo, n) in enumerate(zip(seg.offsets, lengths)):
-            attn_1, out_1, ffn_1 = enc._dropout_masks(self.CFG, ad.Segments([n]), rng_alone)
+            attn_1, out_1, ffn_1 = dropout_masks(self.CFG, [n], rng_alone)
             assert np.array_equal(attn[:, :n, b, :, :n], attn_1[:, :, 0])
             assert np.array_equal(out[:, lo:lo + n], out_1)
             assert np.array_equal(ffn[:, lo:lo + n], ffn_1)
@@ -486,11 +500,11 @@ class TestDropoutMasks:
 
     def test_words_drawn_once_for_two_groups_give_each_its_masks(self):
         lengths = [5, 1, 2]
-        whole = enc._dropout_masks(self.CFG, ad.Segments(lengths), np.random.default_rng(3))
+        whole = dropout_masks(self.CFG, lengths, np.random.default_rng(3))
         rng = np.random.default_rng(3)
         first, second = enc.dropout_words(self.CFG, ([5, 1], [2]), rng)
-        halves = [enc._dropout_masks(self.CFG, ad.Segments([5, 1]), words=first),
-                  enc._dropout_masks(self.CFG, ad.Segments([2]), words=second)]
+        halves = [enc._dropout_masks(self.CFG, ad.Segments([5, 1]), first),
+                  enc._dropout_masks(self.CFG, ad.Segments([2]), second)]
         assert np.array_equal(whole[0][:, :, :2], halves[0][0])
         assert np.array_equal(whole[0][:, :2, 2:, :, :2], halves[1][0])
         for i in (1, 2):
@@ -499,10 +513,10 @@ class TestDropoutMasks:
         after.bit_generator.random_raw(len(first) + len(second))
         assert rng.bit_generator.state == after.bit_generator.state
         with pytest.raises(ContractError):
-            enc._dropout_masks(self.CFG, ad.Segments([2]), words=first)
+            enc._dropout_masks(self.CFG, ad.Segments([2]), first)
 
     def test_attention_mask_is_false_in_the_padding(self):
-        attn = enc._dropout_masks(self.CFG, ad.Segments([5, 1, 2]), np.random.default_rng(0))[0]
+        attn = dropout_masks(self.CFG, [5, 1, 2], np.random.default_rng(0))[0]
         # (layers, keys, segments, heads, queries)
         assert not attn[:, 1:, 1].any() and not attn[:, :, 1, :, 1:].any()
         assert not attn[:, 2:, 2].any() and not attn[:, :, 2, :, 2:].any()
@@ -511,14 +525,14 @@ class TestDropoutMasks:
     def test_flags_are_16_bit_lanes_low_lane_first(self):
         # One row: 1 attention flag, 2 output flags and 1 FFN flag fill one word.
         cfg = enc.EncoderConfig(hidden=2, n_heads=1, d_ff=1, n_layers=1, dropout_rate=0.5)
-        attn, out, ffn = enc._dropout_masks(cfg, ad.Segments([1]), np.random.default_rng(5))
+        attn, out, ffn = dropout_masks(cfg, [1], np.random.default_rng(5))
         word = int(np.random.default_rng(5).bit_generator.random_raw(1)[0])
         lanes = [(word >> (16 * i)) & 0xFFFF for i in range(4)]
         assert [attn[0, 0, 0, 0, 0], *out[0, 0], ffn[0, 0, 0]] == [x >= 32768 for x in lanes]
 
     def test_keep_fraction_matches_the_quantised_rate(self):
         cfg = enc.EncoderConfig()
-        masks = enc._dropout_masks(cfg, ad.Segments([60] * 20), np.random.default_rng(1))
+        masks = dropout_masks(cfg, [60] * 20, np.random.default_rng(1))
         flags = sum(m.size for m in masks)
         assert flags >= 1_000_000
         p = 1.0 - cfg.dropout_cut / 65536
@@ -604,9 +618,11 @@ class TestGradFlow:
         inp = enc.pack_inputs(vocab, examples)
         target = Tensor(np.random.default_rng(3).normal(size=(len(inp), 8)))
 
+        words, = enc.dropout_words(cfg, [inp.lengths], np.random.default_rng(4))
+
         def f():   # the same dropout masks on every call
-            states = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp), train_mode=True,
-                                rng=np.random.default_rng(4), segments=inp.segments)
+            states = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp),
+                                segments=inp.segments, words=words)
             return gc.dot(states, target)
 
         names = [n for n in params.names() if n.startswith("enc.")]

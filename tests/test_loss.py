@@ -65,9 +65,9 @@ def test_loss_matches_per_instance_oracle(task, strategy, train):
     model = make_model(task, strategy, data)
     items = items_for(task, data)
     loss, grads = loss_and_grads(
-        model, lambda: model.loss(items, train=train, rng=np.random.default_rng(9)))
+        model, lambda: model.loss(items, np.random.default_rng(9) if train else None))
     want, want_grads = loss_and_grads(
-        model, lambda: oracle.batch_loss(model, items, train, np.random.default_rng(9)))
+        model, lambda: oracle.batch_loss(model, items, np.random.default_rng(9) if train else None))
     assert abs(loss - want) <= 1e-12 * abs(want)
     assert grads.keys() == want_grads.keys()
     for name, g in want_grads.items():
@@ -100,7 +100,7 @@ def test_amom_training_batch_graph_stays_small():
     model = make_model("asc", "amom", data, np.float32, enc.EncoderConfig())
     items = training.asc_instances(data)[:32]
     assert len(items) == 32
-    loss = model.loss(items, train=True, rng=np.random.default_rng(9))
+    loss = model.loss(items, np.random.default_rng(9))
     assert graph_nodes(loss) < 100
     rounds = model.amom(items, losses=[])[1]
     iterations = model.mask_cfg.amom_iterations
@@ -130,7 +130,7 @@ def test_training_graph_has_one_node_per_forward_stage(task, strategy):
     items = items_for(task, data)[:32]
     assert len(items) == 32
     model = make_model(task, strategy, data, np.float32)
-    loss = model.loss(items, train=True, rng=np.random.default_rng(9))
+    loss = model.loss(items, np.random.default_rng(9))
     assert graph_nodes(loss, leaves=False) == NON_LEAF_NODES[task][strategy]
 
 
@@ -139,7 +139,7 @@ def test_amom_rounds_sum_in_one_node():
     whose backward hands each the same gradient."""
     data = examples(6)
     model = make_model("ate", "amom", data)
-    loss = model.loss(data, train=False)
+    loss = model.loss(data)
     rounds = loss._parents
     assert len(rounds) == 1 + model.mask_cfg.amom_iterations
     assert float(loss.data) == float(functools.reduce(np.add, [r.data for r in rounds]))

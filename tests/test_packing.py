@@ -10,6 +10,7 @@ import pytest
 
 import aam_oracle as oracle
 import gradcheck as gc
+from fixtures import packed_input
 from maskterm import autodiff as ad
 from maskterm import corpus
 from maskterm import encoder as enc
@@ -62,34 +63,48 @@ def items_for(task, examples):
 
 
 def loss_and_grads(model, config, batches, train, seed):
-    """Mean batch_loss over `batches` (one shared generator) and its gradients."""
-    rng = np.random.default_rng(seed)
+    """Mean batch_loss over `batches` (one shared generator in train mode)
+    and its gradients."""
+    rng = np.random.default_rng(seed) if train else None
     model.params.zero_grad()
     total = 0.0
     for batch in batches:
-        loss = gc.scale(training.batch_loss(model, config, batch, train=train, rng=rng),
+        loss = gc.scale(training.batch_loss(model, config, batch, rng),
                         1.0 / len(batches))
         ad.backward(loss)
         total += float(loss.data)
     return total, {name: t.grad.copy() for name, t in model.params.items() if t.grad is not None}
 
 
+def record_decisions(monkeypatch, model) -> list:
+    """The mask decision of each forward from now on, read from `encode_and_mask`."""
+    inner, decisions = model.encode_and_mask, []
+
+    def recording(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        decisions.append(out[2])
+        return out
+
+    monkeypatch.setattr(model, "encode_and_mask", recording)
+    return decisions
+
+
 @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
 @pytest.mark.parametrize("strategy,aggregator", STRATEGIES)
 @pytest.mark.parametrize("task", ["ate", "asc"])
-def test_packed_batch_matches_batches_of_one(task, strategy, aggregator, train):
+def test_packed_batch_matches_batches_of_one(monkeypatch, task, strategy, aggregator, train):
     examples = batch_examples()
     model, config = make_model(task, strategy, aggregator, examples)
     items = items_for(task, examples)
     assert len(items) >= 4
+    decisions = record_decisions(monkeypatch, model)
 
-    packed = model.forward(items, train=train, rng=np.random.default_rng(17))
-    rng = np.random.default_rng(17)
-    singles = [model.forward([item], train=train, rng=rng) for item in items]
+    packed = model.forward(items, rng=np.random.default_rng(17) if train else None)
+    rng = np.random.default_rng(17) if train else None
+    singles = [model.forward([item], rng=rng) for item in items]
     assert np.abs(packed.probs.data - np.concatenate([s.probs.data for s in singles])).max() <= 1e-10
-    if packed.decision is not None:
-        assert np.array_equal(packed.decision.kept,
-                              np.concatenate([s.decision.kept for s in singles]))
+    if decisions[0] is not None:
+        assert np.array_equal(decisions[0].kept, np.concatenate([d.kept for d in decisions[1:]]))
 
     loss, grads = loss_and_grads(model, config, [items], train, seed=23)
     loss_1, grads_1 = loss_and_grads(model, config, [[item] for item in items], train, seed=23)
@@ -136,7 +151,7 @@ def test_packed_instances_differ_in_length(task):
     examples = batch_examples()
     assert min(len(ex) for ex in examples) == 1
     model, _ = make_model(task, "none", "mean", examples)
-    lengths = model.forward(items_for(task, examples)).inp.lengths
+    lengths = packed_input(model, items_for(task, examples)).lengths
     assert len(set(lengths)) == len(lengths) >= 4
 
 
@@ -217,8 +232,8 @@ def test_actm_masks_inside_the_packed_batch():
     """The equivalence above is only telling if the cut really drops tokens."""
     examples = batch_examples()
     model, _ = make_model("asc", "actm", "mean", examples)
-    out = model.forward_asc(training.asc_instances(examples))
-    assert not out.decision.kept.all()
+    _, _, decision = model.encode_and_mask(packed_input(model, training.asc_instances(examples)))
+    assert not decision.kept.all()
 
 
 def digest(a) -> str:
@@ -297,7 +312,7 @@ def test_threshold_forward_unchanged(key, monkeypatch):
         return out
 
     monkeypatch.setattr(mk, "aspect_relevance", spy)
-    d = model.forward(items_for(task, examples)).decision
+    _, _, d = model.encode_and_mask(packed_input(model, items_for(task, examples)))
     got = (digest(d.attn), digest(relevance[0]) if relevance else None, digest(d.tau),
            digest(d.kept), digest(d.masked_states), int(d.kept.sum()))
     assert got == THRESHOLD_PINS[key]
@@ -336,10 +351,9 @@ def test_aam_stage_unchanged(key, monkeypatch):
         return out
 
     monkeypatch.setattr(mk, "stage", spy)
-    eval_loss = training.batch_loss(model, config, items, train=False, rng=None)
+    eval_loss = training.batch_loss(model, config, items)
     model.params.zero_grad()
-    train_loss = training.batch_loss(model, config, items, train=True,
-                                     rng=np.random.default_rng(9))
+    train_loss = training.batch_loss(model, config, items, np.random.default_rng(9))
     ad.backward(train_loss)
     got = (digest(states[0]), float(eval_loss.data), float(train_loss.data),
            digest(model.params["mask.z"].grad), digest(model.params["enc.in_proj.W"].grad))
@@ -358,10 +372,10 @@ def test_aam_span_outside_its_range_is_clipped_and_gets_no_gradient(task):
     for outside, bound in ((-0.5, 0.0), (-model.mask_cfg.aam_ramp - 3.0, 0.0),
                            (model.enc_cfg.max_len + 3.0, model.enc_cfg.max_len)):
         z.data = np.array(bound)
-        at_bound = float(training.batch_loss(model, config, items, train=False, rng=None).data)
+        at_bound = float(training.batch_loss(model, config, items).data)
         z.data = np.array(outside)
         model.params.zero_grad()
-        loss = training.batch_loss(model, config, items, train=False, rng=None)
+        loss = training.batch_loss(model, config, items)
         ad.backward(loss)
         assert float(loss.data) == at_bound
         assert z.grad == 0.0 and model.params["enc.in_proj.W"].grad.any()
@@ -374,9 +388,10 @@ def test_ate_actm_keeps_every_token_at_default_init():
     vocab = enc.Vocab.build(examples)
     model = tasks.AbsaModel("ate", replace(SMALL, vocab_size=len(vocab.words)),
                             mk.MaskConfig(strategy="actm"), vocab, 3)
-    out = model.forward_ate(examples)
+    inp = enc.pack_inputs(model.vocab, examples)
+    _, _, decision = model.encode_and_mask(inp)
     assert not model.params["mask.w_a"].data.any()
-    assert out.decision.kept.all() and out.decision.kept.size == len(out.inp)
+    assert decision.kept.all() and decision.kept.size == len(inp)
 
 
 def one_instance_sets(task, examples):
@@ -479,8 +494,8 @@ AMOM_LOSSES_ALONE = {"ate": 20.449071025411317, "asc": 22.321957397063976}
 def test_amom_batch_loss_unchanged(task, train):
     data = corpus.synth_corpus(seed=21, size=6)
     model, config = make_model(task, "amom", "mean", data)
-    loss = training.batch_loss(model, config, items_for(task, data), train=train,
-                               rng=np.random.default_rng(9))
+    loss = training.batch_loss(model, config, items_for(task, data),
+                               np.random.default_rng(9) if train else None)
     assert abs(float(loss.data) - AMOM_LOSSES[(task, train)]) <= 1e-10
 
 
@@ -489,7 +504,7 @@ def test_amom_training_draws_instance_by_instance_when_alone(task):
     data = corpus.synth_corpus(seed=21, size=6)
     model, config = make_model(task, "amom", "mean", data)
     rng = np.random.default_rng(9)
-    losses = [float(training.batch_loss(model, config, [item], train=True, rng=rng).data)
+    losses = [float(training.batch_loss(model, config, [item], rng).data)
               for item in items_for(task, data)]
     assert abs(np.mean(losses) - AMOM_LOSSES_ALONE[task]) <= 1e-10
 
@@ -530,7 +545,7 @@ def test_amom_training_forwards_once_per_round(task, monkeypatch):
         return inner(batch, *args, **kwargs)
 
     monkeypatch.setattr(model, name, logged)
-    training.batch_loss(model, config, items, train=True, rng=np.random.default_rng(9))
+    training.batch_loss(model, config, items, np.random.default_rng(9))
     assert len(calls) == 1 + model.mask_cfg.amom_iterations
     assert calls[0] == (len(items), True) and all(grad for _, grad in calls)
 

@@ -54,8 +54,7 @@ def test_training_step_and_prediction_stay_float32(monkeypatch, examples, task, 
     model = build(task, strategy, learnable, examples)
     config = training.TrainConfig(task=task, mask=model.mask_cfg, encoder=model.enc_cfg)
     items = examples if task == "ate" else training.asc_instances(examples)
-    ad.backward(training.batch_loss(model, config, items, train=True,
-                                    rng=np.random.default_rng(0)))
+    ad.backward(training.batch_loss(model, config, items, np.random.default_rng(0)))
     optimizer = training.Adam(model.params, 1e-3, l2=0.01)
     optimizer.step()
     model.predict_ids(items)

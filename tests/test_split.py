@@ -5,11 +5,12 @@ The tests lower SPLIT_ROWS so that small batches split."""
 import sys
 import threading
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fixtures import packed_input
 from maskterm import autodiff as ad
 from maskterm import corpus
 from maskterm import encoder as enc
@@ -24,10 +25,10 @@ CASES = [(task, strategy) for task in tasks.TASKS for strategy in mk.MaskConfig.
 MODES = pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
 
 
-def make_model(task, strategy, dtype):
-    """A model over seven synthetic sentences whose heads and scoring weights
-    are drawn, so that no path is trivial, and its instances."""
-    data = corpus.synth_corpus(seed=41, size=7)
+def make_model(task, strategy, dtype, size=7):
+    """A model over `size` synthetic sentences whose heads and scoring
+    weights are drawn, so that no path is trivial, and its instances."""
+    data = corpus.synth_corpus(seed=41, size=size)
     vocab = enc.Vocab.build(data)
     model = tasks.AbsaModel(task, replace(SMALL, vocab_size=len(vocab.words)),
                             mk.MaskConfig(strategy=strategy), vocab, 3, dtype)
@@ -74,28 +75,23 @@ def record_dropout(monkeypatch, model):
 
 def run_batch(model, items, train):
     """(probabilities per instance, output) of a strategy's forward, or for
-    AMOM (probabilities per instance, masked sets per round), from one fixed
-    generator."""
-    rng = np.random.default_rng(17)
+    AMOM (probabilities per instance, masked sets per round), in train mode
+    from one fixed generator."""
+    rng = np.random.default_rng(17) if train else None
     if model.mask_cfg.strategy == "amom":
-        probs, _, history = model.amom(items, train=train, rng=rng)
+        probs, _, history = model.amom(items, rng)
         return probs, history
-    out = model.forward(items, train=train, rng=rng)
+    out = model.forward(items, rng=rng)
     return np.split(out.probs.data, out.rows.offsets[1:]), out
 
 
 def assert_same_layout(split, whole):
-    """The joined output describes the batch as the whole forward does."""
+    """The joined output lays out the batch's rows as the whole forward
+    does; AMOM's rounds hide the same sets."""
     if isinstance(whole, list):   # AMOM's masked sets
         assert split == whole
-        return
-    assert np.array_equal(split.rows.lengths, whole.rows.lengths)
-    for f in fields(enc.ModelInput):
-        a, b = getattr(split.inp, f.name), getattr(whole.inp, f.name)
-        assert (a is None and b is None) or np.array_equal(a, b), f.name
-    assert (split.decision is None) == (whole.decision is None)
-    if whole.decision is not None:
-        assert np.array_equal(split.decision.kept, whole.decision.kept)
+    else:
+        assert np.array_equal(split.rows.lengths, whole.rows.lengths)
 
 
 @MODES
@@ -131,7 +127,7 @@ def test_split_forward_keeps_the_dropout_masks_and_the_probabilities(monkeypatch
 
 def loss_and_grads(model, items, train):
     model.params.zero_grad()
-    loss = model.loss(items, train=train, rng=np.random.default_rng(9))
+    loss = model.loss(items, np.random.default_rng(9) if train else None)
     ad.backward(loss)
     return float(loss.data), {n: t.grad for n, t in model.params.items() if t.grad is not None}
 
@@ -209,7 +205,7 @@ def test_a_half_at_or_above_split_rows_does_not_split_again(monkeypatch, task):
     model, items = make_model(task, "none", np.float32)
     monkeypatch.setattr(tasks, "SPLIT_ROWS", 2)
     runs = count_splits(monkeypatch)
-    out = model.forward(items, train=True, rng=np.random.default_rng(0))
+    out = model.forward(items, rng=np.random.default_rng(0))
     assert len(runs) == 1 and out.rows.count == len(items) >= 4
     loss = tasks.nll(out.probs, np.concatenate(model.gold_ids(items)), 1.0)
     ad.backward(loss)
@@ -219,7 +215,7 @@ def test_a_half_at_or_above_split_rows_does_not_split_again(monkeypatch, task):
 def test_the_split_starts_at_split_rows(monkeypatch):
     model, items = make_model("asc", "none", np.float32)
     rows = sum(enc.packed_length(ex, i) for ex, i in items)
-    assert rows == len(model.forward(items).inp)
+    assert rows == len(packed_input(model, items))
     runs = count_splits(monkeypatch)
     for threshold, splits in ((rows + 1, 0), (rows, 1)):
         monkeypatch.setattr(tasks, "SPLIT_ROWS", threshold)
@@ -256,3 +252,42 @@ def test_split_backwards_from_many_threads_keep_their_gradients(monkeypatch):
         for run_loss, run_grads in runs:
             assert run_loss == loss and run_grads.keys() == grads.keys()
             assert all(np.array_equal(run_grads[n], g) for n, g in grads.items())
+
+
+@pytest.mark.parametrize("sets", [4, 5])
+@pytest.mark.parametrize("task", tasks.TASKS)
+def test_masked_content_must_cover_every_instance_split_or_whole(monkeypatch, task, sets):
+    """`forward` counts the masked-content sets against the whole batch
+    before it splits. Counted per half, 4 sets for 8 ATE sentences once
+    passed (half 1 got none and ran unmasked), and 5 failed as "1 sets for
+    4 sequences"."""
+    model, items = make_model(task, "none", np.float32, size=8)
+    items = items[:8]
+    assert len(items) == 8
+    for split_rows in (10**9, 2):
+        monkeypatch.setattr(tasks, "SPLIT_ROWS", split_rows)
+        with pytest.raises(ContractError, match=f"^{sets} masked-content sets for 8 instances$"):
+            model.forward(items, masked_content=[frozenset({0})] * sets)
+        out = model.forward(items, masked_content=[frozenset({0})] * 8)
+        assert out.rows.count == 8
+    run = model.forward_ate if task == "ate" else model.forward_asc
+    with pytest.raises(ContractError, match="^4 masked-content sets for 8 sequences$"):
+        run(items, masked_content=[frozenset()] * 4)   # empty sets are counted too
+
+
+@pytest.mark.parametrize("task", tasks.TASKS)
+def test_a_forward_draws_the_same_words_split_or_whole(monkeypatch, task):
+    """A forward leaves its generator in one state whether the batch split
+    or ran whole, and without dropout it draws nothing."""
+    model, items = make_model(task, "actm", np.float32)
+    fresh = np.random.default_rng(17).bit_generator.state
+    for rate, drawn in ((SMALL.dropout_rate, True), (0.0, False)):
+        model.enc_cfg = replace(model.enc_cfg, dropout_rate=rate)
+        states = []
+        for split_rows in (10**9, 2):
+            monkeypatch.setattr(tasks, "SPLIT_ROWS", split_rows)
+            rng = np.random.default_rng(17)
+            model.forward(items, rng=rng)
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]
+        assert (states[0] != fresh) == drawn

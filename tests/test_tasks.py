@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gradcheck as gc
+from fixtures import packed_input
 from maskterm import autodiff as ad
 from maskterm import corpus
 from maskterm import encoder as enc
@@ -251,13 +252,15 @@ class TestForwards:
 
     def test_protected_positions_never_masked(self, tiny_models):
         examples, models, asc_models = tiny_models
-        out = models["actm"].forward_ate([examples[0]])
-        assert out.decision.kept[0] and out.decision.kept[-1]
+        model = models["actm"]
+        _, _, decision = model.encode_and_mask(packed_input(model, [examples[0]]))
+        assert decision.kept[0] and decision.kept[-1]
         ex = examples[0]
-        out = asc_models["actm"].forward_asc([(ex, 0)])
+        model = asc_models["actm"]
+        _, _, decision = model.encode_and_mask(packed_input(model, [(ex, 0)]))
         s, e = ex.aspects[0].token_span
         for p in range(s + 1, e + 2):
-            assert out.decision.kept[p]
+            assert decision.kept[p]
 
     def test_overfit_single_example_matches_gold(self, tiny_models):
         examples, _, _ = tiny_models

@@ -139,9 +139,9 @@ class TestTrainLoop:
         seen = []
         original = training.batch_loss
 
-        def spy(model, config, batch, train, rng):
+        def spy(model, config, batch, rng):
             seen.append((len(batch), model.params.l2_sum() * config.l2_lambda / 2.0))
-            return original(model, config, batch, train, rng)
+            return original(model, config, batch, rng)
 
         monkeypatch.setattr(training, "batch_loss", spy)
         _, log = training.train(small_config(task=task, epochs=1), train_set[:20], eval_set[:4])
@@ -163,8 +163,7 @@ class TestTrainLoop:
         encoder = dataclasses.replace(SMALL_ENCODER, vocab_size=len(vocab.words))
         model = tasks.AbsaModel(task, encoder, config.mask, vocab, config.seed)
         batch = train_set[:4] if task == "ate" else training.asc_instances(train_set[:4])
-        ad.backward(training.batch_loss(model, config, batch, train=True,
-                                        rng=np.random.default_rng(0)))
+        ad.backward(training.batch_loss(model, config, batch, np.random.default_rng(0)))
         assert [n for n, t in model.params.items() if t.grad is None] == []
 
 
@@ -180,13 +179,13 @@ class TestAdam:
         batch = training.asc_instances(train_set[:6])
         lam = config.l2_lambda
 
-        loss = training.batch_loss(model, config, batch, train=False, rng=None)
+        loss = training.batch_loss(model, config, batch)
         l2 = [gc.scale(gc.dot(t, t), lam / 2.0) for t in model.params.tensors()]
         ad.backward(gc.tsum(loss, *l2))
         expected = {name: t.grad.copy() for name, t in model.params.items()}
 
         model.params.zero_grad()
-        ad.backward(training.batch_loss(model, config, batch, train=False, rng=None))
+        ad.backward(training.batch_loss(model, config, batch))
         optimizer = training.Adam(model.params, 1e-3, lam)
         optimizer.step()
         for name, grad in expected.items():
