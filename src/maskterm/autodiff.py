@@ -28,12 +28,12 @@ keep-masks and a scale (`dropout_`), and a closure keeps only what its
 backward cannot cheaply rebuild: attention saves the probabilities, and its
 backward rebuilds the dropped ones from them.
 
-`backward` also runs seeded: given the gradient of any node, it
-propagates it through that node's subgraph and returns the leaves'
-gradients from a sink of the calling thread, leaving every leaf's `grad`
-as it was. So two threads can run the backwards of two subgraphs that
-share leaves (the parameters) at once, and their caller adds the two
-sinks; `tasks` does this for the halves of a split forward.
+`backward` returns the gradient of every leaf it reaches as a dict and
+writes on no tensor. Given the gradient of any node as a seed, it
+propagates that through the node's subgraph alone. So two threads can run
+the backwards of two subgraphs that share leaves (the parameters) at once,
+and their caller adds the two dicts; `tasks` does this for the halves of a
+split forward.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ import numpy as np
 from .exceptions import ContractError, DimensionError
 
 # Thread-local, so a no_grad block in one thread leaves recording on in the
-# others, and a seeded backward's sink (`backward`) takes only its own thread's
-# leaf gradients.
+# others.
 _GRAD_STATE = threading.local()
 
 
@@ -79,15 +78,15 @@ def no_grad():
 class Tensor:
     """Immutable-by-convention array node in the differentiation record."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self._parents: tuple = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        # g -> one gradient per parent, in order, or None where it reaches none
+        self._backward: Callable[[np.ndarray], tuple | list] | None = None
 
     def item(self) -> float:
         return float(self.data)
@@ -160,36 +159,14 @@ def segments_of(n: int, segments: Segments | None) -> Segments:
     return segments
 
 
-def _added(total: np.ndarray | None, g: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    # A gradient may be shared with other tensors or be a view into another
-    # buffer, so none is ever written to: the first is kept as it comes and
-    # each later one makes a new array.
-    if total is None:
-        return g if g.dtype == dtype else g.astype(dtype)
-    return total + g
-
-
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    sink = getattr(_GRAD_STATE, "sink", None)
-    if sink is not None and t._backward is None:   # a leaf, inside a seeded backward
-        sink[t] = _added(sink.get(t), g, t.data.dtype)
-    else:
-        t.grad = _added(t.grad, g, t.data.dtype)
-
-
 def fused(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
     """One node over hand-written math: `backward(g)` returns a gradient for
     each parent in order, or None for a parent it does not reach; parents
-    outside differentiation drop theirs. The node records its parents only
-    outside `no_grad` and when one of them needs a gradient."""
+    outside differentiation drop theirs. The node records its parents and
+    `backward` only outside `no_grad` and when one of them needs a gradient."""
     out = Tensor(data)
     if grad_enabled() and any(p.requires_grad for p in parents):
-        def accumulate(g):
-            for p, grad in zip(parents, backward(g)):
-                if p.requires_grad and grad is not None:
-                    _accumulate(p, grad)
-
-        out._parents, out._backward, out.requires_grad = parents, accumulate, True
+        out._parents, out._backward, out.requires_grad = parents, backward, True
     return out
 
 
@@ -335,13 +312,24 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: i
 # -- backward pass ---------------------------------------------------------------
 
 
-def backward(loss: Tensor, seed: np.ndarray | None = None) -> dict[Tensor, np.ndarray] | None:
-    """Accumulate into the grad buffer of every leaf reachable from a scalar
-    loss; intermediate gradients are dropped once propagated.
+def _accumulate(grads: dict, t: Tensor, g: np.ndarray) -> None:
+    """Add `g` to `grads[t]`, in `t`'s dtype. A gradient may be shared with
+    other tensors or be a view into another buffer, so none is ever written
+    to: the first is kept as it comes and each later one makes a new array."""
+    total = grads.get(t)
+    if total is None:
+        grads[t] = g if g.dtype == t.data.dtype else g.astype(t.data.dtype)
+    else:
+        grads[t] = total + g
+
+
+def backward(loss: Tensor, seed: np.ndarray | None = None) -> dict[Tensor, np.ndarray]:
+    """The gradient of a scalar loss with respect to every leaf it reaches,
+    as {leaf: gradient}; each inner node's gradient is dropped once
+    propagated, and no tensor changes.
 
     Given `seed`, the gradient of `loss` (of its shape, so `loss` need not be
-    a scalar), the leaves' gradients go to a sink of the calling thread
-    instead, which is returned as {leaf: gradient}; no leaf's `grad` changes."""
+    a scalar), that is propagated in place of ones."""
     if seed is None and loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if seed is not None and seed.shape != loss.data.shape:
@@ -361,18 +349,14 @@ def backward(loss: Tensor, seed: np.ndarray | None = None) -> dict[Tensor, np.nd
         for p in node._parents:
             if id(p) not in visited and p.requires_grad:
                 stack.append((p, False))
-    outer = getattr(_GRAD_STATE, "sink", None)
-    sink = None if seed is None else {}
-    _GRAD_STATE.sink = sink
-    try:
-        _accumulate(loss, np.ones_like(loss.data) if seed is None else seed)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                node.grad = None   # only leaves keep their gradient
-    finally:
-        _GRAD_STATE.sink = outer
-    return sink
+    grads: dict[Tensor, np.ndarray] = {}
+    _accumulate(grads, loss, np.ones_like(loss.data) if seed is None else seed)
+    for node in reversed(topo):
+        if node._backward is not None and node in grads:
+            for p, g in zip(node._parents, node._backward(grads.pop(node))):
+                if p.requires_grad and g is not None:
+                    _accumulate(grads, p, g)
+    return grads
 
 
 # -- parameter store ----------------------------------------------------------------
@@ -410,10 +394,6 @@ class ParamStore:
 
     def tensors(self):
         return self._entries.values()
-
-    def zero_grad(self) -> None:
-        for t in self._entries.values():
-            t.grad = None
 
     def l2_sum(self) -> float:
         """Sum of squares over every entry, in entry order and in float64

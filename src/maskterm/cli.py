@@ -145,6 +145,7 @@ def cmd_mask_demo(args) -> int:
         tokens, attn = read_scores_tsv(args.scores)
         protected, decision = None, None
         alpha = args.alpha if args.alpha is not None else 1.0
+        aggregator = args.aggregator or mk.MaskConfig.aggregator
     else:
         model = training.load_model(args.ckpt)
         if model.task != "ate":
@@ -161,9 +162,10 @@ def cmd_mask_demo(args) -> int:
             )
         tokens = ["[CLS]"] + example.tokens + ["[SEP]"]
         attn, protected, alpha = decision.attn, inp.protected, args.alpha
+        aggregator = args.aggregator or model.mask_cfg.aggregator
     if alpha is not None:   # recut with alpha times the aggregate, no relevance term
         # A float64 alpha keeps the recut of a float32 model's attention in float64.
-        tau, _ = mk.actm_threshold(attn, np.float64(alpha), args.aggregator)
+        tau, _ = mk.actm_threshold(attn, np.float64(alpha), aggregator)
         decision = mk.apply_mask(attn, tau, protected=protected)
     sys.stdout.write(mk.format_mask_trace(tokens, decision))
     return 0
@@ -210,8 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--scores", help="TSV of token<TAB>attention rows, used verbatim")
     source.add_argument("--sentence", help="sentence to run through a trained checkpoint")
     p.add_argument("--ckpt", help="checkpoint path (required with --sentence)")
-    p.add_argument("--aggregator", choices=mk.AGGREGATOR_KINDS,
-                   default=mk.MaskConfig.aggregator)
+    p.add_argument("--aggregator", choices=mk.AGGREGATOR_KINDS, default=None,
+                   help="threshold aggregate (default: mean with --scores, as trained with "
+                        "--sentence)")
     p.add_argument("--alpha", type=float, default=None,
                    help="threshold weight (default: 1.0 with --scores, as trained with --sentence)")
     p.set_defaults(func=cmd_mask_demo)

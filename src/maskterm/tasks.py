@@ -20,7 +20,7 @@ the one draw's words, so every sequence keeps its keep-masks. The halves'
 probabilities join in one node over the model's parameters; its backward
 seeds each half's subgraph with that half's rows of the gradient, runs the
 two seeded backwards (`autodiff.backward`) concurrently, and gives each
-parameter its half-0 sink's gradient plus its half-1 sink's, in that order.
+parameter its half-0 gradient plus its half-1 gradient, in that order.
 The split depends on row counts alone, never on the host's cores, so a seed
 gives the same bits on every machine; a half never splits again. Plain
 training batches, every AMOM round and every evaluation chunk run through
@@ -32,7 +32,7 @@ import functools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -240,12 +240,7 @@ class EvalReport:
     per_class: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "ate": self.ate,
-            "asc": self.asc,
-            "per_class": self.per_class,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 # -- model -------------------------------------------------------------------------
@@ -382,9 +377,9 @@ class AbsaModel:
         leaves = tuple(self.params.tensors())
 
         def backward(g):
-            sinks = _both(lambda: ad.backward(halves[0], g[:n0]),
-                          lambda: ad.backward(halves[1], g[n0:]))
-            grads = [[sink.get(p) for sink in sinks] for p in leaves]
+            both = _both(lambda: ad.backward(halves[0], g[:n0]),
+                         lambda: ad.backward(halves[1], g[n0:]))
+            grads = [[half.get(p) for half in both] for p in leaves]
             return [g1 if g0 is None else g0 if g1 is None else g0 + g1 for g0, g1 in grads]
 
         probs = ad.fused(np.concatenate([first.probs.data, second.probs.data]), leaves, backward)

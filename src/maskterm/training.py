@@ -91,8 +91,9 @@ class RunLog:
 
 class Adam:
     """Adam with bias correction, on each gradient plus `l2` * theta: coupled
-    L2 decay, the gradient of (l2/2) * ||theta||^2 kept out of the graph. A
-    parameter with no loss gradient steps on l2 * theta alone."""
+    L2 decay, the gradient of (l2/2) * ||theta||^2 kept out of the graph.
+    `step` takes the {parameter: gradient} dict `autodiff.backward` returns;
+    a parameter with no loss gradient steps on l2 * theta alone."""
 
     def __init__(self, params: ad.ParamStore, lr: float, l2: float = 0.0):
         self.params = params
@@ -102,12 +103,12 @@ class Adam:
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
 
-    def step(self) -> None:
+    def step(self, grads: dict[Tensor, np.ndarray]) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, tensor in self.params.items():
-            g = tensor.grad
+            g = grads.get(tensor)
             if self.l2:
                 g = self.l2 * tensor.data if g is None else g + self.l2 * tensor.data
             if g is None:
@@ -162,7 +163,6 @@ def train(config: TrainConfig, train_set: list[TokenizedExample],
         seen = 0
         for lo in range(0, len(instances), config.batch_size):
             batch = [instances[i] for i in order[lo:lo + config.batch_size]]
-            model.params.zero_grad()
             loss = batch_loss(model, config, batch, dropout_rng)
             l2_term = model.params.l2_sum() * (l2 / 2.0) if l2 else 0.0
             value = float(loss.data) + l2_term
@@ -171,9 +171,10 @@ def train(config: TrainConfig, train_set: list[TokenizedExample],
                     f"non-finite loss at epoch {epoch} batch {lo // config.batch_size} "
                     f"(size {len(batch)}): {value!r}"
                 )
-            ad.backward(loss)
+            grads = ad.backward(loss)
             del loss   # free this batch's graph before the next one is built
-            optimizer.step()
+            optimizer.step(grads)
+            del grads   # and its gradients
             epoch_loss += value * len(batch)
             epoch_l2 += l2_term * len(batch)
             seen += len(batch)

@@ -68,12 +68,11 @@ def finite_difference_check(f, params: ad.ParamStore, h: float = 1e-5,
     per-parameter dict of the same statistic.
     """
     check_names = list(names) if names is not None else params.names()
-    params.zero_grad()
     out = f()
     if not np.isfinite(out.data).all():
         raise NumericError("objective returned a non-finite value")
-    ad.backward(out)
-    analytic = {name: (params[name].grad.copy() if params[name].grad is not None
+    grads = ad.backward(out)
+    analytic = {name: (grads[params[name]].copy() if params[name] in grads
                        else np.zeros_like(params[name].data))
                 for name in check_names}
 

@@ -1,4 +1,5 @@
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -112,13 +113,11 @@ def _node(kernel, t, *args):
 class TestBackward:
     def test_square(self):
         x = ad.Tensor(3.0, requires_grad=True)
-        ad.backward(gc.dot(x, x))
-        assert x.grad == pytest.approx(6.0)
+        assert ad.backward(gc.dot(x, x))[x] == pytest.approx(6.0)
 
     def test_constant_function_zero_grad(self):
         v = ad.Tensor([0.4, -1.0, 2.2], requires_grad=True)
-        ad.backward(gc.tsum(_node(ad.softmax_kernel, v)))
-        assert np.allclose(v.grad, 0.0, atol=1e-12)
+        assert np.allclose(ad.backward(gc.tsum(_node(ad.softmax_kernel, v)))[v], 0.0, atol=1e-12)
 
     def test_two_layer_composition_matches_finite_differences(self):
         """A layer norm node (three parents) and GELU, then a softmax node,
@@ -136,64 +135,75 @@ class TestBackward:
 
         assert gc.finite_difference_check(f, params, h=1e-5) < 1e-6
 
-    def test_accumulation_without_reset(self):
+    def test_each_backward_returns_its_own_gradients(self):
         x = ad.Tensor(2.0, requires_grad=True)
-        ad.backward(gc.dot(x, x))
-        ad.backward(gc.dot(x, x))
-        assert x.grad == pytest.approx(8.0)
+        first = ad.backward(gc.dot(x, x))
+        second = ad.backward(gc.scale(x, 3.0))
+        assert first[x] == pytest.approx(4.0) and second[x] == pytest.approx(3.0)
+        assert first.keys() == second.keys() == {x}
 
     def test_gradient_handed_to_two_leaves_stays_apart(self):
         a = ad.Tensor([1.0, 2.0], requires_grad=True)
         b = ad.Tensor([3.0, 4.0], requires_grad=True)
         shared = ad.fused(a.data + b.data, (a, b), lambda g: (g, g))   # one array to both leaves
-        ad.backward(gc.tsum(shared, gc.scale(a, 2.0), gc.scale(a, 3.0)))
-        assert np.array_equal(a.grad, [6.0, 6.0]) and np.array_equal(b.grad, [1.0, 1.0])
+        grads = ad.backward(gc.tsum(shared, gc.scale(a, 2.0), gc.scale(a, 3.0)))
+        assert np.array_equal(grads[a], [6.0, 6.0]) and np.array_equal(grads[b], [1.0, 1.0])
 
     def test_linearity_on_random_graphs(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             base = rng.normal(size=4)
             x = ad.Tensor(base, requires_grad=True)
-            ad.backward(gc.tsum(gc.dot(x, x), _node(ad.gelu, x)))
-            joint = x.grad.copy()
-            x.grad = None
-            ad.backward(gc.dot(x, x))
-            g1 = x.grad.copy()
-            x.grad = None
-            ad.backward(gc.tsum(_node(ad.gelu, x)))
-            assert np.allclose(joint, g1 + x.grad, atol=1e-12)
+            joint = ad.backward(gc.tsum(gc.dot(x, x), _node(ad.gelu, x)))[x]
+            g1 = ad.backward(gc.dot(x, x))[x]
+            g2 = ad.backward(gc.tsum(_node(ad.gelu, x)))[x]
+            assert np.allclose(joint, g1 + g2, atol=1e-12)
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ContractError):
             ad.backward(ad.Tensor([1.0, 2.0], requires_grad=True))
 
-    def test_seeded_backward_returns_a_sink_and_leaves_grads_alone(self):
+    def test_seeded_backward_returns_the_leaves_gradients(self):
         a = ad.Tensor([1.0, 2.0], requires_grad=True)
         b = ad.Tensor([3.0, -1.0], requires_grad=True)
-        a.grad = np.array([10.0, 10.0])
         node = ad.fused(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-        sink = ad.backward(gc.scale(node, 2.0), np.array([1.0, 0.5]))
-        assert sink.keys() == {a, b}
-        assert np.array_equal(sink[a], [6.0, -1.0]) and np.array_equal(sink[b], [2.0, 2.0])
-        assert np.array_equal(a.grad, [10.0, 10.0]) and b.grad is None
-        ad.backward(gc.dot(a, a))   # an unseeded backward after it writes grads again
-        assert np.array_equal(a.grad, [12.0, 14.0])
+        grads = ad.backward(gc.scale(node, 2.0), np.array([1.0, 0.5]))
+        assert grads.keys() == {a, b}
+        assert np.array_equal(grads[a], [6.0, -1.0]) and np.array_equal(grads[b], [2.0, 2.0])
         with pytest.raises(DimensionError):
             ad.backward(node, np.ones(3))
 
-    def test_seeded_backwards_on_two_threads_keep_their_sinks_apart(self):
+    def test_seeded_backwards_on_two_threads_keep_their_gradients_apart(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
         seeds = [np.full(2, float(i)) for i in range(8)]
         with ThreadPoolExecutor(max_workers=2) as pool:
-            sinks = list(pool.map(lambda s: ad.backward(gc.scale(x, 3.0), s), seeds))
-        assert all(np.array_equal(sink[x], 3.0 * s) for sink, s in zip(sinks, seeds))
-        assert x.grad is None
+            all_grads = list(pool.map(lambda s: ad.backward(gc.scale(x, 3.0), s), seeds))
+        assert all(np.array_equal(grads[x], 3.0 * s) for grads, s in zip(all_grads, seeds))
+
+    def test_unseeded_backwards_on_two_threads_through_shared_leaves(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        w = ad.Tensor([3.0, -1.0], requires_grad=True)
+        both_walking = threading.Barrier(2, timeout=10)
+
+        def meet(g):   # each walk waits here until the other has begun too
+            both_walking.wait()
+            return (g,)
+
+        def run(k: float):
+            loss = gc.tsum(gc.scale(x, k), gc.dot(x, w))
+            return ad.backward(ad.fused(loss.data, (loss,), meet))
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first, second = pool.map(run, [1.0, 5.0])
+        for grads, k in ((first, 1.0), (second, 5.0)):
+            assert grads.keys() == {x, w}
+            assert np.array_equal(grads[x], k + w.data) and np.array_equal(grads[w], x.data)
 
     def test_a_parent_handed_none_gets_no_gradient(self):
         a = ad.Tensor([1.0], requires_grad=True)
         b = ad.Tensor([2.0], requires_grad=True)
-        ad.backward(gc.tsum(ad.fused(a.data + b.data, (a, b), lambda g: (g, None))))
-        assert np.array_equal(a.grad, [1.0]) and b.grad is None
+        grads = ad.backward(gc.tsum(ad.fused(a.data + b.data, (a, b), lambda g: (g, None))))
+        assert np.array_equal(grads[a], [1.0]) and b not in grads
 
     def test_no_record_without_a_gradient_or_under_no_grad(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)

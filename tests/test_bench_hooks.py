@@ -60,6 +60,9 @@ def test_install_layers_hooks_every_name_and_restores(harness, task, strategy, c
     # the harness reads batch_loss's batch by position
     instances = examples if task == "ate" else training.asc_instances(examples)
     assert rec.counters["train_instances"] == len(instances)
+    # step_durations pairs each batch_loss span with the Adam step after it
+    assert len(rec.named("training.adam_step")) == rec.counters["steps"]
+    assert len(rec.named("autodiff.backward")) >= rec.counters["steps"]
     if strategy == "actm":   # masking.stage calls the threshold kernels through the wrappers
         for name in ("masking.token_attention", "masking.threshold", "masking.apply_mask"):
             assert rec.named(name), name

@@ -250,6 +250,27 @@ class TestTrainEval:
         assert recording == [False]
         assert parse_trace(capsys.readouterr().out)[0][0][0] == "[CLS]"
 
+    def test_mask_demo_recuts_with_the_checkpoints_aggregator(self, trained, tmp_path, capsys):
+        """`--alpha` without `--aggregator` recuts a median checkpoint's
+        attention with the median, not the mean."""
+        data, cfg, _, _ = trained
+        median_cfg = tmp_path / "median.json"
+        median_cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), aggregator="median")))
+        ckpt = tmp_path / "median.ckpt"
+        assert cli.main(["train", "--task", "ate", "--config", str(median_cfg),
+                         "--data", str(data), "--ckpt-out", str(ckpt)]) == 0
+        capsys.readouterr()
+        demo = ["mask-demo", "--sentence", "the steak was great but the service was slow .",
+                "--ckpt", str(ckpt), "--alpha", "1.0"]
+        traces = {}
+        for extra in ([], ["--aggregator", "median"], ["--aggregator", "mean"]):
+            assert cli.main(demo + extra) == 0
+            traces[tuple(extra)] = capsys.readouterr().out
+        assert traces[()] == traces[("--aggregator", "median")]
+        kept = {extra: [r[3] for r in parse_trace(out)[0]] for extra, out in traces.items()}
+        # the second "the" sits between the two cuts: kept by the median, masked by the mean
+        assert kept[()][6] == "yes" and kept[("--aggregator", "mean")][6] == "no"
+
     def test_same_seed_same_metrics(self, trained, capsys):
         data, cfg, _, _ = trained
         assert cli.main(["train", "--task", "ate", "--config", str(cfg), "--data", str(data)]) == 0

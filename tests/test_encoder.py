@@ -168,10 +168,9 @@ class TestEmbed:
 
         names = ["emb.word", "emb.pos", "enc.in_proj.W", "enc.in_proj.b"]
         assert gc.finite_difference_check(objective, params, names=names) < 1e-4
-        params.zero_grad()
-        ad.backward(objective())
-        assert not params["emb.word"].grad[vocab.id_of("was")].any()   # seen only hidden
-        assert params["emb.word"].grad[enc.CLS_ID].any()   # specials keep their word part
+        word_grad = ad.backward(objective())[params["emb.word"]]
+        assert not word_grad[vocab.id_of("was")].any()   # seen only hidden
+        assert word_grad[enc.CLS_ID].any()   # specials keep their word part
 
 
 class TestEncode:
@@ -392,8 +391,9 @@ BLOCK_DIGESTS = {
 
 
 def _packed_block_case(train: bool):
-    """(config, params, embedded input, encoded states) of BLOCK_SENTENCES
-    packed into one batch, after a backward of a random projection of the states."""
+    """(config, params, embedded input, encoded states, gradients) of
+    BLOCK_SENTENCES packed into one batch, the gradients those of a random
+    projection of the states."""
     examples = [corpus.make_example(s, []) for s in BLOCK_SENTENCES]
     vocab = enc.Vocab.build(examples)
     cfg = enc.EncoderConfig(vocab_size=len(vocab.words), d_w=4, d_p=2, hidden=8,
@@ -407,21 +407,21 @@ def _packed_block_case(train: bool):
     emb = enc.embed_tokens(params, cfg, inp)
     words = enc.dropout_words(cfg, [inp.lengths], np.random.default_rng(43))[0] if train else None
     states = enc.encode(params, cfg, emb, segments=inp.segments, words=words)
-    ad.backward(gc.dot(states, Tensor(rng.normal(size=states.data.shape))))
-    return cfg, params, emb, states
+    grads = ad.backward(gc.dot(states, Tensor(rng.normal(size=states.data.shape))))
+    return cfg, params, emb, states, grads
 
 
 class TestBlock:
     @pytest.mark.parametrize("train", [True, False])
     def test_matches_recorded_layers(self, train):
-        _, params, _, states = _packed_block_case(train)
+        _, params, _, states, grads = _packed_block_case(train)
         got = {"states": _digest(states.data)}
-        got.update({name: _digest(t.grad) for name, t in params.items()})
+        got.update({name: _digest(grads[t]) for name, t in params.items()})
         assert got == pytest.approx(BLOCK_DIGESTS[train], rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("train", [True, False])
     def test_one_node_per_layer(self, train):
-        cfg, _, emb, states = _packed_block_case(train)
+        cfg, _, emb, states, _ = _packed_block_case(train)
         assert _graph_nodes(states, emb) == cfg.n_layers   # n_layers + 1 with the projection apart
 
 

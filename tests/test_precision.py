@@ -45,25 +45,25 @@ def test_training_step_and_prediction_stay_float32(monkeypatch, examples, task, 
         init(self, *args, **kwargs)
         created.append(self.data.dtype)
 
-    def recording_accumulate(t, g):
+    def recording_accumulate(grads, t, g):
         contributions.append(g.dtype)
-        accumulate(t, g)
+        accumulate(grads, t, g)
 
     monkeypatch.setattr(ad.Tensor, "__init__", recording_init)
     monkeypatch.setattr(ad, "_accumulate", recording_accumulate)
     model = build(task, strategy, learnable, examples)
     config = training.TrainConfig(task=task, mask=model.mask_cfg, encoder=model.enc_cfg)
     items = examples if task == "ate" else training.asc_instances(examples)
-    ad.backward(training.batch_loss(model, config, items, np.random.default_rng(0)))
+    grads = ad.backward(training.batch_loss(model, config, items, np.random.default_rng(0)))
     optimizer = training.Adam(model.params, 1e-3, l2=0.01)
-    optimizer.step()
+    optimizer.step(grads)
     model.predict_ids(items)
 
     float32 = np.dtype(np.float32)
     assert created and set(created) == {float32}
     assert contributions and set(contributions) == {float32}
     for name, t in model.params.items():
-        assert (t.data.dtype, t.grad.dtype, optimizer.m[name].dtype,
+        assert (t.data.dtype, grads[t].dtype, optimizer.m[name].dtype,
                 optimizer.v[name].dtype) == (float32,) * 4, name
     assert all(w.data.dtype == float32 for w in model.actm_weights.values())
 

@@ -273,11 +273,9 @@ class TestForwards:
 
         opt = Adam(model.params, lr=0.01)
         for _ in range(200):
-            model.params.zero_grad()
             out = model.forward_ate([ex])
             loss = tasks.ate_loss(out.probs, ex.bio_tags)
-            ad.backward(loss)
-            opt.step()
+            opt.step(ad.backward(loss))
         assert model.predict_bio([ex]) == [ex.bio_tags]
 
     def test_overfit_single_asc_example(self, tiny_models):
@@ -292,11 +290,9 @@ class TestForwards:
         opt = Adam(model.params, lr=0.03)
         gold = ex.aspects[0].polarity
         for _ in range(200):
-            model.params.zero_grad()
             out = model.forward_asc([(ex, 0)])
             loss = tasks.nll(out.probs, asc_gold(gold), 1.0)
-            ad.backward(loss)
-            opt.step()
+            opt.step(ad.backward(loss))
         out = model.forward_asc([(ex, 0)])
         assert out.probs.data[0, tasks.ASC_INDEX[gold]] > 0.99
 
@@ -358,7 +354,6 @@ class TestHeadKernels:
                                   seg, seg.lengths, params["W"], params["b"])
 
         assert gc.finite_difference_check(self.objective(head, rng), params) < 1e-4
-        params.zero_grad()
-        ad.backward(self.objective(head, rng)())
-        assert not params["states"].grad[[0, 3, 4, 5, 6, 8, 9]].any()
-        assert not params["encoded"].grad[[1, 2, 3, 4, 6, 7, 8, 9]].any()
+        grads = ad.backward(self.objective(head, rng)())
+        assert not grads[params["states"]][[0, 3, 4, 5, 6, 8, 9]].any()
+        assert not grads[params["encoded"]][[1, 2, 3, 4, 6, 7, 8, 9]].any()
