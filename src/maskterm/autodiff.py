@@ -30,19 +30,25 @@ backward rebuilds the dropped ones from them.
 
 `backward` returns the gradient of every leaf it reaches as a dict and
 writes on no tensor. Given the gradient of any node as a seed, it
-propagates that through the node's subgraph alone. So two threads can run
-the backwards of two subgraphs that share leaves (the parameters) at once,
-and their caller adds the two dicts; `tasks` does this for the halves of a
-split forward.
+propagates that through the node's subgraph alone, so two threads can walk
+two subgraphs that share leaves (the parameters) at once. `join` builds on
+that: one node over independent subgraphs whose backward walks the
+even-indexed ones on the calling thread and the odd-indexed ones on one
+worker thread (`both`), then adds each leaf's gradients in subgraph order.
+`tasks` joins the two halves of a split forward and AMOM's rounds with it.
+A `both` called on the worker itself runs its two callables there, in
+order, since the one worker cannot wait on itself.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -357,6 +363,69 @@ def backward(loss: Tensor, seed: np.ndarray | None = None) -> dict[Tensor, np.nd
                 if p.requires_grad and g is not None:
                     _accumulate(grads, p, g)
     return grads
+
+
+# -- concurrent joins --------------------------------------------------------------
+
+_WORKER_STATE = threading.local()   # `here` is set on the worker's thread alone
+
+
+def _new_worker() -> None:
+    """A new pool of one worker thread, which runs the second callable of
+    every `both`; its thread starts at the first call. A forked child gets
+    its own, because the parent's thread does not run in it."""
+    global _WORKER
+    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="maskterm-worker",
+                                 initializer=setattr, initargs=(_WORKER_STATE, "here", True))
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):   # POSIX
+    os.register_at_fork(after_in_child=_new_worker)
+
+
+def both(first, second):
+    """(first(), second()): `second` on the worker thread, under the calling
+    thread's grad mode, while `first` runs here. Both finish before an error
+    is raised, unchanged; when both fail, `first`'s is. On the worker itself
+    both run here, `first` then `second`."""
+    if getattr(_WORKER_STATE, "here", False):
+        return first(), second()
+    enabled = grad_enabled()
+
+    def in_worker():
+        with grad_mode(enabled):
+            return second()
+
+    future = _WORKER.submit(in_worker)
+    try:
+        result = first()
+    finally:
+        future.exception()   # waits for `second`, and leaves its error for below
+    return result, future.result()
+
+
+def join(data: np.ndarray, parts, seeds: Callable, leaves: tuple, concurrent: bool) -> Tensor:
+    """One node of value `data` over independent subgraphs `parts`;
+    `seeds(g)` gives each part its gradient. Concurrent, it is a node over
+    `leaves`: its backward walks the even-indexed parts from their seeds on
+    this thread and the odd-indexed ones on the worker (`both`), and gives
+    each leaf its parts' gradients added in part order, or None where no
+    part reaches it. Otherwise, or with one part, it is a node over the
+    parts, which the walk that reaches it goes on through."""
+    if not concurrent or len(parts) == 1:
+        return fused(data, tuple(parts), seeds)
+
+    def backward_parts(g):
+        pairs = list(zip(parts, seeds(g)))
+        walks = [lambda start=start: [backward(p, s) for p, s in pairs[start::2]]
+                 for start in (0, 1)]
+        found = [None] * len(pairs)
+        found[::2], found[1::2] = both(*walks)
+        sums = [[grads[leaf] for grads in found if leaf in grads] for leaf in leaves]
+        return [reduce(np.add, terms) if terms else None for terms in sums]
+
+    return fused(data, leaves, backward_parts)
 
 
 # -- parameter store ----------------------------------------------------------------

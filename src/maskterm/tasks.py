@@ -14,24 +14,22 @@ branches on the strategy only for AMOM's rounds and AAM's pooled rows.
 its keep-masks from them; without one (evaluation) nothing is dropped.
 
 It runs a packed batch of at least SPLIT_ROWS rows as two halves, the first
-ceil(B/2) instances and the rest: the calling thread runs half 0 and one
-worker thread half 1, under the caller's grad mode, each with its group of
-the one draw's words, so every sequence keeps its keep-masks. The halves'
-probabilities join in one node over the model's parameters; its backward
-seeds each half's subgraph with that half's rows of the gradient, runs the
-two seeded backwards (`autodiff.backward`) concurrently, and gives each
-parameter its half-0 gradient plus its half-1 gradient, in that order.
-The split depends on row counts alone, never on the host's cores, so a seed
-gives the same bits on every machine; a half never splits again. Plain
-training batches, every AMOM round and every evaluation chunk run through
-it alike, and a batch below SPLIT_ROWS runs whole."""
+ceil(B/2) instances and the rest, half 1 on the worker thread
+(`autodiff.both`), each with its group of the one draw's words. The halves'
+probabilities join in one concurrent `autodiff.join` node, whose backward
+walks each half from its rows of the gradient on its own thread. A half
+never splits again; plain training batches, every AMOM round and every
+evaluation chunk split alike. Every AMOM round is a forward of its own, and
+once the rounds' rows add up to SPLIT_ROWS the node that sums them is a
+concurrent join too: rounds 0 and 2 walk on the calling thread, round 1 on
+the worker. Either join adds each parameter's gradients in part order, the
+order of the serial walk. Both cuts count rows alone, never the host's
+cores, so a seed gives the same bits on every machine."""
 
 from __future__ import annotations
 
 import functools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -49,43 +47,15 @@ BIO_INDEX = {c: i for i, c in enumerate(BIO_CLASSES)}
 ASC_CLASSES = ("positive", "negative", "neutral")
 ASC_INDEX = {c: i for i, c in enumerate(ASC_CLASSES)}
 LOG_CLAMP = 1e-12   # the loss takes log(max(p, LOG_CLAMP))
-# Packed rows from which a forward runs as two concurrent halves. On a
+# Packed rows from which a forward runs as two concurrent halves, and, over
+# all its rounds, from which AMOM backwards its rounds concurrently. On a
 # 2-vCPU x86-64 host at one BLAS thread, a training loss and backward in two
-# halves broke even with the whole batch at about 500 rows, on short
-# sentences and long reviews alike (0.85x at 349 rows, 1.0x at 512, 1.16x at
-# 676, 1.66x at 1,789); the cut sits at twice that crossover.
+# halves broke even with the whole batch at about 500 rows (0.85x at 349
+# rows, 1.0x at 512, 1.16x at 676, 1.66x at 1,789); the cut sits at twice
+# that. An ASC AMOM batch's backward, serial -> concurrent rounds: 2.43 ->
+# 2.90-3.26 ms at 8 instances, 4.41 -> 4.02 ms at 16 (648 rows over 3
+# rounds), 8.5 -> 6.4 ms at 32 (1,332) and 15.3 -> 10.9 ms at 64 (2,541).
 SPLIT_ROWS = 1024
-
-
-def _new_worker() -> None:
-    """A new pool of one worker thread, which runs half 1 of every split
-    forward and backward; its thread starts at the first split. A forked
-    child gets its own, because the parent's thread does not run in it."""
-    global _HALF_WORKER
-    _HALF_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="maskterm-half")
-
-
-_new_worker()
-if hasattr(os, "register_at_fork"):   # POSIX
-    os.register_at_fork(after_in_child=_new_worker)
-
-
-def _both(first, second):
-    """(first(), second()): `second` on the worker thread, under the calling
-    thread's grad mode, while `first` runs here. Both finish before an error
-    is raised, unchanged; when both fail, `first`'s is."""
-    enabled = ad.grad_enabled()
-
-    def in_worker():
-        with ad.grad_mode(enabled):
-            return second()
-
-    future = _HALF_WORKER.submit(in_worker)
-    try:
-        result = first()
-    finally:
-        wait((future,))
-    return result, future.result()
 
 
 # -- span decoding and span-level F1 ------------------------------------------
@@ -359,7 +329,7 @@ class AbsaModel:
 
         if len(parts) == 1:
             return run_part(0)
-        return self._join(*_both(lambda: run_part(0), lambda: run_part(1)))
+        return self._join(*ad.both(lambda: run_part(0), lambda: run_part(1)))
 
     def _packed_rows(self, items: list) -> list[int]:
         """The rows `encoder.pack_inputs` gives each instance."""
@@ -372,17 +342,10 @@ class AbsaModel:
         node over the model's parameters (module docstring), which gives a
         parameter neither half reaches no gradient, and the row layouts
         concatenated."""
-        halves = (first.probs, second.probs)
         n0 = first.probs.data.shape[0]
-        leaves = tuple(self.params.tensors())
-
-        def backward(g):
-            both = _both(lambda: ad.backward(halves[0], g[:n0]),
-                         lambda: ad.backward(halves[1], g[n0:]))
-            grads = [[half.get(p) for half in both] for p in leaves]
-            return [g1 if g0 is None else g0 if g1 is None else g0 + g1 for g0, g1 in grads]
-
-        probs = ad.fused(np.concatenate([first.probs.data, second.probs.data]), leaves, backward)
+        probs = ad.join(np.concatenate([first.probs.data, second.probs.data]),
+                        (first.probs, second.probs), lambda g: (g[:n0], g[n0:]),
+                        tuple(self.params.tensors()), True)
         return TaskOutput(probs, ad.Segments(np.concatenate([first.rows.lengths,
                                                              second.rows.lengths])))
 
@@ -393,12 +356,15 @@ class AbsaModel:
         (Adam adds its gradient, `training.train` its value to the logged
         loss). AMOM averages each instance's rounds first: `amom` weighs
         every row of instance b by 1/(B * R_b) in each of its R_b rounds, and
-        one node sums the rounds' nodes."""
+        one join sums the rounds' nodes, concurrent from SPLIT_ROWS rows of
+        all rounds, sum(R_b * rows_b), on (module docstring)."""
         if self.mask_cfg.strategy == "amom":
             rounds: list[Tensor] = []
-            self.amom(items, rng, losses=rounds)
-            return ad.fused(functools.reduce(np.add, [r.data for r in rounds]), tuple(rounds),
-                            lambda g: (g,) * len(rounds))
+            counts = self.amom(items, rng, losses=rounds)[1]
+            rows = sum(r * n for r, n in zip(counts, self._packed_rows(items)))
+            return ad.join(functools.reduce(np.add, [r.data for r in rounds]), rounds,
+                           lambda g: (g,) * len(rounds), tuple(self.params.tensors()),
+                           rows >= SPLIT_ROWS)
         out = self.forward(items, rng=rng)
         return nll(out.probs, np.concatenate(self.gold_ids(items)), 1.0 / len(items))
 

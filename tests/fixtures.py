@@ -1,14 +1,17 @@
 """Shared XML fixtures for ingestion tests, with hand-counted expectations,
-`run_python` for the tests that need a fresh process, and `packed_input`
+`run_python` for the tests that need a fresh process, `finishes` for those
+that must fail rather than hang, and `packed_input`
 for the tests that read a batch's mask decision through
 `AbsaModel.encode_and_mask`."""
 
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import maskterm
+from maskterm import autodiff as ad
 from maskterm import encoder as enc
 
 
@@ -19,6 +22,22 @@ def run_python(script: str, **env: str) -> str:
     out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src, **env),
                          capture_output=True, text=True, check=True, timeout=120)
     return out.stdout
+
+
+def finishes(target, timeout: float = 60.0) -> bool:
+    """Whether `target()` returns within `timeout` seconds on a helper
+    thread, so that a call stuck on the worker of `autodiff.both` fails its
+    test. A stuck worker's queue is then cancelled, which frees it, and a
+    new worker takes its place, so the suite neither hangs nor goes on
+    without one."""
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(timeout=timeout)
+    if not helper.is_alive():
+        return True
+    ad._WORKER.shutdown(wait=False, cancel_futures=True)
+    ad._new_worker()
+    return False
 
 
 def packed_input(model, items):

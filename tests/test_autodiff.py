@@ -1,11 +1,13 @@
 import math
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import gradcheck as gc
+from fixtures import finishes
 from maskterm import autodiff as ad
 from maskterm import masking as mk
 from maskterm.exceptions import ContractError, DimensionError
@@ -211,6 +213,96 @@ class TestBackward:
         with ad.no_grad():
             out = gc.scale(x, 2.0)
         assert not out.requires_grad and out._parents == ()
+
+
+class TestJoin:
+    """`join`, one node over independent subgraphs, and `both`, the worker
+    its concurrent backward runs on."""
+
+    @staticmethod
+    def parts(x, y, scales, hook=lambda i: None):
+        """One scalar node per scale: scale * sum(x) + sum(y) for even parts
+        and scale * sum(x) for odd ones; `hook(i)` runs first in part i's
+        backward."""
+        def part(i, k):
+            parents = (x, y) if i % 2 == 0 else (x,)
+
+            def backward(g):
+                hook(i)
+                return (np.full_like(x.data, k) * g, np.ones_like(y.data) * g)[:len(parents)]
+
+            return ad.fused(np.asarray(k * x.data.sum() + (i % 2 == 0) * y.data.sum()), parents,
+                            backward)
+        return [part(i, k) for i, k in enumerate(scales)]
+
+    def test_a_nested_both_on_the_worker_runs_inline(self):
+        threads, results = {}, []
+
+        def on_worker():
+            threads["outer"] = threading.get_ident()
+
+            def inner(name, value):
+                threads[name] = threading.get_ident()
+                return value
+
+            return ad.both(lambda: inner("first", 1), lambda: inner("second", 2))
+
+        assert finishes(lambda: results.append(ad.both(lambda: "here", on_worker)))
+        assert results == [("here", (1, 2))]
+        assert threads["first"] == threads["second"] == threads["outer"]
+        assert threads["outer"] != threading.get_ident()
+
+    def test_concurrent_join_is_one_node_over_the_leaves(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        y = ad.Tensor([3.0], requires_grad=True)
+        unreached = ad.Tensor([4.0], requires_grad=True)
+        parts = self.parts(x, y, [1.0, 2.0, 3.0])
+        data = sum(p.data for p in parts)
+        joined = ad.join(data, parts, lambda g: (g,) * 3, (x, y, unreached), True)
+        assert joined._parents == (x, y, unreached)
+        grads = ad.backward(joined)
+        assert grads.keys() == {x, y}
+        assert np.array_equal(grads[x], [6.0, 6.0]) and np.array_equal(grads[y], [2.0])
+        for concurrent, count in ((False, 3), (True, 1)):
+            plain = ad.join(data, parts[:count], lambda g: (g,) * count, (x, y), concurrent)
+            assert plain._parents == tuple(parts[:count])
+
+    def test_concurrent_join_walks_even_parts_here_and_odd_ones_on_the_worker(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        y = ad.Tensor([3.0], requires_grad=True)
+        walked = []
+        parts = self.parts(x, y, [1.0, 2.0, 3.0, 4.0, 5.0],
+                           lambda i: walked.append((i, threading.get_ident())))
+        joined = ad.join(np.asarray(0.0), parts, lambda g: (g,) * 5, (x, y), True)
+        ad.backward(joined)
+        here = {i for i, thread in walked if thread == threading.get_ident()}
+        assert sorted(i for i, _ in walked) == [0, 1, 2, 3, 4] and here == {0, 2, 4}
+
+    def test_a_part_s_error_on_the_worker_reaches_the_caller_after_its_parts(self):
+        """Part 1 walks on the worker; its error reaches the caller, unchanged,
+        once parts 0 and 2 have finished here, and the next backward works."""
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        y = ad.Tensor([3.0], requires_grad=True)
+        planted = ContractError("planted")
+        finished, fail = [], [True]
+
+        def hook(i):
+            if i == 1 and fail[0]:
+                raise planted
+            time.sleep(0.05)   # the failing part is long done by now
+            finished.append(i)
+
+        joined = ad.join(np.asarray(0.0), self.parts(x, y, [1.0, 2.0, 3.0], hook),
+                         lambda g: (g,) * 3, (x, y), True)
+        with pytest.raises(ContractError) as caught:
+            ad.backward(joined)
+        assert caught.value is planted
+        assert finished == [0, 2]
+        fail[0] = False
+        finished.clear()
+        grads = ad.backward(joined)
+        assert sorted(finished) == [0, 1, 2]
+        assert np.array_equal(grads[x], [6.0, 6.0]) and np.array_equal(grads[y], [2.0])
 
 
 def _sum_of_squares(params):

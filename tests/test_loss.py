@@ -89,11 +89,14 @@ def graph_nodes(loss: Tensor, leaves: bool = True) -> int:
     return len(seen)
 
 
-def test_amom_training_batch_graph_stays_small():
+def test_amom_training_batch_graph_stays_small(monkeypatch):
     """A 32-instance ASC AMOM training batch records one loss node per
     forward, not one cross-entropy per instance and round (675 nodes on this
     batch when it did); each instance runs 1 + amom_iterations rounds, or 1
-    with nothing to mask."""
+    with nothing to mask. The rounds' sum is a plain node here: with the
+    default SPLIT_ROWS it is a concurrent join over the parameters, which
+    would hide the rounds' graphs from the count."""
+    monkeypatch.setattr(tasks, "SPLIT_ROWS", 10**9)
     data = examples(30)
     model = make_model("asc", "amom", data, np.float32, enc.EncoderConfig())
     items = training.asc_instances(data)[:32]
@@ -109,7 +112,8 @@ def test_amom_training_batch_graph_stays_small():
 # as the default encoder has). Per packed forward: the embedding with the
 # input projection, one node per layer, the masking stage but for `none` and
 # AMOM, the head and the loss; AMOM sums its three rounds' loss nodes in one
-# more. Before, in the order none, fixed, actm, aam, amom:
+# more, a plain node below SPLIT_ROWS. Before, in the order none, fixed, actm,
+# aam, amom:
 # - with the input projection, ASC ACTM's pooled aspect vector (three nodes)
 #   and AMOM's round sum (two adds) as generic nodes: ATE 6, 7, 7, 7, 20 and
 #   ASC 6, 7, 10, 7, 20;
@@ -123,11 +127,18 @@ NON_LEAF_NODES = {
 
 @pytest.mark.parametrize("strategy", mk.MaskConfig.STRATEGIES)
 @pytest.mark.parametrize("task", tasks.TASKS)
-def test_training_graph_has_one_node_per_forward_stage(task, strategy):
+def test_training_graph_has_one_node_per_forward_stage(monkeypatch, task, strategy):
+    """Counted with the rounds' sum a plain node; at the default SPLIT_ROWS,
+    which these AMOM batches reach over their rounds, the loss is one node
+    over the parameters."""
     data = examples(31)
     items = items_for(task, data)[:32]
     assert len(items) == 32
     model = make_model(task, strategy, data, np.float32)
+    if strategy == "amom":
+        loss = model.loss(items, np.random.default_rng(9))
+        assert loss._parents == tuple(model.params.tensors())
+        monkeypatch.setattr(tasks, "SPLIT_ROWS", 10**9)
     loss = model.loss(items, np.random.default_rng(9))
     assert graph_nodes(loss, leaves=False) == NON_LEAF_NODES[task][strategy]
 

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fixtures import packed_input
+from fixtures import finishes, packed_input
 from maskterm import autodiff as ad
 from maskterm import corpus
 from maskterm import encoder as enc
@@ -45,9 +45,10 @@ def in_worker() -> bool:
 
 
 def count_splits(monkeypatch) -> list:
-    """One entry per run of two halves, forward or backward, from now on."""
-    both, runs = tasks._both, []
-    monkeypatch.setattr(tasks, "_both", lambda *halves: runs.append(None) or both(*halves))
+    """One entry per `autodiff.both` call from now on: a split forward, or a
+    concurrent join's backward (two halves, or AMOM's rounds)."""
+    both, runs = ad.both, []
+    monkeypatch.setattr(ad, "both", lambda *halves: runs.append(None) or both(*halves))
     return runs
 
 
@@ -146,6 +147,40 @@ def test_split_loss_and_gradients_agree(monkeypatch, task, strategy, train):
     assert grads.keys() == whole_grads.keys()
     for name, g in whole_grads.items():
         assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+
+@pytest.mark.parametrize("task", tasks.TASKS)
+def test_amom_rounds_backward_concurrently_to_the_serial_bits(monkeypatch, task):
+    """With the cut at the rounds' total rows, above any one forward's, the
+    rounds' backwards run on two threads and no forward splits; the loss and
+    every gradient keep the bits of the serial walk, which adds each
+    parameter's gradients in round order."""
+    model, items = make_model(task, "amom", np.float32, size=32)
+    items = items[:32]
+    rows = model._packed_rows(items)
+    total = sum(r * n for r, n in zip(model.amom(items, losses=[])[1], rows))
+    assert len(items) == 32 and sum(rows) < total
+    monkeypatch.setattr(tasks, "SPLIT_ROWS", 10**9)
+    serial, serial_grads = loss_and_grads(model, items, True)
+    monkeypatch.setattr(tasks, "SPLIT_ROWS", total)
+    runs = count_splits(monkeypatch)
+    joined, grads = loss_and_grads(model, items, True)
+    assert len(runs) == 1   # the rounds' backward, and no half
+    assert joined == serial and grads.keys() == serial_grads.keys()
+    for name, g in serial_grads.items():
+        assert np.array_equal(grads[name], g), name
+
+
+@pytest.mark.parametrize("task", tasks.TASKS)
+def test_split_rounds_backward_on_the_worker_without_waiting_on_it(monkeypatch, task):
+    """Round 1's backward runs on the worker, and its split forward's join
+    calls `both` there: it runs both halves inline and does not wait on the
+    worker it runs on. A helper thread runs the step, so that a hang fails."""
+    model, items = make_model(task, "amom", np.float32)
+    monkeypatch.setattr(tasks, "SPLIT_ROWS", 2)
+    results = []
+    assert finishes(lambda: results.append(loss_and_grads(model, items, True)))
+    assert len(results) == 1
 
 
 @pytest.mark.parametrize("task", tasks.TASKS)

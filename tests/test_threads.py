@@ -51,6 +51,38 @@ with tempfile.TemporaryDirectory() as tmp:
 print(len(splits), float(log.records[-1]["train_loss"]).hex(), digest)
 """
 
+# One epoch of ASC AMOM, 32 instances a batch: a full batch packs about 1,300
+# rows over its three rounds, so its rounds backward on two threads, while no
+# one forward reaches SPLIT_ROWS. Prints the losses whose rounds joined
+# concurrently, the last train_loss as float hex and a digest of the
+# checkpoint's bytes.
+AMOM_SCRIPT = """
+import hashlib
+import os
+import tempfile
+
+from maskterm import autodiff, corpus, masking, tasks, training
+
+concurrent_rounds = []
+join = autodiff.join
+
+def counting_join(data, parts, seeds, leaves, concurrent):
+    if concurrent and data.ndim == 0:   # a loss: AMOM's rounds
+        concurrent_rounds.append(1)
+    return join(data, parts, seeds, leaves, concurrent)
+
+autodiff.join = counting_join
+config = training.TrainConfig(task="asc", epochs=1, batch_size=32, learning_rate=1e-3, seed=3,
+                              mask=masking.MaskConfig(strategy="amom"))
+model, log = training.train(config, corpus.synth_corpus(0, 60), corpus.synth_corpus(1, 10))
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "model.ckpt")
+    training.save_model(path, model)
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+print(len(concurrent_rounds), float(log.records[-1]["train_loss"]).hex(), digest)
+"""
+
 # A split in the parent, then one in a forked child, which must not wait on
 # the parent's worker thread: the child exits 0, or -14 if SIGALRM ends it stuck.
 FORK_SCRIPT = """
@@ -85,6 +117,13 @@ def test_same_seed_trains_to_the_same_bits_at_one_and_two_blas_threads():
     one = run_python(TRAIN_SCRIPT, OPENBLAS_NUM_THREADS="1").split()
     two = run_python(TRAIN_SCRIPT, OPENBLAS_NUM_THREADS="2").split()
     assert int(one[0]) > 0   # some batches ran as two halves
+    assert one == two
+
+
+def test_amom_rounds_backward_to_the_same_bits_at_one_and_two_blas_threads():
+    one = run_python(AMOM_SCRIPT, OPENBLAS_NUM_THREADS="1").split()
+    two = run_python(AMOM_SCRIPT, OPENBLAS_NUM_THREADS="2").split()
+    assert int(one[0]) > 0   # some rounds ran their backwards on two threads
     assert one == two
 
 
