@@ -35,9 +35,11 @@ two subgraphs that share leaves (the parameters) at once. `join` builds on
 that: one node over independent subgraphs whose backward walks the
 even-indexed ones on the calling thread and the odd-indexed ones on one
 worker thread (`both`), then adds each leaf's gradients in subgraph order.
-`tasks` joins the two halves of a split forward and AMOM's rounds with it.
-A `both` called on the worker itself runs its two callables there, in
-order, since the one worker cannot wait on itself.
+`tasks` joins the two halves of a split forward and AMOM's rounds with it,
+and `training.evaluate` runs its short chunks as two streams through one
+`both`, with the same even/odd rule. A `both` called on the worker itself
+runs its two callables there, in order, since the one worker cannot wait
+on itself.
 """
 
 from __future__ import annotations

@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "mask-demo" and args.sentence and not args.ckpt:
+    if args.command == "mask-demo" and args.sentence is not None and not args.ckpt:
         parser.error("--sentence requires --ckpt")
     try:
         return args.func(args)

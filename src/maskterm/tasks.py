@@ -19,12 +19,14 @@ ceil(B/2) instances and the rest, half 1 on the worker thread
 probabilities join in one concurrent `autodiff.join` node, whose backward
 walks each half from its rows of the gradient on its own thread. A half
 never splits again; plain training batches, every AMOM round and every
-evaluation chunk split alike. Every AMOM round is a forward of its own, and
-once the rounds' rows add up to SPLIT_ROWS the node that sums them is a
-concurrent join too: rounds 0 and 2 walk on the calling thread, round 1 on
-the worker. Either join adds each parameter's gradients in part order, the
-order of the serial walk. Both cuts count rows alone, never the host's
-cores, so a seed gives the same bits on every machine."""
+evaluation chunk of SPLIT_ROWS rows or more split alike, while the shorter
+evaluation chunks run whole as two streams (`training.evaluate`). Every
+AMOM round is a forward of its own, and once the rounds' rows add up to
+SPLIT_ROWS the node that sums them is a concurrent join too: rounds 0 and
+2 walk on the calling thread, round 1 on the worker. Either join adds each
+parameter's gradients in part order, the order of the serial walk. Every
+cut counts rows alone, never the host's cores, so a seed gives the same
+bits on every machine."""
 
 from __future__ import annotations
 
@@ -48,7 +50,8 @@ ASC_CLASSES = ("positive", "negative", "neutral")
 ASC_INDEX = {c: i for i, c in enumerate(ASC_CLASSES)}
 LOG_CLAMP = 1e-12   # the loss takes log(max(p, LOG_CLAMP))
 # Packed rows from which a forward runs as two concurrent halves, and, over
-# all its rounds, from which AMOM backwards its rounds concurrently. On a
+# all its rounds, from which AMOM backwards its rounds concurrently; below
+# it, evaluation runs its chunks as two concurrent streams instead. On a
 # 2-vCPU x86-64 host at one BLAS thread, a training loss and backward in two
 # halves broke even with the whole batch at about 500 rows (0.85x at 349
 # rows, 1.0x at 512, 1.16x at 676, 1.66x at 1,789); the cut sits at twice

@@ -196,18 +196,36 @@ def report_metrics(report: tasks.EvalReport, task: str) -> dict:
 
 
 # Instances per packed forward in evaluate(): the default training batch size.
+# Two short chunks are in flight at once (_predict_by_length); at 64 a
+# short-sentence evaluation ran faster still, but its rows in flight raised
+# the peak resident set by about 12 % (ROADMAP, "Measured, not targets").
 EVAL_CHUNK = 32
 
 
 def _predict_by_length(predict, items: list, rows: list[int]) -> list:
     """`predict` over chunks of EVAL_CHUNK items taken in order of their row
-    counts `rows`, so a chunk pads little; results come back in input order."""
+    counts `rows`, so a chunk pads little; results come back in input order.
+
+    The chunks of fewer than `tasks.SPLIT_ROWS` packed rows, which do not
+    split, run as two streams when there are two or more of them: the
+    even-indexed ones on this thread and the odd-indexed ones on the worker
+    (`autodiff.both`). The others run after them, one at a time, and each
+    splits itself. A chunk's results depend on its members alone, so the
+    streams change no result."""
     order = sorted(range(len(items)), key=rows.__getitem__)
+    chunks = [order[lo:lo + EVAL_CHUNK] for lo in range(0, len(order), EVAL_CHUNK)]
     results = [None] * len(items)
-    for lo in range(0, len(order), EVAL_CHUNK):
-        chunk = order[lo:lo + EVAL_CHUNK]
-        for i, result in zip(chunk, predict([items[i] for i in chunk])):
-            results[i] = result
+
+    def run(chunks: list) -> None:
+        for chunk in chunks:
+            for i, result in zip(chunk, predict([items[i] for i in chunk])):
+                results[i] = result
+
+    short = [c for c in chunks if sum(rows[i] for i in c) < tasks.SPLIT_ROWS]
+    if len(short) > 1:
+        ad.both(lambda: run(short[::2]), lambda: run(short[1::2]))
+        chunks = [c for c in chunks if c not in short]
+    run(chunks)
     return results
 
 
@@ -235,7 +253,10 @@ def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str)
 
     Instances run through the model's packed prediction in chunks of
     EVAL_CHUNK instances of similar length; AMOM runs one packed forward per
-    regeneration round of a chunk. An empty set, or a task that is not the
+    regeneration round of a chunk. Chunks below `tasks.SPLIT_ROWS` rows run
+    as two concurrent streams, and longer ones split themselves
+    (`_predict_by_length`); either way every instance gets the prediction
+    its chunk gives it alone. An empty set, or a task that is not the
     model's, is a ContractError; an instance that packs more than max_len
     rows is a LengthError before the first chunk runs."""
     if task != model.task:

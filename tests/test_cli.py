@@ -103,6 +103,14 @@ class TestMaskDemo:
             cli.main(["mask-demo", "--sentence", "the steak was great."])
         assert exc.value.code == 2
 
+    def test_empty_sentence_requires_ckpt(self, capsys):
+        """An empty sentence is refused as any other; it once reached the
+        checkpoint reader and ended in a TypeError."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["mask-demo", "--sentence", ""])
+        assert exc.value.code == 2
+        assert "--sentence requires --ckpt" in capsys.readouterr().err
+
 
 class TestIngest:
     def test_sem14_fixture(self, tmp_path, capsys):

@@ -41,3 +41,15 @@ def test_module_imports_stdlib_numpy_and_lower_layers_only(module):
         else:
             assert top in sys.stdlib_module_names or top == "numpy", \
                 f"{module} imports {name}, neither numpy nor the standard library"
+
+
+THREAD_MODULES = {"threading", "_thread", "concurrent", "multiprocessing"}
+
+
+@pytest.mark.parametrize("module", ("__init__",) + LAYERS)
+def test_only_autodiff_starts_threads(module):
+    """The one worker of `autodiff.both` is the only thread the package
+    starts: no other module imports a thread or process library."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    tops = {name.partition(".")[0] for name in imported(tree)}
+    assert bool(tops & THREAD_MODULES) == (module == "autodiff"), sorted(tops & THREAD_MODULES)

@@ -439,22 +439,27 @@ def test_evaluate_chunks_by_length_and_keeps_input_order(task, strategy, monkeyp
         summed.update(count_table(training.evaluate(model, dataset, task)))
     assert +summed == +count_table(full)
 
-    # Labels that name their instance come back to it; chunks run shortest first.
-    lengths = []
+    # Labels that name their instance come back to it. The chunks cut the
+    # length-sorted order into runs of at most EVAL_CHUNK; they may run in
+    # any order, on either thread.
+    batches = []
     if task == "ate":
         def oracle(self, batch):
-            lengths.extend(len(ex) for ex in batch)
+            batches.append([len(ex) for ex in batch])
             return [list(ex.bio_tags) for ex in batch]
         monkeypatch.setattr(tasks.AbsaModel, "predict_bio", oracle)
         assert training.evaluate(model, data, task).ate == {"p": 1.0, "r": 1.0, "f1": 1.0}
     else:
         def oracle(self, batch):
-            lengths.extend(len(ex) + ex.aspects[i].token_span[1] - ex.aspects[i].token_span[0]
-                           for ex, i in batch)
+            batches.append([len(ex) + ex.aspects[i].token_span[1] - ex.aspects[i].token_span[0]
+                            for ex, i in batch])
             return [ex.aspects[i].polarity for ex, i in batch]
         monkeypatch.setattr(tasks.AbsaModel, "predict_polarity", oracle)
         assert training.evaluate(model, data, task).asc["acc"] == 1.0
-    assert len(lengths) > training.EVAL_CHUNK and lengths == sorted(lengths)
+    lengths = [n for batch in sorted(batches) for n in batch]
+    assert len(batches) == -(-len(lengths) // training.EVAL_CHUNK) > 1
+    assert all(len(batch) <= training.EVAL_CHUNK for batch in batches)
+    assert lengths == sorted(lengths)
 
 
 # batch_loss of AMOM: (task, train mode) -> loss. First recorded before

@@ -1,6 +1,8 @@
 """A forward of at least `tasks.SPLIT_ROWS` packed rows runs as two
-concurrent halves (`tasks` docstring) and gives what the whole batch gives.
-The tests lower SPLIT_ROWS so that small batches split."""
+concurrent halves (`tasks` docstring) and gives what the whole batch gives;
+evaluation chunks below it run as two concurrent streams and give what they
+give one after another. The tests lower SPLIT_ROWS so that small batches
+split."""
 
 import sys
 import threading
@@ -325,3 +327,147 @@ def test_a_forward_draws_the_same_words_split_or_whole(monkeypatch, task):
             states.append(rng.bit_generator.state)
         assert states[0] == states[1]
         assert (states[0] != fresh) == drawn
+
+
+# -- evaluation streams ---------------------------------------------------------------
+# evaluate() runs its chunks below SPLIT_ROWS rows as two streams, the
+# even-indexed chunks here and the odd-indexed ones on the worker
+# (`training._predict_by_length`); longer chunks run after them and split.
+
+
+PREDICT = {"ate": "predict_bio", "asc": "predict_polarity"}   # the method evaluate() calls
+
+
+def evaluation_model(task, strategy, size=70):
+    """A float32 model and an evaluation set of `size` sentences, which
+    cut into three chunks or more."""
+    model, _ = make_model(task, strategy, np.float32, size)
+    return model, corpus.synth_corpus(seed=41, size=size)
+
+
+def instance_key(item):
+    return id(item) if isinstance(item, corpus.TokenizedExample) else (id(item[0]), item[1])
+
+
+def recorded_evaluate(model, data):
+    """(report, {instance: prediction}, [(on the worker, instances) per
+    predicted chunk]) of one evaluate() of `data`."""
+    name = PREDICT[model.task]
+    predict, predictions, chunks = getattr(model, name), {}, []
+
+    def recording(batch):
+        out = predict(batch)
+        keys = [instance_key(item) for item in batch]
+        predictions.update(zip(keys, out))
+        chunks.append((in_worker(), keys))
+        return out
+
+    setattr(model, name, recording)
+    try:
+        report = training.evaluate(model, data, model.task)
+    finally:
+        delattr(model, name)
+    return report, predictions, chunks
+
+
+def serial_both(first, second):
+    return first(), second()
+
+
+@pytest.mark.parametrize("task,strategy", CASES)
+def test_streamed_evaluate_predicts_what_serial_chunks_do(monkeypatch, task, strategy):
+    """One `both` streams the short chunks, and every instance gets the
+    prediction, and the report the counts, that the chunks give one after
+    another on one thread. A set of one chunk calls no `both`."""
+    model, data = evaluation_model(task, strategy)
+    runs = count_splits(monkeypatch)
+    training.evaluate(model, data[:1], task)
+    assert not runs
+    report, predictions, chunks = recorded_evaluate(model, data)
+    assert len(runs) == 1 and len(chunks) >= 3
+    assert sorted(worker for worker, _ in chunks) == [False] * ((len(chunks) + 1) // 2) + \
+        [True] * (len(chunks) // 2)
+    monkeypatch.setattr(ad, "both", serial_both)
+    serial_report, serial_predictions, serial_chunks = recorded_evaluate(model, data)
+    assert not any(worker for worker, _ in serial_chunks)
+    assert report == serial_report and report.per_class == serial_report.per_class
+    assert predictions == serial_predictions
+
+
+@pytest.mark.parametrize("task", tasks.TASKS)
+def test_evaluate_streams_the_short_chunks_and_splits_the_long_ones(monkeypatch, task):
+    """With SPLIT_ROWS at the longest chunk's rows, the shorter chunks run as
+    two streams, alternating between this thread and the worker in length
+    order, and the longest runs afterwards here as two halves."""
+    model, data = evaluation_model(task, "actm", size=100)
+    items, rows = training._instances(data, task, model.enc_cfg.max_len, "evaluation")
+    order = sorted(range(len(items)), key=rows.__getitem__)
+    cut = [order[lo:lo + training.EVAL_CHUNK] for lo in range(0, len(order), training.EVAL_CHUNK)]
+    totals = [sum(rows[i] for i in chunk) for chunk in cut]
+    keys = [[instance_key(items[i]) for i in chunk] for chunk in cut]
+    short = [k for k, total in zip(keys, totals) if total < max(totals)]
+    long = [k for k, total in zip(keys, totals) if total == max(totals)]
+    assert len(short) >= 2 and long
+    monkeypatch.setattr(tasks, "SPLIT_ROWS", max(totals))
+    runs = count_splits(monkeypatch)
+    report, predictions, chunks = recorded_evaluate(model, data)
+    assert len(runs) == 1 + len(long)   # the streams, then one split per long chunk
+    assert sorted(chunks) == sorted([(n % 2 == 1, k) for n, k in enumerate(short)] +
+                                    [(False, k) for k in long])
+    assert chunks[-len(long):] == [(False, k) for k in long]
+    monkeypatch.setattr(ad, "both", serial_both)
+    assert recorded_evaluate(model, data)[:2] == (report, predictions)
+
+
+@pytest.mark.parametrize("task", tasks.TASKS)
+def test_an_error_in_the_worker_s_stream_reaches_the_caller(monkeypatch, task):
+    """A chunk that fails on the worker raises its error, unchanged, once the
+    calling thread's stream has run all its chunks; the next evaluate()
+    completes and reports what it did before."""
+    model, data = evaluation_model(task, "none")
+    report = training.evaluate(model, data, task)
+    name = PREDICT[task]
+    predict, planted, done = getattr(model, name), ContractError("planted"), []
+
+    def failing(batch):
+        if in_worker():
+            raise planted
+        out = predict(batch)
+        done.append(len(batch))
+        return out
+
+    monkeypatch.setattr(model, name, failing)
+    with pytest.raises(ContractError) as caught:
+        training.evaluate(model, data, task)
+    assert caught.value is planted
+    instances = len(data) if task == "ate" else len(training.asc_instances(data))
+    chunks = -(-instances // training.EVAL_CHUNK)
+    assert chunks >= 3 and len(done) == (chunks + 1) // 2   # the even-indexed chunks
+    monkeypatch.setattr(model, name, predict)
+    assert training.evaluate(model, data, task) == report
+
+
+def test_evaluates_from_many_threads_keep_their_predictions(monkeypatch):
+    """Four callers, more than the cores, stream their evaluations through
+    the one worker at a short switch interval; each gets the report and
+    the predictions it gets alone."""
+    cases = [evaluation_model(task, "actm") for task in tasks.TASKS for _ in range(2)]
+    alone = [recorded_evaluate(model, data)[:2] for model, data in cases]
+    results = [None] * len(cases)
+
+    def run(i):
+        results[i] = [recorded_evaluate(*cases[i])[:2] for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for expected, runs in zip(alone, results, strict=True):
+        assert runs == [expected] * 3

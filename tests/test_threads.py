@@ -84,26 +84,31 @@ print(len(concurrent_rounds), float(log.records[-1]["train_loss"]).hex(), digest
 """
 
 # A split in the parent, then one in a forked child, which must not wait on
-# the parent's worker thread: the child exits 0, or -14 if SIGALRM ends it stuck.
+# the parent's worker thread, and a streamed evaluate there: the child exits 0,
+# 1 if its evaluate streamed no chunks, or -14 if SIGALRM ends it stuck.
 FORK_SCRIPT = """
 import os
 import signal
 
-from maskterm import corpus, tasks, training
+from maskterm import autodiff, corpus, tasks, training
 from maskterm import encoder as enc
 from maskterm import masking as mk
 
-data = corpus.synth_corpus(0, 6)
+data = corpus.synth_corpus(0, 48)
 vocab = enc.Vocab.build(data)
 model = tasks.AbsaModel("asc", enc.EncoderConfig(vocab_size=len(vocab.words)),
                         mk.MaskConfig(strategy="none"), vocab, 0)
 tasks.SPLIT_ROWS = 2
-model.forward(training.asc_instances(data))
+model.forward(training.asc_instances(data[:6]))
 pid = os.fork()
 if pid == 0:
     signal.alarm(10)
-    model.forward(training.asc_instances(data))
-    os._exit(0)
+    model.forward(training.asc_instances(data[:6]))
+    tasks.SPLIT_ROWS = 10**9   # no chunk splits: one both streams them all
+    streams, both = [], autodiff.both
+    autodiff.both = lambda *parts: streams.append(1) or both(*parts)
+    training.evaluate(model, data, "asc")
+    os._exit(0 if streams == [1] else 1)
 print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
 
