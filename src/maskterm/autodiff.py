@@ -131,10 +131,6 @@ class Segments:
     def __len__(self) -> int:
         return self.count
 
-    def of_rows(self, rows) -> "Segments":
-        """Layout of a subset of rows, given in packed order, that meets every segment."""
-        return Segments(np.bincount(self.ids[np.asarray(rows, dtype=np.intp)], minlength=self.count))
-
     def valid(self) -> np.ndarray:
         """(count, n_max) bool: True where a padded slot holds a real row."""
         return np.arange(self.n_max) < self.lengths[:, None]
@@ -182,6 +178,9 @@ def fused(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
 # Plain-array math of the encoder block and the task heads. Each kernel returns
 # its output and a `backward(g)` closure over what the gradient needs;
 # `encoder._block` and the heads of `tasks` chain them inside one `fused` node.
+# A kernel writes in place only into arrays it made itself, one operation at a
+# time in the formula's order, so it gives the formula's bits with fewer
+# temporaries; it never writes into its inputs.
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
@@ -189,8 +188,14 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: np.ndarray):
     """Smooth tanh-form gelu; kept smooth so finite-difference checks stay
     tight. Returns (gelu(x), backward), backward(g) -> dx."""
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
-    out = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    t = np.tanh(t, out=t)   # tanh(C * (x + 0.044715 x^3)) in one buffer
+    out = t + 1.0
+    out *= 0.5 * x
 
     def backward(g):
         d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
@@ -202,8 +207,9 @@ def gelu(x: np.ndarray):
 def softmax_kernel(x: np.ndarray, axis: int = -1):
     """Max-subtracted softmax along `axis`. Returns (probs, backward),
     backward(g) -> dx."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    probs = e / e.sum(axis=axis, keepdims=True)
+    probs = x - x.max(axis=axis, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=axis, keepdims=True)
 
     def backward(g):
         return probs * (g - (g * probs).sum(axis=axis, keepdims=True))
@@ -219,10 +225,13 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
     """Normalization of each row of a 2-D array, then gain and bias.
     Returns (out, backward), backward(g) -> (dx, dgain, dbias)."""
-    centered = x - _row_mean(x)
-    inv_std = 1.0 / np.sqrt(_row_mean(centered * centered) + eps)
-    xhat = centered * inv_std
-    out = xhat * gain + bias
+    xhat = x - _row_mean(x)
+    inv_std = _row_mean(xhat * xhat)
+    inv_std += eps
+    inv_std = np.divide(1.0, np.sqrt(inv_std, out=inv_std), out=inv_std)
+    xhat *= inv_std
+    out = xhat * gain
+    out += bias
 
     def backward(g):
         dxhat = g * gain
@@ -297,7 +306,8 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: i
         exps[~seg.valid().T] = -np.inf
     exps -= exps.max(axis=0)
     np.exp(exps, out=exps)
-    inv = (1.0 / exps.sum(axis=0))[..., None]   # (count, heads, queries, 1)
+    inv = exps.sum(axis=0)
+    inv = np.divide(1.0, inv, out=inv)[..., None]   # (count, heads, queries, 1)
 
     def backward(g):
         go = heads(g)
@@ -312,7 +322,9 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: i
         dp *= exps   # now the logits' gradient but for each query's factor inv
         return merge((by_query(dp) @ kh) * inv) * scale, merge(by_key(dp) @ (qh * inv)), dv
 
-    out = merge((by_query(dropped()) @ vh) * inv)
+    out = by_query(dropped()) @ vh
+    out *= inv
+    out = merge(out)
     out.flags.writeable = False   # backward reads it
     return out, backward
 

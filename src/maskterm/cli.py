@@ -163,9 +163,17 @@ def cmd_mask_demo(args) -> int:
         tokens = ["[CLS]"] + example.tokens + ["[SEP]"]
         attn, protected, alpha = decision.attn, inp.protected, args.alpha
         aggregator = args.aggregator or model.mask_cfg.aggregator
-    if alpha is not None:   # recut with alpha times the aggregate, no relevance term
-        # A float64 alpha keeps the recut of a float32 model's attention in float64.
-        tau, _ = mk.actm_threshold(attn, np.float64(alpha), aggregator)
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused below
+        total = attn.sum()
+        if alpha is not None:   # recut with alpha times the aggregate, no relevance term
+            # A float64 alpha keeps the recut of a float32 model's attention in float64.
+            tau, _ = mk.actm_threshold(attn, np.float64(alpha), aggregator)
+    if not np.isfinite(total):
+        raise CorpusParseError("the attention scores overflow to a non-finite total")
+    if alpha is not None:
+        if not np.isfinite(tau).all():
+            raise ConfigError(f"alpha {alpha} times the {aggregator} of the attention scores "
+                              "overflows to a non-finite threshold")
         decision = mk.apply_mask(attn, tau, protected=protected)
     sys.stdout.write(mk.format_mask_trace(tokens, decision))
     return 0

@@ -129,6 +129,7 @@ class ModelInput:
     content_positions: np.ndarray    # rows of the sentence tokens
     protected: np.ndarray            # rows the masking must keep, ascending
     lengths: tuple[int, ...]         # rows of each sequence
+    content_lengths: tuple[int, ...]  # sentence tokens of each sequence
     aspect_spans: np.ndarray | None = None   # (B, 2) inclusive in-sentence aspect rows (ASC)
 
     def __len__(self) -> int:
@@ -140,7 +141,7 @@ class ModelInput:
 
     @functools.cached_property
     def content_segments(self) -> ad.Segments:
-        return self.segments.of_rows(self.content_positions)
+        return ad.Segments(self.content_lengths)
 
 
 def packed_length(ex: TokenizedExample, aspect: int | None = None) -> int:
@@ -191,6 +192,7 @@ def pack_inputs(vocab: Vocab, examples: list[TokenizedExample],
         content_positions=np.array(content, dtype=int),
         protected=np.array(protected, dtype=int),
         lengths=tuple(lengths),
+        content_lengths=tuple(len(ex.tokens) for ex in examples),
         aspect_spans=None if aspects is None else np.array(spans),
     )
 
@@ -277,15 +279,17 @@ def _hidden_keep(inp: ModelInput, masked_content: list | None, dtype: np.dtype):
         raise ContractError(f"{len(masked_content)} masked-content sets for {content.count} sequences")
     if not any(masked_content):
         return None
-    keep = np.ones((len(inp), 1))
+    hidden_rows = []
     for b, (start, n, hidden) in enumerate(
             zip(content.offsets.tolist(), content.lengths.tolist(), masked_content)):
         for c in hidden:
             if not 0 <= c < n:
                 raise ContractError(f"masked content index {c} of instance {b} is outside "
                                     f"its {n} sentence tokens")
-            keep[inp.content_positions[start + c]] = 0.0
-    return keep.astype(dtype)
+            hidden_rows.append(start + c)
+    keep = np.ones((len(inp), 1), dtype=dtype)
+    keep[inp.content_positions[hidden_rows]] = 0.0
+    return keep
 
 
 def embed_tokens(params: ParamStore, cfg: EncoderConfig, inp: ModelInput,
@@ -321,7 +325,9 @@ def embed_tokens(params: ParamStore, cfg: EncoderConfig, inp: ModelInput,
         np.add.at(dpos, inp.pos_ids, g[:, cfg.d_w:] * not_special)
         return dword, dpos, dw, db
 
-    return ad.fused(rows @ proj_w.data + proj_b.data, (word, pos, proj_w, proj_b), backward)
+    out = rows @ proj_w.data
+    out += proj_b.data
+    return ad.fused(out, (word, pos, proj_w, proj_b), backward)
 
 
 layer_norm = ad.layer_norm
@@ -401,14 +407,22 @@ def _block(x: Tensor, layer_params: tuple[Tensor, ...], cfg: EncoderConfig, seg:
     xd = x.data
     merged, attention_back = ad.multi_head_attention(
         xd @ wq, xd @ wk, xd @ wv, cfg.n_heads, 1.0 / math.sqrt(cfg.d_k), keep_attn, keep_scale, seg)
-    attn_out = merged @ wo + bo
+    # Biases and residuals are added in place, to the same bits as new sums.
+    attn_out = merged @ wo
+    attn_out += bo
     if keep_out is not None:
         ad.dropout_(attn_out, keep_out, keep_scale)
-    x1, ln1_back = layer_norm(xd + attn_out, g1, c1, cfg.layernorm_eps)
-    act, gelu_back = ad.gelu(x1 @ w1 + b1)
+    attn_out += xd
+    x1, ln1_back = layer_norm(attn_out, g1, c1, cfg.layernorm_eps)
+    hidden = x1 @ w1
+    hidden += b1
+    act, gelu_back = ad.gelu(hidden)
     if keep_ffn is not None:
         ad.dropout_(act, keep_ffn, keep_scale)
-    out, ln2_back = layer_norm(x1 + (act @ w2 + b2), g2, c2, cfg.layernorm_eps)
+    ffn_out = act @ w2
+    ffn_out += b2
+    ffn_out += x1
+    out, ln2_back = layer_norm(ffn_out, g2, c2, cfg.layernorm_eps)
 
     def backward(g):
         ds2, dg2, dc2 = ln2_back(g)
@@ -474,4 +488,6 @@ def pool_rows(states: np.ndarray, rows: np.ndarray, seg: ad.Segments, divisor: n
         np.add.at(dstates, rows, (g * scale)[seg.ids])
         return dstates
 
-    return seg.sum(states[rows]) * scale, backward
+    pooled = seg.sum(states[rows])
+    pooled *= scale
+    return pooled, backward

@@ -147,7 +147,8 @@ def ate_head(states: Tensor, content_rows: np.ndarray, w: Tensor, b: Tensor) -> 
     the affine head over every row, as one matrix product rounds them, then
     the content rows' softmax."""
     x = states.data
-    logits = x @ w.data + b.data
+    logits = x @ w.data
+    logits += b.data
     probs, softmax_backward = ad.softmax_kernel(logits[content_rows])
 
     def backward(g):
@@ -168,7 +169,9 @@ def asc_head(encoded: Tensor, states: Tensor, cls_rows: np.ndarray, pool_rows: n
     hidden = encoded.data.shape[1]
     pooled, pool_backward = enc.pool_rows(states.data, pool_rows, pool_segments, divisor)
     feats = np.concatenate([encoded.data[cls_rows], pooled], axis=1)
-    probs, softmax_backward = ad.softmax_kernel(feats @ w.data + b.data)
+    logits = feats @ w.data
+    logits += b.data
+    probs, softmax_backward = ad.softmax_kernel(logits)
 
     def backward(g):
         dlogits = softmax_backward(g)
@@ -223,6 +226,12 @@ class EvalReport:
 class TaskOutput:
     probs: Tensor                    # (sum of sentence lengths, 3) for ATE, (B, 3) for ASC
     rows: ad.Segments                # rows of `probs` per instance: its tokens (ATE), one (ASC)
+
+    def split(self) -> list[np.ndarray]:
+        """Each instance's rows of the probabilities, as views."""
+        data = self.probs.data
+        rows = self.rows
+        return [data[o:o + n] for o, n in zip(rows.offsets.tolist(), rows.lengths.tolist())]
 
 
 class AbsaModel:
@@ -424,7 +433,7 @@ class AbsaModel:
                 batch = list(masked)
                 losses.append(nll(out.probs, np.concatenate([gold[b] for b in batch]),
                                   np.repeat(weight[batch], out.rows.lengths)))
-            return np.split(out.probs.data, out.rows.offsets[1:])
+            return out.split()
 
         return mk.amom_regenerate(forward, self.mask_cfg, maskable, gold)
 
@@ -437,8 +446,7 @@ class AbsaModel:
             if self.mask_cfg.strategy == "amom":
                 probs = self.amom(items)[0]
             else:
-                out = self.forward(items)
-                probs = np.split(out.probs.data, out.rows.offsets[1:])
+                probs = self.forward(items).split()
         return [p.argmax(axis=1) for p in probs]
 
     def predict_bio(self, examples: list[TokenizedExample]) -> list[list[str]]:

@@ -342,6 +342,22 @@ class TestFiniteness:
                 assert np.isfinite(out).all()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kernels_give_the_bits_of_their_formulas(dtype):
+    """The kernels compute in place, in the formula's order: softmax, layer
+    norm and GELU give, bit for bit, the textbook expression's result."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(scale=1.5, size=(32, 48)).astype(dtype)
+    gain, bias = rng.normal(size=48).astype(dtype), rng.normal(size=48).astype(dtype)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    assert ad.softmax_kernel(x)[0].tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+    c = x - x.mean(axis=-1, keepdims=True)
+    norm = c * (1.0 / np.sqrt((c * c).mean(axis=-1, keepdims=True) + 1e-5))
+    assert ad.layer_norm(x, gain, bias, 1e-5)[0].tobytes() == (norm * gain + bias).tobytes()
+    gelu = 0.5 * x * (1.0 + np.tanh(ad._GELU_C * (x + 0.044715 * (x * x * x))))
+    assert ad.gelu(x)[0].tobytes() == gelu.tobytes()
+
+
 class TestParamStore:
     def test_duplicate_name_rejected(self):
         params = ad.ParamStore()

@@ -82,6 +82,23 @@ class TestMaskDemo:
         bad.write_text("just-one-column\n", encoding="utf-8")
         assert cli.main(["mask-demo", "--scores", str(bad)]) == 2
 
+    @pytest.mark.parametrize("rows,extra", [
+        ("a\t1e308\nb\t1e308\n", []),
+        ("a\t1e308\nb\t1e308\n", ["--aggregator", "median"]),
+        ("a\t2\nb\t2\n", ["--alpha", "1e308"]),
+        ("a\t1e200\nb\t-1e200\n", ["--aggregator", "sd"]),
+    ], ids=["total", "total-median", "alpha", "sd-threshold"])
+    def test_overflowing_total_or_threshold_exit_2(self, tmp_path, capsys, rows, extra):
+        """Finite scores or alpha whose total or threshold overflows are
+        refused before any row is printed, without a RuntimeWarning (an error
+        under pytest). The first file printed `total inf` and kept one of two
+        equal scores."""
+        path = tmp_path / "big.tsv"
+        path.write_text(rows, encoding="utf-8")
+        assert cli.main(["mask-demo", "--scores", str(path)] + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "non-finite" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_score_rejected(self, tmp_path, value):
         bad = tmp_path / "bad.tsv"
