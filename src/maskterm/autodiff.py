@@ -31,15 +31,11 @@ backward rebuilds the dropped ones from them.
 `backward` returns the gradient of every leaf it reaches as a dict and
 writes on no tensor. Given the gradient of any node as a seed, it
 propagates that through the node's subgraph alone, so two threads can walk
-two subgraphs that share leaves (the parameters) at once. `join` builds on
-that: one node over independent subgraphs whose backward walks the
-even-indexed ones on the calling thread and the odd-indexed ones on one
-worker thread (`both`), then adds each leaf's gradients in subgraph order.
-`tasks` joins the two halves of a split forward and AMOM's rounds with it,
-and `training.evaluate` runs its short chunks as two streams through one
-`both`, with the same even/odd rule. A `both` called on the worker itself
-runs its two callables there, in order, since the one worker cannot wait
-on itself.
+two subgraphs that share leaves (the parameters) at once. `join`, the sum
+of a training loss's nodes, walks them so on the calling thread and one
+worker thread (`both`); `training.evaluate` streams its chunks through
+`both` too. A `both` called on the worker itself runs its two callables
+there, in order, since the one worker cannot wait on itself.
 """
 
 from __future__ import annotations
@@ -419,22 +415,22 @@ def both(first, second):
     return result, future.result()
 
 
-def join(data: np.ndarray, parts, seeds: Callable, leaves: tuple, concurrent: bool) -> Tensor:
-    """One node of value `data` over independent subgraphs `parts`;
-    `seeds(g)` gives each part its gradient. Concurrent, it is a node over
-    `leaves`: its backward walks the even-indexed parts from their seeds on
-    this thread and the odd-indexed ones on the worker (`both`), and gives
-    each leaf its parts' gradients added in part order, or None where no
-    part reaches it. Otherwise, or with one part, it is a node over the
-    parts, which the walk that reaches it goes on through."""
-    if not concurrent or len(parts) == 1:
-        return fused(data, tuple(parts), seeds)
+def join(parts, leaves: tuple, concurrent: bool) -> Tensor:
+    """The sum of scalar losses `parts` over independent subgraphs as one
+    node, or the one part itself. Concurrent, the node is over `leaves`: its
+    backward walks the even-indexed parts on this thread and the odd-indexed
+    ones on the worker (`both`), and gives each leaf its parts' gradients
+    added in part order, or None where no part reaches it. Otherwise it is a
+    node over the parts, which the walk that reaches it goes on through."""
+    if len(parts) == 1:
+        return parts[0]
+    data = reduce(np.add, [p.data for p in parts])
+    if not concurrent:
+        return fused(data, tuple(parts), lambda g: (g,) * len(parts))
 
     def backward_parts(g):
-        pairs = list(zip(parts, seeds(g)))
-        walks = [lambda start=start: [backward(p, s) for p, s in pairs[start::2]]
-                 for start in (0, 1)]
-        found = [None] * len(pairs)
+        walks = [lambda start=start: [backward(p, g) for p in parts[start::2]] for start in (0, 1)]
+        found = [None] * len(parts)
         found[::2], found[1::2] = both(*walks)
         sums = [[grads[leaf] for grads in found if leaf in grads] for leaf in leaves]
         return [reduce(np.add, terms) if terms else None for terms in sums]

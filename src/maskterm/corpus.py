@@ -436,18 +436,25 @@ def example_to_record(ex: TokenizedExample) -> dict:
 def record_to_example(rec: dict) -> TokenizedExample:
     if not isinstance(rec, dict):
         raise TypeError(f"example record must be a JSON object, not {type(rec).__name__}")
+    aspects, tokens, spans = rec["aspects"], rec["tokens"], rec["spans"]
+    pos, bio, text = rec["pos"], rec["bio"], rec.get("text", "")
+    if not (type(aspects) is type(tokens) is type(spans) is type(pos) is type(bio) is list
+            and type(text) is str):   # a string in place of a list would read as its characters
+        raise TypeError("aspects, tokens, spans, pos and bio must be lists, and text a string")
+    if {(type(a), type(b)) for a, b in spans} - {(int, int)}:
+        raise TypeError("spans must be pairs of integers")
     aspects = [
         AspectAnnotation(a["term"], a["from"], a["to"], a["polarity"],
                          tuple(a["token_span"]) if a.get("token_span") else None)
-        for a in rec["aspects"]
+        for a in aspects
     ]
     return TokenizedExample(
-        tokens=list(rec["tokens"]),
-        char_spans=[tuple(s) for s in rec["spans"]],
-        pos_ids=list(rec["pos"]),
-        bio_tags=list(rec["bio"]),
+        tokens=list(tokens),
+        char_spans=[tuple(s) for s in spans],
+        pos_ids=list(pos),
+        bio_tags=list(bio),
         aspects=aspects,
-        text=rec.get("text", ""),
+        text=text,
     )
 
 

@@ -89,6 +89,11 @@ class MaskConfig:
             raise ContractError("need 0 < mu_min <= mu_max <= 1")
         if self.amom_iterations < 1:
             raise ContractError("AMOM needs at least one regeneration round")
+        for name in ("alpha_init", "gamma_init", "beta_init", "aam_span_init", "fixed_tau"):
+            value = getattr(self, name)
+            with np.errstate(over="ignore"):   # a model computes in float32
+                if value is not None and not np.isfinite(np.float32(value)):
+                    raise ContractError(f"{name} {value!r} is not finite in float32")
 
 
 @dataclass

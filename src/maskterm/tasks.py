@@ -4,29 +4,22 @@ encoder and a masking strategy together.
 
 A packed forward records one graph node per stage: the embedding with the
 input projection, each encoder layer, `masking.stage` (none for `none` and
-AMOM) and the task head, `ate_head` or `asc_head`; a training loss adds one
-`nll` node per forward, and AMOM one node that sums its rounds. The model
-branches on the strategy only for AMOM's rounds and AAM's pooled rows.
+AMOM) and the task head, `ate_head` or `asc_head`. The model branches on the
+strategy only for AMOM's rounds and AAM's pooled rows. Given a generator
+(training), a forward draws its dropout words once, on the calling thread,
+before any row is computed (`encoder.dropout_words`); without one
+(evaluation) nothing is dropped.
 
-`AbsaModel.forward` is the one place that draws dropout: given a generator
-(training), it draws the batch's dropout words once, on the calling thread
-(`encoder.dropout_words`), before any row is computed, and the encoder reads
-its keep-masks from them; without one (evaluation) nothing is dropped.
-
-It runs a packed batch of at least SPLIT_ROWS rows as two halves, the first
-ceil(B/2) instances and the rest, half 1 on the worker thread
-(`autodiff.both`), each with its group of the one draw's words. The halves'
-probabilities join in one concurrent `autodiff.join` node, whose backward
-walks each half from its rows of the gradient on its own thread. A half
-never splits again; plain training batches, every AMOM round and every
-evaluation chunk of SPLIT_ROWS rows or more split alike, while the shorter
-evaluation chunks run whole as two streams (`training.evaluate`). Every
-AMOM round is a forward of its own, and once the rounds' rows add up to
-SPLIT_ROWS the node that sums them is a concurrent join too: rounds 0 and
-2 walk on the calling thread, round 1 on the worker. Either join adds each
-parameter's gradients in part order, the order of the serial walk. Every
-cut counts rows alone, never the host's cores, so a seed gives the same
-bits on every machine."""
+Only training cuts a batch: `forward` is one packed graph, and evaluation
+streams its chunks (`training.evaluate`). A training forward of at least
+SPLIT_ROWS packed rows, a plain batch's or an AMOM round's, runs as two
+halves, the first ceil(B/2) instances and the rest, half 1 on the worker
+(`autodiff.both`); each takes its group of the one draw's words and an `nll`
+node of its own. One `autodiff.join` sums a loss's nodes in order,
+concurrent once its forwards reach SPLIT_ROWS rows in all, and adds each
+parameter's gradients in node order, as the serial walk does. Every cut
+counts rows alone, never the host's cores, so a seed gives the same bits on
+every machine."""
 
 from __future__ import annotations
 
@@ -49,15 +42,13 @@ BIO_INDEX = {c: i for i, c in enumerate(BIO_CLASSES)}
 ASC_CLASSES = ("positive", "negative", "neutral")
 ASC_INDEX = {c: i for i, c in enumerate(ASC_CLASSES)}
 LOG_CLAMP = 1e-12   # the loss takes log(max(p, LOG_CLAMP))
-# Packed rows from which a forward runs as two concurrent halves, and, over
-# all its rounds, from which AMOM backwards its rounds concurrently; below
-# it, evaluation runs its chunks as two concurrent streams instead. On a
-# 2-vCPU x86-64 host at one BLAS thread, a training loss and backward in two
-# halves broke even with the whole batch at about 500 rows (0.85x at 349
-# rows, 1.0x at 512, 1.16x at 676, 1.66x at 1,789); the cut sits at twice
-# that. An ASC AMOM batch's backward, serial -> concurrent rounds: 2.43 ->
-# 2.90-3.26 ms at 8 instances, 4.41 -> 4.02 ms at 16 (648 rows over 3
-# rounds), 8.5 -> 6.4 ms at 32 (1,332) and 15.3 -> 10.9 ms at 64 (2,541).
+# Packed rows from which a training loss runs a forward as two concurrent
+# halves and, over all its forwards, walks their backwards concurrently;
+# evaluation never cuts a chunk. On a 2-vCPU x86-64 host at one BLAS thread,
+# a loss and backward in halves broke even with the whole batch at about 500
+# rows (0.85x at 349, 1.16x at 676, 1.66x at 1,789), and an ASC AMOM batch's
+# backward with concurrent rounds went 4.41 -> 4.02 ms at 648 rows and 8.5 ->
+# 6.4 ms at 1,332; the cut sits at twice the break-even.
 SPLIT_ROWS = 1024
 
 
@@ -229,8 +220,7 @@ class TaskOutput:
 
     def split(self) -> list[np.ndarray]:
         """Each instance's rows of the probabilities, as views."""
-        data = self.probs.data
-        rows = self.rows
+        data, rows = self.probs.data, self.rows
         return [data[o:o + n] for o, n in zip(rows.offsets.tolist(), rows.lengths.tolist())]
 
 
@@ -318,30 +308,9 @@ class AbsaModel:
     def forward(self, items: list, surrogate: bool = False, rng: np.random.Generator | None = None,
                 masked_content: list[frozenset[int]] | None = None) -> TaskOutput:
         """`forward_ate` on examples or `forward_asc` on (example, aspect
-        index) instances, whichever the model's task is. Given `rng`, units
-        drop by the words drawn from it here, once (module docstring); a
-        batch of at least SPLIT_ROWS packed rows runs as two concurrent
-        halves, whose probabilities join as the whole batch's."""
-        if masked_content is not None and len(masked_content) != len(items):
-            raise ContractError(f"{len(masked_content)} masked-content sets for "
-                                f"{len(items)} instances")
-        run = self.forward_ate if self.task == "ate" else self.forward_asc
-        rows = self._packed_rows(items)
-        k = (len(items) + 1) // 2
-        parts = ([slice(None)] if len(items) < 2 or sum(rows) < SPLIT_ROWS
-                 else [slice(None, k), slice(k, None)])
-        words = [None] * len(parts)
-        if rng is not None and self.enc_cfg.dropout_cut > 0:
-            words = enc.dropout_words(self.enc_cfg, [rows[part] for part in parts], rng)
-
-        def run_part(h: int) -> TaskOutput:
-            part = parts[h]
-            masked = None if masked_content is None else masked_content[part]
-            return run(items[part], surrogate=surrogate, masked_content=masked, words=words[h])
-
-        if len(parts) == 1:
-            return run_part(0)
-        return self._join(*ad.both(lambda: run_part(0), lambda: run_part(1)))
+        index) instances, whichever the model's task is, as one packed
+        graph; given `rng`, units drop (module docstring)."""
+        return self._parts(items, [slice(None)], None, rng, masked_content, surrogate)[0]()
 
     def _packed_rows(self, items: list) -> list[int]:
         """The rows `encoder.pack_inputs` gives each instance."""
@@ -349,40 +318,62 @@ class AbsaModel:
             return [enc.packed_length(ex) for ex in items]
         return [enc.packed_length(ex, i) for ex, i in items]
 
-    def _join(self, first: TaskOutput, second: TaskOutput) -> TaskOutput:
-        """Two halves' outputs as the whole batch's: the probabilities as one
-        node over the model's parameters (module docstring), which gives a
-        parameter neither half reaches no gradient, and the row layouts
-        concatenated."""
-        n0 = first.probs.data.shape[0]
-        probs = ad.join(np.concatenate([first.probs.data, second.probs.data]),
-                        (first.probs, second.probs), lambda g: (g[:n0], g[n0:]),
-                        tuple(self.params.tensors()), True)
-        return TaskOutput(probs, ad.Segments(np.concatenate([first.rows.lengths,
-                                                             second.rows.lengths])))
+    def _parts(self, items: list, parts: list[slice], rows: list[int] | None, rng,
+               masked_content: list[frozenset[int]] | None, surrogate: bool = False) -> list:
+        """One callable per part of `items` that runs its forward, with its
+        group of one draw of dropout words from `rng` when given; `rows`, the
+        items' packed rows, are counted here when None."""
+        if masked_content is not None and len(masked_content) != len(items):
+            raise ContractError(f"{len(masked_content)} masked-content sets for "
+                                f"{len(items)} instances")
+        words = [None] * len(parts)
+        if rng is not None and self.enc_cfg.dropout_cut > 0:
+            rows = self._packed_rows(items) if rows is None else rows
+            words = enc.dropout_words(self.enc_cfg, [rows[part] for part in parts], rng)
+        run = self.forward_ate if self.task == "ate" else self.forward_asc
+        return [functools.partial(run, items[part], surrogate=surrogate, words=w,
+                                  masked_content=None if masked_content is None
+                                  else masked_content[part])
+                for part, w in zip(parts, words)]
+
+    def _losses(self, items: list, rows: list[int], gold: list[np.ndarray], weight, rng,
+                masked_content: list[frozenset[int]] | None = None) -> list:
+        """(`nll` node, output) of each part of one training forward: the
+        whole batch, or from SPLIT_ROWS packed `rows` on its two halves, half
+        1 on the worker (module docstring). `weight` is one float for every
+        row or an array of one per instance."""
+        k = (len(items) + 1) // 2
+        parts = ([slice(None)] if len(items) < 2 or sum(rows) < SPLIT_ROWS
+                 else [slice(None, k), slice(k, None)])
+        runs = self._parts(items, parts, rows, rng, masked_content)
+
+        def scored(h: int):
+            out, part = runs[h](), parts[h]
+            w = weight if np.ndim(weight) == 0 else np.repeat(weight[part], out.rows.lengths)
+            return nll(out.probs, np.concatenate(gold[part]), w), out
+
+        if len(parts) == 1:
+            return [scored(0)]
+        return list(ad.both(lambda: scored(0), lambda: scored(1)))
 
     def loss(self, items: list, rng: np.random.Generator | None = None) -> Tensor:
         """The batch's training loss: each instance's cross-entropy, summed
-        over its prediction rows, averaged over the batch, as one `nll` node
-        over the packed rows of each forward. ASC's L2 term is not in it
-        (Adam adds its gradient, `training.train` its value to the logged
-        loss). AMOM averages each instance's rounds first: `amom` weighs
-        every row of instance b by 1/(B * R_b) in each of its R_b rounds, and
-        one join sums the rounds' nodes, concurrent from SPLIT_ROWS rows of
-        all rounds, sum(R_b * rows_b), on (module docstring)."""
+        over its prediction rows, averaged over the batch (AMOM averages each
+        instance's rounds first), as one `join` of `_losses`' nodes. ASC's L2
+        term is not in it: Adam adds its gradient, `train` its logged value."""
+        rows = self._packed_rows(items)
         if self.mask_cfg.strategy == "amom":
-            rounds: list[Tensor] = []
-            counts = self.amom(items, rng, losses=rounds)[1]
-            rows = sum(r * n for r, n in zip(counts, self._packed_rows(items)))
-            return ad.join(functools.reduce(np.add, [r.data for r in rounds]), rounds,
-                           lambda g: (g,) * len(rounds), tuple(self.params.tensors()),
-                           rows >= SPLIT_ROWS)
-        out = self.forward(items, rng=rng)
-        return nll(out.probs, np.concatenate(self.gold_ids(items)), 1.0 / len(items))
+            losses: list[Tensor] = []
+            rounds = self.amom(items, rng, losses=losses)[1]
+            rows = [r * n for r, n in zip(rounds, rows)]
+        else:
+            losses = [node for node, _ in self._losses(items, rows, self.gold_ids(items),
+                                                      1.0 / len(items), rng)]
+        return ad.join(losses, tuple(self.params.tensors()), sum(rows) >= SPLIT_ROWS)
 
     # -- AMOM -------------------------------------------------------------------------
     # One adapter around masking.amom_regenerate for both tasks, for the loss
-    # (remask by gold, one loss node per round) and for prediction (remask by
+    # (remask by gold, loss nodes per round) and for prediction (remask by
     # confidence, no losses). Only the maskable content indices and the gold
     # class ids of each instance depend on the task.
 
@@ -413,11 +404,11 @@ class AbsaModel:
         ordinary forward that hides nothing.
 
         Given a list `losses`, the rounds remask by gold and each forward
-        appends one `nll` node over its packed rows, each row of instance b
-        weighed 1/(B * R_b): B is the batch size and R_b the instance's round
-        count, known before the first forward (1 + amom_iterations, or 1 with
-        nothing to mask). The nodes sum to the batch mean of each instance's
-        mean loss over its rounds."""
+        appends the `nll` node of each of its parts (`_losses`), each row of
+        instance b weighed 1/(B * R_b): B is the batch size and R_b the
+        instance's round count, known before the first forward (1 +
+        amom_iterations, or 1 with nothing to mask). The nodes sum to the
+        batch mean of each instance's mean loss over its rounds."""
         gold = None if losses is None else self.gold_ids(items)
         maskable = self._maskable(items)
         if losses is not None:   # 1/B and 1/R_b each rounded to the dtype, as scaling twice rounds them
@@ -427,13 +418,14 @@ class AbsaModel:
             weight = np.asarray(1.0 / len(items), dtype) * (1.0 / rounds).astype(dtype)
 
         def forward(masked: dict[int, set[int]]):
-            out = self.forward([items[b] for b in masked], rng=rng,
-                               masked_content=[frozenset(m) for m in masked.values()])
-            if losses is not None:
-                batch = list(masked)
-                losses.append(nll(out.probs, np.concatenate([gold[b] for b in batch]),
-                                  np.repeat(weight[batch], out.rows.lengths)))
-            return out.split()
+            batch = [items[b] for b in masked]
+            content = [frozenset(m) for m in masked.values()]
+            if losses is None:
+                return self.forward(batch, rng=rng, masked_content=content).split()
+            scored = self._losses(batch, self._packed_rows(batch), [gold[b] for b in masked],
+                                  weight[list(masked)], rng, content)
+            losses.extend(node for node, _ in scored)
+            return [p for _, out in scored for p in out.split()]
 
         return mk.amom_regenerate(forward, self.mask_cfg, maskable, gold)
 

@@ -140,7 +140,8 @@ def train(config: TrainConfig, train_set: list[TokenizedExample],
     """Run the full optimization; returns (model, RunLog). Both sets are
     checked by `_instances` before the first step. An epoch's `train_loss` is
     the cross-entropy plus, for ASC, the L2 term (lambda/2) * ||theta||^2,
-    which `l2_term` logs alone."""
+    which `l2_term` logs alone. A batch loss that is not finite, or an epoch
+    that leaves a parameter not finite, raises NumericError."""
     instances, _ = _instances(train_set, config.task, config.encoder.max_len, "training")
     # evaluate() checks its set too; checked here so that no epoch is spent first
     _instances(eval_set, config.task, config.encoder.max_len, "evaluation")
@@ -178,6 +179,11 @@ def train(config: TrainConfig, train_set: list[TokenizedExample],
             epoch_loss += value * len(batch)
             epoch_l2 += l2_term * len(batch)
             seen += len(batch)
+        # Finite exactly when every parameter is: float32 squares cannot overflow float64.
+        squares = model.params.l2_sum()
+        if not math.isfinite(squares):
+            name = next(name for name, t in model.params.items() if not np.isfinite(t.data).all())
+            raise NumericError(f"parameter {name} is not finite after epoch {epoch}")
         report = evaluate(model, eval_set, config.task)
         log.append(
             epoch=epoch,
@@ -185,7 +191,7 @@ def train(config: TrainConfig, train_set: list[TokenizedExample],
             l2_term=epoch_l2 / max(seen, 1),
             eval=report_metrics(report, config.task),
             wall_time_s=round(time.perf_counter() - started, 4),
-            param_norm=math.sqrt(model.params.l2_sum()),
+            param_norm=math.sqrt(squares),
         )
     log.final_report = report
     return model, log
@@ -196,7 +202,7 @@ def report_metrics(report: tasks.EvalReport, task: str) -> dict:
 
 
 # Instances per packed forward in evaluate(): the default training batch size.
-# Two short chunks are in flight at once (_predict_by_length); at 64 a
+# Two whole chunks are in flight at once (_predict_by_length); at 64 a
 # short-sentence evaluation ran faster still, but its rows in flight raised
 # the peak resident set by about 12 % (ROADMAP, "Measured, not targets").
 EVAL_CHUNK = 32
@@ -205,13 +211,10 @@ EVAL_CHUNK = 32
 def _predict_by_length(predict, items: list, rows: list[int]) -> list:
     """`predict` over chunks of EVAL_CHUNK items taken in order of their row
     counts `rows`, so a chunk pads little; results come back in input order.
-
-    The chunks of fewer than `tasks.SPLIT_ROWS` packed rows, which do not
-    split, run as two streams when there are two or more of them: the
-    even-indexed ones on this thread and the odd-indexed ones on the worker
-    (`autodiff.both`). The others run after them, one at a time, and each
-    splits itself. A chunk's results depend on its members alone, so the
-    streams change no result."""
+    Two or more chunks run whole as two streams, the even-indexed ones on
+    this thread and the odd-indexed ones on the worker (`autodiff.both`). A
+    chunk's results depend on its members alone, so the streams change no
+    result."""
     order = sorted(range(len(items)), key=rows.__getitem__)
     chunks = [order[lo:lo + EVAL_CHUNK] for lo in range(0, len(order), EVAL_CHUNK)]
     results = [None] * len(items)
@@ -221,11 +224,10 @@ def _predict_by_length(predict, items: list, rows: list[int]) -> list:
             for i, result in zip(chunk, predict([items[i] for i in chunk])):
                 results[i] = result
 
-    short = [c for c in chunks if sum(rows[i] for i in c) < tasks.SPLIT_ROWS]
-    if len(short) > 1:
-        ad.both(lambda: run(short[::2]), lambda: run(short[1::2]))
-        chunks = [c for c in chunks if c not in short]
-    run(chunks)
+    if len(chunks) > 1:
+        ad.both(lambda: run(chunks[::2]), lambda: run(chunks[1::2]))
+    else:
+        run(chunks)
     return results
 
 
@@ -249,16 +251,13 @@ def _instances(dataset: list[TokenizedExample], task: str, max_len: int, role: s
 
 
 def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str) -> tasks.EvalReport:
-    """Deterministic evaluation with dropout off.
-
-    Instances run through the model's packed prediction in chunks of
-    EVAL_CHUNK instances of similar length; AMOM runs one packed forward per
-    regeneration round of a chunk. Chunks below `tasks.SPLIT_ROWS` rows run
-    as two concurrent streams, and longer ones split themselves
-    (`_predict_by_length`); either way every instance gets the prediction
-    its chunk gives it alone. An empty set, or a task that is not the
-    model's, is a ContractError; an instance that packs more than max_len
-    rows is a LengthError before the first chunk runs."""
+    """Deterministic evaluation with dropout off, in whole chunks of EVAL_CHUNK
+    instances of similar length, streamed on two threads
+    (`_predict_by_length`); AMOM runs one packed forward per regeneration
+    round of a chunk. Every instance gets the prediction its chunk gives it
+    alone. An empty set, or a task that is not the model's, is a
+    ContractError; an instance that packs more than max_len rows is a
+    LengthError before the first chunk runs."""
     if task != model.task:
         raise ContractError(f"cannot evaluate a {model.task} model on {task!r}")
     items, lengths = _instances(dataset, task, model.enc_cfg.max_len, "evaluation")

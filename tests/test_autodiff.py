@@ -216,8 +216,8 @@ class TestBackward:
 
 
 class TestJoin:
-    """`join`, one node over independent subgraphs, and `both`, the worker
-    its concurrent backward runs on."""
+    """`join`, the sum of scalar losses over independent subgraphs as one
+    node, and `both`, the worker its concurrent backward runs on."""
 
     @staticmethod
     def parts(x, y, scales, hook=lambda i: None):
@@ -257,15 +257,18 @@ class TestJoin:
         y = ad.Tensor([3.0], requires_grad=True)
         unreached = ad.Tensor([4.0], requires_grad=True)
         parts = self.parts(x, y, [1.0, 2.0, 3.0])
-        data = sum(p.data for p in parts)
-        joined = ad.join(data, parts, lambda g: (g,) * 3, (x, y, unreached), True)
+        joined = ad.join(parts, (x, y, unreached), True)
         assert joined._parents == (x, y, unreached)
+        assert joined.data == parts[0].data + parts[1].data + parts[2].data == 24.0
         grads = ad.backward(joined)
         assert grads.keys() == {x, y}
         assert np.array_equal(grads[x], [6.0, 6.0]) and np.array_equal(grads[y], [2.0])
-        for concurrent, count in ((False, 3), (True, 1)):
-            plain = ad.join(data, parts[:count], lambda g: (g,) * count, (x, y), concurrent)
-            assert plain._parents == tuple(parts[:count])
+        plain = ad.join(parts, (x, y), False)
+        assert plain._parents == tuple(parts) and plain.data == joined.data
+        grads = ad.backward(plain)
+        assert np.array_equal(grads[x], [6.0, 6.0]) and np.array_equal(grads[y], [2.0])
+        for concurrent in (False, True):   # one part comes back as it is
+            assert ad.join(parts[:1], (x, y), concurrent) is parts[0]
 
     def test_concurrent_join_walks_even_parts_here_and_odd_ones_on_the_worker(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
@@ -273,8 +276,7 @@ class TestJoin:
         walked = []
         parts = self.parts(x, y, [1.0, 2.0, 3.0, 4.0, 5.0],
                            lambda i: walked.append((i, threading.get_ident())))
-        joined = ad.join(np.asarray(0.0), parts, lambda g: (g,) * 5, (x, y), True)
-        ad.backward(joined)
+        ad.backward(ad.join(parts, (x, y), True))
         here = {i for i, thread in walked if thread == threading.get_ident()}
         assert sorted(i for i, _ in walked) == [0, 1, 2, 3, 4] and here == {0, 2, 4}
 
@@ -292,8 +294,7 @@ class TestJoin:
             time.sleep(0.05)   # the failing part is long done by now
             finished.append(i)
 
-        joined = ad.join(np.asarray(0.0), self.parts(x, y, [1.0, 2.0, 3.0], hook),
-                         lambda g: (g,) * 3, (x, y), True)
+        joined = ad.join(self.parts(x, y, [1.0, 2.0, 3.0], hook), (x, y), True)
         with pytest.raises(ContractError) as caught:
             ad.backward(joined)
         assert caught.value is planted

@@ -560,6 +560,44 @@ class TestInputErrors:
                            capsys)
         assert "dropout_rate" in err
 
+    @pytest.mark.parametrize("key", ["alpha_init", "gamma_init", "beta_init", "aam_span_init",
+                                     "fixed_tau"])
+    def test_mask_value_not_finite_in_float32(self, tmp_path, capsys, key):
+        """1e300 once trained, with RuntimeWarnings, into a checkpoint that
+        `eval` refused for a parameter that is not finite in float32, or
+        (fixed_tau) cut at inf. A JSON config and a checkpoint header that
+        hold it both exit 2 now, naming the key."""
+        data, ckpt, doc, blob = self.small_checkpoint(tmp_path, "asc")
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"epochs": 1, key: 1e300}), encoding="utf-8")
+        message = f"{key} 1e+300 is not finite in float32"
+        err = self.exits_2(["train", "--task", "asc", "--config", str(cfg), "--data", str(data)],
+                           capsys)
+        assert message in err
+        doc["config"]["mask"][key] = 1e300
+        ckpt.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + blob)
+        assert message in self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+        assert getattr(mk.MaskConfig(**{key: 3.4e38}), key) == 3.4e38   # finite in float32
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the step overflows on purpose
+    def test_an_epoch_that_ends_with_a_non_finite_parameter_exit_3(self, tmp_path, capsys):
+        """One batch at learning rate 1e300 once ended its only epoch with
+        NaN parameters: train exited 0, printed the NaN model's metrics and
+        wrote a checkpoint that `eval` refused."""
+        data = tmp_path / "d.jsonl"
+        cli.main(["synth", "--seed", "1", "--size", "20", "--out", str(data)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "learning_rate": 1e300,
+                                   "encoder": {"d_w": 8, "d_p": 2, "hidden": 8, "n_layers": 1,
+                                               "n_heads": 2, "d_ff": 8}}), encoding="utf-8")
+        ckpt = tmp_path / "model.ckpt"
+        capsys.readouterr()
+        assert cli.main(["train", "--task", "ate", "--config", str(cfg), "--data", str(data),
+                         "--ckpt-out", str(ckpt)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "numeric failure: parameter emb.word is not finite after epoch 0\n"
+        assert not captured.out and not ckpt.exists()
+
     @pytest.mark.parametrize("key", ["d_w", "hidden", "d_ff"])
     def test_encoder_size_too_large_to_allocate(self, trained, tmp_path, capsys, key):
         """numpy refuses these arrays at once."""

@@ -261,13 +261,28 @@ class TestReadExamples:
         with pytest.raises(CorpusParseError, match=r"lacks key 'aspects' \(line 1\)"):
             corpus.read_examples(path)
 
-    @pytest.mark.parametrize("changes", [{"tokens": 5}, {"pos": "x"}, {"spans": [1, 2]},
-                                         {"bio": None}, {"aspects": [7]}])
+    # A three-token record that loads; strings of three characters in place
+    # of its lists, a dict in place of its aspects, a span of two strings and
+    # a number for its text once loaded too.
+    THREE = {"tokens": ["a", "b", "c"], "spans": [[0, 1], [2, 3], [4, 5]], "pos": [0, 0, 0],
+             "bio": ["B", "I", "O"], "aspects": [], "text": "a b c"}
+
+    @pytest.mark.parametrize("changes", [
+        {"tokens": 5}, {"pos": "x"}, {"spans": [1, 2]}, {"bio": None}, {"aspects": [7]},
+        dict(THREE, tokens="abc"), dict(THREE, bio="BIO"), dict(THREE, spans="abc"),
+        dict(THREE, aspects={}), dict(THREE, spans=[[0, 1], ["x", "y"], [4, 5]]),
+        dict(THREE, spans=[[0, 1], [2, 3], [4, 5, 6]]), dict(THREE, spans=[[0, 1], [2, 3], [True, 5]]),
+        dict(THREE, text=5),
+    ])
     def test_wrong_type(self, tmp_path, changes):
         path = self.write_lines(tmp_path, [json.dumps(self.record(**changes))])
         with pytest.raises(CorpusParseError) as exc:
             corpus.read_examples(path)
         assert exc.value.line == 1
+
+    def test_the_three_token_record_loads(self, tmp_path):
+        path = self.write_lines(tmp_path, [json.dumps(self.THREE)])
+        assert corpus.read_examples(path)[0].char_spans == [(0, 1), (2, 3), (4, 5)]
 
     def test_record_must_be_an_object(self, tmp_path):
         path = self.write_lines(tmp_path, ["[1, 2]"])

@@ -53,3 +53,39 @@ def test_only_autodiff_starts_threads(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     tops = {name.partition(".")[0] for name in imported(tree)}
     assert bool(tops & THREAD_MODULES) == (module == "autodiff"), sorted(tops & THREAD_MODULES)
+
+
+# Where the package may run work on the worker: the concurrent backward of
+# `autodiff.join`, the training cut in `tasks` and evaluation's streams.
+BOTH_SITES = {("autodiff", "join.backward_parts"), ("tasks", "AbsaModel._losses"),
+              ("training", "_predict_by_length")}
+
+
+def both_sites(module: str, tree: ast.Module) -> set:
+    """(module, qualified name of the enclosing function) of every reference
+    to `both`, bare or as an attribute, outside its own definition."""
+    sites = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        elif isinstance(node, ast.ImportFrom):
+            assert all(alias.name != "both" for alias in node.names), f"{module} imports both"
+        elif (isinstance(node, ast.Name) and node.id == "both"
+              or isinstance(node, ast.Attribute) and node.attr == "both"):
+            sites.add((module, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return sites
+
+
+def test_both_runs_only_in_the_join_the_training_cut_and_evaluation():
+    """Only training cuts a batch, evaluation streams its chunks, and a
+    concurrent join walks its parts on two threads; a fourth place that
+    runs work on the worker shows here."""
+    sites = set()
+    for module in ("__init__",) + LAYERS:
+        sites |= both_sites(module, ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))
+    assert sites == BOTH_SITES

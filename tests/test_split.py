@@ -1,8 +1,9 @@
-"""A forward of at least `tasks.SPLIT_ROWS` packed rows runs as two
-concurrent halves (`tasks` docstring) and gives what the whole batch gives;
-evaluation chunks below it run as two concurrent streams and give what they
-give one after another. The tests lower SPLIT_ROWS so that small batches
-split."""
+"""Only training cuts a batch: a training loss whose forward packs at least
+`tasks.SPLIT_ROWS` rows runs it as two concurrent halves, each with its own
+`nll` node (`tasks` docstring), and gives what the whole batch gives, while
+`AbsaModel.forward` always runs one packed graph. Evaluation streams its
+chunks, however long, and they give what they give one after another. The
+tests lower SPLIT_ROWS so that small batches split."""
 
 import sys
 import threading
@@ -47,91 +48,85 @@ def in_worker() -> bool:
 
 
 def count_splits(monkeypatch) -> list:
-    """One entry per `autodiff.both` call from now on: a split forward, or a
-    concurrent join's backward (two halves, or AMOM's rounds)."""
+    """One entry per `autodiff.both` call from now on: a loss's split
+    forward, a concurrent join's backward, or evaluation's streams."""
     both, runs = ad.both, []
     monkeypatch.setattr(ad, "both", lambda *halves: runs.append(None) or both(*halves))
     return runs
 
 
-def record_dropout(monkeypatch, model):
-    """Each sequence's dropout keep-masks, in batch order per forward and in
-    forward order; a forward's halves are put back in order."""
-    calls, forwards = [], [0]
-    forward, masks = model.forward, enc._dropout_masks
+def forward_name(model) -> str:
+    return "forward_ate" if model.task == "ate" else "forward_asc"
 
-    def counting_forward(*args, **kwargs):
+
+def record_loss(monkeypatch, model):
+    """Records each sequence's dropout keep-masks and each instance's
+    (masked-content set, probabilities) of every training forward a loss
+    runs. Returns a function that gives them as two lists, in forward order,
+    a forward's halves put back in order."""
+    forwards, calls = [0], []
+    losses, masks = model._losses, enc._dropout_masks
+    name = forward_name(model)
+    run = getattr(model, name)
+
+    def counting_losses(*args, **kwargs):
         forwards[0] += 1
-        return forward(*args, **kwargs)
+        return losses(*args, **kwargs)
 
     def recording_masks(cfg, seg, *args):
         attn, out, ffn = masks(cfg, seg, *args)
-        calls.append(((forwards[0], in_worker()), [
+        calls.append(((forwards[0], in_worker()), "masks", [
             (attn[:, :n, b, :, :n], out[:, lo:lo + n], ffn[:, lo:lo + n])
             for b, (lo, n) in enumerate(zip(seg.offsets.tolist(), seg.lengths.tolist()))]))
         return attn, out, ffn
 
-    monkeypatch.setattr(model, "forward", counting_forward)
+    def recording_run(items, *args, **kwargs):
+        out = run(items, *args, **kwargs)
+        masked = kwargs.get("masked_content") or [None] * len(items)
+        calls.append(((forwards[0], in_worker()), "probs", list(zip(masked, out.split()))))
+        return out
+
+    monkeypatch.setattr(model, "_losses", counting_losses)
+    monkeypatch.setattr(model, name, recording_run)
     monkeypatch.setattr(enc, "_dropout_masks", recording_masks)
-    return lambda: [seq for _, seqs in sorted(calls, key=lambda c: c[0]) for seq in seqs]
 
+    def recorded(kind):
+        return [x for _, k, xs in sorted(calls, key=lambda c: c[0]) if k == kind for x in xs]
 
-def run_batch(model, items, train):
-    """(probabilities per instance, output) of a strategy's forward, or for
-    AMOM (probabilities per instance, masked sets per round), in train mode
-    from one fixed generator."""
-    rng = np.random.default_rng(17) if train else None
-    if model.mask_cfg.strategy == "amom":
-        probs, _, history = model.amom(items, rng)
-        return probs, history
-    out = model.forward(items, rng=rng)
-    return np.split(out.probs.data, out.rows.offsets[1:]), out
-
-
-def assert_same_layout(split, whole):
-    """The joined output lays out the batch's rows as the whole forward
-    does; AMOM's rounds hide the same sets."""
-    if isinstance(whole, list):   # AMOM's masked sets
-        assert split == whole
-    else:
-        assert np.array_equal(split.rows.lengths, whole.rows.lengths)
-
-
-@MODES
-@pytest.mark.parametrize("task,strategy", CASES)
-def test_split_forward_keeps_the_dropout_masks_and_the_probabilities(monkeypatch, task, strategy,
-                                                                     train):
-    """Every sequence keeps its dropout keep-masks, bit for bit, and in
-    float64 every probability agrees to 1e-12 relative. They need not share
-    their bits: BLAS may round a row of a product by its place among the
-    product's rows, and a half's rows sit elsewhere (OpenBLAS does so for
-    the heads' few-column products). In float32 the predictions agree."""
-    model, items = make_model(task, strategy, np.float64)
-    masks = record_dropout(monkeypatch, model)
-    whole, whole_out = run_batch(model, items, train)
-    whole_masks = masks()
-    monkeypatch.setattr(tasks, "SPLIT_ROWS", 2)
-    split_masks, splits = record_dropout(monkeypatch, model), count_splits(monkeypatch)
-    split, split_out = run_batch(model, items, train)
-    assert splits
-    assert_same_layout(split_out, whole_out)
-    for a, b in zip(split, whole, strict=True):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
-    assert bool(whole_masks) == train
-    for a, b in zip(split_masks(), whole_masks, strict=True):
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-    model, items = make_model(task, strategy, np.float32)
-    monkeypatch.setattr(tasks, "SPLIT_ROWS", 10**9)
-    whole_ids = [p.tolist() for p in model.predict_ids(items)]
-    monkeypatch.setattr(tasks, "SPLIT_ROWS", 2)
-    assert [p.tolist() for p in model.predict_ids(items)] == whole_ids
+    return lambda: (recorded("masks"), recorded("probs"))
 
 
 def loss_and_grads(model, items, train):
     loss = model.loss(items, np.random.default_rng(9) if train else None)
     grads = ad.backward(loss)
     return float(loss.data), {n: grads[t] for n, t in model.params.items() if t in grads}
+
+
+@MODES
+@pytest.mark.parametrize("task,strategy", CASES)
+def test_split_forward_keeps_the_dropout_masks_and_the_probabilities(monkeypatch, task, strategy,
+                                                                     train):
+    """A loss's split forwards keep every sequence's dropout keep-masks, bit
+    for bit, and AMOM's rounds hide the same sets; in float64 every
+    probability agrees to 1e-12 relative. They need not share their bits:
+    BLAS may round a row of a product by its place among the product's rows,
+    and a half's rows sit elsewhere (OpenBLAS does so for the heads'
+    few-column products)."""
+    model, items = make_model(task, strategy, np.float64)
+    recorded = record_loss(monkeypatch, model)
+    loss_and_grads(model, items, train)
+    whole_masks, whole = recorded()
+    monkeypatch.setattr(tasks, "SPLIT_ROWS", 2)
+    recorded, splits = record_loss(monkeypatch, model), count_splits(monkeypatch)
+    loss_and_grads(model, items, train)
+    split_masks, split = recorded()
+    assert splits
+    for (a_set, a), (b_set, b) in zip(split, whole, strict=True):
+        assert a_set == b_set
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+    assert bool(whole_masks) == train
+    for a, b in zip(split_masks, whole_masks, strict=True):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 @MODES
@@ -175,22 +170,21 @@ def test_amom_rounds_backward_concurrently_to_the_serial_bits(monkeypatch, task)
 
 @pytest.mark.parametrize("task", tasks.TASKS)
 def test_split_rounds_backward_on_the_worker_without_waiting_on_it(monkeypatch, task):
-    """Round 1's backward runs on the worker, and its split forward's join
-    calls `both` there: it runs both halves inline and does not wait on the
-    worker it runs on. A helper thread runs the step, so that a hang fails."""
+    """Every round of two instances or more splits, and one join over the
+    parameters sums every round's halves' nodes, flat: the odd-indexed ones
+    walk on the worker, which calls no `both` of its own. A helper thread
+    runs the step, so that a hang fails."""
     model, items = make_model(task, "amom", np.float32)
     monkeypatch.setattr(tasks, "SPLIT_ROWS", 2)
+    assert len(model.loss(items)._parents) == len(model.params)
     results = []
     assert finishes(lambda: results.append(loss_and_grads(model, items, True)))
     assert len(results) == 1
 
 
-@pytest.mark.parametrize("task", tasks.TASKS)
-def test_split_under_no_grad_records_no_node_in_either_thread(monkeypatch, task):
-    model, items = make_model(task, "actm", np.float32)
-    monkeypatch.setattr(tasks, "SPLIT_ROWS", 2)
-    halves = []
-    name = "forward_ate" if task == "ate" else "forward_asc"
+def record_halves(monkeypatch, model) -> list:
+    """(on the worker, probabilities) of each part a forward runs."""
+    halves, name = [], forward_name(model)
     run = getattr(model, name)
 
     def recording(*args, **kwargs):
@@ -199,22 +193,46 @@ def test_split_under_no_grad_records_no_node_in_either_thread(monkeypatch, task)
         return out
 
     monkeypatch.setattr(model, name, recording)
-    recorded = model.forward(items).probs
+    return halves
+
+
+@pytest.mark.parametrize("task", tasks.TASKS)
+def test_split_under_no_grad_records_no_node_in_either_thread(monkeypatch, task):
+    model, items = make_model(task, "actm", np.float32)
+    monkeypatch.setattr(tasks, "SPLIT_ROWS", 2)
+    halves = record_halves(monkeypatch, model)
+    recorded = model.loss(items)
     assert sorted(w for w, _ in halves) == [False, True]
     assert recorded._backward is not None and all(p._backward is not None for _, p in halves)
     halves.clear()
     with ad.no_grad():
-        out = model.forward(items).probs
+        loss = model.loss(items)
     assert sorted(w for w, _ in halves) == [False, True]
-    for probs in [out] + [p for _, p in halves]:
-        assert probs._backward is None and not probs.requires_grad and not probs._parents
+    for node in [loss] + [p for _, p in halves]:
+        assert node._backward is None and not node.requires_grad and not node._parents
+
+
+@pytest.mark.parametrize("task,strategy", CASES)
+def test_forward_never_calls_both(monkeypatch, task, strategy):
+    """`forward` runs one packed graph on the calling thread, with dropout
+    and without, recording or under `no_grad`, however many rows the batch
+    packs; so do AMOM's prediction rounds."""
+    model, items = make_model(task, strategy, np.float32)
+    monkeypatch.setattr(tasks, "SPLIT_ROWS", 2)
+    halves, runs = record_halves(monkeypatch, model), count_splits(monkeypatch)
+    for rng in (None, np.random.default_rng(3)):
+        assert model.forward(items, rng=rng).probs._backward is not None
+        with ad.no_grad():
+            assert model.forward(items, rng=rng).rows.count == len(items)
+    model.predict_ids(items)
+    assert not runs and halves and not any(worker for worker, _ in halves)
 
 
 @pytest.mark.parametrize("failing", [0, 1], ids=["half-0", "half-1"])
 def test_a_half_s_error_reaches_the_caller_after_both_halves(monkeypatch, failing):
     model, items = make_model("asc", "none", np.float32)
     monkeypatch.setattr(tasks, "SPLIT_ROWS", 2)
-    split = model.forward(items).probs.data
+    split = float(model.loss(items).data)
     planted = ContractError("planted")
     finished = []
     run = model.forward_asc
@@ -229,11 +247,11 @@ def test_a_half_s_error_reaches_the_caller_after_both_halves(monkeypatch, failin
 
     monkeypatch.setattr(model, "forward_asc", half)
     with pytest.raises(ContractError) as caught:
-        model.forward(items)
+        model.loss(items)
     assert caught.value is planted
     assert finished == [not failing]
     monkeypatch.setattr(model, "forward_asc", run)
-    assert np.array_equal(model.forward(items).probs.data, split)
+    assert float(model.loss(items).data) == split
 
 
 @pytest.mark.parametrize("task", tasks.TASKS)
@@ -241,9 +259,12 @@ def test_a_half_at_or_above_split_rows_does_not_split_again(monkeypatch, task):
     model, items = make_model(task, "none", np.float32)
     monkeypatch.setattr(tasks, "SPLIT_ROWS", 2)
     runs = count_splits(monkeypatch)
-    out = model.forward(items, rng=np.random.default_rng(0))
-    assert len(runs) == 1 and out.rows.count == len(items) >= 4
-    loss = tasks.nll(out.probs, np.concatenate(model.gold_ids(items)), 1.0)
+    halves = record_halves(monkeypatch, model)
+    loss = model.loss(items, rng=np.random.default_rng(0))
+    assert len(runs) == 1 and len(halves) == 2 and len(items) >= 4
+    assert sum(probs.data.shape[0] for _, probs in halves) == \
+        (len(packed_input(model, items).content_positions) if task == "ate" else len(items))
+    assert len(loss._parents) == len(model.params)   # the join over the parameters
     ad.backward(loss)
     assert len(runs) == 2   # one more for the two halves' backwards
 
@@ -256,7 +277,7 @@ def test_the_split_starts_at_split_rows(monkeypatch):
     for threshold, splits in ((rows + 1, 0), (rows, 1)):
         monkeypatch.setattr(tasks, "SPLIT_ROWS", threshold)
         runs.clear()
-        model.forward(items)
+        model.loss(items)
         assert len(runs) == splits
 
 
@@ -293,19 +314,23 @@ def test_split_backwards_from_many_threads_keep_their_gradients(monkeypatch):
 @pytest.mark.parametrize("sets", [4, 5])
 @pytest.mark.parametrize("task", tasks.TASKS)
 def test_masked_content_must_cover_every_instance_split_or_whole(monkeypatch, task, sets):
-    """`forward` counts the masked-content sets against the whole batch
-    before it splits. Counted per half, 4 sets for 8 ATE sentences once
-    passed (half 1 got none and ran unmasked), and 5 failed as "1 sets for
-    4 sequences"."""
+    """A training forward counts the masked-content sets against the whole
+    batch before it cuts, and `forward` counts them too. Counted per half, 4
+    sets for 8 ATE sentences once passed (half 1 got none and ran
+    unmasked), and 5 failed as "1 sets for 4 sequences"."""
     model, items = make_model(task, "none", np.float32, size=8)
     items = items[:8]
+    rows, gold = model._packed_rows(items), model.gold_ids(items)
     assert len(items) == 8
-    for split_rows in (10**9, 2):
+    message = f"^{sets} masked-content sets for 8 instances$"
+    with pytest.raises(ContractError, match=message):
+        model.forward(items, masked_content=[frozenset({0})] * sets)
+    for split_rows, parts in ((10**9, 1), (2, 2)):
         monkeypatch.setattr(tasks, "SPLIT_ROWS", split_rows)
-        with pytest.raises(ContractError, match=f"^{sets} masked-content sets for 8 instances$"):
-            model.forward(items, masked_content=[frozenset({0})] * sets)
-        out = model.forward(items, masked_content=[frozenset({0})] * 8)
-        assert out.rows.count == 8
+        with pytest.raises(ContractError, match=message):
+            model._losses(items, rows, gold, 1.0, None, [frozenset({0})] * sets)
+        scored = model._losses(items, rows, gold, 1.0, None, [frozenset({0})] * 8)
+        assert len(scored) == parts and sum(out.rows.count for _, out in scored) == 8
     run = model.forward_ate if task == "ate" else model.forward_asc
     with pytest.raises(ContractError, match="^4 masked-content sets for 8 sequences$"):
         run(items, masked_content=[frozenset()] * 4)   # empty sets are counted too
@@ -313,8 +338,8 @@ def test_masked_content_must_cover_every_instance_split_or_whole(monkeypatch, ta
 
 @pytest.mark.parametrize("task", tasks.TASKS)
 def test_a_forward_draws_the_same_words_split_or_whole(monkeypatch, task):
-    """A forward leaves its generator in one state whether the batch split
-    or ran whole, and without dropout it draws nothing."""
+    """A loss leaves its generator in one state whether its forward split or
+    ran whole, and so does `forward`; without dropout neither draws."""
     model, items = make_model(task, "actm", np.float32)
     fresh = np.random.default_rng(17).bit_generator.state
     for rate, drawn in ((SMALL.dropout_rate, True), (0.0, False)):
@@ -322,17 +347,18 @@ def test_a_forward_draws_the_same_words_split_or_whole(monkeypatch, task):
         states = []
         for split_rows in (10**9, 2):
             monkeypatch.setattr(tasks, "SPLIT_ROWS", split_rows)
-            rng = np.random.default_rng(17)
-            model.forward(items, rng=rng)
-            states.append(rng.bit_generator.state)
-        assert states[0] == states[1]
+            for run in (model.loss, model.forward):
+                rng = np.random.default_rng(17)
+                run(items, rng=rng)
+                states.append(rng.bit_generator.state)
+        assert states == [states[0]] * 4
         assert (states[0] != fresh) == drawn
 
 
 # -- evaluation streams ---------------------------------------------------------------
-# evaluate() runs its chunks below SPLIT_ROWS rows as two streams, the
-# even-indexed chunks here and the odd-indexed ones on the worker
-# (`training._predict_by_length`); longer chunks run after them and split.
+# evaluate() runs its chunks as two streams, the even-indexed chunks here and
+# the odd-indexed ones on the worker (`training._predict_by_length`), and
+# never cuts a chunk, however many rows it packs.
 
 
 PREDICT = {"ate": "predict_bio", "asc": "predict_polarity"}   # the method evaluate() calls
@@ -395,26 +421,22 @@ def test_streamed_evaluate_predicts_what_serial_chunks_do(monkeypatch, task, str
 
 
 @pytest.mark.parametrize("task", tasks.TASKS)
-def test_evaluate_streams_the_short_chunks_and_splits_the_long_ones(monkeypatch, task):
-    """With SPLIT_ROWS at the longest chunk's rows, the shorter chunks run as
-    two streams, alternating between this thread and the worker in length
-    order, and the longest runs afterwards here as two halves."""
+def test_evaluate_streams_a_chunk_of_split_rows_or_more_with_the_others(monkeypatch, task):
+    """With SPLIT_ROWS at the longest chunk's rows, one `both` still streams
+    every chunk, alternating between this thread and the worker in length
+    order, and no chunk is cut: each instance gets what serial chunks give."""
     model, data = evaluation_model(task, "actm", size=100)
     items, rows = training._instances(data, task, model.enc_cfg.max_len, "evaluation")
     order = sorted(range(len(items)), key=rows.__getitem__)
     cut = [order[lo:lo + training.EVAL_CHUNK] for lo in range(0, len(order), training.EVAL_CHUNK)]
     totals = [sum(rows[i] for i in chunk) for chunk in cut]
     keys = [[instance_key(items[i]) for i in chunk] for chunk in cut]
-    short = [k for k, total in zip(keys, totals) if total < max(totals)]
-    long = [k for k, total in zip(keys, totals) if total == max(totals)]
-    assert len(short) >= 2 and long
+    assert len(cut) >= 3 and max(totals) > min(totals)
     monkeypatch.setattr(tasks, "SPLIT_ROWS", max(totals))
     runs = count_splits(monkeypatch)
     report, predictions, chunks = recorded_evaluate(model, data)
-    assert len(runs) == 1 + len(long)   # the streams, then one split per long chunk
-    assert sorted(chunks) == sorted([(n % 2 == 1, k) for n, k in enumerate(short)] +
-                                    [(False, k) for k in long])
-    assert chunks[-len(long):] == [(False, k) for k in long]
+    assert len(runs) == 1   # the streams, and no half
+    assert sorted(chunks) == sorted((n % 2 == 1, k) for n, k in enumerate(keys))
     monkeypatch.setattr(ad, "both", serial_both)
     assert recorded_evaluate(model, data)[:2] == (report, predictions)
 

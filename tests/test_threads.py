@@ -38,8 +38,14 @@ import tempfile
 from maskterm import corpus, masking, tasks, training
 
 splits = []
-join = tasks.AbsaModel._join
-tasks.AbsaModel._join = lambda self, *halves: splits.append(1) or join(self, *halves)
+losses = tasks.AbsaModel._losses
+
+def counting_losses(self, *args):
+    scored = losses(self, *args)
+    splits.extend(scored[1:])
+    return scored
+
+tasks.AbsaModel._losses = counting_losses
 config = training.TrainConfig(task="asc", epochs=2, batch_size=96, learning_rate=1e-3, seed=3,
                               mask=masking.MaskConfig(strategy="none"))
 model, log = training.train(config, corpus.synth_corpus(0, 200), corpus.synth_corpus(1, 10))
@@ -66,10 +72,10 @@ from maskterm import autodiff, corpus, masking, tasks, training
 concurrent_rounds = []
 join = autodiff.join
 
-def counting_join(data, parts, seeds, leaves, concurrent):
-    if concurrent and data.ndim == 0:   # a loss: AMOM's rounds
+def counting_join(parts, leaves, concurrent):
+    if concurrent and len(parts) > 1:
         concurrent_rounds.append(1)
-    return join(data, parts, seeds, leaves, concurrent)
+    return join(parts, leaves, concurrent)
 
 autodiff.join = counting_join
 config = training.TrainConfig(task="asc", epochs=1, batch_size=32, learning_rate=1e-3, seed=3,
@@ -83,9 +89,10 @@ with tempfile.TemporaryDirectory() as tmp:
 print(len(concurrent_rounds), float(log.records[-1]["train_loss"]).hex(), digest)
 """
 
-# A split in the parent, then one in a forked child, which must not wait on
-# the parent's worker thread, and a streamed evaluate there: the child exits 0,
-# 1 if its evaluate streamed no chunks, or -14 if SIGALRM ends it stuck.
+# A split training loss in the parent, then one in a forked child, which must
+# not wait on the parent's worker thread, and a streamed evaluate there: the
+# child exits 0, 1 if its evaluate streamed no chunks, or -14 if SIGALRM ends
+# it stuck.
 FORK_SCRIPT = """
 import os
 import signal
@@ -99,12 +106,11 @@ vocab = enc.Vocab.build(data)
 model = tasks.AbsaModel("asc", enc.EncoderConfig(vocab_size=len(vocab.words)),
                         mk.MaskConfig(strategy="none"), vocab, 0)
 tasks.SPLIT_ROWS = 2
-model.forward(training.asc_instances(data[:6]))
+model.loss(training.asc_instances(data[:6]))
 pid = os.fork()
 if pid == 0:
     signal.alarm(10)
-    model.forward(training.asc_instances(data[:6]))
-    tasks.SPLIT_ROWS = 10**9   # no chunk splits: one both streams them all
+    model.loss(training.asc_instances(data[:6]))
     streams, both = [], autodiff.both
     autodiff.both = lambda *parts: streams.append(1) or both(*parts)
     training.evaluate(model, data, "asc")
