@@ -22,12 +22,13 @@ The BLAS policy pins OpenBLAS to one thread, through the first of
 ``64_`` suffix, that NumPy's extension module resolves: the names of NumPy's
 bundled OpenBLAS builds. It overrides ``OPENBLAS_NUM_THREADS``. The package
 runs work on two threads, the caller's and one worker of its own
-(``autodiff.both``): training cuts long batches, and evaluation streams its
-chunks. A float32 weight gradient ``X.T @ G`` over 450 or more rows gives
-other bits at another BLAS thread count. Pinned, a seed gives the same bits
-whatever the thread count of the environment. Where NumPy runs on a BLAS
-without these symbols (MKL, Accelerate), nothing is changed: BLAS keeps its
-own threads, and bits may then depend on their count.
+(``autodiff.streams``): training cuts long batches and walks a loss's parts,
+and evaluation streams its chunks. A float32 weight gradient ``X.T @ G``
+over 450 or more rows gives other bits at another BLAS thread count.
+Pinned, a seed gives the same bits whatever the thread count of the
+environment. Where NumPy runs on a BLAS without these symbols (MKL,
+Accelerate), nothing is changed: BLAS keeps its own threads, and bits may
+then depend on their count.
 """
 
 import ctypes

@@ -31,11 +31,13 @@ backward rebuilds the dropped ones from them.
 `backward` returns the gradient of every leaf it reaches as a dict and
 writes on no tensor. Given the gradient of any node as a seed, it
 propagates that through the node's subgraph alone, so two threads can walk
-two subgraphs that share leaves (the parameters) at once. `join`, the sum
-of a training loss's nodes, walks them so on the calling thread and one
-worker thread (`both`); `training.evaluate` streams its chunks through
-`both` too. A `both` called on the worker itself runs its two callables
-there, in order, since the one worker cannot wait on itself.
+two subgraphs that share leaves (the parameters) at once. `streams` maps a
+function over a list as two streams, the even-indexed items on the calling
+thread and the odd-indexed ones on one worker thread. `join`, the sum of a
+training loss's nodes, walks them through it; so do a training forward's
+two halves (`tasks`) and `training.evaluate`'s chunks. A `streams` called on
+the worker itself runs every item there, in order, since the one worker
+cannot wait on itself.
 """
 
 from __future__ import annotations
@@ -77,6 +79,15 @@ def grad_mode(enabled: bool):
 def no_grad():
     """Disable graph recording inside the block (evaluation fast path)."""
     return grad_mode(False)
+
+
+def check_float32(error: type[Exception], values: dict) -> None:
+    """Raise `error` for the first of `values`, {label: number or None},
+    that is not finite once rounded to float32, the dtype models compute in."""
+    with np.errstate(over="ignore"):
+        for label, value in values.items():
+            if value is not None and not np.isfinite(np.float32(value)):
+                raise error(f"{label} {value!r} is not finite in float32")
 
 
 class Tensor:
@@ -375,14 +386,14 @@ def backward(loss: Tensor, seed: np.ndarray | None = None) -> dict[Tensor, np.nd
     return grads
 
 
-# -- concurrent joins --------------------------------------------------------------
+# -- two streams -----------------------------------------------------------------
 
 _WORKER_STATE = threading.local()   # `here` is set on the worker's thread alone
 
 
 def _new_worker() -> None:
-    """A new pool of one worker thread, which runs the second callable of
-    every `both`; its thread starts at the first call. A forked child gets
+    """A new pool of one worker thread, which runs the odd-indexed items of
+    every `streams`; its thread starts at the first call. A forked child gets
     its own, because the parent's thread does not run in it."""
     global _WORKER
     _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="maskterm-worker",
@@ -394,44 +405,43 @@ if hasattr(os, "register_at_fork"):   # POSIX
     os.register_at_fork(after_in_child=_new_worker)
 
 
-def both(first, second):
-    """(first(), second()): `second` on the worker thread, under the calling
-    thread's grad mode, while `first` runs here. Both finish before an error
-    is raised, unchanged; when both fail, `first`'s is. On the worker itself
-    both run here, `first` then `second`."""
-    if getattr(_WORKER_STATE, "here", False):
-        return first(), second()
+def streams(fn, items) -> list:
+    """[fn(x) for x in items] as two streams: the even-indexed items on this
+    thread and the odd-indexed ones on the worker, each stream in order and
+    under the calling thread's grad mode. Both streams finish before an
+    error is raised, unchanged; when both fail, this thread's is. With fewer
+    than two items, or on the worker itself, which cannot wait on itself,
+    every item runs here, in order."""
+    items = list(items)
+    if len(items) < 2 or getattr(_WORKER_STATE, "here", False):
+        return [fn(x) for x in items]
     enabled = grad_enabled()
 
-    def in_worker():
+    def odd() -> list:
         with grad_mode(enabled):
-            return second()
+            return [fn(x) for x in items[1::2]]
 
-    future = _WORKER.submit(in_worker)
+    future = _WORKER.submit(odd)
     try:
-        result = first()
+        even = [fn(x) for x in items[::2]]
     finally:
-        future.exception()   # waits for `second`, and leaves its error for below
-    return result, future.result()
+        future.exception()   # waits for the worker's stream, and leaves its error for below
+    results = [None] * len(items)
+    results[::2], results[1::2] = even, future.result()
+    return results
 
 
-def join(parts, leaves: tuple, concurrent: bool) -> Tensor:
+def join(parts, leaves: tuple) -> Tensor:
     """The sum of scalar losses `parts` over independent subgraphs as one
-    node, or the one part itself. Concurrent, the node is over `leaves`: its
-    backward walks the even-indexed parts on this thread and the odd-indexed
-    ones on the worker (`both`), and gives each leaf its parts' gradients
-    added in part order, or None where no part reaches it. Otherwise it is a
-    node over the parts, which the walk that reaches it goes on through."""
+    node over `leaves`, or the one part itself. Its backward walks the parts
+    through `streams` and gives each leaf its parts' gradients added in part
+    order, or None where no part reaches it."""
     if len(parts) == 1:
         return parts[0]
     data = reduce(np.add, [p.data for p in parts])
-    if not concurrent:
-        return fused(data, tuple(parts), lambda g: (g,) * len(parts))
 
     def backward_parts(g):
-        walks = [lambda start=start: [backward(p, g) for p in parts[start::2]] for start in (0, 1)]
-        found = [None] * len(parts)
-        found[::2], found[1::2] = both(*walks)
+        found = streams(lambda part: backward(part, g), parts)
         sums = [[grads[leaf] for grads in found if leaf in grads] for leaf in leaves]
         return [reduce(np.add, terms) if terms else None for terms in sums]
 

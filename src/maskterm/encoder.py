@@ -78,6 +78,7 @@ class EncoderConfig:
                               "which would drop every unit")
         if self.layernorm_eps <= 0.0:
             raise ConfigError("layernorm_eps must be positive")
+        ad.check_float32(ConfigError, {"layernorm_eps": self.layernorm_eps})
 
     @property
     def dropout_cut(self) -> int:

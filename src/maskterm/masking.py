@@ -89,11 +89,9 @@ class MaskConfig:
             raise ContractError("need 0 < mu_min <= mu_max <= 1")
         if self.amom_iterations < 1:
             raise ContractError("AMOM needs at least one regeneration round")
-        for name in ("alpha_init", "gamma_init", "beta_init", "aam_span_init", "fixed_tau"):
-            value = getattr(self, name)
-            with np.errstate(over="ignore"):   # a model computes in float32
-                if value is not None and not np.isfinite(np.float32(value)):
-                    raise ContractError(f"{name} {value!r} is not finite in float32")
+        names = ("alpha_init", "gamma_init", "beta_init", "aam_span_init", "fixed_tau", "aam_ramp")
+        ad.check_float32(ContractError, {name: getattr(self, name) for name in names}
+                         | {"1 / aam_ramp": 1.0 / self.aam_ramp})
 
 
 @dataclass

@@ -14,12 +14,11 @@ Only training cuts a batch: `forward` is one packed graph, and evaluation
 streams its chunks (`training.evaluate`). A training forward of at least
 SPLIT_ROWS packed rows, a plain batch's or an AMOM round's, runs as two
 halves, the first ceil(B/2) instances and the rest, half 1 on the worker
-(`autodiff.both`); each takes its group of the one draw's words and an `nll`
-node of its own. One `autodiff.join` sums a loss's nodes in order,
-concurrent once its forwards reach SPLIT_ROWS rows in all, and adds each
-parameter's gradients in node order, as the serial walk does. Every cut
-counts rows alone, never the host's cores, so a seed gives the same bits on
-every machine."""
+(`autodiff.streams`); each takes its group of the one draw's words and an
+`nll` node of its own. One `autodiff.join` sums a loss's nodes in order and
+walks their backwards through `autodiff.streams`, adding each parameter's
+gradients in node order. The cut counts rows alone, never the host's cores,
+so a seed gives the same bits on every machine."""
 
 from __future__ import annotations
 
@@ -42,13 +41,11 @@ BIO_INDEX = {c: i for i, c in enumerate(BIO_CLASSES)}
 ASC_CLASSES = ("positive", "negative", "neutral")
 ASC_INDEX = {c: i for i, c in enumerate(ASC_CLASSES)}
 LOG_CLAMP = 1e-12   # the loss takes log(max(p, LOG_CLAMP))
-# Packed rows from which a training loss runs a forward as two concurrent
-# halves and, over all its forwards, walks their backwards concurrently;
+# Packed rows from which a training forward runs as two concurrent halves;
 # evaluation never cuts a chunk. On a 2-vCPU x86-64 host at one BLAS thread,
 # a loss and backward in halves broke even with the whole batch at about 500
-# rows (0.85x at 349, 1.16x at 676, 1.66x at 1,789), and an ASC AMOM batch's
-# backward with concurrent rounds went 4.41 -> 4.02 ms at 648 rows and 8.5 ->
-# 6.4 ms at 1,332; the cut sits at twice the break-even.
+# rows (0.85x at 349, 1.16x at 676, 1.66x at 1,789); the cut sits at twice
+# the break-even.
 SPLIT_ROWS = 1024
 
 
@@ -336,12 +333,13 @@ class AbsaModel:
                                   else masked_content[part])
                 for part, w in zip(parts, words)]
 
-    def _losses(self, items: list, rows: list[int], gold: list[np.ndarray], weight, rng,
+    def _losses(self, items: list, gold: list[np.ndarray], weight, rng,
                 masked_content: list[frozenset[int]] | None = None) -> list:
         """(`nll` node, output) of each part of one training forward: the
-        whole batch, or from SPLIT_ROWS packed `rows` on its two halves, half
+        whole batch, or from SPLIT_ROWS packed rows on its two halves, half
         1 on the worker (module docstring). `weight` is one float for every
         row or an array of one per instance."""
+        rows = self._packed_rows(items)
         k = (len(items) + 1) // 2
         parts = ([slice(None)] if len(items) < 2 or sum(rows) < SPLIT_ROWS
                  else [slice(None, k), slice(k, None)])
@@ -352,24 +350,20 @@ class AbsaModel:
             w = weight if np.ndim(weight) == 0 else np.repeat(weight[part], out.rows.lengths)
             return nll(out.probs, np.concatenate(gold[part]), w), out
 
-        if len(parts) == 1:
-            return [scored(0)]
-        return list(ad.both(lambda: scored(0), lambda: scored(1)))
+        return ad.streams(scored, range(len(parts)))
 
     def loss(self, items: list, rng: np.random.Generator | None = None) -> Tensor:
         """The batch's training loss: each instance's cross-entropy, summed
         over its prediction rows, averaged over the batch (AMOM averages each
         instance's rounds first), as one `join` of `_losses`' nodes. ASC's L2
         term is not in it: Adam adds its gradient, `train` its logged value."""
-        rows = self._packed_rows(items)
         if self.mask_cfg.strategy == "amom":
             losses: list[Tensor] = []
-            rounds = self.amom(items, rng, losses=losses)[1]
-            rows = [r * n for r, n in zip(rounds, rows)]
+            self.amom(items, rng, losses=losses)
         else:
-            losses = [node for node, _ in self._losses(items, rows, self.gold_ids(items),
+            losses = [node for node, _ in self._losses(items, self.gold_ids(items),
                                                       1.0 / len(items), rng)]
-        return ad.join(losses, tuple(self.params.tensors()), sum(rows) >= SPLIT_ROWS)
+        return ad.join(losses, tuple(self.params.tensors()))
 
     # -- AMOM -------------------------------------------------------------------------
     # One adapter around masking.amom_regenerate for both tasks, for the loss
@@ -422,8 +416,8 @@ class AbsaModel:
             content = [frozenset(m) for m in masked.values()]
             if losses is None:
                 return self.forward(batch, rng=rng, masked_content=content).split()
-            scored = self._losses(batch, self._packed_rows(batch), [gold[b] for b in masked],
-                                  weight[list(masked)], rng, content)
+            scored = self._losses(batch, [gold[b] for b in masked], weight[list(masked)], rng,
+                                  content)
             losses.extend(node for node, _ in scored)
             return [p for _, out in scored for p in out.split()]
 

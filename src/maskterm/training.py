@@ -44,6 +44,8 @@ class TrainConfig:
             raise ContractError("learning_rate must be positive")
         if self.l2_lambda < 0.0:
             raise ContractError("l2_lambda must be non-negative")
+        ad.check_float32(ContractError, {"learning_rate": self.learning_rate,
+                                         "l2_lambda": self.l2_lambda})
         if self.seed < 0:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
 
@@ -211,23 +213,15 @@ EVAL_CHUNK = 32
 def _predict_by_length(predict, items: list, rows: list[int]) -> list:
     """`predict` over chunks of EVAL_CHUNK items taken in order of their row
     counts `rows`, so a chunk pads little; results come back in input order.
-    Two or more chunks run whole as two streams, the even-indexed ones on
-    this thread and the odd-indexed ones on the worker (`autodiff.both`). A
-    chunk's results depend on its members alone, so the streams change no
-    result."""
+    The chunks run whole as two streams (`autodiff.streams`). A chunk's
+    results depend on its members alone, so the streams change no result."""
     order = sorted(range(len(items)), key=rows.__getitem__)
     chunks = [order[lo:lo + EVAL_CHUNK] for lo in range(0, len(order), EVAL_CHUNK)]
     results = [None] * len(items)
-
-    def run(chunks: list) -> None:
-        for chunk in chunks:
-            for i, result in zip(chunk, predict([items[i] for i in chunk])):
-                results[i] = result
-
-    if len(chunks) > 1:
-        ad.both(lambda: run(chunks[::2]), lambda: run(chunks[1::2]))
-    else:
-        run(chunks)
+    predicted = ad.streams(lambda chunk: predict([items[i] for i in chunk]), chunks)
+    for chunk, chunk_results in zip(chunks, predicted):
+        for i, result in zip(chunk, chunk_results):
+            results[i] = result
     return results
 
 
@@ -353,7 +347,7 @@ def load_model(path: str) -> tasks.AbsaModel:
             "checkpoint mask config", config["mask"], asdict(mk.MaskConfig())))
         words = config["vocab"]
         task = config["task"]
-    except (KeyError, TypeError, ConfigError) as exc:
+    except (KeyError, TypeError, ConfigError, ContractError) as exc:
         raise CompatibilityError(f"checkpoint config unusable: {exc}") from exc
     if not (isinstance(words, list) and all(isinstance(w, str) for w in words)
             and len(set(words)) == len(words) == enc_cfg.vocab_size):

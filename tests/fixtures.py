@@ -1,7 +1,8 @@
 """Shared XML fixtures for ingestion tests, with hand-counted expectations,
 `run_python` for the tests that need a fresh process, `finishes` for those
-that must fail rather than hang, and `packed_input`
-for the tests that read a batch's mask decision through
+that must fail rather than hang, `record_joins` and `serial_backward` for
+the tests that read the parts a loss joins and check its backward, and
+`packed_input` for the tests that read a batch's mask decision through
 `AbsaModel.encode_and_mask`."""
 
 import os
@@ -26,7 +27,7 @@ def run_python(script: str, **env: str) -> str:
 
 def finishes(target, timeout: float = 60.0) -> bool:
     """Whether `target()` returns within `timeout` seconds on a helper
-    thread, so that a call stuck on the worker of `autodiff.both` fails its
+    thread, so that a call stuck on the worker of `autodiff.streams` fails its
     test. A stuck worker's queue is then cancelled, which frees it, and a
     new worker takes its place, so the suite neither hangs nor goes on
     without one."""
@@ -38,6 +39,25 @@ def finishes(target, timeout: float = 60.0) -> bool:
     ad._WORKER.shutdown(wait=False, cancel_futures=True)
     ad._new_worker()
     return False
+
+
+def record_joins(monkeypatch) -> list:
+    """The parts of every `autodiff.join` from now on, one list per join."""
+    join, joins = ad.join, []
+    monkeypatch.setattr(ad, "join", lambda parts, leaves: joins.append(list(parts))
+                        or join(parts, leaves))
+    return joins
+
+
+def serial_backward(parts) -> dict:
+    """{leaf: gradient} of each part's own `autodiff.backward`, walked on
+    this thread, with each leaf's gradients added in part order: the
+    reference for a join's backward."""
+    grads = {}
+    for part in parts:
+        for leaf, g in ad.backward(part).items():
+            grads[leaf] = grads[leaf] + g if leaf in grads else g
+    return grads
 
 
 def packed_input(model, items):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gradcheck as gc
-from fixtures import finishes
+from fixtures import finishes, serial_backward
 from maskterm import autodiff as ad
 from maskterm import masking as mk
 from maskterm.exceptions import ContractError, DimensionError
@@ -215,9 +215,101 @@ class TestBackward:
         assert not out.requires_grad and out._parents == ()
 
 
+class TestStreams:
+    """`streams`, the map over two streams: the even-indexed items on the
+    calling thread and the odd-indexed ones on the worker."""
+
+    @staticmethod
+    def recording(seen: list, delay=lambda x: 0.0):
+        """fn(x) -> x * x, which first appends (x, its thread) to `seen` and
+        sleeps `delay(x)` seconds."""
+        def fn(x):
+            seen.append((x, threading.get_ident()))
+            time.sleep(delay(x))
+            return x * x
+        return fn
+
+    def test_results_come_back_in_input_order(self):
+        seen = []
+        slow_odd = self.recording(seen, lambda x: 0.02 if x % 2 else 0.0)
+        assert ad.streams(slow_odd, range(7)) == [x * x for x in range(7)]
+        assert ad.streams(self.recording(seen), iter([3, 1, 2])) == [9, 1, 4]
+        assert ad.streams(self.recording(seen), []) == []
+
+    def test_even_items_run_here_and_odd_ones_on_the_worker(self):
+        seen = []
+        ad.streams(self.recording(seen), range(5))
+        here = threading.get_ident()
+        assert [x for x, thread in seen if thread == here] == [0, 2, 4]
+        assert [x for x, thread in seen if thread != here] == [1, 3]
+        assert len({thread for x, thread in seen if thread != here}) == 1
+
+    def test_fewer_than_two_items_run_here(self):
+        seen = []
+        assert ad.streams(self.recording(seen), [3]) == [9]
+        assert seen == [(3, threading.get_ident())]
+
+    def test_a_nested_call_on_the_worker_runs_inline(self):
+        seen, results = [], []
+
+        def fn(x):
+            if x == 0:
+                return "here"
+            return ad.streams(self.recording(seen), [1, 2, 3])
+
+        assert finishes(lambda: results.append(ad.streams(fn, [0, 1])))
+        assert results == [["here", [1, 4, 9]]]
+        assert [x for x, _ in seen] == [1, 2, 3]
+        assert len({thread for _, thread in seen}) == 1
+        assert seen[0][1] != threading.get_ident()
+
+    def test_a_worker_error_reaches_the_caller_after_the_caller_s_items(self):
+        """Item 1 fails on the worker; its error reaches the caller,
+        unchanged, once items 0, 2 and 4 have finished here, and the next
+        call works."""
+        planted, finished = ContractError("planted"), []
+
+        def fn(x):
+            if x == 1:
+                raise planted
+            time.sleep(0.05)   # the failing item is long done by now
+            finished.append(x)
+            return x
+
+        with pytest.raises(ContractError) as caught:
+            ad.streams(fn, range(5))
+        assert caught.value is planted
+        assert finished == [0, 2, 4]   # the worker's stream stopped at item 1
+        assert ad.streams(lambda x: -x, range(3)) == [0, -1, -2]
+
+    def test_the_caller_s_error_wins_when_both_streams_fail(self):
+        errors = [ContractError("here"), ContractError("worker")]
+        finished = []
+
+        def fn(x):
+            if x < 2:
+                time.sleep(0.05 * (1 - x))   # the worker's fails first
+                raise errors[x]
+            finished.append(x)
+
+        with pytest.raises(ContractError) as caught:
+            ad.streams(fn, range(4))
+        assert caught.value is errors[0]
+        assert finished == []   # each stream stopped at its error
+
+    def test_the_worker_runs_under_the_caller_s_grad_mode(self):
+        def mode(_):
+            return ad.grad_enabled()
+
+        assert ad.streams(mode, range(2)) == [True, True]
+        with ad.no_grad():
+            assert ad.streams(mode, range(4)) == [False] * 4
+        assert ad.streams(mode, range(2)) == [True, True]
+
+
 class TestJoin:
     """`join`, the sum of scalar losses over independent subgraphs as one
-    node, and `both`, the worker its concurrent backward runs on."""
+    node over the leaves, whose backward walks the parts through `streams`."""
 
     @staticmethod
     def parts(x, y, scales, hook=lambda i: None):
@@ -235,40 +327,22 @@ class TestJoin:
                             backward)
         return [part(i, k) for i, k in enumerate(scales)]
 
-    def test_a_nested_both_on_the_worker_runs_inline(self):
-        threads, results = {}, []
-
-        def on_worker():
-            threads["outer"] = threading.get_ident()
-
-            def inner(name, value):
-                threads[name] = threading.get_ident()
-                return value
-
-            return ad.both(lambda: inner("first", 1), lambda: inner("second", 2))
-
-        assert finishes(lambda: results.append(ad.both(lambda: "here", on_worker)))
-        assert results == [("here", (1, 2))]
-        assert threads["first"] == threads["second"] == threads["outer"]
-        assert threads["outer"] != threading.get_ident()
-
     def test_concurrent_join_is_one_node_over_the_leaves(self):
+        """Each leaf gets the gradients of its parts' own backwards, added in
+        part order, bit for bit; a leaf no part reaches gets none."""
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
         y = ad.Tensor([3.0], requires_grad=True)
         unreached = ad.Tensor([4.0], requires_grad=True)
         parts = self.parts(x, y, [1.0, 2.0, 3.0])
-        joined = ad.join(parts, (x, y, unreached), True)
+        joined = ad.join(parts, (x, y, unreached))
         assert joined._parents == (x, y, unreached)
         assert joined.data == parts[0].data + parts[1].data + parts[2].data == 24.0
         grads = ad.backward(joined)
         assert grads.keys() == {x, y}
         assert np.array_equal(grads[x], [6.0, 6.0]) and np.array_equal(grads[y], [2.0])
-        plain = ad.join(parts, (x, y), False)
-        assert plain._parents == tuple(parts) and plain.data == joined.data
-        grads = ad.backward(plain)
-        assert np.array_equal(grads[x], [6.0, 6.0]) and np.array_equal(grads[y], [2.0])
-        for concurrent in (False, True):   # one part comes back as it is
-            assert ad.join(parts[:1], (x, y), concurrent) is parts[0]
+        serial = serial_backward(parts)
+        assert all(np.array_equal(grads[t], serial[t]) for t in (x, y))
+        assert ad.join(parts[:1], (x, y)) is parts[0]   # one part comes back as it is
 
     def test_concurrent_join_walks_even_parts_here_and_odd_ones_on_the_worker(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
@@ -276,7 +350,7 @@ class TestJoin:
         walked = []
         parts = self.parts(x, y, [1.0, 2.0, 3.0, 4.0, 5.0],
                            lambda i: walked.append((i, threading.get_ident())))
-        ad.backward(ad.join(parts, (x, y), True))
+        ad.backward(ad.join(parts, (x, y)))
         here = {i for i, thread in walked if thread == threading.get_ident()}
         assert sorted(i for i, _ in walked) == [0, 1, 2, 3, 4] and here == {0, 2, 4}
 
@@ -294,7 +368,7 @@ class TestJoin:
             time.sleep(0.05)   # the failing part is long done by now
             finished.append(i)
 
-        joined = ad.join(self.parts(x, y, [1.0, 2.0, 3.0], hook), (x, y), True)
+        joined = ad.join(self.parts(x, y, [1.0, 2.0, 3.0], hook), (x, y))
         with pytest.raises(ContractError) as caught:
             ad.backward(joined)
         assert caught.value is planted

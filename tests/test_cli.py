@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -579,15 +580,54 @@ class TestInputErrors:
         assert message in self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
         assert getattr(mk.MaskConfig(**{key: 3.4e38}), key) == 3.4e38   # finite in float32
 
+    @pytest.mark.parametrize("config,label", [
+        ({"encoder": {"layernorm_eps": 1e300}}, "layernorm_eps 1e+300"),
+        ({"mask_strategy": "aam", "aam_ramp": 1e300}, "aam_ramp 1e+300"),
+        ({"mask_strategy": "aam", "aam_ramp": 1e-40}, "1 / aam_ramp 1e+40"),
+        ({"learning_rate": 1e300}, "learning_rate 1e+300"),
+        ({"l2_lambda": 1e300}, "l2_lambda 1e+300"),
+    ], ids=["layernorm_eps", "aam_ramp", "aam_ramp-reciprocal", "learning_rate", "l2_lambda"])
+    def test_config_value_that_overflows_float32(self, tmp_path, capsys, config, label):
+        """On 20 synthetic ASC sentences these once trained silently or ended
+        in exit 3: an eps of 1e300 zeroed every normalised row and exited 0
+        with a model that predicts from the layer-norm biases alone, a ramp
+        of 1e300 or 1e-40 (whose reciprocal overflows) left a parameter or
+        the loss non-finite, and 1e300 as learning rate or L2 weight
+        overflowed Adam's step."""
+        data = tmp_path / "d.jsonl"
+        cli.main(["synth", "--seed", "1", "--size", "4", "--out", str(data)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, **config}), encoding="utf-8")
+        err = self.exits_2(["train", "--task", "asc", "--config", str(cfg), "--data", str(data)],
+                           capsys)
+        assert f"{label} is not finite in float32" in err
+
+    @pytest.mark.parametrize("block,key,value,label", [
+        ("encoder", "layernorm_eps", 1e300, "layernorm_eps 1e+300"),
+        ("mask", "aam_ramp", 1e-40, "1 / aam_ramp 1e+40"),
+    ], ids=["encoder", "mask"])
+    def test_checkpoint_value_that_overflows_float32(self, tmp_path, capsys, block, key, value,
+                                                     label):
+        data, ckpt, doc, blob = self.small_checkpoint(tmp_path, "asc")
+        doc["config"][block][key] = value
+        ckpt.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + blob)
+        with pytest.raises(CompatibilityError,
+                           match="^" + re.escape(f"checkpoint config unusable: {label} ")):
+            training.load_model(str(ckpt))
+        err = self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+        assert f"{label} is not finite in float32" in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the step overflows on purpose
     def test_an_epoch_that_ends_with_a_non_finite_parameter_exit_3(self, tmp_path, capsys):
-        """One batch at learning rate 1e300 once ended its only epoch with
-        NaN parameters: train exited 0, printed the NaN model's metrics and
-        wrote a checkpoint that `eval` refused."""
+        """A learning rate finite in float32 can still step a parameter past
+        float32's range: at 1e38, a gradient whose square underflows to 0 in
+        Adam's second moment takes a step of lr * g / eps. Such an epoch once
+        ended with a train that exited 0, printed the broken model's metrics
+        and wrote a checkpoint that `eval` refused."""
         data = tmp_path / "d.jsonl"
         cli.main(["synth", "--seed", "1", "--size", "20", "--out", str(data)])
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epochs": 1, "learning_rate": 1e300,
+        cfg.write_text(json.dumps({"epochs": 1, "learning_rate": 1e38,
                                    "encoder": {"d_w": 8, "d_p": 2, "hidden": 8, "n_layers": 1,
                                                "n_heads": 2, "d_ff": 8}}), encoding="utf-8")
         ckpt = tmp_path / "model.ckpt"
@@ -595,7 +635,7 @@ class TestInputErrors:
         assert cli.main(["train", "--task", "ate", "--config", str(cfg), "--data", str(data),
                          "--ckpt-out", str(ckpt)]) == 3
         captured = capsys.readouterr()
-        assert captured.err == "numeric failure: parameter emb.word is not finite after epoch 0\n"
+        assert captured.err == "numeric failure: parameter head.ate.W is not finite after epoch 0\n"
         assert not captured.out and not ckpt.exists()
 
     @pytest.mark.parametrize("key", ["d_w", "hidden", "d_ff"])

@@ -48,44 +48,51 @@ THREAD_MODULES = {"threading", "_thread", "concurrent", "multiprocessing"}
 
 @pytest.mark.parametrize("module", ("__init__",) + LAYERS)
 def test_only_autodiff_starts_threads(module):
-    """The one worker of `autodiff.both` is the only thread the package
+    """The one worker of `autodiff.streams` is the only thread the package
     starts: no other module imports a thread or process library."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     tops = {name.partition(".")[0] for name in imported(tree)}
     assert bool(tops & THREAD_MODULES) == (module == "autodiff"), sorted(tops & THREAD_MODULES)
 
 
-# Where the package may run work on the worker: the concurrent backward of
+# Where the package may run work on the worker: the backward of
 # `autodiff.join`, the training cut in `tasks` and evaluation's streams.
-BOTH_SITES = {("autodiff", "join.backward_parts"), ("tasks", "AbsaModel._losses"),
-              ("training", "_predict_by_length")}
+STREAMS_SITES = {("autodiff", "join.backward_parts"), ("tasks", "AbsaModel._losses"),
+                 ("training", "_predict_by_length")}
+# Where the package touches the worker itself: `streams` submits to it, and
+# `_new_worker` makes it, at import and in a forked child.
+WORKER_SITES = {("autodiff", "_new_worker"), ("autodiff", "streams")}
 
 
-def both_sites(module: str, tree: ast.Module) -> set:
+def sites(name: str) -> set:
     """(module, qualified name of the enclosing function) of every reference
-    to `both`, bare or as an attribute, outside its own definition."""
-    sites = set()
+    to `name`, bare or as an attribute, outside its own definition, over the
+    whole package; importing it by name fails."""
+    found = set()
 
-    def visit(node, scope):
+    def visit(module, node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
         elif isinstance(node, ast.ImportFrom):
-            assert all(alias.name != "both" for alias in node.names), f"{module} imports both"
-        elif (isinstance(node, ast.Name) and node.id == "both"
-              or isinstance(node, ast.Attribute) and node.attr == "both"):
-            sites.add((module, ".".join(scope)))
+            assert all(alias.name != name for alias in node.names), f"{module} imports {name}"
+        elif (isinstance(node, ast.Name) and node.id == name
+              or isinstance(node, ast.Attribute) and node.attr == name):
+            found.add((module, ".".join(scope)))
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            visit(module, child, scope)
 
-    visit(tree, ())
-    return sites
-
-
-def test_both_runs_only_in_the_join_the_training_cut_and_evaluation():
-    """Only training cuts a batch, evaluation streams its chunks, and a
-    concurrent join walks its parts on two threads; a fourth place that
-    runs work on the worker shows here."""
-    sites = set()
     for module in ("__init__",) + LAYERS:
-        sites |= both_sites(module, ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))
-    assert sites == BOTH_SITES
+        visit(module, ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")), ())
+    return found
+
+
+def test_streams_runs_only_in_the_join_the_training_cut_and_evaluation():
+    """Only training cuts a batch, evaluation streams its chunks, and a join
+    walks its parts on two threads; a fourth place that runs work on the
+    worker shows here."""
+    assert sites("streams") == STREAMS_SITES
+
+
+def test_only_streams_touches_the_worker():
+    assert sites("_WORKER") == WORKER_SITES
+    assert sites("submit") == {("autodiff", "streams")}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import loss_oracle as oracle
+from fixtures import record_joins
 from maskterm import autodiff as ad
 from maskterm import corpus
 from maskterm import encoder as enc
@@ -76,11 +77,12 @@ def test_loss_matches_per_instance_oracle(task, strategy, train):
         assert rounds[0] == nothing_to_mask
 
 
-def graph_nodes(loss: Tensor, leaves: bool = True) -> int:
-    """Nodes `autodiff.backward` visits: the loss and every recorded ancestor,
-    or without `leaves` the loss and every op node behind it."""
-    seen = {id(loss)}
-    stack = [loss]
+def graph_nodes(*roots: Tensor, leaves: bool = True) -> int:
+    """Nodes `autodiff.backward` visits from `roots`: the roots and every
+    recorded ancestor, or without `leaves` the roots and every op node
+    behind them."""
+    seen = {id(root) for root in roots}
+    stack = list(roots)
     while stack:
         for parent in stack.pop()._parents:
             if id(parent) not in seen and (parent._parents or leaves and parent.requires_grad):
@@ -93,16 +95,17 @@ def test_amom_training_batch_graph_stays_small(monkeypatch):
     """A 32-instance ASC AMOM training batch records one loss node per
     forward, not one cross-entropy per instance and round (675 nodes on this
     batch when it did); each instance runs 1 + amom_iterations rounds, or 1
-    with nothing to mask. The rounds' sum is a plain node here: with the
-    default SPLIT_ROWS it is a concurrent join over the parameters, which
-    would hide the rounds' graphs from the count."""
-    monkeypatch.setattr(tasks, "SPLIT_ROWS", 10**9)
+    with nothing to mask. The loss is a join over the parameters, which hides
+    the rounds' graphs, so the count is the join's and those behind the
+    parts it joins."""
     data = examples(30)
     model = make_model("asc", "amom", data, np.float32, enc.EncoderConfig())
     items = training.asc_instances(data)[:32]
     assert len(items) == 32
-    loss = model.loss(items, np.random.default_rng(9))
-    assert graph_nodes(loss) < 100
+    joins = record_joins(monkeypatch)
+    model.loss(items, np.random.default_rng(9))
+    [parts] = joins
+    assert 1 + graph_nodes(*parts) < 100
     rounds = model.amom(items, losses=[])[1]
     iterations = model.mask_cfg.amom_iterations
     assert rounds == [1] + [1 + iterations] * 31
@@ -112,7 +115,7 @@ def test_amom_training_batch_graph_stays_small(monkeypatch):
 # as the default encoder has). Per packed forward: the embedding with the
 # input projection, one node per layer, the masking stage but for `none` and
 # AMOM, the head and the loss; AMOM sums its three rounds' loss nodes in one
-# more, a plain node below SPLIT_ROWS. Before, in the order none, fixed, actm,
+# more, the join over the parameters. Before, in the order none, fixed, actm,
 # aam, amom:
 # - with the input projection, ASC ACTM's pooled aspect vector (three nodes)
 #   and AMOM's round sum (two adds) as generic nodes: ATE 6, 7, 7, 7, 20 and
@@ -128,28 +131,32 @@ NON_LEAF_NODES = {
 @pytest.mark.parametrize("strategy", mk.MaskConfig.STRATEGIES)
 @pytest.mark.parametrize("task", tasks.TASKS)
 def test_training_graph_has_one_node_per_forward_stage(monkeypatch, task, strategy):
-    """Counted with the rounds' sum a plain node; at the default SPLIT_ROWS,
-    which these AMOM batches reach over their rounds, the loss is one node
-    over the parameters."""
+    """AMOM's loss, the join over the parameters, counts as one node more
+    than those behind the parts it joins."""
     data = examples(31)
     items = items_for(task, data)[:32]
     assert len(items) == 32
     model = make_model(task, strategy, data, np.float32)
-    if strategy == "amom":
-        loss = model.loss(items, np.random.default_rng(9))
-        assert loss._parents == tuple(model.params.tensors())
-        monkeypatch.setattr(tasks, "SPLIT_ROWS", 10**9)
+    joins = record_joins(monkeypatch)
     loss = model.loss(items, np.random.default_rng(9))
-    assert graph_nodes(loss, leaves=False) == NON_LEAF_NODES[task][strategy]
+    if strategy == "amom":
+        assert loss._parents == tuple(model.params.tensors())
+        [parts] = joins
+        assert 1 + graph_nodes(*parts, leaves=False) == NON_LEAF_NODES[task][strategy]
+    else:
+        assert graph_nodes(loss, leaves=False) == NON_LEAF_NODES[task][strategy]
 
 
-def test_amom_rounds_sum_in_one_node():
-    """AMOM's loss is one node over its forwards' `nll` nodes: their sum,
-    whose backward hands each the same gradient."""
+def test_amom_rounds_sum_in_one_node(monkeypatch):
+    """AMOM's loss is one node over the parameters that joins its forwards'
+    `nll` nodes: their sum, whose backward walks each from the loss's
+    gradient."""
     data = examples(6)
     model = make_model("ate", "amom", data)
+    joins = record_joins(monkeypatch)
     loss = model.loss(data)
-    rounds = loss._parents
+    [rounds] = joins
+    assert loss._parents == tuple(model.params.tensors())
     assert len(rounds) == 1 + model.mask_cfg.amom_iterations
     assert float(loss.data) == float(functools.reduce(np.add, [r.data for r in rounds]))
     assert all(r._parents[0]._parents for r in rounds)   # each over its forward's probabilities

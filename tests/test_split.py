@@ -5,6 +5,7 @@
 chunks, however long, and they give what they give one after another. The
 tests lower SPLIT_ROWS so that small batches split."""
 
+import functools
 import sys
 import threading
 import time
@@ -13,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fixtures import finishes, packed_input
+from fixtures import finishes, packed_input, record_joins, serial_backward
 from maskterm import autodiff as ad
 from maskterm import corpus
 from maskterm import encoder as enc
@@ -48,10 +49,18 @@ def in_worker() -> bool:
 
 
 def count_splits(monkeypatch) -> list:
-    """One entry per `autodiff.both` call from now on: a loss's split
-    forward, a concurrent join's backward, or evaluation's streams."""
-    both, runs = ad.both, []
-    monkeypatch.setattr(ad, "both", lambda *halves: runs.append(None) or both(*halves))
+    """One entry per `autodiff.streams` call of two items or more from now
+    on, the calls that run work on the worker: a loss's split forward, a
+    join's backward, or evaluation's streams."""
+    streams, runs = ad.streams, []
+
+    def counting(fn, items):
+        items = list(items)
+        if len(items) > 1:
+            runs.append(None)
+        return streams(fn, items)
+
+    monkeypatch.setattr(ad, "streams", counting)
     return runs
 
 
@@ -148,32 +157,31 @@ def test_split_loss_and_gradients_agree(monkeypatch, task, strategy, train):
 
 @pytest.mark.parametrize("task", tasks.TASKS)
 def test_amom_rounds_backward_concurrently_to_the_serial_bits(monkeypatch, task):
-    """With the cut at the rounds' total rows, above any one forward's, the
-    rounds' backwards run on two threads and no forward splits; the loss and
-    every gradient keep the bits of the serial walk, which adds each
-    parameter's gradients in round order."""
+    """No forward of 32 short instances reaches SPLIT_ROWS, and the rounds'
+    backwards run on two threads; the loss and every gradient keep the bits
+    of each round's own backward, walked on this thread, with each
+    parameter's gradients added in round order."""
     model, items = make_model(task, "amom", np.float32, size=32)
     items = items[:32]
-    rows = model._packed_rows(items)
-    total = sum(r * n for r, n in zip(model.amom(items, losses=[])[1], rows))
-    assert len(items) == 32 and sum(rows) < total
-    monkeypatch.setattr(tasks, "SPLIT_ROWS", 10**9)
-    serial, serial_grads = loss_and_grads(model, items, True)
-    monkeypatch.setattr(tasks, "SPLIT_ROWS", total)
-    runs = count_splits(monkeypatch)
+    assert len(items) == 32 and sum(model._packed_rows(items)) < tasks.SPLIT_ROWS
+    joins, runs = record_joins(monkeypatch), count_splits(monkeypatch)
     joined, grads = loss_and_grads(model, items, True)
     assert len(runs) == 1   # the rounds' backward, and no half
-    assert joined == serial and grads.keys() == serial_grads.keys()
-    for name, g in serial_grads.items():
-        assert np.array_equal(grads[name], g), name
+    [rounds] = joins
+    assert len(rounds) == 1 + model.mask_cfg.amom_iterations
+    assert joined == float(functools.reduce(np.add, [r.data for r in rounds]))
+    serial = serial_backward(rounds)
+    assert grads.keys() == {n for n, t in model.params.items() if t in serial}
+    for name, g in grads.items():
+        assert np.array_equal(g, serial[model.params[name]]), name
 
 
 @pytest.mark.parametrize("task", tasks.TASKS)
 def test_split_rounds_backward_on_the_worker_without_waiting_on_it(monkeypatch, task):
     """Every round of two instances or more splits, and one join over the
     parameters sums every round's halves' nodes, flat: the odd-indexed ones
-    walk on the worker, which calls no `both` of its own. A helper thread
-    runs the step, so that a hang fails."""
+    walk on the worker, whose own `streams` calls run inline. A helper
+    thread runs the step, so that a hang fails."""
     model, items = make_model(task, "amom", np.float32)
     monkeypatch.setattr(tasks, "SPLIT_ROWS", 2)
     assert len(model.loss(items)._parents) == len(model.params)
@@ -216,7 +224,7 @@ def test_split_under_no_grad_records_no_node_in_either_thread(monkeypatch, task)
 def test_forward_never_calls_both(monkeypatch, task, strategy):
     """`forward` runs one packed graph on the calling thread, with dropout
     and without, recording or under `no_grad`, however many rows the batch
-    packs; so do AMOM's prediction rounds."""
+    packs; so do AMOM's prediction rounds. Nothing runs on the worker."""
     model, items = make_model(task, strategy, np.float32)
     monkeypatch.setattr(tasks, "SPLIT_ROWS", 2)
     halves, runs = record_halves(monkeypatch, model), count_splits(monkeypatch)
@@ -320,7 +328,7 @@ def test_masked_content_must_cover_every_instance_split_or_whole(monkeypatch, ta
     unmasked), and 5 failed as "1 sets for 4 sequences"."""
     model, items = make_model(task, "none", np.float32, size=8)
     items = items[:8]
-    rows, gold = model._packed_rows(items), model.gold_ids(items)
+    gold = model.gold_ids(items)
     assert len(items) == 8
     message = f"^{sets} masked-content sets for 8 instances$"
     with pytest.raises(ContractError, match=message):
@@ -328,8 +336,8 @@ def test_masked_content_must_cover_every_instance_split_or_whole(monkeypatch, ta
     for split_rows, parts in ((10**9, 1), (2, 2)):
         monkeypatch.setattr(tasks, "SPLIT_ROWS", split_rows)
         with pytest.raises(ContractError, match=message):
-            model._losses(items, rows, gold, 1.0, None, [frozenset({0})] * sets)
-        scored = model._losses(items, rows, gold, 1.0, None, [frozenset({0})] * 8)
+            model._losses(items, gold, 1.0, None, [frozenset({0})] * sets)
+        scored = model._losses(items, gold, 1.0, None, [frozenset({0})] * 8)
         assert len(scored) == parts and sum(out.rows.count for _, out in scored) == 8
     run = model.forward_ate if task == "ate" else model.forward_asc
     with pytest.raises(ContractError, match="^4 masked-content sets for 8 sequences$"):
@@ -396,15 +404,15 @@ def recorded_evaluate(model, data):
     return report, predictions, chunks
 
 
-def serial_both(first, second):
-    return first(), second()
+def serial_streams(fn, items):
+    return [fn(x) for x in items]
 
 
 @pytest.mark.parametrize("task,strategy", CASES)
 def test_streamed_evaluate_predicts_what_serial_chunks_do(monkeypatch, task, strategy):
-    """One `both` streams the short chunks, and every instance gets the
+    """One `streams` runs the chunks, and every instance gets the
     prediction, and the report the counts, that the chunks give one after
-    another on one thread. A set of one chunk calls no `both`."""
+    another on one thread. A set of one chunk runs nothing on the worker."""
     model, data = evaluation_model(task, strategy)
     runs = count_splits(monkeypatch)
     training.evaluate(model, data[:1], task)
@@ -413,7 +421,7 @@ def test_streamed_evaluate_predicts_what_serial_chunks_do(monkeypatch, task, str
     assert len(runs) == 1 and len(chunks) >= 3
     assert sorted(worker for worker, _ in chunks) == [False] * ((len(chunks) + 1) // 2) + \
         [True] * (len(chunks) // 2)
-    monkeypatch.setattr(ad, "both", serial_both)
+    monkeypatch.setattr(ad, "streams", serial_streams)
     serial_report, serial_predictions, serial_chunks = recorded_evaluate(model, data)
     assert not any(worker for worker, _ in serial_chunks)
     assert report == serial_report and report.per_class == serial_report.per_class
@@ -422,7 +430,7 @@ def test_streamed_evaluate_predicts_what_serial_chunks_do(monkeypatch, task, str
 
 @pytest.mark.parametrize("task", tasks.TASKS)
 def test_evaluate_streams_a_chunk_of_split_rows_or_more_with_the_others(monkeypatch, task):
-    """With SPLIT_ROWS at the longest chunk's rows, one `both` still streams
+    """With SPLIT_ROWS at the longest chunk's rows, one `streams` still runs
     every chunk, alternating between this thread and the worker in length
     order, and no chunk is cut: each instance gets what serial chunks give."""
     model, data = evaluation_model(task, "actm", size=100)
@@ -437,7 +445,7 @@ def test_evaluate_streams_a_chunk_of_split_rows_or_more_with_the_others(monkeypa
     report, predictions, chunks = recorded_evaluate(model, data)
     assert len(runs) == 1   # the streams, and no half
     assert sorted(chunks) == sorted((n % 2 == 1, k) for n, k in enumerate(keys))
-    monkeypatch.setattr(ad, "both", serial_both)
+    monkeypatch.setattr(ad, "streams", serial_streams)
     assert recorded_evaluate(model, data)[:2] == (report, predictions)
 
 

@@ -57,11 +57,11 @@ with tempfile.TemporaryDirectory() as tmp:
 print(len(splits), float(log.records[-1]["train_loss"]).hex(), digest)
 """
 
-# One epoch of ASC AMOM, 32 instances a batch: a full batch packs about 1,300
-# rows over its three rounds, so its rounds backward on two threads, while no
-# one forward reaches SPLIT_ROWS. Prints the losses whose rounds joined
-# concurrently, the last train_loss as float hex and a digest of the
-# checkpoint's bytes.
+# One epoch of ASC AMOM, 32 instances a batch: each batch's rounds backward
+# on two threads, while no one forward reaches SPLIT_ROWS, and a full batch
+# packs about 1,300 rows over its three rounds. Prints the losses that
+# joined more than one part, the last train_loss as float hex and a digest
+# of the checkpoint's bytes.
 AMOM_SCRIPT = """
 import hashlib
 import os
@@ -72,10 +72,10 @@ from maskterm import autodiff, corpus, masking, tasks, training
 concurrent_rounds = []
 join = autodiff.join
 
-def counting_join(parts, leaves, concurrent):
-    if concurrent and len(parts) > 1:
+def counting_join(parts, leaves):
+    if len(parts) > 1:
         concurrent_rounds.append(1)
-    return join(parts, leaves, concurrent)
+    return join(parts, leaves)
 
 autodiff.join = counting_join
 config = training.TrainConfig(task="asc", epochs=1, batch_size=32, learning_rate=1e-3, seed=3,
@@ -111,10 +111,10 @@ pid = os.fork()
 if pid == 0:
     signal.alarm(10)
     model.loss(training.asc_instances(data[:6]))
-    streams, both = [], autodiff.both
-    autodiff.both = lambda *parts: streams.append(1) or both(*parts)
+    runs, streams = [], autodiff.streams
+    autodiff.streams = lambda fn, items: runs.append(len(items)) or streams(fn, items)
     training.evaluate(model, data, "asc")
-    os._exit(0 if streams == [1] else 1)
+    os._exit(0 if len(runs) == 1 and runs[0] > 1 else 1)
 print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
 
