@@ -135,9 +135,6 @@ class Segments:
     def positions(self) -> np.ndarray:
         return np.arange(self.total) - self.offsets[self.ids]
 
-    def __len__(self) -> int:
-        return self.count
-
     def valid(self) -> np.ndarray:
         """(count, n_max) bool: True where a padded slot holds a real row."""
         return np.arange(self.n_max) < self.lengths[:, None]

@@ -288,9 +288,9 @@ def parse_semeval_xml(data: bytes | str, schema: str):
 
     def handle_sentence(sent: ET.Element, container: str, element: str, term_attr: str) -> None:
         text_el = sent.find("text")
-        if text_el is None or text_el.text is None:
+        if text_el is None:
             raise SchemaError("element <sentence> is missing required child <text>")
-        text = text_el.text
+        text = text_el.text or ""   # an empty <text/> reads as blank text
         aspects: list[AspectAnnotation] = []
         block = sent.find(container)
         if block is not None:

@@ -2,10 +2,11 @@
 
 `pack_inputs` writes a whole batch's input rows in one pass, every sequence
 end to end: [CLS] + sentence + [SEP], and for ASC the aspect's tokens and a
-closing [SEP]. Input rows concatenate a word embedding, carrying the
-position signal, and a POS embedding; [CLS]/[SEP] use reserved vocabulary
-ids with a zeroed POS part. `embed_tokens` builds them and projects them to
-the hidden width as one graph node, which also zeroes the rows AMOM hides.
+closing [SEP]; in the same pass it records the rows of the tokens AMOM
+hides. Input rows concatenate a word embedding, carrying the position
+signal, and a POS embedding; [CLS]/[SEP] use reserved vocabulary ids with a
+zeroed POS part. `embed_tokens` builds them and projects them to the hidden
+width as one graph node, which also zeroes the hidden rows.
 `encode` returns the final states, one Tensor. Each layer is one graph
 node: `_block` runs the layer on plain arrays through the autodiff kernels
 and hands its gradients back in one hand-written backward; the attention
@@ -114,9 +115,6 @@ class Vocab:
     def id_of(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
 
-    def __len__(self) -> int:
-        return len(self.words) + RESERVED
-
 
 @dataclass
 class ModelInput:
@@ -132,6 +130,7 @@ class ModelInput:
     lengths: tuple[int, ...]         # rows of each sequence
     content_lengths: tuple[int, ...]  # sentence tokens of each sequence
     aspect_spans: np.ndarray | None = None   # (B, 2) inclusive in-sentence aspect rows (ASC)
+    hidden: np.ndarray | None = None   # rows of the tokens AMOM hides, None if it hides none
 
     def __len__(self) -> int:
         return len(self.token_ids)
@@ -156,14 +155,19 @@ def packed_length(ex: TokenizedExample, aspect: int | None = None) -> int:
 
 
 def pack_inputs(vocab: Vocab, examples: list[TokenizedExample],
-                aspects: list[int] | None = None) -> ModelInput:
+                aspects: list[int] | None = None, masked_content: list | None = None) -> ModelInput:
     """A batch's rows in one pass: [CLS] + sentence + [SEP] for each example
     and, given `aspects` (ASC: one aspect index per example), that aspect's
     tokens and a closing [SEP]. Masking keeps the specials and, for ASC, the
-    in-sentence aspect span and the appended copy."""
+    in-sentence aspect span and the appended copy. `masked_content`, one set
+    of sentence-token indices per example, names the tokens AMOM hides; their
+    rows become `hidden`, which stays None when no set names a token."""
     if not examples:
         raise ContractError("cannot pack an empty batch")
-    ids, pos, special, content, protected, lengths, spans = [], [], [], [], [], [], []
+    if masked_content is not None and len(masked_content) != len(examples):
+        raise ContractError(f"{len(masked_content)} masked-content sets for "
+                            f"{len(examples)} sequences")
+    ids, pos, special, content, protected, lengths, spans, hidden = [], [], [], [], [], [], [], []
     for b, ex in enumerate(examples):
         start, n = len(ids), len(ex.tokens)
         words = [vocab.id_of(t) for t in ex.tokens]
@@ -171,6 +175,11 @@ def pack_inputs(vocab: Vocab, examples: list[TokenizedExample],
         pos += [0, *ex.pos_ids, 0]
         special += [True, *[False] * n, True]
         content += range(start + 1, start + n + 1)
+        for c in () if masked_content is None else masked_content[b]:
+            if not 0 <= c < n:
+                raise ContractError(f"masked content index {c} of instance {b} is outside "
+                                    f"its {n} sentence tokens")
+            hidden.append(start + 1 + c)
         if aspects is None:
             protected += (start, start + n + 1)
         else:
@@ -195,6 +204,7 @@ def pack_inputs(vocab: Vocab, examples: list[TokenizedExample],
         lengths=tuple(lengths),
         content_lengths=tuple(len(ex.tokens) for ex in examples),
         aspect_spans=None if aspects is None else np.array(spans),
+        hidden=np.array(hidden, dtype=np.intp) if hidden else None,
     )
 
 
@@ -269,58 +279,31 @@ def position_table(n: int, dim: int, dtype: np.dtype) -> np.ndarray:
     return table
 
 
-def _hidden_keep(inp: ModelInput, masked_content: list | None, dtype: np.dtype):
-    """(N, 1) row keep of the tokens `masked_content`, one set per sequence,
-    hides, or None when it hides none. Each index must name a sentence token
-    of its own sequence."""
-    if masked_content is None:
-        return None
-    content = inp.content_segments
-    if len(masked_content) != content.count:
-        raise ContractError(f"{len(masked_content)} masked-content sets for {content.count} sequences")
-    if not any(masked_content):
-        return None
-    hidden_rows = []
-    for b, (start, n, hidden) in enumerate(
-            zip(content.offsets.tolist(), content.lengths.tolist(), masked_content)):
-        for c in hidden:
-            if not 0 <= c < n:
-                raise ContractError(f"masked content index {c} of instance {b} is outside "
-                                    f"its {n} sentence tokens")
-            hidden_rows.append(start + c)
-    keep = np.ones((len(inp), 1), dtype=dtype)
-    keep[inp.content_positions[hidden_rows]] = 0.0
-    return keep
-
-
-def embed_tokens(params: ParamStore, cfg: EncoderConfig, inp: ModelInput,
-                 masked_content: list | None = None) -> Tensor:
+def embed_tokens(params: ParamStore, cfg: EncoderConfig, inp: ModelInput) -> Tensor:
     """The encoder's input (N, hidden) as one graph node over `emb.word`,
     `emb.pos` and the input projection: each row is the word embedding plus
     the sinusoidal position signal, which restarts at every packed sequence,
     then the POS embedding, zero at [CLS]/[SEP], times `enc.in_proj.W` plus
-    `enc.in_proj.b`. `masked_content`, one set of sentence-token indices per
-    sequence, zeroes the rows of those tokens (AMOM's hidden tokens) before
-    the projection."""
+    `enc.in_proj.b`. The rows in `inp.hidden` (AMOM's hidden tokens) are
+    zeroed before the projection."""
     seg = inp.segments
     if seg.n_max > cfg.max_len:
         raise LengthError(f"sequence length {seg.n_max} exceeds max_len {cfg.max_len}")
     word, pos = params["emb.word"], params["emb.pos"]
     proj_w, proj_b = params["enc.in_proj.W"], params["enc.in_proj.b"]
     dtype = word.data.dtype
-    keep = _hidden_keep(inp, masked_content, dtype)
     not_special = (~inp.special)[:, None].astype(dtype)
     rows = np.concatenate([word.data[inp.token_ids]
                            + position_table(seg.n_max, cfg.d_w, dtype)[seg.positions],
                            pos.data[inp.pos_ids] * not_special], axis=1)
-    if keep is not None:
-        rows *= keep
+    if inp.hidden is not None:
+        rows[inp.hidden] = 0.0
 
     def backward(g):
         dw, db = rows.T @ g, g.sum(axis=0)
         g = g @ proj_w.data.T
-        if keep is not None:
-            g = g * keep
+        if inp.hidden is not None:
+            g[inp.hidden] = 0.0
         dword, dpos = np.zeros_like(word.data), np.zeros_like(pos.data)
         np.add.at(dword, inp.token_ids, g[:, :cfg.d_w])
         np.add.at(dpos, inp.pos_ids, g[:, cfg.d_w:] * not_special)

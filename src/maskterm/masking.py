@@ -483,7 +483,9 @@ def _amom_remask(probs: np.ndarray, maskable: Sequence[int], cfg: MaskConfig,
 def amom_regenerate(forward, cfg: MaskConfig, maskable: list[Sequence[int]], gold=None):
     """Iterative remask-and-regenerate loop over a batch of instances, for
     training and inference alike; `maskable[b]` lists the content indices
-    instance b may hide. `tasks.AbsaModel.amom` calls it for either task.
+    instance b may hide. `tasks.AbsaModel.amom` runs every batch through it,
+    for either task and every strategy: outside AMOM nothing is maskable, so
+    only the first pass runs.
 
     `forward(masked)` takes a dict from instance index to the set of that
     instance's content indices to hide, runs those instances as one packed

@@ -4,11 +4,13 @@ encoder and a masking strategy together.
 
 A packed forward records one graph node per stage: the embedding with the
 input projection, each encoder layer, `masking.stage` (none for `none` and
-AMOM) and the task head, `ate_head` or `asc_head`. The model branches on the
-strategy only for AMOM's rounds and AAM's pooled rows. Given a generator
-(training), a forward draws its dropout words once, on the calling thread,
-before any row is computed (`encoder.dropout_words`); without one
-(evaluation) nothing is dropped.
+AMOM) and the task head, `ate_head` or `asc_head`. Every batch, in training
+and in prediction, runs through `AbsaModel.amom`, AMOM's rounds around that
+forward; under any other strategy nothing is maskable, so one round runs.
+The model tests the strategy only there and for AAM's pooled rows. Given a
+generator (training), a forward draws its dropout words once, on the
+calling thread, before any row is computed (`encoder.dropout_words`);
+without one (evaluation) nothing is dropped.
 
 Only training cuts a batch: `forward` is one packed graph, and evaluation
 streams its chunks (`training.evaluate`). A training forward of at least
@@ -257,10 +259,10 @@ class AbsaModel:
     # -- shared plumbing ------------------------------------------------------
 
     def encode_and_mask(self, inp: enc.ModelInput, surrogate: bool = False,
-                        masked_content: list | None = None, words: np.ndarray | None = None):
+                        words: np.ndarray | None = None):
         """(encoded states, states for the head, mask decision) of a packed
         batch; the decision is None for `none` and AMOM."""
-        emb = enc.embed_tokens(self.params, self.enc_cfg, inp, masked_content)
+        emb = enc.embed_tokens(self.params, self.enc_cfg, inp)
         encoded = enc.encode(self.params, self.enc_cfg, emb, inp.segments, words)
         return encoded, *mk.stage(encoded, inp, self.params, self.actm_weights, self.mask_cfg,
                                   self.enc_cfg, surrogate)
@@ -268,15 +270,16 @@ class AbsaModel:
     # -- task forwards ------------------------------------------------------------
     # Each forward runs a whole batch as one packed graph; a single example is
     # a batch of one. `masked_content`, when given, holds one set per instance
-    # of sentence-token indices whose input rows are zeroed; `words`, the
-    # batch's dropout words from `encoder.dropout_words`, switch dropout on.
+    # of sentence-token indices whose input rows are zeroed (`enc.pack_inputs`
+    # packs them as `hidden`); `words`, the batch's dropout words from
+    # `encoder.dropout_words`, switch dropout on.
 
     def forward_ate(self, examples: list[TokenizedExample], surrogate: bool = False,
                     masked_content: list[frozenset[int]] | None = None,
                     words: np.ndarray | None = None) -> TaskOutput:
         """BIO probabilities of every sentence token, sentence after sentence."""
-        inp = enc.pack_inputs(self.vocab, examples)
-        _, states, _ = self.encode_and_mask(inp, surrogate, masked_content, words)
+        inp = enc.pack_inputs(self.vocab, examples, None, masked_content)
+        _, states, _ = self.encode_and_mask(inp, surrogate, words)
         probs = ate_head(states, inp.content_positions,
                          self.params["head.ate.W"], self.params["head.ate.b"])
         return TaskOutput(probs, inp.content_segments)
@@ -285,8 +288,9 @@ class AbsaModel:
                     masked_content: list[frozenset[int]] | None = None,
                     words: np.ndarray | None = None) -> TaskOutput:
         """Polarity probabilities, one row per (example, aspect index) instance."""
-        inp = enc.pack_inputs(self.vocab, [ex for ex, _ in instances], [i for _, i in instances])
-        encoded, states, decision = self.encode_and_mask(inp, surrogate, masked_content, words)
+        inp = enc.pack_inputs(self.vocab, [ex for ex, _ in instances], [i for _, i in instances],
+                              masked_content)
+        encoded, states, decision = self.encode_and_mask(inp, surrogate, words)
         if self.mask_cfg.strategy == "aam":   # the aspect span's mean
             rows, pool_seg = enc.aspect_rows(inp.aspect_spans, len(inp))
             divisor = pool_seg.lengths
@@ -355,21 +359,18 @@ class AbsaModel:
     def loss(self, items: list, rng: np.random.Generator | None = None) -> Tensor:
         """The batch's training loss: each instance's cross-entropy, summed
         over its prediction rows, averaged over the batch (AMOM averages each
-        instance's rounds first), as one `join` of `_losses`' nodes. ASC's L2
-        term is not in it: Adam adds its gradient, `train` its logged value."""
-        if self.mask_cfg.strategy == "amom":
-            losses: list[Tensor] = []
-            self.amom(items, rng, losses=losses)
-        else:
-            losses = [node for node, _ in self._losses(items, self.gold_ids(items),
-                                                      1.0 / len(items), rng)]
+        instance's rounds first), as one `join` of the nodes `amom` records.
+        ASC's L2 term is not in it: Adam adds its gradient, `train` its
+        logged value."""
+        losses: list[Tensor] = []
+        self.amom(items, rng, losses=losses)
         return ad.join(losses, tuple(self.params.tensors()))
 
     # -- AMOM -------------------------------------------------------------------------
-    # One adapter around masking.amom_regenerate for both tasks, for the loss
-    # (remask by gold, loss nodes per round) and for prediction (remask by
-    # confidence, no losses). Only the maskable content indices and the gold
-    # class ids of each instance depend on the task.
+    # One adapter around masking.amom_regenerate for both tasks and every
+    # strategy, for the loss (remask by gold, loss nodes per round) and for
+    # prediction (remask by confidence, no losses). Only the maskable content
+    # indices and the gold class ids of each instance depend on the task.
 
     def gold_ids(self, items: list) -> list[np.ndarray]:
         """The gold class id of each instance's prediction rows."""
@@ -394,30 +395,35 @@ class AbsaModel:
     def amom(self, items: list, rng: np.random.Generator | None = None,
              losses: list[Tensor] | None = None):
         """amom_regenerate's (probs per instance, rounds per instance, masked
-        sets) for a batch of the model's instances; the first round is an
-        ordinary forward that hides nothing.
+        sets) for a batch of the model's instances: the one way a batch runs,
+        whatever the strategy. The first round is an ordinary forward that
+        hides nothing; only AMOM has anything to mask after it, so any other
+        strategy runs that round alone.
 
         Given a list `losses`, the rounds remask by gold and each forward
-        appends the `nll` node of each of its parts (`_losses`), each row of
-        instance b weighed 1/(B * R_b): B is the batch size and R_b the
-        instance's round count, known before the first forward (1 +
-        amom_iterations, or 1 with nothing to mask). The nodes sum to the
-        batch mean of each instance's mean loss over its rounds."""
+        appends the `nll` node of each of its parts (`_losses`). Under AMOM
+        each row of instance b is weighed 1/(B * R_b): B is the batch size
+        and R_b the instance's round count, known before the first forward
+        (1 + amom_iterations, or 1 with nothing to mask); under any other
+        strategy, by the float 1/B. The nodes sum to the batch mean of each
+        instance's mean loss over its rounds."""
         gold = None if losses is None else self.gold_ids(items)
-        maskable = self._maskable(items)
-        if losses is not None:   # 1/B and 1/R_b each rounded to the dtype, as scaling twice rounds them
-            dtype = self.params.dtype
+        if self.mask_cfg.strategy == "amom":
+            maskable = self._maskable(items)
             rounds = np.array([1 + self.mask_cfg.amom_iterations if len(m) else 1
                                for m in maskable])
+            dtype = self.params.dtype   # 1/B and 1/R_b each rounded, as scaling twice rounds them
             weight = np.asarray(1.0 / len(items), dtype) * (1.0 / rounds).astype(dtype)
+        else:
+            maskable, weight = [()] * len(items), 1.0 / len(items)
 
         def forward(masked: dict[int, set[int]]):
             batch = [items[b] for b in masked]
             content = [frozenset(m) for m in masked.values()]
             if losses is None:
                 return self.forward(batch, rng=rng, masked_content=content).split()
-            scored = self._losses(batch, [gold[b] for b in masked], weight[list(masked)], rng,
-                                  content)
+            w = weight if np.ndim(weight) == 0 else weight[list(masked)]
+            scored = self._losses(batch, [gold[b] for b in masked], w, rng, content)
             losses.extend(node for node, _ in scored)
             return [p for _, out in scored for p in out.split()]
 
@@ -426,13 +432,11 @@ class AbsaModel:
     # -- prediction -----------------------------------------------------------------
 
     def predict_ids(self, items: list) -> list[np.ndarray]:
-        """The argmax class id of each instance's prediction rows. AMOM
-        predicts from its last regeneration round."""
+        """The argmax class id of each instance's prediction rows, from the
+        last round `amom` runs: AMOM's last regeneration round, any other
+        strategy's one forward."""
         with ad.no_grad():
-            if self.mask_cfg.strategy == "amom":
-                probs = self.amom(items)[0]
-            else:
-                probs = self.forward(items).split()
+            probs = self.amom(items)[0]
         return [p.argmax(axis=1) for p in probs]
 
     def predict_bio(self, examples: list[TokenizedExample]) -> list[list[str]]:

@@ -347,6 +347,8 @@ def load_model(path: str) -> tasks.AbsaModel:
             "checkpoint mask config", config["mask"], asdict(mk.MaskConfig())))
         words = config["vocab"]
         task = config["task"]
+        if task not in tasks.TASKS:
+            raise ContractError(f"unknown task {task!r}")
     except (KeyError, TypeError, ConfigError, ContractError) as exc:
         raise CompatibilityError(f"checkpoint config unusable: {exc}") from exc
     if not (isinstance(words, list) and all(isinstance(w, str) for w in words)

@@ -68,6 +68,11 @@ def test_install_layers_hooks_every_name_and_restores(harness, task, strategy, c
             assert rec.named(name), name
     if strategy == "aam":   # every AAM forward remixes exactly the rows it encoded
         assert rec.counters["aam_rows"] == rec.counters["encoder_rows"]
+    # every batch runs through amom_regenerate; only AMOM's count rounds and
+    # masked tokens, so masking.amom_masked_per_round reads 0 for the rest
+    assert rec.named("masking.amom_regenerate")
+    if strategy != "amom":
+        assert rec.counters["amom_rounds"] == rec.counters["amom_masked"] == 0
     # one embedding stage per forward, AMOM's remasked rounds included, so
     # that encoder.embed_tokens.ms_per_inst times one stage per forward
     assert len(rec.named("encoder.embed_tokens")) == rec.counters["forward_calls"]

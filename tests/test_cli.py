@@ -160,6 +160,19 @@ class TestIngest:
         assert cli.main(["ingest", "--input", str(src), "--schema", "sem14",
                          "--out", str(tmp_path / "o.jsonl")]) == 2
 
+    @pytest.mark.parametrize("text", ["<text></text>", "<text/>", "<text> </text>"])
+    def test_blank_text_is_skipped(self, tmp_path, capsys, text):
+        """Empty and whitespace-only sentences are skipped alike; an empty
+        <text> once stopped ingest with exit 2."""
+        src = tmp_path / "blank.xml"
+        src.write_text(f"<sentences><sentence id='1'>{text}</sentence>"
+                       "<sentence id='2'><text>the steak was great</text></sentence></sentences>",
+                       encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        assert cli.main(["ingest", "--input", str(src), "--schema", "sem14",
+                         "--out", str(out)]) == 0
+        assert [ex.text for ex in corpus.read_examples(str(out))] == ["the steak was great"]
+
     def test_empty_sentences_ok(self, tmp_path, capsys):
         src = tmp_path / "empty.xml"
         src.write_text("<sentences></sentences>", encoding="utf-8")
@@ -601,6 +614,19 @@ class TestInputErrors:
         err = self.exits_2(["train", "--task", "asc", "--config", str(cfg), "--data", str(data)],
                            capsys)
         assert f"{label} is not finite in float32" in err
+
+    @pytest.mark.parametrize("task", ["xyz", 5, None])
+    def test_checkpoint_with_an_unknown_task(self, tmp_path, capsys, task):
+        """An unknown task is refused with the rest of the config, as a
+        CompatibilityError; it once escaped as the model's ContractError."""
+        data, ckpt, doc, blob = self.small_checkpoint(tmp_path, "ate")
+        doc["config"]["task"] = task
+        ckpt.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + blob)
+        with pytest.raises(CompatibilityError, match="^" + re.escape(
+                f"checkpoint config unusable: unknown task {task!r}") + "$"):
+            training.load_model(str(ckpt))
+        err = self.exits_2(["eval", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+        assert "unknown task" in err
 
     @pytest.mark.parametrize("block,key,value,label", [
         ("encoder", "layernorm_eps", 1e300, "layernorm_eps 1e+300"),

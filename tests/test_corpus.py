@@ -160,6 +160,19 @@ class TestParseSemeval:
         with pytest.raises(SchemaError, match="aspectTerm"):
             corpus.parse_semeval_xml(MISSING_ATTR_FIXTURE, "sem14")
 
+    @pytest.mark.parametrize("element,text", [("<text></text>", ""), ("<text/>", ""),
+                                              ("<text> </text>", " ")])
+    def test_empty_text_reads_as_blank(self, element, text):
+        """An empty <text> is present: it reads as "", as whitespace reads as
+        itself, and ingest skips both; it once raised the missing-child error."""
+        data = f"<sentences><sentence id='1'>{element}</sentence></sentences>"
+        entries, summary = corpus.parse_semeval_xml(data, "sem14")
+        assert entries == [(text, [])] and summary.review_count == 1
+
+    def test_missing_text_names_the_child(self):
+        with pytest.raises(SchemaError, match="missing required child <text>"):
+            corpus.parse_semeval_xml("<sentences><sentence id='1'/></sentences>", "sem14")
+
     def test_aspect_slices_match_terms(self):
         for fixture, schema in ((SEM14_FIXTURE, "sem14"), (SEM16_FIXTURE, "sem16")):
             entries, _ = corpus.parse_semeval_xml(fixture, schema)

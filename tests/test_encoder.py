@@ -132,7 +132,8 @@ class TestEmbed:
         examples, vocab, cfg, params = unprojected
         inp = enc.pack_inputs(vocab, examples[:2])
         plain = enc.embed_tokens(params, cfg, inp).data
-        hidden = enc.embed_tokens(params, cfg, inp, [frozenset({0}), frozenset({1, 2})]).data
+        masked = enc.pack_inputs(vocab, examples[:2], None, [frozenset({0}), frozenset({1, 2})])
+        hidden = enc.embed_tokens(params, cfg, masked).data
         rows = inp.content_positions[[0, len(examples[0]) + 1, len(examples[0]) + 2]]
         assert not hidden[rows].any()
         others = np.setdiff1d(np.arange(len(inp)), rows)
@@ -144,8 +145,8 @@ class TestEmbed:
         params = ad.ParamStore()
         enc.init_encoder_params(params, cfg, np.random.default_rng(0))
         params["enc.in_proj.b"].data = np.random.default_rng(1).normal(size=cfg.hidden)
-        inp = enc.pack_inputs(vocab, examples[:1])
-        out = enc.embed_tokens(params, cfg, inp, [frozenset({1})]).data
+        inp = enc.pack_inputs(vocab, examples[:1], None, [frozenset({1})])
+        out = enc.embed_tokens(params, cfg, inp).data
         assert np.array_equal(out[inp.content_positions[1]], params["enc.in_proj.b"].data)
 
     def test_kernel_matches_central_differences(self):
@@ -159,12 +160,12 @@ class TestEmbed:
                                 n_layers=1, n_heads=2, d_ff=8)
         params = ad.ParamStore(np.float64)
         enc.init_encoder_params(params, cfg, np.random.default_rng(7))
-        inp = enc.pack_inputs(vocab, examples)
         masked = [frozenset({2}), frozenset({0})]   # "was", and one of two "steak"s
+        inp = enc.pack_inputs(vocab, examples, None, masked)
         coeff = Tensor(np.random.default_rng(8).normal(size=(len(inp), cfg.hidden)))
 
         def objective():
-            return gc.dot(enc.embed_tokens(params, cfg, inp, masked), coeff)
+            return gc.dot(enc.embed_tokens(params, cfg, inp), coeff)
 
         names = ["emb.word", "emb.pos", "enc.in_proj.W", "enc.in_proj.b"]
         assert gc.finite_difference_check(objective, params, names=names) < 1e-4

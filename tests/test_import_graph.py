@@ -93,6 +93,24 @@ def test_streams_runs_only_in_the_join_the_training_cut_and_evaluation():
     assert sites("streams") == STREAMS_SITES
 
 
+def test_only_the_amom_adapter_names_amom_in_tasks():
+    """`AbsaModel.amom` is the one place the model tests for AMOM: every
+    batch runs through it, so no other forward, loss or prediction path
+    branches on the strategy. Prose (docstrings) may name it."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        elif isinstance(node, ast.Constant) and node.value == "amom":
+            found.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse((PACKAGE / "tasks.py").read_text(encoding="utf-8")), ())
+    assert found == {"AbsaModel.amom"}
+
+
 def test_only_streams_touches_the_worker():
     assert sites("_WORKER") == WORKER_SITES
     assert sites("submit") == {("autodiff", "streams")}

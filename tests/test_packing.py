@@ -216,6 +216,49 @@ def test_packed_layout_unchanged(task):
         assert inp.aspect_spans.tolist() == pin["aspect_spans"]
 
 
+@pytest.mark.parametrize("task", tasks.TASKS)
+def test_pack_inputs_records_the_hidden_rows(task):
+    """`hidden` holds the rows of exactly the tokens the sets name, each in
+    its own sequence, and is None when no set names a token; the rest of
+    the layout is the unmasked one."""
+    examples = batch_examples()
+    vocab = enc.Vocab.build(examples)
+    items = items_for(task, examples)
+    batch = items if task == "ate" else [ex for ex, _ in items]
+    aspects = None if task == "ate" else [i for _, i in items]
+    sets = [frozenset(range(b % 2, len(ex), 2)) for b, ex in enumerate(batch)]
+    plain, inp = (enc.pack_inputs(vocab, batch, aspects, s) for s in (None, sets))
+    offsets = inp.content_segments.offsets
+    want = [inp.content_positions[offsets[b] + c] for b, s in enumerate(sets) for c in s]
+    assert sorted(inp.hidden.tolist()) == sorted(want) and len(want) > len(batch)
+    assert inp.lengths == plain.lengths
+    for name in ("token_ids", "pos_ids", "special", "content_positions", "protected"):
+        assert np.array_equal(getattr(inp, name), getattr(plain, name))
+    assert plain.hidden is None
+    assert enc.pack_inputs(vocab, batch, aspects, [frozenset()] * len(batch)).hidden is None
+
+
+@pytest.mark.parametrize("strategy", ["none", "fixed", "actm", "aam"])
+@pytest.mark.parametrize("task", tasks.TASKS)
+def test_every_other_strategy_runs_one_unmasked_amom_pass(monkeypatch, task, strategy):
+    """`loss` and `predict_ids` run every strategy through `amom`: outside
+    AMOM nothing is maskable, so each makes one `amom_regenerate` call that
+    runs its first pass alone and hides nothing."""
+    examples = batch_examples()
+    model, _ = make_model(task, strategy, "mean", examples)
+    items = items_for(task, examples)
+    inner, calls = mk.amom_regenerate, []
+
+    def recording(*args, **kwargs):
+        calls.append(inner(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(mk, "amom_regenerate", recording)
+    model.loss(items, np.random.default_rng(0))
+    model.predict_ids(items)
+    assert [(rounds, history) for _, rounds, history in calls] == [([1] * len(items), [])] * 2
+
+
 def test_asc_refuses_an_aspect_without_token_span():
     examples = batch_examples()
     model, _ = make_model("asc", "amom", "mean", examples)
