@@ -50,7 +50,7 @@ def load_config(path: str | None) -> training.TrainConfig:
     with open(path, "rb") as fh:
         try:
             raw = json.loads(fh.read())
-        except ValueError as exc:   # bad JSON or bad UTF-8
+        except (ValueError, RecursionError) as exc:   # bad JSON or UTF-8, too long or too deep
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")

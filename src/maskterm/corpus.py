@@ -477,9 +477,10 @@ def utf8_lines(path: str):
 
 def read_examples(path: str) -> list[TokenizedExample]:
     """Examples of a line-delimited JSON file, each one validated; a line
-    that is not UTF-8 or not JSON, lacks a key, holds a value of the wrong
-    type or fails validation raises CorpusParseError with its line number.
-    Other keys, such as the `dep` rows of older files, are ignored."""
+    that is not UTF-8 or not JSON (nesting or an integer past Python's
+    limits included), lacks a key, holds a value of the wrong type or fails
+    validation raises CorpusParseError with its line number. Other keys,
+    such as the `dep` rows of older files, are ignored."""
     out = []
     for lineno, line in utf8_lines(path):
         if not line.strip():
@@ -489,6 +490,8 @@ def read_examples(path: str) -> list[TokenizedExample]:
         except json.JSONDecodeError as exc:
             raise CorpusParseError(f"invalid JSON: {exc.msg}", line=lineno,
                                    column=exc.colno) from exc
+        except (ValueError, RecursionError) as exc:   # an integer too long, nesting too deep
+            raise CorpusParseError(f"invalid JSON: {exc}", line=lineno) from exc
         try:
             ex = record_to_example(rec)
             ex.validate()

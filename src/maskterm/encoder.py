@@ -20,9 +20,10 @@ an entry): each flag is a 16-bit lane of the words, read little-endian, and
 keeps its unit when the lane is >= cut = round(rate * 65536); so the rate is
 applied as cut / 65536 and kept units are scaled by 65536 / (65536 - cut).
 Every sequence takes whole words, so a packed batch replays its sequences'
-draws as if each ran alone, and one draw serves batches run apart (the
-halves of a split forward in `tasks`). The attention mask is laid out
-keys-outer, like the attention scores (`ad.multi_head_attention`).
+draws as if each ran alone, and batches drawn one after another (the halves
+of a split forward in `tasks`) take the words one draw over both would. The
+attention mask is laid out keys-outer, like the attention scores
+(`ad.multi_head_attention`).
 
 The encoder computes in the dtype of its parameters: float32 in a model,
 float64 in the gradient checks. Every constant it builds takes that dtype;
@@ -328,12 +329,12 @@ def _words(cfg: EncoderConfig, n: int) -> int:
     return -(-sum(_flags(cfg, n)) // 4)
 
 
-def dropout_words(cfg: EncoderConfig, groups, rng: np.random.Generator) -> list[np.ndarray]:
-    """The raw 64-bit dropout words of each group of sequences, given as row
-    counts, from one `rng.bit_generator.random_raw` call: each sequence's
-    words, in group order, are those it draws when its batch runs alone."""
-    counts = [sum(_words(cfg, n) for n in lengths) for lengths in groups]
-    return np.split(rng.bit_generator.random_raw(sum(counts)), np.cumsum(counts)[:-1])
+def dropout_words(cfg: EncoderConfig, lengths, rng: np.random.Generator) -> np.ndarray:
+    """The raw 64-bit dropout words of sequences of `lengths` rows, from one
+    `rng.bit_generator.random_raw` call: each sequence's words, in order, are
+    those it draws when it runs alone, so two calls in a row draw what one
+    call over both lists draws."""
+    return rng.bit_generator.random_raw(sum(_words(cfg, n) for n in lengths))
 
 
 def _dropout_masks(cfg: EncoderConfig, seg: ad.Segments, words: np.ndarray):

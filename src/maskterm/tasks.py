@@ -7,24 +7,24 @@ input projection, each encoder layer, `masking.stage` (none for `none` and
 AMOM) and the task head, `ate_head` or `asc_head`. Every batch, in training
 and in prediction, runs through `AbsaModel.amom`, AMOM's rounds around that
 forward; under any other strategy nothing is maskable, so one round runs.
-The model tests the strategy only there and for AAM's pooled rows. Given a
-generator (training), a forward draws its dropout words once, on the
-calling thread, before any row is computed (`encoder.dropout_words`);
-without one (evaluation) nothing is dropped.
+The model tests the strategy only there and for AAM's pooled rows.
 
-Only training cuts a batch: `forward` is one packed graph, and evaluation
-streams its chunks (`training.evaluate`). A training forward of at least
-SPLIT_ROWS packed rows, a plain batch's or an AMOM round's, runs as two
-halves, the first ceil(B/2) instances and the rest, half 1 on the worker
-(`autodiff.streams`); each takes its group of the one draw's words and an
-`nll` node of its own. One `autodiff.join` sums a loss's nodes in order and
-walks their backwards through `autodiff.streams`, adding each parameter's
-gradients in node order. The cut counts rows alone, never the host's cores,
-so a seed gives the same bits on every machine."""
+One runner, `AbsaModel._forwards`, runs every forward, scored or not. Only
+training cuts a batch: a training forward of at least SPLIT_ROWS packed
+rows, a plain batch's or an AMOM round's, runs as two halves, the first
+ceil(B/2) instances and the rest, half 1 on the worker (`autodiff.streams`),
+each with an `nll` node of its own; any other forward is one packed graph,
+and evaluation streams its chunks (`training.evaluate`). Given a generator
+(training), the runner draws each part's dropout words on the calling
+thread, part by part and before any row is computed
+(`encoder.dropout_words`); without one (evaluation) nothing is dropped.
+One `autodiff.join` sums a loss's nodes in order and walks their backwards
+through `autodiff.streams`, adding each parameter's gradients in node
+order. The cut counts rows alone, never the host's cores, so a seed gives
+the same bits on every machine."""
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -310,51 +310,44 @@ class AbsaModel:
                 masked_content: list[frozenset[int]] | None = None) -> TaskOutput:
         """`forward_ate` on examples or `forward_asc` on (example, aspect
         index) instances, whichever the model's task is, as one packed
-        graph; given `rng`, units drop (module docstring)."""
-        return self._parts(items, [slice(None)], None, rng, masked_content, surrogate)[0]()
+        graph: `_forwards` unscored, so never cut; given `rng`, units drop
+        (module docstring)."""
+        return self._forwards(items, rng, masked_content, surrogate=surrogate)[0][1]
 
-    def _packed_rows(self, items: list) -> list[int]:
-        """The rows `encoder.pack_inputs` gives each instance."""
-        if self.task == "ate":
-            return [enc.packed_length(ex) for ex in items]
-        return [enc.packed_length(ex, i) for ex, i in items]
-
-    def _parts(self, items: list, parts: list[slice], rows: list[int] | None, rng,
-               masked_content: list[frozenset[int]] | None, surrogate: bool = False) -> list:
-        """One callable per part of `items` that runs its forward, with its
-        group of one draw of dropout words from `rng` when given; `rows`, the
-        items' packed rows, are counted here when None."""
+    def _forwards(self, items: list, rng: np.random.Generator | None,
+                  masked_content: list[frozenset[int]] | None, gold: list[np.ndarray] | None = None,
+                  weight=None, surrogate: bool = False) -> list[tuple[Tensor | None, TaskOutput]]:
+        """(`nll` node or None, output) of each part of one forward: the
+        whole batch, or given `gold` (training) from SPLIT_ROWS packed rows
+        on its two halves, half 1 on the worker. Each part's dropout words
+        are drawn from `rng`, when given, here on the calling thread and in
+        part order (module docstring). `weight` is one float for every row
+        or an array of one per instance."""
         if masked_content is not None and len(masked_content) != len(items):
             raise ContractError(f"{len(masked_content)} masked-content sets for "
                                 f"{len(items)} instances")
-        words = [None] * len(parts)
-        if rng is not None and self.enc_cfg.dropout_cut > 0:
-            rows = self._packed_rows(items) if rows is None else rows
-            words = enc.dropout_words(self.enc_cfg, [rows[part] for part in parts], rng)
+        drop = rng is not None and self.enc_cfg.dropout_cut > 0
+        parts = [slice(None)]
+        if drop or gold is not None:
+            rows = ([enc.packed_length(ex) for ex in items] if self.task == "ate"
+                    else [enc.packed_length(ex, i) for ex, i in items])
+            if gold is not None and len(items) > 1 and sum(rows) >= SPLIT_ROWS:
+                k = (len(items) + 1) // 2
+                parts = [slice(None, k), slice(k, None)]
+        words = [enc.dropout_words(self.enc_cfg, rows[part], rng) if drop else None
+                 for part in parts]
         run = self.forward_ate if self.task == "ate" else self.forward_asc
-        return [functools.partial(run, items[part], surrogate=surrogate, words=w,
-                                  masked_content=None if masked_content is None
-                                  else masked_content[part])
-                for part, w in zip(parts, words)]
 
-    def _losses(self, items: list, gold: list[np.ndarray], weight, rng,
-                masked_content: list[frozenset[int]] | None = None) -> list:
-        """(`nll` node, output) of each part of one training forward: the
-        whole batch, or from SPLIT_ROWS packed rows on its two halves, half
-        1 on the worker (module docstring). `weight` is one float for every
-        row or an array of one per instance."""
-        rows = self._packed_rows(items)
-        k = (len(items) + 1) // 2
-        parts = ([slice(None)] if len(items) < 2 or sum(rows) < SPLIT_ROWS
-                 else [slice(None, k), slice(k, None)])
-        runs = self._parts(items, parts, rows, rng, masked_content)
-
-        def scored(h: int):
-            out, part = runs[h](), parts[h]
+        def run_part(h: int):
+            part = parts[h]
+            out = run(items[part], surrogate=surrogate, words=words[h],
+                      masked_content=None if masked_content is None else masked_content[part])
+            if gold is None:
+                return None, out
             w = weight if np.ndim(weight) == 0 else np.repeat(weight[part], out.rows.lengths)
             return nll(out.probs, np.concatenate(gold[part]), w), out
 
-        return ad.streams(scored, range(len(parts)))
+        return ad.streams(run_part, range(len(parts)))
 
     def loss(self, items: list, rng: np.random.Generator | None = None) -> Tensor:
         """The batch's training loss: each instance's cross-entropy, summed
@@ -400,13 +393,14 @@ class AbsaModel:
         hides nothing; only AMOM has anything to mask after it, so any other
         strategy runs that round alone.
 
-        Given a list `losses`, the rounds remask by gold and each forward
-        appends the `nll` node of each of its parts (`_losses`). Under AMOM
-        each row of instance b is weighed 1/(B * R_b): B is the batch size
-        and R_b the instance's round count, known before the first forward
-        (1 + amom_iterations, or 1 with nothing to mask); under any other
-        strategy, by the float 1/B. The nodes sum to the batch mean of each
-        instance's mean loss over its rounds."""
+        Every round is one `_forwards` call, scored or not. Given a list
+        `losses`, the rounds remask by gold and append the `nll` node of each
+        of their parts. Under AMOM each row of instance b is weighed
+        1/(B * R_b): B is the batch size and R_b the instance's round count,
+        known before the first forward (1 + amom_iterations, or 1 with
+        nothing to mask); under any other strategy, by the float 1/B. The
+        nodes sum to the batch mean of each instance's mean loss over its
+        rounds."""
         gold = None if losses is None else self.gold_ids(items)
         if self.mask_cfg.strategy == "amom":
             maskable = self._maskable(items)
@@ -418,13 +412,12 @@ class AbsaModel:
             maskable, weight = [()] * len(items), 1.0 / len(items)
 
         def forward(masked: dict[int, set[int]]):
-            batch = [items[b] for b in masked]
-            content = [frozenset(m) for m in masked.values()]
-            if losses is None:
-                return self.forward(batch, rng=rng, masked_content=content).split()
             w = weight if np.ndim(weight) == 0 else weight[list(masked)]
-            scored = self._losses(batch, [gold[b] for b in masked], w, rng, content)
-            losses.extend(node for node, _ in scored)
+            scored = self._forwards([items[b] for b in masked], rng,
+                                    [frozenset(m) for m in masked.values()],
+                                    None if gold is None else [gold[b] for b in masked], w)
+            if losses is not None:
+                losses.extend(node for node, _ in scored)
             return [p for _, out in scored for p in out.split()]
 
         return mk.amom_regenerate(forward, self.mask_cfg, maskable, gold)

@@ -310,7 +310,7 @@ def _read_checkpoint(path: str) -> tuple[dict, bytes]:
         blob = fh.read()
     try:
         header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:   # bad UTF-8 or JSON, too long or too deep
         raise CompatibilityError(f"unreadable checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
         raise CompatibilityError("checkpoint header is not a JSON object")

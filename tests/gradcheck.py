@@ -153,7 +153,7 @@ def build(task: str, strategy: str, learnable: bool, packed: bool):
     enc_cfg = replace(config.encoder, vocab_size=len(vocab.words))
     model = tasks.AbsaModel(task, enc_cfg, config.mask, vocab, config.seed, np.float64)
     spread_rng = np.random.default_rng(SEED + 100)
-    if "mask.w_a" in model.params:
+    if "mask.w_a" in model.params.names():
         model.params["mask.w_a"].data = spread_rng.normal(0.0, W_A_SIGMA, size=enc_cfg.hidden)
     for name in model.params.names():
         if name.startswith("head."):

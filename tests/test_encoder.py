@@ -219,7 +219,7 @@ class TestEncode:
         emb = enc.embed_tokens(params, cfg, inp)
         assert cfg.dropout_cut > 0
         plain = dataclasses.replace(cfg, dropout_rate=0.0)
-        words, = enc.dropout_words(plain, [inp.lengths], np.random.default_rng(7))
+        words = enc.dropout_words(plain, inp.lengths, np.random.default_rng(7))
         assert np.array_equal(enc.encode(params, cfg, emb).data,
                               enc.encode(params, plain, emb, words=words).data)
 
@@ -230,7 +230,7 @@ class TestEncode:
         def states(words=None):
             return enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp), words=words).data
 
-        a, b = (states(*enc.dropout_words(cfg, [inp.lengths], np.random.default_rng(7)))
+        a, b = (states(enc.dropout_words(cfg, inp.lengths, np.random.default_rng(7)))
                 for _ in range(2))
         assert np.array_equal(a, b) and not np.array_equal(a, states())
 
@@ -406,7 +406,7 @@ def _packed_block_case(train: bool):
         t.data = t.data + rng.normal(0.0, 0.1, size=t.data.shape)
     inp = enc.pack_inputs(vocab, examples)
     emb = enc.embed_tokens(params, cfg, inp)
-    words = enc.dropout_words(cfg, [inp.lengths], np.random.default_rng(43))[0] if train else None
+    words = enc.dropout_words(cfg, inp.lengths, np.random.default_rng(43)) if train else None
     states = enc.encode(params, cfg, emb, segments=inp.segments, words=words)
     grads = ad.backward(gc.dot(states, Tensor(rng.normal(size=states.data.shape))))
     return cfg, params, emb, states, grads
@@ -475,7 +475,7 @@ class TestSavedState:
 
 def dropout_masks(cfg, lengths, rng):
     """`_dropout_masks` of sequences of `lengths` rows, their words drawn from `rng`."""
-    return enc._dropout_masks(cfg, ad.Segments(lengths), *enc.dropout_words(cfg, [lengths], rng))
+    return enc._dropout_masks(cfg, ad.Segments(lengths), enc.dropout_words(cfg, lengths, rng))
 
 
 class TestDropoutMasks:
@@ -499,20 +499,23 @@ class TestDropoutMasks:
             assert np.array_equal(ffn[:, lo:lo + n], ffn_1)
         assert rng_packed.bit_generator.state == rng_alone.bit_generator.state
 
-    def test_words_drawn_once_for_two_groups_give_each_its_masks(self):
-        lengths = [5, 1, 2]
-        whole = dropout_masks(self.CFG, lengths, np.random.default_rng(3))
-        rng = np.random.default_rng(3)
-        first, second = enc.dropout_words(self.CFG, ([5, 1], [2]), rng)
+    def test_two_draws_in_a_row_are_one_draw_over_both_lists(self):
+        """The halves of a split forward draw one after the other: word for
+        word, and to the same generator state, they take what one draw over
+        both lists takes, so each half gets its sequences' masks."""
+        rng_one, rng = np.random.default_rng(3), np.random.default_rng(3)
+        words = enc.dropout_words(self.CFG, [5, 1, 2], rng_one)
+        first = enc.dropout_words(self.CFG, [5, 1], rng)
+        second = enc.dropout_words(self.CFG, [2], rng)
+        assert np.array_equal(words, np.concatenate([first, second]))
+        assert rng.bit_generator.state == rng_one.bit_generator.state
+        whole = enc._dropout_masks(self.CFG, ad.Segments([5, 1, 2]), words)
         halves = [enc._dropout_masks(self.CFG, ad.Segments([5, 1]), first),
                   enc._dropout_masks(self.CFG, ad.Segments([2]), second)]
         assert np.array_equal(whole[0][:, :, :2], halves[0][0])
         assert np.array_equal(whole[0][:, :2, 2:, :, :2], halves[1][0])
         for i in (1, 2):
             assert np.array_equal(whole[i], np.concatenate([halves[0][i], halves[1][i]], axis=1))
-        after = np.random.default_rng(3)
-        after.bit_generator.random_raw(len(first) + len(second))
-        assert rng.bit_generator.state == after.bit_generator.state
         with pytest.raises(ContractError):
             enc._dropout_masks(self.CFG, ad.Segments([2]), first)
 
@@ -619,7 +622,7 @@ class TestGradFlow:
         inp = enc.pack_inputs(vocab, examples)
         target = Tensor(np.random.default_rng(3).normal(size=(len(inp), 8)))
 
-        words, = enc.dropout_words(cfg, [inp.lengths], np.random.default_rng(4))
+        words = enc.dropout_words(cfg, inp.lengths, np.random.default_rng(4))
 
         def f():   # the same dropout masks on every call
             states = enc.encode(params, cfg, enc.embed_tokens(params, cfg, inp),

@@ -1,10 +1,12 @@
 """Seeded fuzz of every input read from outside: truncated, bit-flipped,
-key-dropped and, for JSON objects, number-negated variants of a valid file
-either load a valid object or raise a MasktermError, which the CLI turns into
-exit 2 with one `error:` line."""
+key-dropped and, for JSON objects, number-negated variants of a valid file,
+and JSON with a value nested or an integer long past Python's limits, either
+load a valid object or raise a MasktermError, which the CLI turns into exit 2
+with one `error:` line."""
 
 import json
 import re
+import sys
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -64,27 +66,44 @@ def drop_json_key(doc, rng):
     return doc
 
 
+def json_slots(node):
+    """(holder, key) of every value nested in a JSON document, each before
+    the values nested in it."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield node, key
+        yield from json_slots(child)
+
+
 def negate_json_number(doc, rng):
     """Negates one int or float, picked among every number nested in `doc`;
     0 becomes -1."""
-    holders = []
-
-    def walk(node):
-        if isinstance(node, dict):
-            items = node.items()
-        elif isinstance(node, list):
-            items = enumerate(node)
-        else:
-            return
-        for key, child in items:
-            if type(child) in (int, float):
-                holders.append((node, key))
-            walk(child)
-
-    walk(doc)
+    holders = [(h, k) for h, k in json_slots(doc) if type(h[k]) in (int, float)]
     holder, key = holders[int(rng.integers(len(holders)))]
     holder[key] = -holder[key] or -1
     return doc
+
+
+# JSON text past two limits of Python's decoder, which raises neither as a
+# JSONDecodeError: nesting past the recursion limit (RecursionError) and an
+# integer of more digits than str -> int converts (ValueError, 4,300 digits).
+DEEP = b"[" * (2 * sys.getrecursionlimit()) + b"]" * (2 * sys.getrecursionlimit())
+LONG = b"7" * 5000
+SPLICED = "\x00spliced"   # a placeholder no valid input holds
+
+
+def splice_json(doc, raw: bytes, rng) -> bytes:
+    """`doc` as JSON with the text `raw` in place of one value, picked among
+    every value nested in it."""
+    holders = list(json_slots(doc))
+    holder, key = holders[int(rng.integers(len(holders)))]
+    holder[key] = SPLICED
+    return json.dumps(doc).encode().replace(json.dumps(SPLICED).encode(), raw)
 
 
 # No n_layers: should the checkpoint's blob check ever fail, 2**40 layers
@@ -124,6 +143,21 @@ def drop_xml_attribute(data, rng):
     spans = [m.span() for m in re.finditer(rb' \w+="[^"]*"', data)]
     lo, hi = spans[int(rng.integers(len(spans)))]
     return data[:lo] + data[hi:]
+
+
+def splice_jsonl(raw: bytes):
+    """A mutation that splices `raw` into one line of a JSONL file."""
+    def mutate(data, rng):
+        lines = data.split(b"\n")
+        b = int(rng.integers(len(lines) - 1))   # the text ends with a newline
+        lines[b] = splice_json(json.loads(lines[b]), raw, rng)
+        return b"\n".join(lines)
+    return mutate
+
+
+def splice_object(raw: bytes):
+    """A mutation that splices `raw` into a JSON document."""
+    return lambda data, rng: splice_json(json.loads(data), raw, rng)
 
 
 def drop_object_key(data, rng):
@@ -222,13 +256,23 @@ def xml_file(fixture, schema):
 
 
 PLAIN = (truncate, flip_bits)
+SPLICES = {"jsonl": splice_jsonl, "config": splice_object,
+           "checkpoint": lambda raw: on_header(splice_object(raw))}
+
+
+def past_limits(name):
+    """The DEEP and LONG splices of one JSON format."""
+    return SPLICES[name](DEEP), SPLICES[name](LONG)
+
+
 FORMATS = {
-    "jsonl": (examples_file(), PLAIN + (drop_jsonl_key,)),
-    "config": (config_file(), PLAIN + (drop_object_key, negate_object_number, inflate_encoder_size)),
+    "jsonl": (examples_file(), PLAIN + (drop_jsonl_key,) + past_limits("jsonl")),
+    "config": (config_file(), PLAIN + (drop_object_key, negate_object_number, inflate_encoder_size)
+               + past_limits("config")),
     "checkpoint": (checkpoint_file(),
                    tuple(map(on_header, PLAIN + (drop_object_key, negate_object_number,
                                                  inflate_encoder_size)))
-                   + (on_blob(flip_high_bits),)),
+                   + (on_blob(flip_high_bits),) + past_limits("checkpoint")),
     "scores": (scores_file(), PLAIN + (drop_tsv_column,)),
     "sem14": (xml_file(SEM14_FIXTURE, "sem14"), PLAIN + (drop_xml_attribute,)),
     "sem16": (xml_file(SEM16_FIXTURE, "sem16"), PLAIN + (drop_xml_attribute,)),
@@ -282,3 +326,24 @@ def test_cli_turns_a_rejected_input_into_one_error_line(tmp_path, capsys):
                 continue
             assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
             rejected += 1
+
+
+@pytest.mark.parametrize("raw", [DEEP, LONG], ids=["deep", "long"])
+@pytest.mark.parametrize("name,argv", [
+    ("jsonl", ["train", "--task", "asc", "--data", "{bad}"]),
+    ("config", ["train", "--config", "{bad}", "--data", "{data}"]),
+    ("checkpoint", ["eval", "--ckpt", "{bad}", "--data", "{data}"]),
+    ("checkpoint", ["mask-demo", "--ckpt", "{bad}", "--sentence", "the steak"]),
+], ids=["train-data", "train-config", "eval-ckpt", "mask-demo-ckpt"])
+def test_cli_turns_json_past_the_decoder_s_limits_into_one_error_line(tmp_path, capsys, name,
+                                                                     argv, raw):
+    """Each reader of JSON turns the decoder's RecursionError and ValueError
+    into its typed error, so the CLI exits 2 with one `error:` line."""
+    data, bad = tmp_path / "d.jsonl", tmp_path / "bad"
+    corpus.write_examples(str(data), corpus.synth_corpus(seed=3, size=3))
+    valid = FORMATS[name][0][0](tmp_path)
+    bad.write_bytes(SPLICES[name](raw)(valid, np.random.default_rng(SEED)))
+    capsys.readouterr()
+    assert cli.main([arg.format(bad=bad, data=data) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

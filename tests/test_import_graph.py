@@ -57,7 +57,7 @@ def test_only_autodiff_starts_threads(module):
 
 # Where the package may run work on the worker: the backward of
 # `autodiff.join`, the training cut in `tasks` and evaluation's streams.
-STREAMS_SITES = {("autodiff", "join.backward_parts"), ("tasks", "AbsaModel._losses"),
+STREAMS_SITES = {("autodiff", "join.backward_parts"), ("tasks", "AbsaModel._forwards"),
                  ("training", "_predict_by_length")}
 # Where the package touches the worker itself: `streams` submits to it, and
 # `_new_worker` makes it, at import and in a forked child.

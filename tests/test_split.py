@@ -64,6 +64,13 @@ def count_splits(monkeypatch) -> list:
     return runs
 
 
+def packed_rows(task, items) -> list[int]:
+    """The rows `encoder.pack_inputs` gives each instance."""
+    if task == "ate":
+        return [enc.packed_length(ex) for ex in items]
+    return [enc.packed_length(ex, i) for ex, i in items]
+
+
 def forward_name(model) -> str:
     return "forward_ate" if model.task == "ate" else "forward_asc"
 
@@ -74,13 +81,13 @@ def record_loss(monkeypatch, model):
     runs. Returns a function that gives them as two lists, in forward order,
     a forward's halves put back in order."""
     forwards, calls = [0], []
-    losses, masks = model._losses, enc._dropout_masks
+    forwards_of, masks = model._forwards, enc._dropout_masks
     name = forward_name(model)
     run = getattr(model, name)
 
-    def counting_losses(*args, **kwargs):
+    def counting_forwards(*args, **kwargs):
         forwards[0] += 1
-        return losses(*args, **kwargs)
+        return forwards_of(*args, **kwargs)
 
     def recording_masks(cfg, seg, *args):
         attn, out, ffn = masks(cfg, seg, *args)
@@ -95,7 +102,7 @@ def record_loss(monkeypatch, model):
         calls.append(((forwards[0], in_worker()), "probs", list(zip(masked, out.split()))))
         return out
 
-    monkeypatch.setattr(model, "_losses", counting_losses)
+    monkeypatch.setattr(model, "_forwards", counting_forwards)
     monkeypatch.setattr(model, name, recording_run)
     monkeypatch.setattr(enc, "_dropout_masks", recording_masks)
 
@@ -163,7 +170,7 @@ def test_amom_rounds_backward_concurrently_to_the_serial_bits(monkeypatch, task)
     parameter's gradients added in round order."""
     model, items = make_model(task, "amom", np.float32, size=32)
     items = items[:32]
-    assert len(items) == 32 and sum(model._packed_rows(items)) < tasks.SPLIT_ROWS
+    assert len(items) == 32 and sum(packed_rows(task, items)) < tasks.SPLIT_ROWS
     joins, runs = record_joins(monkeypatch), count_splits(monkeypatch)
     joined, grads = loss_and_grads(model, items, True)
     assert len(runs) == 1   # the rounds' backward, and no half
@@ -336,8 +343,8 @@ def test_masked_content_must_cover_every_instance_split_or_whole(monkeypatch, ta
     for split_rows, parts in ((10**9, 1), (2, 2)):
         monkeypatch.setattr(tasks, "SPLIT_ROWS", split_rows)
         with pytest.raises(ContractError, match=message):
-            model._losses(items, gold, 1.0, None, [frozenset({0})] * sets)
-        scored = model._losses(items, gold, 1.0, None, [frozenset({0})] * 8)
+            model._forwards(items, None, [frozenset({0})] * sets, gold, 1.0)
+        scored = model._forwards(items, None, [frozenset({0})] * 8, gold, 1.0)
         assert len(scored) == parts and sum(out.rows.count for _, out in scored) == 8
     run = model.forward_ate if task == "ate" else model.forward_asc
     with pytest.raises(ContractError, match="^4 masked-content sets for 8 sequences$"):

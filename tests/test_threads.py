@@ -38,14 +38,14 @@ import tempfile
 from maskterm import corpus, masking, tasks, training
 
 splits = []
-losses = tasks.AbsaModel._losses
+forwards = tasks.AbsaModel._forwards
 
-def counting_losses(self, *args):
-    scored = losses(self, *args)
+def counting_forwards(self, *args, **kwargs):
+    scored = forwards(self, *args, **kwargs)
     splits.extend(scored[1:])
     return scored
 
-tasks.AbsaModel._losses = counting_losses
+tasks.AbsaModel._forwards = counting_forwards
 config = training.TrainConfig(task="asc", epochs=2, batch_size=96, learning_rate=1e-3, seed=3,
                               mask=masking.MaskConfig(strategy="none"))
 model, log = training.train(config, corpus.synth_corpus(0, 200), corpus.synth_corpus(1, 10))
@@ -114,7 +114,7 @@ if pid == 0:
     runs, streams = [], autodiff.streams
     autodiff.streams = lambda fn, items: runs.append(len(items)) or streams(fn, items)
     training.evaluate(model, data, "asc")
-    os._exit(0 if len(runs) == 1 and runs[0] > 1 else 1)
+    os._exit(0 if sum(n > 1 for n in runs) == 1 else 1)   # forwards stream one part inline
 print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
 

@@ -128,7 +128,7 @@ class TestTrainLoop:
             mask=mk.MaskConfig(strategy="actm", learnable=False),
             encoder=SMALL_ENCODER)
         model, _ = training.train(cfg, train_set, eval_set)
-        assert "mask.alpha" not in model.params
+        assert "mask.alpha" not in model.params.names()
         assert float(model.actm_weights["alpha"].data) == 1.0
 
     @pytest.mark.parametrize("task", ["ate", "asc"])
