@@ -71,6 +71,16 @@ class TokenizedExample:
                 raise ContractError("I tag follows O: invalid BIO sequence")
             prev = tag
         for asp in self.aspects:
+            if not (isinstance(asp.term, str) and asp.term):
+                raise ContractError(f"aspect term {asp.term!r} is not a non-empty string")
+            # type(), not isinstance: a JSON true is a bool, which is an int
+            if not (type(asp.char_from) is int and type(asp.char_to) is int
+                    and 0 <= asp.char_from < asp.char_to):
+                raise ContractError(f"aspect {asp.term!r} offsets from {asp.char_from!r} "
+                                    f"to {asp.char_to!r} are not integers 0 <= from < to")
+            if self.text and asp.char_to > len(self.text):
+                raise ContractError(f"aspect {asp.term!r} ends at {asp.char_to}, past its "
+                                    f"sentence of {len(self.text)} characters")
             if asp.token_span is None:
                 raise ContractError(f"aspect {asp.term!r} lacks a token-span projection")
             if asp.polarity not in POLARITIES:

@@ -280,6 +280,16 @@ def position_table(n: int, dim: int, dtype: np.dtype) -> np.ndarray:
     return table
 
 
+def add_rows(table: np.ndarray, ids: np.ndarray, values: np.ndarray) -> None:
+    """table[ids] += values, a repeated id adding each of its rows, in order:
+    `np.add.at` on flat views of the contiguous `table` and of `values`,
+    which adds each element's terms in the order, and so to the bits, of
+    `np.add.at` on the rows, and several times faster."""
+    width = table.shape[1]
+    flat = np.asarray(ids, dtype=np.intp)[:, None] * width + np.arange(width)
+    np.add.at(table.reshape(-1), flat.ravel(), values.ravel())
+
+
 def embed_tokens(params: ParamStore, cfg: EncoderConfig, inp: ModelInput) -> Tensor:
     """The encoder's input (N, hidden) as one graph node over `emb.word`,
     `emb.pos` and the input projection: each row is the word embedding plus
@@ -306,8 +316,8 @@ def embed_tokens(params: ParamStore, cfg: EncoderConfig, inp: ModelInput) -> Ten
         if inp.hidden is not None:
             g[inp.hidden] = 0.0
         dword, dpos = np.zeros_like(word.data), np.zeros_like(pos.data)
-        np.add.at(dword, inp.token_ids, g[:, :cfg.d_w])
-        np.add.at(dpos, inp.pos_ids, g[:, cfg.d_w:] * not_special)
+        add_rows(dword, inp.token_ids, g[:, :cfg.d_w])
+        add_rows(dpos, inp.pos_ids, g[:, cfg.d_w:] * not_special)
         return dword, dpos, dw, db
 
     out = rows @ proj_w.data
@@ -465,12 +475,14 @@ def aspect_rows(spans, n: int) -> tuple[np.ndarray, ad.Segments]:
 def pool_rows(states: np.ndarray, rows: np.ndarray, seg: ad.Segments, divisor: np.ndarray):
     """The `rows` of `states`, one segment of `seg` per output row, summed
     and divided by that segment's `divisor`; with `seg.lengths` as divisor,
-    each segment's mean. Returns (pooled, backward), backward(g) -> dstates."""
+    each segment's mean. The `rows` must be distinct: the backward writes
+    each one's gradient, it does not add them. Returns (pooled, backward),
+    backward(g) -> dstates."""
     scale = (1.0 / divisor).astype(states.dtype)[:, None]
 
     def backward(g):
         dstates = np.zeros_like(states)
-        np.add.at(dstates, rows, (g * scale)[seg.ids])
+        dstates[rows] = (g * scale)[seg.ids]
         return dstates
 
     pooled = seg.sum(states[rows])

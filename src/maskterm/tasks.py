@@ -13,8 +13,10 @@ One runner, `AbsaModel._forwards`, runs every forward, scored or not. Only
 training cuts a batch: a training forward of at least SPLIT_ROWS packed
 rows, a plain batch's or an AMOM round's, runs as two halves, the first
 ceil(B/2) instances and the rest, half 1 on the worker (`autodiff.streams`),
-each with an `nll` node of its own; any other forward is one packed graph,
-and evaluation streams its chunks (`training.evaluate`). Given a generator
+each with an `nll` node of its own; any other forward is one packed graph.
+Evaluation runs a set of fewer than `training.EVAL_ROWS` packed rows as one
+chunk on the calling thread, and streams a larger one as an even number of
+chunks of about equal rows (`training.evaluate`). Given a generator
 (training), the runner draws each part's dropout words on the calling
 thread, part by part and before any row is computed
 (`encoder.dropout_words`); without one (evaluation) nothing is dropped.
@@ -143,7 +145,7 @@ def ate_head(states: Tensor, content_rows: np.ndarray, w: Tensor, b: Tensor) -> 
 
     def backward(g):
         dlogits = np.zeros_like(logits)
-        np.add.at(dlogits, content_rows, softmax_backward(g))
+        dlogits[content_rows] = softmax_backward(g)   # the content rows are distinct
         return dlogits @ w.data.T, x.T @ dlogits, dlogits.sum(axis=0)
 
     return ad.fused(probs, (states, w, b), backward)
@@ -167,7 +169,7 @@ def asc_head(encoded: Tensor, states: Tensor, cls_rows: np.ndarray, pool_rows: n
         dlogits = softmax_backward(g)
         dfeats = dlogits @ w.data.T
         dencoded = np.zeros_like(encoded.data)
-        np.add.at(dencoded, cls_rows, dfeats[:, :hidden])
+        dencoded[cls_rows] = dfeats[:, :hidden]   # one [CLS] row per instance
         return dencoded, pool_backward(dfeats[:, hidden:]), feats.T @ dlogits, dlogits.sum(axis=0)
 
     return ad.fused(probs, (encoded, states, w, b), backward)

@@ -203,20 +203,50 @@ def report_metrics(report: tasks.EvalReport, task: str) -> dict:
     return dict(report.ate if task == "ate" else report.asc)
 
 
-# Instances per packed forward in evaluate(): the default training batch size.
-# Two whole chunks are in flight at once (_predict_by_length); at 64 a
-# short-sentence evaluation ran faster still, but its rows in flight raised
-# the peak resident set by about 12 % (ROADMAP, "Measured, not targets").
-EVAL_CHUNK = 32
+# Packed rows per evaluation chunk. evaluate() runs a set of fewer rows as one
+# chunk on the calling thread and cuts a larger one into an even number of
+# chunks of about equal rows, at most EVAL_ROWS each, so that the two streams
+# (_predict_by_length) get equal work. Two chunks are in flight at once and
+# their rows set the peak resident set (ROADMAP, "Measured, not targets").
+EVAL_ROWS = 1024
+
+
+def _cut_by_rows(order: list[int], rows: list[int]) -> list[list[int]]:
+    """`order`, every instance once, as consecutive runs of whole
+    instances: one run when the `rows` total fewer than EVAL_ROWS, else the
+    smallest even number k of runs of at most about EVAL_ROWS rows each, or
+    one run per instance when there are fewer than k. Each cut falls at the
+    instance boundary nearest to the row quantile total·j/k, unless that
+    would leave a run without an instance. A plain loop: a one-instance
+    evaluate spends nothing here on NumPy calls."""
+    total = sum(rows)
+    if total < EVAL_ROWS:
+        return [order]
+    k = min(len(order), 2 * -(-total // (2 * EVAL_ROWS)))
+    runs, run, done = [], [], 0
+    for p, i in enumerate(order):
+        # Run j ends before i when the k - j runs after it need i and the
+        # rest, one each, or when the boundary before i is nearer the
+        # quantile total·j/k than the boundary after it.
+        j = len(runs) + 1
+        if run and j < k and (len(order) - p <= k - j
+                              or 2 * total * j < k * (2 * done + rows[i])):
+            runs.append(run)
+            run = []
+        run.append(i)
+        done += rows[i]
+    runs.append(run)
+    return runs
 
 
 def _predict_by_length(predict, items: list, rows: list[int]) -> list:
-    """`predict` over chunks of EVAL_CHUNK items taken in order of their row
-    counts `rows`, so a chunk pads little; results come back in input order.
-    The chunks run whole as two streams (`autodiff.streams`). A chunk's
-    results depend on its members alone, so the streams change no result."""
+    """`predict` over chunks taken in order of the items' packed row counts
+    `rows`, so a chunk pads little (`_cut_by_rows`); results come back in
+    input order. The chunks run whole as two streams (`autodiff.streams`),
+    a lone chunk on this thread. A chunk's results depend on its members
+    alone, so the streams change no result."""
     order = sorted(range(len(items)), key=rows.__getitem__)
-    chunks = [order[lo:lo + EVAL_CHUNK] for lo in range(0, len(order), EVAL_CHUNK)]
+    chunks = _cut_by_rows(order, rows)
     results = [None] * len(items)
     predicted = ad.streams(lambda chunk: predict([items[i] for i in chunk]), chunks)
     for chunk, chunk_results in zip(chunks, predicted):
@@ -245,8 +275,9 @@ def _instances(dataset: list[TokenizedExample], task: str, max_len: int, role: s
 
 
 def evaluate(model: tasks.AbsaModel, dataset: list[TokenizedExample], task: str) -> tasks.EvalReport:
-    """Deterministic evaluation with dropout off, in whole chunks of EVAL_CHUNK
-    instances of similar length, streamed on two threads
+    """Deterministic evaluation with dropout off, in chunks of instances of
+    similar length: one chunk below EVAL_ROWS packed rows, else an even
+    number of about equal rows, streamed on two threads
     (`_predict_by_length`); AMOM runs one packed forward per regeneration
     round of a chunk. Every instance gets the prediction its chunk gives it
     alone. An empty set, or a task that is not the model's, is a

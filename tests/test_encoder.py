@@ -560,6 +560,19 @@ def pool_aspect(states, spans):
     return enc.pool_rows(states, rows, seg, seg.lengths)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_add_rows_adds_repeated_ids_to_the_bits_of_add_at_on_rows(dtype):
+    rng = np.random.default_rng(7)
+    ids = rng.integers(0, 9, size=300)
+    values = rng.normal(size=(300, 5)).astype(dtype)
+    assert len(set(ids.tolist())) < len(ids)
+    want = rng.normal(size=(9, 5)).astype(dtype)
+    got = want.copy()
+    np.add.at(want, ids, values)
+    enc.add_rows(got, ids, values)
+    assert got.tobytes() == want.tobytes()
+
+
 class TestPoolAspect:
     """`pool_rows` as the span-mean kernel ACTM's threshold node chains in on ASC."""
 
@@ -580,9 +593,10 @@ class TestPoolAspect:
             pool_aspect(np.zeros((3, 2)), [(2, 1)])
 
     def test_backward_matches_central_differences(self):
-        """Overlapping spans of different lengths, in float64."""
+        """Spans of different lengths, out of row order, in float64. The
+        rows of `pool_rows` are distinct, as every caller's spans are."""
         rng = np.random.default_rng(12)
-        states, spans = rng.normal(size=(6, 3)), [(1, 3), (2, 2), (0, 5)]
+        states, spans = rng.normal(size=(7, 3)), [(3, 5), (2, 2), (0, 1)]
         coeffs = rng.normal(size=(3, 3))
         h, central = 1e-6, np.zeros_like(states)
         for i in np.ndindex(states.shape):

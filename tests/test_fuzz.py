@@ -1,8 +1,9 @@
 """Seeded fuzz of every input read from outside: truncated, bit-flipped,
 key-dropped and, for JSON objects, number-negated variants of a valid file,
-and JSON with a value nested or an integer long past Python's limits, either
-load a valid object or raise a MasktermError, which the CLI turns into exit 2
-with one `error:` line."""
+JSONL aspects given values no annotation can hold, and JSON with a value
+nested or an integer long past Python's limits, either load a valid object
+or raise a MasktermError, which the CLI turns into exit 2 with one `error:`
+line."""
 
 import json
 import re
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from maskterm import cli, corpus, encoder as enc, tasks, training
-from maskterm.exceptions import MasktermError
+from maskterm.exceptions import CorpusParseError, MasktermError
 
 from fixtures import SEM14_FIXTURE, SEM16_FIXTURE
 
@@ -127,6 +128,28 @@ def drop_jsonl_key(data, rng):
     b = int(rng.integers(len(lines)))
     lines[b] = json.dumps(drop_json_key(json.loads(lines[b]), rng))
     return "\n".join(lines).encode() + b"\n"
+
+
+# Aspect values that a JSONL line can hold but an annotation cannot: a term
+# that is not a non-empty string, an offset that is not an int (a bool is
+# not one), offsets not 0 <= from < to, or an end past the sentence's text.
+BAD_ASPECT_VALUES = [("term", None), ("term", 7), ("term", ""), ("from", "3"), ("from", True),
+                     ("to", 9.0), ("to", -5), ("from", 1000000), ("to", 1000)]
+
+
+def set_aspect_value(key, value):
+    """A mutation that sets `key` of one aspect, picked among every line's,
+    to `value`."""
+    def mutate(data, rng):
+        lines = data.decode().splitlines()
+        slots = [(b, a) for b, line in enumerate(lines)
+                 for a in range(len(json.loads(line)["aspects"]))]
+        b, a = slots[int(rng.integers(len(slots)))]
+        rec = json.loads(lines[b])
+        rec["aspects"][a][key] = value
+        lines[b] = json.dumps(rec)
+        return "\n".join(lines).encode() + b"\n"
+    return mutate
 
 
 def drop_tsv_column(data, rng):
@@ -266,7 +289,8 @@ def past_limits(name):
 
 
 FORMATS = {
-    "jsonl": (examples_file(), PLAIN + (drop_jsonl_key,) + past_limits("jsonl")),
+    "jsonl": (examples_file(), PLAIN + (drop_jsonl_key,) + past_limits("jsonl")
+              + tuple(set_aspect_value(key, value) for key, value in BAD_ASPECT_VALUES)),
     "config": (config_file(), PLAIN + (drop_object_key, negate_object_number, inflate_encoder_size)
                + past_limits("config")),
     "checkpoint": (checkpoint_file(),
@@ -347,3 +371,21 @@ def test_cli_turns_json_past_the_decoder_s_limits_into_one_error_line(tmp_path, 
     assert cli.main([arg.format(bad=bad, data=data) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("key,value", BAD_ASPECT_VALUES,
+                         ids=[f"{key}={value!r}" for key, value in BAD_ASPECT_VALUES])
+def test_a_malformed_aspect_record_exits_2_with_its_line(tmp_path, capsys, key, value):
+    valid = examples_file()[0](tmp_path)
+    bad = set_aspect_value(key, value)(valid, np.random.default_rng(SEED))
+    line = next(n for n, (a, b) in enumerate(zip(valid.splitlines(), bad.splitlines()), 1)
+                if a != b)
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(bad)
+    with pytest.raises(CorpusParseError) as caught:
+        corpus.read_examples(str(path))
+    assert caught.value.line == line
+    capsys.readouterr()
+    assert cli.main(["train", "--task", "asc", "--data", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"line {line})" in err, err

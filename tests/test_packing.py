@@ -448,15 +448,17 @@ def count_table(report):
 
 @pytest.mark.parametrize("strategy", ["actm", "aam"])
 @pytest.mark.parametrize("task", ["ate", "asc"])
-def test_evaluate_counts_equal_sum_of_one_instance_calls(task, strategy):
+def test_evaluate_counts_equal_sum_of_one_instance_calls(task, strategy, monkeypatch):
     heldout = corpus.synth_corpus(seed=41, size=40)
     model, _ = make_model(task, strategy, "mean", heldout)
+    _, rows = training._instances(heldout, task, model.enc_cfg.max_len, "evaluation")
+    monkeypatch.setattr(training, "EVAL_ROWS", sum(rows) // 3)   # four chunks
     full = training.evaluate(model, heldout, task)
     summed = Counter()
     for dataset in one_instance_sets(task, heldout):
         summed.update(count_table(training.evaluate(model, dataset, task)))
     assert +summed == +count_table(full)
-    assert sum(n for (_, key), n in summed.items() if key in ("tp", "fn")) > training.EVAL_CHUNK
+    assert sum(rows) > training.EVAL_ROWS
 
 
 def mixed_lengths():
@@ -476,6 +478,8 @@ def mixed_lengths():
 def test_evaluate_chunks_by_length_and_keeps_input_order(task, strategy, monkeypatch):
     data = mixed_lengths()
     model, _ = make_model(task, strategy, "mean", data)
+    _, rows = training._instances(data, task, model.enc_cfg.max_len, "evaluation")
+    monkeypatch.setattr(training, "EVAL_ROWS", sum(rows) // 5)   # six chunks
     full = training.evaluate(model, data, task)
     summed = Counter()
     for dataset in one_instance_sets(task, data):
@@ -483,26 +487,25 @@ def test_evaluate_chunks_by_length_and_keeps_input_order(task, strategy, monkeyp
     assert +summed == +count_table(full)
 
     # Labels that name their instance come back to it. The chunks cut the
-    # length-sorted order into runs of at most EVAL_CHUNK; they may run in
-    # any order, on either thread.
+    # length-sorted order into an even number of runs of about equal packed
+    # rows; they may run in any order, on either thread.
     batches = []
     if task == "ate":
         def oracle(self, batch):
-            batches.append([len(ex) for ex in batch])
+            batches.append([enc.packed_length(ex) for ex in batch])
             return [list(ex.bio_tags) for ex in batch]
         monkeypatch.setattr(tasks.AbsaModel, "predict_bio", oracle)
         assert training.evaluate(model, data, task).ate == {"p": 1.0, "r": 1.0, "f1": 1.0}
     else:
         def oracle(self, batch):
-            batches.append([len(ex) + ex.aspects[i].token_span[1] - ex.aspects[i].token_span[0]
-                            for ex, i in batch])
+            batches.append([enc.packed_length(ex, i) for ex, i in batch])
             return [ex.aspects[i].polarity for ex, i in batch]
         monkeypatch.setattr(tasks.AbsaModel, "predict_polarity", oracle)
         assert training.evaluate(model, data, task).asc["acc"] == 1.0
     lengths = [n for batch in sorted(batches) for n in batch]
-    assert len(batches) == -(-len(lengths) // training.EVAL_CHUNK) > 1
-    assert all(len(batch) <= training.EVAL_CHUNK for batch in batches)
-    assert lengths == sorted(lengths)
+    assert len(batches) == 2 * -(-sum(rows) // (2 * training.EVAL_ROWS)) == 6
+    assert all(abs(sum(batch) - sum(rows) / 6) <= max(rows) for batch in batches)
+    assert lengths == sorted(rows)
 
 
 # batch_loss of AMOM: (task, train mode) -> loss. First recorded before
@@ -658,7 +661,7 @@ def test_amom_packed_evaluation_matches_batches_of_one(task, monkeypatch):
     assert [regrouped.get(b, []) for b in range(len(items))] == [h for _, _, h in singles]
 
     packed = training.evaluate(model, examples, task).per_class
-    monkeypatch.setattr(training, "EVAL_CHUNK", 1)
+    monkeypatch.setattr(training, "EVAL_ROWS", 1)   # one chunk per instance
     assert training.evaluate(model, examples, task).per_class == packed
 
 

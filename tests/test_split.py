@@ -3,7 +3,8 @@
 `nll` node (`tasks` docstring), and gives what the whole batch gives, while
 `AbsaModel.forward` always runs one packed graph. Evaluation streams its
 chunks, however long, and they give what they give one after another. The
-tests lower SPLIT_ROWS so that small batches split."""
+tests lower SPLIT_ROWS so that small batches split, and EVAL_ROWS so that
+small sets cut into several chunks."""
 
 import functools
 import sys
@@ -379,9 +380,10 @@ def test_a_forward_draws_the_same_words_split_or_whole(monkeypatch, task):
 PREDICT = {"ate": "predict_bio", "asc": "predict_polarity"}   # the method evaluate() calls
 
 
-def evaluation_model(task, strategy, size=70):
+def evaluation_model(monkeypatch, task, strategy, size=70):
     """A float32 model and an evaluation set of `size` sentences, which
-    cut into three chunks or more."""
+    cut into six chunks or more at the EVAL_ROWS this sets."""
+    monkeypatch.setattr(training, "EVAL_ROWS", 128)
     model, _ = make_model(task, strategy, np.float32, size)
     return model, corpus.synth_corpus(seed=41, size=size)
 
@@ -415,12 +417,64 @@ def serial_streams(fn, items):
     return [fn(x) for x in items]
 
 
+def predicted_chunks(rows) -> list:
+    """(on the worker, instances) of each chunk `_predict_by_length` predicts
+    over instances 0..n-1 of packed `rows`, in the length order of their
+    first instance, once every prediction has come back to its instance."""
+    calls = []
+
+    def predict(chunk):
+        calls.append((in_worker(), chunk))
+        return [("label", i) for i in chunk]
+
+    assert training._predict_by_length(predict, list(range(len(rows))), rows) == \
+        [("label", i) for i in range(len(rows))]
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    return sorted(calls, key=lambda call: order.index(call[1][0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 60])
+def test_a_set_under_eval_rows_runs_as_one_chunk_on_this_thread(monkeypatch, n):
+    rows = [int(r) for r in np.random.default_rng(n).integers(3, 17, size=n)]
+    assert sum(rows) < training.EVAL_ROWS
+    runs = count_splits(monkeypatch)
+    assert predicted_chunks(rows) == [(False, sorted(range(n), key=rows.__getitem__))]
+    assert not runs
+
+
+@pytest.mark.parametrize("n,eval_rows", [(50, 1024), (200, 1024), (701, 1024), (90, 300), (40, 128)])
+def test_a_larger_set_runs_as_an_even_number_of_balanced_length_ordered_chunks(
+        monkeypatch, n, eval_rows):
+    """The chunks are consecutive runs of the length order, an even number
+    of them, the smallest that keeps total/k within EVAL_ROWS; they
+    alternate between this thread and the worker, and each one's rows sit
+    within one instance's rows of total/k."""
+    monkeypatch.setattr(training, "EVAL_ROWS", eval_rows)
+    rows = [int(r) for r in np.random.default_rng(n).integers(3, 60, size=n)]
+    chunks = predicted_chunks(rows)
+    k = len(chunks)
+    assert k % 2 == 0 and (k - 2) * eval_rows < sum(rows) <= k * eval_rows
+    assert [worker for worker, _ in chunks] == [False, True] * (k // 2)
+    order = sorted(range(n), key=rows.__getitem__)
+    assert [i for _, chunk in chunks for i in chunk] == order
+    totals = [sum(rows[i] for i in chunk) for _, chunk in chunks]
+    assert all(abs(total - sum(rows) / k) <= max(rows) for total in totals)
+
+
+def test_fewer_instances_than_chunks_run_one_a_chunk(monkeypatch):
+    monkeypatch.setattr(training, "EVAL_ROWS", 1)
+    rows = [9, 3, 40, 3, 12, 7, 5]
+    chunks = predicted_chunks(rows)
+    assert [chunk for _, chunk in chunks] == [[1], [3], [6], [5], [0], [4], [2]]
+    assert [worker for worker, _ in chunks] == [n % 2 == 1 for n in range(len(rows))]
+
+
 @pytest.mark.parametrize("task,strategy", CASES)
 def test_streamed_evaluate_predicts_what_serial_chunks_do(monkeypatch, task, strategy):
     """One `streams` runs the chunks, and every instance gets the
     prediction, and the report the counts, that the chunks give one after
     another on one thread. A set of one chunk runs nothing on the worker."""
-    model, data = evaluation_model(task, strategy)
+    model, data = evaluation_model(monkeypatch, task, strategy)
     runs = count_splits(monkeypatch)
     training.evaluate(model, data[:1], task)
     assert not runs
@@ -440,10 +494,9 @@ def test_evaluate_streams_a_chunk_of_split_rows_or_more_with_the_others(monkeypa
     """With SPLIT_ROWS at the longest chunk's rows, one `streams` still runs
     every chunk, alternating between this thread and the worker in length
     order, and no chunk is cut: each instance gets what serial chunks give."""
-    model, data = evaluation_model(task, "actm", size=100)
+    model, data = evaluation_model(monkeypatch, task, "actm", size=100)
     items, rows = training._instances(data, task, model.enc_cfg.max_len, "evaluation")
-    order = sorted(range(len(items)), key=rows.__getitem__)
-    cut = [order[lo:lo + training.EVAL_CHUNK] for lo in range(0, len(order), training.EVAL_CHUNK)]
+    cut = training._cut_by_rows(sorted(range(len(items)), key=rows.__getitem__), rows)
     totals = [sum(rows[i] for i in chunk) for chunk in cut]
     keys = [[instance_key(items[i]) for i in chunk] for chunk in cut]
     assert len(cut) >= 3 and max(totals) > min(totals)
@@ -461,7 +514,7 @@ def test_an_error_in_the_worker_s_stream_reaches_the_caller(monkeypatch, task):
     """A chunk that fails on the worker raises its error, unchanged, once the
     calling thread's stream has run all its chunks; the next evaluate()
     completes and reports what it did before."""
-    model, data = evaluation_model(task, "none")
+    model, data = evaluation_model(monkeypatch, task, "none")
     report = training.evaluate(model, data, task)
     name = PREDICT[task]
     predict, planted, done = getattr(model, name), ContractError("planted"), []
@@ -477,8 +530,8 @@ def test_an_error_in_the_worker_s_stream_reaches_the_caller(monkeypatch, task):
     with pytest.raises(ContractError) as caught:
         training.evaluate(model, data, task)
     assert caught.value is planted
-    instances = len(data) if task == "ate" else len(training.asc_instances(data))
-    chunks = -(-instances // training.EVAL_CHUNK)
+    _, rows = training._instances(data, task, model.enc_cfg.max_len, "evaluation")
+    chunks = 2 * -(-sum(rows) // (2 * training.EVAL_ROWS))
     assert chunks >= 3 and len(done) == (chunks + 1) // 2   # the even-indexed chunks
     monkeypatch.setattr(model, name, predict)
     assert training.evaluate(model, data, task) == report
@@ -488,7 +541,7 @@ def test_evaluates_from_many_threads_keep_their_predictions(monkeypatch):
     """Four callers, more than the cores, stream their evaluations through
     the one worker at a short switch interval; each gets the report and
     the predictions it gets alone."""
-    cases = [evaluation_model(task, "actm") for task in tasks.TASKS for _ in range(2)]
+    cases = [evaluation_model(monkeypatch, task, "actm") for task in tasks.TASKS for _ in range(2)]
     alone = [recorded_evaluate(model, data)[:2] for model, data in cases]
     results = [None] * len(cases)
 

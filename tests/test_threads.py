@@ -90,9 +90,9 @@ print(len(concurrent_rounds), float(log.records[-1]["train_loss"]).hex(), digest
 """
 
 # A split training loss in the parent, then one in a forked child, which must
-# not wait on the parent's worker thread, and a streamed evaluate there: the
-# child exits 0, 1 if its evaluate streamed no chunks, or -14 if SIGALRM ends
-# it stuck.
+# not wait on the parent's worker thread, and a streamed evaluate there, its
+# set cut into several chunks: the child exits 0, 1 if its evaluate streamed
+# no chunks, or -14 if SIGALRM ends it stuck.
 FORK_SCRIPT = """
 import os
 import signal
@@ -106,6 +106,7 @@ vocab = enc.Vocab.build(data)
 model = tasks.AbsaModel("asc", enc.EncoderConfig(vocab_size=len(vocab.words)),
                         mk.MaskConfig(strategy="none"), vocab, 0)
 tasks.SPLIT_ROWS = 2
+training.EVAL_ROWS = 128
 model.loss(training.asc_instances(data[:6]))
 pid = os.fork()
 if pid == 0:
