@@ -144,6 +144,14 @@ class ModelInput:
     def content_segments(self) -> ad.Segments:
         return ad.Segments(self.content_lengths)
 
+    @functools.cached_property
+    def aspect_rows(self) -> tuple[np.ndarray, ad.Segments] | None:
+        """`aspect_rows` of the in-sentence aspect spans (ASC), one segment
+        per sequence; None without spans."""
+        if self.aspect_spans is None:
+            return None
+        return aspect_rows(self.aspect_spans, len(self))
+
 
 def packed_length(ex: TokenizedExample, aspect: int | None = None) -> int:
     """Rows `pack_inputs` gives one instance: [CLS] + sentence + [SEP], and

@@ -4,7 +4,9 @@ Three adaptive families plus a fixed-threshold baseline:
   - ACTM: mask tokens whose attention score falls under a learnable,
     context-aggregated threshold (plus an aspect-relevance term for ASC).
   - AAM: soft distance ramp with a learnable span that reshapes attention
-    around every position.
+    around a position. ATE remixes every position; ASC, whose head pools
+    the aspect span alone, remixes only the in-sentence aspect-span rows,
+    each still reading every row of its sequence as key and value.
   - AMOM: remask a number of content tokens set by how good the last
     prediction was, and regenerate predictions for a fixed number of rounds.
     One loop, amom_regenerate, serves training and inference: it decides for
@@ -282,17 +284,25 @@ def fixed_threshold(attn: np.ndarray, tau_value: float) -> np.ndarray:
 
 
 def aam_remix(states: np.ndarray, z, ramp: float, d_k: int,
-              segments: ad.Segments | None = None):
-    """Re-aggregate every position from its learnable span: row p of a
+              segments: ad.Segments | None = None,
+              queries: tuple[np.ndarray, ad.Segments] | None = None):
+    """Re-aggregate positions from their learnable span: query row p of a
     sequence becomes the softmax-weighted mix of that sequence's rows.
 
-    Logits are cosines between rows times sqrt(d_k), so the softmax
-    temperature does not depend on the state norm. They are multiplied by
-    the soft span mask m = min[max[(R + z - |p - j|)/R, 0], 1] and by the
-    mean of m over the sequence; keys where m is 0 get NEG_INF_LOGIT
-    instead. z must exceed -R, which keeps each row's own key in its
-    support; the model clips z to >= 0. Works on padded (segments, n_max,
-    n_max) arrays. Returns (out, backward), backward(g) -> (dstates, dz)."""
+    Every row of `states` is a key and a value. The queries are every row,
+    or given `queries = (rows, layout)` the packed `rows` alone, one segment
+    of `layout` per sequence, as `encoder.aspect_rows` returns them; a query
+    row outside its sequence is a ContractError, and the rows must be
+    distinct. Logits are cosines between a query and the keys times
+    sqrt(d_k), so the softmax temperature does not depend on the state
+    norm. They are multiplied by the soft span mask m = min[max[(R + z -
+    |p - j|)/R, 0], 1] and by the mean of m over the sequence; keys where m
+    is 0 get NEG_INF_LOGIT instead. z must exceed -R, which keeps each
+    row's own key in its support; the model clips z to >= 0. Logits, span
+    mask, ratio and softmax are padded (segments, q, n_max) arrays, q the
+    most queries of one sequence: n_max without `queries`, which is ATE's
+    path, 1-3 for ASC's aspect spans. Returns (out, backward): out has one
+    row per query, in packed order; backward(g) -> (dstates, dz)."""
     if ramp <= 0.0:
         raise ContractError(f"ramp length must be positive, got {ramp}")
     if z <= -ramp:
@@ -305,9 +315,24 @@ def aam_remix(states: np.ndarray, z, ramp: float, d_k: int,
     root = np.sqrt(np.maximum((s * s).sum(axis=-1, keepdims=True), 0.0))
     norms = np.maximum(root, NORM_EPS)
     unit = s / norms
-    logits = (unit @ unit.transpose(0, 2, 1)) * scale
     idx = np.arange(seg.n_max)
-    distance = np.abs(idx[:, None] - idx[None, :]).astype(s.dtype)
+    if queries is None:
+        q_seg, q_pos, unit_q = seg, idx, unit
+    else:
+        q_rows, q_seg = queries
+        if q_seg.count != seg.count or q_seg.total != len(q_rows):
+            raise DimensionError(f"{q_seg.count} query segments of {q_seg.total} rows for "
+                                 f"{seg.count} sequences and {len(q_rows)} query rows")
+        pos = q_rows - seg.offsets[q_seg.ids]
+        outside = (pos < 0) | (pos >= seg.lengths[q_seg.ids])
+        if outside.any():
+            b = int(q_seg.ids[np.flatnonzero(outside)[0]])
+            raise ContractError(f"query row {q_rows[outside][0]} is outside sequence {b}, "
+                                f"rows {seg.offsets[b]}..{seg.offsets[b] + seg.lengths[b] - 1}")
+        q_pos = q_seg.pad(pos)   # padded query slots point at key 0; their rows are dropped
+        unit_q = unit[np.arange(seg.count)[:, None], q_pos]
+    logits = (unit_q @ unit.transpose(0, 2, 1)) * scale
+    distance = np.abs(q_pos[..., None] - idx).astype(s.dtype)
     pre = ((z + ramp) - distance) * (1.0 / ramp)
     m = np.where(valid, np.clip(pre, 0.0, 1.0), 0.0)
     inv_len = (1.0 / seg.lengths).astype(s.dtype)[:, None, None]
@@ -318,7 +343,7 @@ def aam_remix(states: np.ndarray, z, ramp: float, d_k: int,
                                                axis=-1)
 
     def backward(g):
-        go = seg.pad(g)
+        go = q_seg.pad(g)
         ds = attn.transpose(0, 2, 1) @ go
         da = go @ s.transpose(0, 2, 1)
         dmod = softmax_backward(da)
@@ -328,14 +353,18 @@ def aam_remix(states: np.ndarray, z, ramp: float, d_k: int,
         inside = (pre > 0.0) & (pre < 1.0)
         dz = np.asarray((dm * inside).sum() * (1.0 / ramp))
         dp = dt * m * scale
-        dunit = dp @ unit + dp.transpose(0, 2, 1) @ unit
+        if queries is None:
+            dunit = dp @ unit + dp.transpose(0, 2, 1) @ unit
+        else:   # the keys' part, then each query's own at its key
+            dunit = dp.transpose(0, 2, 1) @ unit_q
+            dunit[q_seg.ids, pos] += q_seg.unpad(dp @ unit)
         ds += dunit / norms
         dnorms = -(dunit * s / (norms * norms)).sum(axis=-1, keepdims=True)
         dsq = dnorms * (root > NORM_EPS) * 0.5 / np.maximum(root, NORM_EPS)
         ds += 2.0 * s * dsq
         return seg.unpad(ds), dz
 
-    return seg.unpad(attn @ s), backward
+    return q_seg.unpad(attn @ s), backward
 
 
 # -- the mask stage -------------------------------------------------------------
@@ -366,9 +395,11 @@ def stage(states: ad.Tensor, inp: enc.ModelInput, params: ad.ParamStore, weights
 
     Each strategy's kernels are chained into one fused node. AAM's parents
     are the states and `mask.z`, clipped to [0, max_len] with a clamp's
-    gradient. The threshold node's parents are the states, `mask.w_a`, ACTM's
-    alpha, and on ASC input gamma and beta; ASC ACTM pools the aspect span's
-    states inside the node and weighs attention by relevance to that vector."""
+    gradient; on ASC input its states for the head are the remixed
+    aspect-span rows alone (`ModelInput.aspect_rows`), in span order. The
+    threshold node's parents are the states, `mask.w_a`, ACTM's alpha, and on
+    ASC input gamma and beta; ASC ACTM pools the aspect span's states inside
+    the node and weighs attention by relevance to that vector."""
     d_k = enc_cfg.hidden
     seg = inp.segments
     if cfg.strategy == "none" or cfg.strategy == "amom":
@@ -376,7 +407,7 @@ def stage(states: ad.Tensor, inp: enc.ModelInput, params: ad.ParamStore, weights
     if cfg.strategy == "aam":
         z, max_len = params["mask.z"], float(enc_cfg.max_len)
         out, remix_backward = aam_remix(states.data, np.clip(z.data, 0.0, max_len),
-                                        cfg.aam_ramp, d_k, seg)
+                                        cfg.aam_ramp, d_k, seg, inp.aspect_rows)
         inside = (z.data > 0.0) & (z.data < max_len)
 
         def aam_backward(g):
@@ -394,7 +425,7 @@ def stage(states: ad.Tensor, inp: enc.ModelInput, params: ad.ParamStore, weights
         parents += (weights["alpha"],)
         relevance = gamma = None
         if inp.aspect_spans is not None:
-            rows, pool_seg = enc.aspect_rows(inp.aspect_spans, x.shape[0])
+            rows, pool_seg = inp.aspect_rows
             aspect_vec, pool_backward = enc.pool_rows(x, rows, pool_seg, pool_seg.lengths)
             relevance, relevance_backward = aspect_relevance(
                 x, attn, aspect_vec, weights["beta"].data, seg)

@@ -7,23 +7,26 @@ input projection, each encoder layer, `masking.stage` (none for `none` and
 AMOM) and the task head, `ate_head` or `asc_head`. Every batch, in training
 and in prediction, runs through `AbsaModel.amom`, AMOM's rounds around that
 forward; under any other strategy nothing is maskable, so one round runs.
-The model tests the strategy only there and for AAM's pooled rows.
+The model tests the strategy only there and for AAM's pooled rows: ASC AAM's
+stage returns the remixed aspect-span rows alone, which `asc_head` pools
+whole.
 
 One runner, `AbsaModel._forwards`, runs every forward, scored or not. Only
 training cuts a batch: a training forward of at least SPLIT_ROWS packed
 rows, a plain batch's or an AMOM round's, runs as two halves, the first
 ceil(B/2) instances and the rest, half 1 on the worker (`autodiff.streams`),
 each with an `nll` node of its own; any other forward is one packed graph.
-Evaluation runs a set of fewer than `training.EVAL_ROWS` packed rows as one
-chunk on the calling thread, and streams a larger one as an even number of
-chunks of about equal rows (`training.evaluate`). Given a generator
-(training), the runner draws each part's dropout words on the calling
-thread, part by part and before any row is computed
-(`encoder.dropout_words`); without one (evaluation) nothing is dropped.
-One `autodiff.join` sums a loss's nodes in order and walks their backwards
-through `autodiff.streams`, adding each parameter's gradients in node
-order. The cut counts rows alone, never the host's cores, so a seed gives
-the same bits on every machine."""
+Evaluation counts a set's packed rows, or `training.EVAL_LONG_ROWS` an
+instance where its instances average more; it runs a set that counts fewer
+than `training.EVAL_ROWS` as one chunk on the calling thread, and streams a
+larger one as an even number of chunks of about equal rows
+(`training.evaluate`). Given a generator (training), the runner draws each
+part's dropout words on the calling thread, part by part and before any row
+is computed (`encoder.dropout_words`); without one (evaluation) nothing is
+dropped. One `autodiff.join` sums a loss's nodes in order and walks their
+backwards through `autodiff.streams`, adding each parameter's gradients in
+node order. The cut counts rows alone, never the host's cores, so a seed
+gives the same bits on every machine."""
 
 from __future__ import annotations
 
@@ -293,9 +296,9 @@ class AbsaModel:
         inp = enc.pack_inputs(self.vocab, [ex for ex, _ in instances], [i for _, i in instances],
                               masked_content)
         encoded, states, decision = self.encode_and_mask(inp, surrogate, words)
-        if self.mask_cfg.strategy == "aam":   # the aspect span's mean
-            rows, pool_seg = enc.aspect_rows(inp.aspect_spans, len(inp))
-            divisor = pool_seg.lengths
+        if self.mask_cfg.strategy == "aam":   # the span's mean: `states` are its remixed rows
+            pool_seg = inp.aspect_rows[1]
+            rows, divisor = np.arange(pool_seg.total), pool_seg.lengths
         else:   # the content mean, over the kept tokens when a mask decided
             rows, pool_seg = inp.content_positions, inp.content_segments
             if decision is not None and not surrogate:

@@ -66,7 +66,7 @@ def test_install_layers_hooks_every_name_and_restores(harness, task, strategy, c
     if strategy == "actm":   # masking.stage calls the threshold kernels through the wrappers
         for name in ("masking.token_attention", "masking.threshold", "masking.apply_mask"):
             assert rec.named(name), name
-    if strategy == "aam":   # every AAM forward remixes exactly the rows it encoded
+    if strategy == "aam":   # every AAM forward reads exactly the rows it encoded
         assert rec.counters["aam_rows"] == rec.counters["encoder_rows"]
     # every batch runs through amom_regenerate; only AMOM's count rounds and
     # masked tokens, so masking.amom_masked_per_round reads 0 for the rest

@@ -352,6 +352,21 @@ class TestKernelGradients:
         assert_gradients([dstates, dz],
                          central_differences(lambda *x: f(*x)[0], [states, z], coeffs))
 
+    def test_aam_remix_of_query_rows(self):
+        """Only rows 0, 2..4 and 7 are queries; every row is a key and a
+        value, so every row gets a gradient."""
+        rng, states, _ = self.draws(5)
+        z, coeffs = np.array(1.3), rng.normal(size=(5, 3))
+        queries = (np.array([0, 2, 3, 4, 7]), ad.Segments([1, 3, 1]))
+
+        def f(states, z):
+            return mk.aam_remix(states, z, 2.0, 3, self.SEG, queries)
+
+        dstates, dz = f(states, z)[1](coeffs)
+        assert dstates.shape == (10, 3) and dstates.all()
+        assert_gradients([dstates, dz],
+                         central_differences(lambda *x: f(*x)[0], [states, z], coeffs))
+
 
 class TestAamSoftMask:
     def test_exact_grid(self):

@@ -461,6 +461,35 @@ def test_a_larger_set_runs_as_an_even_number_of_balanced_length_ordered_chunks(
     assert all(abs(total - sum(rows) / k) <= max(rows) for total in totals)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_set_of_long_instances_runs_as_chunks_of_about_32_instances(seed):
+    """A set averaging more than EVAL_LONG_ROWS rows, shaped like a held-out
+    set of 117 reviews' aspects of about 60 rows, counts EVAL_LONG_ROWS rows
+    an instance: an even number of chunks of about EVAL_ROWS /
+    EVAL_LONG_ROWS = 32 instances, consecutive in length order, alternating
+    between this thread and the worker, with about equal rows."""
+    assert training.EVAL_ROWS // training.EVAL_LONG_ROWS == 32
+    rows = [int(r) for r in np.random.default_rng(seed).integers(40, 81, size=117)]
+    assert sum(rows) > training.EVAL_LONG_ROWS * len(rows)
+    chunks = predicted_chunks(rows)
+    k = len(chunks)
+    assert k == 4 and [worker for worker, _ in chunks] == [False, True] * (k // 2)
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    assert [i for _, chunk in chunks for i in chunk] == order
+    # rows balance, so the short instances' chunks hold more of them
+    assert len(rows) / k <= 32 and all(20 <= len(chunk) <= 40 for _, chunk in chunks)
+    totals = [sum(rows[i] for i in chunk) for _, chunk in chunks]
+    assert all(abs(total - sum(rows) / k) <= max(rows) for total in totals)
+
+
+def test_a_set_of_long_instances_under_32_runs_as_one_chunk_on_this_thread():
+    """20 instances of 60 rows pack more than EVAL_ROWS rows but count
+    fewer at EVAL_LONG_ROWS an instance: one chunk, no stream."""
+    rows = [60] * 20
+    assert sum(rows) > training.EVAL_ROWS
+    assert predicted_chunks(rows) == [(False, list(range(20)))]
+
+
 def test_fewer_instances_than_chunks_run_one_a_chunk(monkeypatch):
     monkeypatch.setattr(training, "EVAL_ROWS", 1)
     rows = [9, 3, 40, 3, 12, 7, 5]

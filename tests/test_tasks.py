@@ -343,7 +343,8 @@ class TestHeadKernels:
         assert gc.finite_difference_check(self.objective(head, rng), params) < 1e-4
 
     def test_asc_head_aspect_span_pooling_matches_central_differences(self):
-        """AAM pools each instance's aspect span of the remixed states."""
+        """The head pools each instance's own rows of `states`, one span
+        each, as ASC AAM pools its remixed aspect-span rows."""
         rng = np.random.default_rng(63)
         params = self.store(rng, encoded=(10, 4), states=(10, 4), W=(8, 3), b=(3,))
         rows, seg = enc.aspect_rows([(1, 2), (7, 7)], 10)

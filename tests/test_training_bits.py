@@ -35,7 +35,7 @@ PINS = {
     (8, None, "asc", "actm"):
         ("0x1.9423c885ac228p+4", "0x1.880274c6e6cdbp+4", "8346f70a03f99e00", "2173df5e88de3ba8"),
     (8, None, "asc", "aam"):
-        ("0x1.9306e1f56913fp+4", "0x1.879a78e6be2d2p+4", "85321f7ffba5da74", "6083bb2efb4ba838"),
+        ("0x1.9306e1f70c1a3p+4", "0x1.879a78e8800a8p+4", "b6adbbc36793c340", "6083bb2efb4ba838"),
     (8, None, "asc", "amom"):
         ("0x1.922b398bc26edp+4", "0x1.8607e4b9a56aap+4", "a670f2d83357d365", "6083bb2efb4ba838"),
     (8, None, "asc", "fixed"):
@@ -55,7 +55,7 @@ PINS = {
     (32, 300, "asc", "actm"):
         ("0x1.96f42ec6605b4p+4", "0x1.9434fea4b73a6p+4", "db30f3c400b11bcd", "6bec849276dd3cc2"),
     (32, 300, "asc", "aam"):
-        ("0x1.95c0cda1100f9p+4", "0x1.9130bc8dd03c9p+4", "1d7dcd05eeaae124", "dea85f831ef8b354"),
+        ("0x1.95c0cda110107p+4", "0x1.9130bcadcd65ap+4", "daeb09b9ac4e304d", "dea85f831ef8b354"),
     (32, 300, "asc", "amom"):
         ("0x1.9552895cd1784p+4", "0x1.91122d0558475p+4", "d01402fb0f7a17bf", "6bec849276dd3cc2"),
     (32, 300, "asc", "fixed"):
